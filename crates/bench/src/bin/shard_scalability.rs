@@ -1,7 +1,7 @@
 //! Shard-count scalability sweep (the Table-2 exercise lifted to the
 //! sharded layer): one logical table partitioned over 1/2/4/8 shards,
 //! serving concurrent routed inserts and cross-shard scans while a
-//! [`ShardedScheduler`] grants at most K merge slots across shards.
+//! [`MergeScheduler`] grants at most K merge slots across shards.
 //!
 //! The paper stops at one table on one box; this harness measures what the
 //! ROADMAP's scale-out step buys: per-shard merges touch `1/N`-th of the
@@ -16,8 +16,8 @@
 //! ```
 
 use hyrise_bench::{banner, default_threads, fmt_count, Args, TablePrinter};
-use hyrise_core::shard::{ShardedScheduler, ShardedTable};
-use hyrise_core::MergePolicy;
+use hyrise_core::shard::ShardedTable;
+use hyrise_core::{MergePolicy, MergeScheduler};
 use hyrise_query::Query;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,8 +68,8 @@ fn sweep(
         threads: 1,
         ..MergePolicy::default()
     };
-    let sched = ShardedScheduler::spawn(
-        Arc::clone(&table),
+    let sched = MergeScheduler::spawn(
+        table.shards().to_vec(),
         policy,
         merge_slots,
         Duration::from_millis(1),
@@ -124,7 +124,7 @@ fn sweep(
     }
     sched.shutdown();
     let stats = sched.stats();
-    let stages = stats.per_shard.iter().fold([0u64; 3], |acc, s| {
+    let stages = stats.per_source.iter().fold([0u64; 3], |acc, s| {
         [
             acc[0] + s.step1a_micros,
             acc[1] + s.step1b_micros,
@@ -235,7 +235,7 @@ fn main() {
     println!("expected shape: merges grow with shard count (each merge covers 1/N of the");
     println!("data); write throughput grows with cores available, flat on one core.");
     println!("s1a/s1b/s2 stack like the paper's Figure 7/8 stage bars (per-shard");
-    println!("ShardMergeStats summed): Step 2 dominates, Step 1b grows with |U|.");
+    println!("SourceMergeStats summed): Step 2 dominates, Step 1b grows with |U|.");
     println!("the governor column is dominant-signal share · last grant; the scan");
     println!("thread keeps the read counters busy, so expect contended/baseline");
     println!("rounds while writers run and read-idle ones during the drain.");

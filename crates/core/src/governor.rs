@@ -37,11 +37,12 @@
 //! saturating: `Naive` skips the delta re-encode and the `X_M`/`X_D`
 //! auxiliary streams of the optimized stages, trading extra CPU (its
 //! binary-search Step 2) for less bandwidth, and the thread grant halves.
-//! A deep query-pool queue ([`crate::pool::global_queue_depth`]) is the
-//! same story seen from the scheduler's side — morsel tasks waiting for
-//! workers — so it also halves the thread grant, but keeps the policy's
-//! strategy: the queue clears fastest when the merge yields *cores*, and
-//! the backlog says nothing about bandwidth.
+//! A deep pool queue ([`crate::pool::global_queue_depth`]) is the same
+//! story seen from the worker side — tasks waiting for workers — so it
+//! also halves the grant, but keeps the policy's strategy: merges run on
+//! that same pool, a grant's `threads` is its width there, so the queue
+//! clears fastest when the merge yields *workers*, and the backlog says
+//! nothing about bandwidth.
 //! A write burst or a read-idle window is the opposite — the merge should
 //! take the machine (the paper's "merging with all available resources")
 //! while it is cheap to do so.
@@ -51,10 +52,9 @@
 //! `shard_scalability` harness prints that trace next to its per-stage
 //! columns.
 //!
-//! Both [`crate::scheduler::SourceScheduler`] and
-//! [`crate::shard::ShardedScheduler`] poll through [`ResourceGovernor::plan`]
-//! — one decision core instead of two hand-rolled loops. For a sharded
-//! view the plan also ranks shards by `delta fraction × pressure` and
+//! [`crate::scheduler::MergeScheduler`] polls through
+//! [`ResourceGovernor::plan`] once per round. For a multi-source (sharded)
+//! view the plan also ranks sources by `delta fraction × pressure` and
 //! selects at most `max_concurrent` of them; the pressure factor makes
 //! merges *more* eager under write/memory pressure and never less eager
 //! than the static trigger, so a governed scheduler bounds the delta at
@@ -164,9 +164,9 @@ pub struct GovernorConfig {
     /// Engine runs/second *above* which the workload counts as
     /// read-contended.
     pub busy_reads_per_sec: f64,
-    /// Queued-but-unclaimed tasks on the shared query pool *above* which
-    /// the round counts as queue-deep: scans are waiting for workers, so
-    /// the next merge grant gives cores back (half the policy's threads).
+    /// Queued-but-unclaimed tasks on the shared worker pool *above* which
+    /// the round counts as queue-deep: work is waiting for workers, so the
+    /// next merge grant gives pool width back (half the policy's threads).
     /// `usize::MAX` disables the signal.
     pub deep_queue_depth: usize,
 }
@@ -253,8 +253,9 @@ pub struct LoadSignals {
     pub delta_bytes: usize,
     /// `memory_bytes` exceeded the configured soft limit.
     pub memory_pressure: bool,
-    /// Queued-but-unclaimed tasks on the shared query pool at sample time
-    /// ([`crate::pool::global_queue_depth`]): reads waiting for a worker.
+    /// Queued-but-unclaimed tasks on the shared worker pool at sample time
+    /// ([`crate::pool::global_queue_depth`]): query morsels and merge
+    /// helpers waiting for a worker.
     pub pool_queue_depth: usize,
 }
 
@@ -327,7 +328,7 @@ impl std::fmt::Display for GrantRecord {
 }
 
 /// What a scheduler tells the governor about its source(s) each round.
-/// Build one with [`LoadView::of_source`] or by hand.
+/// Build one with [`LoadView::of_sources`] or by hand.
 #[derive(Clone, Debug)]
 pub struct LoadView {
     /// Per-source merge-trigger ratios (one entry for a single table, one
@@ -352,13 +353,29 @@ impl LoadView {
     /// Sample one [`MergeSource`](crate::scheduler::MergeSource) into a
     /// single-slot view.
     pub fn of_source<S: crate::scheduler::MergeSource + ?Sized>(source: &S) -> Self {
-        Self {
-            fractions: vec![source.delta_fraction()],
-            inserted: vec![source.inserted_rows()],
-            delta_tuples: source.delta_tuples(),
-            memory: source.memory_report(),
-            max_concurrent: 1,
+        Self::of_sources([source], 1)
+    }
+
+    /// Sample a set of sources (a sharded table's shards) into one view,
+    /// one slot per source in iteration order.
+    pub fn of_sources<'a, S: crate::scheduler::MergeSource + ?Sized>(
+        sources: impl IntoIterator<Item = &'a S>,
+        max_concurrent: usize,
+    ) -> Self {
+        let mut view = Self {
+            fractions: Vec::new(),
+            inserted: Vec::new(),
+            delta_tuples: 0,
+            memory: MemoryReport::default(),
+            max_concurrent,
+        };
+        for s in sources {
+            view.fractions.push(s.delta_fraction());
+            view.inserted.push(s.inserted_rows());
+            view.delta_tuples += s.delta_tuples();
+            view.memory = view.memory + s.memory_report();
         }
+        view
     }
 }
 
@@ -398,7 +415,7 @@ struct GovState {
 /// Decisions kept in the trace ring.
 const TRACE_CAP: usize = 64;
 
-/// The feedback-driven grant source both schedulers poll. See the module
+/// The feedback-driven grant source the scheduler polls. See the module
 /// docs for the signal model and decision table.
 pub struct ResourceGovernor {
     config: GovernorConfig,

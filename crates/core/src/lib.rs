@@ -28,15 +28,19 @@
 //!   policy (`N_D > fraction * N_M`).
 //! * [`shard`] — the scale-out layer beyond the paper's single-table
 //!   evaluation: [`shard::ShardedTable`] hash- or range-partitions rows
-//!   across N online tables, and [`shard::ShardedScheduler`] grants merge
-//!   threads across shards (at most K concurrent merges, worst delta
-//!   fraction first).
+//!   across N online tables.
+//! * [`scheduler`] — the one background [`scheduler::MergeScheduler`]: a
+//!   single table or a sharded table's shards, at most K concurrent merges,
+//!   worst delta fraction first.
+//! * [`pool`] — the one thread substrate: every parallel query and every
+//!   merge fan-out (shards, columns, dictionary partitions, Stage 2
+//!   regions) runs on the shared work-stealing [`pool::Pool`].
 //! * [`governor`] — Section 9's scheduling hook as a feedback loop: the
 //!   [`governor::ResourceGovernor`] samples read pressure (process-wide
 //!   query counters), write pressure (delta growth vs the Section 4
 //!   targets) and memory pressure ([`hyrise_storage::MemoryReport`]) and
-//!   emits the adaptive [`pipeline::MergeGrant`] both schedulers run
-//!   merges under.
+//!   emits the adaptive [`pipeline::MergeGrant`] the scheduler runs merges
+//!   under.
 //! * [`rate`] — Equations 1 and 16: update-rate accounting, plus the
 //!   write-load classification the governor feeds from.
 //! * `wal` (private)/[`recovery`]/[`config`]/[`error`] — crash durability beyond
@@ -91,9 +95,7 @@ pub use pipeline::{
 pub use pool::Pool;
 pub use rate::{classify_update_rate, update_rate, updates_per_second, WriteLoad};
 pub use recovery::{recover, recover_sharded, recover_with};
-pub use scheduler::{MergeOutcome, MergeScheduler, MergeSource, SchedulerStats, SourceScheduler};
-pub use shard::{
-    ShardBy, ShardMergeStats, ShardRowId, ShardedScheduler, ShardedSchedulerStats, ShardedTable,
-};
+pub use scheduler::{MergeOutcome, MergeScheduler, MergeSource, SchedulerStats, SourceMergeStats};
+pub use shard::{ShardBy, ShardRowId, ShardedTable};
 pub use stats::{ColumnMergeStats, MergeAlgo, MergeOutput, StageTimings, TableMergeStats};
 pub use step1::{merge_dictionaries, merge_dictionaries_into, DictMerge};

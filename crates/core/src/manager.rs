@@ -45,15 +45,19 @@ use crate::governor::GovernorConfig;
 use crate::pipeline::{
     MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy, SpareBank, StepSink,
 };
-use crate::stats::TableMergeStats;
+use crate::pool::Pool;
+use crate::stats::{MergeOutput, TableMergeStats};
 use crate::wal::{self, Wal};
 use hyrise_storage::{
     AtomicValidity, FrozenDelta, MainPartition, MemoryReport, TailLog, TailRegion, ValidityBitmap,
     Value,
 };
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+
+/// One column's merge input: its main partition and frozen delta.
+type MergeInput<V> = (Arc<MainPartition<V>>, Arc<FrozenDelta<V>>);
 
 /// When to merge (Section 4: trigger "when the number of tuples N_D in the
 /// delta partition is greater than a certain pre-defined fraction of tuples
@@ -63,9 +67,9 @@ use std::sync::Arc;
 pub struct MergePolicy {
     /// Merge once `N_D / N_M` exceeds this (e.g. 0.01 for Figure 9's 1%).
     pub delta_fraction: f64,
-    /// Threads granted to the merge ("for the remainder, we assume that the
-    /// merge uses all available resources" — but a background scheduler may
-    /// grant fewer, Section 9).
+    /// The merge's width on the shared pool ([`MergeGrant::threads`]; "for
+    /// the remainder, we assume that the merge uses all available
+    /// resources" — but a background scheduler may grant less, Section 9).
     pub threads: usize,
     /// Merge algorithm (default [`MergeStrategy::Parallel`]).
     pub strategy: MergeStrategy,
@@ -752,6 +756,87 @@ impl<V: Value> OnlineTable<V> {
         }
     }
 
+    /// The merge's input, pinned once after the freeze: every column's
+    /// `(main, frozen delta)` pair plus the frozen rows' end id. Callers
+    /// clear a slot as its column commits, so the retired main becomes
+    /// uniquely owned and recyclable.
+    fn frozen_snapshots(&self) -> (Vec<Option<MergeInput<V>>>, usize) {
+        let gen = self.gen.pin();
+        let snapshots = gen
+            .cols
+            .iter()
+            .map(|c| {
+                let frozen = c.frozen.as_ref().expect("merge input is frozen");
+                Some((Arc::clone(&c.main), Arc::clone(frozen)))
+            })
+            .collect();
+        (snapshots, gen.tail.base())
+    }
+
+    /// Merge the columns `cols` task-queue style on the shared pool — the
+    /// paper's scheme (i), "enqueue each column as a separate task"
+    /// (Section 6.2.1). `grant.threads` is the whole fan-out's width: at
+    /// most that many columns are in flight, and what is left over when
+    /// the set is narrow becomes each column's within-column width (scheme
+    /// (ii)). Returns the outputs in `cols` order, or `None` when `cancel`
+    /// fired before every column was merged.
+    fn merge_columns(
+        &self,
+        grant: MergeGrant,
+        cols: &[usize],
+        snapshots: &[Option<MergeInput<V>>],
+        sink: Option<&dyn StepSink>,
+        cancel: Option<&AtomicBool>,
+    ) -> Option<Vec<MergeOutput<MainPartition<V>>>> {
+        let workers = grant.threads.clamp(1, cols.len());
+        let pipeline = MergePipeline::new(grant.strategy, (grant.threads / workers).max(1));
+        let slots: Vec<OnceLock<MergeOutput<MainPartition<V>>>> =
+            cols.iter().map(|_| OnceLock::new()).collect();
+        let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+        Pool::global().run_indexed(cols.len(), workers, &|k| {
+            if cancelled() {
+                return;
+            }
+            let i = cols[k];
+            let (main, frozen) = snapshots[i].as_ref().expect("column not yet committed");
+            let mut scratch = self.checkout_scratch();
+            let out = pipeline.merge_column_frozen_observed(main, frozen, &mut scratch, sink, i);
+            self.checkin_scratch(scratch);
+            let _ = slots[k].set(out);
+        });
+        // A cancel that lands while the last columns are still merging
+        // cancels the merge too, although every slot got filled.
+        if cancelled() {
+            return None;
+        }
+        slots.into_iter().map(OnceLock::into_inner).collect()
+    }
+
+    /// Durable epilogue of a merge: persist the merged mains as the new
+    /// table checkpoint (atomic rename), then drop the absorbed segments
+    /// and the merge log. Failure here loses the merge's *durability*, not
+    /// its in-memory result: the log is cleared so recovery falls back to
+    /// the previous checkpoint plus the still-sealed segments.
+    fn finish_durable_merge(&self, w: &Wal<V>, frozen_end: usize) -> Result<()> {
+        let finish = (|| {
+            {
+                let gen = self.gen.pin();
+                let mains: Vec<&MainPartition<V>> = gen.cols.iter().map(|c| &*c.main).collect();
+                let validity = {
+                    let _flips = self.flip_gate.write();
+                    self.validity.snapshot_prefix(frozen_end)
+                };
+                wal::write_checkpoint(w.dir(), &mains, &validity)?;
+            }
+            w.truncate_absorbed(frozen_end)?;
+            wal::clear_merge_log(w.dir())
+        })();
+        if finish.is_err() {
+            let _ = wal::clear_merge_log(w.dir());
+        }
+        finish
+    }
+
     /// Run one online merge with the default grant ([`MergeStrategy::Parallel`],
     /// unbounded budget). Blocks the calling thread for the duration; the
     /// table stays readable and writable throughout (the freeze and commit
@@ -816,22 +901,7 @@ impl<V: Value> OnlineTable<V> {
             self.rollback_frozen();
             return Err(e);
         }
-        type Snapshot<V> = (Arc<MainPartition<V>>, Arc<FrozenDelta<V>>);
-        let (mut snapshots, frozen_end): (Vec<Option<Snapshot<V>>>, usize) = {
-            let gen = self.gen.pin();
-            (
-                gen.cols
-                    .iter()
-                    .map(|c| {
-                        Some((
-                            Arc::clone(&c.main),
-                            Arc::clone(c.frozen.as_ref().expect("freeze froze every column")),
-                        ))
-                    })
-                    .collect(),
-                gen.tail.base(),
-            )
-        };
+        let (mut snapshots, frozen_end) = self.frozen_snapshots();
 
         // SAGA begin record, synced before any merge work: recovery only
         // ever resumes a merge whose begin made it to disk; a crash before
@@ -857,51 +927,9 @@ impl<V: Value> OnlineTable<V> {
             let chunk_end = (chunk_start + chunk_cap).min(n_cols);
             let chunk_len = chunk_end - chunk_start;
 
-            // Merge phase: no swap, no lock. Columns of this chunk are
-            // processed task-queue style; each column merges with
-            // within-column parallelism when the chunk is narrow, serial
-            // otherwise (scheme (i) vs (ii), Section 6.2.1).
-            let workers = grant.threads.clamp(1, chunk_len);
-            let per_column_threads = (grant.threads / workers).max(1);
-            let pipeline = MergePipeline::new(grant.strategy, per_column_threads);
-            let next = AtomicUsize::new(chunk_start);
-            let cancelled = AtomicBool::new(false);
-            type Slot<V> = Mutex<Option<crate::stats::MergeOutput<MainPartition<V>>>>;
-            let slots: Vec<Slot<V>> = (0..chunk_len).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| {
-                        let mut scratch = self.checkout_scratch();
-                        loop {
-                            if cancelled.load(Ordering::Relaxed)
-                                || cancel.is_some_and(|c| c.load(Ordering::Relaxed))
-                            {
-                                cancelled.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= chunk_end {
-                                break;
-                            }
-                            let (main, frozen) =
-                                snapshots[i].as_ref().expect("chunk column not committed");
-                            let out = pipeline.merge_column_frozen_observed(
-                                main,
-                                frozen,
-                                &mut scratch,
-                                sink,
-                                i,
-                            );
-                            *slots[i - chunk_start].lock() = Some(out);
-                        }
-                        self.checkin_scratch(scratch);
-                    });
-                }
-            });
-
-            if cancelled.load(Ordering::Relaxed)
-                || cancel.is_some_and(|c| c.load(Ordering::Relaxed))
-            {
+            // Merge phase: no swap, no lock.
+            let chunk: Vec<usize> = (chunk_start..chunk_end).collect();
+            let Some(merged) = self.merge_columns(grant, &chunk, &snapshots, sink, cancel) else {
                 // Roll back every *uncommitted* column's frozen delta to
                 // `pending`, preserving tuple ids (pending rows are older
                 // than the tail's). Committed chunks stay. The merge log
@@ -912,24 +940,17 @@ impl<V: Value> OnlineTable<V> {
                     let _ = wal::clear_merge_log(w.dir());
                 }
                 return Err(Error::Cancelled);
-            }
+            };
 
             // Account the chunk's transient footprint, then commit it:
             // swap in a generation with the merged mains (the epoch
             // advance is the atomic commit), and recycle the retired
             // partitions into the spare bank.
-            let chunk_bytes: usize = slots
-                .iter()
-                .map(|s| s.lock().as_ref().map_or(0, |o| o.main.memory_bytes()))
-                .sum();
+            let chunk_bytes: usize = merged.iter().map(|o| o.main.memory_bytes()).sum();
             stats.peak_extra_bytes = stats.peak_extra_bytes.max(chunk_bytes);
             stats.peak_columns_in_flight = stats.peak_columns_in_flight.max(chunk_len);
             let mut outs = Vec::with_capacity(chunk_len);
-            for (k, slot) in slots.into_iter().enumerate() {
-                let i = chunk_start + k;
-                let out = slot
-                    .into_inner()
-                    .expect("uncancelled merge fills every slot");
+            for (i, out) in chunk.into_iter().zip(merged) {
                 snapshots[i] = None;
                 stats.columns.push(out.stats);
                 outs.push((i, out.main));
@@ -960,29 +981,8 @@ impl<V: Value> OnlineTable<V> {
             chunk_start = chunk_end;
         }
 
-        // Durable epilogue: persist the merged mains as the new table
-        // checkpoint (atomic rename), then drop the absorbed segments and
-        // the merge log. Failure here loses the merge's *durability*, not
-        // its in-memory result: the log is cleared so recovery falls back
-        // to the previous checkpoint plus the still-sealed segments.
         if let Some(w) = &self.wal {
-            let finish = (|| {
-                {
-                    let gen = self.gen.pin();
-                    let mains: Vec<&MainPartition<V>> = gen.cols.iter().map(|c| &*c.main).collect();
-                    let validity = {
-                        let _flips = self.flip_gate.write();
-                        self.validity.snapshot_prefix(frozen_end)
-                    };
-                    wal::write_checkpoint(w.dir(), &mains, &validity)?;
-                }
-                w.truncate_absorbed(frozen_end)?;
-                wal::clear_merge_log(w.dir())
-            })();
-            if let Err(e) = finish {
-                let _ = wal::clear_merge_log(w.dir());
-                return Err(e);
-            }
+            self.finish_durable_merge(w, frozen_end)?;
         }
         stats.t_wall = t_wall.elapsed();
         Ok(stats)
@@ -1007,22 +1007,7 @@ impl<V: Value> OnlineTable<V> {
         let t_wall = std::time::Instant::now();
         let w = self.wal.as_ref().expect("resume requires an attached wal");
 
-        type Snapshot<V> = (Arc<MainPartition<V>>, Arc<FrozenDelta<V>>);
-        let (mut snapshots, frozen_end): (Vec<Option<Snapshot<V>>>, usize) = {
-            let gen = self.gen.pin();
-            (
-                gen.cols
-                    .iter()
-                    .map(|c| {
-                        Some((
-                            Arc::clone(&c.main),
-                            Arc::clone(c.frozen.as_ref().expect("recovery froze every column")),
-                        ))
-                    })
-                    .collect(),
-                gen.tail.base(),
-            )
-        };
+        let (mut snapshots, frozen_end) = self.frozen_snapshots();
         let mut stats = TableMergeStats::default();
 
         // Commit the already-staged columns first, exactly as the crashed
@@ -1045,35 +1030,11 @@ impl<V: Value> OnlineTable<V> {
             .filter(|&i| snapshots[i].is_some())
             .collect();
         if !remaining.is_empty() {
-            let workers = grant.threads.clamp(1, remaining.len());
-            let per_column_threads = (grant.threads / workers).max(1);
-            let pipeline = MergePipeline::new(grant.strategy, per_column_threads);
-            let next = AtomicUsize::new(0);
-            type Slot<V> = Mutex<Option<crate::stats::MergeOutput<MainPartition<V>>>>;
-            let slots: Vec<Slot<V>> = remaining.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| {
-                        let mut scratch = self.checkout_scratch();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= remaining.len() {
-                                break;
-                            }
-                            let i = remaining[k];
-                            let (main, frozen) =
-                                snapshots[i].as_ref().expect("remaining column is frozen");
-                            let out = pipeline.merge_column_frozen(main, frozen, &mut scratch);
-                            *slots[k].lock() = Some(out);
-                        }
-                        self.checkin_scratch(scratch);
-                    });
-                }
-            });
+            let merged = self
+                .merge_columns(grant, &remaining, &snapshots, None, None)
+                .expect("an uncancellable merge completes");
             let mut outs = Vec::with_capacity(remaining.len());
-            for (k, slot) in slots.into_iter().enumerate() {
-                let i = remaining[k];
-                let out = slot.into_inner().expect("resume fills every slot");
+            for (i, out) in remaining.into_iter().zip(merged) {
                 snapshots[i] = None;
                 stats.columns.push(out.stats);
                 outs.push((i, out.main));
@@ -1084,24 +1045,7 @@ impl<V: Value> OnlineTable<V> {
         }
         drop(snapshots);
 
-        // Same durable epilogue as merge_with.
-        let finish = (|| {
-            {
-                let gen = self.gen.pin();
-                let mains: Vec<&MainPartition<V>> = gen.cols.iter().map(|c| &*c.main).collect();
-                let validity = {
-                    let _flips = self.flip_gate.write();
-                    self.validity.snapshot_prefix(frozen_end)
-                };
-                wal::write_checkpoint(w.dir(), &mains, &validity)?;
-            }
-            w.truncate_absorbed(frozen_end)?;
-            wal::clear_merge_log(w.dir())
-        })();
-        if let Err(e) = finish {
-            let _ = wal::clear_merge_log(w.dir());
-            return Err(e);
-        }
+        self.finish_durable_merge(w, frozen_end)?;
         stats.t_wall = t_wall.elapsed();
         Ok(stats)
     }
@@ -1467,6 +1411,72 @@ mod tests {
         assert_eq!(t.row(7), vec![70, 71, 72]);
         assert_eq!(t.get(2, 49), 492);
         assert_eq!(t.inserted_rows(), 50);
+    }
+
+    #[test]
+    fn panic_in_one_stage2_region_surfaces_after_all_regions_and_leaves_table_unmerged() {
+        use crate::pipeline::MergeStep;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// Panics when the first region of a re-encode completes; counts
+        /// every region that completes (the panicking one included).
+        #[derive(Default)]
+        struct PanicOnFirstRegion {
+            seen: AtomicU64,
+            total: AtomicU64,
+        }
+        impl StepSink for PanicOnFirstRegion {
+            fn record(&self, step: MergeStep) {
+                if let MergeStep::Stage2Progress { done, total, .. } = step {
+                    self.seen.fetch_add(1, Ordering::Relaxed);
+                    self.total.store(total, Ordering::Relaxed);
+                    if done == 1 {
+                        panic!("injected Stage 2 region failure");
+                    }
+                }
+            }
+        }
+
+        // One column wide enough that a 4-wide grant cuts Stage 2 into
+        // several regions wherever the pool has the workers for it.
+        let t = OnlineTable::<u64>::new(1);
+        let rows: Vec<[u64; 1]> = (0..300_000u64).map(|i| [i % 1_000]).collect();
+        t.insert_rows(&rows).unwrap();
+
+        let sink = PanicOnFirstRegion::default();
+        let _gate = t.merge_gate.lock();
+        t.freeze().unwrap();
+        let (inputs, _) = t.frozen_snapshots();
+        let merge = || {
+            t.merge_columns(
+                MergeGrant::with_threads(4),
+                &[0],
+                &inputs,
+                Some(&sink),
+                None,
+            )
+        };
+        assert!(
+            catch_unwind(AssertUnwindSafe(merge)).is_err(),
+            "the region's panic must surface on the merge caller"
+        );
+        assert_eq!(
+            sink.seen.load(Ordering::Relaxed),
+            sink.total.load(Ordering::Relaxed),
+            "the caller unwinds only after every region finished"
+        );
+
+        // Nothing was committed: the table is unmerged and still readable.
+        assert_eq!(t.main_len(), 0);
+        assert_eq!(t.row_count(), 300_000);
+        assert_eq!(t.get(0, 123_456), 123_456 % 1_000);
+        // Undo the freeze as a cancelled merge would; the next merge works.
+        drop(inputs);
+        t.rollback_frozen();
+        drop(_gate);
+        t.merge(4, None).unwrap();
+        assert_eq!(t.main_len(), 300_000);
+        assert_eq!(t.get(0, 123_456), 123_456 % 1_000);
     }
 
     #[test]

@@ -372,6 +372,12 @@ fn measure_dict_merge_ops_per_element(hz: f64) -> f64 {
 /// with 6 threads". The two instruction-count constants are measured against
 /// this implementation's loops rather than assumed from the paper's tuned
 /// SSE code.
+///
+/// The bandwidth probes are the one place outside [`crate::pool`] and the
+/// scheduler daemon that creates threads, on purpose: they measure what
+/// exactly `threads` raw hardware threads can stream, so they must not
+/// queue behind (or be clamped to) whatever the shared pool is running
+/// (`scripts/check_thread_substrate.sh` allow-lists this file for it).
 pub fn calibrate(threads: usize) -> MachineProfile {
     let hz = read_cpuinfo_hz().unwrap_or_else(measure_hz);
     let cache_line = 64usize;

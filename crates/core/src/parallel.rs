@@ -21,10 +21,12 @@ use crate::partition::quantile_boundaries;
 use crate::pipeline::{
     effective_threads, MergeScratch, MergeStrategy, MIN_DICT_PER_THREAD, MIN_TUPLES_PER_THREAD,
 };
+use crate::pool::Pool;
 use crate::stats::{ColumnMergeStats, MergeOutput, TableMergeStats};
 use crate::step1::{merge_dictionaries_into, DictMerge};
 use hyrise_storage::{Column, CompressedDelta, DeltaPartition, MainPartition, Table, Value, V16};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -104,35 +106,35 @@ pub(crate) fn compress_delta_exact_into<V: Value>(
     codes.clear();
     codes.resize_with(delta.len(), || AtomicU32::new(0));
     let per_thread = delta.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut v0 = 0usize;
-        for t in 0..threads {
-            // First value index whose cumulative count reaches the target.
-            let target = ((t + 1) * per_thread).min(delta.len());
-            let mut v1 = v0;
-            while v1 < dict.len() && cum[v1] < target {
-                v1 += 1;
-            }
-            if v0 == v1 {
-                continue;
-            }
-            let (dict, codes) = (&*dict, &*codes);
-            s.spawn(move || {
-                let mut code = v0 as u32;
-                for (value, postings) in tree.iter_from(&dict[v0]) {
-                    if code as usize >= v1 {
-                        break;
-                    }
-                    debug_assert_eq!(value, dict[code as usize]);
-                    for tid in postings {
-                        codes[tid as usize].store(code, Ordering::Relaxed);
-                    }
-                    code += 1;
-                }
-                debug_assert_eq!(code as usize, v1);
-            });
-            v0 = v1;
+    let mut ranges = Vec::with_capacity(threads);
+    let mut v0 = 0usize;
+    for t in 0..threads {
+        // First value index whose cumulative count reaches the target.
+        let target = ((t + 1) * per_thread).min(delta.len());
+        let mut v1 = v0;
+        while v1 < dict.len() && cum[v1] < target {
+            v1 += 1;
         }
+        if v0 < v1 {
+            ranges.push((v0, v1));
+        }
+        v0 = v1;
+    }
+    let (dict, codes) = (&*dict, &*codes);
+    Pool::global().run_indexed(ranges.len(), threads, &|r| {
+        let (v0, v1) = ranges[r];
+        let mut code = v0 as u32;
+        for (value, postings) in tree.iter_from(&dict[v0]) {
+            if code as usize >= v1 {
+                break;
+            }
+            debug_assert_eq!(value, dict[code as usize]);
+            for tid in postings {
+                codes[tid as usize].store(code, Ordering::Relaxed);
+            }
+            code += 1;
+        }
+        debug_assert_eq!(code as usize, v1);
     });
     scratch.delta_codes.clear();
     scratch.delta_codes.extend(
@@ -287,17 +289,11 @@ pub(crate) fn merge_dictionaries_parallel_exact_into<V: Value>(
     }
     let bounds = quantile_boundaries(u_m, u_d, threads);
 
-    // Phase 1: per-thread unique counts, with an explicit barrier at the end
-    // (the scope join).
+    // Phase 1: per-partition unique counts, with an explicit barrier at the
+    // end (`run_each` returns once every partition has counted).
     let mut counter = vec![0usize; threads + 1];
-    std::thread::scope(|s| {
-        let bounds = &bounds;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| s.spawn(move || merge_range_count(u_m, u_d, bounds[t], bounds[t + 1])))
-            .collect();
-        for (t, h) in handles.into_iter().enumerate() {
-            counter[t + 1] = h.join().expect("phase-1 worker panicked");
-        }
+    Pool::global().run_each(counter[1..].iter_mut().collect(), threads, |t, count| {
+        *count = merge_range_count(u_m, u_d, bounds[t], bounds[t + 1]);
     });
 
     // Phase 2: prefix sum of the counter array. The paper parallelizes this
@@ -332,12 +328,8 @@ pub(crate) fn merge_dictionaries_parallel_exact_into<V: Value>(
             xd_rest = rest;
             tasks.push(((i0, j0), (i1, j1), counter[t], m_slice, xm_slice, xd_slice));
         }
-        std::thread::scope(|s| {
-            for (start, end, base, m_slice, xm_slice, xd_slice) in tasks {
-                s.spawn(move || {
-                    merge_range_write(u_m, u_d, start, end, base, m_slice, xm_slice, xd_slice)
-                });
-            }
+        Pool::global().run_each(tasks, threads, |_, (start, end, base, m, xm, xd)| {
+            merge_range_write(u_m, u_d, start, end, base, m, xm, xd)
         });
     }
 }
@@ -405,36 +397,17 @@ pub fn merge_table_parallel(table: &mut Table, threads: usize) -> TableMergeStat
     assert!(threads >= 1, "need at least one thread");
     let t_wall = Instant::now();
     let n_cols = table.num_columns();
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<(PendingMain, ColumnMergeStats)>> =
-        (0..n_cols).map(|_| None).collect();
-
-    {
-        // Collect results through per-column slots; each slot is written by
-        // exactly one task.
-        let slots: Vec<parking_lot::Mutex<Option<(PendingMain, ColumnMergeStats)>>> =
-            (0..n_cols).map(|_| parking_lot::Mutex::new(None)).collect();
-        let table_ref: &Table = table;
-        std::thread::scope(|s| {
-            for _ in 0..threads.min(n_cols.max(1)) {
-                s.spawn(|| loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_cols {
-                        break;
-                    }
-                    let out = merge_column_any(table_ref.column(c));
-                    *slots[c].lock() = Some(out);
-                });
-            }
-        });
-        for (c, slot) in slots.into_iter().enumerate() {
-            results[c] = slot.into_inner();
-        }
-    }
+    // One slot per column; each is written by exactly one task.
+    let slots: Vec<OnceLock<(PendingMain, ColumnMergeStats)>> =
+        (0..n_cols).map(|_| OnceLock::new()).collect();
+    let table_ref: &Table = table;
+    Pool::global().run_indexed(n_cols, threads, &|c| {
+        let _ = slots[c].set(merge_column_any(table_ref.column(c)));
+    });
 
     let mut stats = TableMergeStats::default();
-    for (c, result) in results.into_iter().enumerate() {
-        let (pending, col_stats) = result.expect("every column task must complete");
+    for (c, slot) in slots.into_iter().enumerate() {
+        let (pending, col_stats) = slot.into_inner().expect("every column task must complete");
         stats.columns.push(col_stats);
         match (table.column_mut(c), pending) {
             (Column::U32(a), PendingMain::U32(m)) => a.replace(m, DeltaPartition::new()),

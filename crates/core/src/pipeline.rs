@@ -32,6 +32,7 @@
 //! memory at the largest `K`-column working set. See
 //! [`crate::manager::OnlineTable::merge_with`].
 
+use crate::pool::Pool;
 use crate::stats::{ColumnMergeStats, MergeAlgo, MergeOutput};
 use hyrise_bitpack::{bits_for, BitPackedVec, BitRegion};
 use hyrise_storage::{DeltaPartition, Dictionary, FrozenDelta, MainPartition, Value};
@@ -63,33 +64,33 @@ impl<V: Value> DeltaView<'_, V> {
     }
 }
 
-/// Minimum work items per spawned thread. Scoped threads cost tens of
-/// microseconds to spawn; granting a thread fewer elements than this loses
-/// more to spawn overhead than parallelism gains. (The paper's pthread pool
-/// amortizes this; we size the team instead.)
+/// Minimum work items per partition. Handing a partition to a pool worker
+/// costs a queue push, a wake-up and a cold cache; granting one fewer
+/// elements than this loses more to that hand-off than parallelism gains.
 pub(crate) const MIN_DICT_PER_THREAD: usize = 128 * 1024;
 pub(crate) const MIN_TUPLES_PER_THREAD: usize = 64 * 1024;
 
-/// Threads actually worth using for `work` items.
+/// Partitions actually worth cutting `work` items into.
 ///
 /// Two clamps compose here:
-/// * **Crossover** — below `min_per_thread` items per thread, spawn
+/// * **Crossover** — below `min_per_thread` items per partition, hand-off
 ///   overhead exceeds the parallel gain, so the team shrinks (possibly to
 ///   1 = serial).
-/// * **Host cores** — the requested count is capped at
-///   `available_parallelism()`. Requesting 8 threads on a 2-core host
-///   time-slices the three-phase dictionary merge and the partitioned
-///   Step 2 without any extra hardware parallelism, which measured *slower
-///   than serial* (`dict_merge/parallel/N` vs `dict_merge/serial`);
-///   oversubscription never helps a compute-bound merge.
+/// * **Pool size** — the requested count is capped at the shared pool's
+///   worker count. Cutting 8 partitions on a 2-worker pool time-slices the
+///   three-phase dictionary merge and the partitioned Step 2 without any
+///   extra hardware parallelism, which measured *slower than serial*
+///   (`dict_merge/parallel/N` vs `dict_merge/serial`); oversubscription
+///   never helps a compute-bound merge.
 ///
-/// The `_exact` entry points in [`crate::parallel`] bypass both clamps for
+/// The result never exceeds `requested`, so the stages pass it to
+/// [`Pool::run_indexed`] as both the partition count and the width. The
+/// `_exact` entry points in [`crate::parallel`] bypass both clamps for
 /// tests and ablations.
 #[inline]
 pub(crate) fn effective_threads(requested: usize, work: usize, min_per_thread: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     requested
-        .min(cores)
+        .min(Pool::global().threads())
         .clamp(1, (work / min_per_thread).max(1))
 }
 
@@ -180,7 +181,9 @@ impl Default for MergeBudget {
 pub struct MergeGrant {
     /// Merge algorithm (default [`MergeStrategy::Parallel`]).
     pub strategy: MergeStrategy,
-    /// Threads granted to the merge.
+    /// The merge's width on the shared [`Pool`]: how many claimants (the
+    /// caller plus pool workers) its column, partition and region fan-outs
+    /// may occupy at once. No thread is created for a merge.
     pub threads: usize,
     /// Peak-memory cap (default [`MergeBudget::UNBOUNDED`]).
     pub budget: MergeBudget,
@@ -556,9 +559,9 @@ pub struct MergePipeline {
 }
 
 impl MergePipeline {
-    /// A pipeline running `strategy` with up to `threads` threads (clamped
-    /// per stage to the host core count and the work size; see the
-    /// team-sizing notes in the module docs).
+    /// A pipeline running `strategy` at a width of `threads` on the shared
+    /// pool (each stage cuts at most that many partitions, clamped to the
+    /// pool's size and the work size; see `effective_threads`).
     pub fn new(strategy: MergeStrategy, threads: usize) -> Self {
         assert!(threads >= 1, "need at least one thread");
         Self {
@@ -568,12 +571,13 @@ impl MergePipeline {
         }
     }
 
-    /// As [`Self::new`] but with **exactly** `threads` workers per parallel
-    /// stage — no host-core or work-size clamping. This is the whole-column
-    /// counterpart of the `_exact` stage entry points: use it to measure
-    /// what oversubscription actually costs (ablations) or to reproduce a
-    /// configuration on different hardware. Production paths should prefer
-    /// [`Self::new`].
+    /// As [`Self::new`] but with **exactly** `threads` partitions per
+    /// parallel stage on any host — no pool-size or work-size clamping (the
+    /// pool still runs them at most `Pool::threads()` at a time). This is
+    /// the whole-column counterpart of the `_exact` stage entry points: use
+    /// it to measure what over-partitioning costs (ablations) or to
+    /// reproduce a configuration's partition boundaries on different
+    /// hardware. Production paths should prefer [`Self::new`].
     pub fn exact(strategy: MergeStrategy, threads: usize) -> Self {
         assert!(threads >= 1, "need at least one thread");
         Self {
@@ -960,24 +964,11 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
             });
         }
     };
-    if threads <= 1 {
-        // Serial: fill in place, no thread spawn (this is the path the
-        // zero-allocation steady state runs on).
-        let regions = codes.split_mut(1).into_regions();
-        let total = regions.len() as u64;
-        for region in regions {
-            fill(region, total);
-        }
-    } else {
-        let regions = codes.split_mut(threads).into_regions();
-        let total = regions.len() as u64;
-        std::thread::scope(|s| {
-            for region in regions {
-                let fill = &fill;
-                s.spawn(move || fill(region, total));
-            }
-        });
-    }
+    // One partition runs inline on the caller (the path the zero-allocation
+    // steady state runs on); more fan out on the shared pool.
+    let regions = codes.split_mut(threads).into_regions();
+    let total = regions.len() as u64;
+    Pool::global().run_each(regions, threads, |_, region| fill(region, total));
     codes
 }
 
@@ -1313,10 +1304,9 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_clamps_to_host_and_work() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // Never more than the host offers.
-        assert!(effective_threads(1024, usize::MAX / 2, 1) <= cores);
+    fn effective_threads_clamps_to_pool_and_work() {
+        // Never more than the shared pool has workers.
+        assert!(effective_threads(1024, usize::MAX / 2, 1) <= Pool::global().threads());
         // Never below one; tiny work collapses to serial.
         assert_eq!(effective_threads(8, 10, MIN_DICT_PER_THREAD), 1);
         assert_eq!(effective_threads(1, 0, 1), 1);

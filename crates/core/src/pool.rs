@@ -1,12 +1,15 @@
-//! Shared worker pool for morsel-driven parallel query execution.
+//! The engine's one thread substrate: a shared worker pool that every
+//! parallel query *and* every parallel merge stage fans out on.
 //!
 //! The paper's Sec 6.1 memory-traffic model prices a scan at the bytes it
 //! streams, which assumes the engine can bring *aggregate* memory bandwidth
-//! to bear — all cores, not one. This module provides the process-wide
-//! worker set the query layer schedules onto: a fixed complement of threads
+//! to bear — all cores, not one — and Sec 6.2.1's merge scheme (i) is
+//! literally "enqueue each column as a separate task" on a shared task
+//! queue. This module provides that queue: a fixed complement of threads
 //! (sized from [`std::thread::available_parallelism`]) created once and
-//! shared by every concurrent query, instead of per-query OS threads whose
-//! creation cost and unbounded fan-out the old `thread::scope` paths paid.
+//! shared by concurrent queries and merges alike, so the load the governor
+//! and the admission gate see in [`Pool::queue_depth`] is the whole
+//! engine's, not just the read side's.
 //!
 //! # Scheduling
 //!
@@ -20,12 +23,13 @@
 //! # Scoped parallel-for
 //!
 //! [`Pool::run_indexed`] is the execution primitive the morsel executor
-//! uses: run `f(i)` for every `i in 0..n` with bounded parallelism, over a
-//! *borrowed* closure, blocking until all indices finish. The caller itself
-//! claims indices from the shared counter, so completion never depends on
-//! a worker picking the helper tasks up — a query running *on* a pool
-//! worker can fan out again (shard task → morsel tasks) without risking
-//! the pool feeding on itself into a deadlock. Helper tasks that fire
+//! and the merge stages use: run `f(i)` for every `i in 0..n` with bounded
+//! parallelism, over a *borrowed* closure, blocking until all indices
+//! finish. The caller itself claims indices from the shared counter, so
+//! completion never depends on a worker picking the helper tasks up — work
+//! running *on* a pool worker can fan out again (shard task → morsel
+//! tasks, shard merge → column tasks → Stage 2 regions) without risking the
+//! pool feeding on itself into a deadlock. Helper tasks that fire
 //! after all indices are claimed observe the drained counter and return
 //! without touching the (by then possibly dead) closure, which is what
 //! makes the lifetime erasure sound. Panics in `f` are caught, counted,
@@ -39,7 +43,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
+enum Task {
+    /// A fire-and-forget closure ([`Pool::spawn`]).
+    Spawned(Box<dyn FnOnce() + Send + 'static>),
+    /// One helper of a [`Pool::run_indexed`] call.
+    Helper(Arc<ScopeState>),
+}
 
 /// Monotonic pool identity so a worker thread can tell whether it belongs
 /// to the pool it is spawning into (local push) or a different one
@@ -120,10 +129,21 @@ impl Shared {
         loop {
             let gen0 = *self.gate.gen.lock().unwrap();
             if let Some(task) = self.find_task(me) {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                // A panicking task must not take the worker down with it;
-                // run_indexed re-throws on the caller instead.
-                let _ = panic::catch_unwind(AssertUnwindSafe(task));
+                match task {
+                    Task::Spawned(f) => {
+                        self.depth.fetch_sub(1, Ordering::Relaxed);
+                        // A panicking task must not take the worker down
+                        // with it.
+                        let _ = panic::catch_unwind(AssertUnwindSafe(f));
+                    }
+                    // `drain` catches panics itself; run_indexed re-throws
+                    // them on the caller.
+                    Task::Helper(scope) => {
+                        self.depth
+                            .fetch_sub(scope.take_queued(1), Ordering::Relaxed);
+                        scope.drain();
+                    }
+                }
                 continue;
             }
             if self.shutdown.load(Ordering::Acquire) {
@@ -137,11 +157,12 @@ impl Shared {
     }
 }
 
-/// A persistent worker pool shared by every query in the process.
+/// A persistent worker pool shared by every query and merge in the process.
 ///
-/// Created once — via [`Pool::global`] in the executors, or [`Pool::new`]
-/// for an owned pool in tests — and shut down by [`Pool::shutdown`] or
-/// `Drop`, both of which let queued work drain and join every worker.
+/// Created once — via [`Pool::global`] in the executors and merge stages,
+/// or [`Pool::new`] for an owned pool in tests — and shut down by
+/// [`Pool::shutdown`] or `Drop`, both of which let queued work drain and
+/// join every worker.
 pub struct Pool {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -185,11 +206,10 @@ impl Pool {
     }
 
     /// The process-wide pool, created on first use with one worker per
-    /// available hardware thread. Every executor schedules through this
-    /// instance, so concurrent queries share workers instead of
-    /// oversubscribing the machine.
+    /// available hardware thread. Every executor and every merge stage
+    /// schedules through this instance, so concurrent queries and merges
+    /// share workers instead of oversubscribing the machine.
     pub fn global() -> &'static Pool {
-        static GLOBAL: OnceLock<Pool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
             let n = std::thread::available_parallelism().map_or(1, |n| n.get());
             Pool::new(n)
@@ -201,8 +221,11 @@ impl Pool {
         self.shared.locals.len()
     }
 
-    /// Tasks currently queued and unclaimed — the load signal the governor
-    /// and admission gate consult.
+    /// Tasks currently queued, unclaimed and still wanted — the load
+    /// signal the governor and admission gate consult. Helpers of a
+    /// [`Self::run_indexed`] call that already completed (the caller
+    /// out-ran them while every worker was busy) are not counted: they are
+    /// not work waiting for a worker.
     pub fn queue_depth(&self) -> usize {
         self.shared.depth.load(Ordering::Relaxed)
     }
@@ -228,7 +251,7 @@ impl Pool {
             f();
             return;
         }
-        self.shared.push(Box::new(f));
+        self.shared.push(Task::Spawned(Box::new(f)));
     }
 
     /// Run `f(i)` for every `i in 0..n` with at most `width` helper tasks,
@@ -272,10 +295,10 @@ impl Pool {
                 panic: None,
             }),
             cv: Condvar::new(),
+            queued: AtomicUsize::new(helpers),
         });
         for _ in 0..helpers {
-            let st = Arc::clone(&state);
-            self.spawn(move || st.drain());
+            self.shared.push(Task::Helper(Arc::clone(&state)));
         }
         state.drain();
         let mut d = state.done.lock().unwrap();
@@ -284,9 +307,27 @@ impl Pool {
         }
         let panicked = d.panic.take();
         drop(d);
+        // Helpers no worker got to are no longer waiting work.
+        self.shared
+            .depth
+            .fetch_sub(state.take_queued(helpers), Ordering::Relaxed);
         if let Some(p) = panicked {
             panic::resume_unwind(p);
         }
+    }
+
+    /// [`Self::run_indexed`] over owned work items: `f(i, items[i])` for
+    /// every item, each handed to exactly one claimant — how the merge
+    /// stages give every partition its disjoint `&mut` output slice.
+    pub fn run_each<T: Send>(&self, items: Vec<T>, width: usize, f: impl Fn(usize, T) + Sync) {
+        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        self.run_indexed(slots.len(), width, &|i| {
+            let item = slots[i].lock().unwrap().take();
+            f(
+                i,
+                item.expect("run_indexed claims every index exactly once"),
+            );
+        });
     }
 
     /// Graceful shutdown: let queued work drain, then join every worker.
@@ -320,25 +361,13 @@ impl std::fmt::Debug for Pool {
     }
 }
 
+static GLOBAL: OnceLock<Pool> = OnceLock::new();
+
 /// Queue depth of the global pool, without forcing its creation (a process
-/// that never ran a parallel query reports zero). This is the free
-/// function the governor samples.
+/// that never fanned anything out reports zero). This is the free function
+/// the governor samples.
 pub fn global_queue_depth() -> usize {
-    // `Pool::global` creates on first use; sampling must not. A separate
-    // flag records whether the global pool exists yet.
-    if GLOBAL_STARTED.load(Ordering::Acquire) {
-        Pool::global().queue_depth()
-    } else {
-        0
-    }
-}
-
-static GLOBAL_STARTED: AtomicBool = AtomicBool::new(false);
-
-/// Mark the global pool live. Called from the executors' first dispatch;
-/// split from [`Pool::global`] so depth sampling stays creation-free.
-pub(crate) fn mark_global_started() {
-    GLOBAL_STARTED.store(true, Ordering::Release);
+    GLOBAL.get().map_or(0, Pool::queue_depth)
 }
 
 /// The borrowed parallel-for closure, lifetime-erased. Soundness: the
@@ -364,9 +393,25 @@ struct ScopeState {
     next: AtomicUsize,
     done: Mutex<Done>,
     cv: Condvar,
+    /// Helper tasks still counted in the pool's `depth`. A helper takes one
+    /// when a worker starts it, the caller takes what is left when the call
+    /// completes, and whoever took a count subtracts it from `depth` — so
+    /// each helper is uncounted exactly once, whichever comes first.
+    queued: AtomicUsize,
 }
 
 impl ScopeState {
+    /// Take up to `want` of the still-counted helpers; returns how many.
+    fn take_queued(&self, want: usize) -> usize {
+        let before = self
+            .queued
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |q| {
+                Some(q.saturating_sub(want))
+            })
+            .expect("the update closure never declines");
+        before.min(want)
+    }
+
     /// Claim and run indices until the counter drains. Runs on helpers and
     /// on the caller alike.
     fn drain(&self) {
@@ -391,16 +436,6 @@ impl ScopeState {
                 self.cv.notify_all();
             }
         }
-    }
-}
-
-impl Pool {
-    /// [`Pool::global`] plus the liveness mark for
-    /// [`global_queue_depth`] — the entry point the executors use.
-    pub fn global_for_queries() -> &'static Pool {
-        let p = Pool::global();
-        mark_global_started();
-        p
     }
 }
 
@@ -445,6 +480,35 @@ mod tests {
             });
         });
         assert_eq!(total.load(Ordering::Relaxed), 8 * (15 * 16 / 2));
+    }
+
+    #[test]
+    fn merges_running_as_pool_tasks_fan_out_again_without_deadlock() {
+        // Twice as many table merges as workers, claimed by the caller and
+        // every worker at once; each merge then fans out over its columns
+        // and each column over its Stage 2 regions on the same pool. Only
+        // sound because every level's caller keeps claiming its own work.
+        use crate::manager::OnlineTable;
+        use crate::pipeline::MergeGrant;
+        let pool = Pool::global();
+        let n = 2 * pool.threads();
+        let rows: Vec<[u64; 2]> = (0..140_000u64).map(|i| [i % 977, i]).collect();
+        let tables: Vec<OnlineTable<u64>> = (0..n)
+            .map(|_| {
+                let t = OnlineTable::new(2);
+                t.insert_rows(&rows).unwrap();
+                t
+            })
+            .collect();
+        pool.run_indexed(n, n, &|i| {
+            tables[i]
+                .merge_with(MergeGrant::with_threads(4), None)
+                .unwrap();
+        });
+        for t in &tables {
+            assert_eq!((t.main_len(), t.delta_len()), (rows.len(), 0));
+            assert_eq!(t.row(139_999), rows[139_999]);
+        }
     }
 
     #[test]

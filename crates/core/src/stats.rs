@@ -33,10 +33,10 @@ impl std::fmt::Display for MergeAlgo {
 pub struct ColumnMergeStats {
     /// Which algorithm ran.
     pub algo: MergeAlgo,
-    /// Threads **granted** to the merge (1 for serial algorithms). The
-    /// parallel stages may run narrower teams than this: each stage clamps
-    /// to the host's `available_parallelism()` and falls back toward
-    /// serial below its per-thread work crossover
+    /// Pool width **granted** to the merge (1 for serial algorithms). The
+    /// parallel stages may cut fewer partitions than this: each stage
+    /// clamps to the shared pool's size and falls back toward serial
+    /// below its per-partition work crossover
     /// (`hyrise_core::pipeline`'s team-sizing heuristic). Use
     /// `MergePipeline::exact` when a figure or ablation must run the
     /// granted count literally.

@@ -863,7 +863,7 @@ impl<V: Value> Executor<V> for ShardedTable<V> {
         // 8-shard query with an 8-morsel hint on an 8-thread pool runs
         // each shard serially instead of queueing 64 tasks. The shard
         // fan-out itself is bounded by the pool inside `run_indexed`.
-        let pool = Pool::global_for_queries();
+        let pool = Pool::global();
         let per_shard = q.with_hint(
             q.threads()
                 .min((pool.threads() / snaps.len().max(1)).max(1)),

@@ -93,7 +93,7 @@ where
         return (0..n).map(f).collect();
     }
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-    Pool::global_for_queries().run_indexed(n, width, &|i| {
+    Pool::global().run_indexed(n, width, &|i| {
         let _ = slots[i].set(f(i));
     });
     slots

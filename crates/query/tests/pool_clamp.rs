@@ -5,13 +5,18 @@
 //! bounds each fan-out's helper tasks by the pool size, so the peak
 //! queue depth stays at or below `pool.threads()`.
 //!
-//! This test lives in its own binary: the peak-depth counter is a
-//! property of the process-global pool, and no other test in this
-//! process may touch it while we measure.
+//! These tests live in their own binary and take turns under
+//! [`MEASURING`]: the peak-depth counter is a property of the
+//! process-global pool, and nothing else in this process may touch it
+//! while one of them measures.
 
 use hyrise_core::shard::ShardedTable;
-use hyrise_core::Pool;
+use hyrise_core::{MergePolicy, MergeScheduler, Pool};
 use hyrise_query::Query;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+static MEASURING: Mutex<()> = Mutex::new(());
 
 /// Wait until every queued task has been claimed — leftover helper tasks
 /// from a previous parallel run would inflate the next peak reading.
@@ -23,6 +28,7 @@ fn settle(pool: &Pool) {
 
 #[test]
 fn shard_fanout_times_morsel_hint_stays_within_the_pool() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let t = ShardedTable::<u64>::builder()
         .shards(8)
         .columns(2)
@@ -59,4 +65,59 @@ fn shard_fanout_times_morsel_hint_stays_within_the_pool() {
         let _ = q.run(&t);
         assert!(pool.peak_queue_depth() <= pool.threads());
     }
+}
+
+/// Merges share the pool with the scans: a scheduler with the server's
+/// default shape (two merge slots, the policy's default width) merging an
+/// 8-shard table while 8-wide queries run must leave the answers equal to
+/// serial and keep the queue below the admission gate's default
+/// `pool_queue_limit` (4 x pool size) — merge helpers alone must never
+/// make the gate queue reads.
+#[test]
+fn scheduler_merges_beside_wide_queries_stay_below_the_admission_limit() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let t = ShardedTable::<u64>::builder()
+        .shards(8)
+        .columns(2)
+        .build()
+        .unwrap();
+    let rows: Vec<[u64; 2]> = (0..400_000u64).map(|i| [i % 977, i]).collect();
+    t.insert_rows(&rows).unwrap();
+
+    let queries = [
+        Query::scan(0).between(100u64, 700).count(),
+        Query::scan(1).sum(1),
+        Query::scan(0).min_max(1),
+    ];
+    let expected: Vec<_> = queries
+        .iter()
+        .map(|q| q.clone().with_threads(1).run(&t))
+        .collect();
+
+    let pool = Pool::global();
+    settle(pool);
+    pool.reset_peak_depth();
+    let policy = MergePolicy {
+        delta_fraction: 0.02,
+        ..MergePolicy::default()
+    };
+    let sched = MergeScheduler::spawn(t.shards().to_vec(), policy, 2, Duration::from_millis(1));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while t.delta_len() > 0 && Instant::now() < deadline {
+        for (q, want) in queries.iter().zip(&expected) {
+            assert_eq!(&q.clone().with_threads(8).run(&t), want);
+        }
+    }
+    sched.shutdown();
+    assert_eq!(t.delta_len(), 0, "every shard merged");
+    assert!(sched.stats().merges >= 8);
+    for (q, want) in queries.iter().zip(&expected) {
+        assert_eq!(&q.clone().with_threads(8).run(&t), want);
+    }
+    assert!(
+        pool.peak_queue_depth() <= 4 * pool.threads(),
+        "merges + 8-wide queries queued {} tasks on a {}-thread pool",
+        pool.peak_queue_depth(),
+        pool.threads()
+    );
 }

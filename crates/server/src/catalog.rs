@@ -3,7 +3,7 @@
 //!
 //! Every entry owns the full per-table machinery: the table itself (built
 //! through the PR-7 `ShardedTableBuilder` so durability is just a spec
-//! flag), a [`ShardedScheduler`] merging its shards under a
+//! flag), a [`MergeScheduler`] merging its shards under a
 //! [`ResourceGovernor`], and the [`RateWindow`] the admission gate samples
 //! its write valve from. Creating a table spawns the scheduler; dropping
 //! it (or shutting the catalog down) stops the scheduler before the entry
@@ -14,7 +14,8 @@
 use crate::admission::RateWindow;
 use crate::protocol::TableSpec;
 use hyrise_core::{
-    Durability, GovernorConfig, MergePolicy, Pool, ResourceGovernor, ShardedScheduler, ShardedTable,
+    Durability, GovernorConfig, MergePolicy, MergeScheduler, OnlineTable, Pool, ResourceGovernor,
+    ShardedTable,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -84,7 +85,8 @@ impl Default for CatalogConfig {
 
 /// One catalog entry: table + scheduler + the write valve's rate window.
 pub struct TableEntry {
-    scheduler: ShardedScheduler<u64>,
+    table: Arc<ShardedTable<u64>>,
+    scheduler: MergeScheduler<OnlineTable<u64>>,
     spec: TableSpec,
     write_window: Mutex<RateWindow>,
 }
@@ -92,11 +94,11 @@ pub struct TableEntry {
 impl TableEntry {
     /// The table.
     pub fn table(&self) -> &Arc<ShardedTable<u64>> {
-        self.scheduler.table()
+        &self.table
     }
 
-    /// The table's merge scheduler.
-    pub fn scheduler(&self) -> &ShardedScheduler<u64> {
+    /// The merge scheduler over the table's shards.
+    pub fn scheduler(&self) -> &MergeScheduler<OnlineTable<u64>> {
         &self.scheduler
     }
 
@@ -138,7 +140,7 @@ fn validate_name(name: &str) -> Result<(), CatalogError> {
 }
 
 /// The named-table registry. It also owns the server's handle to the
-/// process-wide query [`Pool`]: creating the catalog brings the pool up,
+/// process-wide worker [`Pool`]: creating the catalog brings the pool up,
 /// and the admission gate samples its queue depth through
 /// [`Catalog::pool`].
 pub struct Catalog {
@@ -154,13 +156,13 @@ impl Catalog {
     pub fn new(cfg: CatalogConfig) -> Self {
         Self {
             cfg,
-            pool: Pool::global_for_queries(),
+            pool: Pool::global(),
             tables: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The shared worker pool every query executes on — the admission
-    /// gate's queue-depth signal source.
+    /// The shared worker pool every query and merge fans out on — the
+    /// admission gate's queue-depth signal source.
     pub fn pool(&self) -> &'static Pool {
         self.pool
     }
@@ -198,8 +200,8 @@ impl Catalog {
             .durability(durability)
             .governor(self.cfg.governor.clone())
             .build()?;
-        let scheduler = ShardedScheduler::spawn_governed(
-            Arc::new(table),
+        let scheduler = MergeScheduler::spawn_governed(
+            table.shards().to_vec(),
             ResourceGovernor::new(self.cfg.governor.clone()),
             self.cfg.max_concurrent_merges,
             self.cfg.scheduler_poll,
@@ -207,6 +209,7 @@ impl Catalog {
         tables.insert(
             spec.name.clone(),
             Arc::new(TableEntry {
+                table: Arc::new(table),
                 scheduler,
                 spec: spec.clone(),
                 write_window: Mutex::new(RateWindow::new()),

@@ -8,7 +8,7 @@
 //! replays a [`ShardedWorkload`] stream against a [`ShardedTable`] facade —
 //! lookups and updates address rows by global `(shard, row)` id, range
 //! selects fan out across shards, and window scans read per-shard
-//! snapshots, all while a `ShardedScheduler` (owned by the caller) keeps
+//! snapshots, all while a `MergeScheduler` (owned by the caller) keeps
 //! each shard's delta bounded.
 
 use crate::merge::{OnlineTable, Result, TableConfig};

@@ -11,10 +11,11 @@
 //! * [`csb`] — the CSB+ tree indexing the delta partition.
 //! * [`storage`] — dictionaries, main/delta partitions, attributes, tables.
 //! * [`merge`] — the merge algorithms (naive, optimized, parallel), the
-//!   analytical cost model and the online merge manager.
+//!   analytical cost model, the online merge manager, the one background
+//!   [`merge::MergeScheduler`] and the shared worker [`merge::Pool`] every
+//!   query and merge fans out on.
 //! * [`shard`] — the scale-out layer: [`shard::ShardedTable`] partitions
-//!   rows across N online tables and [`shard::ShardedScheduler`] grants
-//!   merge threads across shards.
+//!   rows across N online tables, each merged independently.
 //! * [`query`] — the unified query layer: the [`query::Query`] builder and
 //!   the one [`query::Executor`] trait behind every backend (attribute,
 //!   snapshot, online table, sharded table, heterogeneous table), with

@@ -1,12 +1,12 @@
 //! System-level stress for the sharding layer: concurrent routed inserts
 //! and cross-shard fan-out scans must stay correct while the
-//! [`ShardedScheduler`] runs per-shard merges underneath — the acceptance
+//! [`MergeScheduler`] runs per-shard merges underneath — the acceptance
 //! bar for the scale-out layer.
 
 use hyrise::driver::{drive_sharded, preload_sharded};
-use hyrise::merge::MergePolicy;
+use hyrise::merge::{MergePolicy, MergeScheduler};
 use hyrise::query::Query;
-use hyrise::shard::{ShardedScheduler, ShardedTable};
+use hyrise::shard::ShardedTable;
 use hyrise::workload::ShardedWorkload;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,7 +41,7 @@ fn concurrent_inserts_and_scans_survive_per_shard_merges() {
         threads: 1,
         ..MergePolicy::default()
     };
-    let sched = ShardedScheduler::spawn(Arc::clone(&table), policy, 2, Duration::from_millis(1));
+    let sched = MergeScheduler::spawn(table.shards().to_vec(), policy, 2, Duration::from_millis(1));
 
     let stop = Arc::new(AtomicBool::new(false));
     let inserted = Arc::new(AtomicU64::new(20_000));
@@ -117,9 +117,9 @@ fn concurrent_inserts_and_scans_survive_per_shard_merges() {
     );
     assert!(stats.merges >= 2, "merges ran during the stress window");
     assert!(
-        stats.per_shard.iter().filter(|s| s.merges > 0).count() >= 2,
+        stats.per_source.iter().filter(|s| s.merges > 0).count() >= 2,
         "merges spread across shards: {:?}",
-        stats.per_shard
+        stats.per_source
     );
     assert!(
         table.max_delta_fraction() <= policy.delta_fraction,
@@ -153,7 +153,7 @@ fn sharded_mix_with_scheduler_stays_consistent() {
         threads: 1,
         ..MergePolicy::default()
     };
-    let sched = ShardedScheduler::spawn(Arc::clone(&table), policy, 2, Duration::from_millis(2));
+    let sched = MergeScheduler::spawn(table.shards().to_vec(), policy, 2, Duration::from_millis(2));
     let stats = drive_sharded(&table, &workload, &ids);
     let deadline = std::time::Instant::now() + Duration::from_secs(15);
     while table.max_delta_fraction() > policy.delta_fraction && std::time::Instant::now() < deadline

@@ -30,7 +30,12 @@ fn oltp_mix_with_background_merging_stays_consistent() {
         threads: 2,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(Arc::clone(&table), policy, Duration::from_millis(2));
+    let sched = MergeScheduler::spawn(
+        vec![Arc::clone(&table)],
+        policy,
+        1,
+        Duration::from_millis(2),
+    );
 
     // Drive the OLTP mix from two concurrent workers.
     let totals: Vec<DriverStats> = std::thread::scope(|s| {
@@ -114,7 +119,12 @@ fn sustained_update_rate_meets_the_low_target() {
         threads: 4,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(Arc::clone(&table), policy, Duration::from_millis(1));
+    let sched = MergeScheduler::spawn(
+        vec![Arc::clone(&table)],
+        policy,
+        1,
+        Duration::from_millis(1),
+    );
 
     let n = 50_000u64;
     let t0 = std::time::Instant::now();
