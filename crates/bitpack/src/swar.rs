@@ -64,19 +64,34 @@
 //! multiply, then every lane's row id is stored unconditionally and the
 //! output cursor advances by the lane's match bit, so there is no branch
 //! to mispredict.
-//! Counts use `count_ones`, and sums fold lanes pairwise with doubling
-//! strides (each fold step widens the lane faster than the sum can grow,
-//! so no step overflows).
+//! Counts are `count_ones` of lane-masks — an equality count only of the
+//! windows that matched at all, a range count of `b` windows' masks
+//! interleaved into one word, because the baseline target expands
+//! `count_ones` into a bit trick that costs more than the compare. Sums
+//! fold lanes pairwise with doubling strides (each fold step widens the
+//! lane faster than the sum can grow, so no step overflows).
 //!
 //! # Dense row masks
 //!
-//! The executor fuses conjunctive predicates by AND-ing *dense row masks*
-//! (bit `r` of word `r / 64` = row `r` matches) produced per column by
-//! [`BitPackedVec::fill_range_mask`] / [`BitPackedVec::and_range_mask`]
-//! before any row id is materialized. A 64-row block covers exactly `b`
-//! words for every width, so blocks are word-aligned everywhere and the
-//! AND pass can skip a block entirely when its accumulated mask word is
-//! already zero.
+//! The executor evaluates predicates into *dense row masks* (bit `r` of
+//! word `r / 64` = row `r` matches), `AND`s them across columns and with
+//! the validity words, and aggregates straight off the result — no row id
+//! is materialized. [`BitPackedVec::fill_range_mask`] and
+//! [`BitPackedVec::and_range_mask`] are one producer whose unit of work is
+//! the 64-row block: 64 rows are exactly `b` packed words for every
+//! width, so a block is word-aligned in the code stream *and* owns exactly
+//! one mask word. Per block it compares `ceil(64 / m)` windows, compacts
+//! each lane-mask to one bit per lane — the carry-free multiply above
+//! where `m <= 8 <= b`, a strided parallel-suffix compress (`Compress`)
+//! for the narrow widths — and shifts the bits into the block's word. The
+//! cost of a block does not depend on how many of its rows match; the
+//! `AND` pass still skips a block without reading it when its accumulated
+//! word is already zero.
+//!
+//! [`BitPackedVec::for_each_masked_at`] is the consumer: it hands a
+//! closure the code of every set row (zero words skipped, all-ones words
+//! decoded straight off the window loads), which is all a `sum`, `min` or
+//! `max` over dictionary codes needs.
 
 use crate::vec::BitPackedVec;
 use crate::width::max_value_for_bits;
@@ -350,6 +365,27 @@ impl<W: SwarWord> Lanes<W> {
         } else {
             W::USABLE / b
         };
+        Self::with_lanes(bits, m)
+    }
+
+    /// Geometry for the dense-mask producer, which walks 64-row blocks
+    /// (`b` whole words each). Below 8 bits a `u64` window takes the
+    /// largest power-of-two lane count instead of the largest count: every
+    /// window of a block then starts on a byte (`8 | m*b`), so the aligned
+    /// load applies, and `m | 64`, so no window straddles a block.
+    #[inline]
+    fn for_blocks(bits: u8) -> Self {
+        let b = bits as usize;
+        if W::BITS == 64 && b < 8 {
+            Self::with_lanes(bits, 1 << (64 / b).ilog2())
+        } else {
+            Self::new(bits)
+        }
+    }
+
+    #[inline]
+    fn with_lanes(bits: u8, m: usize) -> Self {
+        let b = bits as usize;
         let lane_high = W::ONE << (b - 1) as u32;
         let lane_low = W::from_u64(max_value_for_bits(bits) >> 1);
         let mut high = W::ZERO;
@@ -598,19 +634,6 @@ impl<W: SwarWord> Cmp<W> {
         }
         Cmp::Range(RangePred::new(l, lo, hi))
     }
-
-    /// Raw lane-mask of matches in `chunk` — the caller ANDs with
-    /// `high & valid(take)` once (only meaningful for `Eq`/`Range`;
-    /// `None`/`All` are resolved before any window is read).
-    #[inline]
-    fn lanes(&self, l: &Lanes<W>, chunk: W) -> W {
-        match *self {
-            Cmp::Eq { bc } => l.eq_lanes(chunk, bc),
-            Cmp::Range(ref p) => p.lanes(chunk),
-            Cmp::None => W::ZERO,
-            Cmp::All => W::MAX,
-        }
-    }
 }
 
 fn select_eq_w<W: SwarWord>(
@@ -699,6 +722,10 @@ fn select_range_w<W: SwarWord>(
     }
 }
 
+/// The baseline target has no popcount instruction, and paying the
+/// bit-trick expansion of `count_ones` once per window costs more than the
+/// compare itself. An equality probe matches few lanes (a wide column has
+/// many distinct codes), so it counts only the windows that matched at all.
 fn count_eq_w<W: SwarWord>(v: &BitPackedVec, code: u64, start: usize, end: usize) -> usize {
     let l = Lanes::<W>::new(v.bits());
     let bc = l.broadcast(code);
@@ -709,11 +736,19 @@ fn count_eq_w<W: SwarWord>(v: &BitPackedVec, code: u64, start: usize, end: usize
         } else {
             l.high & l.valid(take)
         };
-        n += (l.eq_lanes(chunk, bc) & hv).count_ones() as usize;
+        let lm = l.eq_lanes(chunk, bc) & hv;
+        if lm != W::ZERO {
+            n += lm.count_ones() as usize;
+        }
     });
     n
 }
 
+/// A range matches any share of the lanes, so its count must not branch on
+/// the matches. A lane-mask uses one bit position in `b`: the masks of `b`
+/// consecutive windows interleave into one word — the earlier ones moved
+/// down a position per window — and a single `count_ones` covers them all
+/// (see [`count_eq_w`] for why that matters).
 fn count_range_w<W: SwarWord>(
     v: &BitPackedVec,
     lo: u64,
@@ -724,60 +759,204 @@ fn count_range_w<W: SwarWord>(
     let l = Lanes::<W>::new(v.bits());
     let p = RangePred::new(&l, lo, hi);
     let mut n = 0usize;
+    let mut comb = W::ZERO;
+    let mut room = l.bits;
     for_each_window::<W>(v.words(), l.bits, l.m, start, end, |_, take, chunk| {
         let hv = if take == l.m {
             l.high
         } else {
             l.high & l.valid(take)
         };
-        n += (p.lanes(chunk) & hv).count_ones() as usize;
+        // A mask enters at its lanes' high bits and has moved down at
+        // most `b - 1` positions — still inside its lane — when counted.
+        comb = (comb >> 1) | (p.lanes(chunk) & hv);
+        room -= 1;
+        if room == 0 {
+            n += comb.count_ones() as usize;
+            comb = W::ZERO;
+            room = l.bits;
+        }
     });
-    n
+    n + comb.count_ones() as usize
 }
 
-fn fill_range_mask_w<W: SwarWord>(
-    v: &BitPackedVec,
-    lo: u64,
-    hi: u64,
+/// Lane-mask → one bit per lane for the narrow widths (`b < 8`), where a
+/// window holds a power-of-two `m > b` lanes and the carry-free multiply
+/// of [`Lanes::compact`] does not apply: a parallel-suffix compress
+/// specialised to the regular lane stride. After the pre-shift lane `j`'s
+/// verdict sits at bit `j*b`; step `t` slides the upper `g = 2^t` verdicts
+/// of every `2g`-lane group down by `g*(b-1)` onto the lower `g`, and the
+/// keep mask drops the stale copies — `log2 m` shift/or/and steps whatever
+/// the number of matches.
+#[derive(Clone, Copy)]
+struct Compress<const STEPS: usize> {
+    pre: u32,
+    shift: [u32; STEPS],
+    keep: [u64; STEPS],
+}
+
+impl<const STEPS: usize> Compress<STEPS> {
+    /// For `m = 2^STEPS` lanes of `b` bits.
+    fn new(b: usize) -> Self {
+        debug_assert!((b << STEPS) <= 64);
+        let mut c = Compress {
+            pre: (b - 1) as u32,
+            shift: [0; STEPS],
+            keep: [0; STEPS],
+        };
+        for t in 0..STEPS {
+            let g = 1usize << t;
+            // Group `q` spans `2g` lanes from bit `q*2g*b`; its `2g`
+            // verdicts end up contiguous at the group's base.
+            for q in 0..(1usize << STEPS) / (2 * g) {
+                c.keep[t] |= low_bits(2 * g) << (q * 2 * g * b);
+            }
+            c.shift[t] = (g * (b - 1)) as u32;
+        }
+        c
+    }
+
+    /// Bit `j` of the result is lane `j`'s verdict (`lm` holds high bits
+    /// of matching lanes only).
+    #[inline]
+    fn dense(&self, lm: u64) -> u64 {
+        let mut y = lm >> self.pre;
+        for t in 0..STEPS {
+            y = (y | (y >> self.shift[t])) & self.keep[t];
+        }
+        y
+    }
+}
+
+/// One 64-row block's mask word: `ceil(64 / m)` windows from stream bit
+/// `bit0`, each compacted to one bit per lane and shifted to its rows'
+/// position. Lanes of the last window past row 63 shift out of the word,
+/// so full blocks need no tail masking.
+#[inline(always)]
+fn block_word<W: SwarWord>(
+    l: &Lanes<W>,
+    bit0: usize,
+    load: impl Fn(usize) -> W,
+    lanes: &impl Fn(W) -> W,
+    dense: &impl Fn(W) -> u64,
+) -> u64 {
+    let step = l.m * l.bits;
+    let mut word = 0u64;
+    let mut k = 0usize;
+    while k * l.m < 64 {
+        let lm = lanes(load(bit0 + k * step)) & l.high;
+        word |= dense(lm) << (k * l.m);
+        k += 1;
+    }
+    word
+}
+
+/// The dense-mask producer behind both `fill_range_mask_at` and
+/// `and_range_mask_at`: per 64-row block, compare every window with
+/// `lanes`, compact each lane-mask with `dense` and assemble the block's
+/// mask word. The cost of a block does not depend on how many of its rows
+/// match. `AND` refines `masks` in place and skips a block whose word is
+/// already zero without reading its packed words; otherwise `masks` is
+/// overwritten.
+fn mask_blocks<W: SwarWord, const AND: bool>(
+    words: &[u64],
+    l: &Lanes<W>,
     start: usize,
     end: usize,
     masks: &mut [u64],
+    lanes: impl Fn(W) -> W,
+    dense: impl Fn(W) -> u64,
 ) {
-    let n = mask_words(end - start);
-    let l = Lanes::<W>::new(v.bits());
-    let cmp = Cmp::compile(&l, lo, hi, v.bits());
-    match cmp {
-        Cmp::None => masks[..n].fill(0),
-        Cmp::All => {
-            masks[..n].fill(u64::MAX);
-            if n > 0 {
-                let tail = (end - start) % 64;
-                if tail != 0 {
-                    masks[n - 1] = low_bits(tail);
-                }
-            }
+    let step = l.m * l.bits;
+    // Offset of a block's last window from the block's first bit.
+    let last = (64usize.div_ceil(l.m) - 1) * step;
+    let fast_bits = W::fast_bits(words.len());
+    let aligned = step.is_multiple_of(8);
+    for (j, slot) in masks.iter_mut().enumerate() {
+        if AND && *slot == 0 {
+            continue;
         }
-        _ => {
-            masks[..n].fill(0);
-            for_each_window::<W>(v.words(), l.bits, l.m, start, end, |idx, take, chunk| {
-                let hv = if take == l.m {
-                    l.high
-                } else {
-                    l.high & l.valid(take)
-                };
-                let mut lm = cmp.lanes(&l, chunk) & hv;
-                while lm != W::ZERO {
-                    let tz = lm.trailing_zeros() as usize;
-                    let row = idx - start + l.lane_of(tz);
-                    masks[row >> 6] |= 1u64 << (row & 63);
-                    lm = lm & (lm - W::ONE);
-                }
-            });
+        let row = start + 64 * j;
+        let bit0 = row * l.bits;
+        let mut word = if bit0 + last >= fast_bits {
+            block_word(
+                l,
+                bit0,
+                |bit| window_checked::<W>(words, bit),
+                &lanes,
+                &dense,
+            )
+        } else if aligned {
+            // SAFETY: every window offset of this block is at most
+            // `bit0 + last < fast_bits`, and blocks start on a word and
+            // `8 | step`, so each offset is byte-aligned.
+            block_word(
+                l,
+                bit0,
+                |bit| unsafe { W::load_unchecked_aligned(words, bit) },
+                &lanes,
+                &dense,
+            )
+        } else {
+            // SAFETY: every window offset of this block is at most
+            // `bit0 + last < fast_bits`, the contract of `load_unchecked`.
+            block_word(
+                l,
+                bit0,
+                |bit| unsafe { W::load_unchecked(words, bit) },
+                &lanes,
+                &dense,
+            )
+        };
+        if end - row < 64 {
+            word &= low_bits(end - row);
+        }
+        if AND {
+            *slot &= word;
+        } else {
+            *slot = word;
         }
     }
 }
 
-fn and_range_mask_w<W: SwarWord>(
+/// [`mask_blocks`] with the compaction the width calls for: the carry-free
+/// multiply where `m <= 8 <= b`, the strided compress below 8 bits.
+fn compacted_blocks<W: SwarWord, const AND: bool>(
+    words: &[u64],
+    l: &Lanes<W>,
+    start: usize,
+    end: usize,
+    masks: &mut [u64],
+    lanes: impl Fn(W) -> W,
+) {
+    if l.bits < 8 {
+        // `for_blocks` gave these widths `m = 8, 16, 32 or 64` lanes.
+        macro_rules! compress {
+            ($steps:literal) => {{
+                let c = Compress::<$steps>::new(l.bits);
+                mask_blocks::<W, AND>(words, l, start, end, masks, lanes, |lm| {
+                    c.dense(lm.as_u64())
+                })
+            }};
+        }
+        match l.m {
+            8 => compress!(3),
+            16 => compress!(4),
+            32 => compress!(5),
+            _ => compress!(6),
+        }
+    } else {
+        // The product carries unused terms above the `m` verdict bits.
+        let ones = low_bits(l.m);
+        mask_blocks::<W, AND>(words, l, start, end, masks, lanes, |lm| {
+            l.compact(lm) & ones
+        });
+    }
+}
+
+/// Compile `[lo, hi]` and run the dense producer over rows `start..end`
+/// (`AND`: refine `masks`; otherwise overwrite it).
+fn range_mask_w<W: SwarWord, const AND: bool>(
     v: &BitPackedVec,
     lo: u64,
     hi: u64,
@@ -785,35 +964,23 @@ fn and_range_mask_w<W: SwarWord>(
     end: usize,
     masks: &mut [u64],
 ) {
-    let n = mask_words(end - start);
-    let l = Lanes::<W>::new(v.bits());
-    let cmp = Cmp::compile(&l, lo, hi, v.bits());
-    match cmp {
-        Cmp::None => masks[..n].fill(0),
-        Cmp::All => {}
-        _ => {
-            for (j, slot) in masks[..n].iter_mut().enumerate() {
-                if *slot == 0 {
-                    continue;
-                }
-                let bstart = start + j * 64;
-                let bend = (bstart + 64).min(end);
-                let mut block = 0u64;
-                for_each_window::<W>(v.words(), l.bits, l.m, bstart, bend, |idx, take, chunk| {
-                    let hv = if take == l.m {
-                        l.high
-                    } else {
-                        l.high & l.valid(take)
-                    };
-                    let mut lm = cmp.lanes(&l, chunk) & hv;
-                    while lm != W::ZERO {
-                        let tz = lm.trailing_zeros() as usize;
-                        block |= 1u64 << ((idx - bstart) + l.lane_of(tz));
-                        lm = lm & (lm - W::ONE);
-                    }
-                });
-                *slot &= block;
+    let rows = end - start;
+    let masks = &mut masks[..mask_words(rows)];
+    let l = Lanes::<W>::for_blocks(v.bits());
+    match Cmp::compile(&l, lo, hi, v.bits()) {
+        Cmp::None => masks.fill(0),
+        Cmp::All if AND => {}
+        Cmp::All => {
+            masks.fill(u64::MAX);
+            if let Some(last) = masks.last_mut().filter(|_| !rows.is_multiple_of(64)) {
+                *last = low_bits(rows % 64);
             }
+        }
+        Cmp::Eq { bc } => {
+            compacted_blocks::<W, AND>(v.words(), &l, start, end, masks, |x| l.eq_lanes(x, bc))
+        }
+        Cmp::Range(p) => {
+            compacted_blocks::<W, AND>(v.words(), &l, start, end, masks, |x| p.lanes(x))
         }
     }
 }
@@ -925,6 +1092,23 @@ impl BitPackedVec {
         acc
     }
 
+    /// The shared precondition of the morsel-local mask entry points;
+    /// returns the number of mask words rows `start..end` occupy.
+    ///
+    /// # Panics
+    /// If `start` is not 64-aligned, the range is out of bounds, or a mask
+    /// buffer of `masks_len` words is too short for it.
+    fn check_mask_range(&self, start: usize, end: usize, masks_len: usize) -> usize {
+        assert!(start.is_multiple_of(64), "morsel start must be 64-aligned");
+        assert!(
+            start <= end && end <= self.len(),
+            "mask range out of bounds"
+        );
+        let n = mask_words(end - start);
+        assert!(masks_len >= n, "mask buffer too short: {masks_len} < {n}");
+        n
+    }
+
     /// Overwrite `masks` with the dense row mask of `lo <= value <= hi`:
     /// bit `r % 64` of `masks[r / 64]` is set iff row `r` matches. Bits at
     /// or beyond `len()` are cleared. Degenerate ranges short-circuit
@@ -954,21 +1138,11 @@ impl BitPackedVec {
         end: usize,
         masks: &mut [u64],
     ) {
-        assert!(start.is_multiple_of(64), "morsel start must be 64-aligned");
-        assert!(
-            start <= end && end <= self.len(),
-            "mask range out of bounds"
-        );
-        let n = mask_words(end - start);
-        assert!(
-            masks.len() >= n,
-            "mask buffer too short: {} < {n}",
-            masks.len()
-        );
+        self.check_mask_range(start, end, masks.len());
         if self.bits() > WIDE_BITS {
-            fill_range_mask_w::<u128>(self, lo, hi, start, end, masks)
+            range_mask_w::<u128, false>(self, lo, hi, start, end, masks)
         } else {
-            fill_range_mask_w::<u64>(self, lo, hi, start, end, masks)
+            range_mask_w::<u64, false>(self, lo, hi, start, end, masks)
         }
     }
 
@@ -993,21 +1167,70 @@ impl BitPackedVec {
     /// If `start` is not 64-aligned, the range is out of bounds, or
     /// `masks` is shorter than [`mask_words`]`(end - start)`.
     pub fn and_range_mask_at(&self, lo: u64, hi: u64, start: usize, end: usize, masks: &mut [u64]) {
-        assert!(start.is_multiple_of(64), "morsel start must be 64-aligned");
-        assert!(
-            start <= end && end <= self.len(),
-            "mask range out of bounds"
-        );
-        let n = mask_words(end - start);
-        assert!(
-            masks.len() >= n,
-            "mask buffer too short: {} < {n}",
-            masks.len()
-        );
+        self.check_mask_range(start, end, masks.len());
         if self.bits() > WIDE_BITS {
-            and_range_mask_w::<u128>(self, lo, hi, start, end, masks)
+            range_mask_w::<u128, true>(self, lo, hi, start, end, masks)
         } else {
-            and_range_mask_w::<u64>(self, lo, hi, start, end, masks)
+            range_mask_w::<u64, true>(self, lo, hi, start, end, masks)
+        }
+    }
+
+    /// The masked code visitor: hand `f` the code of every row in
+    /// `start..end` whose bit is set in the morsel-local dense mask (bit 0
+    /// of `masks[0]` is row `start`, as the mask producers lay it out), in
+    /// ascending row order. Aggregates consume a predicate mask through
+    /// this without ever materializing a row id: zero words are skipped
+    /// unread, a run of all-ones words decodes its blocks straight off the
+    /// window loads, and only mixed words walk their set bits.
+    ///
+    /// # Panics
+    /// If `start` is not 64-aligned, the range is out of bounds, or
+    /// `masks` is shorter than [`mask_words`]`(end - start)`.
+    pub fn for_each_masked_at(
+        &self,
+        start: usize,
+        end: usize,
+        masks: &[u64],
+        mut f: impl FnMut(u64),
+    ) {
+        let n = self.check_mask_range(start, end, masks.len());
+        let b = self.bits() as usize;
+        let code_mask = max_value_for_bits(self.bits());
+        // Whole 64-row blocks; a trailing partial word is never "all ones".
+        let full = (end - start) / 64;
+        let mut j = 0usize;
+        while j < n {
+            let w = masks[j];
+            if w == 0 {
+                j += 1;
+            } else if w == u64::MAX && j < full {
+                let mut k = j + 1;
+                while k < full && masks[k] == u64::MAX {
+                    k += 1;
+                }
+                let (s, e) = (start + 64 * j, start + 64 * k);
+                for_each_window::<u64>(self.words(), b, 64 / b, s, e, |_, take, mut chunk| {
+                    for _ in 0..take {
+                        f(chunk & code_mask);
+                        // `b == 64` wraps to a shift by 0, after the
+                        // window's only lane has been handed out.
+                        chunk = chunk.wrapping_shr(b as u32);
+                    }
+                });
+                j = k;
+            } else {
+                let base = start + 64 * j;
+                let mut w = if j < full {
+                    w
+                } else {
+                    w & low_bits(end - base)
+                };
+                while w != 0 {
+                    f(self.get(base + w.trailing_zeros() as usize));
+                    w &= w - 1;
+                }
+                j += 1;
+            }
         }
     }
 }

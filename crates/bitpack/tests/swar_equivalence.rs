@@ -178,3 +178,185 @@ fn every_width_all_extremes() {
         }
     }
 }
+
+/// SplitMix-style row hash for reproducible match patterns.
+fn row_hash(i: usize, salt: u64) -> u64 {
+    let mut z = (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z ^ (z >> 29)
+}
+
+/// How many rows of a vector the predicate under test should match.
+#[derive(Clone, Copy, Debug)]
+enum Density {
+    None,
+    OneRow,
+    Tenth,
+    Half,
+    All,
+}
+
+impl Density {
+    fn hits(self, i: usize, n: usize) -> bool {
+        match self {
+            Density::None => false,
+            Density::OneRow => i == (2 * n) / 3,
+            Density::Tenth => row_hash(i, 10).is_multiple_of(10),
+            Density::Half => row_hash(i, 2).is_multiple_of(2),
+            Density::All => true,
+        }
+    }
+}
+
+/// `n` codes of which exactly the rows `density` picks lie in `[lo, hi]`
+/// (cycling through the range's endpoints and the codes just outside it),
+/// or `None` when the width has no code outside the range to miss with.
+fn data_with_density(bits: u8, n: usize, lo: u64, hi: u64, density: Density) -> Option<Vec<u64>> {
+    let max = max_value_for_bits(bits);
+    let inside = [lo, hi, lo + (hi - lo) / 2];
+    let mut outside = Vec::new();
+    if lo > 0 {
+        outside.extend([lo - 1, 0]);
+    }
+    if hi < max {
+        outside.extend([hi + 1, max]);
+    }
+    (0..n)
+        .map(|i| {
+            if density.hits(i, n) {
+                Some(inside[i % 3])
+            } else {
+                outside.get(i % outside.len().max(1)).copied()
+            }
+        })
+        .collect()
+}
+
+/// The scalar reference: codes of rows `start..end` decoded by the
+/// sequential cursor.
+fn cursor_codes(v: &BitPackedVec, start: usize, end: usize) -> Vec<u64> {
+    let mut cur = v.cursor_at(start);
+    (start..end).map(|_| cur.next_value()).collect()
+}
+
+fn mask_of(rows: usize, set: impl Fn(usize) -> bool) -> Vec<u64> {
+    let mut m = vec![0u64; mask_words(rows)];
+    for r in (0..rows).filter(|&r| set(r)) {
+        m[r / 64] |= 1 << (r % 64);
+    }
+    m
+}
+
+/// The dense mask producer (`fill` / `and`) and the masked code visitor are
+/// pinned to the scalar cursor for every width, match density and range
+/// shape: the whole vector, a 64-aligned `_at` start whose last block is
+/// partial, a start in the vector's last blocks, and a vector shorter than
+/// one block — with AND seeds that hold zero words, all-ones words and
+/// mixed words.
+#[test]
+fn dense_masks_and_masked_visitor_match_the_cursor_for_every_width_density_and_shape() {
+    const SENTINEL: u64 = 0xA5A5_5A5A_A5A5_5A5A;
+    let shapes = [
+        (517usize, 0usize, 517usize),
+        (517, 64, 517),
+        (517, 384, 500),
+        (40, 0, 40),
+    ];
+    let densities = [
+        Density::None,
+        Density::OneRow,
+        Density::Tenth,
+        Density::Half,
+        Density::All,
+    ];
+    for bits in 1..=64u8 {
+        let max = max_value_for_bits(bits);
+        // An equality probe, a proper range and (width permitting) a range
+        // touching the top of the domain.
+        let ranges = [
+            (max / 2, max / 2),
+            (max / 3, max / 3 + max / 4),
+            (max - max / 5, max),
+        ];
+        for (lo, hi) in ranges {
+            for density in densities {
+                for (n, start, end) in shapes {
+                    let Some(data) = data_with_density(bits, n, lo, hi, density) else {
+                        continue;
+                    };
+                    let ctx = format!(
+                        "width {bits}, {lo}..={hi}, {density:?}, rows {start}..{end} of {n}"
+                    );
+                    let v = BitPackedVec::from_slice(bits, &data);
+                    let codes = cursor_codes(&v, start, end);
+                    let rows = end - start;
+                    let words = mask_words(rows);
+                    let want = mask_of(rows, |r| (lo..=hi).contains(&codes[r]));
+
+                    // Fill: exact mask, nothing written past it.
+                    let mut got = vec![SENTINEL; words + 1];
+                    v.fill_range_mask_at(lo, hi, start, end, &mut got);
+                    assert_eq!(&got[..words], &want[..], "fill: {ctx}");
+                    assert_eq!(got[words], SENTINEL, "fill wrote past the mask: {ctx}");
+
+                    // AND over seeds with zero, all-ones and mixed words.
+                    let seeds = [
+                        mask_of(rows, |_| true),
+                        mask_of(rows, |_| false),
+                        mask_of(rows, |r| (r / 64).is_multiple_of(2)),
+                        mask_of(rows, |r| row_hash(r, bits as u64).is_multiple_of(3)),
+                        mask_of(rows, |r| {
+                            (r / 64) % 3 == 1 || row_hash(r, 7).is_multiple_of(2)
+                        }),
+                    ];
+                    for seed in &seeds {
+                        let mut got = seed.clone();
+                        got.push(SENTINEL);
+                        v.and_range_mask_at(lo, hi, start, end, &mut got);
+                        let both: Vec<u64> = seed.iter().zip(&want).map(|(s, w)| s & w).collect();
+                        assert_eq!(&got[..words], &both[..], "and: {ctx}");
+                        assert_eq!(got[words], SENTINEL, "and wrote past the mask: {ctx}");
+                    }
+
+                    // Visitor: the predicate's own mask and every seed.
+                    for mask in seeds.iter().chain([&want]) {
+                        let mut seen = Vec::new();
+                        v.for_each_masked_at(start, end, mask, |code| seen.push(code));
+                        let expect: Vec<u64> = (0..rows)
+                            .filter(|r| mask[r / 64] >> (r % 64) & 1 == 1)
+                            .map(|r| codes[r])
+                            .collect();
+                        assert_eq!(seen, expect, "visitor: {ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Arbitrary data and arbitrary masks: the visitor hands out exactly the
+    /// cursor's codes of the set rows, in row order.
+    #[test]
+    fn masked_visitor_matches_cursor(
+        (bits, values, _, _) in width_data_and_bounds(),
+        mask_seed in any::<u64>(),
+        shape in 0u8..4,
+    ) {
+        let v = BitPackedVec::from_slice(bits, &values);
+        let n = v.len();
+        let mask = mask_of(n, |r| match shape {
+            0 => true,
+            1 => (r / 64).is_multiple_of(2),
+            2 => row_hash(r, mask_seed).is_multiple_of(2),
+            _ => row_hash(r / 64, mask_seed).is_multiple_of(3) || row_hash(r, mask_seed).is_multiple_of(5),
+        });
+        let mut seen = Vec::new();
+        v.for_each_masked_at(0, n, &mask, |code| seen.push(code));
+        let expect: Vec<u64> = (0..n)
+            .filter(|r| mask[r / 64] >> (r % 64) & 1 == 1)
+            .map(|r| values[r])
+            .collect();
+        prop_assert_eq!(seen, expect);
+    }
+}

@@ -1,26 +1,35 @@
 //! The unified execution engine: one [`Executor`] trait over every backend,
-//! with a [`SelectionVector`] intermediate and dictionary value-id pushdown.
+//! with dictionary value-id pushdown, dense row masks for aggregates and a
+//! [`SelectionVector`] intermediate for row output.
 //!
 //! Every backend reduces its columns to the same physical shape — a
 //! dictionary-compressed main partition plus a short row-ordered list of
 //! [`TailRegion`]s (bit-packed frozen/pending deltas, raw append-only tail
 //! chunks) — and runs one engine over it:
 //!
-//! 1. **First predicate**: the value interval is rewritten against the
-//!    main dictionary ([`Dictionary::value_id_range`]) and the bit-packed
-//!    codes are scanned **entirely in value-id space** by the word-parallel
-//!    SWAR kernels (no tuple is decoded); packed tail regions do the same
-//!    against their local dictionaries, raw regions fall back to value
-//!    comparisons — they are small by construction, the merge bounds them.
-//! 2. **Further predicates**: when every predicate column shares the same
-//!    main length, the conjunction is **fused** — each column produces a
-//!    per-word match bitmask and the masks are ANDed before any row id is
-//!    materialized. Otherwise (mid-merge snapshots with stepped columns)
-//!    the engine refines the selection vector row by row: main rows compare
-//!    their packed code against that column's value-id range (random
-//!    access, still no decode), tail rows compare values.
-//! 3. **Validity** filters last; the surviving [`SelectionVector`] feeds
-//!    row output, projection, or aggregation.
+//! 1. **Predicates run in code space.** A value interval is rewritten
+//!    against the main dictionary ([`Dictionary::value_id_range`]) and the
+//!    bit-packed codes are scanned **entirely in value-id space** by the
+//!    word-parallel SWAR kernels (no tuple is decoded); packed tail regions
+//!    do the same against their local dictionaries, raw regions fall back
+//!    to value comparisons — they are small by construction, the merge
+//!    bounds them.
+//! 2. **Aggregates stay there.** `count`, `sum` and `min_max` never build
+//!    a [`SelectionVector`]: per morsel the validity *words* seed a dense
+//!    row mask, every predicate is `AND`ed into it by the dense mask
+//!    producer, and the masked code visitor hands the surviving rows'
+//!    codes to the aggregate (a dictionary-slice gather for `sum`, a code
+//!    fold for `min_max`, a popcount for `count`). A single-predicate
+//!    count keeps the popcount kernels and subtracts the deleted rows
+//!    that match.
+//! 3. **Row output** (`rows`, `project`) materializes a
+//!    [`SelectionVector`]: one predicate runs the select kernels, a
+//!    conjunction materializes the same fused mask once. Mid-merge
+//!    snapshots with stepped columns — whose mains differ in length, so no
+//!    shared mask exists — refine the selection vector row by row (main
+//!    rows compare their packed code against that column's value-id range,
+//!    tail rows compare values), and aggregates over them fold that
+//!    vector.
 //!
 //! **Morsel-driven parallelism.** Every stage above is phrased per morsel:
 //! [`Query::with_threads`] is a morsel-count hint that cuts the main
@@ -267,47 +276,18 @@ pub(crate) fn refine_col<V: Value>(col: &ColView<'_, V>, lo: &V, hi: &V, rows: &
     });
 }
 
-/// Apply one predicate's value-id range to a morsel's per-word match
-/// masks over main rows `[start, end)` (`start` 64-aligned, masks are
-/// morsel-local: bit 0 = row `start`): `and` refines an existing fill,
-/// otherwise overwrite. A predicate matching no dictionary value zeroes
-/// the whole mask.
-fn mask_main_pred_at<V: Value>(
-    col: &ColView<'_, V>,
-    lo: &V,
-    hi: &V,
-    start: usize,
-    end: usize,
-    masks: &mut [u64],
-    and: bool,
-) {
-    match col.main.dictionary().value_id_range(lo, hi) {
-        Some(ids) => {
-            let (id_lo, id_hi) = (*ids.start() as u64, *ids.end() as u64);
-            if and {
-                col.main
-                    .packed_codes()
-                    .and_range_mask_at(id_lo, id_hi, start, end, masks);
-            } else {
-                col.main
-                    .packed_codes()
-                    .fill_range_mask_at(id_lo, id_hi, start, end, masks);
-            }
-        }
-        None => masks.fill(0),
-    }
-}
-
-/// Can a conjunction run the fused mask pass? Only when every predicate
-/// column's main partition has the same length — mid-incremental-merge
-/// snapshots can hold columns whose mains differ (some already absorbed
-/// the frozen delta), and a shared row mask would misalign.
-fn fused_main_len<V: Value>(
+/// The main length a shared row mask can be built over: column `anchor`'s,
+/// provided every predicate column's main partition has the same length.
+/// Mid-incremental-merge snapshots can hold columns whose mains differ
+/// (some already absorbed the frozen delta); a shared mask would misalign
+/// there, and the caller falls back to refining a selection vector.
+fn shared_main_len<V: Value>(
     cols: &[ColView<'_, V>],
     preds: &[CompiledPredicate<V>],
+    anchor: usize,
 ) -> Option<usize> {
-    let nm = cols[preds[0].col].main.len();
-    preds[1..]
+    let nm = cols[anchor].main.len();
+    preds
         .iter()
         .all(|p| cols[p.col].main.len() == nm)
         .then_some(nm)
@@ -326,33 +306,83 @@ fn tail_row_matches<V: Value>(
     })
 }
 
-/// Fused conjunction over one morsel of the main partitions (`start`
-/// 64-aligned): build the first predicate's per-word match mask for
-/// `[start, end)`, `AND` every further predicate's mask into it, and only
-/// then materialize row ids — one dense bitset walk instead of a retain
-/// pass per predicate. The returned masks are morsel-local (bit 0 = row
-/// `start`).
-fn fused_mask_at<V: Value>(
+/// Clear the bits at or beyond `rows` in the last word of a dense row mask
+/// of `mask_words(rows)` words.
+fn clear_past(masks: &mut [u64], rows: usize) {
+    if let Some(last) = masks.last_mut().filter(|_| !rows.is_multiple_of(64)) {
+        *last &= (1u64 << (rows % 64)) - 1;
+    }
+}
+
+/// The mask every aggregate and the fused row scan consume: bit `r` of the
+/// morsel-local mask over main rows `[start, end)` (`start` 64-aligned) is
+/// set iff row `start + r` is valid **and** satisfies every predicate.
+/// The validity *words* seed the mask — main rows are global rows `0..nm`,
+/// so mask word `j` is validity word `start / 64 + j` (all ones without a
+/// bitmap) — and each predicate's value-id range is `AND`ed into it in
+/// code space, skipping 64-row blocks that are already empty. A predicate
+/// matching no dictionary value zeroes the whole mask.
+fn valid_mask_at<V: Value>(
     cols: &[ColView<'_, V>],
     preds: &[CompiledPredicate<V>],
+    validity: Option<&ValidityBitmap>,
     start: usize,
     end: usize,
 ) -> Vec<u64> {
-    let mut masks = vec![0u64; mask_words(end - start)];
-    let (first, rest) = preds.split_first().expect("fused pass needs predicates");
-    mask_main_pred_at(
-        &cols[first.col],
-        &first.lo,
-        &first.hi,
-        start,
-        end,
-        &mut masks,
-        false,
-    );
-    for p in rest {
-        mask_main_pred_at(&cols[p.col], &p.lo, &p.hi, start, end, &mut masks, true);
+    let n = mask_words(end - start);
+    let mut masks = match validity {
+        Some(v) => v.words()[start / 64..start / 64 + n].to_vec(),
+        None => vec![u64::MAX; n],
+    };
+    clear_past(&mut masks, end - start);
+    for p in preds {
+        let main = cols[p.col].main;
+        match main.dictionary().value_id_range(&p.lo, &p.hi) {
+            Some(ids) => main.packed_codes().and_range_mask_at(
+                *ids.start() as u64,
+                *ids.end() as u64,
+                start,
+                end,
+                &mut masks,
+            ),
+            None => masks.fill(0),
+        }
     }
     masks
+}
+
+/// Run `f(start, end, mask)` over every morsel of the shared main
+/// partition (`nm` rows), `mask` being that morsel's [`valid_mask_at`];
+/// results come back in morsel order.
+fn map_main_masks<V: Value, T: Send + Sync>(
+    cols: &[ColView<'_, V>],
+    nm: usize,
+    preds: &[CompiledPredicate<V>],
+    validity: Option<&ValidityBitmap>,
+    hint: usize,
+    f: impl Fn(usize, usize, &[u64]) -> T + Sync,
+) -> Vec<T> {
+    let ranges = morsel_ranges(nm, hint);
+    parallel_map(hint, ranges.len(), |i| {
+        let (s, e) = ranges[i];
+        f(s, e, &valid_mask_at(cols, preds, validity, s, e))
+    })
+}
+
+/// Tail rows (relative to the shared end of main, `nm`) that are valid
+/// and satisfy every predicate, ascending. Tails are short by
+/// construction — the merge bounds them — so they run row at a time,
+/// serially, after the main morsels.
+fn matching_tail_rows<'a, V: Value>(
+    cols: &'a [ColView<'a, V>],
+    n_rows: usize,
+    nm: usize,
+    preds: &'a [CompiledPredicate<V>],
+    validity: Option<&'a ValidityBitmap>,
+) -> impl Iterator<Item = usize> + 'a {
+    (0..n_rows - nm).filter(move |&i| {
+        validity.is_none_or(|v| v.is_valid(nm + i)) && tail_row_matches(cols, preds, i)
+    })
 }
 
 /// Drop rows the validity bitmap marks deleted (no-op without a bitmap).
@@ -373,55 +403,92 @@ fn scan_tails_into<V: Value>(col: &ColView<'_, V>, lo: &V, hi: &V, out: &mut Vec
     }
 }
 
-/// Count matching rows without materializing a selection vector (the
-/// all-rows-valid fast path): a single predicate runs the popcount kernel
-/// over each main morsel and each tail region; a conjunction popcounts the
-/// fused per-word mask per morsel. Per-morsel counts add associatively, so
-/// the hint cannot change the result.
+/// How many of the rows `0..n_rows` that the bitmap marks deleted satisfy
+/// `matches`. Deleted rows are the zero bits of the validity words; a word
+/// without one costs a single compare.
+fn count_deleted(
+    v: &ValidityBitmap,
+    n_rows: usize,
+    mut matches: impl FnMut(usize) -> bool,
+) -> usize {
+    let mut n = 0usize;
+    for (j, &w) in v.words()[..mask_words(n_rows)].iter().enumerate() {
+        if w == u64::MAX {
+            continue;
+        }
+        let mut deleted = !w;
+        if (j + 1) * 64 > n_rows {
+            deleted &= (1u64 << (n_rows % 64)) - 1;
+        }
+        while deleted != 0 {
+            n += matches(j * 64 + deleted.trailing_zeros() as usize) as usize;
+            deleted &= deleted - 1;
+        }
+    }
+    n
+}
+
+/// Count matching valid rows without materializing a row id.
+///
+/// A single predicate keeps the popcount kernels — over each main morsel
+/// and each tail region — whether or not rows are deleted, and subtracts
+/// the deleted rows that match, walked from the zero bits of the validity
+/// words (main rows compare their packed code, tail rows their value). A
+/// conjunction popcounts the fused [`valid_mask_at`] per morsel.
+/// Per-morsel counts add associatively, so the hint cannot change the
+/// result.
 fn count_cols<V: Value>(
     cols: &[ColView<'_, V>],
     n_rows: usize,
     preds: &[CompiledPredicate<V>],
+    validity: Option<&ValidityBitmap>,
     hint: usize,
 ) -> usize {
     if let [p] = preds {
         let col = &cols[p.col];
-        let main = match col.main.dictionary().value_id_range(&p.lo, &p.hi) {
-            Some(ids) => {
-                let (id_lo, id_hi) = (*ids.start() as u64, *ids.end() as u64);
-                let ranges = morsel_ranges(col.main.len(), hint);
-                parallel_map(hint, ranges.len(), |i| {
-                    let (s, e) = ranges[i];
-                    col.main
-                        .packed_codes()
-                        .count_in_range_at(id_lo, id_hi, s, e)
-                })
-                .into_iter()
-                .sum()
-            }
-            None => 0,
-        };
-        return main
-            + col
-                .tails
-                .iter()
-                .map(|t| t.count_in_range(&p.lo, &p.hi))
-                .sum::<usize>();
-    }
-    match fused_main_len(cols, preds) {
-        Some(nm) => {
+        let nm = col.main.len();
+        let codes = col.main.packed_codes();
+        let ids = col
+            .main
+            .dictionary()
+            .value_id_range(&p.lo, &p.hi)
+            .map(|r| (*r.start() as u64, *r.end() as u64));
+        let main: usize = ids.map_or(0, |(id_lo, id_hi)| {
             let ranges = morsel_ranges(nm, hint);
-            let main: usize = parallel_map(hint, ranges.len(), |i| {
+            parallel_map(hint, ranges.len(), |i| {
                 let (s, e) = ranges[i];
-                mask_count(&fused_mask_at(cols, preds, s, e))
+                codes.count_in_range_at(id_lo, id_hi, s, e)
+            })
+            .into_iter()
+            .sum()
+        });
+        let tails: usize = col
+            .tails
+            .iter()
+            .map(|t| t.count_in_range(&p.lo, &p.hi))
+            .sum();
+        let deleted = validity.map_or(0, |v| {
+            count_deleted(v, n_rows, |r| {
+                if r < nm {
+                    ids.is_some_and(|(id_lo, id_hi)| (id_lo..=id_hi).contains(&codes.get(r)))
+                } else {
+                    let x = col.tail_value(r - nm);
+                    x >= p.lo && x <= p.hi
+                }
+            })
+        });
+        return main + tails - deleted;
+    }
+    match shared_main_len(cols, preds, preds[0].col) {
+        Some(nm) => {
+            let main: usize = map_main_masks(cols, nm, preds, validity, hint, |_, _, masks| {
+                mask_count(masks)
             })
             .into_iter()
             .sum();
-            main + (0..n_rows - nm)
-                .filter(|&i| tail_row_matches(cols, preds, i))
-                .count()
+            main + matching_tail_rows(cols, n_rows, nm, preds, validity).count()
         }
-        None => select_cols(cols, n_rows, preds, None, hint).len(),
+        None => select_cols(cols, n_rows, preds, validity, hint).len(),
     }
 }
 
@@ -477,28 +544,21 @@ fn select_cols<V: Value>(
             parts.push(tail_rows);
             concat(parts)
         }
-        Some((first, rest)) => match fused_main_len(cols, preds) {
+        Some((first, rest)) => match shared_main_len(cols, preds, first.col) {
             Some(nm) => {
                 // Fused pass per morsel: AND morsel-local per-word masks
-                // across columns, then materialize once; tail rows check
-                // all predicates fused.
-                let ranges = morsel_ranges(nm, hint);
-                let mut parts = parallel_map(hint, ranges.len(), |i| {
-                    let (s, e) = ranges[i];
-                    let masks = fused_mask_at(cols, preds, s, e);
+                // across columns and validity, then materialize once;
+                // tail rows check all predicates fused.
+                let mut parts = map_main_masks(cols, nm, preds, validity, hint, |s, e, masks| {
                     let mut rows = Vec::new();
-                    rows_from_mask(&masks, e - s, s, &mut rows);
-                    retain_valid(&mut rows, validity);
+                    rows_from_mask(masks, e - s, s, &mut rows);
                     rows
                 });
-                let mut tail_rows = Vec::new();
-                for i in 0..n_rows - nm {
-                    if tail_row_matches(cols, preds, i) {
-                        tail_rows.push(nm + i);
-                    }
-                }
-                retain_valid(&mut tail_rows, validity);
-                parts.push(tail_rows);
+                parts.push(
+                    matching_tail_rows(cols, n_rows, nm, preds, validity)
+                        .map(|i| nm + i)
+                        .collect(),
+                );
                 concat(parts)
             }
             None => {
@@ -549,127 +609,84 @@ fn fold_mm<V: Ord + Copy>(mm: Option<(V, V)>, v: V) -> Option<(V, V)> {
     })
 }
 
-/// Sum rows `[start, end)` of `col` — a global row range that may span the
-/// main partition (the packed cursor resumes at `start`) and tail regions;
-/// a validity bitmap, when present, is checked per row.
-fn sum_rows<V: Value>(
-    col: &ColView<'_, V>,
+/// Sum column `c` over the valid rows satisfying `preds`, entirely in
+/// code space over main: each morsel feeds its [`valid_mask_at`] to the
+/// masked code visitor and gathers through the dictionary slice, exact in
+/// `u128`; matching tail rows add their values. Per-morsel partial sums
+/// add in morsel order.
+fn sum_masked<V: Value>(
+    cols: &[ColView<'_, V>],
+    n_rows: usize,
+    nm: usize,
+    preds: &[CompiledPredicate<V>],
     validity: Option<&ValidityBitmap>,
-    start: usize,
-    end: usize,
+    c: usize,
+    hint: usize,
 ) -> u128 {
-    let dict = col.main.dictionary();
-    let nm = col.main.len();
-    let mut acc: u128 = 0;
-    if start < nm {
-        let mut cur = col.main.packed_codes().cursor_at(start);
-        for row in start..end.min(nm) {
-            let code = cur.next_value();
-            if validity.is_none_or(|val| val.is_valid(row)) {
-                acc += dict.value_at(code as u32).to_u64_lossy() as u128;
-            }
-        }
-    }
-    let mut base = nm;
-    for tail in &col.tails {
-        let tail_end = base + tail.len();
-        if start < tail_end && end > base {
-            for row in start.max(base)..end.min(tail_end) {
-                if validity.is_none_or(|val| val.is_valid(row)) {
-                    acc += tail.get(row - base).to_u64_lossy() as u128;
-                }
-            }
-        }
-        base = tail_end;
-    }
-    acc
+    let col = &cols[c];
+    let codes = col.main.packed_codes();
+    let values = col.main.dictionary().values();
+    let main: u128 = map_main_masks(cols, nm, preds, validity, hint, |s, e, masks| {
+        let mut acc: u128 = 0;
+        codes.for_each_masked_at(s, e, masks, |code| {
+            acc += values[code as usize].to_u64_lossy() as u128;
+        });
+        acc
+    })
+    .into_iter()
+    .sum();
+    main + matching_tail_rows(cols, n_rows, nm, preds, validity)
+        .map(|i| col.tail_value(i).to_u64_lossy() as u128)
+        .sum::<u128>()
 }
 
-/// Full-column sum (no predicates): the bandwidth-bound analytical scan,
-/// morselized over the whole row space (main and tails); per-morsel
-/// partial sums add in morsel order.
+/// Full-column sum (no predicates): the bandwidth-bound analytical scan.
 fn sum_full<V: Value>(
     col: &ColView<'_, V>,
     validity: Option<&ValidityBitmap>,
     hint: usize,
 ) -> u128 {
-    let ranges = morsel_ranges(col.len(), hint);
-    parallel_map(hint, ranges.len(), |i| {
-        let (s, e) = ranges[i];
-        sum_rows(col, validity, s, e)
+    let cols = std::slice::from_ref(col);
+    sum_masked(cols, col.len(), col.main.len(), &[], validity, 0, hint)
+}
+
+/// Min/max of column `c` over the valid rows satisfying `preds`: each
+/// morsel folds main *codes* through the masked visitor (codes are
+/// order-preserving, so the two surviving codes are decoded once, by the
+/// combiner); matching tail rows fold values.
+fn min_max_masked<V: Value>(
+    cols: &[ColView<'_, V>],
+    n_rows: usize,
+    nm: usize,
+    preds: &[CompiledPredicate<V>],
+    validity: Option<&ValidityBitmap>,
+    c: usize,
+    hint: usize,
+) -> Option<(V, V)> {
+    let col = &cols[c];
+    let codes = col.main.packed_codes();
+    let code_mm = map_main_masks(cols, nm, preds, validity, hint, |s, e, masks| {
+        let mut mm: Option<(u64, u64)> = None;
+        codes.for_each_masked_at(s, e, masks, |code| mm = fold_mm(mm, code));
+        mm
     })
     .into_iter()
-    .sum()
+    .flatten()
+    .fold(None, |mm, (lo, hi)| fold_mm(fold_mm(mm, lo), hi));
+    let dict = col.main.dictionary();
+    let mm = code_mm.map(|(lo, hi)| (dict.value_at(lo as u32), dict.value_at(hi as u32)));
+    matching_tail_rows(cols, n_rows, nm, preds, validity)
+        .fold(mm, |mm, i| fold_mm(mm, col.tail_value(i)))
 }
 
-/// One morsel's min/max partial: folded main *codes* (decoded later, once,
-/// by the combiner) and folded tail values.
-type MinMaxPartial<V> = (Option<(u64, u64)>, Option<(V, V)>);
-
-/// Fold min/max over rows `[start, end)` of `col`: main rows fold *codes*
-/// (decoded later, once, by the combiner), tail rows fold values.
-fn min_max_rows<V: Value>(
-    col: &ColView<'_, V>,
-    validity: Option<&ValidityBitmap>,
-    start: usize,
-    end: usize,
-) -> MinMaxPartial<V> {
-    let nm = col.main.len();
-    let mut code_mm: Option<(u64, u64)> = None;
-    if start < nm {
-        let mut cur = col.main.packed_codes().cursor_at(start);
-        for row in start..end.min(nm) {
-            let code = cur.next_value();
-            if validity.is_none_or(|val| val.is_valid(row)) {
-                code_mm = fold_mm(code_mm, code);
-            }
-        }
-    }
-    let mut val_mm: Option<(V, V)> = None;
-    let mut base = nm;
-    for tail in &col.tails {
-        let tail_end = base + tail.len();
-        if start < tail_end && end > base {
-            for row in start.max(base)..end.min(tail_end) {
-                if validity.is_none_or(|val| val.is_valid(row)) {
-                    val_mm = fold_mm(val_mm, tail.get(row - base));
-                }
-            }
-        }
-        base = tail_end;
-    }
-    (code_mm, val_mm)
-}
-
-/// Full-column min/max (no predicates): each morsel folds main *codes* and
-/// tail values; the combiner merges the partial extremes in morsel order
-/// and decodes the two surviving codes once.
+/// Full-column min/max (no predicates).
 fn min_max_full<V: Value>(
     col: &ColView<'_, V>,
     validity: Option<&ValidityBitmap>,
     hint: usize,
 ) -> Option<(V, V)> {
-    let ranges = morsel_ranges(col.len(), hint);
-    let parts = parallel_map(hint, ranges.len(), |i| {
-        let (s, e) = ranges[i];
-        min_max_rows(col, validity, s, e)
-    });
-    let mut code_mm: Option<(u64, u64)> = None;
-    let mut val_mm: Option<(V, V)> = None;
-    for (c, v) in parts {
-        if let Some((lo, hi)) = c {
-            code_mm = fold_mm(fold_mm(code_mm, lo), hi);
-        }
-        if let Some((lo, hi)) = v {
-            val_mm = fold_mm(fold_mm(val_mm, lo), hi);
-        }
-    }
-    let dict = col.main.dictionary();
-    let mut mm = code_mm.map(|(lo, hi)| (dict.value_at(lo as u32), dict.value_at(hi as u32)));
-    if let Some((lo, hi)) = val_mm {
-        mm = fold_mm(fold_mm(mm, lo), hi);
-    }
-    mm
+    let cols = std::slice::from_ref(col);
+    min_max_masked(cols, col.len(), col.main.len(), &[], validity, 0, hint)
 }
 
 /// The canonical engine over homogeneous column views — every typed
@@ -709,45 +726,44 @@ fn execute_cols<V: Value>(
                 // (it only has to *cover* it) — count the covered rows.
                 Some(v) => (0..n_rows).filter(|&r| v.is_valid(r)).count(),
             }
-        } else if validity.is_none_or(|v| v.len() >= n_rows && v.valid_count() == v.len()) {
-            // No invalid rows: count without materializing row ids.
-            count_cols(cols, n_rows, preds, hint)
         } else {
-            select_cols(cols, n_rows, preds, validity, hint).len()
+            count_cols(cols, n_rows, preds, validity, hint)
         }),
-        Action::Sum(c) => Output::Sum(if preds.is_empty() {
-            sum_full(&cols[*c], validity, hint)
-        } else {
-            let col = &cols[*c];
-            let sel = select_cols(cols, n_rows, preds, validity, hint);
-            let rows = sel.as_slice();
-            let chunks = chunk_ranges(rows.len(), hint);
-            parallel_map(hint, chunks.len(), |i| {
-                let (s, e) = chunks[i];
-                rows[s..e]
-                    .iter()
-                    .map(|&r| col.value(r).to_u64_lossy() as u128)
-                    .sum::<u128>()
-            })
-            .into_iter()
-            .sum()
+        Action::Sum(c) => Output::Sum(match shared_main_len(cols, preds, *c) {
+            Some(nm) => sum_masked(cols, n_rows, nm, preds, validity, *c, hint),
+            None => {
+                let col = &cols[*c];
+                let sel = select_cols(cols, n_rows, preds, validity, hint);
+                let rows = sel.as_slice();
+                let chunks = chunk_ranges(rows.len(), hint);
+                parallel_map(hint, chunks.len(), |i| {
+                    let (s, e) = chunks[i];
+                    rows[s..e]
+                        .iter()
+                        .map(|&r| col.value(r).to_u64_lossy() as u128)
+                        .sum::<u128>()
+                })
+                .into_iter()
+                .sum()
+            }
         }),
-        Action::MinMax(c) => Output::MinMax(if preds.is_empty() {
-            min_max_full(&cols[*c], validity, hint)
-        } else {
-            let col = &cols[*c];
-            let sel = select_cols(cols, n_rows, preds, validity, hint);
-            let rows = sel.as_slice();
-            let chunks = chunk_ranges(rows.len(), hint);
-            parallel_map(hint, chunks.len(), |i| {
-                let (s, e) = chunks[i];
-                rows[s..e]
-                    .iter()
-                    .fold(None, |mm, &r| fold_mm(mm, col.value(r)))
-            })
-            .into_iter()
-            .flatten()
-            .fold(None, |mm, (lo, hi)| fold_mm(fold_mm(mm, lo), hi))
+        Action::MinMax(c) => Output::MinMax(match shared_main_len(cols, preds, *c) {
+            Some(nm) => min_max_masked(cols, n_rows, nm, preds, validity, *c, hint),
+            None => {
+                let col = &cols[*c];
+                let sel = select_cols(cols, n_rows, preds, validity, hint);
+                let rows = sel.as_slice();
+                let chunks = chunk_ranges(rows.len(), hint);
+                parallel_map(hint, chunks.len(), |i| {
+                    let (s, e) = chunks[i];
+                    rows[s..e]
+                        .iter()
+                        .fold(None, |mm, &r| fold_mm(mm, col.value(r)))
+                })
+                .into_iter()
+                .flatten()
+                .fold(None, |mm, (lo, hi)| fold_mm(fold_mm(mm, lo), hi))
+            }
         }),
     }
 }

@@ -35,25 +35,28 @@ pub(crate) const MORSEL_ROWS: usize = 64 * 1024;
 /// Cut `n` rows into contiguous morsels for a parallelism hint.
 ///
 /// Every boundary except the final `n` is a multiple of 64 rows (see the
-/// module docs for why). A hint of `0` or `1` yields a single morsel; a
-/// larger hint yields `>= hint` morsels of at most [`MORSEL_ROWS`] rows so
-/// each claimant has work, with the row count split as evenly as 64-row
-/// granularity allows.
+/// module docs for why), and no morsel exceeds [`MORSEL_ROWS`] rows
+/// whatever the hint: a serial run (hint `0` or `1`) walks the same
+/// cache-sized pieces inline, so a morsel's row mask stays L1-resident
+/// between the kernel that fills it and the one that consumes it. A larger
+/// hint yields `>= hint` morsels so each claimant has work, with the row
+/// count split as evenly as 64-row granularity allows.
 pub(crate) fn morsel_ranges(n: usize, hint: usize) -> Vec<(usize, usize)> {
     if n == 0 {
         return Vec::new();
     }
-    if hint <= 1 {
-        return vec![(0, n)];
-    }
-    // Round the per-claimant share *down* to 64 rows (floor 64): the size
-    // never exceeds n/hint, so at least `min(hint, ceil(n/64))` morsels
-    // exist — every claimant has work whenever the row count permits.
-    let per_claimant = (n / hint).max(1);
-    let size = (per_claimant / 64)
-        .max(1)
-        .saturating_mul(64)
-        .min(MORSEL_ROWS);
+    let size = if hint <= 1 {
+        MORSEL_ROWS
+    } else {
+        // Round the per-claimant share *down* to 64 rows (floor 64): the
+        // size never exceeds n/hint, so at least `min(hint, ceil(n/64))`
+        // morsels exist — every claimant has work whenever the row count
+        // permits.
+        ((n / hint).max(1) / 64)
+            .max(1)
+            .saturating_mul(64)
+            .min(MORSEL_ROWS)
+    };
     let count = n.div_ceil(size);
     (0..count)
         .map(|i| (i * size, ((i + 1) * size).min(n)))
@@ -121,6 +124,11 @@ mod tests {
         assert_eq!(morsel_ranges(1000, 0), vec![(0, 1000)]);
         assert_eq!(morsel_ranges(1000, 1), vec![(0, 1000)]);
         assert!(morsel_ranges(0, 4).is_empty());
+        // ... up to the cap: a serial run still walks cache-sized pieces.
+        assert_eq!(
+            morsel_ranges(MORSEL_ROWS + 1, 1),
+            vec![(0, MORSEL_ROWS), (MORSEL_ROWS, MORSEL_ROWS + 1)]
+        );
     }
 
     #[test]

@@ -188,6 +188,35 @@ fn large_scans_split_into_many_morsels_and_stay_identical() {
             assert_eq!(q.clone().with_threads(hint).run(&snap), serial);
         }
     }
+
+    // The serial run itself walks several capped morsels here, so pin the
+    // aggregates to a naive fold too: valid rows of main and tail that
+    // satisfy both predicates.
+    let live = |i: usize| i >= 200_000 || !i.is_multiple_of(97);
+    let matching: Vec<u64> = rows
+        .iter()
+        .chain(rows.iter().take(3000))
+        .enumerate()
+        .filter(|&(i, r)| live(i) && (100..=600).contains(&r[0]) && r[1] <= 40_000)
+        .map(|(_, r)| r[1])
+        .collect();
+    let fused = Query::scan(0).between(100, 600).and(1).between(0, 40_000);
+    for hint in [1usize, 2, 5] {
+        let q = fused.clone().with_threads(hint);
+        assert_eq!(q.clone().count().run(&snap).count(), matching.len());
+        assert_eq!(
+            q.clone().sum(1).run(&snap).sum(),
+            matching.iter().map(|&v| v as u128).sum::<u128>()
+        );
+        assert_eq!(
+            q.min_max(1).run(&snap).min_max(),
+            matching
+                .iter()
+                .copied()
+                .min()
+                .zip(matching.iter().copied().max())
+        );
+    }
 }
 
 /// An owned pool drains queued work and joins on shutdown and on drop,

@@ -223,23 +223,28 @@ impl AtomicValidity {
     /// A plain-bitmap copy of rows `0..n`, with the last word masked to
     /// `n` — bits of not-yet-published rows above the watermark are set
     /// before publication and must not leak into the snapshot.
+    ///
+    /// Every query takes one of these, so the copy walks the spine chunk by
+    /// chunk — one slice per chunk instead of re-resolving the chunk for
+    /// every word — and the valid bits are counted in one pass over the
+    /// copy.
     pub fn snapshot_prefix(&self, n: usize) -> ValidityBitmap {
         let n_words = n.div_ceil(64);
         let mut words = Vec::with_capacity(n_words);
-        let mut valid_count = 0usize;
-        for w in 0..n_words {
-            let mut word = self.word(w * 64).load(Ordering::Relaxed);
-            if (w + 1) * 64 > n {
-                word &= (1u64 << (n % 64)) - 1;
+        for (k, chunk) in self.chunks.iter().enumerate() {
+            let want = n_words - words.len();
+            if want == 0 {
+                break;
             }
-            valid_count += word.count_ones() as usize;
-            words.push(word);
+            let take = want.min(WORDS_0 << k);
+            match chunk.get() {
+                Some(c) => words.extend(c[..take].iter().map(|w| w.load(Ordering::Relaxed))),
+                // Never written: no row of this chunk was ever set valid.
+                None => words.resize(words.len() + take, 0),
+            }
         }
-        ValidityBitmap {
-            words,
-            len: n,
-            valid_count,
-        }
+        // Masks the last word to `n` and counts the valid bits.
+        ValidityBitmap::from_words(words, n)
     }
 }
 
