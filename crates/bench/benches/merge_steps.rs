@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyrise_bench::build_column;
-use hyrise_core::{merge_column_naive, merge_column_optimized, parallel::merge_column_parallel};
+use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 
 fn bench_merge(c: &mut Criterion) {
     let mut g = c.benchmark_group("merge_column");
@@ -14,24 +14,20 @@ fn bench_merge(c: &mut Criterion) {
         let (main, delta) = build_column::<u64>(n_m, n_d, lambda, lambda, 11);
         g.throughput(Throughput::Elements((n_m + n_d) as u64));
         let label = format!("lambda{}", (lambda * 100.0) as u32);
-        g.bench_with_input(BenchmarkId::new("naive_1t", &label), &(), |b, _| {
-            b.iter(|| black_box(merge_column_naive(&main, &delta, 1)).main.len())
-        });
-        g.bench_with_input(BenchmarkId::new("optimized_1t", &label), &(), |b, _| {
-            b.iter(|| black_box(merge_column_optimized(&main, &delta)).main.len())
-        });
-        for threads in [4usize, 8] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("parallel_{threads}t"), &label),
-                &threads,
-                |b, &threads| {
-                    b.iter(|| {
-                        black_box(merge_column_parallel(&main, &delta, threads))
-                            .main
-                            .len()
-                    })
-                },
-            );
+        for (name, strategy, threads) in [
+            ("naive_1t", MergeStrategy::Naive, 1usize),
+            ("optimized_1t", MergeStrategy::Optimized, 1),
+            ("parallel_4t", MergeStrategy::Parallel, 4),
+            ("parallel_8t", MergeStrategy::Parallel, 8),
+        ] {
+            let pipeline = MergePipeline::new(strategy, threads);
+            g.bench_with_input(BenchmarkId::new(name, &label), &(), |b, _| {
+                b.iter(|| {
+                    black_box(pipeline.merge_column(&main, &delta, &mut MergeScratch::new()))
+                        .main
+                        .len()
+                })
+            });
         }
     }
     g.finish();

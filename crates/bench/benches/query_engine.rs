@@ -12,15 +12,30 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyrise_bench::{build_column, delta_values};
+use hyrise_core::{OnlineTable, TableSnapshot};
 use hyrise_query::Query;
-use hyrise_storage::Attribute;
+use hyrise_storage::MainPartition;
+
+/// One column: `main` bulk-loaded, `delta` appended to the raw tail.
+fn snapshot_of(main: MainPartition<u64>, delta: &[u64]) -> TableSnapshot<u64> {
+    let table = OnlineTable::from_mains(vec![main]);
+    let rows: Vec<[u64; 1]> = delta.iter().map(|&v| [v]).collect();
+    table.insert_rows(&rows).expect("in-memory insert");
+    table.snapshot()
+}
 
 /// The naive path: decode every tuple (code -> dictionary -> value on
 /// main, raw value on delta) and compare in value space.
-fn naive_decode_scan(attr: &Attribute<u64>, lo: u64, hi: u64) -> Vec<usize> {
+fn naive_decode_scan(snap: &TableSnapshot<u64>, lo: u64, hi: u64) -> Vec<usize> {
+    let col = snap.col(0);
+    let main = col.main();
     let mut out = Vec::new();
-    for i in 0..attr.len() {
-        let v = attr.get(i);
+    for i in 0..col.len() {
+        let v = if i < main.len() {
+            main.get(i)
+        } else {
+            col.get(i)
+        };
         if v >= lo && v <= hi {
             out.push(i);
         }
@@ -40,30 +55,22 @@ fn bench_query_engine(c: &mut Criterion) {
 
     for delta_pct in [0usize, 2, 8] {
         let n_d = n_m * delta_pct / 100;
-        let mut attr = Attribute::from_main(main.clone());
-        for v in delta_values::<u64>(n_d.max(1), lambda, u_m, 23) {
-            if delta_pct > 0 {
-                attr.append(v);
-            }
-        }
-        g.throughput(Throughput::Elements(attr.len() as u64));
+        let snap = snapshot_of(main.clone(), &delta_values::<u64>(n_d, lambda, u_m, 23));
+        g.throughput(Throughput::Elements(snap.row_count() as u64));
         let q = Query::scan(0).between(lo, hi);
-        g.bench_with_input(BenchmarkId::new("value_id", delta_pct), &attr, |b, attr| {
-            b.iter(|| black_box(q.run(attr).into_rows()).len())
+        g.bench_with_input(BenchmarkId::new("value_id", delta_pct), &snap, |b, snap| {
+            b.iter(|| black_box(q.run(snap).into_rows()).len())
         });
-        g.bench_with_input(BenchmarkId::new("decode", delta_pct), &attr, |b, attr| {
-            b.iter(|| black_box(naive_decode_scan(attr, lo, hi)).len())
+        g.bench_with_input(BenchmarkId::new("decode", delta_pct), &snap, |b, snap| {
+            b.iter(|| black_box(naive_decode_scan(snap, lo, hi)).len())
         });
     }
 
     // Both paths must agree — a bench that silently diverges measures
     // nothing.
     let q = Query::scan(0).between(lo, hi);
-    let mut attr = Attribute::from_main(main);
-    for v in delta_values::<u64>(10_000, lambda, u_m, 23) {
-        attr.append(v);
-    }
-    assert_eq!(q.run(&attr).into_rows(), naive_decode_scan(&attr, lo, hi));
+    let snap = snapshot_of(main, &delta_values::<u64>(10_000, lambda, u_m, 23));
+    assert_eq!(q.run(&snap).into_rows(), naive_decode_scan(&snap, lo, hi));
     g.finish();
 }
 

@@ -3,8 +3,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyrise_bench::{build_column, delta_values};
+use hyrise_core::OnlineTable;
 use hyrise_query::Query;
-use hyrise_storage::Attribute;
 
 fn bench_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("scan");
@@ -20,22 +20,23 @@ fn bench_scan(c: &mut Criterion) {
 
     for delta_pct in [0usize, 2, 8] {
         let n_d = n_m * delta_pct / 100;
-        let mut attr = Attribute::from_main(main.clone());
-        for v in delta_values::<u64>(n_d.max(1), lambda, main.dictionary().len(), 23) {
-            if delta_pct > 0 {
-                attr.append(v);
-            }
-        }
-        g.throughput(Throughput::Elements((attr.len()) as u64));
+        let table = OnlineTable::from_mains(vec![main.clone()]);
+        let delta: Vec<[u64; 1]> = delta_values::<u64>(n_d, lambda, main.dictionary().len(), 23)
+            .into_iter()
+            .map(|v| [v])
+            .collect();
+        table.insert_rows(&delta).expect("in-memory insert");
+        let snap = table.snapshot();
+        g.throughput(Throughput::Elements(snap.row_count() as u64));
         let eq = Query::scan(0).eq(probe);
-        g.bench_with_input(BenchmarkId::new("scan_eq", delta_pct), &attr, |b, attr| {
-            b.iter(|| black_box(eq.run(attr).into_rows()).len())
+        g.bench_with_input(BenchmarkId::new("scan_eq", delta_pct), &snap, |b, snap| {
+            b.iter(|| black_box(eq.run(snap).into_rows()).len())
         });
         let range = Query::scan(0).between(lo, hi);
         g.bench_with_input(
             BenchmarkId::new("scan_range", delta_pct),
-            &attr,
-            |b, attr| b.iter(|| black_box(range.run(attr).into_rows()).len()),
+            &snap,
+            |b, snap| b.iter(|| black_box(range.run(snap).into_rows()).len()),
         );
     }
     g.finish();

@@ -8,17 +8,28 @@
 //! pressure that makes the fast merge necessary.
 //!
 //! The bandwidth asymmetry: with lambda = 1% a 10M-tuple main stores ~17
-//! bits/tuple (~2.1 B) while the delta stores 8 B/tuple uncompressed plus
-//! CSB+ overhead — a full-column aggregate touches ~4x the bytes per delta
-//! tuple, and point/range reads on the delta add tree walks.
+//! bits/tuple (~2.1 B) while the delta stores 8 B/tuple uncompressed — a
+//! full-column aggregate touches ~4x the bytes per delta tuple, and range
+//! reads on the delta compare values instead of codes.
 
 use hyrise_bench::{
     banner, build_column, default_threads, delta_values, fmt_count, quick_hz, Args, TablePrinter,
 };
-use hyrise_core::parallel::merge_column_parallel;
-use hyrise_query::{AttributeExecutor, Query};
-use hyrise_storage::{Attribute, ValidityBitmap};
+use hyrise_core::OnlineTable;
+use hyrise_query::Query;
+use hyrise_storage::MainPartition;
 use std::time::Instant;
+
+/// One column: `main` bulk-loaded, `n_d` delta values appended to the tail.
+fn table_with_delta(main: &MainPartition<u64>, n_d: usize, lambda: f64) -> OnlineTable<u64> {
+    let table = OnlineTable::from_mains(vec![main.clone()]);
+    let delta: Vec<[u64; 1]> = delta_values::<u64>(n_d, lambda, main.dictionary().len(), 67)
+        .into_iter()
+        .map(|v| [v])
+        .collect();
+    table.insert_rows(&delta).expect("in-memory insert");
+    table
+}
 
 fn main() {
     let args = Args::from_env();
@@ -58,32 +69,21 @@ fn main() {
     let mut base_psum = 0.0f64;
     let mut base_mem = 0.0f64;
     for frac_pct in [0usize, 10, 25, 50, 100] {
-        let n_d = n_m * frac_pct / 100;
-        let mut attr = Attribute::from_main(main.clone());
-        if frac_pct > 0 {
-            for v in delta_values::<u64>(n_d, lambda, u_m, 67) {
-                attr.append(v);
-            }
-        }
-        let validity = ValidityBitmap::all_valid(attr.len());
-        let tuples = attr.len();
+        let table = table_with_delta(&main, n_m * frac_pct / 100, lambda);
+        let snap = table.snapshot();
+        let tuples = snap.row_count();
 
         // Bandwidth-bound path: all cores scanning. The main partition moves
         // E_C/8 bytes per tuple, the delta E_j = 8 bytes per tuple.
         let t0 = Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(Query::scan(0).sum(0).with_threads(threads).run(&attr).sum());
+            std::hint::black_box(Query::scan(0).sum(0).with_threads(threads).run(&snap).sum());
         }
         let psum_ns = t0.elapsed().as_secs_f64() * 1e9 / reps as f64 / tuples as f64;
 
         // Compute-bound single-thread scan for contrast.
         let t0 = Instant::now();
-        std::hint::black_box(
-            Query::scan(0)
-                .sum(0)
-                .run(&AttributeExecutor::with_validity(&attr, &validity))
-                .sum(),
-        );
+        std::hint::black_box(Query::scan(0).sum(0).run(&snap).sum());
         let sum_ns = t0.elapsed().as_secs_f64() * 1e9 / tuples as f64;
 
         let t0 = Instant::now();
@@ -91,14 +91,14 @@ fn main() {
             std::hint::black_box(
                 Query::scan(0)
                     .between(range_lo, range_hi)
-                    .run(&attr)
+                    .run(&snap)
                     .into_rows()
                     .len(),
             );
         }
         let range_ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
 
-        let mem = attr.memory_bytes() as f64 / 1e6;
+        let mem = table.memory_report().total() as f64 / 1e6;
         if frac_pct == 0 {
             base_psum = psum_ns;
             base_mem = mem;
@@ -121,30 +121,20 @@ fn main() {
     );
     println!("compute-bound on this machine and barely moves — the paper's 2011 Xeon had");
     println!("~10x less bandwidth per core, making even 1T scans bandwidth-sensitive.");
-    println!("Memory amplification is the second §4 cost: uncompressed values + CSB+ tree.");
+    println!("Memory amplification is the second §4 cost: uncompressed delta values.");
     println!();
 
     // The payoff: merging the largest delta restores baseline per-tuple cost.
-    let n_d = n_m;
-    let mut attr = Attribute::from_main(main.clone());
-    for v in delta_values::<u64>(n_d, lambda, u_m, 67) {
-        attr.append(v);
-    }
+    let table = table_with_delta(&main, n_m, lambda);
     let t0 = Instant::now();
-    let merged = merge_column_parallel(attr.main(), attr.delta(), threads).main;
+    table.merge(threads, None).expect("in-memory merge");
     let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let merged_attr: Attribute<u64> = Attribute::from_main(merged);
-    let validity = ValidityBitmap::all_valid(merged_attr.len());
+    let merged = table.snapshot();
     let t0 = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(
-            Query::scan(0)
-                .sum(0)
-                .run(&AttributeExecutor::with_validity(&merged_attr, &validity))
-                .sum(),
-        );
+        std::hint::black_box(Query::scan(0).sum(0).run(&merged).sum());
     }
-    let after = t0.elapsed().as_secs_f64() * 1e9 / reps as f64 / merged_attr.len() as f64;
+    let after = t0.elapsed().as_secs_f64() * 1e9 / reps as f64 / merged.row_count() as f64;
     println!("after merging the 100% delta (merge took {merge_ms:.0} ms): sum costs {after:.2}");
     println!("ns/tuple again (~the 0% baseline) and memory shrinks back to packed codes —");
     println!("the read-side payoff that justifies paying the merge cost.");

@@ -17,7 +17,7 @@ use hyrise_bench::{
     banner, build_column, cpt, default_threads, delta_values, fmt_count, quick_hz,
     time_delta_updates, Args, TablePrinter,
 };
-use hyrise_core::{merge_column_naive, parallel::merge_column_parallel};
+use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 
 fn main() {
     let args = Args::from_env();
@@ -67,8 +67,16 @@ fn main() {
         let (delta, t_u) = time_delta_updates(&vals);
         let total = n_m + n_d;
 
-        let naive = merge_column_naive(&main, &delta, threads);
-        let opt = merge_column_parallel(&main, &delta, threads);
+        let naive = MergePipeline::new(MergeStrategy::Naive, threads).merge_column(
+            &main,
+            &delta,
+            &mut MergeScratch::new(),
+        );
+        let opt = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+            &main,
+            &delta,
+            &mut MergeScratch::new(),
+        );
         debug_assert_eq!(naive.main.dictionary().len(), opt.main.dictionary().len());
 
         let upd = cpt(t_u, total, hz);

@@ -12,7 +12,7 @@ use hyrise_bench::{
     banner, build_column, cpt, default_threads, delta_values, fmt_count, quick_hz,
     time_delta_updates, Args, TablePrinter,
 };
-use hyrise_core::parallel::merge_column_parallel;
+use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 use hyrise_storage::{Value, V16};
 
 fn run_case<V: Value>(
@@ -28,7 +28,11 @@ fn run_case<V: Value>(
     let vals = delta_values::<V>(n_d, lambda, main.dictionary().len(), 77);
     let (delta, t_u) = time_delta_updates(&vals);
     let total = n_m + n_d;
-    let out = merge_column_parallel(&main, &delta, threads);
+    let out = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+        &main,
+        &delta,
+        &mut MergeScratch::new(),
+    );
     let upd = cpt(t_u, total, hz);
     let s1 = out.stats.step1_cycles_per_tuple(hz);
     let s2 = out.stats.step2_cycles_per_tuple(hz);

@@ -17,10 +17,10 @@ use hyrise_bench::{
     banner, build_column, cpt, default_threads, delta_values, fmt_count, quick_hz,
     time_delta_updates, Args, TablePrinter,
 };
-use hyrise_core::parallel::merge_column_parallel;
 use hyrise_core::rate::{
     updates_per_second, HIGH_TARGET_UPDATES_PER_SEC, LOW_TARGET_UPDATES_PER_SEC,
 };
+use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 
 fn main() {
     let args = Args::from_env();
@@ -66,7 +66,11 @@ fn main() {
             let vals = delta_values::<u64>(n_d, lambda, main.dictionary().len(), 17);
             let (delta, t_u) = time_delta_updates(&vals);
             let total = n_m + n_d;
-            let out = merge_column_parallel(&main, &delta, threads);
+            let out = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+                &main,
+                &delta,
+                &mut MergeScratch::new(),
+            );
             let upd = cpt(t_u, total, hz);
             let merge_cpt = out.stats.cycles_per_tuple(hz);
             let total_cpt = upd + merge_cpt;

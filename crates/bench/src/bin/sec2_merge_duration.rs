@@ -12,7 +12,7 @@
 //! and linear in rows, so per-column-per-tuple cost is the invariant).
 
 use hyrise_bench::{banner, default_threads, fmt_count, quick_hz, Args, TablePrinter};
-use hyrise_core::{merge_column_naive, parallel::merge_column_parallel};
+use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 use hyrise_storage::{DeltaPartition, MainPartition};
 use hyrise_workload::VbapScenario;
 use std::time::Duration;
@@ -52,8 +52,16 @@ fn main() {
         for v in delta_vals {
             delta.insert(v);
         }
-        let naive = merge_column_naive(&main, &delta, threads);
-        let opt = merge_column_parallel(&main, &delta, threads);
+        let naive = MergePipeline::new(MergeStrategy::Naive, threads).merge_column(
+            &main,
+            &delta,
+            &mut MergeScratch::new(),
+        );
+        let opt = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+            &main,
+            &delta,
+            &mut MergeScratch::new(),
+        );
         t_naive += naive.stats.t_total();
         t_opt += opt.stats.t_total();
         if c < 8 {

@@ -12,7 +12,7 @@ use hyrise_bench::{
     TablePrinter,
 };
 use hyrise_core::model::{calibrate, MergeScenario};
-use hyrise_core::parallel::merge_column_parallel;
+use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 
 fn main() {
     let args = Args::from_env();
@@ -54,7 +54,11 @@ fn main() {
         let (main, _) = build_column::<u64>(n_m, 1, lambda, lambda, 55);
         let vals = delta_values::<u64>(n_d, lambda, main.dictionary().len(), 56);
         let (delta, _) = time_delta_updates(&vals);
-        let out = merge_column_parallel(&main, &delta, threads);
+        let out = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+            &main,
+            &delta,
+            &mut MergeScratch::new(),
+        );
         let scenario = MergeScenario::from_stats(&out.stats, 8);
         let pred = m.predict(&scenario);
 

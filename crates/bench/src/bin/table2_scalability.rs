@@ -16,7 +16,7 @@ use hyrise_bench::{
     banner, build_column, cpt, default_threads, delta_values, fmt_count, quick_hz,
     time_delta_updates, Args, TablePrinter,
 };
-use hyrise_core::parallel::merge_column_parallel;
+use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 use std::time::Duration;
 
 /// Update-delta parallelized over columns (the paper: "we parallelize over
@@ -96,8 +96,16 @@ fn main() {
         let upd_nt = upd_nt / nt as f64;
 
         let (delta, _) = time_delta_updates(&vals);
-        let serial = merge_column_parallel(&main, &delta, 1);
-        let par = merge_column_parallel(&main, &delta, nt);
+        let serial = MergePipeline::new(MergeStrategy::Parallel, 1).merge_column(
+            &main,
+            &delta,
+            &mut MergeScratch::new(),
+        );
+        let par = MergePipeline::new(MergeStrategy::Parallel, nt).merge_column(
+            &main,
+            &delta,
+            &mut MergeScratch::new(),
+        );
 
         let rows = [
             ("Update Delta", upd1, upd_nt),

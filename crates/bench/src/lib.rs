@@ -77,10 +77,8 @@ impl Args {
 }
 
 /// Default thread count: all available cores (the paper: "the merge uses all
-/// available resources").
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
-}
+/// available resources") — the shared pool's size.
+pub use hyrise_core::pool::default_threads;
 
 /// One main+delta column pair with controlled sizes and unique fractions.
 ///

@@ -148,7 +148,7 @@ pub struct GovernorConfig {
     /// adaptive grants are deviations from this policy's grant.
     pub policy: MergePolicy,
     /// Thread ceiling for the write-burst / read-idle raises (defaults to
-    /// the host's `available_parallelism`).
+    /// [`crate::pool::default_threads`]).
     pub max_threads: usize,
     /// Soft cap on the source's total bytes ([`MemoryReport::total`]);
     /// above it the governor shrinks the merge budget to
@@ -178,12 +178,12 @@ impl GovernorConfig {
     pub fn from_policy(policy: MergePolicy) -> Self {
         Self {
             policy,
-            max_threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            max_threads: crate::pool::default_threads(),
             memory_soft_limit: usize::MAX,
             pressure_budget: MergeBudget::columns(1),
             idle_reads_per_sec: 1.0,
             busy_reads_per_sec: 100.0,
-            deep_queue_depth: 4 * std::thread::available_parallelism().map_or(4, |n| n.get()),
+            deep_queue_depth: 4 * crate::pool::default_threads(),
         }
     }
 

@@ -1,31 +1,30 @@
 //! The paper's contribution: the delta-merge algorithms and their
 //! surroundings.
 //!
-//! * [`naive`] — the unoptimized merge of Sections 5.1–5.2: Step 1 extracts
-//!   and merges dictionaries, Step 2(b) re-encodes every tuple with a binary
-//!   search into the merged dictionary, `O((N_M + N_D) log |U'_M|)`
-//!   (Equation 5). This is the baseline the paper beats by ~30x.
-//! * [`optimized`] — Section 5.3: auxiliary translation tables `X_M`/`X_D`
-//!   built during the dictionary merge turn Step 2(b) into a table lookup,
-//!   making the whole merge linear (Equation 6).
-//! * [`parallel`] — Section 6.2: the multi-core version. Step 1(b) merges the
+//! * [`pipeline`] — the one merge every path runs through: explicit Stages
+//!   1a/1b/2 behind a [`pipeline::MergeStrategy`] whose three variants are
+//!   the paper's three algorithms — `Naive` (Sections 5.1–5.2: per-tuple
+//!   binary search into the merged dictionary, Equation 5; the baseline the
+//!   paper beats by ~30x), `Optimized` (Section 5.3: auxiliary translation
+//!   tables `X_M`/`X_D` turn Step 2(b) into a table lookup, Equation 6) and
+//!   `Parallel` (Section 6.2) — with one shared Step 2 re-encode kernel, a
+//!   reusable [`pipeline::MergeScratch`] arena (steady-state merges
+//!   allocate nothing), and a [`pipeline::MergeBudget`] that bounds peak
+//!   extra memory by merging/committing K columns at a time (Section 4's
+//!   partial-column strategy). [`pipeline::MergePipeline::merge_column`]
+//!   is the one way to merge a delta partition into a main partition.
+//! * [`parallel`] — Section 6.2's multi-core stages. Step 1(b) merges the
 //!   two sorted dictionaries with duplicate removal in three phases
 //!   (merge-path partitioning, counter array + prefix sum, re-merge at final
 //!   offsets); Step 2 partitions tuples over threads on 64-tuple boundaries
 //!   so each thread writes its own words of the bit-packed output.
 //! * [`model`] — Section 6.1/7.4: the analytical compute & memory-traffic
 //!   model (Equations 8–15) with machine calibration micro-benchmarks.
-//! * [`pipeline`] — the unified merge pipeline every path above runs
-//!   through: explicit Stages 1a/1b/2 behind a [`pipeline::MergeStrategy`],
-//!   one shared Step 2 re-encode kernel, a reusable
-//!   [`pipeline::MergeScratch`] arena (steady-state merges allocate
-//!   nothing), and a [`pipeline::MergeBudget`] that bounds peak extra
-//!   memory by merging/committing K columns at a time (Section 4's
-//!   partial-column strategy).
-//! * [`manager`] — Section 3/4: the online merge — second delta during the
-//!   merge, brief table locks only at the beginning and end, atomic commit,
-//!   cancellation that leaves the table untouched, and the merge trigger
-//!   policy (`N_D > fraction * N_M`).
+//! * [`manager`] — Section 3/4: the one table type,
+//!   [`manager::OnlineTable`], and its online merge — second delta during
+//!   the merge, brief table locks only at the beginning and end, atomic
+//!   commit, cancellation that leaves the table untouched, and the merge
+//!   trigger policy (`N_D > fraction * N_M`).
 //! * [`shard`] — the scale-out layer beyond the paper's single-table
 //!   evaluation: [`shard::ShardedTable`] hash- or range-partitions rows
 //!   across N online tables.
@@ -60,8 +59,6 @@ pub mod error;
 pub mod governor;
 pub mod manager;
 pub mod model;
-pub mod naive;
-pub mod optimized;
 pub mod parallel;
 pub mod partition;
 pub mod pipeline;
@@ -85,12 +82,9 @@ pub use manager::{
     ColumnSnapshot, MergeCancelled, MergePolicy, MergeSession, OnlineTable, TableSnapshot,
 };
 pub use model::{calibrate, MachineProfile, MergeScenario, ModelPrediction};
-pub use naive::merge_column_naive;
-pub use optimized::merge_column_optimized;
-pub use parallel::{merge_column_parallel, merge_table_parallel};
 pub use pipeline::{
-    merge_column_with, MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStep,
-    MergeStrategy, SpareBank, StepSink,
+    MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStep, MergeStrategy, SpareBank,
+    StepSink,
 };
 pub use pool::Pool;
 pub use rate::{classify_update_rate, update_rate, updates_per_second, WriteLoad};
@@ -99,3 +93,385 @@ pub use scheduler::{MergeOutcome, MergeScheduler, MergeSource, SchedulerStats, S
 pub use shard::{ShardBy, ShardRowId, ShardedTable};
 pub use stats::{ColumnMergeStats, MergeAlgo, MergeOutput, StageTimings, TableMergeStats};
 pub use step1::{merge_dictionaries, merge_dictionaries_into, DictMerge};
+
+// Unit tests that outlived their modules. `naive` and `optimized` hold the
+// walk-throughs of the two deleted wrapper modules, now one block run under
+// every [`MergeStrategy`]; `attribute`, `column` and `table` hold what the
+// offline storage stack's tests checked and the live [`OnlineTable`] still
+// does. The module names survive (test-only, at the crate root) so that
+// each test keeps the path the CI floor list knows it by.
+#[cfg(test)]
+mod naive {
+    pub(crate) mod tests {
+        use crate::pipeline::{MergePipeline, MergeScratch, MergeStrategy};
+        use crate::stats::MergeOutput;
+        use hyrise_storage::{DeltaPartition, MainPartition, Value};
+
+        pub(crate) fn delta_from<V: Value>(values: &[V]) -> DeltaPartition<V> {
+            let mut d = DeltaPartition::new();
+            for &v in values {
+                d.insert(v);
+            }
+            d
+        }
+
+        pub(crate) fn values_of<V: Value>(main: &MainPartition<V>) -> Vec<V> {
+            (0..main.len()).map(|i| main.get(i)).collect()
+        }
+
+        /// Merge `delta` into `main` under every strategy at `threads`.
+        pub(crate) fn each_strategy<V: Value>(
+            main: &MainPartition<V>,
+            delta: &[V],
+            threads: usize,
+            mut check: impl FnMut(MergeOutput<MainPartition<V>>, MergeStrategy),
+        ) {
+            let delta = delta_from(delta);
+            let mut scratch = MergeScratch::new();
+            for strategy in [
+                MergeStrategy::Naive,
+                MergeStrategy::Optimized,
+                MergeStrategy::Parallel,
+            ] {
+                let out =
+                    MergePipeline::new(strategy, threads).merge_column(main, &delta, &mut scratch);
+                check(out, strategy);
+            }
+        }
+
+        /// The full Figure 5 example: main [hotel delta frank delta] over the
+        /// 6-value dictionary, delta [bravo charlie golf charlie young].
+        #[test]
+        fn figure5_end_to_end() {
+            // Encode words as integers keeping lexicographic order:
+            // apple=1 bravo=2 charlie=3 delta=4 frank=6 golf=7 hotel=8 inbox=9 young=25
+            // Figure 5 shows the column fragment [hotel delta frank delta]
+            // with dictionary {apple charlie delta frank hotel inbox}, so we
+            // load a main whose value set is exactly that dictionary.
+            let main = MainPartition::from_values(&[8u64, 4, 6, 4, 1, 3, 9]);
+            each_strategy(&main, &[2, 3, 7, 3, 25], 2, |out, s| {
+                // Merged dictionary has 9 values -> 4 bits (Figure 5).
+                assert_eq!(out.main.dictionary().len(), 9, "{s:?}");
+                assert_eq!(out.main.code_bits(), 4, "{s:?}");
+                // "the encoded value for hotel was 4 before merging and 6 after".
+                assert_eq!(main.code(0), 4);
+                assert_eq!(out.main.code(0), 6, "{s:?}");
+                // Concatenation order: main tuples then delta tuples.
+                assert_eq!(
+                    values_of(&out.main),
+                    vec![8, 4, 6, 4, 1, 3, 9, 2, 3, 7, 3, 25],
+                    "{s:?}"
+                );
+                assert_eq!((out.stats.n_m, out.stats.n_d), (7, 5));
+                assert_eq!(out.stats.u_merged, 9);
+            });
+        }
+
+        #[test]
+        fn empty_delta_is_identity_reencoding() {
+            let main = MainPartition::from_values(&[5u64, 1, 5, 9]);
+            each_strategy(&main, &[], 1, |out, s| {
+                assert_eq!(values_of(&out.main), vec![5, 1, 5, 9], "{s:?}");
+                assert_eq!(out.stats.u_d, 0);
+            });
+        }
+
+        #[test]
+        fn empty_main_bulk_loads_delta() {
+            each_strategy(
+                &MainPartition::<u64>::empty(),
+                &[3, 1, 3, 2],
+                1,
+                |out, s| {
+                    assert_eq!(values_of(&out.main), vec![3, 1, 3, 2], "{s:?}");
+                    assert_eq!(out.main.dictionary().len(), 3, "{s:?}");
+                },
+            );
+        }
+
+        #[test]
+        fn code_width_grows_when_dictionary_grows() {
+            // 2 values (1 bit) + 3 new ones -> 5 values (3 bits).
+            let main = MainPartition::from_values(&[1u64, 2]);
+            assert_eq!(main.code_bits(), 1);
+            each_strategy(&main, &[10, 11, 12], 1, |out, s| {
+                assert_eq!(out.main.code_bits(), 3, "{s:?}");
+            });
+        }
+
+        #[test]
+        fn multithreaded_matches_single_threaded() {
+            let values: Vec<u64> = (0..5000).map(|i| (i * 31) % 500).collect();
+            let main = MainPartition::from_values(&values);
+            let delta: Vec<u64> = (0..1000).map(|i| (i * 17) % 800).collect();
+            each_strategy(&main, &delta, 1, |a, s| {
+                let b = MergePipeline::new(s, 8).merge_column(
+                    &main,
+                    &delta_from(&delta),
+                    &mut MergeScratch::new(),
+                );
+                assert_eq!(a.main.dictionary().values(), b.main.dictionary().values());
+                assert_eq!(values_of(&a.main), values_of(&b.main), "{s:?}");
+            });
+        }
+    }
+}
+
+#[cfg(test)]
+mod optimized {
+    mod tests {
+        use crate::naive::tests::{each_strategy, values_of};
+        use hyrise_storage::{MainPartition, Value, V16};
+
+        #[test]
+        fn figure6_lookup_example() {
+            // "the first compressed value in the main partition has a compressed
+            // value of 4 (100 in binary). ... we look up the value stored at
+            // index 4 in the auxiliary structure that corresponds to 6 (0110)."
+            let main = MainPartition::from_values(&[8u64, 4, 6, 4, 1, 3, 9]);
+            each_strategy(&main, &[2, 3, 7, 3, 25], 1, |out, s| {
+                assert_eq!(main.code(0), 4);
+                assert_eq!(out.main.code(0), 6, "{s:?}");
+                assert_eq!(out.main.code_bits(), 4, "{s:?}");
+                assert_eq!(
+                    values_of(&out.main),
+                    vec![8, 4, 6, 4, 1, 3, 9, 2, 3, 7, 3, 25],
+                    "{s:?}"
+                );
+            });
+        }
+
+        #[test]
+        fn agrees_with_naive_on_random_data() {
+            let mut x = 0x1234_5678_9abc_def0u64;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            for trial in 0..5 {
+                let main_vals: Vec<u64> = (0..2000).map(|_| next() % 300).collect();
+                let delta_vals: Vec<u64> = (0..500).map(|_| next() % 400).collect();
+                let main = MainPartition::from_values(&main_vals);
+                // `each_strategy` runs Naive first: it is the reference.
+                let mut naive = None;
+                each_strategy(&main, &delta_vals, 1, |out, s| {
+                    let a = naive.get_or_insert_with(|| out.main.clone());
+                    assert_eq!(
+                        a.dictionary().values(),
+                        out.main.dictionary().values(),
+                        "trial {trial}: {s:?} dictionary differs"
+                    );
+                    assert_eq!(a.code_bits(), out.main.code_bits());
+                    assert_eq!(
+                        a.codes().collect::<Vec<_>>(),
+                        out.main.codes().collect::<Vec<_>>(),
+                        "trial {trial}: {s:?} codes differ"
+                    );
+                });
+            }
+        }
+
+        #[test]
+        fn empty_inputs() {
+            each_strategy(&MainPartition::<u64>::empty(), &[], 1, |out, s| {
+                assert_eq!(out.main.len(), 0, "{s:?}");
+                assert_eq!(out.stats.u_merged, 0, "{s:?}");
+            });
+            each_strategy(&MainPartition::from_values(&[1u64]), &[], 1, |out, s| {
+                assert_eq!(values_of(&out.main), vec![1], "{s:?}");
+            });
+            each_strategy(&MainPartition::<u64>::empty(), &[4, 4, 2], 1, |out, s| {
+                assert_eq!(values_of(&out.main), vec![4, 4, 2], "{s:?}");
+            });
+        }
+
+        #[test]
+        fn repeated_merges_accumulate() {
+            // Merge three waves of deltas; the main must always equal the
+            // concatenation of everything inserted so far.
+            let mut main = MainPartition::<u64>::empty();
+            let mut expected: Vec<u64> = Vec::new();
+            for wave in 0..3u64 {
+                let delta: Vec<u64> = (0..100).map(|i| (wave * 1000 + i * 7) % 260).collect();
+                expected.extend_from_slice(&delta);
+                let mut next = None;
+                each_strategy(&main, &delta, 1, |out, s| {
+                    assert_eq!(values_of(&out.main), expected, "{s:?} after wave {wave}");
+                    next = Some(out.main);
+                });
+                main = next.expect("three strategies ran");
+            }
+        }
+
+        #[test]
+        fn works_for_all_value_widths() {
+            each_strategy(
+                &MainPartition::from_values(&[3u32, 1]),
+                &[2],
+                1,
+                |out, s| {
+                    assert_eq!(values_of(&out.main), vec![3, 1, 2], "{s:?}");
+                },
+            );
+            let main = MainPartition::from_values(&[V16::from_seed(3)]);
+            each_strategy(&main, &[V16::from_seed(1)], 1, |out, s| {
+                assert_eq!(out.main.get(1), V16::from_seed(1), "{s:?}");
+                assert_eq!(out.main.dictionary().len(), 2, "{s:?}");
+            });
+        }
+    }
+}
+
+#[cfg(test)]
+mod attribute {
+    mod tests {
+        use crate::OnlineTable;
+        use hyrise_storage::MainPartition;
+
+        #[test]
+        fn global_tuple_ids_span_main_and_delta() {
+            let t = OnlineTable::from_mains(vec![MainPartition::from_values(&[10u64, 20, 30])]);
+            assert_eq!(t.row_count(), 3);
+            assert_eq!(t.insert_row(&[40]), 3);
+            assert_eq!(t.insert_row(&[50]), 4);
+            let got: Vec<u64> = (0..t.row_count()).map(|r| t.get(0, r)).collect();
+            assert_eq!(got, vec![10, 20, 30, 40, 50]);
+        }
+
+        #[test]
+        fn empty_attribute_appends_to_delta() {
+            let t = OnlineTable::<u32>::new(1);
+            assert_eq!(t.insert_row(&[7]), 0);
+            assert_eq!(t.get(0, 0), 7);
+            assert_eq!((t.main_len(), t.delta_len()), (0, 1));
+        }
+
+        #[test]
+        fn delta_fraction_drives_merge_trigger() {
+            let main = MainPartition::from_values(&(0u64..100).collect::<Vec<_>>());
+            let t = OnlineTable::from_mains(vec![main]);
+            assert_eq!(t.delta_fraction(), 0.0);
+            for i in 0..5 {
+                t.insert_row(&[i]);
+            }
+            assert!((t.delta_fraction() - 0.05).abs() < 1e-12);
+        }
+
+        #[test]
+        fn replace_swaps_partitions() {
+            // The merge installs the new main and leaves a fresh delta.
+            let t = OnlineTable::from_mains(vec![MainPartition::from_values(&[1u64, 2])]);
+            t.insert_row(&[3]);
+            t.merge(1, None).unwrap();
+            assert_eq!((t.main_len(), t.delta_len()), (3, 0));
+            t.insert_row(&[99]);
+            assert_eq!((t.row_count(), t.delta_len()), (4, 1));
+            assert_eq!((t.get(0, 2), t.get(0, 3)), (3, 99));
+        }
+    }
+}
+
+#[cfg(test)]
+mod column {
+    mod tests {
+        use crate::OnlineTable;
+        use hyrise_storage::{Value, V16};
+
+        fn append_and_get<V: Value>() {
+            let t = OnlineTable::<V>::new(1);
+            assert_eq!(t.insert_row(&[V::from_seed(7)]), 0);
+            assert_eq!(t.get(0, 0), V::from_seed(7));
+        }
+
+        #[test]
+        fn append_and_get_all_types() {
+            append_and_get::<u32>();
+            append_and_get::<u64>();
+            append_and_get::<V16>();
+        }
+
+        #[test]
+        fn value_bytes_match_paper_lengths() {
+            // Section 7's value lengths E_j.
+            assert_eq!((u32::BYTES, u64::BYTES, V16::BYTES), (4, 8, 16));
+        }
+    }
+}
+
+#[cfg(test)]
+mod table {
+    mod tests {
+        use crate::OnlineTable;
+        use hyrise_storage::{Value, V16};
+
+        /// (order_id, qty, doc) at the widest value length.
+        fn row(order: u64, qty: u64, doc: u64) -> Vec<V16> {
+            [order, qty, doc].map(V16::from_seed).to_vec()
+        }
+
+        #[test]
+        fn insert_and_read_rows() {
+            let t = OnlineTable::new(3);
+            let r0 = t.insert_row(&row(100, 5, 1));
+            let r1 = t.insert_row(&row(101, 7, 2));
+            assert_eq!((r0, r1), (0, 1));
+            assert_eq!(t.row_count(), 2);
+            assert_eq!(t.row(1), row(101, 7, 2));
+            assert!(t.is_valid(0) && t.is_valid(1));
+        }
+
+        #[test]
+        fn update_keeps_history_and_flips_validity() {
+            let t = OnlineTable::new(3);
+            let r0 = t.insert_row(&row(100, 5, 1));
+            let r1 = t.update_row(r0, &row(100, 6, 1));
+            assert_eq!(t.row_count(), 2, "insert-only: old version retained");
+            assert!(!t.is_valid(r0), "old version invalidated");
+            assert!(t.is_valid(r1));
+            assert_eq!(t.row(r0), row(100, 5, 1), "history still readable");
+            assert_eq!(t.valid_row_count(), 1);
+        }
+
+        #[test]
+        fn delete_only_invalidates() {
+            let t = OnlineTable::new(3);
+            let r = t.insert_row(&row(1, 1, 1));
+            t.delete_row(r);
+            assert_eq!(t.row_count(), 1);
+            assert_eq!(t.valid_row_count(), 0);
+            assert_eq!(t.row(r), row(1, 1, 1));
+        }
+
+        #[test]
+        fn arity_and_type_errors() {
+            // A value of the wrong type does not compile; a row of the wrong
+            // arity is refused before any column is written.
+            let t = OnlineTable::<V16>::new(3);
+            let short = std::panic::catch_unwind(|| t.insert_row(&row(1, 2, 3)[..1]));
+            assert!(short.is_err());
+            assert_eq!(t.row_count(), 0, "failed inserts must not partially apply");
+        }
+
+        #[test]
+        fn row_out_of_range() {
+            let t = OnlineTable::<V16>::new(3);
+            assert!(std::panic::catch_unwind(|| t.is_valid(0)).is_err());
+        }
+
+        #[test]
+        fn all_inserts_land_in_delta() {
+            let t = OnlineTable::new(3);
+            for i in 0..10 {
+                t.insert_row(&row(i, i, i));
+            }
+            assert_eq!((t.main_len(), t.delta_len()), (0, 10));
+            assert_eq!(
+                t.delta_fraction(),
+                10.0,
+                "empty main reads as N_D / 1 (finite)"
+            );
+        }
+    }
+}

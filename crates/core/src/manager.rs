@@ -82,7 +82,7 @@ impl Default for MergePolicy {
     fn default() -> Self {
         Self {
             delta_fraction: 0.05,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            threads: crate::pool::default_threads(),
             strategy: MergeStrategy::default(),
             budget: MergeBudget::default(),
         }
@@ -179,9 +179,8 @@ impl<V: Value> Generation<V> {
     }
 }
 
-/// A homogeneous `N_C`-column table with online merge support and
-/// lock-free steady-state reads and writes. For mixed-type offline merges
-/// see [`crate::parallel::merge_table_parallel`].
+/// The table: `N_C` columns of one value type `V` (`u32`, `u64` or `V16`)
+/// with online merge support and lock-free steady-state reads and writes.
 pub struct OnlineTable<V: Value> {
     /// The epoch-published generation; see the module docs.
     gen: EpochCell<Generation<V>>,
@@ -640,7 +639,7 @@ impl<V: Value> OnlineTable<V> {
         gen.cols
             .iter()
             .map(|c| {
-                let mut r = MemoryReport::of_partitions(&c.main, &[]);
+                let mut r = MemoryReport::of_main(&c.main);
                 // Frozen and pending deltas are bit-packed: charge them at
                 // their compressed size, which is what they actually cost
                 // while a merge is in flight.

@@ -1,12 +1,13 @@
 //! The multi-core merge (Section 6.2).
 //!
-//! * **Step 1(a)** has two parallelization schemes. Scheme (i) — used by
-//!   [`merge_table_parallel`] — treats each *column* as a task in a shared
-//!   task queue ("we use a task queue based parallelization scheme and
-//!   enqueue each column as a separate task"). Scheme (ii) — used by
-//!   [`merge_column_parallel`] for few-column tables — builds the delta
-//!   dictionary on one thread and parallelizes the scatter of the new codes
-//!   over the delta tuples.
+//! * **Step 1(a)** has two parallelization schemes. Scheme (i) — the table
+//!   merge, [`crate::manager::OnlineTable::merge_with`] — treats each
+//!   *column* as a task in a shared task queue ("we use a task queue based
+//!   parallelization scheme and enqueue each column as a separate task").
+//!   Scheme (ii) — [`MergeStrategy::Parallel`](crate::pipeline::MergeStrategy)
+//!   within one column, for few-column tables — builds the delta dictionary
+//!   on one thread and parallelizes the scatter of the new codes over the
+//!   delta tuples.
 //! * **Step 1(b)** merges the two sorted dictionaries with duplicate removal
 //!   in the paper's three phases: (1) each thread merge-counts its merge-path
 //!   quantile, suppressing the one possible boundary duplicate; (2) a prefix
@@ -19,15 +20,12 @@
 
 use crate::partition::quantile_boundaries;
 use crate::pipeline::{
-    effective_threads, MergeScratch, MergeStrategy, MIN_DICT_PER_THREAD, MIN_TUPLES_PER_THREAD,
+    effective_threads, MergeScratch, MIN_DICT_PER_THREAD, MIN_TUPLES_PER_THREAD,
 };
 use crate::pool::Pool;
-use crate::stats::{ColumnMergeStats, MergeOutput, TableMergeStats};
 use crate::step1::{merge_dictionaries_into, DictMerge};
-use hyrise_storage::{Column, CompressedDelta, DeltaPartition, MainPartition, Table, Value, V16};
+use hyrise_storage::{CompressedDelta, DeltaPartition, Value};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Step 1(a), scheme (ii): serial dictionary build + parallel code scatter.
@@ -334,97 +332,13 @@ pub(crate) fn merge_dictionaries_parallel_exact_into<V: Value>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Step 2 + whole column: delegated to the unified pipeline.
-// ---------------------------------------------------------------------------
-
-/// Merge one column with all steps parallelized *within* the column
-/// (Step 1(a) scheme (ii), three-phase Step 1(b), partitioned Step 2).
-///
-/// Equivalent to running the [`crate::pipeline::MergePipeline`] with
-/// [`MergeStrategy::Parallel`] and a cold scratch; long-lived callers
-/// should hold a [`MergeScratch`] and use the pipeline directly.
-pub fn merge_column_parallel<V: Value>(
-    main: &MainPartition<V>,
-    delta: &DeltaPartition<V>,
-    threads: usize,
-) -> MergeOutput<MainPartition<V>> {
-    crate::pipeline::merge_column_with(
-        main,
-        delta,
-        MergeStrategy::Parallel,
-        threads,
-        &mut MergeScratch::new(),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Whole-table merge: scheme (i), task queue over columns.
-// ---------------------------------------------------------------------------
-
-enum PendingMain {
-    U32(MainPartition<u32>),
-    U64(MainPartition<u64>),
-    V16(MainPartition<V16>),
-}
-
-fn merge_column_any(col: &Column) -> (PendingMain, ColumnMergeStats) {
-    match col {
-        Column::U32(a) => {
-            let out = crate::optimized::merge_column_optimized(a.main(), a.delta());
-            (PendingMain::U32(out.main), out.stats)
-        }
-        Column::U64(a) => {
-            let out = crate::optimized::merge_column_optimized(a.main(), a.delta());
-            (PendingMain::U64(out.main), out.stats)
-        }
-        Column::V16(a) => {
-            let out = crate::optimized::merge_column_optimized(a.main(), a.delta());
-            (PendingMain::V16(out.main), out.stats)
-        }
-    }
-}
-
-/// Merge every column of `table`, parallelizing *across* columns with a task
-/// queue (scheme (i): "enqueue each column as a separate task. If the number
-/// of tasks is much larger than the number of threads ... the task queue
-/// mechanism ... works well in practice to achieve a good load balance").
-/// Each column task runs the optimized serial merge.
-///
-/// This is the offline path (exclusive `&mut Table`); the online,
-/// concurrent-update variant is [`crate::manager::OnlineTable::merge`].
-pub fn merge_table_parallel(table: &mut Table, threads: usize) -> TableMergeStats {
-    assert!(threads >= 1, "need at least one thread");
-    let t_wall = Instant::now();
-    let n_cols = table.num_columns();
-    // One slot per column; each is written by exactly one task.
-    let slots: Vec<OnceLock<(PendingMain, ColumnMergeStats)>> =
-        (0..n_cols).map(|_| OnceLock::new()).collect();
-    let table_ref: &Table = table;
-    Pool::global().run_indexed(n_cols, threads, &|c| {
-        let _ = slots[c].set(merge_column_any(table_ref.column(c)));
-    });
-
-    let mut stats = TableMergeStats::default();
-    for (c, slot) in slots.into_iter().enumerate() {
-        let (pending, col_stats) = slot.into_inner().expect("every column task must complete");
-        stats.columns.push(col_stats);
-        match (table.column_mut(c), pending) {
-            (Column::U32(a), PendingMain::U32(m)) => a.replace(m, DeltaPartition::new()),
-            (Column::U64(a), PendingMain::U64(m)) => a.replace(m, DeltaPartition::new()),
-            (Column::V16(a), PendingMain::V16(m)) => a.replace(m, DeltaPartition::new()),
-            _ => unreachable!("pending main type matches its column"),
-        }
-    }
-    stats.t_wall = t_wall.elapsed();
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::OnlineTable;
+    use crate::pipeline::{MergePipeline, MergeStrategy};
     use crate::step1::merge_dictionaries;
-    use hyrise_storage::{AnyValue, ColumnType, Schema};
+    use hyrise_storage::MainPartition;
 
     fn delta_from(values: &[u64]) -> DeltaPartition<u64> {
         let mut d = DeltaPartition::new();
@@ -500,9 +414,18 @@ mod tests {
         let delta_vals: Vec<u64> = (0..9_000).map(|_| next() % 12_000).collect();
         let main = MainPartition::from_values(&main_vals);
         let delta = delta_from(&delta_vals);
-        let serial = crate::optimized::merge_column_optimized(&main, &delta);
+        let mut scratch = MergeScratch::new();
+        let serial = MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(
+            &main,
+            &delta,
+            &mut scratch,
+        );
         for threads in [1usize, 2, 6, 16] {
-            let par = merge_column_parallel(&main, &delta, threads);
+            let par = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+                &main,
+                &delta,
+                &mut scratch,
+            );
             assert_eq!(
                 par.main.dictionary().values(),
                 serial.main.dictionary().values(),
@@ -520,70 +443,60 @@ mod tests {
     fn figure5_parallel() {
         let main = MainPartition::from_values(&[8u64, 4, 6, 4, 1, 3, 9]);
         let delta = delta_from(&[2, 3, 7, 3, 25]);
-        let out = merge_column_parallel(&main, &delta, 4);
+        let out = MergePipeline::new(MergeStrategy::Parallel, 4).merge_column(
+            &main,
+            &delta,
+            &mut MergeScratch::new(),
+        );
         assert_eq!(out.main.code_bits(), 4);
         assert_eq!(out.main.code(0), 6);
         assert_eq!(out.main.get(11), 25);
     }
 
+    // Scheme (i): the table merge enqueues each column as one pool task.
+
     #[test]
     fn table_merge_moves_delta_into_main() {
-        let schema = Schema::new(vec![("a", ColumnType::U64), ("b", ColumnType::U32)]);
-        let mut t = Table::new("t", schema);
+        let t = OnlineTable::<u64>::new(2);
         for i in 0..500u64 {
-            t.insert_row(&[AnyValue::U64(i % 40), AnyValue::U32((i % 7) as u32)])
-                .unwrap();
+            t.insert_row(&[i % 40, i % 7]);
         }
         assert_eq!(t.delta_len(), 500);
-        let stats = merge_table_parallel(&mut t, 4);
+        let stats = t.merge(4, None).unwrap();
         assert_eq!(t.delta_len(), 0);
         assert_eq!(t.main_len(), 500);
         assert_eq!(t.row_count(), 500);
         assert_eq!(stats.columns.len(), 2);
         assert_eq!(stats.total_tuples(), 1000);
         // Data survives the merge.
-        assert_eq!(
-            t.row(123).unwrap(),
-            vec![AnyValue::U64(123 % 40), AnyValue::U32((123 % 7) as u32)]
-        );
+        assert_eq!(t.row(123), vec![123 % 40, 123 % 7]);
     }
 
     #[test]
     fn table_merge_preserves_validity_and_history() {
-        let schema = Schema::new(vec![("a", ColumnType::U64)]);
-        let mut t = Table::new("t", schema);
-        let r0 = t.insert_row(&[AnyValue::U64(1)]).unwrap();
-        let r1 = t.update_row(r0, &[AnyValue::U64(2)]).unwrap();
-        merge_table_parallel(&mut t, 2);
+        let t = OnlineTable::<u64>::new(1);
+        let r0 = t.insert_row(&[1]);
+        let r1 = t.update_row(r0, &[2]);
+        t.merge(2, None).unwrap();
         assert!(!t.is_valid(r0));
         assert!(t.is_valid(r1));
-        assert_eq!(
-            t.row(r0).unwrap(),
-            vec![AnyValue::U64(1)],
-            "history survives merge"
-        );
-        assert_eq!(t.row(r1).unwrap(), vec![AnyValue::U64(2)]);
+        assert_eq!(t.row(r0), vec![1], "history survives merge");
+        assert_eq!(t.row(r1), vec![2]);
     }
 
     #[test]
     fn repeated_table_merges() {
-        let schema = Schema::new(vec![("a", ColumnType::U64)]);
-        let mut t = Table::new("t", schema);
+        let t = OnlineTable::<u64>::new(1);
         let mut expected = Vec::new();
         for wave in 0..4u64 {
             for i in 0..200u64 {
                 let v = wave * 131 + i % 97;
-                t.insert_row(&[AnyValue::U64(v)]).unwrap();
+                t.insert_row(&[v]);
                 expected.push(v);
             }
-            merge_table_parallel(&mut t, 3);
+            t.merge(3, None).unwrap();
             assert_eq!(t.delta_len(), 0);
-            let got: Vec<u64> = (0..t.row_count())
-                .map(|r| match t.row(r).unwrap()[0] {
-                    AnyValue::U64(v) => v,
-                    _ => unreachable!(),
-                })
-                .collect();
+            let got: Vec<u64> = (0..t.row_count()).map(|r| t.get(0, r)).collect();
             assert_eq!(got, expected, "after wave {wave}");
         }
     }

@@ -39,15 +39,14 @@ use hyrise_storage::{DeltaPartition, Dictionary, FrozenDelta, MainPartition, Val
 use std::sync::atomic::AtomicU32;
 use std::time::Instant;
 
-/// The two delta representations a merge can consume: the CSB-indexed
-/// write-optimized delta (an [`Attribute`](hyrise_storage::Attribute)'s
-/// active partition, the offline paths) or a sealed, bit-packed
-/// [`FrozenDelta`] (the online table's mid-merge snapshot). For a frozen
-/// delta Stage 1a is free — its local dictionary *is* the sorted `U_D` and
-/// its packed codes *are* the compressed-delta rewrite — and Stage 2
-/// streams the codes with a sequential cursor instead of indexing a raw
-/// value array. Both views produce byte-identical merged partitions for
-/// the same row sequence.
+/// The two delta representations a merge can consume: the paper's
+/// CSB-indexed write-optimized [`DeltaPartition`] (the figure code and the
+/// strategy walk-throughs) or a sealed, bit-packed [`FrozenDelta`] (the
+/// online table's mid-merge snapshot). For a frozen delta Stage 1a is free
+/// — its local dictionary *is* the sorted `U_D` and its packed codes *are*
+/// the compressed-delta rewrite — and Stage 2 streams the codes with a
+/// sequential cursor instead of indexing a raw value array. Both views
+/// produce byte-identical merged partitions for the same row sequence.
 enum DeltaView<'a, V: Value> {
     /// CSB-indexed delta partition.
     Csb(&'a DeltaPartition<V>),
@@ -97,20 +96,34 @@ pub(crate) fn effective_threads(requested: usize, work: usize, min_per_thread: u
 /// Which merge algorithm the pipeline runs the stages with.
 ///
 /// All strategies produce **byte-identical** merged main partitions (the
-/// cross-strategy proptests assert this); they differ only in cost:
-/// [`Naive`](Self::Naive) is the Equation 5 baseline with a per-tuple
-/// binary search, [`Optimized`](Self::Optimized) the linear single-threaded
-/// Equation 6 algorithm, [`Parallel`](Self::Parallel) the Section 6.2
-/// multi-core version of the same.
+/// cross-strategy proptests assert this); they differ only in cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MergeStrategy {
-    /// Sections 5.1–5.2: no delta re-coding, no aux tables, binary-search
-    /// re-encode. The baseline the paper beats by ~30x.
+    /// The unoptimized merge of Sections 5.1–5.2, the baseline the paper
+    /// beats by ~30x. Stage 1a extracts `U_D` without re-coding the delta,
+    /// Stage 1b unions the dictionaries without auxiliary tables, and Step
+    /// 2(b) re-encodes every tuple by materializing its uncompressed value
+    /// and **binary-searching** it in the merged dictionary —
+    /// `O(N_M + (N_M + N_D) · log |U'_M|)` (Equation 5). Figure 7 runs this
+    /// baseline *parallelized* ("both optimized (Opt) and unoptimized
+    /// (UnOpt) merge implementations were parallelized"), so Step 2 still
+    /// partitions the tuples over the granted threads — only the per-tuple
+    /// search is the naive part.
     Naive,
-    /// Section 5.3: compressed delta + `X_M`/`X_D` lookups, single-threaded.
+    /// The linear-time merge of Section 5.3, single-threaded. Modified Step
+    /// 1(a): while extracting the sorted `U_D` from the CSB+ tree, the delta
+    /// is rewritten as fixed-width indices into `U_D` (scattered through the
+    /// per-value tuple-id lists). Modified Step 1(b): the dictionary merge
+    /// also fills the auxiliary translation tables `X_M` and `X_D`. Modified
+    /// Step 2(b): re-encoding a tuple is `M'[i] <- X_M[M[i]]` (Equation 11)
+    /// — "a lookup and binary search in the original algorithm description
+    /// is replaced by a lookup" — overall `O(N_M + N_D + |U_M| + |U_D|)`
+    /// (Equation 6).
     Optimized,
-    /// Section 6.2: all stages parallelized (three-phase dictionary merge,
-    /// word-aligned partitioned re-encode). The default.
+    /// Section 6.2: the optimized algorithm with every stage parallelized
+    /// (scatter of the new delta codes, three-phase dictionary merge,
+    /// word-aligned partitioned re-encode — see [`crate::parallel`]). The
+    /// default.
     #[default]
     Parallel,
 }
@@ -193,7 +206,7 @@ impl Default for MergeGrant {
     fn default() -> Self {
         Self {
             strategy: MergeStrategy::default(),
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            threads: crate::pool::default_threads(),
             budget: MergeBudget::default(),
         }
     }
@@ -879,18 +892,6 @@ impl MergePipeline {
     }
 }
 
-/// Merge one column with `strategy` and `threads` through `scratch` — the
-/// free-function spelling of [`MergePipeline::merge_column`].
-pub fn merge_column_with<V: Value>(
-    main: &MainPartition<V>,
-    delta: &DeltaPartition<V>,
-    strategy: MergeStrategy,
-    threads: usize,
-    scratch: &mut MergeScratch<V>,
-) -> MergeOutput<MainPartition<V>> {
-    MergePipeline::new(strategy, threads).merge_column(main, delta, scratch)
-}
-
 /// Stage 1b without aux tables (the naive strategy): two-pointer union of
 /// two sorted duplicate-free dictionaries into a reused buffer.
 fn union_into<V: Value>(u_m: &[V], u_d: &[V], merged: &mut Vec<V>) {
@@ -1002,14 +1003,19 @@ mod tests {
         let main = MainPartition::from_values(&main_vals);
         let delta = delta_from(&delta_vals);
         let mut scratch = MergeScratch::new();
-        let reference = merge_column_with(&main, &delta, MergeStrategy::Optimized, 1, &mut scratch);
+        let reference = MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(
+            &main,
+            &delta,
+            &mut scratch,
+        );
         for strategy in [
             MergeStrategy::Naive,
             MergeStrategy::Optimized,
             MergeStrategy::Parallel,
         ] {
             for threads in [1usize, 2, 4] {
-                let out = merge_column_with(&main, &delta, strategy, threads, &mut scratch);
+                let out =
+                    MergePipeline::new(strategy, threads).merge_column(&main, &delta, &mut scratch);
                 assert_eq!(
                     out.main.dictionary().values(),
                     reference.main.dictionary().values(),
@@ -1080,7 +1086,11 @@ mod tests {
         let delta = delta_from(&delta_vals);
         let mut scratch = MergeScratch::new();
         for _ in 0..2 {
-            let out = merge_column_with(&main, &delta, MergeStrategy::Optimized, 1, &mut scratch);
+            let out = MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(
+                &main,
+                &delta,
+                &mut scratch,
+            );
             scratch.recycle_main(out.main);
         }
         let warmed = (
@@ -1091,7 +1101,11 @@ mod tests {
             scratch.spare_capacities(),
         );
         for round in 0..5 {
-            let out = merge_column_with(&main, &delta, MergeStrategy::Optimized, 1, &mut scratch);
+            let out = MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(
+                &main,
+                &delta,
+                &mut scratch,
+            );
             scratch.recycle_main(out.main);
             let now = (
                 scratch.u_d.capacity(),
@@ -1272,30 +1286,24 @@ mod tests {
             MergeStrategy::Optimized,
             MergeStrategy::Parallel,
         ] {
-            let out = merge_column_with(
+            let out = MergePipeline::new(strategy, 2).merge_column(
                 &MainPartition::<u64>::empty(),
                 &delta_from(&[]),
-                strategy,
-                2,
                 &mut scratch,
             );
             assert_eq!(out.main.len(), 0, "{strategy:?}");
 
-            let out = merge_column_with(
+            let out = MergePipeline::new(strategy, 2).merge_column(
                 &MainPartition::from_values(&[7u64, 7, 1]),
                 &delta_from(&[]),
-                strategy,
-                2,
                 &mut scratch,
             );
             assert_eq!(out.main.len(), 3, "{strategy:?}");
             assert_eq!(out.main.get(0), 7, "{strategy:?}");
 
-            let out = merge_column_with(
+            let out = MergePipeline::new(strategy, 2).merge_column(
                 &MainPartition::<u64>::empty(),
                 &delta_from(&[4, 4, 2]),
-                strategy,
-                2,
                 &mut scratch,
             );
             assert_eq!(out.main.len(), 3, "{strategy:?}");

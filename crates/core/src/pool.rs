@@ -6,7 +6,7 @@
 //! to bear — all cores, not one — and Sec 6.2.1's merge scheme (i) is
 //! literally "enqueue each column as a separate task" on a shared task
 //! queue. This module provides that queue: a fixed complement of threads
-//! (sized from [`std::thread::available_parallelism`]) created once and
+//! (sized by [`default_threads`]) created once and
 //! shared by concurrent queries and merges alike, so the load the governor
 //! and the admission gate see in [`Pool::queue_depth`] is the whole
 //! engine's, not just the read side's.
@@ -205,15 +205,12 @@ impl Pool {
         }
     }
 
-    /// The process-wide pool, created on first use with one worker per
-    /// available hardware thread. Every executor and every merge stage
+    /// The process-wide pool, created on first use with
+    /// [`default_threads`] workers. Every executor and every merge stage
     /// schedules through this instance, so concurrent queries and merges
     /// share workers instead of oversubscribing the machine.
     pub fn global() -> &'static Pool {
-        GLOBAL.get_or_init(|| {
-            let n = std::thread::available_parallelism().map_or(1, |n| n.get());
-            Pool::new(n)
-        })
+        GLOBAL.get_or_init(|| Pool::new(default_threads()))
     }
 
     /// Number of worker threads.
@@ -363,6 +360,16 @@ impl std::fmt::Debug for Pool {
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
+/// The size of the global pool — one worker per available hardware thread
+/// (one if the host will not say) — and therefore the one answer to "how
+/// many threads by default": merge policies, grants, the governor's ceiling
+/// and the queue-depth limits all read it, so a default grant never asks
+/// for more width than the pool has. Reading it starts no pool.
+pub fn default_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Queue depth of the global pool, without forcing its creation (a process
 /// that never fanned anything out reports zero). This is the free function
 /// the governor samples.
@@ -444,6 +451,20 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
+
+    #[test]
+    fn every_default_width_is_the_global_pools_size() {
+        use crate::{GovernorConfig, MergeGrant, MergePolicy};
+        let n = default_threads();
+        assert_eq!(MergePolicy::default().threads, n);
+        assert_eq!(MergeGrant::default().threads, n);
+        let governor = GovernorConfig::default();
+        assert_eq!(
+            (governor.max_threads, governor.deep_queue_depth),
+            (n, 4 * n)
+        );
+        assert_eq!(Pool::global().threads(), n);
+    }
 
     #[test]
     fn run_indexed_covers_every_index_exactly_once() {

@@ -311,7 +311,7 @@ pub fn recover_sharded<V: Value>(root: impl AsRef<Path>) -> Result<ShardedTable<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimized::merge_column_optimized;
+    use crate::pipeline::{MergePipeline, MergeScratch, MergeStrategy};
     use crate::wal::MergeLog;
     use hyrise_storage::DeltaPartition;
     use std::path::PathBuf;
@@ -357,7 +357,9 @@ mod tests {
             for r in &data {
                 delta0.insert(r[0]);
             }
-            let merged0 = merge_column_optimized(&MainPartition::empty(), &delta0).main;
+            let merged0 = MergePipeline::new(MergeStrategy::Optimized, 1)
+                .merge_column(&MainPartition::empty(), &delta0, &mut MergeScratch::new())
+                .main;
             wal::write_staged_column(&dir, 0, &merged0).unwrap();
             log.chunk_done(&[0]).unwrap();
         }

@@ -13,7 +13,7 @@
 //! plan, thread bookkeeping on the table path).
 
 use hyrise_core::shard::{ShardBy, ShardedTable};
-use hyrise_core::{merge_column_with, MergeGrant, MergeScratch, MergeStrategy, OnlineTable};
+use hyrise_core::{MergeGrant, MergePipeline, MergeScratch, MergeStrategy, OnlineTable};
 use hyrise_storage::{DeltaPartition, MainPartition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,13 +117,21 @@ fn warmed_scratch_merges_without_buffer_allocations() {
     let mut scratch = MergeScratch::new();
     // Warm-up: two merges with recycling reach the arena's fixed point.
     for _ in 0..2 {
-        let out = merge_column_with(&main, &delta, MergeStrategy::Optimized, 1, &mut scratch);
+        let out = MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(
+            &main,
+            &delta,
+            &mut scratch,
+        );
         scratch.recycle_main(out.main);
     }
     let spare_before = scratch.spare_capacities();
     let (_, counts) = counted(|| {
         for _ in 0..3 {
-            let out = merge_column_with(&main, &delta, MergeStrategy::Optimized, 1, &mut scratch);
+            let out = MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(
+                &main,
+                &delta,
+                &mut scratch,
+            );
             scratch.recycle_main(out.main);
         }
     });

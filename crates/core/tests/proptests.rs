@@ -3,9 +3,10 @@
 //! main/delta contents and thread counts.
 
 use hyrise_core::{
-    merge_column_naive, merge_column_optimized, merge_dictionaries,
-    parallel::{compress_delta_parallel, merge_column_parallel, merge_dictionaries_parallel},
+    merge_dictionaries,
+    parallel::{compress_delta_parallel, merge_dictionaries_parallel},
     partition::corank,
+    MergePipeline, MergeScratch, MergeStrategy,
 };
 use hyrise_storage::{DeltaPartition, MainPartition};
 use proptest::prelude::*;
@@ -48,10 +49,15 @@ proptest! {
         let (dict, concat) = oracle(&main_vals, &delta_vals);
 
         let outs = [
-            merge_column_naive(&main, &delta, threads).main,
-            merge_column_optimized(&main, &delta).main,
-            merge_column_parallel(&main, &delta, threads).main,
-        ];
+            (MergeStrategy::Naive, threads),
+            (MergeStrategy::Optimized, 1),
+            (MergeStrategy::Parallel, threads),
+        ]
+        .map(|(strategy, threads)| {
+            MergePipeline::new(strategy, threads)
+                .merge_column(&main, &delta, &mut MergeScratch::new())
+                .main
+        });
         for (k, out) in outs.iter().enumerate() {
             prop_assert_eq!(out.dictionary().values(), &dict[..], "algo {} dictionary", k);
             let got: Vec<u64> = (0..out.len()).map(|i| out.get(i)).collect();
@@ -131,7 +137,9 @@ proptest! {
         // Full-width values: stress dictionary sizes close to tuple counts.
         let main = MainPartition::from_values(&main_vals);
         let delta = delta_from(&delta_vals);
-        let out = merge_column_optimized(&main, &delta).main;
+        let out = MergePipeline::new(MergeStrategy::Optimized, 1)
+            .merge_column(&main, &delta, &mut MergeScratch::new())
+            .main;
         for (i, v) in main_vals.iter().enumerate() {
             prop_assert_eq!(out.get(i), *v);
         }

@@ -1,6 +1,6 @@
 //! The unified execution engine: one [`Executor`] trait over every backend,
-//! with dictionary value-id pushdown, dense row masks for aggregates and a
-//! [`SelectionVector`] intermediate for row output.
+//! with dictionary value-id pushdown, dense row masks for aggregates and an
+//! ascending row-id vector as the intermediate for row output.
 //!
 //! Every backend reduces its columns to the same physical shape — a
 //! dictionary-compressed main partition plus a short row-ordered list of
@@ -15,21 +15,20 @@
 //!    to value comparisons — they are small by construction, the merge
 //!    bounds them.
 //! 2. **Aggregates stay there.** `count`, `sum` and `min_max` never build
-//!    a [`SelectionVector`]: per morsel the validity *words* seed a dense
+//!    a row-id vector: per morsel the validity *words* seed a dense
 //!    row mask, every predicate is `AND`ed into it by the dense mask
 //!    producer, and the masked code visitor hands the surviving rows'
 //!    codes to the aggregate (a dictionary-slice gather for `sum`, a code
 //!    fold for `min_max`, a popcount for `count`). A single-predicate
 //!    count keeps the popcount kernels and subtracts the deleted rows
 //!    that match.
-//! 3. **Row output** (`rows`, `project`) materializes a
-//!    [`SelectionVector`]: one predicate runs the select kernels, a
-//!    conjunction materializes the same fused mask once. Mid-merge
-//!    snapshots with stepped columns — whose mains differ in length, so no
-//!    shared mask exists — refine the selection vector row by row (main
-//!    rows compare their packed code against that column's value-id range,
-//!    tail rows compare values), and aggregates over them fold that
-//!    vector.
+//! 3. **Row output** (`rows`, `project`) materializes the matching row
+//!    ids, ascending: one predicate runs the select kernels, a conjunction
+//!    materializes the same fused mask once. Mid-merge snapshots with
+//!    stepped columns — whose mains differ in length, so no shared mask
+//!    exists — refine the row ids one by one (main rows compare their
+//!    packed code against that column's value-id range, tail rows compare
+//!    values), and aggregates over them fold that vector.
 //!
 //! **Morsel-driven parallelism.** Every stage above is phrased per morsel:
 //! [`Query::with_threads`] is a morsel-count hint that cuts the main
@@ -42,11 +41,8 @@
 //! for every output shape.
 //!
 //! Implementations: [`TableSnapshot`] (the canonical engine),
-//! [`OnlineTable`] (snapshot, then execute), [`ShardedTable`] (fan out one
-//! engine per shard snapshot as pool tasks, merge partial results),
-//! [`Attribute`] / [`AttributeExecutor`] (single column, optional
-//! validity), and the heterogeneous [`Table`] (per-column typed dispatch
-//! over [`AnyValue`] predicates).
+//! [`OnlineTable`] (snapshot, then execute) and [`ShardedTable`] (fan out
+//! one engine per shard snapshot as pool tasks, merge partial results).
 
 use crate::morsel::{chunk_ranges, concat, morsel_ranges, parallel_map};
 use crate::plan::{Action, CompiledPredicate, Query};
@@ -55,55 +51,7 @@ use hyrise_core::shard::{ShardRowId, ShardedTable};
 use hyrise_core::{OnlineTable, Pool, TableSnapshot};
 #[cfg(doc)]
 use hyrise_storage::Dictionary;
-use hyrise_storage::{
-    AnyValue, Attribute, Column, MainPartition, Table, TailRegion, ValidityBitmap, Value,
-};
-
-/// The positional intermediate between predicate evaluation and output:
-/// matching row ids in ascending order. Operators refine it in place
-/// (conjunction, validity) instead of materializing values between steps —
-/// the late-materialization discipline of a column store.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SelectionVector {
-    rows: Vec<usize>,
-}
-
-impl SelectionVector {
-    /// Wrap an ascending row-id list.
-    pub fn from_rows(rows: Vec<usize>) -> Self {
-        Self { rows }
-    }
-
-    /// Selected rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when nothing is selected.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The selected row ids, ascending.
-    pub fn as_slice(&self) -> &[usize] {
-        &self.rows
-    }
-
-    /// Iterate the selected row ids.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.rows.iter().copied()
-    }
-
-    /// Keep only rows satisfying `f` (conjunction / validity refinement).
-    pub fn retain(&mut self, mut f: impl FnMut(usize) -> bool) {
-        self.rows.retain(|&r| f(r));
-    }
-
-    /// Unwrap into the row-id vector.
-    pub fn into_rows(self) -> Vec<usize> {
-        self.rows
-    }
-}
+use hyrise_storage::{MainPartition, TailRegion, ValidityBitmap, Value};
 
 /// A query's result: one variant per [`Query`] output action.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -207,16 +155,12 @@ pub trait Executor<V> {
 /// partition plus tail regions in row order (the bit-packed frozen and
 /// pending deltas, then the append-only tail's raw chunks; absent regions
 /// contribute nothing).
-pub(crate) struct ColView<'a, V: Value> {
-    pub(crate) main: &'a MainPartition<V>,
-    pub(crate) tails: Vec<TailRegion<'a, V>>,
+struct ColView<'a, V: Value> {
+    main: &'a MainPartition<V>,
+    tails: Vec<TailRegion<'a, V>>,
 }
 
 impl<V: Value> ColView<'_, V> {
-    fn len(&self) -> usize {
-        self.main.len() + self.tails.iter().map(|t| t.len()).sum::<usize>()
-    }
-
     /// Value of a tail row (row id relative to the end of main).
     fn tail_value(&self, i: usize) -> V {
         let mut off = i;
@@ -240,27 +184,10 @@ impl<V: Value> ColView<'_, V> {
     }
 }
 
-/// First-predicate scan: append all rows of `col` whose value lies in
-/// `[lo, hi]`, ascending. Main rows are matched in value-id space (the
-/// pushdown path, word-parallel); packed tail regions rewrite the bounds
-/// into their local value-id space and run the same kernels; raw tail
-/// chunks compare values.
-pub(crate) fn scan_col_into<V: Value>(col: &ColView<'_, V>, lo: &V, hi: &V, out: &mut Vec<usize>) {
-    if let Some(ids) = col.main.dictionary().value_id_range(lo, hi) {
-        col.main.packed_codes().select_in_range_into(
-            *ids.start() as u64,
-            *ids.end() as u64,
-            0,
-            out,
-        );
-    }
-    scan_tails_into(col, lo, hi, out);
-}
-
 /// Conjunction refinement: keep only selected rows whose `col` value lies
 /// in `[lo, hi]`. Main rows compare their packed code against the value-id
 /// range (random access, no decode); tail rows compare values.
-pub(crate) fn refine_col<V: Value>(col: &ColView<'_, V>, lo: &V, hi: &V, rows: &mut Vec<usize>) {
+fn refine_col<V: Value>(col: &ColView<'_, V>, lo: &V, hi: &V, rows: &mut Vec<usize>) {
     let ids = col.main.dictionary().value_id_range(lo, hi);
     let (id_lo, id_hi) = ids.map_or((1, 0), |r| (*r.start() as u64, *r.end() as u64));
     let nm = col.main.len();
@@ -280,7 +207,7 @@ pub(crate) fn refine_col<V: Value>(col: &ColView<'_, V>, lo: &V, hi: &V, rows: &
 /// provided every predicate column's main partition has the same length.
 /// Mid-incremental-merge snapshots can hold columns whose mains differ
 /// (some already absorbed the frozen delta); a shared mask would misalign
-/// there, and the caller falls back to refining a selection vector.
+/// there, and the caller falls back to refining row ids.
 fn shared_main_len<V: Value>(
     cols: &[ColView<'_, V>],
     preds: &[CompiledPredicate<V>],
@@ -318,22 +245,19 @@ fn clear_past(masks: &mut [u64], rows: usize) {
 /// morsel-local mask over main rows `[start, end)` (`start` 64-aligned) is
 /// set iff row `start + r` is valid **and** satisfies every predicate.
 /// The validity *words* seed the mask — main rows are global rows `0..nm`,
-/// so mask word `j` is validity word `start / 64 + j` (all ones without a
-/// bitmap) — and each predicate's value-id range is `AND`ed into it in
+/// so mask word `j` is validity word `start / 64 + j` — and each
+/// predicate's value-id range is `AND`ed into it in
 /// code space, skipping 64-row blocks that are already empty. A predicate
 /// matching no dictionary value zeroes the whole mask.
 fn valid_mask_at<V: Value>(
     cols: &[ColView<'_, V>],
     preds: &[CompiledPredicate<V>],
-    validity: Option<&ValidityBitmap>,
+    validity: &ValidityBitmap,
     start: usize,
     end: usize,
 ) -> Vec<u64> {
     let n = mask_words(end - start);
-    let mut masks = match validity {
-        Some(v) => v.words()[start / 64..start / 64 + n].to_vec(),
-        None => vec![u64::MAX; n],
-    };
+    let mut masks = validity.words()[start / 64..start / 64 + n].to_vec();
     clear_past(&mut masks, end - start);
     for p in preds {
         let main = cols[p.col].main;
@@ -358,7 +282,7 @@ fn map_main_masks<V: Value, T: Send + Sync>(
     cols: &[ColView<'_, V>],
     nm: usize,
     preds: &[CompiledPredicate<V>],
-    validity: Option<&ValidityBitmap>,
+    validity: &ValidityBitmap,
     hint: usize,
     f: impl Fn(usize, usize, &[u64]) -> T + Sync,
 ) -> Vec<T> {
@@ -378,18 +302,9 @@ fn matching_tail_rows<'a, V: Value>(
     n_rows: usize,
     nm: usize,
     preds: &'a [CompiledPredicate<V>],
-    validity: Option<&'a ValidityBitmap>,
+    validity: &'a ValidityBitmap,
 ) -> impl Iterator<Item = usize> + 'a {
-    (0..n_rows - nm).filter(move |&i| {
-        validity.is_none_or(|v| v.is_valid(nm + i)) && tail_row_matches(cols, preds, i)
-    })
-}
-
-/// Drop rows the validity bitmap marks deleted (no-op without a bitmap).
-fn retain_valid(rows: &mut Vec<usize>, validity: Option<&ValidityBitmap>) {
-    if let Some(v) = validity {
-        rows.retain(|&r| v.is_valid(r));
-    }
+    (0..n_rows - nm).filter(move |&i| validity.is_valid(nm + i) && tail_row_matches(cols, preds, i))
 }
 
 /// First-predicate scan of `col`'s tail regions only (global row ids start
@@ -441,7 +356,7 @@ fn count_cols<V: Value>(
     cols: &[ColView<'_, V>],
     n_rows: usize,
     preds: &[CompiledPredicate<V>],
-    validity: Option<&ValidityBitmap>,
+    validity: &ValidityBitmap,
     hint: usize,
 ) -> usize {
     if let [p] = preds {
@@ -467,15 +382,13 @@ fn count_cols<V: Value>(
             .iter()
             .map(|t| t.count_in_range(&p.lo, &p.hi))
             .sum();
-        let deleted = validity.map_or(0, |v| {
-            count_deleted(v, n_rows, |r| {
-                if r < nm {
-                    ids.is_some_and(|(id_lo, id_hi)| (id_lo..=id_hi).contains(&codes.get(r)))
-                } else {
-                    let x = col.tail_value(r - nm);
-                    x >= p.lo && x <= p.hi
-                }
-            })
+        let deleted = count_deleted(validity, n_rows, |r| {
+            if r < nm {
+                ids.is_some_and(|(id_lo, id_hi)| (id_lo..=id_hi).contains(&codes.get(r)))
+            } else {
+                let x = col.tail_value(r - nm);
+                x >= p.lo && x <= p.hi
+            }
         });
         return main + tails - deleted;
     }
@@ -492,7 +405,7 @@ fn count_cols<V: Value>(
     }
 }
 
-/// Evaluate the conjunction over homogeneous columns into a selection.
+/// Evaluate the conjunction into the matching valid row ids, ascending.
 ///
 /// The main partition is processed per morsel (scan, fuse or refine, then
 /// validity — each morsel emits its own ascending row ids); the tail
@@ -502,10 +415,10 @@ fn select_cols<V: Value>(
     cols: &[ColView<'_, V>],
     n_rows: usize,
     preds: &[CompiledPredicate<V>],
-    validity: Option<&ValidityBitmap>,
+    validity: &ValidityBitmap,
     hint: usize,
-) -> SelectionVector {
-    let rows = match preds.split_first() {
+) -> Vec<usize> {
+    match preds.split_first() {
         None => {
             // Enumeration, morselized for shape uniformity: each morsel
             // emits its valid rows; in-order concatenation is the
@@ -514,7 +427,7 @@ fn select_cols<V: Value>(
             concat(parallel_map(hint, ranges.len(), |i| {
                 let (s, e) = ranges[i];
                 let mut rows: Vec<usize> = (s..e).collect();
-                retain_valid(&mut rows, validity);
+                rows.retain(|&r| validity.is_valid(r));
                 rows
             }))
         }
@@ -535,12 +448,12 @@ fn select_cols<V: Value>(
                         &mut rows,
                     );
                 }
-                retain_valid(&mut rows, validity);
+                rows.retain(|&r| validity.is_valid(r));
                 rows
             });
             let mut tail_rows = Vec::new();
             scan_tails_into(col, &first.lo, &first.hi, &mut tail_rows);
-            retain_valid(&mut tail_rows, validity);
+            tail_rows.retain(|&r| validity.is_valid(r));
             parts.push(tail_rows);
             concat(parts)
         }
@@ -585,7 +498,7 @@ fn select_cols<V: Value>(
                     for p in rest {
                         refine_col(&cols[p.col], &p.lo, &p.hi, &mut rows);
                     }
-                    retain_valid(&mut rows, validity);
+                    rows.retain(|&r| validity.is_valid(r));
                     rows
                 });
                 let mut tail_rows = Vec::new();
@@ -593,13 +506,12 @@ fn select_cols<V: Value>(
                 for p in rest {
                     refine_col(&cols[p.col], &p.lo, &p.hi, &mut tail_rows);
                 }
-                retain_valid(&mut tail_rows, validity);
+                tail_rows.retain(|&r| validity.is_valid(r));
                 parts.push(tail_rows);
                 concat(parts)
             }
         },
-    };
-    SelectionVector::from_rows(rows)
+    }
 }
 
 fn fold_mm<V: Ord + Copy>(mm: Option<(V, V)>, v: V) -> Option<(V, V)> {
@@ -619,7 +531,7 @@ fn sum_masked<V: Value>(
     n_rows: usize,
     nm: usize,
     preds: &[CompiledPredicate<V>],
-    validity: Option<&ValidityBitmap>,
+    validity: &ValidityBitmap,
     c: usize,
     hint: usize,
 ) -> u128 {
@@ -640,16 +552,6 @@ fn sum_masked<V: Value>(
         .sum::<u128>()
 }
 
-/// Full-column sum (no predicates): the bandwidth-bound analytical scan.
-fn sum_full<V: Value>(
-    col: &ColView<'_, V>,
-    validity: Option<&ValidityBitmap>,
-    hint: usize,
-) -> u128 {
-    let cols = std::slice::from_ref(col);
-    sum_masked(cols, col.len(), col.main.len(), &[], validity, 0, hint)
-}
-
 /// Min/max of column `c` over the valid rows satisfying `preds`: each
 /// morsel folds main *codes* through the masked visitor (codes are
 /// order-preserving, so the two surviving codes are decoded once, by the
@@ -659,7 +561,7 @@ fn min_max_masked<V: Value>(
     n_rows: usize,
     nm: usize,
     preds: &[CompiledPredicate<V>],
-    validity: Option<&ValidityBitmap>,
+    validity: &ValidityBitmap,
     c: usize,
     hint: usize,
 ) -> Option<(V, V)> {
@@ -679,34 +581,23 @@ fn min_max_masked<V: Value>(
         .fold(mm, |mm, i| fold_mm(mm, col.tail_value(i)))
 }
 
-/// Full-column min/max (no predicates).
-fn min_max_full<V: Value>(
-    col: &ColView<'_, V>,
-    validity: Option<&ValidityBitmap>,
-    hint: usize,
-) -> Option<(V, V)> {
-    let cols = std::slice::from_ref(col);
-    min_max_masked(cols, col.len(), col.main.len(), &[], validity, 0, hint)
-}
-
-/// The canonical engine over homogeneous column views — every typed
-/// backend lands here.
+/// The canonical engine over column views; [`execute_snapshot`] is its one
+/// producer, so `validity` covers exactly the `n_rows` rows of `cols`.
 fn execute_cols<V: Value>(
     cols: &[ColView<'_, V>],
     n_rows: usize,
-    validity: Option<&ValidityBitmap>,
+    validity: &ValidityBitmap,
     q: &Query<V>,
 ) -> Output<V, usize> {
     let preds = q.predicates();
     let hint = q.threads();
     match q.action() {
-        Action::Rows => Output::Rows(select_cols(cols, n_rows, preds, validity, hint).into_rows()),
+        Action::Rows => Output::Rows(select_cols(cols, n_rows, preds, validity, hint)),
         Action::Project(pcols) => {
-            let sel = select_cols(cols, n_rows, preds, validity, hint);
+            let rows = select_cols(cols, n_rows, preds, validity, hint);
             // Materialization is random access over the selection: split
             // it into plain chunks (no alignment needed) and concatenate
             // the per-chunk row vectors in order.
-            let rows = sel.as_slice();
             let chunks = chunk_ranges(rows.len(), hint);
             Output::Projected(concat(parallel_map(hint, chunks.len(), |i| {
                 let (s, e) = chunks[i];
@@ -717,15 +608,8 @@ fn execute_cols<V: Value>(
             })))
         }
         Action::Count => Output::Count(if preds.is_empty() {
-            match validity {
-                None => n_rows,
-                // Bitmap and table agree on length (every table backend):
-                // the maintained counter answers in O(1).
-                Some(v) if v.len() == n_rows => v.valid_count(),
-                // A caller-supplied bitmap may be longer than the attribute
-                // (it only has to *cover* it) — count the covered rows.
-                Some(v) => (0..n_rows).filter(|&r| v.is_valid(r)).count(),
-            }
+            // The bitmap's maintained counter answers in O(1).
+            validity.valid_count()
         } else {
             count_cols(cols, n_rows, preds, validity, hint)
         }),
@@ -733,8 +617,7 @@ fn execute_cols<V: Value>(
             Some(nm) => sum_masked(cols, n_rows, nm, preds, validity, *c, hint),
             None => {
                 let col = &cols[*c];
-                let sel = select_cols(cols, n_rows, preds, validity, hint);
-                let rows = sel.as_slice();
+                let rows = select_cols(cols, n_rows, preds, validity, hint);
                 let chunks = chunk_ranges(rows.len(), hint);
                 parallel_map(hint, chunks.len(), |i| {
                     let (s, e) = chunks[i];
@@ -751,8 +634,7 @@ fn execute_cols<V: Value>(
             Some(nm) => min_max_masked(cols, n_rows, nm, preds, validity, *c, hint),
             None => {
                 let col = &cols[*c];
-                let sel = select_cols(cols, n_rows, preds, validity, hint);
-                let rows = sel.as_slice();
+                let rows = select_cols(cols, n_rows, preds, validity, hint);
                 let chunks = chunk_ranges(rows.len(), hint);
                 parallel_map(hint, chunks.len(), |i| {
                     let (s, e) = chunks[i];
@@ -780,7 +662,7 @@ fn execute_snapshot<V: Value>(snap: &TableSnapshot<V>, q: &Query<V>) -> Output<V
             tails: c.tails(),
         })
         .collect();
-    execute_cols(&views, snap.row_count(), Some(snap.validity()), q)
+    execute_cols(&views, snap.row_count(), snap.validity(), q)
 }
 
 impl<V: Value> Executor<V> for TableSnapshot<V> {
@@ -809,55 +691,6 @@ impl<V: Value> Executor<V> for OnlineTable<V> {
     /// inserts and merges proceed underneath.
     fn execute(&self, q: &Query<V>) -> Output<V, usize> {
         self.snapshot().execute(q)
-    }
-}
-
-impl<V: Value> Executor<V> for Attribute<V> {
-    type RowId = usize;
-
-    /// Single-column engine over main + delta; every row is visible (an
-    /// [`Attribute`] carries no validity — see [`AttributeExecutor`] for
-    /// the validity-aware view). Column index 0 addresses the attribute.
-    fn execute(&self, q: &Query<V>) -> Output<V, usize> {
-        AttributeExecutor::new(self).execute(q)
-    }
-}
-
-/// An [`Attribute`] paired with an optional table-level [`ValidityBitmap`]
-/// — the executor for validity-aware single-column queries.
-pub struct AttributeExecutor<'a, V: Value> {
-    attr: &'a Attribute<V>,
-    validity: Option<&'a ValidityBitmap>,
-}
-
-impl<'a, V: Value> AttributeExecutor<'a, V> {
-    /// Every row visible.
-    pub fn new(attr: &'a Attribute<V>) -> Self {
-        Self {
-            attr,
-            validity: None,
-        }
-    }
-
-    /// Filter by `validity` (must cover the attribute's rows).
-    pub fn with_validity(attr: &'a Attribute<V>, validity: &'a ValidityBitmap) -> Self {
-        Self {
-            attr,
-            validity: Some(validity),
-        }
-    }
-}
-
-impl<V: Value> Executor<V> for AttributeExecutor<'_, V> {
-    type RowId = usize;
-
-    fn execute(&self, q: &Query<V>) -> Output<V, usize> {
-        let _read = hyrise_core::governor::begin_read();
-        let views = [ColView {
-            main: self.attr.main(),
-            tails: vec![TailRegion::Raw(self.attr.delta().values())],
-        }];
-        execute_cols(&views, self.attr.len(), self.validity, q)
     }
 }
 
@@ -912,119 +745,6 @@ impl<V: Value> Executor<V> for ShardedTable<V> {
                     .iter()
                     .filter_map(|p| p.min_max())
                     .reduce(|(alo, ahi), (blo, bhi)| (alo.min(blo), ahi.max(bhi))),
-            ),
-        }
-    }
-}
-
-fn attr_view<V: Value>(a: &Attribute<V>) -> ColView<'_, V> {
-    ColView {
-        main: a.main(),
-        tails: vec![TailRegion::Raw(a.delta().values())],
-    }
-}
-
-/// Apply one predicate to a heterogeneous table column: `first == true`
-/// scans into `rows`, otherwise refines `rows` in place.
-///
-/// # Panics
-/// If the predicate bounds' type does not match the column's type.
-fn apply_table_pred(
-    table: &Table,
-    p: &CompiledPredicate<AnyValue>,
-    first: bool,
-    rows: &mut Vec<usize>,
-) {
-    macro_rules! typed {
-        ($attr:expr, $lo:expr, $hi:expr) => {{
-            let view = attr_view($attr);
-            if first {
-                scan_col_into(&view, $lo, $hi, rows);
-            } else {
-                refine_col(&view, $lo, $hi, rows);
-            }
-        }};
-    }
-    match (table.column(p.col), &p.lo, &p.hi) {
-        (Column::U32(a), AnyValue::U32(lo), AnyValue::U32(hi)) => typed!(a, lo, hi),
-        (Column::U64(a), AnyValue::U64(lo), AnyValue::U64(hi)) => typed!(a, lo, hi),
-        (Column::V16(a), AnyValue::V16(lo), AnyValue::V16(hi)) => typed!(a, lo, hi),
-        (col, lo, hi) => panic!(
-            "predicate bounds {lo:?}..={hi:?} on column {} must be {}",
-            p.col,
-            col.column_type()
-        ),
-    }
-}
-
-impl Executor<AnyValue> for Table {
-    type RowId = usize;
-
-    /// Heterogeneous engine: each predicate dispatches to its column's
-    /// concrete type (the same typed value-id kernels as everywhere else),
-    /// then output materializes through [`AnyValue`].
-    ///
-    /// # Panics
-    /// If a predicate's value type does not match its column's type, or a
-    /// column index is out of range.
-    fn execute(&self, q: &Query<AnyValue>) -> Output<AnyValue, usize> {
-        let _read = hyrise_core::governor::begin_read();
-        let preds = q.predicates();
-        // Predicate-free aggregates need no selection vector: dispatch to
-        // the typed bulk kernels on the aggregated column.
-        if preds.is_empty() {
-            match q.action() {
-                Action::Count => return Output::Count(self.valid_row_count()),
-                Action::Sum(c) => {
-                    let validity = Some(self.validity());
-                    return Output::Sum(match self.column(*c) {
-                        Column::U32(a) => sum_full(&attr_view(a), validity, q.threads()),
-                        Column::U64(a) => sum_full(&attr_view(a), validity, q.threads()),
-                        Column::V16(a) => sum_full(&attr_view(a), validity, q.threads()),
-                    });
-                }
-                Action::MinMax(c) => {
-                    let validity = Some(self.validity());
-                    return Output::MinMax(match self.column(*c) {
-                        Column::U32(a) => min_max_full(&attr_view(a), validity, q.threads())
-                            .map(|(lo, hi)| (AnyValue::U32(lo), AnyValue::U32(hi))),
-                        Column::U64(a) => min_max_full(&attr_view(a), validity, q.threads())
-                            .map(|(lo, hi)| (AnyValue::U64(lo), AnyValue::U64(hi))),
-                        Column::V16(a) => min_max_full(&attr_view(a), validity, q.threads())
-                            .map(|(lo, hi)| (AnyValue::V16(lo), AnyValue::V16(hi))),
-                    });
-                }
-                Action::Rows | Action::Project(_) => {}
-            }
-        }
-        let mut rows: Vec<usize> = match preds.split_first() {
-            None => (0..self.row_count()).collect(),
-            Some((first, rest)) => {
-                let mut rows = Vec::new();
-                apply_table_pred(self, first, true, &mut rows);
-                for p in rest {
-                    apply_table_pred(self, p, false, &mut rows);
-                }
-                rows
-            }
-        };
-        rows.retain(|&r| self.is_valid(r));
-        match q.action() {
-            Action::Rows => Output::Rows(rows),
-            Action::Project(pcols) => Output::Projected(
-                rows.iter()
-                    .map(|&r| pcols.iter().map(|&c| self.column(c).get(r)).collect())
-                    .collect(),
-            ),
-            Action::Count => Output::Count(rows.len()),
-            Action::Sum(c) => Output::Sum(
-                rows.iter()
-                    .map(|&r| self.column(*c).get(r).to_u64_lossy() as u128)
-                    .sum(),
-            ),
-            Action::MinMax(c) => Output::MinMax(
-                rows.iter()
-                    .fold(None, |mm, &r| fold_mm(mm, self.column(*c).get(r))),
             ),
         }
     }

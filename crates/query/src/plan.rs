@@ -5,11 +5,9 @@
 //! predicates plus one output action (matching rows, a projection, or an
 //! aggregate). It says nothing about *where* the data lives: the same query
 //! value runs unchanged against every backend that implements
-//! [`Executor`] (an [`Attribute`](hyrise_storage::Attribute),
-//! a [`TableSnapshot`](hyrise_core::TableSnapshot), an
-//! [`OnlineTable`](hyrise_core::OnlineTable), a
-//! [`ShardedTable`](hyrise_core::shard::ShardedTable), or a heterogeneous
-//! [`Table`](hyrise_storage::Table)).
+//! [`Executor`] (a [`TableSnapshot`](hyrise_core::TableSnapshot), an
+//! [`OnlineTable`](hyrise_core::OnlineTable) or a
+//! [`ShardedTable`](hyrise_core::shard::ShardedTable)).
 //!
 //! Predicates are *compiled*, not interpreted: `eq(v)` and `between(a, b)`
 //! both normalize to a [`CompiledPredicate`] — an inclusive value interval
@@ -67,13 +65,15 @@ pub enum Action {
 /// against many backends.
 ///
 /// ```
+/// use hyrise_core::OnlineTable;
 /// use hyrise_query::Query;
-/// use hyrise_storage::{Attribute, MainPartition};
+/// use hyrise_storage::MainPartition;
 ///
-/// let mut attr = Attribute::from_main(MainPartition::from_values(&[10u64, 20, 30, 20]));
-/// attr.append(20); // lands in the delta
+/// let main = MainPartition::from_values(&[10u64, 20, 30, 20]);
+/// let table = OnlineTable::from_mains(vec![main]);
+/// table.insert_row(&[20]); // lands in the delta
 ///
-/// let rows = Query::scan(0).eq(20).run(&attr).into_rows();
+/// let rows = Query::scan(0).eq(20).run(&table).into_rows();
 /// assert_eq!(rows, vec![1, 3, 4]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,25 +1,44 @@
-//! Property tests: the query operators over a single [`Attribute`] must
-//! agree with a brute-force evaluation over the materialized column, for
-//! arbitrary main/delta splits and validity patterns.
-//!
-//! These drive the [`Query`] builder directly — the only read path since
-//! the deprecated wrapper functions were removed (cross-backend coverage
-//! over tables and shards lives in `query_engine_proptests.rs`).
+//! Property tests on the one table shape `query_engine_proptests.rs` does
+//! not draw: a main partition that was **bulk-loaded** (never produced by a
+//! merge, possibly empty) under a raw append-only tail, with arbitrary
+//! deletes. The [`Query`] operators must agree with a brute-force
+//! evaluation over the materialized column.
 
-use hyrise_query::{group_by_sum, AttributeExecutor, Query};
-use hyrise_storage::{Attribute, MainPartition, ValidityBitmap};
+use hyrise_core::OnlineTable;
+use hyrise_query::Query;
+use hyrise_storage::MainPartition;
 use proptest::prelude::*;
 
-fn attribute(main_vals: &[u64], delta_vals: &[u64]) -> Attribute<u64> {
-    let mut a = if main_vals.is_empty() {
-        Attribute::empty()
-    } else {
-        Attribute::from_main(MainPartition::from_values(main_vals))
-    };
+/// One column: `main_vals` bulk-loaded, `delta_vals` appended, then every
+/// `invalid[i] % rows` deleted. Returns the table and its valid rows.
+fn table(
+    main_vals: &[u64],
+    delta_vals: &[u64],
+    invalid: &[u16],
+) -> (OnlineTable<u64>, Vec<(usize, u64)>) {
+    let t = OnlineTable::from_mains(vec![MainPartition::from_values(main_vals)]);
     for &v in delta_vals {
-        a.append(v);
+        t.insert_row(&[v]);
     }
-    a
+    let mut rows: Vec<Option<u64>> = main_vals
+        .iter()
+        .chain(delta_vals)
+        .copied()
+        .map(Some)
+        .collect();
+    for &i in invalid {
+        if !rows.is_empty() {
+            let victim = i as usize % rows.len();
+            t.delete_row(victim);
+            rows[victim] = None;
+        }
+    }
+    let valid = rows
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, v)| Some((i, v?)))
+        .collect();
+    (t, valid)
 }
 
 proptest! {
@@ -29,36 +48,27 @@ proptest! {
     fn scan_eq_equals_brute_force(
         main_vals in prop::collection::vec(0u64..50, 0..400),
         delta_vals in prop::collection::vec(0u64..60, 0..200),
+        invalid in prop::collection::vec(any::<u16>(), 0..40),
         probe in 0u64..70,
     ) {
-        let a = attribute(&main_vals, &delta_vals);
-        let all: Vec<u64> = main_vals.iter().chain(&delta_vals).copied().collect();
-        let want: Vec<usize> =
-            all.iter().enumerate().filter(|(_, v)| **v == probe).map(|(i, _)| i).collect();
-        let mut got = Query::scan(0).eq(probe).run(&a).into_rows();
-        got.sort_unstable();
-        prop_assert_eq!(got, want);
+        let (t, valid) = table(&main_vals, &delta_vals, &invalid);
+        let want: Vec<usize> = valid.iter().filter(|(_, v)| *v == probe).map(|(i, _)| *i).collect();
+        prop_assert_eq!(Query::scan(0).eq(probe).run(&t).into_rows(), want);
     }
 
     #[test]
     fn scan_range_equals_brute_force(
         main_vals in prop::collection::vec(0u64..50, 0..400),
         delta_vals in prop::collection::vec(0u64..60, 0..200),
+        invalid in prop::collection::vec(any::<u16>(), 0..40),
         lo in 0u64..70,
         span in 0u64..30,
     ) {
-        let a = attribute(&main_vals, &delta_vals);
+        let (t, valid) = table(&main_vals, &delta_vals, &invalid);
         let hi = lo + span;
-        let all: Vec<u64> = main_vals.iter().chain(&delta_vals).copied().collect();
-        let want: Vec<usize> = all
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v >= lo && **v <= hi)
-            .map(|(i, _)| i)
-            .collect();
-        let mut got = Query::scan(0).between(lo, hi).run(&a).into_rows();
-        got.sort_unstable();
-        prop_assert_eq!(got, want);
+        let want: Vec<usize> =
+            valid.iter().filter(|(_, v)| (lo..=hi).contains(v)).map(|(i, _)| *i).collect();
+        prop_assert_eq!(Query::scan(0).between(lo, hi).run(&t).into_rows(), want);
     }
 
     #[test]
@@ -68,62 +78,14 @@ proptest! {
         invalid in prop::collection::vec(any::<u16>(), 0..40),
         threads in 1usize..8,
     ) {
-        let a = attribute(&main_vals, &delta_vals);
-        let n = a.len();
-        let mut validity = ValidityBitmap::all_valid(n);
-        for i in invalid {
-            if n > 0 {
-                validity.invalidate(i as usize % n);
-            }
-        }
-        let all: Vec<u64> = main_vals.iter().chain(&delta_vals).copied().collect();
-        let want_sum: u128 = all
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| validity.is_valid(*i))
-            .map(|(_, v)| *v as u128)
-            .sum();
-        let exec = AttributeExecutor::with_validity(&a, &validity);
-        prop_assert_eq!(Query::scan(0).sum(0).run(&exec).sum(), want_sum);
-        // The validity-free parallel sum covers all rows.
-        let all_sum: u128 = all.iter().map(|v| *v as u128).sum();
-        prop_assert_eq!(Query::scan(0).sum(0).with_threads(threads).run(&a).sum(), all_sum);
-
-        let want_minmax = {
-            let vals: Vec<u64> = all
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| validity.is_valid(*i))
-                .map(|(_, v)| *v)
-                .collect();
-            vals.iter().min().map(|min| (*min, *vals.iter().max().unwrap()))
-        };
-        prop_assert_eq!(Query::scan(0).min_max(0).run(&exec).min_max(), want_minmax);
-    }
-
-    #[test]
-    fn group_by_equals_btreemap(
-        main_pairs in prop::collection::vec((0u64..30, 0u64..100), 0..300),
-        delta_pairs in prop::collection::vec((0u64..40, 0u64..100), 0..150),
-    ) {
-        let main_keys: Vec<u64> = main_pairs.iter().map(|(k, _)| *k).collect();
-        let main_vals: Vec<u64> = main_pairs.iter().map(|(_, v)| *v).collect();
-        let keys = attribute(&main_keys, &delta_pairs.iter().map(|(k, _)| *k).collect::<Vec<_>>());
-        let values = attribute(&main_vals, &delta_pairs.iter().map(|(_, v)| *v).collect::<Vec<_>>());
-        let validity = ValidityBitmap::all_valid(keys.len());
-
-        let mut want: std::collections::BTreeMap<u64, (u64, u128)> = Default::default();
-        for (k, v) in main_pairs.iter().chain(&delta_pairs) {
-            let e = want.entry(*k).or_default();
-            e.0 += 1;
-            e.1 += *v as u128;
-        }
-        let got = group_by_sum(&keys, &values, &validity);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, (k, (count, sum))) in got.iter().zip(want) {
-            prop_assert_eq!(g.key, k);
-            prop_assert_eq!(g.count, count);
-            prop_assert_eq!(g.sum, sum);
+        let (t, valid) = table(&main_vals, &delta_vals, &invalid);
+        let values = || valid.iter().map(|(_, v)| *v);
+        let want_sum: u128 = values().map(u128::from).sum();
+        for hint in [1, threads] {
+            let q = Query::scan(0).with_threads(hint);
+            prop_assert_eq!(q.clone().count().run(&t).count(), valid.len());
+            prop_assert_eq!(q.clone().sum(0).run(&t).sum(), want_sum);
+            prop_assert_eq!(q.min_max(0).run(&t).min_max(), values().min().zip(values().max()));
         }
     }
 }

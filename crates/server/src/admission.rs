@@ -74,7 +74,7 @@ impl Default for AdmissionConfig {
             // Same shape as the governor's deep-queue threshold: a few
             // unclaimed tasks per hardware thread is normal fan-out churn,
             // beyond that the pool is saturated.
-            pool_queue_limit: 4 * std::thread::available_parallelism().map_or(1, |n| n.get()),
+            pool_queue_limit: 4 * hyrise_core::pool::default_threads(),
             write_backlog_limit: 1 << 20, // 1M unmerged rows
             write_release_fraction: 0.5,
             throttle_retry_after: Duration::from_millis(25),
@@ -407,6 +407,14 @@ mod tests {
             write_release_fraction: 0.5,
             throttle_retry_after: Duration::from_millis(10),
         }
+    }
+
+    #[test]
+    fn default_pool_queue_limit_follows_the_pool_size() {
+        assert_eq!(
+            AdmissionConfig::default().pool_queue_limit,
+            4 * hyrise_core::pool::default_threads()
+        );
     }
 
     #[test]

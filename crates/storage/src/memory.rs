@@ -5,12 +5,8 @@
 //! case against large deltas ("memory consumption increases") are both
 //! statements about this breakdown, so the substrate can report it.
 
-use crate::attribute::Attribute;
-use crate::column::Column;
-use crate::delta_partition::DeltaPartition;
 use crate::frozen::FrozenDelta;
 use crate::main_partition::MainPartition;
-use crate::table::Table;
 use crate::value::Value;
 
 /// Byte breakdown of one attribute.
@@ -20,10 +16,8 @@ pub struct MemoryReport {
     pub main_codes: usize,
     /// Main dictionary values.
     pub main_dict: usize,
-    /// Uncompressed delta values.
+    /// Uncompressed delta values (the live tail).
     pub delta_values: usize,
-    /// CSB+ tree (nodes + postings).
-    pub delta_index: usize,
     /// Local dictionaries of bit-packed frozen deltas (sealed mid-merge
     /// snapshots), counted at their compressed size.
     pub frozen_dict: usize,
@@ -32,32 +26,13 @@ pub struct MemoryReport {
 }
 
 impl MemoryReport {
-    /// Measure an attribute.
-    pub fn of_attribute<V: Value>(attr: &Attribute<V>) -> Self {
-        let main = attr.main();
-        let delta = attr.delta();
+    /// Measure a main partition — the read-optimized side of one column.
+    /// The live table adds its frozen deltas ([`Self::of_frozen`]) and the
+    /// raw tail (`delta_values`) on top, component by component.
+    pub fn of_main<V: Value>(main: &MainPartition<V>) -> Self {
         Self {
             main_codes: main.packed_codes().packed_bytes(),
             main_dict: main.dictionary().memory_bytes(),
-            delta_values: delta.len() * V::BYTES,
-            delta_index: delta.index().memory_bytes(),
-            ..Self::default()
-        }
-    }
-
-    /// Measure one column given as bare partitions — the shape the online
-    /// merge protocol holds (a main partition plus any number of delta
-    /// partitions: the active one, and the frozen one while a merge is in
-    /// flight). This is what table-level memory *pressure* samples are
-    /// built from: a resource governor that shrinks merge budgets wants the
-    /// same per-component accounting as [`Self::of_attribute`], without
-    /// requiring the column to live inside an [`Attribute`].
-    pub fn of_partitions<V: Value>(main: &MainPartition<V>, deltas: &[&DeltaPartition<V>]) -> Self {
-        Self {
-            main_codes: main.packed_codes().packed_bytes(),
-            main_dict: main.dictionary().memory_bytes(),
-            delta_values: deltas.iter().map(|d| d.len() * V::BYTES).sum(),
-            delta_index: deltas.iter().map(|d| d.index().memory_bytes()).sum(),
             ..Self::default()
         }
     }
@@ -73,32 +48,9 @@ impl MemoryReport {
         }
     }
 
-    /// Measure one (dynamically typed) column.
-    pub fn of_column(col: &Column) -> Self {
-        match col {
-            Column::U32(a) => Self::of_attribute(a),
-            Column::U64(a) => Self::of_attribute(a),
-            Column::V16(a) => Self::of_attribute(a),
-        }
-    }
-
-    /// Sum over all columns of a table.
-    pub fn of_table(table: &Table) -> Self {
-        table
-            .columns()
-            .iter()
-            .map(Self::of_column)
-            .fold(Self::default(), |a, b| a + b)
-    }
-
     /// Total bytes.
     pub fn total(&self) -> usize {
-        self.main_codes
-            + self.main_dict
-            + self.delta_values
-            + self.delta_index
-            + self.frozen_dict
-            + self.frozen_codes
+        self.main_codes + self.main_dict + self.delta_values + self.frozen_dict + self.frozen_codes
     }
 
     /// Bytes attributable to the read-optimized side.
@@ -110,7 +62,7 @@ impl MemoryReport {
     /// reclaims. Frozen deltas count here (at compressed size): they are
     /// sealed write-side rows a completed merge absorbs.
     pub fn delta_total(&self) -> usize {
-        self.delta_values + self.delta_index + self.frozen_dict + self.frozen_codes
+        self.delta_values + self.frozen_dict + self.frozen_codes
     }
 
     /// Compression factor of the main partition vs storing `n_main` raw
@@ -131,7 +83,6 @@ impl std::ops::Add for MemoryReport {
             main_codes: self.main_codes + rhs.main_codes,
             main_dict: self.main_dict + rhs.main_dict,
             delta_values: self.delta_values + rhs.delta_values,
-            delta_index: self.delta_index + rhs.delta_index,
             frozen_dict: self.frozen_dict + rhs.frozen_dict,
             frozen_codes: self.frozen_codes + rhs.frozen_codes,
         }
@@ -142,12 +93,11 @@ impl std::fmt::Display for MemoryReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "main codes {} B + dict {} B | delta values {} B + index {} B | \
+            "main codes {} B + dict {} B | delta values {} B | \
              frozen codes {} B + dict {} B = {} B",
             self.main_codes,
             self.main_dict,
             self.delta_values,
-            self.delta_index,
             self.frozen_codes,
             self.frozen_dict,
             self.total()
@@ -158,34 +108,33 @@ impl std::fmt::Display for MemoryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::{AnyValue, ColumnType};
-    use crate::main_partition::MainPartition;
-    use crate::table::{Schema, Table};
     use crate::value::V16;
+
+    /// The raw tail's charge, as the live table reports it.
+    fn tail_of(rows: usize) -> MemoryReport {
+        MemoryReport {
+            delta_values: rows * <u64 as Value>::BYTES,
+            ..MemoryReport::default()
+        }
+    }
 
     #[test]
     fn breakdown_of_mixed_attribute() {
-        let mut a = Attribute::from_main(MainPartition::from_values(
-            &(0..10_000u64).map(|i| i % 8).collect::<Vec<_>>(),
-        ));
-        for i in 0..1_000u64 {
-            a.append(i % 16);
-        }
-        let r = MemoryReport::of_attribute(&a);
+        let main = MainPartition::from_values(&(0..10_000u64).map(|i| i % 8).collect::<Vec<_>>());
+        let r = MemoryReport::of_main(&main) + tail_of(1_000);
         // 10K tuples at 3 bits = 3750 bytes rounded to words.
         assert_eq!(r.main_codes, (10_000 * 3usize).div_ceil(64) * 8);
         assert_eq!(r.main_dict, 8 * 8);
         assert_eq!(r.delta_values, 1_000 * 8);
-        assert!(r.delta_index > 0);
-        assert_eq!(r.total(), a.memory_bytes());
+        assert_eq!(r.total(), r.main_total() + r.delta_total());
+        assert_eq!(MemoryReport::of_main(&main).delta_total(), 0);
     }
 
     #[test]
     fn low_cardinality_wide_values_compress_heavily() {
         // The Figure 4 premise: 8 distinct 16-byte values over 50K rows.
         let vals: Vec<V16> = (0..50_000u64).map(|i| V16::from_seed(i % 8)).collect();
-        let a = Attribute::from_main(MainPartition::from_values(&vals));
-        let r = MemoryReport::of_attribute(&a);
+        let r = MemoryReport::of_main(&MainPartition::from_values(&vals));
         let factor = r.main_compression_factor(50_000, V16::BYTES);
         // 16 B -> 3 bits: ~42x. Allow word-rounding slack.
         assert!(factor > 30.0, "compression factor {factor}");
@@ -193,57 +142,43 @@ mod tests {
 
     #[test]
     fn of_partitions_matches_attribute_accounting() {
-        let mut a = Attribute::from_main(MainPartition::from_values(
-            &(0..5_000u64).map(|i| i % 37).collect::<Vec<_>>(),
-        ));
-        for i in 0..300u64 {
-            a.append(i % 64);
-        }
-        let via_attr = MemoryReport::of_attribute(&a);
-        let via_parts = MemoryReport::of_partitions(a.main(), &[a.delta()]);
-        assert_eq!(via_attr, via_parts);
-        // Two deltas (the mid-merge frozen + active shape) sum component-wise.
-        let two = MemoryReport::of_partitions(a.main(), &[a.delta(), a.delta()]);
-        assert_eq!(two.delta_values, 2 * via_parts.delta_values);
-        assert_eq!(two.delta_index, 2 * via_parts.delta_index);
-        assert_eq!(two.main_total(), via_parts.main_total());
-        // No deltas: the read-optimized side only.
-        let none = MemoryReport::of_partitions::<u64>(a.main(), &[]);
-        assert_eq!(none.delta_total(), 0);
-        assert_eq!(none.main_total(), via_parts.main_total());
+        // The report of an attribute's partitions agrees with the byte
+        // accounting each partition keeps itself.
+        let values: Vec<u64> = (0..5_000).map(|i| i % 37).collect();
+        let main = MainPartition::from_values(&values);
+        let frozen = FrozenDelta::from_values(&values[..300]);
+        let r = MemoryReport::of_main(&main) + MemoryReport::of_frozen(&frozen);
+        assert_eq!(r.main_total(), main.memory_bytes());
+        assert_eq!(r.delta_total(), frozen.memory_bytes());
     }
 
     #[test]
     fn delta_total_is_what_merging_reclaims() {
-        let mut a = Attribute::from_main(MainPartition::from_values(&[1u64, 2, 3]));
-        for i in 0..100u64 {
-            a.append(i);
-        }
-        let r = MemoryReport::of_attribute(&a);
+        let main = MemoryReport::of_main(&MainPartition::from_values(&[1u64, 2, 3]));
+        let frozen =
+            MemoryReport::of_frozen(&FrozenDelta::from_values(&(0..100u64).collect::<Vec<_>>()));
+        let r = main + frozen + tail_of(100);
         assert!(r.delta_total() > r.main_total());
-        assert_eq!(r.delta_total(), r.delta_values + r.delta_index);
+        assert_eq!(
+            r.delta_total(),
+            r.delta_values + r.frozen_dict + r.frozen_codes
+        );
     }
 
     #[test]
     fn table_report_sums_columns() {
-        let mut t = Table::new(
-            "t",
-            Schema::new(vec![("a", ColumnType::U64), ("b", ColumnType::U32)]),
-        );
-        for i in 0..500u64 {
-            t.insert_row(&[AnyValue::U64(i % 10), AnyValue::U32((i % 3) as u32)])
-                .unwrap();
-        }
-        let r = MemoryReport::of_table(&t);
-        let per_col: usize = t
-            .columns()
-            .iter()
-            .map(|c| MemoryReport::of_column(c).total())
-            .sum();
-        assert_eq!(r.total(), per_col);
-        assert_eq!(r.total(), t.memory_bytes());
+        // A table's report is the component-wise sum over its columns.
+        let a = MemoryReport::of_main(&MainPartition::from_values(
+            &(0..500u64).map(|i| i % 10).collect::<Vec<_>>(),
+        ));
+        let b = MemoryReport::of_main(&MainPartition::from_values(
+            &(0..500u32).map(|i| i % 3).collect::<Vec<_>>(),
+        ));
+        let r = a + b + tail_of(7);
+        assert_eq!(r.main_codes, a.main_codes + b.main_codes);
+        assert_eq!(r.main_dict, 10 * 8 + 3 * 4);
+        assert_eq!(r.total(), a.total() + b.total() + 7 * 8);
     }
-
     #[test]
     fn freezing_a_compressible_tail_strictly_reduces_reported_bytes() {
         // A compressible sealed tail: 20K rows, 50 distinct values. Raw
@@ -273,8 +208,7 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let a: Attribute<u64> = Attribute::empty();
-        let s = MemoryReport::of_attribute(&a).to_string();
+        let s = MemoryReport::default().to_string();
         assert!(s.contains("main codes"), "{s}");
         assert!(s.contains("= 0 B"), "{s}");
     }

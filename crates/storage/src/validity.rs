@@ -7,7 +7,7 @@
 //! partitions without reordering.
 //!
 //! Two representations share the bit layout: the plain [`ValidityBitmap`]
-//! (single-owner, used by the offline table and by snapshots) and the
+//! (single-owner, used by snapshots and recovery) and the
 //! [`AtomicValidity`] (shared, lock-free, used by the online table where
 //! inserts set bits concurrently with deletes clearing them and snapshots
 //! copying prefixes).

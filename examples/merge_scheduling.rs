@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() {
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let threads = hyrise::merge::pool::default_threads();
     let table = Arc::new(OnlineTable::<u64>::new(8));
     println!("loading 600K rows x 8 columns into the delta...");
     for i in 0..600_000u64 {

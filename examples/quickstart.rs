@@ -7,9 +7,9 @@
 //! back in — showing the dictionary growth (6 -> 9 values) and the code
 //! width growth (3 -> 4 bits) from the paper's running example.
 
-use hyrise::merge::{merge_column_optimized, parallel::merge_column_parallel};
+use hyrise::merge::{MergePipeline, MergeScratch, MergeStrategy, OnlineTable};
 use hyrise::query::Query;
-use hyrise::storage::{Attribute, DeltaPartition, MainPartition};
+use hyrise::storage::{DeltaPartition, MainPartition};
 
 fn main() {
     // The paper's column values, encoded as integers that preserve their
@@ -49,32 +49,35 @@ fn main() {
     println!();
 
     println!("== Queries spanning both partitions (the unified Query builder) ==");
-    let mut attr = Attribute::from_main(main.clone());
+    let table = OnlineTable::from_mains(vec![main.clone()]);
     for v in [2u64, 3, 7, 3, 25] {
-        attr.append(v);
+        table.insert_row(&[v]);
     }
+    let snap = table.snapshot();
     // Predicates compile to dictionary value-id ranges: the main partition
     // is scanned in code space (no tuple decoded), the delta by value.
     println!(
         "Query::scan(0).eq(3)         -> rows {:?}",
-        Query::scan(0).eq(3).run(&attr).into_rows()
+        Query::scan(0).eq(3).run(&snap).into_rows()
     );
     println!(
         "Query::scan(0).between(4, 8) -> rows {:?}",
-        Query::scan(0).between(4, 8).run(&attr).into_rows()
+        Query::scan(0).between(4, 8).run(&snap).into_rows()
     );
     println!(
         "  ...same query .sum(0)      -> {}",
-        Query::scan(0).between(4, 8).sum(0).run(&attr).sum()
+        Query::scan(0).between(4, 8).sum(0).run(&snap).sum()
     );
     println!(
         "  ...same query .min_max(0)  -> {:?}",
-        Query::scan(0).between(4, 8).min_max(0).run(&attr).min_max()
+        Query::scan(0).between(4, 8).min_max(0).run(&snap).min_max()
     );
     println!();
 
     println!("== The optimized merge (Section 5.3) ==");
-    let merged = merge_column_optimized(&main, &delta);
+    let mut scratch = MergeScratch::new();
+    let merged =
+        MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(&main, &delta, &mut scratch);
     println!(
         "merged dictionary : {:?} ({} values)",
         merged.main.dictionary().values(),
@@ -98,7 +101,8 @@ fn main() {
     println!();
 
     println!("== Same merge, multi-core (Section 6.2) ==");
-    let par = merge_column_parallel(&main, &delta, 4);
+    let par =
+        MergePipeline::new(MergeStrategy::Parallel, 4).merge_column(&main, &delta, &mut scratch);
     assert_eq!(
         par.main.dictionary().values(),
         merged.main.dictionary().values()

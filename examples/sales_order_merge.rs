@@ -8,7 +8,7 @@
 //! approx. 20 hours every month") against the optimized parallel merge on
 //! the same data, and extrapolates both to the paper's full table size.
 
-use hyrise::merge::{merge_column_naive, parallel::merge_column_parallel};
+use hyrise::merge::{MergePipeline, MergeScratch, MergeStrategy};
 use hyrise::storage::{DeltaPartition, MainPartition};
 use hyrise::workload::VbapScenario;
 use std::time::Duration;
@@ -17,7 +17,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale: f64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(0.002);
     let cols: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(12);
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let threads = hyrise::merge::pool::default_threads();
 
     let full = VbapScenario::paper();
     let s = full.scaled(scale).with_cols(cols);
@@ -36,8 +36,16 @@ fn main() {
         for v in s.generate_delta_column(c, dc) {
             delta.insert(v);
         }
-        let naive = merge_column_naive(&main, &delta, threads);
-        let opt = merge_column_parallel(&main, &delta, threads);
+        let naive = MergePipeline::new(MergeStrategy::Naive, threads).merge_column(
+            &main,
+            &delta,
+            &mut MergeScratch::new(),
+        );
+        let opt = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+            &main,
+            &delta,
+            &mut MergeScratch::new(),
+        );
         assert_eq!(
             naive.main.dictionary().values(),
             opt.main.dictionary().values(),

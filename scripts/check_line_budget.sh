@@ -1,0 +1,42 @@
+#!/usr/bin/env bash
+# Line budget: the engine's non-test source has a ceiling, and the
+# duplicate stack deleted to reach it stays deleted. A change that needs
+# more lines raises the ceiling here, in the same diff, where a reviewer
+# sees it (ROADMAP item 3 lists what is still to be removed).
+#
+#   scripts/check_line_budget.sh
+#
+# Counts every crates/*/src/**/*.rs and src/**/*.rs up to its test module
+# (the first `#[cfg(test)]` in column 0 — the same cut as
+# check_unsafe_budget.sh), prints the count per crate and in total, and
+# fails when the total exceeds the ceiling or when a name of the deleted
+# offline table stack, its operators or the per-strategy merge wrappers
+# reappears under crates/*/src.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+ceiling=19566
+
+gone='Attribute<|AnyValue|merge_table_parallel|merge_column_naive|merge_column_optimized|merge_column_parallel|group_by_sum|table_select'
+
+total=0
+for dir in crates/*/src src; do
+    lines=0
+    for file in $(find "$dir" -name '*.rs' | sort); do
+        lines=$((lines + $(sed '/^#\[cfg(test)\]/,$d' "$file" | wc -l)))
+    done
+    printf '%-20s %6d\n' "$dir" "$lines"
+    total=$((total + lines))
+done
+printf '%-20s %6d  (ceiling %d)\n' total "$total" "$ceiling"
+
+status=0
+if [ "$total" -gt "$ceiling" ]; then
+    echo "non-test lines exceed the ceiling: delete something, or raise it in $0 and say why in the change" >&2
+    status=1
+fi
+if grep -rnE "$gone" crates/*/src >&2; then
+    echo "a deleted name is back under crates/*/src (see the list in $0)" >&2
+    status=1
+fi
+exit "$status"

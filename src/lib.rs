@@ -8,18 +8,21 @@
 //! This crate re-exports the workspace crates under stable module names:
 //!
 //! * [`bitpack`] — fixed-width bit-packed vectors (`E_C` bits per code).
-//! * [`csb`] — the CSB+ tree indexing the delta partition.
-//! * [`storage`] — dictionaries, main/delta partitions, attributes, tables.
-//! * [`merge`] — the merge algorithms (naive, optimized, parallel), the
-//!   analytical cost model, the online merge manager, the one background
-//!   [`merge::MergeScheduler`] and the shared worker [`merge::Pool`] every
-//!   query and merge fans out on.
+//! * [`csb`] — the CSB+ tree indexing the paper's Section 4.1 delta
+//!   partition.
+//! * [`storage`] — dictionaries, main partitions, the tail log and frozen
+//!   deltas of the live table, the Section 4.1 delta partition, validity.
+//! * [`merge`] — the merge ([`merge::MergePipeline`] under a
+//!   [`merge::MergeStrategy`]: naive, optimized, parallel), the analytical
+//!   cost model, the one table type [`merge::OnlineTable`] with its online
+//!   merge, the one background [`merge::MergeScheduler`] and the shared
+//!   worker [`merge::Pool`] every query and merge fans out on.
 //! * [`shard`] — the scale-out layer: [`shard::ShardedTable`] partitions
 //!   rows across N online tables, each merged independently.
 //! * [`query`] — the unified query layer: the [`query::Query`] builder and
-//!   the one [`query::Executor`] trait behind every backend (attribute,
-//!   snapshot, online table, sharded table, heterogeneous table), with
-//!   equality/range predicates pushed down to dictionary value-id space.
+//!   the one [`query::Executor`] trait behind every backend (snapshot,
+//!   online table, sharded table), with equality/range predicates pushed
+//!   down to dictionary value-id space.
 //! * [`workload`] — the Section 2 enterprise-data model and generators.
 //! * [`server`] — the network front-end: the length-prefixed wire
 //!   protocol, the multi-tenant table [`server::Catalog`], the

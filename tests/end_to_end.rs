@@ -1,21 +1,21 @@
-//! End-to-end lifecycle tests: a mixed-type table under the insert-only
-//! model, merged repeatedly, checked against a plain row-store reference
-//! after every wave.
+//! End-to-end lifecycle tests of the live table at every value length of
+//! Section 7 (`E_j` = 4, 8 and 16 bytes): the insert-only model, merged
+//! repeatedly, checked against a plain row-store reference after every
+//! wave.
 
-use hyrise::merge::parallel::merge_table_parallel;
-use hyrise::query::{table_select, Query};
-use hyrise::storage::Value as _;
-use hyrise::storage::{AnyValue, ColumnType, Schema, Table, V16};
+use hyrise::merge::OnlineTable;
+use hyrise::query::Query;
+use hyrise::storage::{Value, V16};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Plain reference: rows + validity flags.
-struct Reference {
-    rows: Vec<Vec<AnyValue>>,
+struct Reference<V> {
+    rows: Vec<Vec<V>>,
     valid: Vec<bool>,
 }
 
-impl Reference {
+impl<V: Value> Reference<V> {
     fn new() -> Self {
         Self {
             rows: Vec::new(),
@@ -23,13 +23,13 @@ impl Reference {
         }
     }
 
-    fn insert(&mut self, row: Vec<AnyValue>) -> usize {
+    fn insert(&mut self, row: Vec<V>) -> usize {
         self.rows.push(row);
         self.valid.push(true);
         self.rows.len() - 1
     }
 
-    fn update(&mut self, old: usize, row: Vec<AnyValue>) -> usize {
+    fn update(&mut self, old: usize, row: Vec<V>) -> usize {
         let id = self.insert(row);
         self.valid[old] = false;
         id
@@ -38,36 +38,36 @@ impl Reference {
     fn delete(&mut self, row: usize) {
         self.valid[row] = false;
     }
-}
 
-fn check_equal(table: &Table, reference: &Reference) {
-    assert_eq!(table.row_count(), reference.rows.len());
-    for (r, want) in reference.rows.iter().enumerate() {
-        assert_eq!(&table.row(r).unwrap(), want, "row {r}");
-        assert_eq!(table.is_valid(r), reference.valid[r], "validity of row {r}");
+    /// Valid rows satisfying `pred`, row at a time.
+    fn select(&self, pred: impl Fn(&[V]) -> bool) -> Vec<usize> {
+        (0..self.rows.len())
+            .filter(|&r| self.valid[r] && pred(&self.rows[r]))
+            .collect()
     }
-    assert_eq!(
-        table.valid_row_count(),
-        reference.valid.iter().filter(|v| **v).count()
-    );
+
+    fn check_equal(&self, table: &OnlineTable<V>) {
+        assert_eq!(table.row_count(), self.rows.len());
+        for (r, want) in self.rows.iter().enumerate() {
+            assert_eq!(&table.row(r), want, "row {r}");
+            assert_eq!(table.is_valid(r), self.valid[r], "validity of row {r}");
+        }
+        assert_eq!(
+            table.valid_row_count(),
+            self.valid.iter().filter(|v| **v).count()
+        );
+    }
 }
 
-fn random_row(rng: &mut StdRng) -> Vec<AnyValue> {
-    vec![
-        AnyValue::U64(rng.gen_range(0..500)),
-        AnyValue::U32(rng.gen_range(0..100)),
-        AnyValue::V16(V16::from_seed(rng.gen_range(0..50))),
-    ]
+/// (order, qty, doc) with 500 / 100 / 50 distinct values.
+fn random_row<V: Value>(rng: &mut StdRng) -> Vec<V> {
+    [500, 100, 50]
+        .map(|distinct| V::from_seed(rng.gen_range(0..distinct)))
+        .to_vec()
 }
 
-#[test]
-fn mixed_type_table_through_four_merge_waves() {
-    let schema = Schema::new(vec![
-        ("order", ColumnType::U64),
-        ("qty", ColumnType::U32),
-        ("doc", ColumnType::V16),
-    ]);
-    let mut table = Table::new("orders", schema);
+fn four_merge_waves<V: Value>() {
+    let table = OnlineTable::<V>::new(3);
     let mut reference = Reference::new();
     let mut rng = StdRng::seed_from_u64(2024);
 
@@ -77,99 +77,94 @@ fn mixed_type_table_through_four_merge_waves() {
             match rng.gen_range(0..10) {
                 0..=6 => {
                     let row = random_row(&mut rng);
-                    table.insert_row(&row).unwrap();
+                    table.insert_row(&row);
                     reference.insert(row);
                 }
                 7..=8 if !reference.rows.is_empty() => {
                     let old = rng.gen_range(0..reference.rows.len());
                     let row = random_row(&mut rng);
-                    table.update_row(old, &row).unwrap();
+                    table.update_row(old, &row);
                     reference.update(old, row);
                 }
                 _ if !reference.rows.is_empty() => {
                     let victim = rng.gen_range(0..reference.rows.len());
-                    table.delete_row(victim).unwrap();
+                    table.delete_row(victim);
                     reference.delete(victim);
                 }
                 _ => {}
             }
         }
-        check_equal(&table, &reference);
+        reference.check_equal(&table);
 
         // Merge and re-check: the merge must be observably a no-op for reads.
-        let stats = merge_table_parallel(&mut table, 4);
+        let stats = table.merge(4, None).unwrap();
         assert_eq!(stats.columns.len(), 3);
         assert_eq!(table.delta_len(), 0, "wave {wave}: everything merged");
-        check_equal(&table, &reference);
+        reference.check_equal(&table);
     }
     assert!(table.main_len() > 3_000, "several waves' rows live in main");
 }
 
 #[test]
-fn queries_agree_before_and_after_merge() {
-    let schema = Schema::new(vec![("k", ColumnType::U64), ("v", ColumnType::U32)]);
-    let mut table = Table::new("t", schema);
+fn mixed_type_table_through_four_merge_waves() {
+    four_merge_waves::<u32>();
+    four_merge_waves::<u64>();
+    four_merge_waves::<V16>();
+}
+
+fn queries_agree_across_a_merge<V: Value>() {
+    let table = OnlineTable::<V>::new(2);
+    let mut reference = Reference::new();
     let mut rng = StdRng::seed_from_u64(7);
+    let v = V::from_seed;
     for _ in 0..3_000 {
-        table
-            .insert_row(&[
-                AnyValue::U64(rng.gen_range(0..50)),
-                AnyValue::U32(rng.gen_range(0..10)),
-            ])
-            .unwrap();
+        let row = vec![v(rng.gen_range(0..50)), v(rng.gen_range(0..10))];
+        table.insert_row(&row);
+        reference.insert(row);
     }
     // Some history churn.
     for _ in 0..300 {
         let old = rng.gen_range(0..table.row_count());
-        table
-            .update_row(
-                old,
-                &[AnyValue::U64(rng.gen_range(0..50)), AnyValue::U32(1)],
-            )
-            .unwrap();
+        let row = vec![v(rng.gen_range(0..50)), v(1)];
+        table.update_row(old, &row);
+        reference.update(old, row);
     }
 
-    let probe = 17u64;
-    let before_eq = Query::scan(0)
-        .eq(AnyValue::U64(probe))
-        .run(&table)
-        .into_rows();
-    let before_pred = table_select(
-        &table,
-        |row| matches!((row[0], row[1]), (AnyValue::U64(k), AnyValue::U32(v)) if k < 5 && v > 3),
-    );
+    let eq = Query::scan(0).eq(v(17));
+    let conj = Query::scan(0)
+        .between(v(0), v(4))
+        .and(1)
+        .between(v(4), v(9));
+    let want_eq = reference.select(|row| row[0] == v(17));
+    let want_conj = reference.select(|row| row[0] < v(5) && row[1] > v(3));
+    assert!(!want_eq.is_empty() && !want_conj.is_empty());
 
-    merge_table_parallel(&mut table, 4);
-
-    assert_eq!(
-        Query::scan(0)
-            .eq(AnyValue::U64(probe))
-            .run(&table)
-            .into_rows(),
-        before_eq
-    );
-    let after_pred = table_select(
-        &table,
-        |row| matches!((row[0], row[1]), (AnyValue::U64(k), AnyValue::U32(v)) if k < 5 && v > 3),
-    );
-    assert_eq!(after_pred, before_pred);
+    assert_eq!(eq.run(&table).into_rows(), want_eq);
+    assert_eq!(conj.run(&table).into_rows(), want_conj);
+    table.merge(4, None).unwrap();
+    assert_eq!(eq.run(&table).into_rows(), want_eq);
+    assert_eq!(conj.run(&table).into_rows(), want_conj);
 }
 
 #[test]
-fn dictionary_shrinks_memory_versus_uncompressed() {
-    // The compression premise (Section 2 / Figure 4): low-cardinality
-    // columns compress massively under dictionary + bit-packing.
-    let schema = Schema::new(vec![("status", ColumnType::V16)]);
-    let mut table = Table::new("t", schema);
+fn queries_agree_before_and_after_merge() {
+    queries_agree_across_a_merge::<u32>();
+    queries_agree_across_a_merge::<u64>();
+    queries_agree_across_a_merge::<V16>();
+}
+
+/// The compression premise (Section 2 / Figure 4): low-cardinality columns
+/// compress massively under dictionary + bit-packing.
+fn merge_compresses_tenfold<V: Value>() {
+    let table = OnlineTable::<V>::new(1);
     for i in 0..20_000u64 {
-        table
-            .insert_row(&[AnyValue::V16(V16::from_seed(i % 8))])
-            .unwrap();
+        table.insert_row(&[V::from_seed(i % 8)]);
     }
-    let before = table.memory_bytes();
-    merge_table_parallel(&mut table, 2);
-    let after = table.memory_bytes();
-    // 20K x 16B = 320KB raw; merged: 3 bits/tuple + 8-entry dictionary.
+    let before = table.memory_report().total();
+    table.merge(2, None).unwrap();
+    let after = table.memory_report().total();
+    // 20K x E_j bytes raw; merged: 3 bits/tuple + 8-entry dictionary.
+    assert_eq!(before, 20_000 * V::BYTES);
     assert!(
         after < before / 10,
         "merge must compress: {before} -> {after}"
@@ -178,4 +173,11 @@ fn dictionary_shrinks_memory_versus_uncompressed() {
         after < 20_000,
         "3-bit codes for 20K tuples stay under 20KB, got {after}"
     );
+}
+
+#[test]
+fn dictionary_shrinks_memory_versus_uncompressed() {
+    merge_compresses_tenfold::<u32>();
+    merge_compresses_tenfold::<u64>();
+    merge_compresses_tenfold::<V16>();
 }

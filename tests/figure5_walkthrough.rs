@@ -2,8 +2,7 @@
 //! crate's public API. Every concrete number in the figures is asserted.
 
 use hyrise::bitpack::bits_for;
-use hyrise::merge::parallel::merge_column_parallel;
-use hyrise::merge::{merge_column_naive, merge_column_optimized, merge_dictionaries};
+use hyrise::merge::{merge_dictionaries, MergePipeline, MergeScratch, MergeStrategy};
 use hyrise::storage::{DeltaPartition, MainPartition};
 
 /// Word encoding preserving lexicographic order:
@@ -89,7 +88,11 @@ fn figure6_step1b_auxiliary_structures() {
 fn figure6_step2b_lookup_replaces_search() {
     let main = paper_main();
     let delta = paper_delta();
-    let out = merge_column_optimized(&main, &delta);
+    let out = MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(
+        &main,
+        &delta,
+        &mut MergeScratch::new(),
+    );
     // "the first compressed value in the main partition has a compressed
     // value of 4 ... the value stored at index 4 in the auxiliary structure
     // ... corresponds to 6" — and 9 unique values need 4 bits.
@@ -111,10 +114,24 @@ fn figure6_step2b_lookup_replaces_search() {
 fn all_algorithms_reproduce_the_figure() {
     let main = paper_main();
     let delta = paper_delta();
-    let reference = merge_column_optimized(&main, &delta);
+    let reference = MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(
+        &main,
+        &delta,
+        &mut MergeScratch::new(),
+    );
     for (name, out) in [
-        ("naive", merge_column_naive(&main, &delta, 2).main),
-        ("parallel", merge_column_parallel(&main, &delta, 3).main),
+        (
+            "naive",
+            MergePipeline::new(MergeStrategy::Naive, 2)
+                .merge_column(&main, &delta, &mut MergeScratch::new())
+                .main,
+        ),
+        (
+            "parallel",
+            MergePipeline::new(MergeStrategy::Parallel, 3)
+                .merge_column(&main, &delta, &mut MergeScratch::new())
+                .main,
+        ),
     ] {
         assert_eq!(
             out.dictionary().values(),

@@ -2,8 +2,7 @@
 //! parallel merges must produce bit-identical partitions across value types,
 //! uniqueness regimes and repeated merge generations.
 
-use hyrise::merge::parallel::merge_column_parallel;
-use hyrise::merge::{merge_column_naive, merge_column_optimized};
+use hyrise::merge::{MergePipeline, MergeScratch, MergeStrategy};
 use hyrise::storage::{DeltaPartition, MainPartition, Value, V16};
 use hyrise::workload::values::{values_with_unique, UniqueSpec};
 use rand::rngs::StdRng;
@@ -18,9 +17,15 @@ fn delta_from<V: Value>(values: &[V]) -> DeltaPartition<V> {
 }
 
 fn assert_all_equal<V: Value>(main: &MainPartition<V>, delta: &DeltaPartition<V>, threads: usize) {
-    let a = merge_column_naive(main, delta, threads).main;
-    let b = merge_column_optimized(main, delta).main;
-    let c = merge_column_parallel(main, delta, threads).main;
+    let a = MergePipeline::new(MergeStrategy::Naive, threads)
+        .merge_column(main, delta, &mut MergeScratch::new())
+        .main;
+    let b = MergePipeline::new(MergeStrategy::Optimized, 1)
+        .merge_column(main, delta, &mut MergeScratch::new())
+        .main;
+    let c = MergePipeline::new(MergeStrategy::Parallel, threads)
+        .merge_column(main, delta, &mut MergeScratch::new())
+        .main;
     assert_eq!(a.dictionary().values(), b.dictionary().values());
     assert_eq!(b.dictionary().values(), c.dictionary().values());
     let ca: Vec<u64> = a.codes().collect();
@@ -96,7 +101,9 @@ fn five_merge_generations_stay_consistent() {
         let spec = UniqueSpec::from_lambda(4_000, 0.2).offset(gen * 300);
         let delta_vals: Vec<u64> = values_with_unique(&mut rng, spec);
         all.extend_from_slice(&delta_vals);
-        main = merge_column_parallel(&main, &delta_from(&delta_vals), 6).main;
+        main = MergePipeline::new(MergeStrategy::Parallel, 6)
+            .merge_column(&main, &delta_from(&delta_vals), &mut MergeScratch::new())
+            .main;
 
         let reference = MainPartition::from_values(&all);
         assert_eq!(
@@ -123,7 +130,9 @@ fn code_width_growth_across_generations() {
         let add = main.dictionary().len();
         let delta = delta_from(&(next_value..next_value + add as u64).collect::<Vec<_>>());
         next_value += add as u64;
-        main = merge_column_parallel(&main, &delta, 4).main;
+        main = MergePipeline::new(MergeStrategy::Parallel, 4)
+            .merge_column(&main, &delta, &mut MergeScratch::new())
+            .main;
         assert_eq!(
             main.code_bits(),
             expected_bits,
