@@ -7,6 +7,14 @@
 //! Every pool timing is preceded by an equivalence assert against the
 //! serial output, so the gate can never reward a wrong parallel combine.
 //!
+//! Two more shapes time zone-map pruning on a second 1M-row table: a key
+//! `lookup` and a 1 000-key `range1k` count, each over an `ascending` key
+//! column (one zone block survives, so the read stays on the calling
+//! thread) and over a `shuffled` permutation of the same keys (every block
+//! survives — the no-prune control), each as `serial` and `pool2`. Every
+//! answer is asserted against a naive fold over the generated rows before
+//! timing.
+//!
 //! Interpreting the numbers: on the 1-core CI container the pool adds a
 //! helper task on the caller's only core, so `poolN` gates *parity plus
 //! bounded scheduling overhead*, not speedup — `pool1` in particular is
@@ -41,6 +49,39 @@ fn table() -> OnlineTable<u64> {
         t.insert_row(&[y % 1009, y % 65_537]);
     }
     t
+}
+
+/// 1M rows: col 0 the ascending keys `0..N`, col 1 the same keys shuffled
+/// (`i * 7919 mod N`, a permutation since 7919 is coprime to `N`).
+fn keyed_rows() -> Vec<[u64; 2]> {
+    (0..N as u64).map(|i| [i, i * 7_919 % N as u64]).collect()
+}
+
+fn bench_zone_pruning(c: &mut Criterion) {
+    let rows = keyed_rows();
+    let t = OnlineTable::new(COLS);
+    t.insert_rows(&rows).expect("in-memory insert");
+    let _ = t.merge(1, None);
+    let snap = t.snapshot();
+    let mut g = c.benchmark_group("morsel_scan");
+    g.sample_size(15);
+    let key = 654_321u64;
+    for (layout, col) in [("ascending", 0usize), ("shuffled", 1)] {
+        for (shape, hi) in [("lookup", key), ("range1k", key + 999)] {
+            let q = Query::scan(col).between(key, hi).count();
+            let want = rows.iter().filter(|r| (key..=hi).contains(&r[col])).count();
+            for (hint, label) in [(1usize, "serial"), (2, "pool2")] {
+                let hq = q.clone().with_threads(hint);
+                assert_eq!(hq.run(&snap).count(), want, "{shape}/{layout}/{label}");
+                g.bench_with_input(
+                    BenchmarkId::new(format!("{shape}/{layout}"), label),
+                    &hq,
+                    |b, q| b.iter(|| black_box(q.run(&snap))),
+                );
+            }
+        }
+    }
+    g.finish();
 }
 
 fn bench_morsel_scan(c: &mut Criterion) {
@@ -83,5 +124,5 @@ fn bench_morsel_scan(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_morsel_scan);
+criterion_group!(benches, bench_morsel_scan, bench_zone_pruning);
 criterion_main!(benches);

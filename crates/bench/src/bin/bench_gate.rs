@@ -4,7 +4,8 @@
 //! # Fail (exit 1) on any bench whose median regressed >25% vs baseline:
 //! bench_gate check bench_output.txt
 //!
-//! # Rewrite the committed baseline from a fresh run's output:
+//! # Add or refresh, in the committed baseline, every entry a run measured
+//! # (entries it did not measure keep their medians):
 //! bench_gate update bench_output.txt
 //! ```
 //!
@@ -52,7 +53,13 @@ fn main() {
 
     match mode.as_str() {
         "update" => {
-            std::fs::write(&baseline_path, to_json(&current))
+            let mut merged = match std::fs::read_to_string(&baseline_path) {
+                Ok(text) => parse_json(&text).unwrap_or_else(|e| fail(&e)),
+                Err(_) => Vec::new(),
+            };
+            // `to_json` keys by name, so this run's medians replace older ones.
+            merged.extend(current.iter().cloned());
+            std::fs::write(&baseline_path, to_json(&merged))
                 .unwrap_or_else(|e| fail(&format!("cannot write {baseline_path}: {e}")));
             println!(
                 "bench_gate: wrote {} medians to {baseline_path}",

@@ -35,7 +35,7 @@
 use crate::pool::Pool;
 use crate::stats::{ColumnMergeStats, MergeAlgo, MergeOutput};
 use hyrise_bitpack::{bits_for, BitPackedVec, BitRegion};
-use hyrise_storage::{DeltaPartition, Dictionary, FrozenDelta, MainPartition, Value};
+use hyrise_storage::{DeltaPartition, Dictionary, FrozenDelta, MainPartition, Value, ZONE_ROWS};
 use std::sync::atomic::AtomicU32;
 use std::time::Instant;
 
@@ -766,7 +766,7 @@ impl MergePipeline {
                 effective_threads(requested, n_m + n_d, MIN_TUPLES_PER_THREAD)
             }
         };
-        let codes = match self.strategy {
+        let (codes, zones) = match self.strategy {
             MergeStrategy::Naive => {
                 // Materialize each tuple's value, then binary-search U'_M
                 // (Equation 5's log factor). Figure 7 parallelizes the
@@ -886,7 +886,7 @@ impl MergePipeline {
         };
         let dict = Dictionary::from_sorted_unique(merged);
         MergeOutput {
-            main: MainPartition::from_parts(dict, codes),
+            main: MainPartition::with_carried_zones(dict, codes, zones),
             stats,
         }
     }
@@ -927,6 +927,12 @@ fn union_into<V: Value>(u_m: &[V], u_d: &[V], merged: &mut Vec<V>) {
 /// ("each thread reads/writes from/to independent chunks of tables",
 /// Section 6.2.2). `words` is the (possibly recycled) output buffer;
 /// `threads` is the final team size (the caller applies any clamping).
+///
+/// Also returns the zone map of the output's leading blocks, carried
+/// rather than rescanned: every full old block keeps its rows, and
+/// `map_main` is strictly increasing, so its new zone is
+/// `(map(min), map(max))` — O(N_M / ZONE_ROWS) lookups. The straddling
+/// block and the delta rows after it are left for the caller to scan.
 #[allow(clippy::too_many_arguments)]
 fn reencode<V: Value, DC: FnMut() -> u64>(
     main: &MainPartition<V>,
@@ -937,7 +943,7 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
     observer: Option<(&dyn StepSink, usize)>,
     map_main: impl Fn(u64) -> u64 + Sync,
     mk_delta: impl Fn(usize) -> DC + Sync,
-) -> BitPackedVec {
+) -> (BitPackedVec, Vec<(u32, u32)>) {
     let n_m = main.len();
     let n_total = n_m + n_d;
     let mut codes = BitPackedVec::zeroed_in(bits_after, n_total, words);
@@ -970,7 +976,13 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
     let regions = codes.split_mut(threads).into_regions();
     let total = regions.len() as u64;
     Pool::global().run_each(regions, threads, |_, region| fill(region, total));
-    codes
+    let mut zones = Vec::with_capacity(n_total.div_ceil(ZONE_ROWS));
+    zones.extend(
+        main.zones()[..n_m / ZONE_ROWS]
+            .iter()
+            .map(|&(lo, hi)| (map_main(lo as u64) as u32, map_main(hi as u64) as u32)),
+    );
+    (codes, zones)
 }
 
 #[cfg(test)]
@@ -1308,6 +1320,104 @@ mod tests {
             );
             assert_eq!(out.main.len(), 3, "{strategy:?}");
             assert_eq!(out.main.get(2), 2, "{strategy:?}");
+        }
+    }
+
+    /// Per-block min/max recomputed from the codes, block by block.
+    fn brute_zones(m: &MainPartition<u64>) -> Vec<(u32, u32)> {
+        let codes: Vec<u32> = (0..m.len()).map(|i| m.code(i)).collect();
+        codes
+            .chunks(ZONE_ROWS)
+            .map(|b| (*b.iter().min().unwrap(), *b.iter().max().unwrap()))
+            .collect()
+    }
+
+    const STRATEGIES: [MergeStrategy; 3] = [
+        MergeStrategy::Naive,
+        MergeStrategy::Optimized,
+        MergeStrategy::Parallel,
+    ];
+
+    #[test]
+    fn carried_zones_equal_a_rescan_at_every_main_length() {
+        // Even main values, odd delta values: every delta value lands
+        // between two main codes, so X_M shifts every carried zone.
+        let mut next = xorshift(5);
+        for n_m in [0usize, 1, 4095, 4096, 4097, 3 * ZONE_ROWS + 100] {
+            for n_d in [0usize, 5, 5_000] {
+                let main =
+                    MainPartition::from_values(&(0..n_m as u64).map(|i| 2 * i).collect::<Vec<_>>());
+                let delta_vals: Vec<u64> = (0..n_d).map(|_| 2 * (next() % 20_000) + 1).collect();
+                let delta = delta_from(&delta_vals);
+                for strategy in STRATEGIES {
+                    for threads in [1usize, 3] {
+                        let out = MergePipeline::new(strategy, threads).merge_column(
+                            &main,
+                            &delta,
+                            &mut MergeScratch::new(),
+                        );
+                        assert_eq!(
+                            out.main.zones(),
+                            &brute_zones(&out.main)[..],
+                            "{strategy:?}/{threads}: {n_m}+{n_d}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn carried_zones_survive_code_width_growth_at_powers_of_two() {
+        // A main of exactly 2^k distinct values (k-bit codes) gains one new
+        // value below all of them (k + 1 bits, every code shifts by one) or
+        // none (the width stays).
+        for k in 1..=12u32 {
+            let distinct = 1u64 << k;
+            let vals: Vec<u64> = (0..2 * ZONE_ROWS as u64 + 9)
+                .map(|i| 1 + (i * distinct) / (2 * ZONE_ROWS as u64 + 9))
+                .collect();
+            let main = MainPartition::from_values(&vals);
+            assert_eq!(main.code_bits() as u32, k);
+            for (delta_vals, bits) in [(vec![0u64], k + 1), (vec![1u64], k)] {
+                for strategy in STRATEGIES {
+                    let out = MergePipeline::new(strategy, 2).merge_column(
+                        &main,
+                        &delta_from(&delta_vals),
+                        &mut MergeScratch::new(),
+                    );
+                    assert_eq!(out.main.code_bits() as u32, bits, "{strategy:?} k={k}");
+                    assert_eq!(
+                        out.main.zones(),
+                        &brute_zones(&out.main)[..],
+                        "{strategy:?} k={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_mains_tables_keep_and_carry_zones() {
+        use crate::OnlineTable;
+        let keys = MainPartition::from_values(&(0..10_000u64).collect::<Vec<_>>());
+        let single = MainPartition::from_values(&vec![42u64; 10_000]);
+        let want = (keys.zones().to_vec(), single.zones().to_vec());
+        let t = OnlineTable::from_mains(vec![keys, single]);
+        let snap = t.snapshot();
+        assert_eq!(snap.col(0).main().zones(), &want.0[..]);
+        assert_eq!(snap.col(1).main().zones(), &want.1[..]);
+        // New keys sort after the old ones; the single-value column gains
+        // a smaller value, which shifts the code of every old row.
+        for i in 0..3_000u64 {
+            t.insert_row(&[i + 20_000, 7 + i % 2 * 35]);
+        }
+        t.merge(2, None).unwrap();
+        let snap = t.snapshot();
+        for c in 0..2 {
+            let main = snap.col(c).main();
+            assert_eq!(main.len(), 13_000);
+            assert_eq!(main.zones(), &brute_zones(main)[..], "column {c}");
         }
     }
 

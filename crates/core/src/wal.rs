@@ -647,10 +647,17 @@ fn read_main_partition<V: Value>(r: &mut Reader<'_>) -> Result<MainPartition<V>>
             "main partition geometry out of range",
         ));
     }
-    Ok(MainPartition::from_parts(
+    MainPartition::from_parts(
         Dictionary::from_sorted_unique(dict),
         BitPackedVec::from_words(bits, n_codes, words),
-    ))
+    )
+    .ok_or_else(|| {
+        Error::corrupt(
+            r.path,
+            r.pos as u64,
+            "main partition code outside its dictionary",
+        )
+    })
 }
 
 /// Atomically persist the committed mains + validity prefix: build the
@@ -1247,6 +1254,31 @@ mod tests {
         assert!(read_checkpoint::<u64>(&empty).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&empty).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_code_past_its_dictionary_is_corrupt() {
+        // A 3-value dictionary packs its codes in 2 bits, so code 3 fits
+        // the width but indexes past the dictionary. The geometry checks
+        // pass and the CRC is valid; only the zone pass sees the code.
+        let dir = temp_dir("ckpt-code");
+        let main = MainPartition::from_values(&[10u64, 20, 30, 10]);
+        let validity = ValidityBitmap::all_valid(4);
+        write_checkpoint(&dir, &[&main], &validity).unwrap();
+        let path = dir.join(CHECKPOINT_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        // Header (magic, value width, columns, rows) = 24 bytes, then the
+        // dictionary (length + 3 values), the code width, the code and
+        // word counts: the first code word starts at byte 73.
+        assert_eq!(bytes[24 + 8 + 24], 2, "2-bit codes");
+        bytes[73] |= 0b11; // row 0: code 0 -> 3
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let err = read_checkpoint::<u64>(&dir).err().expect("rejected");
+        assert!(matches!(err, Error::Corrupt { .. }), "got {err:?}");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -5,10 +5,16 @@
 //! main partitions (dictionary values and packed code words), the same
 //! validity, the same visible rows. On a single [`OnlineTable`] and on
 //! 1–4-shard hash- and range-partitioned [`ShardedTable`]s.
+//!
+//! Every compared main partition's zone map — carried through the merge's
+//! code map, never rescanned for full old blocks — must also equal a
+//! brute-force per-block min/max of its codes; an ascending bulk prefix
+//! gives the mains several narrow-zoned blocks for the carry to get wrong.
 
 use hyrise_core::governor::{GovernorConfig, LoadView, ResourceGovernor};
 use hyrise_core::shard::{ShardBy, ShardRowId, ShardedTable};
 use hyrise_core::{MergeBudget, MergeGrant, MergePolicy, MergeStrategy, OnlineTable};
+use hyrise_storage::{MainPartition, ZONE_ROWS};
 use proptest::prelude::*;
 
 const COLS: usize = 3;
@@ -17,6 +23,22 @@ const COLS: usize = 3;
 fn row(seed: u64) -> Vec<u64> {
     (0..COLS as u64)
         .map(|c| seed.wrapping_mul(0x9E37).wrapping_add(c * 1_000_003) % 100_000)
+        .collect()
+}
+
+/// Row `i` of the ascending bulk prefix: a monotonic key, a clustered
+/// column and a short cycle.
+fn bulk_row(i: u64) -> Vec<u64> {
+    vec![i, i / 700, i % 97]
+}
+
+/// The zone map recomputed from scratch: per block of `ZONE_ROWS` rows,
+/// the smallest and largest code.
+fn brute_zones(main: &MainPartition<u64>) -> Vec<(u32, u32)> {
+    let codes: Vec<u32> = (0..main.len()).map(|i| main.code(i)).collect();
+    codes
+        .chunks(ZONE_ROWS)
+        .map(|b| (*b.iter().min().unwrap(), *b.iter().max().unwrap()))
         .collect()
 }
 
@@ -56,11 +78,23 @@ fn decode(code: u8, a: u64, b: u64) -> Op {
     }
 }
 
-/// Byte-level equality of two online tables' main partitions + validity.
+/// Byte-level equality of two online tables' main partitions + validity,
+/// and both zone maps equal to the brute-force one.
 fn assert_tables_identical(a: &OnlineTable<u64>, b: &OnlineTable<u64>, what: &str) {
     let (sa, sb) = (a.snapshot(), b.snapshot());
     assert_eq!(sa.row_count(), sb.row_count(), "{what}: row counts");
     for c in 0..COLS {
+        let want = brute_zones(sa.col(c).main());
+        assert_eq!(
+            sa.col(c).main().zones(),
+            &want[..],
+            "{what}: column {c} reference zones"
+        );
+        assert_eq!(
+            sb.col(c).main().zones(),
+            &want[..],
+            "{what}: column {c} zones"
+        );
         assert_eq!(
             sa.col(c).main().dictionary().values(),
             sb.col(c).main().dictionary().values(),
@@ -90,12 +124,25 @@ proptest! {
         t1 in 1usize..5,
         t2 in 1usize..5,
         t3 in 1usize..5,
+        bulk in 0u64..3,
         ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..180),
     ) {
         let grants = configs(t1, t2, t3);
+        // One table per grant, plus one merged column by column through a
+        // stepped `MergeSession` (last).
         let tables: Vec<OnlineTable<u64>> =
-            (0..grants.len()).map(|_| OnlineTable::new(COLS)).collect();
+            (0..=grants.len()).map(|_| OnlineTable::new(COLS)).collect();
+        let stepped = &tables[grants.len()];
+        let step_merge = || {
+            let mut session = stepped.begin_incremental_merge(t2);
+            while session.step() {}
+            session.finish();
+        };
+        let prefix: Vec<Vec<u64>> = (0..bulk * 2_500).map(bulk_row).collect();
         let mut ids: Vec<usize> = Vec::new();
+        for t in &tables {
+            ids = t.insert_rows(&prefix).unwrap().collect();
+        }
         for &(code, a, b) in &ops {
             match decode(code, a, b) {
                 Op::Insert { seed } => {
@@ -131,6 +178,7 @@ proptest! {
                     for (t, g) in tables.iter().zip(&grants) {
                         t.merge_with(*g, None).unwrap();
                     }
+                    step_merge();
                 }
             }
         }
@@ -139,7 +187,10 @@ proptest! {
             t.merge_with(*g, None).unwrap();
             prop_assert_eq!(t.delta_len(), 0);
         }
-        for (k, t) in tables.iter().enumerate().skip(1) {
+        step_merge();
+        prop_assert_eq!(stepped.delta_len(), 0);
+        assert_tables_identical(&tables[0], stepped, "stepped merge session");
+        for (k, t) in tables[..grants.len()].iter().enumerate().skip(1) {
             assert_tables_identical(&tables[0], t, &format!("grant {:?}", grants[k]));
         }
     }

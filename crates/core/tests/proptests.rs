@@ -1,6 +1,7 @@
 //! Property tests: the three merge implementations must agree with each
 //! other and with an oracle built from plain sorted vectors, for arbitrary
-//! main/delta contents and thread counts.
+//! main/delta contents and thread counts — down to the merged main's zone
+//! map, which must equal a brute-force per-block min/max of its codes.
 
 use hyrise_core::{
     merge_dictionaries,
@@ -8,7 +9,7 @@ use hyrise_core::{
     partition::corank,
     MergePipeline, MergeScratch, MergeStrategy,
 };
-use hyrise_storage::{DeltaPartition, MainPartition};
+use hyrise_storage::{DeltaPartition, MainPartition, ZONE_ROWS};
 use proptest::prelude::*;
 
 fn delta_from(values: &[u64]) -> DeltaPartition<u64> {
@@ -29,6 +30,16 @@ fn oracle(main_vals: &[u64], delta_vals: &[u64]) -> (Vec<u64>, Vec<u64>) {
     (dict, concat)
 }
 
+/// The zone map recomputed from scratch: per block of `ZONE_ROWS` rows,
+/// the smallest and largest code.
+fn brute_zones(main: &MainPartition<u64>) -> Vec<(u32, u32)> {
+    let codes: Vec<u32> = (0..main.len()).map(|i| main.code(i)).collect();
+    codes
+        .chunks(ZONE_ROWS)
+        .map(|b| (*b.iter().min().unwrap(), *b.iter().max().unwrap()))
+        .collect()
+}
+
 fn sorted_unique(mut v: Vec<u64>) -> Vec<u64> {
     v.sort_unstable();
     v.dedup();
@@ -43,8 +54,17 @@ proptest! {
         main_vals in prop::collection::vec(0u64..500, 0..800),
         delta_vals in prop::collection::vec(0u64..700, 0..400),
         threads in 1usize..9,
+        // Repeat main up to 11 times (past several zone blocks, ending
+        // anywhere inside one), sorted or not (narrow zones or wide ones).
+        tile in 1usize..12,
+        sorted in any::<bool>(),
     ) {
+        let mut main_vals = main_vals.repeat(tile);
+        if sorted {
+            main_vals.sort_unstable();
+        }
         let main = MainPartition::from_values(&main_vals);
+        prop_assert_eq!(main.zones(), &brute_zones(&main)[..], "bulk-load zones");
         let delta = delta_from(&delta_vals);
         let (dict, concat) = oracle(&main_vals, &delta_vals);
 
@@ -63,6 +83,7 @@ proptest! {
             let got: Vec<u64> = (0..out.len()).map(|i| out.get(i)).collect();
             prop_assert_eq!(&got, &concat, "algo {} contents", k);
             prop_assert_eq!(out.code_bits(), hyrise_bitpack::bits_for(dict.len()), "algo {} width", k);
+            prop_assert_eq!(out.zones(), &brute_zones(out)[..], "algo {} zones", k);
         }
     }
 

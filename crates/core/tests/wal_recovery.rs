@@ -55,7 +55,9 @@ fn row(seed: u64) -> Vec<u64> {
 }
 
 /// Byte-identity: dictionaries, packed code words, per-row values and
-/// validity all agree.
+/// validity all agree — and so do the zone maps, which a recovered main
+/// rebuilds from its checkpointed codes while the model's main carried them
+/// through its merges.
 fn assert_state_identical(a: &OnlineTable<u64>, b: &OnlineTable<u64>) {
     assert_eq!(a.row_count(), b.row_count(), "row counts differ");
     assert_eq!(a.main_len(), b.main_len(), "main lengths differ");
@@ -72,6 +74,11 @@ fn assert_state_identical(a: &OnlineTable<u64>, b: &OnlineTable<u64>) {
             sb.col(c).main().packed_codes().words(),
             "column {c}: packed code words differ"
         );
+        assert_eq!(
+            sa.col(c).main().zones(),
+            sb.col(c).main().zones(),
+            "column {c}: zone maps differ"
+        );
     }
     for r in 0..a.row_count() {
         assert_eq!(a.is_valid(r), b.is_valid(r), "validity of row {r} differs");
@@ -87,7 +94,8 @@ fn recover_replays_inserts_deletes_and_merges() {
     let model = OnlineTable::<u64>::new(COLS);
     {
         let t = durable(scratch.path(), false);
-        let batch: Vec<Vec<u64>> = (0..400u64).map(row).collect();
+        // Past two zone blocks, so the checkpointed main has full ones.
+        let batch: Vec<Vec<u64>> = (0..9_000u64).map(row).collect();
         t.insert_rows(&batch).unwrap();
         model.insert_rows(&batch).unwrap();
         for r in [3usize, 77, 200] {
@@ -96,7 +104,7 @@ fn recover_replays_inserts_deletes_and_merges() {
         }
         t.merge(1, None).unwrap();
         model.merge(1, None).unwrap();
-        let tail: Vec<Vec<u64>> = (400..523u64).map(row).collect();
+        let tail: Vec<Vec<u64>> = (9_000..9_123u64).map(row).collect();
         t.insert_rows(&tail).unwrap();
         model.insert_rows(&tail).unwrap();
         t.try_delete_row(450).unwrap();

@@ -7,6 +7,16 @@
 //! [`TailRegion`]s (bit-packed frozen/pending deltas, raw append-only tail
 //! chunks) — and runs one engine over it:
 //!
+//! 0. **Zone maps prune main first.** Before any kernel runs, each
+//!    predicate's value-id range is checked against the main partition's
+//!    per-block `(min, max)` codes ([`MainPartition::zones`], one entry per
+//!    [`ZONE_ROWS`] rows), and the answers are combined over the
+//!    conjunction. A block some predicate excludes costs nothing — no
+//!    mask word, kernel or morsel touches it; a block whose zone lies
+//!    inside a predicate's range skips that predicate (a count adds the
+//!    block length, a mask `AND` is left out). On a monotonic key a
+//!    lookup leaves one block; on a shuffled high-cardinality column every
+//!    block survives and nothing changes.
 //! 1. **Predicates run in code space.** A value interval is rewritten
 //!    against the main dictionary ([`Dictionary::value_id_range`]) and the
 //!    bit-packed codes are scanned **entirely in value-id space** by the
@@ -31,27 +41,36 @@
 //!    values), and aggregates over them fold that vector.
 //!
 //! **Morsel-driven parallelism.** Every stage above is phrased per morsel:
-//! [`Query::with_threads`] is a morsel-count hint that cuts the main
-//! partition into contiguous 64-row-aligned ranges (see [`crate::morsel`])
-//! claimed dynamically by the process-wide [`hyrise_core::Pool`] — the
-//! engine spawns no threads of its own. Main-range kernels run the `_at`
-//! SWAR entry points per morsel; the short tail regions are scanned
-//! serially after the morsels; per-morsel results combine strictly in
-//! morsel order, so the parallel output is byte-identical to a serial run
-//! for every output shape.
+//! [`Query::with_threads`] is a morsel-count hint that cuts the surviving
+//! spans of main into contiguous 64-row-aligned ranges (see
+//! [`crate::morsel`]) claimed dynamically by the process-wide
+//! [`hyrise_core::Pool`] — the engine spawns no threads of its own.
+//! Main-range kernels run the `_at` SWAR entry points per morsel; the
+//! short tail regions are scanned serially after the morsels; per-morsel
+//! results combine strictly in morsel order, so the parallel output is
+//! byte-identical to a serial run for every output shape.
+//!
+//! **Work-sized fan-out.** The hint is an upper bound, not a promise: the
+//! morsel fan-out and the sharded executor's shard fan-out each get at
+//! most one claimant per whole morsel of surviving rows (surviving main
+//! rows plus tail rows, summed over shards). A read left with less than
+//! one morsel of work — a pruned lookup, any query on a small table —
+//! runs inline on the calling thread and queues no pool task.
 //!
 //! Implementations: [`TableSnapshot`] (the canonical engine),
 //! [`OnlineTable`] (snapshot, then execute) and [`ShardedTable`] (fan out
 //! one engine per shard snapshot as pool tasks, merge partial results).
 
-use crate::morsel::{chunk_ranges, concat, morsel_ranges, parallel_map};
+use crate::morsel::{
+    chunk_ranges, concat, morsel_ranges, parallel_map, span_morsels, work_width, Span,
+};
 use crate::plan::{Action, CompiledPredicate, Query};
 use hyrise_bitpack::{mask_count, mask_words, rows_from_mask};
 use hyrise_core::shard::{ShardRowId, ShardedTable};
 use hyrise_core::{OnlineTable, Pool, TableSnapshot};
 #[cfg(doc)]
 use hyrise_storage::Dictionary;
-use hyrise_storage::{MainPartition, TailRegion, ValidityBitmap, Value};
+use hyrise_storage::{MainPartition, TailRegion, ValidityBitmap, Value, ZONE_ROWS};
 
 /// A query's result: one variant per [`Query`] output action.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -184,6 +203,124 @@ impl<V: Value> ColView<'_, V> {
     }
 }
 
+/// One snapshot made ready to run one query: its columns in the engine's
+/// shape, and the morsels the zone maps leave of its main partition.
+struct Prepared<'a, V: Value> {
+    cols: Vec<ColView<'a, V>>,
+    preds: &'a [CompiledPredicate<V>],
+    n_rows: usize,
+    /// Covers exactly the `n_rows` rows of `cols`.
+    validity: &'a ValidityBitmap,
+    /// Length of the main partition the morsels cut: the first predicate's
+    /// column's (every column's, unless a stepped merge is in flight), or
+    /// the aggregate column's for an unfiltered sum or min/max.
+    nm: usize,
+    /// The spans of main that survive pruning, cut into morsels.
+    morsels: Vec<Span>,
+    /// Rows left to examine: surviving main rows plus every tail row.
+    work: usize,
+    hint: usize,
+}
+
+impl<V: Value> Prepared<'_, V> {
+    /// Claimants for the main morsels: the hint, capped by the work.
+    fn width(&self) -> usize {
+        work_width(self.hint, self.work)
+    }
+}
+
+/// Build the column views of `snap` and prune its main for `q`, cutting
+/// the survivors into morsels for `hint`.
+fn prepare<'a, V: Value>(
+    snap: &'a TableSnapshot<V>,
+    q: &'a Query<V>,
+    hint: usize,
+) -> Prepared<'a, V> {
+    let cols: Vec<ColView<'a, V>> = snap
+        .cols()
+        .iter()
+        .map(|c| ColView {
+            main: c.main(),
+            tails: c.tails(),
+        })
+        .collect();
+    let n_rows = snap.row_count();
+    let preds = q.predicates();
+    let anchor = match (preds.first(), q.action()) {
+        (Some(p), _) => Some(p.col),
+        (None, Action::Sum(c) | Action::MinMax(c)) => Some(*c),
+        (None, _) => None,
+    };
+    let nm = anchor.map_or(0, |c| cols[c].main.len());
+    let spans = anchor.map_or_else(Vec::new, |_| prune(&cols, preds, nm));
+    let work = match anchor {
+        Some(_) => spans.iter().map(Span::len).sum::<usize>() + n_rows - nm,
+        // Unfiltered rows and projections enumerate every row; an
+        // unfiltered count reads the bitmap's counter.
+        None if *q.action() == Action::Count => 0,
+        None => n_rows,
+    };
+    Prepared {
+        cols,
+        preds,
+        n_rows,
+        validity: snap.validity(),
+        nm,
+        morsels: span_morsels(&spans, hint),
+        work,
+        hint,
+    }
+}
+
+/// The spans of main (`nm` rows) the zone maps leave for `preds`, in row
+/// order. A block is dropped when its zone misses some predicate's
+/// value-id range; a surviving block still needs exactly the predicates
+/// whose range does not cover its zone. Adjacent blocks with the same
+/// needs coalesce, so when nothing prunes this is the single span
+/// `[0, nm)` needing every predicate. Predicates on a column whose main is
+/// not `nm` rows long (a stepped mid-merge snapshot) never prune and are
+/// always needed.
+fn prune<V: Value>(
+    cols: &[ColView<'_, V>],
+    preds: &[CompiledPredicate<V>],
+    nm: usize,
+) -> Vec<Span> {
+    let mut checks = Vec::with_capacity(preds.len());
+    for (i, p) in preds.iter().enumerate() {
+        let main = cols[p.col].main;
+        if main.len() != nm {
+            continue;
+        }
+        match main.dictionary().value_id_range(&p.lo, &p.hi) {
+            Some(ids) => checks.push((i, main.zones(), *ids.start(), *ids.end())),
+            None => return Vec::new(),
+        }
+    }
+    // One bit per predicate (all 64 when there are more).
+    let all = u64::MAX
+        .checked_shr(64u32.saturating_sub(preds.len() as u32))
+        .unwrap_or(0);
+    let mut spans: Vec<Span> = Vec::new();
+    'blocks: for b in 0..nm.div_ceil(ZONE_ROWS) {
+        let mut need = all;
+        for &(i, zones, lo, hi) in &checks {
+            let (z_lo, z_hi) = zones[b];
+            if z_hi < lo || z_lo > hi {
+                continue 'blocks;
+            }
+            if lo <= z_lo && z_hi <= hi && i < 64 {
+                need &= !(1 << i);
+            }
+        }
+        let (start, end) = (b * ZONE_ROWS, nm.min((b + 1) * ZONE_ROWS));
+        match spans.last_mut() {
+            Some(last) if last.end == start && last.need == need => last.end = end,
+            _ => spans.push(Span { start, end, need }),
+        }
+    }
+    spans
+}
+
 /// Conjunction refinement: keep only selected rows whose `col` value lies
 /// in `[lo, hi]`. Main rows compare their packed code against the value-id
 /// range (random access, no decode); tail rows compare values.
@@ -220,19 +357,6 @@ fn shared_main_len<V: Value>(
         .then_some(nm)
 }
 
-/// Does tail row `i` (relative to the shared end of main) satisfy every
-/// predicate?
-fn tail_row_matches<V: Value>(
-    cols: &[ColView<'_, V>],
-    preds: &[CompiledPredicate<V>],
-    i: usize,
-) -> bool {
-    preds.iter().all(|p| {
-        let v = cols[p.col].tail_value(i);
-        v >= p.lo && v <= p.hi
-    })
-}
-
 /// Clear the bits at or beyond `rows` in the last word of a dense row mask
 /// of `mask_words(rows)` words.
 fn clear_past(masks: &mut [u64], rows: usize) {
@@ -242,31 +366,28 @@ fn clear_past(masks: &mut [u64], rows: usize) {
 }
 
 /// The mask every aggregate and the fused row scan consume: bit `r` of the
-/// morsel-local mask over main rows `[start, end)` (`start` 64-aligned) is
-/// set iff row `start + r` is valid **and** satisfies every predicate.
-/// The validity *words* seed the mask — main rows are global rows `0..nm`,
-/// so mask word `j` is validity word `start / 64 + j` — and each
-/// predicate's value-id range is `AND`ed into it in
-/// code space, skipping 64-row blocks that are already empty. A predicate
-/// matching no dictionary value zeroes the whole mask.
-fn valid_mask_at<V: Value>(
-    cols: &[ColView<'_, V>],
-    preds: &[CompiledPredicate<V>],
-    validity: &ValidityBitmap,
-    start: usize,
-    end: usize,
-) -> Vec<u64> {
-    let n = mask_words(end - start);
-    let mut masks = validity.words()[start / 64..start / 64 + n].to_vec();
-    clear_past(&mut masks, end - start);
-    for p in preds {
-        let main = cols[p.col].main;
+/// mask over morsel `m` of the shared main is set iff row `m.start + r` is
+/// valid **and** satisfies every predicate. The validity *words* seed the
+/// mask — main rows are global rows `0..nm`, so mask word `j` is validity
+/// word `m.start / 64 + j` — and each predicate the morsel still needs has
+/// its value-id range `AND`ed into it in code space, skipping 64-row
+/// blocks that are already empty. A predicate matching no dictionary value
+/// zeroes the whole mask.
+fn valid_mask_at<V: Value>(t: &Prepared<'_, V>, m: Span) -> Vec<u64> {
+    let n = mask_words(m.len());
+    let mut masks = t.validity.words()[m.start / 64..m.start / 64 + n].to_vec();
+    clear_past(&mut masks, m.len());
+    for (i, p) in t.preds.iter().enumerate() {
+        if !m.needs(i) {
+            continue;
+        }
+        let main = t.cols[p.col].main;
         match main.dictionary().value_id_range(&p.lo, &p.hi) {
             Some(ids) => main.packed_codes().and_range_mask_at(
                 *ids.start() as u64,
                 *ids.end() as u64,
-                start,
-                end,
+                m.start,
+                m.end,
                 &mut masks,
             ),
             None => masks.fill(0),
@@ -275,36 +396,31 @@ fn valid_mask_at<V: Value>(
     masks
 }
 
-/// Run `f(start, end, mask)` over every morsel of the shared main
-/// partition (`nm` rows), `mask` being that morsel's [`valid_mask_at`];
-/// results come back in morsel order.
+/// Run `f(morsel, mask)` over every surviving morsel of the shared main,
+/// `mask` being that morsel's [`valid_mask_at`]; results come back in
+/// morsel order.
 fn map_main_masks<V: Value, T: Send + Sync>(
-    cols: &[ColView<'_, V>],
-    nm: usize,
-    preds: &[CompiledPredicate<V>],
-    validity: &ValidityBitmap,
-    hint: usize,
-    f: impl Fn(usize, usize, &[u64]) -> T + Sync,
+    t: &Prepared<'_, V>,
+    f: impl Fn(Span, &[u64]) -> T + Sync,
 ) -> Vec<T> {
-    let ranges = morsel_ranges(nm, hint);
-    parallel_map(hint, ranges.len(), |i| {
-        let (s, e) = ranges[i];
-        f(s, e, &valid_mask_at(cols, preds, validity, s, e))
+    parallel_map(t.width(), t.morsels.len(), |i| {
+        let m = t.morsels[i];
+        f(m, &valid_mask_at(t, m))
     })
 }
 
-/// Tail rows (relative to the shared end of main, `nm`) that are valid
+/// Tail rows (relative to the shared end of main, `t.nm`) that are valid
 /// and satisfy every predicate, ascending. Tails are short by
 /// construction — the merge bounds them — so they run row at a time,
 /// serially, after the main morsels.
-fn matching_tail_rows<'a, V: Value>(
-    cols: &'a [ColView<'a, V>],
-    n_rows: usize,
-    nm: usize,
-    preds: &'a [CompiledPredicate<V>],
-    validity: &'a ValidityBitmap,
-) -> impl Iterator<Item = usize> + 'a {
-    (0..n_rows - nm).filter(move |&i| validity.is_valid(nm + i) && tail_row_matches(cols, preds, i))
+fn matching_tail_rows<'a, V: Value>(t: &'a Prepared<'a, V>) -> impl Iterator<Item = usize> + 'a {
+    (0..t.n_rows - t.nm).filter(move |&i| {
+        t.validity.is_valid(t.nm + i)
+            && t.preds.iter().all(|p| {
+                let v = t.cols[p.col].tail_value(i);
+                v >= p.lo && v <= p.hi
+            })
+    })
 }
 
 /// First-predicate scan of `col`'s tail regions only (global row ids start
@@ -318,26 +434,57 @@ fn scan_tails_into<V: Value>(col: &ColView<'_, V>, lo: &V, hi: &V, out: &mut Vec
     }
 }
 
-/// How many of the rows `0..n_rows` that the bitmap marks deleted satisfy
-/// `matches`. Deleted rows are the zero bits of the validity words; a word
-/// without one costs a single compare.
+/// First-predicate scan of morsel `m` of `col`'s main: the rows whose code
+/// lies in `ids`, ascending — every row of the morsel when its zones
+/// already satisfy the predicate.
+fn select_first_at<V: Value>(
+    col: &ColView<'_, V>,
+    ids: &Option<std::ops::RangeInclusive<u32>>,
+    m: Span,
+) -> Vec<usize> {
+    let mut rows = Vec::new();
+    if !m.needs(0) {
+        rows.extend(m.start..m.end);
+    } else if let Some(ids) = ids {
+        col.main.packed_codes().select_in_range_into_at(
+            *ids.start() as u64,
+            *ids.end() as u64,
+            m.start,
+            m.end,
+            0,
+            &mut rows,
+        );
+    }
+    rows
+}
+
+/// How many rows of `ranges` (ascending, each `[start, end)`) the bitmap
+/// marks deleted *and* `matches` accepts. Deleted rows are the zero bits
+/// of the validity words; a word without one costs a single compare, and
+/// words outside the ranges are never read.
 fn count_deleted(
     v: &ValidityBitmap,
-    n_rows: usize,
+    ranges: impl Iterator<Item = (usize, usize)>,
     mut matches: impl FnMut(usize) -> bool,
 ) -> usize {
     let mut n = 0usize;
-    for (j, &w) in v.words()[..mask_words(n_rows)].iter().enumerate() {
-        if w == u64::MAX {
-            continue;
-        }
-        let mut deleted = !w;
-        if (j + 1) * 64 > n_rows {
-            deleted &= (1u64 << (n_rows % 64)) - 1;
-        }
-        while deleted != 0 {
-            n += matches(j * 64 + deleted.trailing_zeros() as usize) as usize;
-            deleted &= deleted - 1;
+    for (s, e) in ranges {
+        let first = s / 64;
+        for (j, &w) in (first..).zip(&v.words()[first..e.div_ceil(64)]) {
+            if w == u64::MAX {
+                continue;
+            }
+            // Bits of word `j` inside `[s, e)`.
+            let below_end = match e - j * 64 {
+                k if k >= 64 => u64::MAX,
+                k => (1u64 << k) - 1,
+            };
+            let from_start = u64::MAX << s.saturating_sub(j * 64);
+            let mut deleted = !w & below_end & from_start;
+            while deleted != 0 {
+                n += matches(j * 64 + deleted.trailing_zeros() as usize) as usize;
+                deleted &= deleted - 1;
+            }
         }
     }
     n
@@ -345,23 +492,17 @@ fn count_deleted(
 
 /// Count matching valid rows without materializing a row id.
 ///
-/// A single predicate keeps the popcount kernels — over each main morsel
+/// A single predicate keeps the popcount kernels — over each surviving
+/// main morsel (a morsel the zone maps already satisfy adds its length)
 /// and each tail region — whether or not rows are deleted, and subtracts
 /// the deleted rows that match, walked from the zero bits of the validity
-/// words (main rows compare their packed code, tail rows their value). A
-/// conjunction popcounts the fused [`valid_mask_at`] per morsel.
-/// Per-morsel counts add associatively, so the hint cannot change the
-/// result.
-fn count_cols<V: Value>(
-    cols: &[ColView<'_, V>],
-    n_rows: usize,
-    preds: &[CompiledPredicate<V>],
-    validity: &ValidityBitmap,
-    hint: usize,
-) -> usize {
-    if let [p] = preds {
-        let col = &cols[p.col];
-        let nm = col.main.len();
+/// words of the surviving morsels and the tails (main rows compare their
+/// packed code, tail rows their value). A conjunction popcounts the fused
+/// [`valid_mask_at`] per morsel. Per-morsel counts add associatively, so
+/// the hint cannot change the result.
+fn count_cols<V: Value>(t: &Prepared<'_, V>) -> usize {
+    if let [p] = t.preds {
+        let col = &t.cols[p.col];
         let codes = col.main.packed_codes();
         let ids = col
             .main
@@ -369,10 +510,13 @@ fn count_cols<V: Value>(
             .value_id_range(&p.lo, &p.hi)
             .map(|r| (*r.start() as u64, *r.end() as u64));
         let main: usize = ids.map_or(0, |(id_lo, id_hi)| {
-            let ranges = morsel_ranges(nm, hint);
-            parallel_map(hint, ranges.len(), |i| {
-                let (s, e) = ranges[i];
-                codes.count_in_range_at(id_lo, id_hi, s, e)
+            parallel_map(t.width(), t.morsels.len(), |i| {
+                let m = t.morsels[i];
+                if m.needs(0) {
+                    codes.count_in_range_at(id_lo, id_hi, m.start, m.end)
+                } else {
+                    m.len()
+                }
             })
             .into_iter()
             .sum()
@@ -380,98 +524,76 @@ fn count_cols<V: Value>(
         let tails: usize = col
             .tails
             .iter()
-            .map(|t| t.count_in_range(&p.lo, &p.hi))
+            .map(|tail| tail.count_in_range(&p.lo, &p.hi))
             .sum();
-        let deleted = count_deleted(validity, n_rows, |r| {
-            if r < nm {
+        let ranges = t.morsels.iter().map(|m| (m.start, m.end));
+        let deleted = count_deleted(t.validity, ranges.chain([(t.nm, t.n_rows)]), |r| {
+            if r < t.nm {
                 ids.is_some_and(|(id_lo, id_hi)| (id_lo..=id_hi).contains(&codes.get(r)))
             } else {
-                let x = col.tail_value(r - nm);
+                let x = col.tail_value(r - t.nm);
                 x >= p.lo && x <= p.hi
             }
         });
         return main + tails - deleted;
     }
-    match shared_main_len(cols, preds, preds[0].col) {
-        Some(nm) => {
-            let main: usize = map_main_masks(cols, nm, preds, validity, hint, |_, _, masks| {
-                mask_count(masks)
-            })
-            .into_iter()
-            .sum();
-            main + matching_tail_rows(cols, n_rows, nm, preds, validity).count()
+    match shared_main_len(&t.cols, t.preds, t.preds[0].col) {
+        Some(_) => {
+            let main: usize = map_main_masks(t, |_, masks| mask_count(masks))
+                .into_iter()
+                .sum();
+            main + matching_tail_rows(t).count()
         }
-        None => select_cols(cols, n_rows, preds, validity, hint).len(),
+        None => select_cols(t).len(),
     }
 }
 
 /// Evaluate the conjunction into the matching valid row ids, ascending.
 ///
-/// The main partition is processed per morsel (scan, fuse or refine, then
-/// validity — each morsel emits its own ascending row ids); the tail
-/// regions run serially afterwards. Concatenating the per-morsel vectors
-/// in morsel order reproduces the serial ascending order exactly.
-fn select_cols<V: Value>(
-    cols: &[ColView<'_, V>],
-    n_rows: usize,
-    preds: &[CompiledPredicate<V>],
-    validity: &ValidityBitmap,
-    hint: usize,
-) -> Vec<usize> {
-    match preds.split_first() {
+/// The surviving main morsels are processed one by one (scan, fuse or
+/// refine, then validity — each morsel emits its own ascending row ids);
+/// the tail regions run serially afterwards. Concatenating the per-morsel
+/// vectors in morsel order reproduces the serial ascending order exactly.
+fn select_cols<V: Value>(t: &Prepared<'_, V>) -> Vec<usize> {
+    let valid = |rows: &mut Vec<usize>| rows.retain(|&r| t.validity.is_valid(r));
+    match t.preds.split_first() {
         None => {
             // Enumeration, morselized for shape uniformity: each morsel
             // emits its valid rows; in-order concatenation is the
             // ascending row list.
-            let ranges = morsel_ranges(n_rows, hint);
-            concat(parallel_map(hint, ranges.len(), |i| {
+            let ranges = morsel_ranges(t.n_rows, t.hint);
+            concat(parallel_map(t.width(), ranges.len(), |i| {
                 let (s, e) = ranges[i];
                 let mut rows: Vec<usize> = (s..e).collect();
-                rows.retain(|&r| validity.is_valid(r));
+                valid(&mut rows);
                 rows
             }))
         }
         Some((first, [])) => {
-            let col = &cols[first.col];
+            let col = &t.cols[first.col];
             let ids = col.main.dictionary().value_id_range(&first.lo, &first.hi);
-            let ranges = morsel_ranges(col.main.len(), hint);
-            let mut parts = parallel_map(hint, ranges.len(), |i| {
-                let (s, e) = ranges[i];
-                let mut rows = Vec::new();
-                if let Some(ids) = &ids {
-                    col.main.packed_codes().select_in_range_into_at(
-                        *ids.start() as u64,
-                        *ids.end() as u64,
-                        s,
-                        e,
-                        0,
-                        &mut rows,
-                    );
-                }
-                rows.retain(|&r| validity.is_valid(r));
+            let mut parts = parallel_map(t.width(), t.morsels.len(), |i| {
+                let mut rows = select_first_at(col, &ids, t.morsels[i]);
+                valid(&mut rows);
                 rows
             });
             let mut tail_rows = Vec::new();
             scan_tails_into(col, &first.lo, &first.hi, &mut tail_rows);
-            tail_rows.retain(|&r| validity.is_valid(r));
+            valid(&mut tail_rows);
             parts.push(tail_rows);
             concat(parts)
         }
-        Some((first, rest)) => match shared_main_len(cols, preds, first.col) {
-            Some(nm) => {
+        Some((first, rest)) => match shared_main_len(&t.cols, t.preds, first.col) {
+            Some(_) => {
                 // Fused pass per morsel: AND morsel-local per-word masks
                 // across columns and validity, then materialize once;
                 // tail rows check all predicates fused.
-                let mut parts = map_main_masks(cols, nm, preds, validity, hint, |s, e, masks| {
+                let mut parts = map_main_masks(t, |m, masks| {
                     let mut rows = Vec::new();
-                    rows_from_mask(masks, e - s, s, &mut rows);
+                    rows_from_mask(masks, m.len(), m.start, &mut rows);
                     rows
                 });
-                parts.push(
-                    matching_tail_rows(cols, n_rows, nm, preds, validity)
-                        .map(|i| nm + i)
-                        .collect(),
-                );
+                parts.push(matching_tail_rows(t).map(|i| t.nm + i).collect());
                 concat(parts)
             }
             None => {
@@ -479,34 +601,22 @@ fn select_cols<V: Value>(
                 // per morsel, refine the other predicates row by row
                 // within the morsel (random access works for any global
                 // row id), then handle the first column's tails serially.
-                let col = &cols[first.col];
+                let col = &t.cols[first.col];
                 let ids = col.main.dictionary().value_id_range(&first.lo, &first.hi);
-                let ranges = morsel_ranges(col.main.len(), hint);
-                let mut parts = parallel_map(hint, ranges.len(), |i| {
-                    let (s, e) = ranges[i];
-                    let mut rows = Vec::new();
-                    if let Some(ids) = &ids {
-                        col.main.packed_codes().select_in_range_into_at(
-                            *ids.start() as u64,
-                            *ids.end() as u64,
-                            s,
-                            e,
-                            0,
-                            &mut rows,
-                        );
-                    }
+                let mut parts = parallel_map(t.width(), t.morsels.len(), |i| {
+                    let mut rows = select_first_at(col, &ids, t.morsels[i]);
                     for p in rest {
-                        refine_col(&cols[p.col], &p.lo, &p.hi, &mut rows);
+                        refine_col(&t.cols[p.col], &p.lo, &p.hi, &mut rows);
                     }
-                    rows.retain(|&r| validity.is_valid(r));
+                    valid(&mut rows);
                     rows
                 });
                 let mut tail_rows = Vec::new();
                 scan_tails_into(col, &first.lo, &first.hi, &mut tail_rows);
                 for p in rest {
-                    refine_col(&cols[p.col], &p.lo, &p.hi, &mut tail_rows);
+                    refine_col(&t.cols[p.col], &p.lo, &p.hi, &mut tail_rows);
                 }
-                tail_rows.retain(|&r| validity.is_valid(r));
+                valid(&mut tail_rows);
                 parts.push(tail_rows);
                 concat(parts)
             }
@@ -521,55 +631,39 @@ fn fold_mm<V: Ord + Copy>(mm: Option<(V, V)>, v: V) -> Option<(V, V)> {
     })
 }
 
-/// Sum column `c` over the valid rows satisfying `preds`, entirely in
-/// code space over main: each morsel feeds its [`valid_mask_at`] to the
-/// masked code visitor and gathers through the dictionary slice, exact in
-/// `u128`; matching tail rows add their values. Per-morsel partial sums
-/// add in morsel order.
-fn sum_masked<V: Value>(
-    cols: &[ColView<'_, V>],
-    n_rows: usize,
-    nm: usize,
-    preds: &[CompiledPredicate<V>],
-    validity: &ValidityBitmap,
-    c: usize,
-    hint: usize,
-) -> u128 {
-    let col = &cols[c];
+/// Sum column `c` over the valid rows satisfying the predicates, entirely
+/// in code space over main: each surviving morsel feeds its
+/// [`valid_mask_at`] to the masked code visitor and gathers through the
+/// dictionary slice, exact in `u128`; matching tail rows add their values.
+/// Per-morsel partial sums add in morsel order.
+fn sum_masked<V: Value>(t: &Prepared<'_, V>, c: usize) -> u128 {
+    let col = &t.cols[c];
     let codes = col.main.packed_codes();
     let values = col.main.dictionary().values();
-    let main: u128 = map_main_masks(cols, nm, preds, validity, hint, |s, e, masks| {
+    let main: u128 = map_main_masks(t, |m, masks| {
         let mut acc: u128 = 0;
-        codes.for_each_masked_at(s, e, masks, |code| {
+        codes.for_each_masked_at(m.start, m.end, masks, |code| {
             acc += values[code as usize].to_u64_lossy() as u128;
         });
         acc
     })
     .into_iter()
     .sum();
-    main + matching_tail_rows(cols, n_rows, nm, preds, validity)
+    main + matching_tail_rows(t)
         .map(|i| col.tail_value(i).to_u64_lossy() as u128)
         .sum::<u128>()
 }
 
-/// Min/max of column `c` over the valid rows satisfying `preds`: each
-/// morsel folds main *codes* through the masked visitor (codes are
-/// order-preserving, so the two surviving codes are decoded once, by the
-/// combiner); matching tail rows fold values.
-fn min_max_masked<V: Value>(
-    cols: &[ColView<'_, V>],
-    n_rows: usize,
-    nm: usize,
-    preds: &[CompiledPredicate<V>],
-    validity: &ValidityBitmap,
-    c: usize,
-    hint: usize,
-) -> Option<(V, V)> {
-    let col = &cols[c];
+/// Min/max of column `c` over the valid rows satisfying the predicates:
+/// each surviving morsel folds main *codes* through the masked visitor
+/// (codes are order-preserving, so the two surviving codes are decoded
+/// once, by the combiner); matching tail rows fold values.
+fn min_max_masked<V: Value>(t: &Prepared<'_, V>, c: usize) -> Option<(V, V)> {
+    let col = &t.cols[c];
     let codes = col.main.packed_codes();
-    let code_mm = map_main_masks(cols, nm, preds, validity, hint, |s, e, masks| {
+    let code_mm = map_main_masks(t, |m, masks| {
         let mut mm: Option<(u64, u64)> = None;
-        codes.for_each_masked_at(s, e, masks, |code| mm = fold_mm(mm, code));
+        codes.for_each_masked_at(m.start, m.end, masks, |code| mm = fold_mm(mm, code));
         mm
     })
     .into_iter()
@@ -577,51 +671,52 @@ fn min_max_masked<V: Value>(
     .fold(None, |mm, (lo, hi)| fold_mm(fold_mm(mm, lo), hi));
     let dict = col.main.dictionary();
     let mm = code_mm.map(|(lo, hi)| (dict.value_at(lo as u32), dict.value_at(hi as u32)));
-    matching_tail_rows(cols, n_rows, nm, preds, validity)
-        .fold(mm, |mm, i| fold_mm(mm, col.tail_value(i)))
+    matching_tail_rows(t).fold(mm, |mm, i| fold_mm(mm, col.tail_value(i)))
 }
 
-/// The canonical engine over column views; [`execute_snapshot`] is its one
-/// producer, so `validity` covers exactly the `n_rows` rows of `cols`.
-fn execute_cols<V: Value>(
-    cols: &[ColView<'_, V>],
-    n_rows: usize,
-    validity: &ValidityBitmap,
-    q: &Query<V>,
-) -> Output<V, usize> {
-    let preds = q.predicates();
-    let hint = q.threads();
-    match q.action() {
-        Action::Rows => Output::Rows(select_cols(cols, n_rows, preds, validity, hint)),
+/// Fold `f` over chunks of an already materialized selection, the chunks
+/// cut for the hint and claimed by as many claimants as the selection has
+/// whole morsels of rows.
+fn map_chunks<T: Send + Sync>(
+    rows: &[usize],
+    hint: usize,
+    f: impl Fn(&[usize]) -> T + Sync,
+) -> Vec<T> {
+    let chunks = chunk_ranges(rows.len(), hint);
+    parallel_map(work_width(hint, rows.len()), chunks.len(), |i| {
+        let (s, e) = chunks[i];
+        f(&rows[s..e])
+    })
+}
+
+/// The canonical engine over one prepared snapshot.
+fn execute_prepared<V: Value>(t: &Prepared<'_, V>, action: &Action) -> Output<V, usize> {
+    match action {
+        Action::Rows => Output::Rows(select_cols(t)),
         Action::Project(pcols) => {
-            let rows = select_cols(cols, n_rows, preds, validity, hint);
             // Materialization is random access over the selection: split
             // it into plain chunks (no alignment needed) and concatenate
             // the per-chunk row vectors in order.
-            let chunks = chunk_ranges(rows.len(), hint);
-            Output::Projected(concat(parallel_map(hint, chunks.len(), |i| {
-                let (s, e) = chunks[i];
-                rows[s..e]
+            let rows = select_cols(t);
+            Output::Projected(concat(map_chunks(&rows, t.hint, |chunk| {
+                chunk
                     .iter()
-                    .map(|&r| pcols.iter().map(|&c| cols[c].value(r)).collect())
+                    .map(|&r| pcols.iter().map(|&c| t.cols[c].value(r)).collect())
                     .collect()
             })))
         }
-        Action::Count => Output::Count(if preds.is_empty() {
+        Action::Count => Output::Count(if t.preds.is_empty() {
             // The bitmap's maintained counter answers in O(1).
-            validity.valid_count()
+            t.validity.valid_count()
         } else {
-            count_cols(cols, n_rows, preds, validity, hint)
+            count_cols(t)
         }),
-        Action::Sum(c) => Output::Sum(match shared_main_len(cols, preds, *c) {
-            Some(nm) => sum_masked(cols, n_rows, nm, preds, validity, *c, hint),
+        Action::Sum(c) => Output::Sum(match shared_main_len(&t.cols, t.preds, *c) {
+            Some(_) => sum_masked(t, *c),
             None => {
-                let col = &cols[*c];
-                let rows = select_cols(cols, n_rows, preds, validity, hint);
-                let chunks = chunk_ranges(rows.len(), hint);
-                parallel_map(hint, chunks.len(), |i| {
-                    let (s, e) = chunks[i];
-                    rows[s..e]
+                let col = &t.cols[*c];
+                map_chunks(&select_cols(t), t.hint, |chunk| {
+                    chunk
                         .iter()
                         .map(|&r| col.value(r).to_u64_lossy() as u128)
                         .sum::<u128>()
@@ -630,17 +725,12 @@ fn execute_cols<V: Value>(
                 .sum()
             }
         }),
-        Action::MinMax(c) => Output::MinMax(match shared_main_len(cols, preds, *c) {
-            Some(nm) => min_max_masked(cols, n_rows, nm, preds, validity, *c, hint),
+        Action::MinMax(c) => Output::MinMax(match shared_main_len(&t.cols, t.preds, *c) {
+            Some(_) => min_max_masked(t, *c),
             None => {
-                let col = &cols[*c];
-                let rows = select_cols(cols, n_rows, preds, validity, hint);
-                let chunks = chunk_ranges(rows.len(), hint);
-                parallel_map(hint, chunks.len(), |i| {
-                    let (s, e) = chunks[i];
-                    rows[s..e]
-                        .iter()
-                        .fold(None, |mm, &r| fold_mm(mm, col.value(r)))
+                let col = &t.cols[*c];
+                map_chunks(&select_cols(t), t.hint, |chunk| {
+                    chunk.iter().fold(None, |mm, &r| fold_mm(mm, col.value(r)))
                 })
                 .into_iter()
                 .flatten()
@@ -648,21 +738,6 @@ fn execute_cols<V: Value>(
             }
         }),
     }
-}
-
-/// The snapshot engine body without the governor registration — the
-/// sharded executor runs this once per shard under a single query-level
-/// read guard.
-fn execute_snapshot<V: Value>(snap: &TableSnapshot<V>, q: &Query<V>) -> Output<V, usize> {
-    let views: Vec<ColView<'_, V>> = snap
-        .cols()
-        .iter()
-        .map(|c| ColView {
-            main: c.main(),
-            tails: c.tails(),
-        })
-        .collect();
-    execute_cols(&views, snap.row_count(), snap.validity(), q)
 }
 
 impl<V: Value> Executor<V> for TableSnapshot<V> {
@@ -679,7 +754,7 @@ impl<V: Value> Executor<V> for TableSnapshot<V> {
         // as one read, so the governor's pressure signal tracks queries,
         // not the engine's internal parallelism.
         let _read = hyrise_core::governor::begin_read();
-        execute_snapshot(self, q)
+        execute_prepared(&prepare(self, q, q.threads()), q.action())
     }
 }
 
@@ -710,15 +785,18 @@ impl<V: Value> Executor<V> for ShardedTable<V> {
         // Oversubscription clamp: the morsel hint multiplies across the
         // shard fan-out, so divide the pool between the shards — an
         // 8-shard query with an 8-morsel hint on an 8-thread pool runs
-        // each shard serially instead of queueing 64 tasks. The shard
-        // fan-out itself is bounded by the pool inside `run_indexed`.
+        // each shard serially instead of queueing 64 tasks. Both fan-outs
+        // are then capped by the work the zone maps leave: a query with
+        // less than one morsel of surviving rows across all shards runs
+        // every shard inline on the calling thread.
         let pool = Pool::global();
-        let per_shard = q.with_hint(
-            q.threads()
-                .min((pool.threads() / snaps.len().max(1)).max(1)),
-        );
-        let partials = parallel_map(snaps.len(), snaps.len(), |i| {
-            execute_snapshot(&snaps[i], &per_shard)
+        let hint = q
+            .threads()
+            .min((pool.threads() / snaps.len().max(1)).max(1));
+        let prepared: Vec<Prepared<'_, V>> = snaps.iter().map(|s| prepare(s, q, hint)).collect();
+        let work = prepared.iter().map(|p| p.work).sum();
+        let partials = parallel_map(work_width(snaps.len(), work), snaps.len(), |i| {
+            execute_prepared(&prepared[i], q.action())
         });
         match q.action() {
             Action::Rows => Output::Rows(

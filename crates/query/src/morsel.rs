@@ -20,47 +20,108 @@
 //!   aggregates reduce associatively), so scheduling order never leaks
 //!   into the output.
 //!
+//! The executor cuts morsels over the [`Span`]s of main that survive
+//! zone-map pruning ([`span_morsels`]): span starts are zone-block starts,
+//! so every boundary stays 64-aligned, and when nothing is pruned the one
+//! span `[0, n)` is cut exactly as [`morsel_ranges`] cuts `n` rows.
+//!
 //! A width (or hint) of `1` short-circuits to an inline loop on the
 //! calling thread — the serial path never touches the pool, queues
 //! nothing, and is the baseline the `morsel_scan` bench gates against.
+//! Fan-outs never get more width than their work has whole morsels
+//! ([`work_width`]), so small reads take that inline path whatever their
+//! hint.
 
 use hyrise_core::Pool;
 use std::sync::OnceLock;
 
 /// Upper bound on rows per morsel: large enough that per-task overhead
 /// vanishes, small enough that a morsel's working set stays cache-friendly
-/// and work-stealing can balance skew.
+/// and work-stealing can balance skew. Also the work one claimant is worth:
+/// a fan-out never gets more claimants than it has whole morsels of rows
+/// (see [`work_width`]).
 pub(crate) const MORSEL_ROWS: usize = 64 * 1024;
+
+const _: () = assert!(MORSEL_ROWS.is_multiple_of(hyrise_storage::ZONE_ROWS));
+
+/// Rows per morsel for `n` rows of work and a parallelism hint: a serial
+/// run (hint `0` or `1`) walks [`MORSEL_ROWS`]-sized pieces inline, so a
+/// morsel's row mask stays L1-resident between the kernel that fills it
+/// and the one that consumes it; a larger hint rounds the per-claimant
+/// share *down* to 64 rows (floor 64), so at least `min(hint, ceil(n/64))`
+/// morsels exist and every claimant has work whenever the row count
+/// permits.
+fn morsel_size(n: usize, hint: usize) -> usize {
+    if hint <= 1 {
+        MORSEL_ROWS
+    } else {
+        ((n / hint).max(1) / 64)
+            .max(1)
+            .saturating_mul(64)
+            .min(MORSEL_ROWS)
+    }
+}
 
 /// Cut `n` rows into contiguous morsels for a parallelism hint.
 ///
 /// Every boundary except the final `n` is a multiple of 64 rows (see the
 /// module docs for why), and no morsel exceeds [`MORSEL_ROWS`] rows
-/// whatever the hint: a serial run (hint `0` or `1`) walks the same
-/// cache-sized pieces inline, so a morsel's row mask stays L1-resident
-/// between the kernel that fills it and the one that consumes it. A larger
-/// hint yields `>= hint` morsels so each claimant has work, with the row
-/// count split as evenly as 64-row granularity allows.
+/// whatever the hint.
 pub(crate) fn morsel_ranges(n: usize, hint: usize) -> Vec<(usize, usize)> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let size = if hint <= 1 {
-        MORSEL_ROWS
-    } else {
-        // Round the per-claimant share *down* to 64 rows (floor 64): the
-        // size never exceeds n/hint, so at least `min(hint, ceil(n/64))`
-        // morsels exist — every claimant has work whenever the row count
-        // permits.
-        ((n / hint).max(1) / 64)
-            .max(1)
-            .saturating_mul(64)
-            .min(MORSEL_ROWS)
-    };
-    let count = n.div_ceil(size);
-    (0..count)
+    let size = morsel_size(n, hint);
+    (0..n.div_ceil(size))
         .map(|i| (i * size, ((i + 1) * size).min(n)))
         .collect()
+}
+
+/// A run of main-partition rows `[start, end)` left after zone-map pruning,
+/// and which predicates its rows still have to be tested against: bit `i`
+/// of `need` stands for predicate `i` (predicates past the 64th are always
+/// tested). A predicate whose bit is clear holds for every row of the run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+    pub(crate) need: u64,
+}
+
+impl Span {
+    /// Must predicate `i` still be evaluated over this run?
+    pub(crate) fn needs(&self, i: usize) -> bool {
+        i >= 64 || self.need >> i & 1 == 1
+    }
+
+    /// Rows in the run.
+    pub(crate) fn len(&self) -> usize {
+        self.end - self.start
+    }
+}
+
+/// Cut surviving spans into morsels. The morsel size is the one
+/// [`morsel_ranges`] picks for the spans' total rows and `hint`, and each
+/// span is cut from its own (64-aligned) start, so the single span
+/// `[0, n)` yields exactly `morsel_ranges(n, hint)` — pruning that removes
+/// nothing changes no morsel boundary.
+pub(crate) fn span_morsels(spans: &[Span], hint: usize) -> Vec<Span> {
+    let size = morsel_size(spans.iter().map(Span::len).sum(), hint);
+    spans
+        .iter()
+        .flat_map(|s| {
+            (s.start..s.end).step_by(size).map(move |start| Span {
+                start,
+                end: (start + size).min(s.end),
+                need: s.need,
+            })
+        })
+        .collect()
+}
+
+/// The fan-out width for `rows` rows of work: the hint, capped at one
+/// claimant per whole [`MORSEL_ROWS`] (at least 1). Work smaller than one
+/// morsel therefore runs inline on the calling thread and queues no pool
+/// task.
+pub(crate) fn work_width(hint: usize, rows: usize) -> usize {
+    hint.min(rows.div_ceil(MORSEL_ROWS)).max(1)
 }
 
 /// Split `n` items into at most `k` near-equal contiguous ranges (no

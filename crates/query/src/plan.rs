@@ -235,8 +235,10 @@ impl<V: Copy> Query<V> {
     /// with results combined in morsel order, so the output is
     /// byte-identical regardless of the hint. Sharded executors clamp the
     /// per-shard hint so the shard fan-out times the morsel hint never
-    /// oversubscribes the pool. Best-effort — executors are free to
-    /// ignore it.
+    /// oversubscribes the pool, and every fan-out is capped at one
+    /// claimant per whole morsel of rows left after zone-map pruning, so
+    /// a small read runs on the calling thread whatever its hint.
+    /// Best-effort — executors are free to ignore it.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -300,15 +302,6 @@ impl<V: Copy> Query<V> {
     /// The executor thread hint (≥ 1).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// A copy of the query with the morsel hint replaced — used by
-    /// fan-out executors to clamp the per-shard hint so the shard fan-out
-    /// times the hint stays within the worker pool.
-    pub(crate) fn with_hint(&self, threads: usize) -> Self {
-        let mut q = self.clone();
-        q.threads = threads.max(1);
-        q
     }
 }
 

@@ -148,9 +148,13 @@ proptest! {
 
 /// Deterministic many-morsel workload: enough rows that every hint splits
 /// the main partition into several morsels (and hits the 64K-row morsel
-/// cap), with a delta tail and deleted rows on top.
+/// cap), with a delta tail and deleted rows on top. Then the same checks
+/// over three key layouts the zone maps treat differently (see
+/// [`check_key_layouts`]).
 #[test]
 fn large_scans_split_into_many_morsels_and_stay_identical() {
+    check_key_layouts();
+
     let t = OnlineTable::<u64>::new(2);
     let mut x = 0x9e3779b97f4a7c15u64;
     let mut rows = Vec::with_capacity(200_000);
@@ -216,6 +220,93 @@ fn large_scans_split_into_many_morsels_and_stay_identical() {
                 .min()
                 .zip(matching.iter().copied().max())
         );
+    }
+}
+
+/// Rows per layout table: 25 zone blocks, the last one short.
+const LAYOUT_ROWS: u64 = 100_000;
+
+/// The key of main row `i`.
+type KeyOf = fn(u64) -> u64;
+
+/// Key layouts: ascending keys leave one zone block per lookup, a
+/// shuffled permutation leaves every block (nothing prunes), and clustered
+/// runs of 3 000 keys, placed out of order, prune some blocks and leave
+/// others covered only in part.
+const LAYOUTS: [(&str, KeyOf); 3] = [
+    ("ascending", |i| i),
+    ("shuffled", |i| (i * 7_919) % LAYOUT_ROWS),
+    ("clustered", |i| {
+        (i / 3_000 * 13 % 34) * 3_000 + i * 7 % 3_000
+    }),
+];
+
+/// Per layout: a merged main of [`LAYOUT_ROWS`] rows `[key, value]`, a
+/// tail repeating its first 2 000 rows, and every 97th main row deleted
+/// (deletes land in pruned and in surviving blocks). Present and absent
+/// lookups, a range inside one block, one straddling two blocks, one
+/// covering exactly two whole blocks and a wide one, each as rows, count
+/// and a fused key ∧ value sum and min/max, must equal a naive fold at
+/// every hint 1–8.
+fn check_key_layouts() {
+    for (name, key) in LAYOUTS {
+        let t = OnlineTable::<u64>::new(2);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let main: Vec<[u64; 2]> = (0..LAYOUT_ROWS)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                [key(i), x % 65_537]
+            })
+            .collect();
+        t.insert_rows(&main).unwrap();
+        t.merge(1, None).unwrap();
+        t.insert_rows(&main[..2_000]).unwrap();
+        for i in (0..LAYOUT_ROWS as usize).step_by(97) {
+            t.delete_row(i);
+        }
+        let all: Vec<[u64; 2]> = main.iter().chain(&main[..2_000]).copied().collect();
+        let live = |i: usize| i >= LAYOUT_ROWS as usize || !i.is_multiple_of(97);
+        let snap = t.snapshot();
+
+        let ranges = [
+            (key(12_345), key(12_345)),
+            (LAYOUT_ROWS + 5_000, LAYOUT_ROWS + 5_000),
+            (5_000, 5_100),
+            (4_000, 4_200),
+            (4_096, 3 * 4_096 - 1),
+            (1_000, 40_000),
+        ];
+        for (lo, hi) in ranges {
+            let keyed: Vec<usize> = (0..all.len())
+                .filter(|&i| live(i) && (lo..=hi).contains(&all[i][0]))
+                .collect();
+            let fused: Vec<u64> = keyed
+                .iter()
+                .map(|&i| all[i][1])
+                .filter(|&v| v <= 30_000)
+                .collect();
+            let q = Query::scan(0).between(lo, hi);
+            let fq = q.clone().and(1).between(0, 30_000);
+            for hint in 1..=8usize {
+                let what = format!("{name} [{lo}, {hi}] hint {hint}");
+                let (q, fq) = (q.clone().with_threads(hint), fq.clone().with_threads(hint));
+                assert_eq!(q.run(&snap).into_rows(), keyed, "{what}: rows");
+                assert_eq!(q.count().run(&snap).count(), keyed.len(), "{what}");
+                assert_eq!(fq.clone().count().run(&snap).count(), fused.len(), "{what}");
+                assert_eq!(
+                    fq.clone().sum(1).run(&snap).sum(),
+                    fused.iter().map(|&v| v as u128).sum::<u128>(),
+                    "{what}: fused sum"
+                );
+                assert_eq!(
+                    fq.min_max(1).run(&snap).min_max(),
+                    fused.iter().copied().min().zip(fused.iter().copied().max()),
+                    "{what}: fused min/max"
+                );
+            }
+        }
     }
 }
 

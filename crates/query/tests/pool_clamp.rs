@@ -3,7 +3,10 @@
 //! workers. The sharded executor divides the pool between the shards
 //! (per-shard hint = `threads / shards`, at least 1) and `run_indexed`
 //! bounds each fan-out's helper tasks by the pool size, so the peak
-//! queue depth stays at or below `pool.threads()`.
+//! queue depth stays at or below `pool.threads()`. Both fan-outs are
+//! further capped by the rows the zone maps leave — one claimant per whole
+//! morsel of surviving rows — so the tables here hold several morsels'
+//! worth, and a pruned lookup queues nothing at all.
 //!
 //! These tests live in their own binary and take turns under
 //! [`MEASURING`]: the peak-depth counter is a property of the
@@ -34,8 +37,9 @@ fn shard_fanout_times_morsel_hint_stays_within_the_pool() {
         .columns(2)
         .build()
         .unwrap();
-    let rows: Vec<[u64; 2]> = (0..40_000u64).map(|i| [i % 977, i]).collect();
+    let rows: Vec<[u64; 2]> = (0..640_000u64).map(|i| [i % 977, i]).collect();
     t.insert_rows(&rows).unwrap();
+    t.merge_all(1).unwrap();
 
     let pool = Pool::global();
     let q = Query::scan(0).between(100u64, 700).count().with_threads(8);
@@ -81,7 +85,7 @@ fn scheduler_merges_beside_wide_queries_stay_below_the_admission_limit() {
         .columns(2)
         .build()
         .unwrap();
-    let rows: Vec<[u64; 2]> = (0..400_000u64).map(|i| [i % 977, i]).collect();
+    let rows: Vec<[u64; 2]> = (0..640_000u64).map(|i| [i % 977, i]).collect();
     t.insert_rows(&rows).unwrap();
 
     let queries = [
@@ -119,5 +123,45 @@ fn scheduler_merges_beside_wide_queries_stay_below_the_admission_limit() {
         "merges + 8-wide queries queued {} tasks on a {}-thread pool",
         pool.peak_queue_depth(),
         pool.threads()
+    );
+}
+
+/// Work-sized fan-out: a key lookup on a 2-shard table of 1 M ascending
+/// keys leaves one zone block of one shard — less than a morsel — so it
+/// runs on the calling thread and queues no pool task, whatever its hint.
+/// An eq-count on a column whose every block survives still fans out.
+#[test]
+fn pruned_lookups_queue_nothing_while_unpruned_counts_fan_out() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let t = ShardedTable::<u64>::builder()
+        .shards(2)
+        .columns(2)
+        .build()
+        .unwrap();
+    let rows: Vec<[u64; 2]> = (0..1_000_000u64).map(|i| [i, i % 1_009]).collect();
+    t.insert_rows(&rows).unwrap();
+    t.merge_all(1).unwrap();
+
+    let pool = Pool::global();
+    for key in [0u64, 123_456, 999_999, 2_000_000] {
+        for hint in [1usize, 4] {
+            settle(pool);
+            pool.reset_peak_depth();
+            let q = Query::scan(0).eq(key).count().with_threads(hint);
+            assert_eq!(q.run(&t).count(), (key < 1_000_000) as usize);
+            assert_eq!(
+                pool.peak_queue_depth(),
+                0,
+                "lookup of {key} at hint {hint} queued pool tasks"
+            );
+        }
+    }
+    settle(pool);
+    pool.reset_peak_depth();
+    let hits = Query::scan(1).eq(500u64).count().run(&t).count();
+    assert_eq!(hits, rows.iter().filter(|r| r[1] == 500).count());
+    assert!(
+        pool.peak_queue_depth() >= 1,
+        "an eq-count over every block fans the shards out"
     );
 }

@@ -38,7 +38,7 @@ mod value;
 pub use delta_partition::{CompressedDelta, DeltaPartition};
 pub use dictionary::Dictionary;
 pub use frozen::{FrozenDelta, TailRegion};
-pub use main_partition::MainPartition;
+pub use main_partition::{MainPartition, ZONE_ROWS};
 pub use memory::MemoryReport;
 pub use tail::{TailLog, TailReservation, TailSealed};
 pub use validity::{AtomicValidity, ValidityBitmap};

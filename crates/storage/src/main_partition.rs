@@ -4,16 +4,29 @@ use crate::dictionary::Dictionary;
 use crate::value::Value;
 use hyrise_bitpack::{bits_for, BitPackedVec};
 
+/// Rows per zone-map block: 64 words of a dense row mask, and a divisor
+/// of the query engine's morsel size, so a block never straddles a morsel
+/// boundary.
+pub const ZONE_ROWS: usize = 4096;
+
 /// One column's main partition: a sorted [`Dictionary`] plus the per-tuple
 /// codes bit-packed at `E_C = max(1, ceil(log2 |U_M|))` bits.
 ///
 /// "Values in the tuples are replaced by encoded values from the dictionary
 /// ... the compressed value for a given value is its position in the
 /// dictionary, stored using the appropriate number of bits." (Sections 3, 4.1)
+///
+/// Beside the codes it keeps a **zone map**: the smallest and largest code
+/// of every [`ZONE_ROWS`]-row block (the last block may be shorter). Codes
+/// are order-preserving, so a predicate's value-id range that misses a
+/// block's `[min, max]` cannot match any row in it, and one that covers it
+/// matches every row — the query engine decides both without touching the
+/// block's codes.
 #[derive(Clone, Debug)]
 pub struct MainPartition<V> {
     dict: Dictionary<V>,
     codes: BitPackedVec,
+    zones: Vec<(u32, u32)>,
 }
 
 impl<V: Value> Default for MainPartition<V> {
@@ -22,18 +35,45 @@ impl<V: Value> Default for MainPartition<V> {
     }
 }
 
+/// Stream the `(min, max)` code of every block of `codes` from block
+/// `first` on into `f`. Stops and returns `false` as soon as `f` does or a
+/// block's max code reaches `bound`.
+fn scan_blocks(
+    codes: &BitPackedVec,
+    first: usize,
+    bound: u64,
+    mut f: impl FnMut(usize, (u32, u32)) -> bool,
+) -> bool {
+    let n = codes.len();
+    let mut cur = codes.cursor_at((first * ZONE_ROWS).min(n));
+    for b in first..n.div_ceil(ZONE_ROWS) {
+        let (mut lo, mut hi) = (u64::MAX, 0);
+        for _ in b * ZONE_ROWS..n.min((b + 1) * ZONE_ROWS) {
+            let code = cur.next_value();
+            lo = lo.min(code);
+            hi = hi.max(code);
+        }
+        if hi >= bound || !f(b, (lo as u32, hi as u32)) {
+            return false;
+        }
+    }
+    true
+}
+
 impl<V: Value> MainPartition<V> {
     /// An empty main partition (fresh tables start with everything in delta).
     pub fn empty() -> Self {
         Self {
             dict: Dictionary::empty(),
             codes: BitPackedVec::new(1),
+            zones: Vec::new(),
         }
     }
 
-    /// Bulk-load from raw values: builds the dictionary (sort + dedup) and
-    /// encodes every tuple. This models the initial population of the
-    /// read-optimized store; steady-state growth goes through the merge.
+    /// Bulk-load from raw values: builds the dictionary (sort + dedup),
+    /// encodes every tuple, and builds the zone map in one pass over the
+    /// codes. This models the initial population of the read-optimized
+    /// store; steady-state growth goes through the merge.
     pub fn from_values(values: &[V]) -> Self {
         let dict = Dictionary::from_unsorted(values.to_vec());
         let bits = bits_for(dict.len());
@@ -44,20 +84,50 @@ impl<V: Value> MainPartition<V> {
                 .expect("value must be in freshly built dictionary");
             codes.push(code as u64);
         }
-        Self { dict, codes }
+        let zones = Vec::with_capacity(values.len().div_ceil(ZONE_ROWS));
+        Self::with_carried_zones(dict, codes, zones)
     }
 
-    /// Assemble from parts — the merge's output path. `codes` must index
-    /// into `dict`.
+    /// Assemble from a dictionary and packed codes read back from storage
+    /// (the checkpoint loader), building the zone map in one pass over the
+    /// codes. Returns `None` when a code does not index into `dict` — the
+    /// input is corrupt, and a read decoding that code would panic.
+    pub fn from_parts(dict: Dictionary<V>, codes: BitPackedVec) -> Option<Self> {
+        let mut zones = Vec::with_capacity(codes.len().div_ceil(ZONE_ROWS));
+        scan_blocks(&codes, 0, dict.len() as u64, |_, z| {
+            zones.push(z);
+            true
+        })
+        .then_some(Self { dict, codes, zones })
+    }
+
+    /// Assemble from parts whose codes index into `dict` — the merge's
+    /// output. `carried` holds the zones of the first `carried.len()`
+    /// blocks, already mapped into the new code space by the merge; the
+    /// remaining blocks are scanned from `codes`.
     ///
     /// # Panics
-    /// In debug builds, if any code is out of dictionary range.
-    pub fn from_parts(dict: Dictionary<V>, codes: BitPackedVec) -> Self {
+    /// In debug builds, if any code is out of dictionary range or a
+    /// carried zone differs from the block's actual `(min, max)`.
+    pub fn with_carried_zones(
+        dict: Dictionary<V>,
+        codes: BitPackedVec,
+        mut carried: Vec<(u32, u32)>,
+    ) -> Self {
+        scan_blocks(&codes, carried.len(), u64::MAX, |_, z| {
+            carried.push(z);
+            true
+        });
         debug_assert!(
-            codes.iter().all(|c| (c as usize) < dict.len().max(1)),
-            "all codes must be valid dictionary indices"
+            scan_blocks(&codes, 0, dict.len() as u64, |b, z| carried[b] == z),
+            "carried zones must equal the codes' per-block min/max, and \
+             every code must index into the dictionary"
         );
-        Self { dict, codes }
+        Self {
+            dict,
+            codes,
+            zones: carried,
+        }
     }
 
     /// Dissolve into dictionary and packed codes — the buffer-recycling
@@ -84,6 +154,14 @@ impl<V: Value> MainPartition<V> {
     #[inline]
     pub fn dictionary(&self) -> &Dictionary<V> {
         &self.dict
+    }
+
+    /// The zone map: `(min code, max code)` of rows
+    /// `[b * ZONE_ROWS, (b + 1) * ZONE_ROWS)` at index `b`, one entry per
+    /// block, `len().div_ceil(ZONE_ROWS)` in all.
+    #[inline]
+    pub fn zones(&self) -> &[(u32, u32)] {
+        &self.zones
     }
 
     /// The compressed value-length `E_C` in bits.
@@ -125,9 +203,14 @@ impl<V: Value> MainPartition<V> {
         }
     }
 
-    /// Heap bytes: packed codes plus dictionary.
+    /// Heap bytes of the zone map (8 B per block).
+    pub(crate) fn zone_bytes(&self) -> usize {
+        std::mem::size_of_val(self.zones.as_slice())
+    }
+
+    /// Heap bytes: packed codes, zone map and dictionary.
     pub fn memory_bytes(&self) -> usize {
-        self.codes.packed_bytes() + self.dict.memory_bytes()
+        self.codes.packed_bytes() + self.zone_bytes() + self.dict.memory_bytes()
     }
 }
 
@@ -197,8 +280,9 @@ mod tests {
         let vals: Vec<u64> = (0..1024).collect(); // 1024 unique, 10-bit codes
         let m = MainPartition::from_values(&vals);
         assert_eq!(m.code_bits(), 10);
-        // 1024 * 10 bits = 10240 bits = 160 words = 1280 bytes + dict 8192.
-        assert_eq!(m.memory_bytes(), 1280 + 8192);
+        // 1024 * 10 bits = 10240 bits = 160 words = 1280 bytes, one 8-byte
+        // zone, dict 8192.
+        assert_eq!(m.memory_bytes(), 1280 + 8 + 8192);
     }
 
     #[test]
@@ -217,5 +301,81 @@ mod tests {
         assert_eq!(m32.get(0), 3);
         let m16 = MainPartition::from_values(&[V16::from_seed(9), V16::from_seed(2)]);
         assert_eq!(m16.get(1), V16::from_seed(2));
+    }
+
+    /// Per-block min/max recomputed from the codes, block by block.
+    fn brute_zones<V: Value>(m: &MainPartition<V>) -> Vec<(u32, u32)> {
+        let codes: Vec<u32> = (0..m.len()).map(|i| m.code(i)).collect();
+        codes
+            .chunks(ZONE_ROWS)
+            .map(|b| (*b.iter().min().unwrap(), *b.iter().max().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn zone_map_covers_every_block_at_the_boundaries() {
+        // 0, 1, one short of a block, exactly one, one past, and a length
+        // whose last block straddles (is shorter than ZONE_ROWS).
+        for n in [0usize, 1, 4095, 4096, 4097, 3 * ZONE_ROWS + 1000] {
+            for (name, vals) in [
+                ("ascending", (0..n as u64).collect::<Vec<_>>()),
+                ("cycled", (0..n as u64).map(|i| (i * 7919) % 1000).collect()),
+            ] {
+                let m = MainPartition::from_values(&vals);
+                assert_eq!(m.zones().len(), n.div_ceil(ZONE_ROWS), "{name} {n}");
+                assert_eq!(m.zones(), &brute_zones(&m)[..], "{name} {n}");
+                // Reassembling from the parts rebuilds the same map.
+                let (dict, codes) = m.clone().into_parts();
+                let again = MainPartition::from_parts(dict, codes).expect("codes are in range");
+                assert_eq!(again.zones(), m.zones(), "{name} {n}");
+                assert_eq!(m.zone_bytes(), 8 * n.div_ceil(ZONE_ROWS));
+            }
+        }
+        // Ascending codes give disjoint zones, one block after another;
+        // the straddling block ends at the last code.
+        let m = MainPartition::from_values(&(0..2 * ZONE_ROWS as u64 + 5).collect::<Vec<_>>());
+        assert_eq!(
+            m.zones(),
+            &[(0, 4095), (4096, 2 * 4096 - 1), (2 * 4096, 2 * 4096 + 4)]
+        );
+    }
+
+    #[test]
+    fn zone_map_at_exact_powers_of_two_distinct_values() {
+        // 2^k distinct values fill k-bit codes exactly; 2^k + 1 need k + 1.
+        for k in 1..=12u32 {
+            for distinct in [1u64 << k, (1u64 << k) + 1] {
+                let vals: Vec<u64> = (0..2 * ZONE_ROWS as u64 + 77)
+                    .map(|i| (i * 31) % distinct)
+                    .collect();
+                let m = MainPartition::from_values(&vals);
+                assert_eq!(m.code_bits(), bits_for(distinct as usize), "{distinct}");
+                assert_eq!(m.zones(), &brute_zones(&m)[..], "{distinct}");
+                let top = m.zones().iter().map(|z| z.1).max().unwrap();
+                assert_eq!(top as u64, distinct - 1, "the largest code is in a zone");
+            }
+        }
+    }
+
+    #[test]
+    fn single_value_column_has_point_zones() {
+        let m = MainPartition::from_values(&vec![7u64; ZONE_ROWS + 1]);
+        assert_eq!(m.zones(), &[(0, 0), (0, 0)]);
+    }
+
+    #[test]
+    fn from_parts_rejects_codes_outside_the_dictionary() {
+        // Three dictionary values, 2-bit codes: code 3 fits the width but
+        // indexes past the dictionary — in a block after the first, too.
+        let dict = || Dictionary::from_sorted_unique(vec![10u64, 20, 30]);
+        let mut codes: Vec<u64> = (0..ZONE_ROWS as u64 + 10).map(|i| i % 3).collect();
+        let good = BitPackedVec::from_slice(2, &codes);
+        assert!(MainPartition::from_parts(dict(), good).is_some());
+        codes[ZONE_ROWS + 3] = 3;
+        let bad = BitPackedVec::from_slice(2, &codes);
+        assert!(MainPartition::from_parts(dict(), bad).is_none());
+        // An empty dictionary admits no code at all.
+        let one = BitPackedVec::from_slice(1, &[0]);
+        assert!(MainPartition::from_parts(Dictionary::<u64>::empty(), one).is_none());
     }
 }

@@ -12,7 +12,8 @@ use crate::value::Value;
 /// Byte breakdown of one attribute.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoryReport {
-    /// Bit-packed code vector of the main partition.
+    /// Bit-packed code vector of the main partition, with its zone map
+    /// (8 B per 4 096 rows).
     pub main_codes: usize,
     /// Main dictionary values.
     pub main_dict: usize,
@@ -31,7 +32,7 @@ impl MemoryReport {
     /// raw tail (`delta_values`) on top, component by component.
     pub fn of_main<V: Value>(main: &MainPartition<V>) -> Self {
         Self {
-            main_codes: main.packed_codes().packed_bytes(),
+            main_codes: main.packed_codes().packed_bytes() + main.zone_bytes(),
             main_dict: main.dictionary().memory_bytes(),
             ..Self::default()
         }
@@ -122,8 +123,9 @@ mod tests {
     fn breakdown_of_mixed_attribute() {
         let main = MainPartition::from_values(&(0..10_000u64).map(|i| i % 8).collect::<Vec<_>>());
         let r = MemoryReport::of_main(&main) + tail_of(1_000);
-        // 10K tuples at 3 bits = 3750 bytes rounded to words.
-        assert_eq!(r.main_codes, (10_000 * 3usize).div_ceil(64) * 8);
+        // 10K tuples at 3 bits = 3750 bytes rounded to words, plus three
+        // 8-byte zones.
+        assert_eq!(r.main_codes, (10_000 * 3usize).div_ceil(64) * 8 + 3 * 8);
         assert_eq!(r.main_dict, 8 * 8);
         assert_eq!(r.delta_values, 1_000 * 8);
         assert_eq!(r.total(), r.main_total() + r.delta_total());

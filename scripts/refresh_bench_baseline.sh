@@ -3,7 +3,13 @@
 # compares against. Run this from the repo root on the machine class CI
 # uses, whenever a deliberate perf change (or a new gated bench) lands:
 #
-#   scripts/refresh_bench_baseline.sh
+#   scripts/refresh_bench_baseline.sh [bench [filter]]
+#
+# With no argument every gated bench is re-measured and the baseline is
+# rewritten from scratch. With a bench name, and optionally a substring
+# filter on its ids, only the matching entries are measured and merged
+# into the existing baseline — how a change adds new entries without
+# re-baselining the others.
 #
 # The gated benches are scan, scan_swar, morsel_scan, query_engine,
 # dict_merge, merge_pipeline, shard_scale, governor, contended_writers,
@@ -18,9 +24,14 @@ cd "$(dirname "$0")/.."
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
 
-for bench in scan scan_swar morsel_scan query_engine dict_merge merge_pipeline shard_scale governor contended_writers wal_append client_swarm; do
-    cargo bench -p hyrise-bench --bench "$bench" | tee -a "$out"
-done
+if [ $# -gt 0 ]; then
+    cargo bench -p hyrise-bench --bench "$1" -- ${2:+"$2"} | tee -a "$out"
+else
+    for bench in scan scan_swar morsel_scan query_engine dict_merge merge_pipeline shard_scale governor contended_writers wal_append client_swarm; do
+        cargo bench -p hyrise-bench --bench "$bench" | tee -a "$out"
+    done
+    rm -f BENCH_baseline.json
+fi
 
 cargo run --release -p hyrise-bench --bin bench_gate -- update "$out" \
     --baseline BENCH_baseline.json
