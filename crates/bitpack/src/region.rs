@@ -116,13 +116,28 @@ impl BitPackedVec {
     /// # Panics
     /// If `pieces == 0`.
     pub fn split_mut(&mut self, pieces: usize) -> RegionSplit<'_> {
+        self.split_mut_aligned(pieces, 64)
+    }
+
+    /// [`Self::split_mut`] with every region boundary a multiple of
+    /// `align` values, so a caller keeping per-block state over
+    /// `align`-value blocks hands each region whole blocks.
+    ///
+    /// # Panics
+    /// If `pieces == 0` or `align` is not a positive multiple of 64.
+    pub fn split_mut_aligned(&mut self, pieces: usize, align: usize) -> RegionSplit<'_> {
         assert!(pieces > 0, "cannot split into zero pieces");
+        assert!(
+            align > 0 && align.is_multiple_of(64),
+            "alignment {align} is not a positive multiple of 64"
+        );
         let len = self.len();
         let bits = self.bits();
 
-        // Chunk size: multiple of 64 values, at least 64, covering len/pieces.
+        // Chunk size: multiple of `align` values, at least `align`,
+        // covering len/pieces.
         let raw = len.div_ceil(pieces).max(1);
-        let chunk = raw.div_ceil(64) * 64;
+        let chunk = raw.div_ceil(align) * align;
 
         let mut regions = Vec::with_capacity(pieces);
         let mut start = 0usize;
@@ -195,6 +210,29 @@ mod tests {
             }
             assert_eq!(covered, len, "regions must cover the vector (len={len})");
         }
+    }
+
+    #[test]
+    fn aligned_regions_start_on_block_boundaries() {
+        for &(len, pieces) in &[(0usize, 3usize), (1, 3), (4095, 2), (4097, 2), (100_000, 7)] {
+            let mut v = BitPackedVec::zeroed(11, len);
+            let regions = v.split_mut_aligned(pieces, 4096).into_regions();
+            assert!(regions.len() <= pieces);
+            let mut covered = 0usize;
+            for r in &regions {
+                assert_eq!(r.start_index(), covered, "regions must be contiguous");
+                assert_eq!(r.start_index() % 4096, 0, "len={len}");
+                covered += r.len();
+            }
+            assert_eq!(covered, len, "regions must cover the vector (len={len})");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of 64")]
+    fn unaligned_alignment_panics() {
+        let mut v = BitPackedVec::zeroed(4, 10);
+        let _ = v.split_mut_aligned(2, 100);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! * [`parallel`] — Section 6.2's multi-core stages. Step 1(b) merges the
 //!   two sorted dictionaries with duplicate removal in three phases
 //!   (merge-path partitioning, counter array + prefix sum, re-merge at final
-//!   offsets); Step 2 partitions tuples over threads on 64-tuple boundaries
-//!   so each thread writes its own words of the bit-packed output.
+//!   offsets); Step 2 partitions tuples over threads on 4 096-tuple
+//!   (zone-block) boundaries so each thread writes its own words of the
+//!   bit-packed output and its own blocks of the zone map.
 //! * [`model`] — Section 6.1/7.4: the analytical compute & memory-traffic
 //!   model (Equations 8–15) with machine calibration micro-benchmarks.
 //! * [`manager`] — Section 3/4: the one table type,

@@ -14,9 +14,9 @@
 //!   sum over the counter array; (3) each thread re-merges its range, writing
 //!   dictionary values and auxiliary entries at its final offsets.
 //! * **Step 2** evenly divides the `N'_M` tuples over threads; ranges are cut
-//!   on 64-tuple boundaries so every thread owns whole words of the
-//!   bit-packed output ("each thread reads/writes from/to independent chunks
-//!   of tables").
+//!   on 4 096-tuple (zone-block) boundaries so every thread owns whole words
+//!   of the bit-packed output and whole blocks of its zone map ("each thread
+//!   reads/writes from/to independent chunks of tables").
 
 use crate::partition::quantile_boundaries;
 use crate::pipeline::{

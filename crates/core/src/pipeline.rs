@@ -17,9 +17,9 @@
 //!
 //! The pipeline is allocation-aware: a [`MergeScratch`] arena owns every
 //! intermediate buffer (`U_D`, delta codes, `X_M`, `X_D`) and a stack of
-//! spare buffers for the two outputs that outlive the merge (the merged
-//! dictionary's value vector and the packed code words). Callers that
-//! recycle retired main partitions back into the scratch
+//! spare buffers for the outputs that outlive the merge (the merged
+//! dictionary's value vector, the packed code words and the zone map).
+//! Callers that recycle retired main partitions back into the scratch
 //! ([`MergeScratch::recycle_main`]) reach a steady state where a merge
 //! performs **no heap allocation** for dictionary/aux/output buffers —
 //! directly attacking the ~2x peak-memory cost of online reorganization
@@ -271,6 +271,8 @@ pub struct MergeScratch<V> {
     dict_spares: std::collections::VecDeque<Vec<V>>,
     /// Local spare packed-word buffers (same lifecycle).
     word_spares: std::collections::VecDeque<Vec<u64>>,
+    /// Local spare zone-map buffers (same lifecycle).
+    zone_spares: std::collections::VecDeque<Vec<(u32, u32)>>,
     /// The shared table-level bank, when this scratch belongs to a table
     /// ([`crate::manager::OnlineTable`] attaches it at checkout).
     bank: Option<std::sync::Arc<SpareBank<V>>>,
@@ -319,9 +321,18 @@ fn trim_spare<T>(mut buf: Vec<T>, want: usize) -> Vec<T> {
 /// partitions than it donates (e.g. a shrinking pool) cannot hoard memory.
 const MAX_SPARES: usize = 32;
 
-/// The table-level spare-buffer bank: one shared home for the two output
-/// buffers that outlive a merge (merged-dictionary values and packed code
-/// words), taken with size hints under a short lock.
+/// Bank a retired buffer, emptied, unless `q` already holds
+/// [`MAX_SPARES`].
+fn bank_spare<T>(q: &mut std::collections::VecDeque<Vec<T>>, mut buf: Vec<T>) {
+    if q.len() < MAX_SPARES {
+        buf.clear();
+        q.push_back(buf);
+    }
+}
+
+/// The table-level spare-buffer bank: one shared home for the output
+/// buffers that outlive a merge (merged-dictionary values, packed code
+/// words and the zone map), taken with size hints under a short lock.
 ///
 /// Per-arena spares break down with several merge workers: the racing
 /// column→worker assignment can retire a column's buffer into one worker's
@@ -336,6 +347,7 @@ const MAX_SPARES: usize = 32;
 pub struct SpareBank<V> {
     dicts: parking_lot::Mutex<std::collections::VecDeque<Vec<V>>>,
     words: parking_lot::Mutex<std::collections::VecDeque<Vec<u64>>>,
+    zones: parking_lot::Mutex<std::collections::VecDeque<Vec<(u32, u32)>>>,
 }
 
 impl<V: Value> Default for SpareBank<V> {
@@ -350,6 +362,7 @@ impl<V: Value> SpareBank<V> {
         Self {
             dicts: parking_lot::Mutex::new(std::collections::VecDeque::new()),
             words: parking_lot::Mutex::new(std::collections::VecDeque::new()),
+            zones: parking_lot::Mutex::new(std::collections::VecDeque::new()),
         }
     }
 
@@ -368,25 +381,21 @@ impl<V: Value> SpareBank<V> {
         trim_spare(buf, want)
     }
 
-    /// Recycle a retired main partition: its sorted value vector and
-    /// packed word buffer join the bank for the next merge's output, from
-    /// any worker on any column.
+    /// Take a spare zone-map buffer (same contract as
+    /// [`Self::take_dict`]).
+    pub fn take_zones(&self, want: usize) -> Vec<(u32, u32)> {
+        let buf = take_spare(&mut self.zones.lock(), want);
+        trim_spare(buf, want)
+    }
+
+    /// Recycle a retired main partition: its sorted value vector, packed
+    /// word buffer and zone map join the bank for the next merge's output,
+    /// from any worker on any column.
     pub fn recycle_main(&self, main: MainPartition<V>) {
-        let (dict, codes) = main.into_parts();
-        {
-            let mut q = self.dicts.lock();
-            if q.len() < MAX_SPARES {
-                let mut d = dict.into_values();
-                d.clear();
-                q.push_back(d);
-            }
-        }
-        let mut q = self.words.lock();
-        if q.len() < MAX_SPARES {
-            let mut w = codes.into_words();
-            w.clear();
-            q.push_back(w);
-        }
+        let (dict, codes, zones) = main.into_parts();
+        bank_spare(&mut self.dicts.lock(), dict.into_values());
+        bank_spare(&mut self.words.lock(), codes.into_words());
+        bank_spare(&mut self.zones.lock(), zones);
     }
 
     /// Capacities currently banked, `(dictionary values, code words)` —
@@ -421,6 +430,7 @@ impl<V: Value> MergeScratch<V> {
             x_d: Vec::new(),
             dict_spares: std::collections::VecDeque::new(),
             word_spares: std::collections::VecDeque::new(),
+            zone_spares: std::collections::VecDeque::new(),
             bank: None,
         }
     }
@@ -438,16 +448,13 @@ impl<V: Value> MergeScratch<V> {
             return;
         }
         for d in self.dict_spares.drain(..) {
-            let mut q = bank.dicts.lock();
-            if q.len() < MAX_SPARES {
-                q.push_back(d);
-            }
+            bank_spare(&mut bank.dicts.lock(), d);
         }
         for w in self.word_spares.drain(..) {
-            let mut q = bank.words.lock();
-            if q.len() < MAX_SPARES {
-                q.push_back(w);
-            }
+            bank_spare(&mut bank.words.lock(), w);
+        }
+        for z in self.zone_spares.drain(..) {
+            bank_spare(&mut bank.zones.lock(), z);
         }
         self.bank = Some(bank);
     }
@@ -470,27 +477,29 @@ impl<V: Value> MergeScratch<V> {
         }
     }
 
-    /// Recycle a retired main partition: its sorted value vector and packed
-    /// word buffer join the spare queues (the attached [`SpareBank`]'s, if
-    /// any, else this arena's own) for the next merge's output. This is how
-    /// steady-state merges reach zero allocation — the old generation's
-    /// memory becomes the new generation's buffers.
+    /// Take a spare zone-map buffer, best-fit for `want` zones (empty
+    /// `Vec` if none is banked).
+    pub(crate) fn take_zones(&mut self, want: usize) -> Vec<(u32, u32)> {
+        match &self.bank {
+            Some(b) => b.take_zones(want),
+            None => trim_spare(take_spare(&mut self.zone_spares, want), want),
+        }
+    }
+
+    /// Recycle a retired main partition: its sorted value vector, packed
+    /// word buffer and zone map join the spare queues (the attached
+    /// [`SpareBank`]'s, if any, else this arena's own) for the next merge's
+    /// output. This is how steady-state merges reach zero allocation — the
+    /// old generation's memory becomes the new generation's buffers.
     pub fn recycle_main(&mut self, main: MainPartition<V>) {
         if let Some(b) = &self.bank {
             b.recycle_main(main);
             return;
         }
-        let (dict, codes) = main.into_parts();
-        if self.dict_spares.len() < MAX_SPARES {
-            let mut d = dict.into_values();
-            d.clear();
-            self.dict_spares.push_back(d);
-        }
-        if self.word_spares.len() < MAX_SPARES {
-            let mut w = codes.into_words();
-            w.clear();
-            self.word_spares.push_back(w);
-        }
+        let (dict, codes, zones) = main.into_parts();
+        bank_spare(&mut self.dict_spares, dict.into_values());
+        bank_spare(&mut self.word_spares, codes.into_words());
+        bank_spare(&mut self.zone_spares, zones);
     }
 
     /// Capacities currently banked in this arena's **local** queues,
@@ -759,6 +768,7 @@ impl MergePipeline {
         // frozen one.
         let t0 = Instant::now();
         let words = scratch.take_words(((n_m + n_d) * bits_after as usize).div_ceil(64));
+        let zones = scratch.take_zones((n_m + n_d).div_ceil(ZONE_ROWS));
         let step2_threads = |requested: usize| {
             if self.exact {
                 requested
@@ -790,6 +800,7 @@ impl MergePipeline {
                             bits_after,
                             threads,
                             words,
+                            zones,
                             observer,
                             map_main,
                             |k0| {
@@ -808,6 +819,7 @@ impl MergePipeline {
                         bits_after,
                         threads,
                         words,
+                        zones,
                         observer,
                         map_main,
                         |k0| {
@@ -837,6 +849,7 @@ impl MergePipeline {
                             bits_after,
                             threads,
                             words,
+                            zones,
                             observer,
                             map_main,
                             |k0| {
@@ -855,6 +868,7 @@ impl MergePipeline {
                         bits_after,
                         threads,
                         words,
+                        zones,
                         observer,
                         map_main,
                         |k0| {
@@ -886,7 +900,7 @@ impl MergePipeline {
         };
         let dict = Dictionary::from_sorted_unique(merged);
         MergeOutput {
-            main: MainPartition::with_carried_zones(dict, codes, zones),
+            main: MainPartition::with_zones(dict, codes, zones),
             stats,
         }
     }
@@ -922,17 +936,19 @@ fn union_into<V: Value>(u_m: &[V], u_d: &[V], merged: &mut Vec<V>) {
 /// **The** Step 2 kernel: append `n_d` delta tuples to the `n_m` main
 /// tuples, re-encoding every tuple at `bits_after` bits via the two code
 /// maps. The old main codes stream through a sequential cursor; output
-/// regions are cut on 64-tuple boundaries so every thread owns whole words
-/// of the bit-packed output and writes are OR-only into zeroed storage
-/// ("each thread reads/writes from/to independent chunks of tables",
-/// Section 6.2.2). `words` is the (possibly recycled) output buffer;
-/// `threads` is the final team size (the caller applies any clamping).
+/// regions are cut on [`ZONE_ROWS`]-tuple boundaries so every thread owns
+/// whole words of the bit-packed output and whole zone-map blocks, and
+/// writes are OR-only into zeroed storage ("each thread reads/writes
+/// from/to independent chunks of tables", Section 6.2.2). `words` and
+/// `zones` are the (possibly recycled) output buffers; `threads` is the
+/// final team size (the caller applies any clamping).
 ///
-/// Also returns the zone map of the output's leading blocks, carried
-/// rather than rescanned: every full old block keeps its rows, and
-/// `map_main` is strictly increasing, so its new zone is
-/// `(map(min), map(max))` — O(N_M / ZONE_ROWS) lookups. The straddling
-/// block and the delta rows after it are left for the caller to scan.
+/// The zone map comes out with the codes. Every old block keeps its rows
+/// (the last, if short, gains delta rows after them) and `map_main` is
+/// strictly increasing, so an old zone maps to `(map(min), map(max))`:
+/// O(N_M / ZONE_ROWS) lookups, no main row rescanned. Each delta code
+/// folds into its block's zone as the region writing it produces it, so
+/// no output code is read back.
 #[allow(clippy::too_many_arguments)]
 fn reencode<V: Value, DC: FnMut() -> u64>(
     main: &MainPartition<V>,
@@ -940,6 +956,7 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
     bits_after: u8,
     threads: usize,
     words: Vec<u64>,
+    mut zones: Vec<(u32, u32)>,
     observer: Option<(&dyn StepSink, usize)>,
     map_main: impl Fn(u64) -> u64 + Sync,
     mk_delta: impl Fn(usize) -> DC + Sync,
@@ -947,20 +964,38 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
     let n_m = main.len();
     let n_total = n_m + n_d;
     let mut codes = BitPackedVec::zeroed_in(bits_after, n_total, words);
+    let carried = n_m / ZONE_ROWS;
+    zones.clear();
+    zones.extend(
+        main.zones()
+            .iter()
+            .map(|&(lo, hi)| (map_main(lo as u64) as u32, map_main(hi as u64) as u32)),
+    );
+    zones.resize(n_total.div_ceil(ZONE_ROWS), (u32::MAX, 0));
     // Region-completion narration: one relaxed counter bump per region (not
     // per tuple), so the observed path stays off the kernel's hot loop.
     let regions_done = std::sync::atomic::AtomicU64::new(0);
-    let fill = |mut region: BitRegion<'_>, total_regions: u64| {
+    // `own` holds the zones of the region's blocks that take delta rows.
+    let fill = |(mut region, own): (BitRegion<'_>, &mut [(u32, u32)]), total_regions: u64| {
         let mut old = main.packed_codes().cursor_at(region.start_index().min(n_m));
         // Each region gets its own delta stream, positioned at the region's
         // first delta-local row (zero if the region starts in the main).
         let mut next_delta = mk_delta(region.start_index().saturating_sub(n_m));
+        let own_from = region.start_index().max(carried * ZONE_ROWS);
+        let (mut lo, mut hi) = (u64::MAX, 0);
         region.fill_sequential(|idx| {
             if idx < n_m {
-                map_main(old.next_value())
-            } else {
-                next_delta()
+                return map_main(old.next_value());
             }
+            let code = next_delta();
+            lo = lo.min(code);
+            hi = hi.max(code);
+            if (idx + 1) % ZONE_ROWS == 0 || idx + 1 == n_total {
+                let z = &mut own[(idx - own_from) / ZONE_ROWS];
+                *z = (z.0.min(lo as u32), z.1.max(hi as u32));
+                (lo, hi) = (u64::MAX, 0);
+            }
+            code
         });
         if let Some((sink, col)) = observer {
             let done = regions_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
@@ -973,15 +1008,20 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
     };
     // One partition runs inline on the caller (the path the zero-allocation
     // steady state runs on); more fan out on the shared pool.
-    let regions = codes.split_mut(threads).into_regions();
+    let regions = codes.split_mut_aligned(threads, ZONE_ROWS).into_regions();
     let total = regions.len() as u64;
-    Pool::global().run_each(regions, threads, |_, region| fill(region, total));
-    let mut zones = Vec::with_capacity(n_total.div_ceil(ZONE_ROWS));
-    zones.extend(
-        main.zones()[..n_m / ZONE_ROWS]
-            .iter()
-            .map(|&(lo, hi)| (map_main(lo as u64) as u32, map_main(hi as u64) as u32)),
-    );
+    let mut rest = &mut zones[carried..];
+    let parts: Vec<_> = regions
+        .into_iter()
+        .map(|region| {
+            let first = carried.max(region.start_index() / ZONE_ROWS);
+            let end = (region.start_index() + region.len()).div_ceil(ZONE_ROWS);
+            let (own, tail) = std::mem::take(&mut rest).split_at_mut(end.saturating_sub(first));
+            rest = tail;
+            (region, own)
+        })
+        .collect();
+    Pool::global().run_each(parts, threads, |_, part| fill(part, total));
     (codes, zones)
 }
 
@@ -1112,12 +1152,19 @@ mod tests {
             scratch.x_d.capacity(),
             scratch.spare_capacities(),
         );
+        let mut last_zones = None;
         for round in 0..5 {
             let out = MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(
                 &main,
                 &delta,
                 &mut scratch,
             );
+            // The zone map is the retired one's buffer, whatever its size.
+            let zones = out.main.zones().as_ptr();
+            if let Some(last) = last_zones {
+                assert_eq!(zones, last, "round {round}: zone map reallocated");
+            }
+            last_zones = Some(zones);
             scratch.recycle_main(out.main);
             let now = (
                 scratch.u_d.capacity(),
@@ -1350,8 +1397,10 @@ mod tests {
                 let delta_vals: Vec<u64> = (0..n_d).map(|_| 2 * (next() % 20_000) + 1).collect();
                 let delta = delta_from(&delta_vals);
                 for strategy in STRATEGIES {
+                    // Exact teams cut Stage 2 into several regions even at
+                    // these sizes; the zone folds must meet at their edges.
                     for threads in [1usize, 3] {
-                        let out = MergePipeline::new(strategy, threads).merge_column(
+                        let out = MergePipeline::exact(strategy, threads).merge_column(
                             &main,
                             &delta,
                             &mut MergeScratch::new(),

@@ -107,8 +107,12 @@ fn recover_replays_inserts_deletes_and_merges() {
         let tail: Vec<Vec<u64>> = (9_000..9_123u64).map(row).collect();
         t.insert_rows(&tail).unwrap();
         model.insert_rows(&tail).unwrap();
-        t.try_delete_row(450).unwrap();
-        model.try_delete_row(450).unwrap();
+        // One delete lands in the checkpointed main, one in the tail that
+        // exists only in the WAL.
+        for r in [450usize, 9_050] {
+            t.try_delete_row(r).unwrap();
+            model.try_delete_row(r).unwrap();
+        }
         // dropped cold: no flush hook runs
     }
     let back: OnlineTable<u64> = recover(scratch.path()).unwrap();

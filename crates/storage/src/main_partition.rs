@@ -35,29 +35,22 @@ impl<V: Value> Default for MainPartition<V> {
     }
 }
 
-/// Stream the `(min, max)` code of every block of `codes` from block
-/// `first` on into `f`. Stops and returns `false` as soon as `f` does or a
-/// block's max code reaches `bound`.
-fn scan_blocks(
-    codes: &BitPackedVec,
-    first: usize,
-    bound: u64,
-    mut f: impl FnMut(usize, (u32, u32)) -> bool,
-) -> bool {
+/// The zone map of `codes`: the `(min, max)` code of every block, in one
+/// pass.
+fn scan_zones(codes: &BitPackedVec) -> Vec<(u32, u32)> {
     let n = codes.len();
-    let mut cur = codes.cursor_at((first * ZONE_ROWS).min(n));
-    for b in first..n.div_ceil(ZONE_ROWS) {
-        let (mut lo, mut hi) = (u64::MAX, 0);
-        for _ in b * ZONE_ROWS..n.min((b + 1) * ZONE_ROWS) {
-            let code = cur.next_value();
-            lo = lo.min(code);
-            hi = hi.max(code);
-        }
-        if hi >= bound || !f(b, (lo as u32, hi as u32)) {
-            return false;
-        }
-    }
-    true
+    let mut cur = codes.cursor_at(0);
+    (0..n.div_ceil(ZONE_ROWS))
+        .map(|b| {
+            let (mut lo, mut hi) = (u64::MAX, 0);
+            for _ in b * ZONE_ROWS..n.min((b + 1) * ZONE_ROWS) {
+                let code = cur.next_value();
+                lo = lo.min(code);
+                hi = hi.max(code);
+            }
+            (lo as u32, hi as u32)
+        })
+        .collect()
 }
 
 impl<V: Value> MainPartition<V> {
@@ -84,8 +77,7 @@ impl<V: Value> MainPartition<V> {
                 .expect("value must be in freshly built dictionary");
             codes.push(code as u64);
         }
-        let zones = Vec::with_capacity(values.len().div_ceil(ZONE_ROWS));
-        Self::with_carried_zones(dict, codes, zones)
+        Self::from_parts(dict, codes).expect("codes index their own fresh dictionary")
     }
 
     /// Assemble from a dictionary and packed codes read back from storage
@@ -93,49 +85,33 @@ impl<V: Value> MainPartition<V> {
     /// codes. Returns `None` when a code does not index into `dict` — the
     /// input is corrupt, and a read decoding that code would panic.
     pub fn from_parts(dict: Dictionary<V>, codes: BitPackedVec) -> Option<Self> {
-        let mut zones = Vec::with_capacity(codes.len().div_ceil(ZONE_ROWS));
-        scan_blocks(&codes, 0, dict.len() as u64, |_, z| {
-            zones.push(z);
-            true
-        })
-        .then_some(Self { dict, codes, zones })
+        let zones = scan_zones(&codes);
+        let in_dict = zones.iter().all(|z| (z.1 as usize) < dict.len());
+        in_dict.then_some(Self { dict, codes, zones })
     }
 
-    /// Assemble from parts whose codes index into `dict` — the merge's
-    /// output. `carried` holds the zones of the first `carried.len()`
-    /// blocks, already mapped into the new code space by the merge; the
-    /// remaining blocks are scanned from `codes`.
+    /// Assemble from parts whose zone map the caller already holds — the
+    /// merge's output, whose Stage 2 carries the old main's zones and
+    /// derives the rest while it writes the codes.
     ///
     /// # Panics
-    /// In debug builds, if any code is out of dictionary range or a
-    /// carried zone differs from the block's actual `(min, max)`.
-    pub fn with_carried_zones(
-        dict: Dictionary<V>,
-        codes: BitPackedVec,
-        mut carried: Vec<(u32, u32)>,
-    ) -> Self {
-        scan_blocks(&codes, carried.len(), u64::MAX, |_, z| {
-            carried.push(z);
-            true
-        });
+    /// In debug builds, if `zones` differs from the codes' per-block
+    /// `(min, max)` or a code is out of dictionary range.
+    pub fn with_zones(dict: Dictionary<V>, codes: BitPackedVec, zones: Vec<(u32, u32)>) -> Self {
+        debug_assert_eq!(zones, scan_zones(&codes), "zones are the codes' min/max");
         debug_assert!(
-            scan_blocks(&codes, 0, dict.len() as u64, |b, z| carried[b] == z),
-            "carried zones must equal the codes' per-block min/max, and \
-             every code must index into the dictionary"
+            zones.iter().all(|z| (z.1 as usize) < dict.len()),
+            "all codes must be valid dictionary indices"
         );
-        Self {
-            dict,
-            codes,
-            zones: carried,
-        }
+        Self { dict, codes, zones }
     }
 
-    /// Dissolve into dictionary and packed codes — the buffer-recycling
-    /// hook: a retired main partition's two big allocations (sorted value
-    /// vector and packed word buffer) can be fed back into the next merge's
-    /// scratch arena instead of being freed.
-    pub fn into_parts(self) -> (Dictionary<V>, BitPackedVec) {
-        (self.dict, self.codes)
+    /// Dissolve into dictionary, packed codes and zone map — the
+    /// buffer-recycling hook: a retired main partition's allocations
+    /// (sorted value vector, packed word buffer, zone map) can be fed back
+    /// into the next merge's scratch arena instead of being freed.
+    pub fn into_parts(self) -> (Dictionary<V>, BitPackedVec, Vec<(u32, u32)>) {
+        (self.dict, self.codes, self.zones)
     }
 
     /// Number of tuples — the paper's `N_M`.
@@ -325,7 +301,7 @@ mod tests {
                 assert_eq!(m.zones().len(), n.div_ceil(ZONE_ROWS), "{name} {n}");
                 assert_eq!(m.zones(), &brute_zones(&m)[..], "{name} {n}");
                 // Reassembling from the parts rebuilds the same map.
-                let (dict, codes) = m.clone().into_parts();
+                let (dict, codes, _) = m.clone().into_parts();
                 let again = MainPartition::from_parts(dict, codes).expect("codes are in range");
                 assert_eq!(again.zones(), m.zones(), "{name} {n}");
                 assert_eq!(m.zone_bytes(), 8 * n.div_ceil(ZONE_ROWS));
