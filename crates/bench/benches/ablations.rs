@@ -5,19 +5,15 @@
 //!    plain `u32`. Packed entries shrink the table (better cache residency at
 //!    the Figure-9 cliff) but add an unpack to every Step-2 lookup. This
 //!    ablation measures both variants of Step 2.
-//! 2. **Step 1(a) parallelization scheme** — scheme (i) task-queues whole
-//!    columns; scheme (ii) parallelizes the code scatter within one column
-//!    (Section 6.2.1 implements both and reports (i)).
-//! 3. **Three-phase dictionary merge thread sweep** — the cost of the
+//! 2. **Three-phase dictionary merge thread sweep** — the cost of the
 //!    "twice as many comparisons" overhead vs thread count.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyrise_bench::build_column;
 use hyrise_bitpack::{bits_for, BitPackedVec};
 use hyrise_core::merge_dictionaries;
-use hyrise_core::parallel::{compress_delta_parallel_exact, merge_dictionaries_parallel_exact};
-use hyrise_storage::{DeltaPartition, MainPartition};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use hyrise_core::parallel::merge_dictionaries_parallel_exact;
+use hyrise_storage::{FrozenDelta, MainPartition};
 
 /// Step 2 with plain `u32` auxiliary tables (the shipped implementation).
 fn step2_u32_aux(main: &MainPartition<u64>, x_m: &[u32], bits_after: u8) -> BitPackedVec {
@@ -52,8 +48,8 @@ fn bench_aux_width(c: &mut Criterion) {
     let n_m = 2_000_000usize;
     for lambda in [0.05f64, 0.5] {
         let (main, delta) = build_column::<u64>(n_m, n_m / 20, lambda, lambda, 41);
-        let compressed = delta.compress();
-        let dm = merge_dictionaries(main.dictionary().values(), &compressed.dict);
+        let frozen = FrozenDelta::from_values(&delta);
+        let dm = merge_dictionaries(main.dictionary().values(), frozen.dict().values());
         let bits_after = bits_for(dm.merged.len());
         let packed: BitPackedVec = BitPackedVec::from_slice(
             bits_after,
@@ -71,60 +67,13 @@ fn bench_aux_width(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_step1a_schemes(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_step1a_scheme");
-    g.sample_size(10);
-    let n_cols = 16usize;
-    let n_d = 200_000usize;
-    let threads = 8usize;
-    let deltas: Vec<DeltaPartition<u64>> = (0..n_cols)
-        .map(|i| {
-            let (_, d) = build_column::<u64>(1, n_d, 1.0, 0.3, 100 + i as u64);
-            d
-        })
-        .collect();
-    g.throughput(Throughput::Elements((n_cols * n_d) as u64));
-
-    // Scheme (i): task queue over columns, serial compress per column.
-    g.bench_function("scheme_i_task_queue", |b| {
-        b.iter(|| {
-            let next = AtomicUsize::new(0);
-            let total = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_cols {
-                            break;
-                        }
-                        let c = deltas[i].compress();
-                        total.fetch_add(c.dict.len(), Ordering::Relaxed);
-                    });
-                }
-            });
-            black_box(total.into_inner())
-        })
-    });
-
-    // Scheme (ii): columns sequential, scatter parallel within each.
-    g.bench_function("scheme_ii_parallel_scatter", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for d in &deltas {
-                total += compress_delta_parallel_exact(d, threads).dict.len();
-            }
-            black_box(total)
-        })
-    });
-    g.finish();
-}
-
 fn bench_three_phase_threads(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_three_phase_threads");
     g.sample_size(10);
     let (main, delta) = build_column::<u64>(4_000_000, 4_000_000, 1.0, 1.0, 77);
     let u_m = main.dictionary().values();
-    let u_d = delta.sorted_unique();
+    let frozen = FrozenDelta::from_values(&delta);
+    let u_d = frozen.dict().values();
     g.throughput(Throughput::Elements((u_m.len() + u_d.len()) as u64));
     for threads in [1usize, 2, 4, 8, 16] {
         g.bench_with_input(
@@ -132,7 +81,7 @@ fn bench_three_phase_threads(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    black_box(merge_dictionaries_parallel_exact(u_m, &u_d, threads))
+                    black_box(merge_dictionaries_parallel_exact(u_m, u_d, threads))
                         .merged
                         .len()
                 })
@@ -142,10 +91,5 @@ fn bench_three_phase_threads(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_aux_width,
-    bench_step1a_schemes,
-    bench_three_phase_threads
-);
+criterion_group!(benches, bench_aux_width, bench_three_phase_threads);
 criterion_main!(benches);

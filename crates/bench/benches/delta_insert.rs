@@ -1,9 +1,10 @@
-//! Criterion: the `T_U` path — delta inserts across value widths and
-//! duplicate ratios (the "Update Delta" bars of Figures 7/8).
+//! Criterion: the `T_U` path — delta inserts (raw append + CSB+ insert)
+//! across value widths and duplicate ratios (the "Update Delta" bars of
+//! Figures 7/8).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hyrise_bench::delta_values;
-use hyrise_storage::{DeltaPartition, Value, V16};
+use hyrise_bench::{delta_values, time_delta_updates};
+use hyrise_storage::{Value, V16};
 
 fn bench_insert<V: Value>(
     g: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>,
@@ -14,13 +15,7 @@ fn bench_insert<V: Value>(
     g.throughput(Throughput::Elements(n as u64));
     let label = format!("{}B/lambda{}", V::BYTES, (lambda * 100.0) as u32);
     g.bench_with_input(BenchmarkId::new("insert", label), &vals, |b, vals| {
-        b.iter(|| {
-            let mut d = DeltaPartition::new();
-            for v in vals {
-                d.insert(*v);
-            }
-            black_box(d.unique_len())
-        })
+        b.iter(|| black_box(time_delta_updates(vals).0.unique_len()))
     });
 }
 

@@ -24,7 +24,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use hyrise_bench::build_column;
 use hyrise_core::governor::{begin_read, GovernorConfig, GrantSignal, LoadView, ResourceGovernor};
 use hyrise_core::{MergeGrant, MergePipeline, MergePolicy, MergeScratch, OnlineTable};
-use hyrise_storage::{DeltaPartition, MainPartition};
+use hyrise_storage::{FrozenDelta, MainPartition};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -80,7 +80,7 @@ fn observed_grant(table: &OnlineTable<u64>, config: GovernorConfig) -> (MergeGra
 /// (all at once when unbounded, K at a time otherwise) — the same commit
 /// granularity `OnlineTable::merge_with` uses.
 fn run_grant(
-    cols: &[(MainPartition<u64>, DeltaPartition<u64>)],
+    cols: &[(MainPartition<u64>, FrozenDelta<u64>)],
     grant: &MergeGrant,
     scratch: &mut MergeScratch<u64>,
 ) -> usize {
@@ -182,8 +182,11 @@ fn bench_governor(c: &mut Criterion) {
         ("write_heavy", write_grant, 8),
     ] {
         let n_d = N_M * delta_pct / 100;
-        let cols: Vec<(MainPartition<u64>, DeltaPartition<u64>)> = (0..COLS as u64)
-            .map(|i| build_column::<u64>(N_M / COLS, n_d / COLS, LAMBDA, LAMBDA, 31 + i))
+        let cols: Vec<(MainPartition<u64>, FrozenDelta<u64>)> = (0..COLS as u64)
+            .map(|i| {
+                let (m, d) = build_column::<u64>(N_M / COLS, n_d / COLS, LAMBDA, LAMBDA, 31 + i);
+                (m, FrozenDelta::from_values(&d))
+            })
             .collect();
         g.throughput(Throughput::Elements((N_M + n_d) as u64));
         for (config, grant) in [("static", static_grant), ("adaptive", adaptive_grant)] {

@@ -9,14 +9,15 @@
 //!   merging and retiring column by column (a [`MergeBudget`] of one —
 //!   the paper's Section 4 partial-column strategy), same total work.
 //!
-//! Both axes at 2% and 8% delta. Inputs are immutable, so iterations are
-//! repeatable; an equivalence check pins cold and scratch outputs to the
-//! same bytes before timing starts.
+//! Both axes at 2% and 8% delta. Inputs are immutable frozen deltas (the
+//! freeze, Stage 1a, runs before timing), so iterations are repeatable; an
+//! equivalence check pins cold and scratch outputs to the same bytes
+//! before timing starts.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyrise_bench::build_column;
 use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
-use hyrise_storage::{DeltaPartition, MainPartition};
+use hyrise_storage::{FrozenDelta, MainPartition};
 
 const N_M: usize = 1_000_000;
 const LAMBDA: f64 = 0.1;
@@ -29,7 +30,8 @@ fn bench_merge_pipeline(c: &mut Criterion) {
 
     for delta_pct in [2usize, 8] {
         let n_d = N_M * delta_pct / 100;
-        let (main, delta) = build_column::<u64>(N_M, n_d, LAMBDA, LAMBDA, 11);
+        let (main, vals) = build_column::<u64>(N_M, n_d, LAMBDA, LAMBDA, 11);
+        let delta = FrozenDelta::from_values(&vals);
         g.throughput(Throughput::Elements((N_M + n_d) as u64));
 
         // Equivalence: a cold and a warmed merge must produce identical bytes.
@@ -75,9 +77,11 @@ fn bench_merge_pipeline(c: &mut Criterion) {
         });
 
         // Table-shaped inputs: 4 columns splitting the same 1M tuples.
-        let cols: Vec<(MainPartition<u64>, DeltaPartition<u64>)> = (0..TABLE_COLS as u64)
+        let cols: Vec<(MainPartition<u64>, FrozenDelta<u64>)> = (0..TABLE_COLS as u64)
             .map(|i| {
-                build_column::<u64>(N_M / TABLE_COLS, n_d / TABLE_COLS, LAMBDA, LAMBDA, 23 + i)
+                let (m, d) =
+                    build_column::<u64>(N_M / TABLE_COLS, n_d / TABLE_COLS, LAMBDA, LAMBDA, 23 + i);
+                (m, FrozenDelta::from_values(&d))
             })
             .collect();
 

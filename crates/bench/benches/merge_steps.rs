@@ -1,8 +1,9 @@
 //! Criterion: full column merges — naive vs optimized vs parallel (the
-//! micro-scale backing of Figure 7).
+//! micro-scale backing of Figure 7), each timed from the freeze (Stage 1a)
+//! through Stage 2.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hyrise_bench::build_column;
+use hyrise_bench::{build_column, freeze_and_merge};
 use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 
 fn bench_merge(c: &mut Criterion) {
@@ -23,9 +24,14 @@ fn bench_merge(c: &mut Criterion) {
             let pipeline = MergePipeline::new(strategy, threads);
             g.bench_with_input(BenchmarkId::new(name, &label), &(), |b, _| {
                 b.iter(|| {
-                    black_box(pipeline.merge_column(&main, &delta, &mut MergeScratch::new()))
-                        .main
-                        .len()
+                    black_box(freeze_and_merge(
+                        &pipeline,
+                        &main,
+                        &delta,
+                        &mut MergeScratch::new(),
+                    ))
+                    .main
+                    .len()
                 })
             });
         }

@@ -14,8 +14,8 @@
 //! N_D grows.
 
 use hyrise_bench::{
-    banner, build_column, cpt, default_threads, delta_values, fmt_count, quick_hz,
-    time_delta_updates, Args, TablePrinter,
+    banner, build_column, cpt, default_threads, delta_values, fmt_count, freeze_and_merge,
+    quick_hz, time_delta_updates, Args, TablePrinter,
 };
 use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 
@@ -64,17 +64,19 @@ fn main() {
     for f in fractions {
         let n_d = ((n_m as f64) * f) as usize;
         let vals = delta_values::<u64>(n_d, lambda, u_m, 1000 + (f * 1e4) as u64);
-        let (delta, t_u) = time_delta_updates(&vals);
+        let (_, t_u) = time_delta_updates(&vals);
         let total = n_m + n_d;
 
-        let naive = MergePipeline::new(MergeStrategy::Naive, threads).merge_column(
+        let naive = freeze_and_merge(
+            &MergePipeline::new(MergeStrategy::Naive, threads),
             &main,
-            &delta,
+            &vals,
             &mut MergeScratch::new(),
         );
-        let opt = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+        let opt = freeze_and_merge(
+            &MergePipeline::new(MergeStrategy::Parallel, threads),
             &main,
-            &delta,
+            &vals,
             &mut MergeScratch::new(),
         );
         debug_assert_eq!(naive.main.dictionary().len(), opt.main.dictionary().len());

@@ -9,8 +9,8 @@
 //! tables out of cache; Step 1 grows with unique fraction.
 
 use hyrise_bench::{
-    banner, build_column, cpt, default_threads, delta_values, fmt_count, quick_hz,
-    time_delta_updates, Args, TablePrinter,
+    banner, build_column, cpt, default_threads, delta_values, fmt_count, freeze_and_merge,
+    quick_hz, time_delta_updates, Args, TablePrinter,
 };
 use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 use hyrise_storage::{Value, V16};
@@ -26,11 +26,12 @@ fn run_case<V: Value>(
     let n_d = (n_m as f64 * frac) as usize;
     let (main, _) = build_column::<V>(n_m, 1, lambda, lambda, 31);
     let vals = delta_values::<V>(n_d, lambda, main.dictionary().len(), 77);
-    let (delta, t_u) = time_delta_updates(&vals);
+    let (_, t_u) = time_delta_updates(&vals);
     let total = n_m + n_d;
-    let out = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+    let out = freeze_and_merge(
+        &MergePipeline::new(MergeStrategy::Parallel, threads),
         &main,
-        &delta,
+        &vals,
         &mut MergeScratch::new(),
     );
     let upd = cpt(t_u, total, hz);

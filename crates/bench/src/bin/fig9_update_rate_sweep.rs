@@ -14,8 +14,8 @@
 //! (`--cols` to change).
 
 use hyrise_bench::{
-    banner, build_column, cpt, default_threads, delta_values, fmt_count, quick_hz,
-    time_delta_updates, Args, TablePrinter,
+    banner, build_column, cpt, default_threads, delta_values, fmt_count, freeze_and_merge,
+    quick_hz, time_delta_updates, Args, TablePrinter,
 };
 use hyrise_core::rate::{
     updates_per_second, HIGH_TARGET_UPDATES_PER_SEC, LOW_TARGET_UPDATES_PER_SEC,
@@ -64,11 +64,12 @@ fn main() {
             let n_d = n_m / 100;
             let (main, _) = build_column::<u64>(n_m, 1, lambda, lambda, 9);
             let vals = delta_values::<u64>(n_d, lambda, main.dictionary().len(), 17);
-            let (delta, t_u) = time_delta_updates(&vals);
+            let (_, t_u) = time_delta_updates(&vals);
             let total = n_m + n_d;
-            let out = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+            let out = freeze_and_merge(
+                &MergePipeline::new(MergeStrategy::Parallel, threads),
                 &main,
-                &delta,
+                &vals,
                 &mut MergeScratch::new(),
             );
             let upd = cpt(t_u, total, hz);

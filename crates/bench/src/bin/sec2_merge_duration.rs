@@ -11,9 +11,11 @@
 //! paper's full size (the merge is embarrassingly parallel across columns
 //! and linear in rows, so per-column-per-tuple cost is the invariant).
 
-use hyrise_bench::{banner, default_threads, fmt_count, quick_hz, Args, TablePrinter};
+use hyrise_bench::{
+    banner, default_threads, fmt_count, freeze_and_merge, quick_hz, Args, TablePrinter,
+};
 use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
-use hyrise_storage::{DeltaPartition, MainPartition};
+use hyrise_storage::MainPartition;
 use hyrise_workload::VbapScenario;
 use std::time::Duration;
 
@@ -48,18 +50,16 @@ fn main() {
         let delta_vals = s.generate_delta_column(c, dc);
         let main = MainPartition::from_values(&main_vals);
         drop(main_vals);
-        let mut delta = DeltaPartition::new();
-        for v in delta_vals {
-            delta.insert(v);
-        }
-        let naive = MergePipeline::new(MergeStrategy::Naive, threads).merge_column(
+        let naive = freeze_and_merge(
+            &MergePipeline::new(MergeStrategy::Naive, threads),
             &main,
-            &delta,
+            &delta_vals,
             &mut MergeScratch::new(),
         );
-        let opt = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+        let opt = freeze_and_merge(
+            &MergePipeline::new(MergeStrategy::Parallel, threads),
             &main,
-            &delta,
+            &delta_vals,
             &mut MergeScratch::new(),
         );
         t_naive += naive.stats.t_total();

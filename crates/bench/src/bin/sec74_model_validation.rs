@@ -8,7 +8,7 @@
 //! Table-2 operating points, and prints measured vs predicted.
 
 use hyrise_bench::{
-    banner, build_column, default_threads, delta_values, fmt_count, time_delta_updates, Args,
+    banner, build_column, default_threads, delta_values, fmt_count, freeze_and_merge, Args,
     TablePrinter,
 };
 use hyrise_core::model::{calibrate, MergeScenario};
@@ -53,10 +53,10 @@ fn main() {
     for lambda in [0.01f64, 1.0] {
         let (main, _) = build_column::<u64>(n_m, 1, lambda, lambda, 55);
         let vals = delta_values::<u64>(n_d, lambda, main.dictionary().len(), 56);
-        let (delta, _) = time_delta_updates(&vals);
-        let out = MergePipeline::new(MergeStrategy::Parallel, threads).merge_column(
+        let out = freeze_and_merge(
+            &MergePipeline::new(MergeStrategy::Parallel, threads),
             &main,
-            &delta,
+            &vals,
             &mut MergeScratch::new(),
         );
         let scenario = MergeScenario::from_stats(&out.stats, 8);

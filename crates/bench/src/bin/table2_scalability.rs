@@ -13,8 +13,8 @@
 //! ```
 
 use hyrise_bench::{
-    banner, build_column, cpt, default_threads, delta_values, fmt_count, quick_hz,
-    time_delta_updates, Args, TablePrinter,
+    banner, build_column, cpt, default_threads, delta_values, fmt_count, freeze_and_merge,
+    quick_hz, time_delta_updates, Args, TablePrinter,
 };
 use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 use std::time::Duration;
@@ -27,11 +27,7 @@ fn parallel_delta_update(vals: &[u64], threads: usize) -> Duration {
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
-                let mut d = hyrise_storage::DeltaPartition::new();
-                for v in vals {
-                    d.insert(*v);
-                }
-                std::hint::black_box(d.len());
+                std::hint::black_box(time_delta_updates(vals).0.len());
             });
         }
     });
@@ -95,15 +91,16 @@ fn main() {
                                             // per-column *throughput* cost is t_par / nt.
         let upd_nt = upd_nt / nt as f64;
 
-        let (delta, _) = time_delta_updates(&vals);
-        let serial = MergePipeline::new(MergeStrategy::Parallel, 1).merge_column(
+        let serial = freeze_and_merge(
+            &MergePipeline::new(MergeStrategy::Parallel, 1),
             &main,
-            &delta,
+            &vals,
             &mut MergeScratch::new(),
         );
-        let par = MergePipeline::new(MergeStrategy::Parallel, nt).merge_column(
+        let par = freeze_and_merge(
+            &MergePipeline::new(MergeStrategy::Parallel, nt),
             &main,
-            &delta,
+            &vals,
             &mut MergeScratch::new(),
         );
 

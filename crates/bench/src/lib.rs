@@ -9,7 +9,9 @@
 pub mod gate;
 
 use hyrise_core::model::{calibrate, MachineProfile};
-use hyrise_storage::{DeltaPartition, MainPartition, Value};
+use hyrise_core::{MergeOutput, MergePipeline, MergeScratch};
+use hyrise_csb::CsbTree;
+use hyrise_storage::{FrozenDelta, MainPartition, Value};
 use hyrise_workload::values::{values_with_unique, UniqueSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,7 +82,8 @@ impl Args {
 /// available resources") — the shared pool's size.
 pub use hyrise_core::pool::default_threads;
 
-/// One main+delta column pair with controlled sizes and unique fractions.
+/// One main partition and the delta values to merge into it, with
+/// controlled sizes and unique fractions.
 ///
 /// The delta's seed range straddles the top of the main's value domain, so
 /// about half the delta's distinct values already exist in the main
@@ -92,7 +95,7 @@ pub fn build_column<V: Value>(
     lambda_m: f64,
     lambda_d: f64,
     seed: u64,
-) -> (MainPartition<V>, DeltaPartition<V>) {
+) -> (MainPartition<V>, Vec<V>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let main_spec = UniqueSpec::from_lambda(n_m, lambda_m);
     let main_vals: Vec<V> = values_with_unique(&mut rng, main_spec);
@@ -100,11 +103,7 @@ pub fn build_column<V: Value>(
     drop(main_vals);
 
     let delta_vals: Vec<V> = delta_values_rng(&mut rng, n_d, lambda_d, main_spec.unique);
-    let mut delta = DeltaPartition::new();
-    for v in delta_vals {
-        delta.insert(v);
-    }
-    (main, delta)
+    (main, delta_vals)
 }
 
 fn delta_values_rng<V: Value, R: rand::Rng>(
@@ -128,15 +127,38 @@ pub fn delta_values<V: Value>(n_d: usize, lambda_d: f64, main_unique: usize, see
     delta_values_rng(&mut rng, n_d, lambda_d, main_unique)
 }
 
-/// Time the `T_U` component: inserting `values` into a fresh delta
-/// partition (uncompressed append + CSB+ insert per tuple).
-pub fn time_delta_updates<V: Value>(values: &[V]) -> (DeltaPartition<V>, Duration) {
-    let mut delta = DeltaPartition::new();
+/// Time the `T_U` component of Equation 1: inserting `values` into the
+/// paper's Section 4.1 delta, one uncompressed append plus one CSB+ insert
+/// per tuple. Returns the tree (the values' tuple-id index) and the time.
+pub fn time_delta_updates<V: Value>(values: &[V]) -> (CsbTree<V>, Duration) {
     let t0 = Instant::now();
-    for v in values {
-        delta.insert(*v);
+    let mut raw = Vec::with_capacity(values.len());
+    let mut tree = CsbTree::new();
+    for &v in values {
+        tree.insert(v, raw.len() as u32);
+        raw.push(v);
     }
-    (delta, t0.elapsed())
+    let t_u = t0.elapsed();
+    drop(raw);
+    (tree, t_u)
+}
+
+/// Merge `delta` into `main` the way the server does: freeze the values
+/// into a [`FrozenDelta`] (Stage 1a), then run `pipeline`'s Stages 1b and
+/// 2. The freeze time is recorded as [`hyrise_core::ColumnMergeStats`]'s
+/// `t_step1a`, so the figures' "Step 1" includes Stage 1a.
+pub fn freeze_and_merge<V: Value>(
+    pipeline: &MergePipeline,
+    main: &MainPartition<V>,
+    delta: &[V],
+    scratch: &mut MergeScratch<V>,
+) -> MergeOutput<MainPartition<V>> {
+    let t0 = Instant::now();
+    let frozen = FrozenDelta::from_values(delta);
+    let t_step1a = t0.elapsed();
+    let mut out = pipeline.merge_column(main, &frozen, scratch);
+    out.stats.t_step1a = t_step1a;
+    out
 }
 
 /// Cycles per tuple from a duration (the figures' y-axis unit).
@@ -236,14 +258,16 @@ mod tests {
         assert_eq!(main.len(), 10_000);
         assert_eq!(delta.len(), 1_000);
         assert_eq!(main.dictionary().len(), 1_000);
-        assert_eq!(delta.unique_len(), 200);
+        assert_eq!(FrozenDelta::from_values(&delta).dict().len(), 200);
     }
 
     #[test]
     fn delta_overlaps_main_domain() {
         let (main, delta) = build_column::<u64>(10_000, 1_000, 0.1, 0.2, 2);
-        let in_main = delta
-            .sorted_unique()
+        let frozen = FrozenDelta::from_values(&delta);
+        let u_d = frozen.dict();
+        let in_main = u_d
+            .values()
             .iter()
             .filter(|v| main.dictionary().code_of(v).is_some())
             .count();
@@ -251,10 +275,7 @@ mod tests {
             in_main > 0,
             "some delta values must already be in the main dictionary"
         );
-        assert!(
-            in_main < delta.unique_len(),
-            "some delta values must be new"
-        );
+        assert!(in_main < u_d.len(), "some delta values must be new");
     }
 
     #[test]
@@ -268,9 +289,9 @@ mod tests {
     #[test]
     fn time_delta_updates_builds_the_delta() {
         let vals: Vec<u64> = (0..500).collect();
-        let (delta, t) = time_delta_updates(&vals);
-        assert_eq!(delta.len(), 500);
-        assert_eq!(delta.unique_len(), 500);
+        let (tree, t) = time_delta_updates(&vals);
+        assert_eq!(tree.len(), 500);
+        assert_eq!(tree.unique_len(), 500);
         assert!(t.as_nanos() > 0);
     }
 

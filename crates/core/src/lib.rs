@@ -12,7 +12,9 @@
 //!   allocate nothing), and a [`pipeline::MergeBudget`] that bounds peak
 //!   extra memory by merging/committing K columns at a time (Section 4's
 //!   partial-column strategy). [`pipeline::MergePipeline::merge_column`]
-//!   is the one way to merge a delta partition into a main partition.
+//!   is the one way to merge a delta into a main partition; it reads the
+//!   bit-packed [`hyrise_storage::FrozenDelta`] the freeze encodes (Stage
+//!   1a).
 //! * [`parallel`] — Section 6.2's multi-core stages. Step 1(b) merges the
 //!   two sorted dictionaries with duplicate removal in three phases
 //!   (merge-path partitioning, counter array + prefix sum, re-merge at final
@@ -106,15 +108,7 @@ mod naive {
     pub(crate) mod tests {
         use crate::pipeline::{MergePipeline, MergeScratch, MergeStrategy};
         use crate::stats::MergeOutput;
-        use hyrise_storage::{DeltaPartition, MainPartition, Value};
-
-        pub(crate) fn delta_from<V: Value>(values: &[V]) -> DeltaPartition<V> {
-            let mut d = DeltaPartition::new();
-            for &v in values {
-                d.insert(v);
-            }
-            d
-        }
+        use hyrise_storage::{FrozenDelta, MainPartition, Value};
 
         pub(crate) fn values_of<V: Value>(main: &MainPartition<V>) -> Vec<V> {
             (0..main.len()).map(|i| main.get(i)).collect()
@@ -127,7 +121,7 @@ mod naive {
             threads: usize,
             mut check: impl FnMut(MergeOutput<MainPartition<V>>, MergeStrategy),
         ) {
-            let delta = delta_from(delta);
+            let delta = FrozenDelta::from_values(delta);
             let mut scratch = MergeScratch::new();
             for strategy in [
                 MergeStrategy::Naive,
@@ -208,7 +202,7 @@ mod naive {
             each_strategy(&main, &delta, 1, |a, s| {
                 let b = MergePipeline::new(s, 8).merge_column(
                     &main,
-                    &delta_from(&delta),
+                    &FrozenDelta::from_values(&delta),
                     &mut MergeScratch::new(),
                 );
                 assert_eq!(a.main.dictionary().values(), b.main.dictionary().values());

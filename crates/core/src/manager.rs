@@ -776,8 +776,8 @@ impl<V: Value> OnlineTable<V> {
     /// paper's scheme (i), "enqueue each column as a separate task"
     /// (Section 6.2.1). `grant.threads` is the whole fan-out's width: at
     /// most that many columns are in flight, and what is left over when
-    /// the set is narrow becomes each column's within-column width (scheme
-    /// (ii)). Returns the outputs in `cols` order, or `None` when `cancel`
+    /// the set is narrow becomes each column's within-column width for
+    /// Stages 1b and 2. Returns the outputs in `cols` order, or `None` when `cancel`
     /// fired before every column was merged.
     fn merge_columns(
         &self,
@@ -799,7 +799,7 @@ impl<V: Value> OnlineTable<V> {
             let i = cols[k];
             let (main, frozen) = snapshots[i].as_ref().expect("column not yet committed");
             let mut scratch = self.checkout_scratch();
-            let out = pipeline.merge_column_frozen_observed(main, frozen, &mut scratch, sink, i);
+            let out = pipeline.merge_column_observed(main, frozen, &mut scratch, sink, i);
             self.checkin_scratch(scratch);
             let _ = slots[k].set(out);
         });
@@ -1342,7 +1342,7 @@ impl<V: Value> MergeSession<'_, V> {
         };
         let mut scratch = self.table.checkout_scratch();
         let pipeline = MergePipeline::new(self.grant.strategy, self.grant.threads);
-        let out = pipeline.merge_column_frozen(&main, &frozen, &mut scratch);
+        let out = pipeline.merge_column(&main, &frozen, &mut scratch);
         self.table.checkin_scratch(scratch);
         self.stats.peak_extra_bytes = self.stats.peak_extra_bytes.max(out.main.memory_bytes());
         self.stats.peak_columns_in_flight = 1;

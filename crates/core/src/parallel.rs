@@ -1,13 +1,13 @@
 //! The multi-core merge (Section 6.2).
 //!
-//! * **Step 1(a)** has two parallelization schemes. Scheme (i) — the table
-//!   merge, [`crate::manager::OnlineTable::merge_with`] — treats each
-//!   *column* as a task in a shared task queue ("we use a task queue based
-//!   parallelization scheme and enqueue each column as a separate task").
-//!   Scheme (ii) — [`MergeStrategy::Parallel`](crate::pipeline::MergeStrategy)
-//!   within one column, for few-column tables — builds the delta dictionary
-//!   on one thread and parallelizes the scatter of the new codes over the
-//!   delta tuples.
+//! * **Step 1(a)**, the delta's compression, runs when the delta is frozen
+//!   ([`hyrise_storage::FrozenDelta::from_values`]), once per column and
+//!   serially, before the merge begins; the merge reads its output. Across
+//!   columns the table merge,
+//!   [`crate::manager::OnlineTable::merge_with`], follows the paper's
+//!   scheme (i) for the stages that follow: each *column* is a task in a
+//!   shared task queue ("we use a task queue based parallelization scheme
+//!   and enqueue each column as a separate task").
 //! * **Step 1(b)** merges the two sorted dictionaries with duplicate removal
 //!   in the paper's three phases: (1) each thread merge-counts its merge-path
 //!   quantile, suppressing the one possible boundary duplicate; (2) a prefix
@@ -19,129 +19,10 @@
 //!   reads/writes from/to independent chunks of tables").
 
 use crate::partition::quantile_boundaries;
-use crate::pipeline::{
-    effective_threads, MergeScratch, MIN_DICT_PER_THREAD, MIN_TUPLES_PER_THREAD,
-};
+use crate::pipeline::{effective_threads, MIN_DICT_PER_THREAD};
 use crate::pool::Pool;
 use crate::step1::{merge_dictionaries_into, DictMerge};
-use hyrise_storage::{CompressedDelta, DeltaPartition, Value};
-use std::sync::atomic::{AtomicU32, Ordering};
-
-// ---------------------------------------------------------------------------
-// Step 1(a), scheme (ii): serial dictionary build + parallel code scatter.
-// ---------------------------------------------------------------------------
-
-/// Parallel modified Step 1(a): extract `U_D` on one thread while recording
-/// per-value tuple counts, then scatter the new fixed-width codes to the
-/// delta positions with all threads ("these tuples are evenly divided
-/// amongst the threads and each thread scatters the compressed values to the
-/// delta partition").
-pub fn compress_delta_parallel<V: Value>(
-    delta: &DeltaPartition<V>,
-    threads: usize,
-) -> CompressedDelta<V> {
-    compress_delta_parallel_exact(
-        delta,
-        effective_threads(threads, delta.len(), MIN_TUPLES_PER_THREAD),
-    )
-}
-
-/// As [`compress_delta_parallel`] but with exactly `threads` workers, no
-/// team-sizing heuristic. Exposed for tests and ablations.
-#[doc(hidden)]
-pub fn compress_delta_parallel_exact<V: Value>(
-    delta: &DeltaPartition<V>,
-    threads: usize,
-) -> CompressedDelta<V> {
-    let mut scratch = MergeScratch::new();
-    compress_delta_exact_into(delta, threads, &mut scratch);
-    CompressedDelta {
-        dict: std::mem::take(&mut scratch.u_d),
-        codes: std::mem::take(&mut scratch.delta_codes),
-    }
-}
-
-/// Pipeline Stage 1a, parallel strategy: fill `scratch.u_d` and
-/// `scratch.delta_codes`, using the team-sizing heuristic.
-pub(crate) fn compress_delta_parallel_into<V: Value>(
-    delta: &DeltaPartition<V>,
-    threads: usize,
-    scratch: &mut MergeScratch<V>,
-) {
-    compress_delta_exact_into(
-        delta,
-        effective_threads(threads, delta.len(), MIN_TUPLES_PER_THREAD),
-        scratch,
-    )
-}
-
-pub(crate) fn compress_delta_exact_into<V: Value>(
-    delta: &DeltaPartition<V>,
-    threads: usize,
-    scratch: &mut MergeScratch<V>,
-) {
-    if threads <= 1 || delta.is_empty() {
-        delta.compress_into(&mut scratch.u_d, &mut scratch.delta_codes);
-        return;
-    }
-    // Single-threaded phase: sorted dictionary + cumulative tuple counts.
-    let tree = delta.index();
-    let dict = &mut scratch.u_d;
-    dict.clear();
-    dict.reserve(delta.unique_len());
-    let mut cum = Vec::with_capacity(delta.unique_len() + 1);
-    cum.push(0usize);
-    for (value, _) in tree.iter() {
-        dict.push(value);
-        cum.push(cum.last().unwrap() + tree.postings_len(&value));
-    }
-
-    // Parallel phase: value ranges balanced by tuple count; each thread
-    // re-seeks its range in the tree and scatters codes. Stores are disjoint
-    // by construction (each tuple id belongs to exactly one value), expressed
-    // through relaxed atomic stores into the scratch's reusable buffer.
-    let codes = &mut scratch.atomic_codes;
-    codes.clear();
-    codes.resize_with(delta.len(), || AtomicU32::new(0));
-    let per_thread = delta.len().div_ceil(threads);
-    let mut ranges = Vec::with_capacity(threads);
-    let mut v0 = 0usize;
-    for t in 0..threads {
-        // First value index whose cumulative count reaches the target.
-        let target = ((t + 1) * per_thread).min(delta.len());
-        let mut v1 = v0;
-        while v1 < dict.len() && cum[v1] < target {
-            v1 += 1;
-        }
-        if v0 < v1 {
-            ranges.push((v0, v1));
-        }
-        v0 = v1;
-    }
-    let (dict, codes) = (&*dict, &*codes);
-    Pool::global().run_indexed(ranges.len(), threads, &|r| {
-        let (v0, v1) = ranges[r];
-        let mut code = v0 as u32;
-        for (value, postings) in tree.iter_from(&dict[v0]) {
-            if code as usize >= v1 {
-                break;
-            }
-            debug_assert_eq!(value, dict[code as usize]);
-            for tid in postings {
-                codes[tid as usize].store(code, Ordering::Relaxed);
-            }
-            code += 1;
-        }
-        debug_assert_eq!(code as usize, v1);
-    });
-    scratch.delta_codes.clear();
-    scratch.delta_codes.extend(
-        scratch
-            .atomic_codes
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed)),
-    );
-}
+use hyrise_storage::Value;
 
 // ---------------------------------------------------------------------------
 // Step 1(b): three-phase parallel dictionary merge with duplicate removal.
@@ -336,17 +217,9 @@ pub(crate) fn merge_dictionaries_parallel_exact_into<V: Value>(
 mod tests {
     use super::*;
     use crate::manager::OnlineTable;
-    use crate::pipeline::{MergePipeline, MergeStrategy};
+    use crate::pipeline::{MergePipeline, MergeScratch, MergeStrategy};
     use crate::step1::merge_dictionaries;
-    use hyrise_storage::MainPartition;
-
-    fn delta_from(values: &[u64]) -> DeltaPartition<u64> {
-        let mut d = DeltaPartition::new();
-        for &v in values {
-            d.insert(v);
-        }
-        d
-    }
+    use hyrise_storage::{FrozenDelta, MainPartition};
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut x = seed | 1;
@@ -396,24 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn compress_parallel_equals_serial() {
-        let mut next = xorshift(7);
-        let values: Vec<u64> = (0..30_000).map(|_| next() % 3_000).collect();
-        let delta = delta_from(&values);
-        let serial = delta.compress();
-        for threads in [2usize, 4, 11] {
-            let par = compress_delta_parallel_exact(&delta, threads);
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn parallel_column_merge_equals_optimized() {
         let mut next = xorshift(99);
         let main_vals: Vec<u64> = (0..40_000).map(|_| next() % 9_000).collect();
         let delta_vals: Vec<u64> = (0..9_000).map(|_| next() % 12_000).collect();
         let main = MainPartition::from_values(&main_vals);
-        let delta = delta_from(&delta_vals);
+        let delta = FrozenDelta::from_values(&delta_vals);
         let mut scratch = MergeScratch::new();
         let serial = MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(
             &main,
@@ -442,7 +303,7 @@ mod tests {
     #[test]
     fn figure5_parallel() {
         let main = MainPartition::from_values(&[8u64, 4, 6, 4, 1, 3, 9]);
-        let delta = delta_from(&[2, 3, 7, 3, 25]);
+        let delta = FrozenDelta::from_values(&[2, 3, 7, 3, 25]);
         let out = MergePipeline::new(MergeStrategy::Parallel, 4).merge_column(
             &main,
             &delta,

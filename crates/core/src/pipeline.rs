@@ -2,10 +2,12 @@
 //! optimized, multi-core, online, incremental, sharded — runs through the
 //! three explicit stages of this module.
 //!
-//! * **Stage 1a** — delta-dictionary extraction: the sorted `U_D` (all
-//!   strategies), plus the compressed-delta rewrite (fixed-width codes into
-//!   `U_D`) for the optimized/parallel strategies (Section 5.3's "Modified
-//!   Step 1(a)").
+//! * **Stage 1a** — delta compression: the sorted `U_D` plus the delta
+//!   rewritten as fixed-width codes into it (Section 5.3's "Modified Step
+//!   1(a)"). It runs before the pipeline, when the delta is frozen:
+//!   [`FrozenDelta::from_values`] is the one encoder, so the merge's input
+//!   is already the compressed delta and the pipeline only narrates the
+//!   stage boundary.
 //! * **Stage 1b** — dictionary union: the merged `U'_M`, plus the auxiliary
 //!   translation tables `X_M`/`X_D` for the optimized/parallel strategies.
 //! * **Stage 2** — bit-packed re-encode: **one** kernel
@@ -16,7 +18,7 @@
 //!   word-aligned output regions.
 //!
 //! The pipeline is allocation-aware: a [`MergeScratch`] arena owns every
-//! intermediate buffer (`U_D`, delta codes, `X_M`, `X_D`) and a stack of
+//! intermediate buffer (`X_M`, `X_D`) and a stack of
 //! spare buffers for the outputs that outlive the merge (the merged
 //! dictionary's value vector, the packed code words and the zone map).
 //! Callers that recycle retired main partitions back into the scratch
@@ -35,33 +37,8 @@
 use crate::pool::Pool;
 use crate::stats::{ColumnMergeStats, MergeAlgo, MergeOutput};
 use hyrise_bitpack::{bits_for, BitPackedVec, BitRegion};
-use hyrise_storage::{DeltaPartition, Dictionary, FrozenDelta, MainPartition, Value, ZONE_ROWS};
-use std::sync::atomic::AtomicU32;
-use std::time::Instant;
-
-/// The two delta representations a merge can consume: the paper's
-/// CSB-indexed write-optimized [`DeltaPartition`] (the figure code and the
-/// strategy walk-throughs) or a sealed, bit-packed [`FrozenDelta`] (the
-/// online table's mid-merge snapshot). For a frozen delta Stage 1a is free
-/// — its local dictionary *is* the sorted `U_D` and its packed codes *are*
-/// the compressed-delta rewrite — and Stage 2 streams the codes with a
-/// sequential cursor instead of indexing a raw value array. Both views
-/// produce byte-identical merged partitions for the same row sequence.
-enum DeltaView<'a, V: Value> {
-    /// CSB-indexed delta partition.
-    Csb(&'a DeltaPartition<V>),
-    /// Sealed bit-packed delta.
-    Frozen(&'a FrozenDelta<V>),
-}
-
-impl<V: Value> DeltaView<'_, V> {
-    fn len(&self) -> usize {
-        match self {
-            DeltaView::Csb(d) => d.len(),
-            DeltaView::Frozen(f) => f.len(),
-        }
-    }
-}
+use hyrise_storage::{Dictionary, FrozenDelta, MainPartition, Value, ZONE_ROWS};
+use std::time::{Duration, Instant};
 
 /// Minimum work items per partition. Handing a partition to a pool worker
 /// costs a queue push, a wake-up and a cold cache; granting one fewer
@@ -100,8 +77,8 @@ pub(crate) fn effective_threads(requested: usize, work: usize, min_per_thread: u
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MergeStrategy {
     /// The unoptimized merge of Sections 5.1–5.2, the baseline the paper
-    /// beats by ~30x. Stage 1a extracts `U_D` without re-coding the delta,
-    /// Stage 1b unions the dictionaries without auxiliary tables, and Step
+    /// beats by ~30x. Stage 1b unions the dictionaries without auxiliary
+    /// tables, and Step
     /// 2(b) re-encodes every tuple by materializing its uncompressed value
     /// and **binary-searching** it in the merged dictionary —
     /// `O(N_M + (N_M + N_D) · log |U'_M|)` (Equation 5). Figure 7 runs this
@@ -111,19 +88,17 @@ pub enum MergeStrategy {
     /// search is the naive part.
     Naive,
     /// The linear-time merge of Section 5.3, single-threaded. Modified Step
-    /// 1(a): while extracting the sorted `U_D` from the CSB+ tree, the delta
-    /// is rewritten as fixed-width indices into `U_D` (scattered through the
-    /// per-value tuple-id lists). Modified Step 1(b): the dictionary merge
+    /// 1(a) is the freeze: the delta arrives as fixed-width indices into
+    /// its sorted `U_D`. Modified Step 1(b): the dictionary merge
     /// also fills the auxiliary translation tables `X_M` and `X_D`. Modified
     /// Step 2(b): re-encoding a tuple is `M'[i] <- X_M[M[i]]` (Equation 11)
     /// — "a lookup and binary search in the original algorithm description
     /// is replaced by a lookup" — overall `O(N_M + N_D + |U_M| + |U_D|)`
     /// (Equation 6).
     Optimized,
-    /// Section 6.2: the optimized algorithm with every stage parallelized
-    /// (scatter of the new delta codes, three-phase dictionary merge,
-    /// word-aligned partitioned re-encode — see [`crate::parallel`]). The
-    /// default.
+    /// Section 6.2: the optimized algorithm with the merge's stages
+    /// parallelized (three-phase dictionary merge, word-aligned partitioned
+    /// re-encode — see [`crate::parallel`]). The default.
     #[default]
     Parallel,
 }
@@ -234,30 +209,25 @@ impl MergeGrant {
     }
 }
 
-/// The reusable merge arena: owns every intermediate buffer of the three
-/// stages plus stacks of spare buffers for the two outputs that leave the
-/// pipeline inside the new [`MainPartition`].
+/// The reusable merge arena: owns the auxiliary tables Stage 1b builds plus
+/// stacks of spare buffers for the outputs that leave the pipeline inside
+/// the new [`MainPartition`]. Stage 1a's outputs are not here: they are the
+/// [`FrozenDelta`] the merge reads.
 ///
 /// Lifetimes of the buffers across one merge:
 ///
-/// * `u_d`, `delta_codes`, `atomic_codes`, `x_m`, `x_d` — filled by Stages
-///   1a/1b, read by Stage 2, **retained** (cleared, capacity kept) for the
-///   next merge.
-/// * one spare `Vec<V>` and one spare `Vec<u64>` are **donated** to the
-///   output (they become the merged dictionary's storage and the packed
-///   code words). [`Self::recycle_main`] returns a retired partition's
+/// * `x_m`, `x_d` — filled by Stage 1b, read by Stage 2, **retained**
+///   (cleared, capacity kept) for the next merge.
+/// * one spare `Vec<V>`, one spare `Vec<u64>` and one spare zone map are
+///   **donated** to the output (they become the merged dictionary's
+///   storage, the packed code words and the zone map).
+///   [`Self::recycle_main`] returns a retired partition's
 ///   buffers to the spare stacks, closing the loop: a warmed scratch whose
 ///   caller recycles retires allocates nothing per merge.
 ///
 /// A scratch is cheap when empty (`MergeScratch::new()` allocates nothing),
 /// so cold paths can create one ad hoc; the win is keeping it.
 pub struct MergeScratch<V> {
-    /// `U_D` (Stage 1a output).
-    pub(crate) u_d: Vec<V>,
-    /// Compressed delta codes into `U_D` (Stage 1a, optimized/parallel).
-    pub(crate) delta_codes: Vec<u32>,
-    /// Scatter target for the parallel Stage 1a (disjoint relaxed stores).
-    pub(crate) atomic_codes: Vec<AtomicU32>,
     /// `X_M` (Stage 1b, optimized/parallel).
     pub(crate) x_m: Vec<u32>,
     /// `X_D` (Stage 1b, optimized/parallel).
@@ -423,9 +393,6 @@ impl<V: Value> MergeScratch<V> {
     /// An empty arena (no allocations until first use).
     pub fn new() -> Self {
         Self {
-            u_d: Vec::new(),
-            delta_codes: Vec::new(),
-            atomic_codes: Vec::new(),
             x_m: Vec::new(),
             x_d: Vec::new(),
             dict_spares: std::collections::VecDeque::new(),
@@ -522,7 +489,8 @@ impl<V: Value> MergeScratch<V> {
 /// synchronization inside the kernel's hot loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MergeStep {
-    /// Stage 1a finished for `col`: delta dictionary extracted.
+    /// Stage 1a finished for `col`: the compressed delta is in hand (the
+    /// freeze encoded it before the merge began).
     Stage1a {
         /// Column index.
         col: usize,
@@ -619,12 +587,17 @@ impl MergePipeline {
         self.threads
     }
 
-    /// Merge one column's delta into its main partition: Stage 1a, Stage
-    /// 1b, Stage 2, with all intermediates in `scratch`.
+    /// Merge one column's frozen delta into its main partition: Stage 1b,
+    /// Stage 2, with all intermediates in `scratch`. Stage 1a ran when the
+    /// delta was frozen ([`FrozenDelta::from_values`]): its sorted local
+    /// dictionary is `U_D` and its packed codes are the compressed delta,
+    /// which Stage 2 streams with a sequential cursor. The returned
+    /// [`ColumnMergeStats::t_step1a`] is therefore zero; a caller that
+    /// timed the freeze records it there.
     pub fn merge_column<V: Value>(
         &self,
         main: &MainPartition<V>,
-        delta: &DeltaPartition<V>,
+        delta: &FrozenDelta<V>,
         scratch: &mut MergeScratch<V>,
     ) -> MergeOutput<MainPartition<V>> {
         self.merge_column_observed(main, delta, scratch, None, 0)
@@ -638,72 +611,13 @@ impl MergePipeline {
     pub fn merge_column_observed<V: Value>(
         &self,
         main: &MainPartition<V>,
-        delta: &DeltaPartition<V>,
-        scratch: &mut MergeScratch<V>,
-        sink: Option<&dyn StepSink>,
-        col: usize,
-    ) -> MergeOutput<MainPartition<V>> {
-        self.merge_view_observed(main, DeltaView::Csb(delta), scratch, sink, col)
-    }
-
-    /// Merge a sealed, bit-packed [`FrozenDelta`] into a main partition —
-    /// the online table's merge input. Byte-identical to merging the same
-    /// row sequence through a [`DeltaPartition`], but Stage 1a costs
-    /// nothing (the frozen local dictionary is already the sorted `U_D`)
-    /// and Stage 2 streams the packed codes with a sequential cursor.
-    pub fn merge_column_frozen<V: Value>(
-        &self,
-        main: &MainPartition<V>,
-        frozen: &FrozenDelta<V>,
-        scratch: &mut MergeScratch<V>,
-    ) -> MergeOutput<MainPartition<V>> {
-        self.merge_view_observed(main, DeltaView::Frozen(frozen), scratch, None, 0)
-    }
-
-    /// As [`Self::merge_column_frozen`] with step narration (see
-    /// [`Self::merge_column_observed`]).
-    pub fn merge_column_frozen_observed<V: Value>(
-        &self,
-        main: &MainPartition<V>,
-        frozen: &FrozenDelta<V>,
-        scratch: &mut MergeScratch<V>,
-        sink: Option<&dyn StepSink>,
-        col: usize,
-    ) -> MergeOutput<MainPartition<V>> {
-        self.merge_view_observed(main, DeltaView::Frozen(frozen), scratch, sink, col)
-    }
-
-    fn merge_view_observed<V: Value>(
-        &self,
-        main: &MainPartition<V>,
-        view: DeltaView<'_, V>,
+        delta: &FrozenDelta<V>,
         scratch: &mut MergeScratch<V>,
         sink: Option<&dyn StepSink>,
         col: usize,
     ) -> MergeOutput<MainPartition<V>> {
         let n_m = main.len();
-        let n_d = view.len();
-
-        // Stage 1a: delta dictionary extraction (+ compressed-delta rewrite
-        // for the table-lookup strategies). A frozen delta skips the stage
-        // entirely: it arrives already compressed, so its local dictionary
-        // is `U_D` and its packed codes are the rewrite.
-        let t0 = Instant::now();
-        if let DeltaView::Csb(delta) = view {
-            match self.strategy {
-                MergeStrategy::Naive => delta.sorted_unique_into(&mut scratch.u_d),
-                MergeStrategy::Optimized => {
-                    delta.compress_into(&mut scratch.u_d, &mut scratch.delta_codes)
-                }
-                MergeStrategy::Parallel if self.exact => {
-                    crate::parallel::compress_delta_exact_into(delta, self.threads, scratch)
-                }
-                MergeStrategy::Parallel => {
-                    crate::parallel::compress_delta_parallel_into(delta, self.threads, scratch)
-                }
-            }
-        }
-        let t_step1a = t0.elapsed();
+        let n_d = delta.len();
         if let Some(sink) = sink {
             sink.record(MergeStep::Stage1a { col });
         }
@@ -713,16 +627,9 @@ impl MergePipeline {
         // it leaves the pipeline inside the output partition.
         let t0 = Instant::now();
         let u_m = main.dictionary().values();
-        let u_d_len = match &view {
-            DeltaView::Csb(_) => scratch.u_d.len(),
-            DeltaView::Frozen(f) => f.dict().len(),
-        };
+        let u_d = delta.dict().values();
         // |U'_M| <= |U_M| + |U_D| is exactly what the union reserves.
-        let mut merged = scratch.take_dict(u_m.len() + u_d_len);
-        let u_d: &[V] = match &view {
-            DeltaView::Csb(_) => &scratch.u_d,
-            DeltaView::Frozen(f) => f.dict().values(),
-        };
+        let mut merged = scratch.take_dict(u_m.len() + u_d.len());
         match self.strategy {
             MergeStrategy::Naive => {
                 union_into(u_m, u_d, &mut merged);
@@ -740,7 +647,7 @@ impl MergePipeline {
                 let threads = if self.exact {
                     self.threads
                 } else {
-                    effective_threads(self.threads, u_m.len() + u_d_len, MIN_DICT_PER_THREAD)
+                    effective_threads(self.threads, u_m.len() + u_d.len(), MIN_DICT_PER_THREAD)
                 };
                 crate::parallel::merge_dictionaries_parallel_exact_into(
                     u_m,
@@ -762,20 +669,17 @@ impl MergePipeline {
 
         // Stage 2(b): the one re-encode kernel, parameterized by the
         // strategy's per-tuple code maps. The delta-side map is a stream
-        // factory: given a delta-local start row, it yields successive
-        // re-encoded codes — indexing the raw value array for a CSB delta,
-        // or decoding the packed codes through a sequential cursor for a
-        // frozen one.
+        // factory: given a delta-local start row, it decodes the packed
+        // codes through a sequential cursor and yields re-encoded codes.
         let t0 = Instant::now();
         let words = scratch.take_words(((n_m + n_d) * bits_after as usize).div_ceil(64));
         let zones = scratch.take_zones((n_m + n_d).div_ceil(ZONE_ROWS));
-        let step2_threads = |requested: usize| {
-            if self.exact {
-                requested
-            } else {
-                effective_threads(requested, n_m + n_d, MIN_TUPLES_PER_THREAD)
-            }
+        let threads = match self.strategy {
+            MergeStrategy::Optimized => 1,
+            _ if self.exact => self.threads,
+            _ => effective_threads(self.threads, n_m + n_d, MIN_TUPLES_PER_THREAD),
         };
+        let observer = sink.map(|s| (s, col));
         let (codes, zones) = match self.strategy {
             MergeStrategy::Naive => {
                 // Materialize each tuple's value, then binary-search U'_M
@@ -788,95 +692,40 @@ impl MergePipeline {
                         .binary_search(&value)
                         .expect("merged dictionary must contain value") as u64
                 };
-                let threads = step2_threads(self.threads);
-                let observer = sink.map(|s| (s, col));
-                let map_main = |old_code: u64| search(old_dict.value_at(old_code as u32));
-                match &view {
-                    DeltaView::Csb(delta) => {
-                        let delta_values = delta.values();
-                        reencode(
-                            main,
-                            n_d,
-                            bits_after,
-                            threads,
-                            words,
-                            zones,
-                            observer,
-                            map_main,
-                            |k0| {
-                                let mut k = k0;
-                                move || {
-                                    let code = search(delta_values[k]);
-                                    k += 1;
-                                    code
-                                }
-                            },
-                        )
-                    }
-                    DeltaView::Frozen(f) => reencode(
-                        main,
-                        n_d,
-                        bits_after,
-                        threads,
-                        words,
-                        zones,
-                        observer,
-                        map_main,
-                        |k0| {
-                            let mut cur = f.codes().cursor_at(k0);
-                            move || search(f.dict().value_at(cur.next_value() as u32))
-                        },
-                    ),
-                }
+                reencode(
+                    main,
+                    n_d,
+                    bits_after,
+                    threads,
+                    words,
+                    zones,
+                    observer,
+                    |old_code| search(old_dict.value_at(old_code as u32)),
+                    |k0| {
+                        let mut cur = delta.codes().cursor_at(k0);
+                        move || search(delta.dict().value_at(cur.next_value() as u32))
+                    },
+                )
             }
             MergeStrategy::Optimized | MergeStrategy::Parallel => {
                 // Pure table lookups, Equation 11: "a lookup and binary
                 // search in the original algorithm description is replaced
                 // by a lookup".
-                let threads = match self.strategy {
-                    MergeStrategy::Optimized => 1,
-                    _ => step2_threads(self.threads),
-                };
                 let (x_m, x_d) = (&scratch.x_m, &scratch.x_d);
-                let observer = sink.map(|s| (s, col));
-                let map_main = |old_code: u64| x_m[old_code as usize] as u64;
-                match &view {
-                    DeltaView::Csb(_) => {
-                        let delta_codes = &scratch.delta_codes;
-                        reencode(
-                            main,
-                            n_d,
-                            bits_after,
-                            threads,
-                            words,
-                            zones,
-                            observer,
-                            map_main,
-                            |k0| {
-                                let mut k = k0;
-                                move || {
-                                    let code = x_d[delta_codes[k] as usize] as u64;
-                                    k += 1;
-                                    code
-                                }
-                            },
-                        )
-                    }
-                    DeltaView::Frozen(f) => reencode(
-                        main,
-                        n_d,
-                        bits_after,
-                        threads,
-                        words,
-                        zones,
-                        observer,
-                        map_main,
-                        |k0| {
-                            let mut cur = f.codes().cursor_at(k0);
-                            move || x_d[cur.next_value() as usize] as u64
-                        },
-                    ),
-                }
+                reencode(
+                    main,
+                    n_d,
+                    bits_after,
+                    threads,
+                    words,
+                    zones,
+                    observer,
+                    |old_code| x_m[old_code as usize] as u64,
+                    |k0| {
+                        let mut cur = delta.codes().cursor_at(k0);
+                        move || x_d[cur.next_value() as usize] as u64
+                    },
+                )
             }
         };
         let t_step2 = t0.elapsed();
@@ -890,11 +739,11 @@ impl MergePipeline {
             n_m,
             n_d,
             u_m: u_m.len(),
-            u_d: u_d_len,
+            u_d: u_d.len(),
             u_merged: merged.len(),
             bits_before: main.code_bits(),
             bits_after,
-            t_step1a,
+            t_step1a: Duration::ZERO,
             t_step1b,
             t_step2,
         };
@@ -1029,12 +878,8 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
 mod tests {
     use super::*;
 
-    fn delta_from(values: &[u64]) -> DeltaPartition<u64> {
-        let mut d = DeltaPartition::new();
-        for &v in values {
-            d.insert(v);
-        }
-        d
+    fn delta_from(values: &[u64]) -> FrozenDelta<u64> {
+        FrozenDelta::from_values(values)
     }
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -1083,47 +928,84 @@ mod tests {
         }
     }
 
+    /// The merge's output must be exactly what bulk-loading the
+    /// concatenated rows produces: dictionary, code width, every code and
+    /// the zone map.
+    fn assert_bulk_load_equal(
+        out: &MainPartition<u64>,
+        main_vals: &[u64],
+        delta_vals: &[u64],
+        what: &str,
+    ) {
+        let all: Vec<u64> = main_vals.iter().chain(delta_vals).copied().collect();
+        let oracle = MainPartition::from_values(&all);
+        assert_eq!(
+            out.dictionary().values(),
+            oracle.dictionary().values(),
+            "{what}: dictionary"
+        );
+        assert_eq!(out.code_bits(), oracle.code_bits(), "{what}: code width");
+        assert!(
+            out.codes().eq(oracle.codes()),
+            "{what}: codes differ from the bulk load"
+        );
+        assert_eq!(out.zones(), oracle.zones(), "{what}: zone map");
+    }
+
     #[test]
     fn frozen_delta_merge_is_byte_identical_to_csb() {
-        // Merging the same row sequence through a bit-packed FrozenDelta
-        // must produce the exact partition bytes the CSB path produces —
-        // for every strategy and thread fan-out, including shapes that hit
-        // the thread clamps and region splits.
-        use hyrise_storage::FrozenDelta;
+        // The reference is the bulk load of main ++ delta, for every
+        // strategy, `new` and `exact` teams and thread fan-out — shapes that
+        // hit the thread clamps and region splits, an empty main, an empty
+        // delta, and a merge whose union reaches exactly 2^k distinct
+        // values (the code width grows by one bit).
         let mut next = xorshift(41);
-        for (n_m, n_d, spread) in [(30_000, 6_000, 4_000u64), (100, 7, 5), (0, 4_096, 900)] {
+        let mut shapes: Vec<(Vec<u64>, Vec<u64>)> = Vec::new();
+        for (n_m, n_d, spread) in [
+            (30_000, 6_000, 4_000u64),
+            (100, 7, 5),
+            (0, 4_096, 900),
+            (9_000, 0, 700),
+        ] {
             let main_vals: Vec<u64> = (0..n_m).map(|_| next() % spread).collect();
             let delta_vals: Vec<u64> = (0..n_d)
                 .map(|_| next() % (spread + spread / 2 + 1))
                 .collect();
-            let main = MainPartition::from_values(&main_vals);
-            let delta = delta_from(&delta_vals);
-            let frozen = FrozenDelta::from_values(&delta_vals);
-            let mut scratch = MergeScratch::new();
-            for strategy in [
-                MergeStrategy::Naive,
-                MergeStrategy::Optimized,
-                MergeStrategy::Parallel,
-            ] {
+            shapes.push((main_vals, delta_vals));
+        }
+        // 2^k - 1 distinct values in main (k bits), one new value in the
+        // delta: the union has exactly 2^k values, so k + 1 bits.
+        let k = 10;
+        let main_vals: Vec<u64> = (0..3 * ZONE_ROWS as u64)
+            .map(|i| i % ((1 << k) - 1))
+            .collect();
+        shapes.push((main_vals, vec![1 << 20, 5, 1 << 20]));
+        let mut scratch = MergeScratch::new();
+        for (main_vals, delta_vals) in &shapes {
+            let main = MainPartition::from_values(main_vals);
+            let frozen = FrozenDelta::from_values(delta_vals);
+            for strategy in STRATEGIES {
                 for threads in [1usize, 2, 4] {
-                    let pipeline = MergePipeline::new(strategy, threads);
-                    let via_csb = pipeline.merge_column(&main, &delta, &mut scratch);
-                    let via_frozen = pipeline.merge_column_frozen(&main, &frozen, &mut scratch);
-                    assert_eq!(
-                        via_frozen.main.dictionary().values(),
-                        via_csb.main.dictionary().values(),
-                        "{strategy:?}/{threads}/{n_m}+{n_d}: dictionaries differ"
-                    );
-                    assert_eq!(
-                        via_frozen.main.packed_codes().words(),
-                        via_csb.main.packed_codes().words(),
-                        "{strategy:?}/{threads}/{n_m}+{n_d}: packed words differ"
-                    );
-                    assert_eq!(via_frozen.stats.u_d, via_csb.stats.u_d);
-                    assert_eq!(via_frozen.stats.n_d, n_d);
+                    for pipeline in [
+                        MergePipeline::new(strategy, threads),
+                        MergePipeline::exact(strategy, threads),
+                    ] {
+                        let out = pipeline.merge_column(&main, &frozen, &mut scratch);
+                        let what =
+                            format!("{pipeline:?}: {}+{}", main_vals.len(), delta_vals.len());
+                        assert_bulk_load_equal(&out.main, main_vals, delta_vals, &what);
+                        assert_eq!(out.stats.u_d, frozen.dict().len(), "{what}");
+                        assert_eq!(out.stats.n_d, delta_vals.len(), "{what}");
+                        scratch.recycle_main(out.main);
+                    }
                 }
             }
         }
+        assert_eq!(
+            MainPartition::from_values(&shapes[4].0).code_bits() as u32,
+            k,
+            "the width-growth shape starts at k bits"
+        );
     }
 
     #[test]
@@ -1146,8 +1028,6 @@ mod tests {
             scratch.recycle_main(out.main);
         }
         let warmed = (
-            scratch.u_d.capacity(),
-            scratch.delta_codes.capacity(),
             scratch.x_m.capacity(),
             scratch.x_d.capacity(),
             scratch.spare_capacities(),
@@ -1167,8 +1047,6 @@ mod tests {
             last_zones = Some(zones);
             scratch.recycle_main(out.main);
             let now = (
-                scratch.u_d.capacity(),
-                scratch.delta_codes.capacity(),
                 scratch.x_m.capacity(),
                 scratch.x_d.capacity(),
                 scratch.spare_capacities(),

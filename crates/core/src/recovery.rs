@@ -313,7 +313,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{MergePipeline, MergeScratch, MergeStrategy};
     use crate::wal::MergeLog;
-    use hyrise_storage::DeltaPartition;
+    use hyrise_storage::FrozenDelta;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -353,10 +353,7 @@ mod tests {
             w.seal_and_rotate(300).unwrap();
             // The crash point: merge durably begun, first chunk staged.
             let log = MergeLog::begin(&dir, 300, 2).unwrap();
-            let mut delta0 = DeltaPartition::new();
-            for r in &data {
-                delta0.insert(r[0]);
-            }
+            let delta0 = FrozenDelta::from_values(&data.iter().map(|r| r[0]).collect::<Vec<_>>());
             let merged0 = MergePipeline::new(MergeStrategy::Optimized, 1)
                 .merge_column(&MainPartition::empty(), &delta0, &mut MergeScratch::new())
                 .main;

@@ -55,8 +55,10 @@ pub struct ColumnMergeStats {
     pub bits_before: u8,
     /// Compressed value-length after the merge (`E'_C`, bits).
     pub bits_after: u8,
-    /// Step 1(a): delta dictionary extraction (+ delta re-coding when
-    /// optimized).
+    /// Step 1(a): the delta's compression into a sorted dictionary plus
+    /// codes. It runs at freeze, before the pipeline, so
+    /// [`crate::MergePipeline::merge_column`] reports zero; a caller that
+    /// times the freeze records it here.
     pub t_step1a: Duration,
     /// Step 1(b): dictionary merge (+ auxiliary tables when optimized).
     pub t_step1b: Duration,

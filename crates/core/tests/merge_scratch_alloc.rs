@@ -1,22 +1,21 @@
 //! Allocation-counting harness for the merge pipeline's steady state: a
 //! warmed [`MergeScratch`] whose caller recycles retired partitions must
 //! perform **no heap allocation for dictionary/aux/output buffers** per
-//! merge (the ISSUE's acceptance criterion).
+//! merge.
 //!
 //! A wrapping global allocator records every allocation while enabled. The
-//! buffers under test (delta dictionary, delta codes, `X_M`/`X_D`, merged
-//! dictionary, packed output words) are all tens of kilobytes to megabytes
-//! at the test's shape, so asserting that **zero allocations of ≥ 4 KiB**
-//! happen during warmed merges proves none of them was reallocated, while
-//! still tolerating the handful of tiny fixed-size allocations a merge
-//! legitimately makes (the CSB+ iterator's descent stack, the region-split
-//! plan, thread bookkeeping on the table path). The output zone map (8 B
+//! buffers under test (`X_M`/`X_D`, merged dictionary, packed output
+//! words) are all tens of kilobytes to megabytes at the test's shape, so
+//! asserting that **zero allocations of ≥ 4 KiB** happen during warmed
+//! merges proves none of them was reallocated, while still tolerating the
+//! handful of tiny fixed-size allocations a merge legitimately makes (the
+//! region-split plan, thread bookkeeping on the table path). The output zone map (8 B
 //! per 4 096 rows) stays under the threshold at this shape; the pipeline's
 //! `scratch_reuse_is_capacity_stable` unit test pins its reuse by pointer.
 
 use hyrise_core::shard::{ShardBy, ShardedTable};
 use hyrise_core::{MergeGrant, MergePipeline, MergeScratch, MergeStrategy, OnlineTable};
-use hyrise_storage::{DeltaPartition, MainPartition};
+use hyrise_storage::{FrozenDelta, MainPartition};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -111,10 +110,7 @@ fn warmed_scratch_merges_without_buffer_allocations() {
     let main_vals: Vec<u64> = (0..200_000).map(|_| next() % 20_000).collect();
     let delta_vals: Vec<u64> = (0..20_000).map(|_| next() % 30_000).collect();
     let main = MainPartition::from_values(&main_vals);
-    let mut delta = DeltaPartition::new();
-    for &v in &delta_vals {
-        delta.insert(v);
-    }
+    let delta = FrozenDelta::from_values(&delta_vals);
 
     let mut scratch = MergeScratch::new();
     // Warm-up: two merges with recycling reach the arena's fixed point.

@@ -4,20 +4,14 @@
 //! map, which must equal a brute-force per-block min/max of its codes.
 
 use hyrise_core::{
-    merge_dictionaries,
-    parallel::{compress_delta_parallel, merge_dictionaries_parallel},
-    partition::corank,
-    MergePipeline, MergeScratch, MergeStrategy,
+    merge_dictionaries, parallel::merge_dictionaries_parallel, partition::corank, MergePipeline,
+    MergeScratch, MergeStrategy,
 };
-use hyrise_storage::{DeltaPartition, MainPartition, ZONE_ROWS};
+use hyrise_storage::{FrozenDelta, MainPartition, ZONE_ROWS};
 use proptest::prelude::*;
 
-fn delta_from(values: &[u64]) -> DeltaPartition<u64> {
-    let mut d = DeltaPartition::new();
-    for &v in values {
-        d.insert(v);
-    }
-    d
+fn delta_from(values: &[u64]) -> FrozenDelta<u64> {
+    FrozenDelta::from_values(values)
 }
 
 /// Oracle: the merged column must contain main values then delta values, and
@@ -139,15 +133,6 @@ proptest! {
         if j > 0 && i < a.len() {
             prop_assert!(b[j - 1] <= a[i]);
         }
-    }
-
-    #[test]
-    fn parallel_compress_equals_serial(
-        values in prop::collection::vec(0u64..800, 0..8_000),
-        threads in 1usize..9,
-    ) {
-        let delta = delta_from(&values);
-        prop_assert_eq!(compress_delta_parallel(&delta, threads), delta.compress());
     }
 
     #[test]

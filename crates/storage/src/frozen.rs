@@ -39,7 +39,9 @@ impl<V: Value> FrozenDelta<V> {
     }
 
     /// Freeze `values` (insertion order): build the sorted local dictionary
-    /// and encode every value against it.
+    /// and encode every value against it. This is the merge's Stage 1a,
+    /// the paper's modified Step 1(a) (Section 5.3): the sorted `U_D` plus
+    /// the delta rewritten as fixed-width codes into it.
     pub fn from_values(values: &[V]) -> Self {
         if values.is_empty() {
             return Self::empty();
@@ -54,18 +56,6 @@ impl<V: Value> FrozenDelta<V> {
             let code = dict.code_of(v).expect("frozen value is in its dictionary");
             codes.push(code as u64);
         }
-        Self { dict, codes }
-    }
-
-    /// Reassemble from parts (the recovery path).
-    ///
-    /// # Panics
-    /// In debug builds, if any code is out of range for `dict`.
-    pub fn from_parts(dict: Dictionary<V>, codes: BitPackedVec) -> Self {
-        debug_assert!(
-            codes.iter().all(|c| (c as usize) < dict.len().max(1)),
-            "frozen codes must index the local dictionary"
-        );
         Self { dict, codes }
     }
 
@@ -127,8 +117,8 @@ impl<V: Value> Default for FrozenDelta<V> {
 
 /// One region of a column's unmerged tail as seen by a scan: either a
 /// sealed, bit-packed [`FrozenDelta`] (scanned with the SWAR kernels in
-/// value-id space) or a raw value slice (the active tail / a CSB-backed
-/// delta, scanned by value comparison).
+/// value-id space) or a raw value slice (the active tail, scanned by value
+/// comparison).
 #[derive(Clone, Copy)]
 pub enum TailRegion<'a, V: Value> {
     /// A sealed delta, dictionary-compressed.

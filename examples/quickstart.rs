@@ -2,14 +2,15 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 //!
-//! Walks through: a dictionary-compressed main partition, a write-optimized
-//! delta with its CSB+ tree, and the optimized merge that folds the delta
-//! back in — showing the dictionary growth (6 -> 9 values) and the code
-//! width growth (3 -> 4 bits) from the paper's running example.
+//! Walks through: a dictionary-compressed main partition, a delta frozen
+//! into its compressed form (the merge's Stage 1a), and the optimized merge
+//! that folds the delta back in — showing the dictionary growth (6 -> 9
+//! values) and the code width growth (3 -> 4 bits) from the paper's running
+//! example.
 
 use hyrise::merge::{MergePipeline, MergeScratch, MergeStrategy, OnlineTable};
 use hyrise::query::Query;
-use hyrise::storage::{DeltaPartition, MainPartition};
+use hyrise::storage::{FrozenDelta, MainPartition};
 
 fn main() {
     // The paper's column values, encoded as integers that preserve their
@@ -35,16 +36,14 @@ fn main() {
     println!("'hotel'(=8) is encoded as {}", main.code(0));
     println!();
 
-    println!("== Delta partition (write-optimized, uncompressed + CSB+ tree) ==");
-    let mut delta = DeltaPartition::new();
-    for v in [2u64, 3, 7, 3, 25] {
-        delta.insert(v);
-    }
-    println!("tuples      : {:?}", delta.values());
-    println!("unique      : {:?}", delta.sorted_unique());
+    println!("== Delta, frozen for the merge (Stage 1a: sorted U_D + codes) ==");
+    let delta = FrozenDelta::from_values(&[2u64, 3, 7, 3, 25]);
+    println!("tuples      : {:?}", delta.to_vec());
+    println!("unique      : {:?}", delta.dict().values());
     println!(
-        "'charlie'(=3) occurs at delta positions {:?}",
-        delta.lookup(&3).unwrap().collect::<Vec<u32>>()
+        "codes       : {:?} ({} bits)",
+        delta.codes().iter().collect::<Vec<_>>(),
+        delta.codes().bits()
     );
     println!();
 

@@ -8,10 +8,8 @@
 //! This crate re-exports the workspace crates under stable module names:
 //!
 //! * [`bitpack`] — fixed-width bit-packed vectors (`E_C` bits per code).
-//! * [`csb`] — the CSB+ tree indexing the paper's Section 4.1 delta
-//!   partition.
-//! * [`storage`] — dictionaries, main partitions, the tail log and frozen
-//!   deltas of the live table, the Section 4.1 delta partition, validity.
+//! * [`storage`] — dictionaries, main partitions, the tail log and the
+//!   frozen (compressed) deltas every merge reads, validity.
 //! * [`merge`] — the merge ([`merge::MergePipeline`] under a
 //!   [`merge::MergeStrategy`]: naive, optimized, parallel), the analytical
 //!   cost model, the one table type [`merge::OnlineTable`] with its online
@@ -45,7 +43,6 @@ pub use hyrise_core::{
     recover, recover_sharded, recover_with, Durability, Error, Result, ShardedTableBuilder,
     TableBuilder, TableConfig,
 };
-pub use hyrise_csb as csb;
 pub use hyrise_query as query;
 pub use hyrise_server as server;
 pub use hyrise_storage as storage;

@@ -3,7 +3,7 @@
 
 use hyrise::bitpack::bits_for;
 use hyrise::merge::{merge_dictionaries, MergePipeline, MergeScratch, MergeStrategy};
-use hyrise::storage::{DeltaPartition, MainPartition};
+use hyrise::storage::{FrozenDelta, MainPartition};
 
 /// Word encoding preserving lexicographic order:
 /// apple=1 bravo=2 charlie=3 delta=4 frank=6 golf=7 hotel=8 inbox=9 young=25
@@ -23,12 +23,9 @@ fn paper_main() -> MainPartition<u64> {
     MainPartition::from_values(&[HOTEL, DELTA, FRANK, DELTA, APPLE, CHARLIE, INBOX])
 }
 
-fn paper_delta() -> DeltaPartition<u64> {
-    let mut d = DeltaPartition::new();
-    for v in [BRAVO, CHARLIE, GOLF, CHARLIE, YOUNG] {
-        d.insert(v);
-    }
-    d
+/// Figure 5's delta in insertion order, frozen: Stage 1a's output.
+fn paper_delta() -> FrozenDelta<u64> {
+    FrozenDelta::from_values(&[BRAVO, CHARLIE, GOLF, CHARLIE, YOUNG])
 }
 
 #[test]
@@ -45,15 +42,14 @@ fn figure5_pre_merge_state() {
     );
 
     let delta = paper_delta();
-    // "there are five tuples ... the CSB+ tree containing all the unique
-    // uncompressed values ... the value 'charlie' is inserted at positions
-    // 1 and 3."
+    // "there are five tuples ... all the unique uncompressed values ... the
+    // value 'charlie' is inserted at positions 1 and 3."
     assert_eq!(delta.len(), 5);
-    assert_eq!(delta.unique_len(), 4);
-    assert_eq!(
-        delta.lookup(&CHARLIE).unwrap().collect::<Vec<_>>(),
-        vec![1, 3]
-    );
+    assert_eq!(delta.dict().len(), 4);
+    let charlie: Vec<usize> = (0..delta.len())
+        .filter(|&i| delta.get(i) == CHARLIE)
+        .collect();
+    assert_eq!(charlie, vec![1, 3]);
 }
 
 #[test]
@@ -61,18 +57,21 @@ fn figure6_step1a_compressed_delta() {
     // "we create the dictionary for the delta partition (with 4 distinct
     // values) and compute the compressed delta partition using 2 bits"
     let delta = paper_delta();
-    let c = delta.compress();
-    assert_eq!(c.dict, vec![BRAVO, CHARLIE, GOLF, YOUNG]);
-    assert_eq!(bits_for(c.dict.len()), 2);
+    assert_eq!(delta.dict().values(), &[BRAVO, CHARLIE, GOLF, YOUNG]);
+    assert_eq!(bits_for(delta.dict().len()), 2);
+    assert_eq!(delta.codes().bits(), 2);
     // Figure 6 shows codes 00 01 10 01 11.
-    assert_eq!(c.codes, vec![0, 1, 2, 1, 3]);
+    assert_eq!(
+        delta.codes().iter().collect::<Vec<_>>(),
+        vec![0, 1, 2, 1, 3]
+    );
 }
 
 #[test]
 fn figure6_step1b_auxiliary_structures() {
     let main = paper_main();
     let delta = paper_delta();
-    let dm = merge_dictionaries(main.dictionary().values(), &delta.compress().dict);
+    let dm = merge_dictionaries(main.dictionary().values(), delta.dict().values());
     // Main auxiliary: 0000 0010 0011 0100 0110 0111.
     assert_eq!(dm.x_m, vec![0, 2, 3, 4, 6, 7]);
     // Delta auxiliary: 0001 0010 0101 1000.

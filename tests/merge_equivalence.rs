@@ -1,51 +1,55 @@
 //! Cross-algorithm equivalence at integration scale: naive, optimized and
 //! parallel merges must produce bit-identical partitions across value types,
-//! uniqueness regimes and repeated merge generations.
+//! uniqueness regimes and repeated merge generations — each equal to a bulk
+//! load of the concatenated rows.
 
 use hyrise::merge::{MergePipeline, MergeScratch, MergeStrategy};
-use hyrise::storage::{DeltaPartition, MainPartition, Value, V16};
+use hyrise::storage::{FrozenDelta, MainPartition, Value, V16};
 use hyrise::workload::values::{values_with_unique, UniqueSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn delta_from<V: Value>(values: &[V]) -> DeltaPartition<V> {
-    let mut d = DeltaPartition::new();
-    for &v in values {
-        d.insert(v);
-    }
-    d
+fn delta_from<V: Value>(values: &[V]) -> FrozenDelta<V> {
+    FrozenDelta::from_values(values)
 }
 
-fn assert_all_equal<V: Value>(main: &MainPartition<V>, delta: &DeltaPartition<V>, threads: usize) {
-    let a = MergePipeline::new(MergeStrategy::Naive, threads)
-        .merge_column(main, delta, &mut MergeScratch::new())
-        .main;
-    let b = MergePipeline::new(MergeStrategy::Optimized, 1)
-        .merge_column(main, delta, &mut MergeScratch::new())
-        .main;
-    let c = MergePipeline::new(MergeStrategy::Parallel, threads)
-        .merge_column(main, delta, &mut MergeScratch::new())
-        .main;
-    assert_eq!(a.dictionary().values(), b.dictionary().values());
-    assert_eq!(b.dictionary().values(), c.dictionary().values());
-    let ca: Vec<u64> = a.codes().collect();
-    let cb: Vec<u64> = b.codes().collect();
-    let cc: Vec<u64> = c.codes().collect();
-    assert_eq!(ca, cb);
-    assert_eq!(cb, cc);
-    assert_eq!(a.code_bits(), c.code_bits());
+/// Merge `delta_vals` into a bulk-loaded `main_vals` under every strategy:
+/// each output must equal the bulk load of `main_vals ++ delta_vals` in
+/// dictionary, code width, every code and zone map.
+fn assert_all_equal<V: Value>(main_vals: &[V], delta_vals: &[V], threads: usize) {
+    let main = MainPartition::from_values(main_vals);
+    let delta = delta_from(delta_vals);
+    let all: Vec<V> = main_vals.iter().chain(delta_vals).copied().collect();
+    let oracle = MainPartition::from_values(&all);
+    let want: Vec<u64> = oracle.codes().collect();
+    for (strategy, threads) in [
+        (MergeStrategy::Naive, threads),
+        (MergeStrategy::Optimized, 1),
+        (MergeStrategy::Parallel, threads),
+    ] {
+        let out = MergePipeline::new(strategy, threads)
+            .merge_column(&main, &delta, &mut MergeScratch::new())
+            .main;
+        assert_eq!(
+            out.dictionary().values(),
+            oracle.dictionary().values(),
+            "{strategy:?}"
+        );
+        assert_eq!(out.code_bits(), oracle.code_bits(), "{strategy:?}");
+        assert_eq!(out.codes().collect::<Vec<_>>(), want, "{strategy:?}");
+        assert_eq!(out.zones(), oracle.zones(), "{strategy:?}");
+    }
 }
 
 fn scenario<V: Value>(n_m: usize, n_d: usize, lambda_m: f64, lambda_d: f64, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let main_vals: Vec<V> = values_with_unique(&mut rng, UniqueSpec::from_lambda(n_m, lambda_m));
-    let main = MainPartition::from_values(&main_vals);
+    let main_unique = MainPartition::from_values(&main_vals).dictionary().len();
     // Delta half-overlaps the main's domain.
-    let spec = UniqueSpec::from_lambda(n_d, lambda_d).offset((main.dictionary().len() / 2) as u64);
+    let spec = UniqueSpec::from_lambda(n_d, lambda_d).offset((main_unique / 2) as u64);
     let delta_vals: Vec<V> = values_with_unique(&mut rng, spec);
-    let delta = delta_from(&delta_vals);
     for threads in [1, 4, 13] {
-        assert_all_equal(&main, &delta, threads);
+        assert_all_equal(&main_vals, &delta_vals, threads);
     }
 }
 
@@ -72,22 +76,22 @@ fn equivalence_v16_wide_values() {
 #[test]
 fn equivalence_degenerate_shapes() {
     // Empty delta.
-    let main = MainPartition::from_values(&(0u64..10_000).map(|i| i % 37).collect::<Vec<_>>());
-    assert_all_equal(&main, &DeltaPartition::new(), 8);
+    let main = (0u64..10_000).map(|i| i % 37).collect::<Vec<_>>();
+    assert_all_equal(&main, &[], 8);
     // Empty main.
-    let delta = delta_from(&(0u64..5_000).map(|i| i % 91).collect::<Vec<_>>());
-    assert_all_equal(&MainPartition::empty(), &delta, 8);
+    let delta = (0u64..5_000).map(|i| i % 91).collect::<Vec<_>>();
+    assert_all_equal(&[], &delta, 8);
     // Single-value column.
-    let main = MainPartition::from_values(&vec![42u64; 10_000]);
-    let delta = delta_from(&vec![42u64; 1_000]);
-    assert_all_equal(&main, &delta, 8);
+    assert_all_equal(&[42u64; 10_000], &[42u64; 1_000], 8);
     // Delta entirely new values.
-    let main = MainPartition::from_values(&(0u64..5_000).collect::<Vec<_>>());
-    let delta = delta_from(&(1_000_000u64..1_003_000).collect::<Vec<_>>());
-    assert_all_equal(&main, &delta, 8);
+    let main = (0u64..5_000).collect::<Vec<_>>();
+    assert_all_equal(&main, &(1_000_000u64..1_003_000).collect::<Vec<_>>(), 8);
     // Delta entirely duplicate values.
-    let delta = delta_from(&(0u64..3_000).collect::<Vec<_>>());
-    assert_all_equal(&main, &delta, 8);
+    assert_all_equal(&main, &(0u64..3_000).collect::<Vec<_>>(), 8);
+    // Width growth at exactly 2^k distinct values: 255 values (8 bits)
+    // plus one new value is 256 values, 9 bits.
+    let main = (0u64..20_000).map(|i| i % 255).collect::<Vec<_>>();
+    assert_all_equal(&main, &[1_000], 8);
 }
 
 #[test]
