@@ -236,7 +236,6 @@ fn main() {
     println!("data); write throughput grows with cores available, flat on one core.");
     println!("s1a/s1b/s2 stack like the paper's Figure 7/8 stage bars (per-shard");
     println!("SourceMergeStats summed): Step 2 dominates, Step 1b grows with |U|.");
-    println!("the governor column is dominant-signal share · last grant; the scan");
-    println!("thread keeps the read counters busy, so expect contended/baseline");
-    println!("rounds while writers run and read-idle ones during the drain.");
+    println!("the governor column is dominant-signal share · last grant; with no");
+    println!("memory soft limit every round is baseline, the policy's own grant.");
 }

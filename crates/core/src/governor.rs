@@ -1,68 +1,49 @@
-//! The adaptive resource governor: feedback-driven [`MergeGrant`]s from
-//! live load signals.
+//! The resource governor: per-round [`MergeGrant`]s and merge eligibility
+//! from live write and memory pressure.
 //!
 //! Section 9's scheduling hook — "a scheduling algorithm could constantly
 //! analyze the available bandwidth and thus adjust the degree of
-//! parallelization for the merge process" — is exactly a feedback loop:
-//! sample what the workload is doing, then size the next merge's resource
-//! grant accordingly. The static [`MergePolicy`] picked one grant at
-//! configuration time; the [`ResourceGovernor`] picks one **per poll
-//! round** from three signal families:
+//! parallelization for the merge process" — is a feedback loop: sample what
+//! the workload is doing, then decide which sources merge now and under
+//! which grant. The [`ResourceGovernor`] samples two signal families per
+//! poll round:
 //!
-//! * **Read pressure** — process-wide lock-free query counters bumped by
-//!   every `hyrise-query` executor run ([`begin_read`]); the governor
-//!   derives queries/second and in-flight counts between polls.
 //! * **Write pressure** — the merge source's delta growth between polls
 //!   (insert tuples/second, corrected for tuples the merges of the window
-//!   moved out), classified against the paper's Section 4 update-rate
-//!   targets via [`rate::classify_update_rate`], with Equation 1
-//!   ([`rate::update_rate`]) reporting the window's *sustained* rate.
+//!   moved out), with Equation 1 ([`rate::update_rate`]) reporting the
+//!   window's *sustained* rate.
 //! * **Memory pressure** — [`MemoryReport`] accounting over the source's
 //!   partitions against a configured soft limit.
 //!
-//! The decision table (first match wins; see [`GrantSignal`]):
+//! The decision table (see [`GrantSignal`]):
 //!
-//! | signal            | strategy          | threads           | budget K          |
-//! |-------------------|-------------------|-------------------|-------------------|
-//! | memory pressure   | policy's          | policy's          | `pressure_budget` |
-//! | read-contended    | `Naive`           | half the policy's | policy's          |
-//! | queue-deep        | policy's          | half the policy's | policy's          |
-//! | write burst       | `Parallel`        | `max_threads`     | policy's          |
-//! | read-idle         | policy's          | `max_threads`     | policy's          |
-//! | baseline          | policy's          | policy's          | policy's          |
+//! | signal            | strategy | threads  | budget K          |
+//! |-------------------|----------|----------|-------------------|
+//! | memory pressure   | policy's | policy's | `pressure_budget` |
+//! | baseline          | policy's | policy's | policy's          |
 //!
-//! Rationale: under memory pressure the budget (not the algorithm) is the
-//! lever — K-column commits cap the transient ~2x working set. Under read
-//! contention the merge should stay off the memory bus the scans are
-//! saturating: `Naive` skips the delta re-encode and the `X_M`/`X_D`
-//! auxiliary streams of the optimized stages, trading extra CPU (its
-//! binary-search Step 2) for less bandwidth, and the thread grant halves.
-//! A deep pool queue ([`crate::pool::global_queue_depth`]) is the same
-//! story seen from the worker side — tasks waiting for workers — so it
-//! also halves the grant, but keeps the policy's strategy: merges run on
-//! that same pool, a grant's `threads` is its width there, so the queue
-//! clears fastest when the merge yields *workers*, and the backlog says
-//! nothing about bandwidth.
-//! A write burst or a read-idle window is the opposite — the merge should
-//! take the machine (the paper's "merging with all available resources")
-//! while it is cheap to do so.
+//! Under memory pressure the budget (not the algorithm) is the lever —
+//! K-column commits cap the transient ~2x working set. Every other round
+//! runs the policy's own grant, so the grant a deployment serves is the one
+//! its [`MergePolicy`] states.
+//!
+//! Eligibility is where the load signals act: source `i` merges when
+//! `fraction_i × pressure > policy.delta_fraction`, with a pressure factor
+//! ≥ 1 that grows with the write rate (against the paper's Section 4 high
+//! target) and with memory pressure. A pressured system therefore merges
+//! *earlier* than the static trigger and never later, so a governed
+//! scheduler bounds the delta at least as tightly as its policy. Eligible
+//! sources rank by delta fraction, worst first, and at most
+//! `max_concurrent` of them are selected.
 //!
 //! Every decision lands in a bounded ring ([`ResourceGovernor::recent_grants`])
 //! so schedulers expose *why* each merge ran the way it did; the
 //! `shard_scalability` harness prints that trace next to its per-stage
 //! columns.
-//!
-//! [`crate::scheduler::MergeScheduler`] polls through
-//! [`ResourceGovernor::plan`] once per round. For a multi-source (sharded)
-//! view the plan also ranks sources by `delta fraction × pressure` and
-//! selects at most `max_concurrent` of them; the pressure factor makes
-//! merges *more* eager under write/memory pressure and never less eager
-//! than the static trigger, so a governed scheduler bounds the delta at
-//! least as tightly as the policy it was built from.
 
 use crate::manager::MergePolicy;
 use crate::pipeline::{MergeBudget, MergeGrant, MergeStrategy};
-use crate::rate::{self, WriteLoad};
+use crate::rate;
 use crate::scheduler::MergeOutcome;
 use hyrise_storage::MemoryReport;
 use parking_lot::Mutex;
@@ -71,10 +52,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
-// Read-pressure counters
+// Read counters
 // ---------------------------------------------------------------------------
 
-/// Queries started, process-wide. Monotonic; the governor differences
+/// Queries started, process-wide. Monotonic; readers difference
 /// successive samples, so wrap-around is a non-issue in practice.
 static READS_STARTED: AtomicU64 = AtomicU64::new(0);
 /// Queries finished, process-wide.
@@ -90,12 +71,11 @@ pub struct ReadGuard {
 
 /// Record the start of one query-engine execution (lock-free; two relaxed
 /// atomic increments per query in total). `hyrise-query` calls this at
-/// every executor entry point; anything else that wants its reads weighed
-/// by the governor (e.g. the workload driver's window scans) may too.
-/// Registration is once per *query*: fan-out executors hold one guard
-/// across their per-shard engine runs and morsel workers never register,
-/// so the counters track query arrival — internal parallelism shows up in
-/// the pool queue depth signal instead.
+/// every executor entry point. Registration is once per *query*: fan-out
+/// executors hold one guard across their per-shard engine runs and morsel
+/// workers never register, so the counters track query arrival. The
+/// server reports the in-flight count in its stats; no merge decision
+/// reads it.
 pub fn begin_read() -> ReadGuard {
     READS_STARTED.fetch_add(1, Ordering::Relaxed);
     ReadGuard {
@@ -139,17 +119,13 @@ pub fn read_load() -> ReadLoad {
 // ---------------------------------------------------------------------------
 
 /// Tuning knobs for a [`ResourceGovernor`]. Start from
-/// [`GovernorConfig::from_policy`] (which reproduces the static policy's
-/// behavior except for opportunistic thread raises) and tighten from
-/// there; the README's governor section walks through the knobs.
+/// [`GovernorConfig::from_policy`] (the static policy's trigger and grant,
+/// memory pressure off) and set a soft limit from there; the README's
+/// governor section walks through the knobs.
 #[derive(Clone, Debug)]
 pub struct GovernorConfig {
-    /// The baseline: trigger fraction and default grant. The governor's
-    /// adaptive grants are deviations from this policy's grant.
+    /// The trigger fraction and the grant every unpressured round runs.
     pub policy: MergePolicy,
-    /// Thread ceiling for the write-burst / read-idle raises (defaults to
-    /// [`crate::pool::default_threads`]).
-    pub max_threads: usize,
     /// Soft cap on the source's total bytes ([`MemoryReport::total`]);
     /// above it the governor shrinks the merge budget to
     /// [`Self::pressure_budget`]. `usize::MAX` disables the signal.
@@ -158,32 +134,16 @@ pub struct GovernorConfig {
     /// column at a time — the paper's Section 4 partial-column strategy at
     /// its tightest).
     pub pressure_budget: MergeBudget,
-    /// Engine runs/second *below* which (with nothing in flight) the
-    /// workload counts as read-idle.
-    pub idle_reads_per_sec: f64,
-    /// Engine runs/second *above* which the workload counts as
-    /// read-contended.
-    pub busy_reads_per_sec: f64,
-    /// Queued-but-unclaimed tasks on the shared worker pool *above* which
-    /// the round counts as queue-deep: work is waiting for workers, so the
-    /// next merge grant gives pool width back (half the policy's threads).
-    /// `usize::MAX` disables the signal.
-    pub deep_queue_depth: usize,
 }
 
 impl GovernorConfig {
-    /// A governor configuration that keeps `policy`'s trigger and grant as
-    /// the baseline, with memory pressure disabled and conservative read
-    /// thresholds.
+    /// A governor configuration that keeps `policy`'s trigger and grant,
+    /// with memory pressure disabled.
     pub fn from_policy(policy: MergePolicy) -> Self {
         Self {
             policy,
-            max_threads: crate::pool::default_threads(),
             memory_soft_limit: usize::MAX,
             pressure_budget: MergeBudget::columns(1),
-            idle_reads_per_sec: 1.0,
-            busy_reads_per_sec: 100.0,
-            deep_queue_depth: 4 * crate::pool::default_threads(),
         }
     }
 
@@ -193,29 +153,9 @@ impl GovernorConfig {
         self
     }
 
-    /// Builder-style read thresholds (engine runs/second).
-    pub fn with_read_thresholds(mut self, idle: f64, busy: f64) -> Self {
-        assert!(idle <= busy, "idle threshold must not exceed busy");
-        self.idle_reads_per_sec = idle;
-        self.busy_reads_per_sec = busy;
-        self
-    }
-
-    /// Builder-style thread ceiling.
-    pub fn with_max_threads(mut self, threads: usize) -> Self {
-        self.max_threads = threads.max(1);
-        self
-    }
-
     /// Builder-style memory-pressure budget.
     pub fn with_pressure_budget(mut self, budget: MergeBudget) -> Self {
         self.pressure_budget = budget;
-        self
-    }
-
-    /// Builder-style pool queue-depth threshold (`usize::MAX` disables).
-    pub fn with_deep_queue_depth(mut self, depth: usize) -> Self {
-        self.deep_queue_depth = depth;
         self
     }
 }
@@ -233,16 +173,9 @@ impl Default for GovernorConfig {
 /// What one poll round of sampling concluded about the workload.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LoadSignals {
-    /// Engine runs per second over the sampled window.
-    pub reads_per_sec: f64,
-    /// Engine runs in flight at sample time.
-    pub reads_in_flight: u64,
     /// Tuples per second entering the delta over the window (delta growth
     /// corrected for tuples the window's merges moved out).
     pub write_tuples_per_sec: f64,
-    /// [`Self::write_tuples_per_sec`] bucketed against the Section 4
-    /// targets.
-    pub write_load: WriteLoad,
     /// Equation 1 over the window: tuples absorbed per second of update
     /// *plus merge* time — the sustained rate the paper's update-rate
     /// figures report.
@@ -253,10 +186,6 @@ pub struct LoadSignals {
     pub delta_bytes: usize,
     /// `memory_bytes` exceeded the configured soft limit.
     pub memory_pressure: bool,
-    /// Queued-but-unclaimed tasks on the shared worker pool at sample time
-    /// ([`crate::pool::global_queue_depth`]): query morsels and merge
-    /// helpers waiting for a worker.
-    pub pool_queue_depth: usize,
 }
 
 /// Which row of the decision table produced a grant.
@@ -267,22 +196,6 @@ pub enum GrantSignal {
     /// Total bytes above the soft limit: budget shrunk to the pressure
     /// budget.
     MemoryPressure,
-    /// Read rate above the busy threshold: `Naive` strategy (less memory
-    /// traffic), half the threads.
-    Contended,
-    /// Query-pool queue depth above the configured threshold: scans are
-    /// starved for workers, so the merge gives cores back (half the
-    /// policy's threads, policy strategy).
-    QueueDeep,
-    /// Write rate at or above the paper's high target: all threads.
-    WriteBurst,
-    /// Read rate below the idle threshold with nothing in flight: all
-    /// threads.
-    ReadIdle,
-    /// Crash recovery resumed a half-finished merge from its checkpoint:
-    /// the policy's baseline grant, recorded so recovery-driven merges are
-    /// visible among the regular rounds.
-    Resume,
 }
 
 impl std::fmt::Display for GrantSignal {
@@ -290,11 +203,6 @@ impl std::fmt::Display for GrantSignal {
         match self {
             GrantSignal::Baseline => write!(f, "baseline"),
             GrantSignal::MemoryPressure => write!(f, "mem-pressure"),
-            GrantSignal::Contended => write!(f, "contended"),
-            GrantSignal::QueueDeep => write!(f, "queue-deep"),
-            GrantSignal::WriteBurst => write!(f, "write-burst"),
-            GrantSignal::ReadIdle => write!(f, "read-idle"),
-            GrantSignal::Resume => write!(f, "resume"),
         }
     }
 }
@@ -334,13 +242,6 @@ pub struct LoadView {
     /// Per-source merge-trigger ratios (one entry for a single table, one
     /// per shard for a sharded table).
     pub fractions: Vec<f64>,
-    /// Cumulative rows ever inserted per source (monotonic counters,
-    /// aligned with [`Self::fractions`]). The governor differences
-    /// successive polls into per-source sustained write rates and boosts
-    /// hot sources' merge priority. Leave empty when the sources don't
-    /// track insert counters — ranking then falls back to pure delta
-    /// fractions.
-    pub inserted: Vec<u64>,
     /// Total tuples awaiting a merge across the sources.
     pub delta_tuples: usize,
     /// Total byte accounting across the sources.
@@ -364,14 +265,12 @@ impl LoadView {
     ) -> Self {
         let mut view = Self {
             fractions: Vec::new(),
-            inserted: Vec::new(),
             delta_tuples: 0,
             memory: MemoryReport::default(),
             max_concurrent,
         };
         for s in sources {
             view.fractions.push(s.delta_fraction());
-            view.inserted.push(s.inserted_rows());
             view.delta_tuples += s.delta_tuples();
             view.memory = view.memory + s.memory_report();
         }
@@ -386,7 +285,7 @@ pub struct RoundPlan {
     /// Indices into the [`LoadView::fractions`] the round should merge,
     /// highest priority first, at most `max_concurrent` of them.
     pub selected: Vec<usize>,
-    /// The adaptive grant for every merge of this round.
+    /// The grant for every merge of this round.
     pub grant: MergeGrant,
     /// Why the grant looks the way it does.
     pub signal: GrantSignal,
@@ -397,11 +296,7 @@ pub struct RoundPlan {
 /// Sliding window state between polls.
 struct GovState {
     last_poll: Option<Instant>,
-    last_reads_finished: u64,
     last_delta_tuples: usize,
-    /// Per-source cumulative insert counters at the last poll (for the
-    /// per-shard write-rate ranking boost).
-    last_inserted: Vec<u64>,
     /// Delta **rows** drained by merges since the last poll (accumulated
     /// by [`ResourceGovernor::record_outcome`] from
     /// [`MergeOutcome::rows_moved`] — same unit as
@@ -430,9 +325,7 @@ impl ResourceGovernor {
             config,
             state: Mutex::new(GovState {
                 last_poll: None,
-                last_reads_finished: read_load().finished,
                 last_delta_tuples: 0,
-                last_inserted: Vec::new(),
                 window_merged_rows: 0,
                 window_merge_wall: Duration::ZERO,
                 last_signals: LoadSignals::default(),
@@ -455,92 +348,54 @@ impl ResourceGovernor {
                 base.budget(config.pressure_budget),
                 GrantSignal::MemoryPressure,
             )
-        } else if signals.reads_per_sec > config.busy_reads_per_sec {
-            (
-                MergeGrant {
-                    strategy: MergeStrategy::Naive,
-                    threads: (base.threads / 2).max(1),
-                    budget: base.budget,
-                },
-                GrantSignal::Contended,
-            )
-        } else if signals.pool_queue_depth > config.deep_queue_depth {
-            (
-                MergeGrant {
-                    threads: (base.threads / 2).max(1),
-                    ..base
-                },
-                GrantSignal::QueueDeep,
-            )
-        } else if signals.write_load == WriteLoad::Heavy {
-            (
-                MergeGrant {
-                    strategy: MergeStrategy::Parallel,
-                    threads: config.max_threads.max(base.threads),
-                    budget: base.budget,
-                },
-                GrantSignal::WriteBurst,
-            )
-        } else if signals.reads_per_sec < config.idle_reads_per_sec && signals.reads_in_flight == 0
-        {
-            (
-                MergeGrant {
-                    threads: config.max_threads.max(base.threads),
-                    ..base
-                },
-                GrantSignal::ReadIdle,
-            )
         } else {
             (base, GrantSignal::Baseline)
         }
     }
 
     /// The eagerness multiplier: ≥ 1, growing with write and memory
-    /// pressure. Source `i` is eligible when
-    /// `fraction_i × pressure > policy.delta_fraction`, so a pressured
-    /// system merges *earlier* than the static trigger and an idle one
-    /// merges exactly at it.
+    /// pressure, so a pressured system merges *earlier* than the static
+    /// trigger and an idle one merges exactly at it.
     fn pressure_factor(signals: &LoadSignals) -> f64 {
         let write = (signals.write_tuples_per_sec / rate::HIGH_TARGET_UPDATES_PER_SEC).min(4.0);
         let memory = if signals.memory_pressure { 1.0 } else { 0.0 };
         1.0 + write + memory
     }
 
+    /// Whether a source at `fraction` may merge this round:
+    /// `fraction × pressure > policy.delta_fraction`.
+    fn eligible(config: &GovernorConfig, signals: &LoadSignals, fraction: f64) -> bool {
+        fraction * Self::pressure_factor(signals) > config.policy.delta_fraction
+    }
+
     /// One poll round: fold the window's counters into [`LoadSignals`],
-    /// rank the view's sources by `delta fraction × pressure`, and emit
-    /// the round's adaptive grant. Records a [`GrantRecord`] in the trace
-    /// ring whenever at least one source is selected.
+    /// select the eligible sources worst delta fraction first, and emit
+    /// the round's grant. Records a [`GrantRecord`] in the trace ring
+    /// whenever at least one source is selected.
     pub fn plan(&self, view: &LoadView) -> RoundPlan {
         let now = Instant::now();
-        let reads = read_load();
-        let (signals, source_rates) = {
+        let signals = {
             let mut st = self.state.lock();
             let elapsed = st
                 .last_poll
                 .map(|t| now.duration_since(t))
                 .unwrap_or(Duration::ZERO);
-            let secs = elapsed.as_secs_f64().max(1e-6);
-            let finished_delta = reads.finished.saturating_sub(st.last_reads_finished);
             // Tuples that *entered* the deltas this window: net growth plus
             // whatever the window's merges moved out.
             let inserted = (view.delta_tuples as i64 - st.last_delta_tuples as i64
                 + st.window_merged_rows as i64)
                 .max(0) as u64;
-            let (reads_per_sec, write_tuples_per_sec, sustained) = if st.last_poll.is_some() {
+            let (write_tuples_per_sec, sustained) = if st.last_poll.is_some() {
                 (
-                    finished_delta as f64 / secs,
-                    inserted as f64 / secs,
+                    inserted as f64 / elapsed.as_secs_f64().max(1e-6),
                     rate::update_rate(inserted as usize, elapsed, st.window_merge_wall),
                 )
             } else {
                 // First poll: no window yet — report a quiet baseline.
-                (0.0, 0.0, 0.0)
+                (0.0, 0.0)
             };
             let signals = LoadSignals {
-                reads_per_sec,
-                reads_in_flight: reads.in_flight(),
                 write_tuples_per_sec,
-                write_load: rate::classify_update_rate(write_tuples_per_sec),
                 sustained_updates_per_sec: if sustained.is_finite() {
                     sustained
                 } else {
@@ -549,66 +404,28 @@ impl ResourceGovernor {
                 memory_bytes: view.memory.total(),
                 delta_bytes: view.memory.delta_total(),
                 memory_pressure: view.memory.total() > self.config.memory_soft_limit,
-                pool_queue_depth: crate::pool::global_queue_depth(),
             };
-            // Per-source sustained write rates over the window, from the
-            // cumulative insert counters (when the sources provide them
-            // and the slot count is stable across polls).
-            let source_rates: Vec<f64> =
-                if st.last_poll.is_some() && view.inserted.len() == st.last_inserted.len() {
-                    view.inserted
-                        .iter()
-                        .zip(&st.last_inserted)
-                        .map(|(&cur, &prev)| cur.saturating_sub(prev) as f64 / secs)
-                        .collect()
-                } else {
-                    vec![0.0; view.inserted.len()]
-                };
             st.last_poll = Some(now);
-            st.last_reads_finished = reads.finished;
             st.last_delta_tuples = view.delta_tuples;
-            st.last_inserted = view.inserted.clone();
             st.window_merged_rows = 0;
             st.window_merge_wall = Duration::ZERO;
             st.last_signals = signals;
-            (signals, source_rates)
+            signals
         };
 
-        let (mut grant, signal) = Self::decide(&self.config, &signals);
-        let pressure = Self::pressure_factor(&signals);
-        // Eligibility is still the (pressure-scaled) fraction trigger;
-        // *priority* among the eligible is the fraction boosted by each
-        // source's own sustained write rate — a shard absorbing a write
-        // hot-spot merges before a colder shard with the same backlog,
-        // because its backlog will be worse by the time a round comes
-        // back to it. Zero or absent rates leave the pure-fraction order.
-        let rate_boost = |i: usize| {
-            let r = source_rates.get(i).copied().unwrap_or(0.0);
-            1.0 + (r / rate::HIGH_TARGET_UPDATES_PER_SEC).min(4.0)
-        };
-        let mut ranked: Vec<(usize, f64, f64)> = view
+        let (grant, signal) = Self::decide(&self.config, &signals);
+        let mut ranked: Vec<(usize, f64)> = view
             .fractions
             .iter()
+            .copied()
             .enumerate()
-            .filter(|(_, &f)| f * pressure > self.config.policy.delta_fraction)
-            .map(|(i, &f)| (i, f, f * rate_boost(i)))
+            .filter(|&(_, f)| Self::eligible(&self.config, &signals, f))
             .collect();
-        ranked.sort_by(|a, b| b.2.total_cmp(&a.2));
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
         ranked.truncate(view.max_concurrent.max(1));
-        let selected: Vec<usize> = ranked.iter().map(|&(i, _, _)| i).collect();
+        let selected: Vec<usize> = ranked.iter().map(|&(i, _)| i).collect();
 
-        // The decision table sizes threads for ONE merge; a sharded round
-        // runs the same grant on every selected shard concurrently, so a
-        // `max_threads` raise would oversubscribe the machine K-fold.
-        // Divide the raise across the selected shards — but never below
-        // the policy's own per-shard grant, which is the static
-        // schedulers' long-standing concurrency level.
-        if selected.len() > 1 {
-            let per_shard = (self.config.max_threads / selected.len()).max(1);
-            grant.threads = grant.threads.min(per_shard.max(self.config.policy.threads));
-        }
-
-        if let Some(&(_, worst, _)) = ranked.first() {
+        if let Some(&(_, worst)) = ranked.first() {
             let mut trace = self.trace.lock();
             if trace.len() == TRACE_CAP {
                 trace.pop_front();
@@ -628,28 +445,6 @@ impl ResourceGovernor {
             signal,
             signals,
         }
-    }
-
-    /// The grant a crash-recovery merge resume runs under — the policy's
-    /// own baseline grant, recorded in the trace with
-    /// [`GrantSignal::Resume`] so operators can see recovery-driven merges
-    /// among the regular rounds. The choice is safe by construction: every
-    /// strategy and thread count produces byte-identical merged partitions,
-    /// so the resumed merge's result does not depend on the grant.
-    pub fn resume_grant(&self, delta_fraction: f64) -> MergeGrant {
-        let grant = self.config.policy.grant();
-        let mut trace = self.trace.lock();
-        if trace.len() == TRACE_CAP {
-            trace.pop_front();
-        }
-        trace.push_back(GrantRecord {
-            strategy: grant.strategy,
-            threads: grant.threads,
-            budget_columns: grant.budget.max_columns(),
-            signal: GrantSignal::Resume,
-            delta_fraction,
-        });
-        grant
     }
 
     /// Report a completed merge back into the current window, so the next
@@ -681,113 +476,66 @@ mod tests {
         GovernorConfig::from_policy(MergePolicy {
             delta_fraction: 0.05,
             threads: 4,
+            strategy: MergeStrategy::Naive,
             ..MergePolicy::default()
         })
-        .with_max_threads(8)
-        .with_read_thresholds(1.0, 100.0)
     }
 
     #[test]
     fn decision_table_rows_fire_in_priority_order() {
         let cfg = config().with_memory_soft_limit(1 << 20);
+        // Memory pressure shrinks the budget and keeps the rest of the
+        // policy's grant, whatever the write rate.
         let mut s = LoadSignals {
             memory_pressure: true,
-            reads_per_sec: 1_000.0, // also contended…
-            write_load: WriteLoad::Heavy,
+            write_tuples_per_sec: 1e6,
             ..LoadSignals::default()
         };
-        // Memory pressure dominates everything.
         let (g, sig) = ResourceGovernor::decide(&cfg, &s);
         assert_eq!(sig, GrantSignal::MemoryPressure);
-        assert_eq!(g.budget, cfg.pressure_budget);
+        assert_eq!(g, cfg.policy.grant().budget(cfg.pressure_budget));
         assert_eq!(g.threads, 4, "memory pressure keeps the policy threads");
-
-        // Contention beats a write burst: Naive, half the threads.
-        s.memory_pressure = false;
-        let (g, sig) = ResourceGovernor::decide(&cfg, &s);
-        assert_eq!(sig, GrantSignal::Contended);
         assert_eq!(g.strategy, MergeStrategy::Naive);
-        assert_eq!(g.threads, 2);
 
-        // Write burst takes the machine.
-        s.reads_per_sec = 50.0;
-        let (g, sig) = ResourceGovernor::decide(&cfg, &s);
-        assert_eq!(sig, GrantSignal::WriteBurst);
-        assert_eq!(g.strategy, MergeStrategy::Parallel);
-        assert_eq!(g.threads, 8);
-
-        // Quiet reads, light writes, nothing in flight: idle raise.
-        s.write_load = WriteLoad::Light;
-        s.reads_per_sec = 0.0;
-        s.reads_in_flight = 0;
-        let (g, sig) = ResourceGovernor::decide(&cfg, &s);
-        assert_eq!(sig, GrantSignal::ReadIdle);
-        assert_eq!(g.threads, 8);
-        assert_eq!(g.strategy, cfg.policy.strategy);
-
-        // Moderate reads: baseline.
-        s.reads_per_sec = 10.0;
-        let (g, sig) = ResourceGovernor::decide(&cfg, &s);
-        assert_eq!(sig, GrantSignal::Baseline);
-        assert_eq!(g, cfg.policy.grant());
-
-        // In-flight queries suppress the idle raise even at zero rate.
-        s.reads_per_sec = 0.0;
-        s.reads_in_flight = 3;
-        let (_, sig) = ResourceGovernor::decide(&cfg, &s);
-        assert_eq!(sig, GrantSignal::Baseline);
+        // Otherwise the policy's own grant, at any write rate.
+        s.memory_pressure = false;
+        for rate in [0.0, 1e6] {
+            s.write_tuples_per_sec = rate;
+            let (g, sig) = ResourceGovernor::decide(&cfg, &s);
+            assert_eq!(sig, GrantSignal::Baseline);
+            assert_eq!(g, cfg.policy.grant());
+        }
     }
 
     #[test]
-    fn deep_read_queues_steer_the_grant_toward_fewer_merge_threads() {
-        let cfg = config().with_deep_queue_depth(4);
-        // Sustained deep queue: morsel tasks waiting for workers.
-        let s = LoadSignals {
-            pool_queue_depth: 10,
-            write_load: WriteLoad::Heavy, // would otherwise take the machine
-            ..LoadSignals::default()
-        };
-        let (g, sig) = ResourceGovernor::decide(&cfg, &s);
-        assert_eq!(sig, GrantSignal::QueueDeep);
-        assert_eq!(
-            g.threads, 2,
-            "half the policy's 4 threads — cores go back to the scans"
-        );
-        assert_eq!(
-            g.strategy, cfg.policy.strategy,
-            "queue depth is a core signal, not a bandwidth signal"
-        );
-        assert!(
-            g.threads
-                < ResourceGovernor::decide(&cfg, &LoadSignals::default())
-                    .0
-                    .threads
-                || cfg.policy.threads == 1,
-            "strictly fewer threads than the baseline grant"
-        );
-
-        // Contention outranks queue depth; a shallow queue never fires.
-        let busy = LoadSignals {
-            reads_per_sec: 1_000.0,
-            ..s
-        };
-        assert_eq!(
-            ResourceGovernor::decide(&cfg, &busy).1,
-            GrantSignal::Contended
-        );
-        let shallow = LoadSignals {
-            pool_queue_depth: 4, // at, not above, the threshold
-            reads_per_sec: 10.0,
-            ..LoadSignals::default()
-        };
-        assert_eq!(
-            ResourceGovernor::decide(&cfg, &shallow).1,
-            GrantSignal::Baseline
-        );
-        // `usize::MAX` disables the signal entirely.
-        let disabled = config().with_deep_queue_depth(usize::MAX);
-        let (_, sig) = ResourceGovernor::decide(&disabled, &s);
-        assert_eq!(sig, GrantSignal::WriteBurst);
+    fn pressure_factor_eligibility_boundaries() {
+        // Eligible iff fraction > trigger / (1 + min(r / 18 000, 4) + m),
+        // m = 1 under memory pressure. Each case probes just below and just
+        // above that threshold.
+        let cfg = config();
+        let trigger = cfg.policy.delta_fraction;
+        for rate in [0.0, 18_000.0, 72_000.0, 1e6] {
+            for memory_pressure in [false, true] {
+                let signals = LoadSignals {
+                    write_tuples_per_sec: rate,
+                    memory_pressure,
+                    ..LoadSignals::default()
+                };
+                let factor = 1.0
+                    + (rate / rate::HIGH_TARGET_UPDATES_PER_SEC).min(4.0)
+                    + if memory_pressure { 1.0 } else { 0.0 };
+                let threshold = trigger / factor;
+                let case = format!("rate {rate}, memory pressure {memory_pressure}");
+                assert!(
+                    !ResourceGovernor::eligible(&cfg, &signals, threshold * (1.0 - 1e-9)),
+                    "just below the threshold is not eligible: {case}"
+                );
+                assert!(
+                    ResourceGovernor::eligible(&cfg, &signals, threshold * (1.0 + 1e-9)),
+                    "just above the threshold is eligible: {case}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -795,7 +543,6 @@ mod tests {
         let gov = ResourceGovernor::new(config().with_memory_soft_limit(1_000));
         let view = LoadView {
             fractions: vec![0.5],
-            inserted: vec![],
             delta_tuples: 100,
             memory: MemoryReport {
                 delta_values: 4_000,
@@ -823,7 +570,6 @@ mod tests {
         let gov = ResourceGovernor::new(config());
         let view = LoadView {
             fractions: vec![0.02, 0.30, 0.10, 0.0],
-            inserted: vec![],
             delta_tuples: 0,
             memory: MemoryReport::default(),
             max_concurrent: 2,
@@ -851,85 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_shard_rounds_divide_the_thread_raise() {
-        // A quiet window reads as ReadIdle → decide() raises to
-        // max_threads (8). With 4 shards selected concurrently, the round
-        // grant must divide that raise (8 / 4 = 2, floored at the policy's
-        // own per-shard threads) instead of granting 4 × 8 threads.
-        let gov = ResourceGovernor::new(
-            GovernorConfig::from_policy(MergePolicy {
-                delta_fraction: 0.05,
-                threads: 2,
-                ..MergePolicy::default()
-            })
-            .with_max_threads(8)
-            .with_read_thresholds(1.0, 100.0),
-        );
-        let plan = gov.plan(&LoadView {
-            fractions: vec![0.5, 0.4, 0.3, 0.2],
-            inserted: vec![],
-            delta_tuples: 0,
-            memory: MemoryReport::default(),
-            max_concurrent: 4,
-        });
-        assert_eq!(plan.signal, GrantSignal::ReadIdle);
-        assert_eq!(plan.selected.len(), 4);
-        assert_eq!(
-            plan.grant.threads, 2,
-            "8-thread raise ÷ 4 shards, floored at policy threads"
-        );
-        // A single-shard round keeps the full raise.
-        let plan = gov.plan(&LoadView {
-            fractions: vec![0.5],
-            inserted: vec![],
-            delta_tuples: 0,
-            memory: MemoryReport::default(),
-            max_concurrent: 4,
-        });
-        assert_eq!(plan.grant.threads, 8, "one merge may take the machine");
-    }
-
-    #[test]
-    fn per_shard_write_rates_boost_merge_priority() {
-        // Two eligible shards; the one with the *lower* fraction absorbs a
-        // write hot-spot. Pure-fraction ranking would merge shard 1 first;
-        // the rate boost must put the hot shard 0 first.
-        let gov = ResourceGovernor::new(config());
-        let mem = MemoryReport::default();
-        // Window 1: establish per-shard counters.
-        let _ = gov.plan(&LoadView {
-            fractions: vec![0.10, 0.12],
-            inserted: vec![0, 0],
-            delta_tuples: 0,
-            memory: mem,
-            max_concurrent: 1,
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        // Window 2: shard 0 inserted a flood, shard 1 nothing.
-        let plan = gov.plan(&LoadView {
-            fractions: vec![0.10, 0.12],
-            inserted: vec![10_000_000, 0],
-            delta_tuples: 0,
-            memory: mem,
-            max_concurrent: 1,
-        });
-        assert_eq!(
-            plan.selected,
-            vec![0],
-            "the write-hot shard outranks the slightly larger backlog"
-        );
-        // With no counters at all, ranking stays pure-fraction.
-        let plan = gov.plan(&LoadView {
-            fractions: vec![0.10, 0.12],
-            inserted: vec![],
-            delta_tuples: 0,
-            memory: mem,
-            max_concurrent: 1,
-        });
-        assert_eq!(plan.selected, vec![1]);
-    }
-
-    #[test]
     fn write_pressure_makes_the_trigger_more_eager() {
         // fraction 0.04 < trigger 0.05, but a heavy write window multiplies
         // it past the trigger.
@@ -946,7 +613,6 @@ mod tests {
         // Window 1: establish a baseline with an empty delta.
         let _ = gov.plan(&LoadView {
             fractions: vec![0.04],
-            inserted: vec![],
             delta_tuples: 0,
             memory: mem,
             max_concurrent: 1,
@@ -955,7 +621,6 @@ mod tests {
         // Window 2: the delta grew by far more than HIGH_TARGET × window.
         let plan = gov.plan(&LoadView {
             fractions: vec![0.04],
-            inserted: vec![],
             delta_tuples: 1_000_000,
             memory: mem,
             max_concurrent: 1,
@@ -965,7 +630,6 @@ mod tests {
             "delta growth rate {}",
             plan.signals.write_tuples_per_sec
         );
-        assert_eq!(plan.signals.write_load, WriteLoad::Heavy);
         assert_eq!(
             plan.selected,
             vec![0],
@@ -979,7 +643,6 @@ mod tests {
         let mem = MemoryReport::default();
         let _ = gov.plan(&LoadView {
             fractions: vec![0.0],
-            inserted: vec![],
             delta_tuples: 1_000,
             memory: mem,
             max_concurrent: 1,
@@ -998,7 +661,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         let plan = gov.plan(&LoadView {
             fractions: vec![0.0],
-            inserted: vec![],
             delta_tuples: 500,
             memory: mem,
             max_concurrent: 1,
@@ -1018,7 +680,6 @@ mod tests {
         let gov = ResourceGovernor::new(config());
         let view = LoadView {
             fractions: vec![1.0],
-            inserted: vec![],
             delta_tuples: 0,
             memory: MemoryReport::default(),
             max_concurrent: 1,

@@ -38,13 +38,13 @@
 //!   merge fan-out (shards, columns, dictionary partitions, Stage 2
 //!   regions) runs on the shared work-stealing [`pool::Pool`].
 //! * [`governor`] — Section 9's scheduling hook as a feedback loop: the
-//!   [`governor::ResourceGovernor`] samples read pressure (process-wide
-//!   query counters), write pressure (delta growth vs the Section 4
-//!   targets) and memory pressure ([`hyrise_storage::MemoryReport`]) and
-//!   emits the adaptive [`pipeline::MergeGrant`] the scheduler runs merges
-//!   under.
-//! * [`rate`] — Equations 1 and 16: update-rate accounting, plus the
-//!   write-load classification the governor feeds from.
+//!   [`governor::ResourceGovernor`] samples write pressure (delta growth vs
+//!   the Section 4 high target), which makes the merge trigger more eager,
+//!   and memory pressure ([`hyrise_storage::MemoryReport`]), which shrinks
+//!   the [`pipeline::MergeGrant`]'s column budget; otherwise merges run the
+//!   policy's grant.
+//! * [`rate`] — Equations 1 and 16: update-rate accounting and the
+//!   Section 4 target rates.
 //! * `wal` (private)/[`recovery`]/[`config`]/[`error`] — crash durability beyond
 //!   the paper's in-memory evaluation (its Section 3 design assumes a
 //!   recoverable differential buffer): an append-only, CRC-checked
@@ -90,7 +90,7 @@ pub use pipeline::{
     StepSink,
 };
 pub use pool::Pool;
-pub use rate::{classify_update_rate, update_rate, updates_per_second, WriteLoad};
+pub use rate::{update_rate, updates_per_second};
 pub use recovery::{recover, recover_sharded, recover_with};
 pub use scheduler::{MergeOutcome, MergeScheduler, MergeSource, SchedulerStats, SourceMergeStats};
 pub use shard::{ShardBy, ShardRowId, ShardedTable};

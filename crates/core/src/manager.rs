@@ -186,7 +186,7 @@ pub struct OnlineTable<V: Value> {
     gen: EpochCell<Generation<V>>,
     /// Shared validity over global tuple ids; survives merges untouched.
     validity: AtomicValidity,
-    /// Rows ever inserted — the governor's per-table write-rate feed.
+    /// Rows ever inserted — the server's write-valve rate feed.
     inserts: AtomicU64,
     n_cols: usize,
     /// Serializes merges (one in flight at a time) — and with them every
@@ -422,9 +422,8 @@ impl<V: Value> OnlineTable<V> {
         self.gen.epoch()
     }
 
-    /// Rows ever inserted into this table. Monotonic; the resource
-    /// governor differences it over its poll window for a per-shard
-    /// sustained write rate.
+    /// Rows ever inserted into this table. Monotonic; the server's write
+    /// valve differences it over its sampling window for the insert rate.
     pub fn inserted_rows(&self) -> u64 {
         self.inserts.load(Ordering::Relaxed)
     }

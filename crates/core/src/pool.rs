@@ -7,9 +7,9 @@
 //! literally "enqueue each column as a separate task" on a shared task
 //! queue. This module provides that queue: a fixed complement of threads
 //! (sized by [`default_threads`]) created once and
-//! shared by concurrent queries and merges alike, so the load the governor
-//! and the admission gate see in [`Pool::queue_depth`] is the whole
-//! engine's, not just the read side's.
+//! shared by concurrent queries and merges alike, so the load the
+//! admission gate sees in [`Pool::queue_depth`] is the whole engine's, not
+//! just the read side's.
 //!
 //! # Scheduling
 //!
@@ -18,7 +18,7 @@
 //! take from the injector FIFO (fairness across queries), and steal FIFO
 //! from siblings when both are empty — the classic work-stealing shape.
 //! [`Pool::queue_depth`] exposes the number of queued-but-unclaimed tasks
-//! as a load signal for the governor and the server's admission gate.
+//! as a load signal for the server's admission gate.
 //!
 //! # Scoped parallel-for
 //!
@@ -74,7 +74,7 @@ struct Shared {
     injector: Mutex<VecDeque<Task>>,
     locals: Vec<Mutex<VecDeque<Task>>>,
     gate: Gate,
-    /// Queued-but-unclaimed tasks (the admission/governor load signal).
+    /// Queued-but-unclaimed tasks (the admission load signal).
     depth: AtomicUsize,
     /// High-water mark of `depth` since the last [`Pool::reset_peak_depth`].
     peak_depth: AtomicUsize,
@@ -219,7 +219,7 @@ impl Pool {
     }
 
     /// Tasks currently queued, unclaimed and still wanted — the load
-    /// signal the governor and admission gate consult. Helpers of a
+    /// signal the admission gate consults. Helpers of a
     /// [`Self::run_indexed`] call that already completed (the caller
     /// out-ran them while every worker was busy) are not counted: they are
     /// not work waiting for a worker.
@@ -362,19 +362,12 @@ static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
 /// The size of the global pool — one worker per available hardware thread
 /// (one if the host will not say) — and therefore the one answer to "how
-/// many threads by default": merge policies, grants, the governor's ceiling
-/// and the queue-depth limits all read it, so a default grant never asks
-/// for more width than the pool has. Reading it starts no pool.
+/// many threads by default": merge policies, grants and the admission
+/// gate's queue limit all read it, so a default grant never asks for more
+/// width than the pool has. Reading it starts no pool.
 pub fn default_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Queue depth of the global pool, without forcing its creation (a process
-/// that never fanned anything out reports zero). This is the free function
-/// the governor samples.
-pub fn global_queue_depth() -> usize {
-    GLOBAL.get().map_or(0, Pool::queue_depth)
 }
 
 /// The borrowed parallel-for closure, lifetime-erased. Soundness: the
@@ -458,11 +451,7 @@ mod tests {
         let n = default_threads();
         assert_eq!(MergePolicy::default().threads, n);
         assert_eq!(MergeGrant::default().threads, n);
-        let governor = GovernorConfig::default();
-        assert_eq!(
-            (governor.max_threads, governor.deep_queue_depth),
-            (n, 4 * n)
-        );
+        assert_eq!(GovernorConfig::default().policy.threads, n);
         assert_eq!(Pool::global().threads(), n);
     }
 

@@ -29,38 +29,9 @@ pub fn updates_per_second(cpt: f64, hz: f64, n_d: usize, total_tuples: usize, n_
 /// The paper's two target update rates (Section 4): systems must sustain at
 /// least the low target; high-update systems the high one.
 pub const LOW_TARGET_UPDATES_PER_SEC: f64 = 3_000.0;
-/// See [`LOW_TARGET_UPDATES_PER_SEC`].
+/// See [`LOW_TARGET_UPDATES_PER_SEC`]. The resource governor scales its
+/// merge eagerness by the observed write rate over this target.
 pub const HIGH_TARGET_UPDATES_PER_SEC: f64 = 18_000.0;
-
-/// An observed write rate bucketed against the paper's Section 4 targets —
-/// the classification the resource governor feeds its thread-grant
-/// decisions from (Section 9: "constantly analyze the available bandwidth
-/// and thus adjust the degree of parallelization for the merge process").
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum WriteLoad {
-    /// Below [`LOW_TARGET_UPDATES_PER_SEC`]: any grant keeps up.
-    #[default]
-    Light,
-    /// Between the low and high targets: the paper's baseline enterprise
-    /// workload band.
-    Moderate,
-    /// At or above [`HIGH_TARGET_UPDATES_PER_SEC`]: the delta grows faster
-    /// than the baseline merge cadence absorbs — grant the merge more
-    /// resources or fall behind.
-    Heavy,
-}
-
-/// Bucket an observed update rate (tuples/second into the delta) against
-/// the Section 4 targets.
-pub fn classify_update_rate(updates_per_sec: f64) -> WriteLoad {
-    if updates_per_sec >= HIGH_TARGET_UPDATES_PER_SEC {
-        WriteLoad::Heavy
-    } else if updates_per_sec >= LOW_TARGET_UPDATES_PER_SEC {
-        WriteLoad::Moderate
-    } else {
-        WriteLoad::Light
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -87,24 +58,6 @@ mod tests {
         let fast = update_rate(1000, Duration::from_millis(100), Duration::from_millis(100));
         let slow = update_rate(1000, Duration::from_millis(100), Duration::from_millis(900));
         assert!(fast > slow);
-    }
-
-    #[test]
-    fn classification_brackets_the_targets() {
-        assert_eq!(classify_update_rate(0.0), WriteLoad::Light);
-        assert_eq!(
-            classify_update_rate(LOW_TARGET_UPDATES_PER_SEC - 1.0),
-            WriteLoad::Light
-        );
-        assert_eq!(
-            classify_update_rate(LOW_TARGET_UPDATES_PER_SEC),
-            WriteLoad::Moderate
-        );
-        assert_eq!(
-            classify_update_rate(HIGH_TARGET_UPDATES_PER_SEC),
-            WriteLoad::Heavy
-        );
-        assert_eq!(classify_update_rate(f64::INFINITY), WriteLoad::Heavy);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! row value sequence).
 
 use crate::error::{Error, Result};
-use crate::governor::{GovernorConfig, ResourceGovernor};
-use crate::manager::{MergePolicy, OnlineTable};
+use crate::governor::GovernorConfig;
+use crate::manager::OnlineTable;
 use crate::shard::ShardedTable;
 use crate::wal::{self, Wal};
 use hyrise_storage::{MainPartition, Value};
@@ -40,8 +40,9 @@ pub fn recover<V: Value>(dir: impl AsRef<Path>) -> Result<OnlineTable<V>> {
 }
 
 /// As [`recover`], additionally recording `governor` on the table and
-/// deriving the resumed merge's grant from it
-/// ([`ResourceGovernor::resume_grant`]) instead of the default grant.
+/// resuming an interrupted merge under its policy's grant instead of the
+/// default grant. Every grant yields byte-identical partitions, so the
+/// choice sets only the resume's cost.
 pub fn recover_with<V: Value>(
     dir: impl AsRef<Path>,
     governor: GovernorConfig,
@@ -222,11 +223,8 @@ fn recover_impl<V: Value>(dir: &Path, governor: Option<GovernorConfig>) -> Resul
         for col in m.done_cols {
             staged.push((col, wal::read_staged_column::<V>(dir, col)?));
         }
-        let grant = match governor {
-            Some(cfg) => ResourceGovernor::new(cfg).resume_grant(table.delta_fraction()),
-            None => MergePolicy::default().grant(),
-        };
-        table.resume_merge_with(grant, staged)?;
+        let policy = governor.map(|cfg| cfg.policy).unwrap_or_default();
+        table.resume_merge_with(policy.grant(), staged)?;
     }
     Ok(table)
 }

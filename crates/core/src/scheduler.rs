@@ -9,14 +9,15 @@
 //! [`MergeScheduler`] owns a daemon thread that polls N [`MergeSource`]s
 //! through a [`ResourceGovernor`] — the piece that turns the merge
 //! primitive into the hands-off system the paper describes. Every poll
-//! round the governor samples read/write/memory pressure, ranks the
-//! eligible sources by `delta fraction × pressure` (worst first), and emits
-//! the round's [`MergeGrant`] (see [`crate::governor`] for the decision
-//! table) for at most `max_concurrent` of them; the daemon runs those
-//! merges as one [`Pool::run_indexed`] fan-out on the shared pool.
+//! round the governor samples write and memory pressure, selects the
+//! sources whose `delta fraction × pressure` passes the trigger (worst
+//! fraction first), and emits the round's [`MergeGrant`] (see
+//! [`crate::governor`] for the decision table) for at most
+//! `max_concurrent` of them; the daemon runs those merges as one
+//! [`Pool::run_indexed`] fan-out on the shared pool.
 //! [`MergeScheduler::spawn`] with a plain [`MergePolicy`] wraps the policy
-//! in a default governor, so the static behavior is the baseline row of
-//! that table. The scheduler supports pausing (it starts nothing new while
+//! in a default governor, so every round without memory pressure runs the
+//! policy's grant. The scheduler supports pausing (it starts nothing new while
 //! paused) and reports cumulative statistics including the bounded trace of
 //! recent grant decisions.
 //!
@@ -85,14 +86,6 @@ pub trait MergeSource: Send + Sync + 'static {
         MemoryReport::default()
     }
 
-    /// Cumulative rows ever inserted (monotonic). The governor differences
-    /// successive polls into a sustained per-source write rate and ranks
-    /// hot sources' merges first. The default (always zero) opts out of
-    /// the boost; real tables should override.
-    fn inserted_rows(&self) -> u64 {
-        0
-    }
-
     /// Run one merge under `grant` (threads, strategy, memory budget).
     /// Returns `None` when the merge did not commit (cancelled); schedulers
     /// simply retry on the next poll.
@@ -110,10 +103,6 @@ impl<V: Value> MergeSource for OnlineTable<V> {
 
     fn memory_report(&self) -> MemoryReport {
         OnlineTable::memory_report(self)
-    }
-
-    fn inserted_rows(&self) -> u64 {
-        OnlineTable::inserted_rows(self)
     }
 
     fn run_merge(&self, grant: MergeGrant) -> Option<MergeOutcome> {
@@ -219,10 +208,9 @@ impl<S: MergeSource> MergeScheduler<S> {
     /// Spawn a scheduler over `sources` with `policy`: check the triggers
     /// every `poll`, run at most `max_concurrent` merges at a time. The
     /// policy is wrapped in a default [`ResourceGovernor`]
-    /// ([`GovernorConfig::from_policy`]): same trigger, same grant at
-    /// baseline, plus opportunistic width raises when the process is
-    /// read-idle. Use [`Self::spawn_governed`] to tune the adaptive
-    /// behavior.
+    /// ([`GovernorConfig::from_policy`]): the policy's trigger, made more
+    /// eager under write pressure, and the policy's grant on every round.
+    /// Use [`Self::spawn_governed`] to add a memory soft limit.
     pub fn spawn(
         sources: Vec<Arc<S>>,
         policy: MergePolicy,

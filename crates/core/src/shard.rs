@@ -394,8 +394,8 @@ impl<V: Value> ShardedTable<V> {
     }
 
     /// Cumulative rows inserted per shard (monotonic counters). The
-    /// scheduler's governor differences these over its poll window to
-    /// rank shards by sustained write rate.
+    /// server's write valve sums and differences them over its sampling
+    /// window for the table's insert rate.
     pub fn inserted_per_shard(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.inserted_rows()).collect()
     }

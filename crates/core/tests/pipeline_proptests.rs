@@ -287,8 +287,8 @@ proptest! {
         }
     }
 
-    /// Whatever the governor decides — any soft limit, any thread
-    /// ceiling, any read thresholds, hence any row of its decision table
+    /// Whatever the governor decides — any soft limit, pressure budget,
+    /// policy strategy and width, hence either row of its decision table
     /// — the grants it emits must leave the table byte-identical to the
     /// reference configuration. Adaptivity tunes cost, never results.
     #[test]
@@ -296,19 +296,21 @@ proptest! {
         // 64 is the "no limit" sentinel (the vendored proptest stub has no
         // Option strategy).
         soft_limit_kb in 0usize..65,
-        max_threads in 1usize..8,
-        busy in 0usize..3,
+        pressure_cols in 1usize..(COLS + 1),
+        threads in 1usize..8,
+        strategy in 0usize..3,
         ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..160),
     ) {
         let reference = OnlineTable::<u64>::new(COLS);
         let governed = OnlineTable::<u64>::new(COLS);
         // Governor knobs drawn by proptest: a kilobyte-scale soft limit
         // (or none) flips MemoryPressure on and off mid-run as the table
-        // grows and merges; the busy threshold of 0 reads/s forces the
-        // Contended row whenever any concurrently running test queries.
+        // grows and merges.
         let config = GovernorConfig::from_policy(MergePolicy {
             delta_fraction: 0.05,
-            threads: 2,
+            threads,
+            strategy: [MergeStrategy::Naive, MergeStrategy::Optimized, MergeStrategy::Parallel]
+                [strategy],
             ..MergePolicy::default()
         })
         .with_memory_soft_limit(if soft_limit_kb == 64 {
@@ -316,8 +318,7 @@ proptest! {
         } else {
             soft_limit_kb * 1024
         })
-        .with_max_threads(max_threads)
-        .with_read_thresholds(busy as f64, busy as f64);
+        .with_pressure_budget(MergeBudget::columns(pressure_cols));
         let gov = ResourceGovernor::new(config);
         let reference_grant = MergeGrant::with_threads(1).strategy(MergeStrategy::Optimized);
         let mut ids: Vec<usize> = Vec::new();

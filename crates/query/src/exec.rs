@@ -747,12 +747,11 @@ impl<V: Value> Executor<V> for TableSnapshot<V> {
     /// value-id space, its frozen/active tails by value, entirely without
     /// the table lock.
     fn execute(&self, q: &Query<V>) -> Output<V, usize> {
-        // Register this run with the resource governor's lock-free read
-        // counters (two relaxed increments): the merge schedulers read
-        // them as the read-pressure signal. Registration happens once per
-        // *query* — a sharded fan-out or a many-morsel run still counts
-        // as one read, so the governor's pressure signal tracks queries,
-        // not the engine's internal parallelism.
+        // Register this run with the lock-free read counters (two relaxed
+        // increments) the server reports as reads in flight. Registration
+        // happens once per *query* — a sharded fan-out or a many-morsel run
+        // still counts as one read, so the counters track queries, not the
+        // engine's internal parallelism.
         let _read = hyrise_core::governor::begin_read();
         execute_prepared(&prepare(self, q, q.threads()), q.action())
     }

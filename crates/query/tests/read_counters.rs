@@ -1,6 +1,6 @@
-//! Every executor entry point registers with the resource governor's
-//! process-wide read counters — the read-pressure signal the merge
-//! schedulers adapt their grants to. Registration is **once per query**:
+//! Every executor entry point registers with the process-wide read
+//! counters the server reports as reads in flight. Registration is **once
+//! per query**:
 //! a sharded fan-out or a many-morsel parallel run still counts as one
 //! read, so the signal tracks query arrival, not internal parallelism.
 //! Counters are monotonic and global, so assertions are lower bounds

@@ -71,9 +71,8 @@ impl Default for AdmissionConfig {
             queue_capacity: 64,
             queue_timeout: Duration::from_millis(500),
             queue_poll: Duration::from_millis(2),
-            // Same shape as the governor's deep-queue threshold: a few
-            // unclaimed tasks per hardware thread is normal fan-out churn,
-            // beyond that the pool is saturated.
+            // A few unclaimed tasks per hardware thread is normal fan-out
+            // churn; beyond that the pool is saturated.
             pool_queue_limit: 4 * hyrise_core::pool::default_threads(),
             write_backlog_limit: 1 << 20, // 1M unmerged rows
             write_release_fraction: 0.5,

@@ -19,8 +19,8 @@
 //!   race, enforced at the front door). Decisions are pure functions;
 //!   the gate only adds counters and a bounded queue.
 //! * [`server`] — `std::net` TCP: one accept thread, a sized worker
-//!   pool, graceful shutdown; served reads and writes feed the same
-//!   governor counters the merge schedulers poll.
+//!   pool, graceful shutdown; served writes grow the same deltas the merge
+//!   schedulers' governors sample.
 //! * [`client`] / [`swarm`] — the connection-reusing [`client::Client`]
 //!   with typed errors, and [`swarm::drive_swarm`]: N client threads
 //!   replaying the Section 2 enterprise mix against a live server.

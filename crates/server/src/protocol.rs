@@ -719,7 +719,7 @@ pub struct ServerStatsBody {
     pub admitted_writes: u64,
     /// Writes rejected by the throttle.
     pub throttled_writes: u64,
-    /// Engine-level reads currently in flight (the governor's counter).
+    /// Engine-level reads currently in flight ([`hyrise_core::read_load`]).
     pub reads_in_flight: u64,
     /// Tables currently in the catalog.
     pub open_tables: u64,

@@ -12,13 +12,12 @@
 //! interval, making shutdown graceful: stop flag, a self-connect to
 //! unblock `accept`, join everything, stop every table's scheduler.
 //!
-//! Engine integration is deliberately thin: query execution calls the
-//! executors' internal [`hyrise_core::begin_read`] counters (so served
-//! reads feed the same [`hyrise_core::LoadView`] pressure signals the
-//! merge schedulers poll), and inserts land in the same per-shard delta
-//! counters the governor's write-rate classifier samples. The admission
-//! gate is therefore reading the *same* signals the governor acts on —
-//! one feedback loop, observed from both ends.
+//! Engine integration is deliberately thin: query execution bumps the
+//! executors' internal [`hyrise_core::begin_read`] counters (the in-flight
+//! count the server's stats report), and inserts land in the same
+//! per-shard deltas whose growth the governor's write-pressure factor
+//! samples and whose insert counters the admission gate's write valve
+//! differences — one feedback loop, observed from both ends.
 
 use crate::admission::{AdmissionGate, ReadAdmission, WriteAdmission};
 use crate::catalog::{Catalog, CatalogError, TableEntry};
@@ -380,8 +379,8 @@ pub(crate) fn handle_request(catalog: &Catalog, gate: &AdmissionGate, req: Reque
                 },
                 ReadAdmission::Admit { waited, queued } => {
                     // The executor takes its own `begin_read` guard, so
-                    // this query is visible to the governor's read-load
-                    // signal for its whole execution.
+                    // this query counts in `reads_in_flight` for its whole
+                    // execution.
                     let out = plan.run(t.as_ref());
                     let admission = if queued {
                         Admission::Queued {

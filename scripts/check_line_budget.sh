@@ -10,8 +10,9 @@
 # (the first `#[cfg(test)]` in column 0 — the same cut as
 # check_unsafe_budget.sh), prints the count per crate and in total, and
 # fails when the total exceeds the ceiling or when a name of the deleted
-# offline table stack, its operators, the per-strategy merge wrappers or
-# the second merge input reappears under crates/*/src.
+# offline table stack, its operators, the per-strategy merge wrappers,
+# the second merge input or the deleted governor rows reappears under
+# crates/*/src.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,10 +21,16 @@ cd "$(dirname "$0")/.."
 # zone-map pruning with work-sized fan-out (query); then lowered by 413 when
 # the merge took one input, the frozen delta: the raw-value DeltaPartition
 # with its CSB+ Stage 1a (storage), the DeltaView fork in every pipeline
-# stage and the parallel Stage 1a scatter (core) left the engine.
-ceiling=19427
+# stage and the parallel Stage 1a scatter (core) left the engine; then
+# lowered by 259 when the governor kept only the rows served traffic
+# reaches: its read-contention, queue-depth, write-burst and read-idle
+# rows, their four config knobs, the per-shard write-rate boost, the
+# multi-shard width clamp and the recovery-only resume grant left (core),
+# and the server's catalog states the grant they produced as its policy.
+ceiling=19168
 
-gone='Attribute<|AnyValue|merge_table_parallel|merge_column_naive|merge_column_optimized|merge_column_parallel|group_by_sum|table_select|DeltaPartition|DeltaView|CompressedDelta|compress_delta|merge_column_frozen'
+# A bare `Contended` would match an unrelated comment, hence the prefix.
+gone='Attribute<|AnyValue|merge_table_parallel|merge_column_naive|merge_column_optimized|merge_column_parallel|group_by_sum|table_select|DeltaPartition|DeltaView|CompressedDelta|compress_delta|merge_column_frozen|GrantSignal::(Contended|QueueDeep|WriteBurst|ReadIdle|Resume)|busy_reads_per_sec|idle_reads_per_sec|deep_queue_depth|with_read_thresholds|with_max_threads|resume_grant|classify_update_rate|WriteLoad|global_queue_depth'
 
 total=0
 for dir in crates/*/src src; do

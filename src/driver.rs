@@ -86,11 +86,6 @@ pub fn drive<V: Value, R: Rng>(
                 }
             }
             Operation::Scan { start, len } => {
-                // Window scans bypass the query engine (row-at-a-time
-                // reads), so they register with the governor's read
-                // counters explicitly — the scheduler should see this
-                // bandwidth consumer like any engine run.
-                let _read = crate::merge::governor::begin_read();
                 let rows = table.row_count();
                 if rows > 0 {
                     let s = (start as usize).min(rows - 1);
@@ -239,10 +234,7 @@ pub fn drive_sharded<V: Value>(
                             }
                             Operation::Scan { start, len } => {
                                 // Window scan over one shard's snapshot: reads
-                                // are lock-free and consistent mid-merge, and
-                                // register as governor read pressure (they
-                                // bypass the engine's own counters).
-                                let _read = crate::merge::governor::begin_read();
+                                // are lock-free and consistent mid-merge.
                                 let shard = (start as usize) % table.num_shards();
                                 let snap = table.shard(shard).snapshot();
                                 let rows = snap.row_count();
