@@ -20,10 +20,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyrise_bench::build_column;
-use hyrise_core::governor::{GovernorConfig, GrantSignal, LoadView, ResourceGovernor};
+use hyrise_core::governor::{GovernorConfig, GrantSignal, ResourceGovernor};
 use hyrise_core::{MergeGrant, MergePipeline, MergePolicy, MergeScratch, OnlineTable};
 use hyrise_storage::{FrozenDelta, MainPartition};
-use std::time::Duration;
 
 const COLS: usize = 6;
 /// Tuples per column in the timed column set.
@@ -61,14 +60,12 @@ fn fill_delta(t: &OnlineTable<u64>, pct: usize) {
     t.insert_rows(&batch).unwrap();
 }
 
-/// Ask a governor observing `table` for this round's grant, after a
-/// sampling window under the caller's synthetic load.
+/// Ask a governor observing `table` for the grant of its next merge.
 fn observed_grant(table: &OnlineTable<u64>, config: GovernorConfig) -> (MergeGrant, GrantSignal) {
     let gov = ResourceGovernor::new(config);
-    let _ = gov.plan(&LoadView::of_source(table)); // open the window
-    std::thread::sleep(Duration::from_millis(40));
-    let plan = gov.plan(&LoadView::of_source(table));
-    (plan.grant, plan.signal)
+    let grant = gov.plan(&table.memory_report(), table.delta_fraction());
+    let signal = gov.recent_grants().last().expect("plan records its grant").signal;
+    (grant, signal)
 }
 
 /// The timed kernel: merge every column of the immutable set under

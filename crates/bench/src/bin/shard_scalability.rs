@@ -1,7 +1,7 @@
 //! Shard-count scalability sweep (the Table-2 exercise lifted to the
 //! sharded layer): one logical table partitioned over 1/2/4/8 shards,
 //! serving concurrent routed inserts and cross-shard scans while a
-//! [`MergeScheduler`] grants at most K merge slots across shards.
+//! [`MergeScheduler`] queues each shard's merge as the writes make it due.
 //!
 //! The paper stops at one table on one box; this harness measures what the
 //! ROADMAP's scale-out step buys: per-shard merges touch `1/N`-th of the
@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! cargo run --release -p hyrise-bench --bin shard_scalability -- \
-//!     --rows 200000 --writes 50000 --max-shards 8 --merge-slots 2
+//!     --rows 200000 --writes 50000 --max-shards 8
 //! ```
 
 use hyrise_bench::{banner, default_threads, fmt_count, Args, TablePrinter};
@@ -37,7 +37,6 @@ fn sweep(
     shards: usize,
     rows: usize,
     writes: usize,
-    merge_slots: usize,
     trigger: f64,
     threads: usize,
 ) -> (
@@ -68,12 +67,7 @@ fn sweep(
         threads: 1,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(
-        table.shards().to_vec(),
-        policy,
-        merge_slots,
-        Duration::from_millis(1),
-    );
+    let sched = MergeScheduler::spawn(table.shards().to_vec(), policy);
 
     // One writer per shard plus one fan-out scanner, racing.
     let stop = Arc::new(AtomicBool::new(false));
@@ -117,7 +111,8 @@ fn sweep(
         stop.store(true, Ordering::Relaxed);
     });
 
-    // Drain to the trigger bound, then freeze the scheduler's counters.
+    // Drain to the trigger bound, then release the shards and read the
+    // scheduler's counters.
     let deadline = Instant::now() + Duration::from_secs(30);
     while table.max_delta_fraction() > trigger && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
@@ -143,8 +138,8 @@ fn sweep(
     )
 }
 
-/// Compress a grant trace into a per-round summary column: the dominant
-/// signal with its share of rounds, plus the most recent grant shape.
+/// Compress a grant trace into a summary column: the dominant signal with
+/// its share of merges, plus the most recent grant shape.
 fn governor_column(grants: &[hyrise_core::governor::GrantRecord]) -> String {
     use std::collections::HashMap;
     let Some(last) = grants.last() else {
@@ -171,16 +166,15 @@ fn main() {
     let rows = args.usize("rows", 200_000);
     let writes = args.usize("writes", 50_000);
     let max_shards = args.usize("max-shards", 8);
-    let merge_slots = args.usize("merge-slots", 2);
     let trigger = args.f64("trigger", 0.02);
     let threads = args.usize("threads", default_threads());
 
     banner(
-        "Shard scalability — concurrent inserts + fan-out scans + K-slot merges",
+        "Shard scalability — concurrent inserts + fan-out scans + write-triggered merges",
         "no paper reference: the paper evaluates one table on one box (Secs 3/9)",
         &format!(
             "preload {} rows, {} writes per writer (one writer per shard), trigger {trigger}, \
-             {merge_slots} merge slots, {threads} HW threads",
+             {threads} HW threads",
             fmt_count(rows),
             fmt_count(writes),
         ),
@@ -204,7 +198,7 @@ fn main() {
     let mut shards = 1usize;
     while shards <= max_shards {
         let (pre_ms, upd_s, scan_s, merges, frac, end_rows, stages, grants) =
-            sweep(shards, rows, writes, merge_slots, trigger, threads);
+            sweep(shards, rows, writes, trigger, threads);
         t.row(&[
             &shards.to_string(),
             &pre_ms.to_string(),
@@ -223,13 +217,13 @@ fn main() {
     }
     println!();
     println!("governor trace of the last sweep point (strategy/threads/budget K,");
-    println!("triggering signal, worst selected delta fraction; newest last):");
+    println!("triggering signal, merged shard's delta fraction; newest last):");
     let tail = last_trace.len().saturating_sub(8);
     for (i, g) in last_trace.iter().enumerate().skip(tail) {
-        println!("  round {:>3}: {g}", i + 1);
+        println!("  merge {:>3}: {g}", i + 1);
     }
     if last_trace.is_empty() {
-        println!("  (no merge rounds ran)");
+        println!("  (no merges ran)");
     }
     println!();
     println!("expected shape: merges grow with shard count (each merge covers 1/N of the");
@@ -237,5 +231,5 @@ fn main() {
     println!("s1a/s1b/s2 stack like the paper's Figure 7/8 stage bars (per-shard");
     println!("SourceMergeStats summed): Step 2 dominates, Step 1b grows with |U|.");
     println!("the governor column is dominant-signal share · last grant; with no");
-    println!("memory soft limit every round is baseline, the policy's own grant.");
+    println!("memory soft limit every merge is baseline, the policy's own grant.");
 }

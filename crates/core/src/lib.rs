@@ -31,18 +31,19 @@
 //! * [`shard`] — the scale-out layer beyond the paper's single-table
 //!   evaluation: [`shard::ShardedTable`] hash- or range-partitions rows
 //!   across N online tables.
-//! * [`scheduler`] — the one background [`scheduler::MergeScheduler`]: a
-//!   single table or a sharded table's shards, at most K concurrent merges,
-//!   worst delta fraction first.
+//! * [`scheduler`] — write-triggered background merging: a
+//!   [`scheduler::MergeScheduler`] adopts a single table or a sharded
+//!   table's shards, the write that makes one due queues it, and one
+//!   process-wide merge thread drains the queue.
 //! * [`pool`] — the one thread substrate: every parallel query and every
 //!   merge fan-out (shards, columns, dictionary partitions, Stage 2
 //!   regions) runs on the shared work-stealing [`pool::Pool`].
 //! * [`governor`] — Section 9's scheduling hook as a feedback loop: the
-//!   [`governor::ResourceGovernor`] samples write pressure (delta growth vs
-//!   the Section 4 high target), which makes the merge trigger more eager,
-//!   and memory pressure ([`hyrise_storage::MemoryReport`]), which shrinks
-//!   the [`pipeline::MergeGrant`]'s column budget; otherwise merges run the
-//!   policy's grant.
+//!   [`governor::ResourceGovernor`] turns the write rate since a table's
+//!   last merge (vs the Section 4 high target) into a more eager merge
+//!   trigger, and memory pressure ([`hyrise_storage::MemoryReport`]) into a
+//!   smaller column budget for the [`pipeline::MergeGrant`]; otherwise
+//!   merges run the policy's grant.
 //! * [`rate`] — Equations 1 and 16: update-rate accounting and the
 //!   Section 4 target rates.
 //! * `wal` (private)/[`recovery`]/[`config`]/[`error`] — crash durability beyond
@@ -78,8 +79,7 @@ pub use config::{Durability, ShardedTableBuilder, TableBuilder, TableConfig};
 pub use epoch::{EpochCell, EpochGuard};
 pub use error::{Error, Result};
 pub use governor::{
-    begin_read, read_load, GovernorConfig, GrantRecord, GrantSignal, LoadSignals, LoadView,
-    ResourceGovernor, RoundPlan,
+    begin_read, read_load, GovernorConfig, GrantRecord, GrantSignal, ResourceGovernor,
 };
 pub use manager::{
     ColumnSnapshot, MergeCancelled, MergePolicy, MergeSession, OnlineTable, TableSnapshot,
@@ -92,7 +92,7 @@ pub use pipeline::{
 pub use pool::Pool;
 pub use rate::{update_rate, updates_per_second};
 pub use recovery::{recover, recover_sharded, recover_with};
-pub use scheduler::{MergeOutcome, MergeScheduler, MergeSource, SchedulerStats, SourceMergeStats};
+pub use scheduler::{MergeScheduler, SchedulerStats, SourceMergeStats};
 pub use shard::{ShardBy, ShardRowId, ShardedTable};
 pub use stats::{ColumnMergeStats, MergeAlgo, MergeOutput, StageTimings, TableMergeStats};
 pub use step1::{merge_dictionaries, merge_dictionaries_into, DictMerge};

@@ -46,6 +46,7 @@ use crate::pipeline::{
     MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy, SpareBank, StepSink,
 };
 use crate::pool::Pool;
+use crate::scheduler::Adoption;
 use crate::stats::{MergeOutput, TableMergeStats};
 use crate::wal::{self, Wal};
 use hyrise_storage::{
@@ -215,6 +216,10 @@ pub struct OnlineTable<V: Value> {
     /// The governor configuration the table was built with (consumed by
     /// recovery for its resume grant and by callers spawning schedulers).
     governor_cfg: Option<GovernorConfig>,
+    /// The [`crate::scheduler::MergeScheduler`] that adopted the table, if
+    /// any: every insert reports to it, and the one that makes the table
+    /// due queues its merge.
+    adoption: RwLock<Option<Adoption<V>>>,
     /// Closes the flip-vs-checkpoint race on durable tables: a delete's
     /// WAL append + in-memory invalidate run under the read side, and the
     /// merge's checkpoint takes the write side before snapshotting
@@ -248,6 +253,7 @@ impl<V: Value> OnlineTable<V> {
             bank: Arc::new(SpareBank::new()),
             wal: None,
             governor_cfg: None,
+            adoption: RwLock::new(None),
             flip_gate: RwLock::new(()),
         }
     }
@@ -303,6 +309,7 @@ impl<V: Value> OnlineTable<V> {
             bank: Arc::new(SpareBank::new()),
             wal: None,
             governor_cfg: None,
+            adoption: RwLock::new(None),
             flip_gate: RwLock::new(()),
         }
     }
@@ -353,6 +360,7 @@ impl<V: Value> OnlineTable<V> {
             bank: Arc::new(SpareBank::new()),
             wal: None,
             governor_cfg: None,
+            adoption: RwLock::new(None),
             flip_gate: RwLock::new(()),
         }
     }
@@ -379,6 +387,11 @@ impl<V: Value> OnlineTable<V> {
     /// its resume grant from it.
     pub fn governor_config(&self) -> Option<&GovernorConfig> {
         self.governor_cfg.as_ref()
+    }
+
+    /// The adopting scheduler's slot (set and cleared by the scheduler).
+    pub(crate) fn adoption(&self) -> &RwLock<Option<Adoption<V>>> {
+        &self.adoption
     }
 
     /// Direct handle to the shared validity bitmap (recovery replays
@@ -516,6 +529,9 @@ impl<V: Value> OnlineTable<V> {
                     };
                     res.publish();
                     self.inserts.fetch_add(rows.len() as u64, Ordering::Relaxed);
+                    if let Some(adoption) = &*self.adoption.read() {
+                        adoption.written();
+                    }
                     logged?;
                     return Ok(start..start + rows.len());
                 }

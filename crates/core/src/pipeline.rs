@@ -162,8 +162,8 @@ impl Default for MergeBudget {
 }
 
 /// Everything a merge run is granted: which algorithm, how many threads,
-/// and how much extra memory (as a column budget). This is what schedulers
-/// hand to [`crate::scheduler::MergeSource::run_merge`] and what
+/// and how much extra memory (as a column budget). This is what the
+/// scheduler's governor decides and what
 /// [`crate::manager::OnlineTable::merge_with`] consumes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MergeGrant {

@@ -1,4 +1,4 @@
-//! The background merge scheduler (Section 3's strategy (b)).
+//! Write-triggered background merging (Section 3's strategy (b)).
 //!
 //! "We see two scheduling strategies: a) merging with all available
 //! resources and b) minimizing resource utilization by constantly merging in
@@ -6,115 +6,36 @@
 //! available bandwidth and thus adjust the degree of parallelization for the
 //! merge process." (Sections 3, 9)
 //!
-//! [`MergeScheduler`] owns a daemon thread that polls N [`MergeSource`]s
-//! through a [`ResourceGovernor`] — the piece that turns the merge
-//! primitive into the hands-off system the paper describes. Every poll
-//! round the governor samples write and memory pressure, selects the
-//! sources whose `delta fraction × pressure` passes the trigger (worst
-//! fraction first), and emits the round's [`MergeGrant`] (see
-//! [`crate::governor`] for the decision table) for at most
-//! `max_concurrent` of them; the daemon runs those merges as one
-//! [`Pool::run_indexed`] fan-out on the shared pool.
-//! [`MergeScheduler::spawn`] with a plain [`MergePolicy`] wraps the policy
-//! in a default governor, so every round without memory pressure runs the
-//! policy's grant. The scheduler supports pausing (it starts nothing new while
-//! paused) and reports cumulative statistics including the bounded trace of
-//! recent grant decisions.
+//! A [`MergeScheduler`] adopts N [`OnlineTable`]s — one table
+//! (`vec![table]`), or a [`crate::shard::ShardedTable`]'s shards
+//! (`table.shards().to_vec()`) — and from then on the writes decide when
+//! each one merges. No thread polls: the insert that moves a table past
+//! its trigger (`delta fraction × pressure > policy.delta_fraction`, see
+//! [`crate::governor`]) marks it *due* and puts it, once, on one
+//! process-wide queue. One merge thread, parked while the queue is empty,
+//! drains it in arrival order: it samples the adopter's memory, takes the
+//! grant the [`ResourceGovernor`] decides, merges, and re-checks the table,
+//! which goes straight back on the queue if the writes that arrived during
+//! its merge made it due again. The write rate behind `pressure` is the
+//! adopter's insert rate since that table's last merge.
 //!
-//! One scheduler serves every shape: a single [`OnlineTable`] is the
-//! one-source case (`vec![table]`, `max_concurrent = 1`), a
-//! [`crate::shard::ShardedTable`] hands over its shards
-//! (`table.shards().to_vec()`).
-//!
-//! The daemon is the engine's one thread outside the [`Pool`]: it sleeps
-//! between rounds, and a sleeping task would park a pool worker. While a
-//! round runs it is a claimant like any other `run_indexed` caller — it
-//! merges one selected source itself and pool workers claim the rest.
+//! Merges therefore run one at a time across the process, each at its
+//! grant's width on the shared [`crate::pool::Pool`]. Pausing is a flag
+//! checked at enqueue and at dequeue; resuming (like adopting) re-checks
+//! every table, so a delta that crossed its trigger meanwhile is not left
+//! waiting for the next write. The merge thread is the engine's one
+//! thread outside the pool: it parks between merges, and a parked task
+//! would hold a pool worker.
 
-use crate::governor::{GovernorConfig, GrantRecord, LoadView, ResourceGovernor};
+use crate::governor::{GovernorConfig, GrantRecord, ResourceGovernor};
 use crate::manager::{MergePolicy, OnlineTable};
-use crate::pipeline::MergeGrant;
-use crate::pool::Pool;
-use crate::stats::StageTimings;
+use crate::stats::TableMergeStats;
 use hyrise_storage::{MemoryReport, Value};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// What one completed background merge moved and cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MergeOutcome {
-    /// Tuples moved from delta partitions into main partitions (per-column
-    /// sum).
-    pub tuples_moved: u64,
-    /// Delta **rows** drained by the merge (`tuples_moved / N_C` — every
-    /// column drains the same rows). This is the unit the governor's
-    /// write-pressure window corrects with: delta lengths are row counts,
-    /// so crediting the per-column sum back would overstate the insert
-    /// rate by the column count.
-    pub rows_moved: u64,
-    /// Wall time of the merge.
-    pub wall: Duration,
-    /// Per-stage breakdown (summed over columns) — what the paper's
-    /// Figure 7/8 stage-level plots are built from.
-    pub stages: StageTimings,
-}
-
-/// Something a background scheduler can merge: reports its merge-trigger
-/// ratio (plus the governor's write/memory samples) and runs one merge on
-/// demand. Implemented by [`OnlineTable`]; the resource-granting
-/// [`MergeScheduler`] needs nothing more from its tables. *When* to merge is not the source's call — the
-/// [`ResourceGovernor`] decides eligibility each round from
-/// `delta_fraction × pressure` against the policy trigger.
-pub trait MergeSource: Send + Sync + 'static {
-    /// The merge-trigger ratio `N_D / max(N_M, 1)` (always finite; see
-    /// [`OnlineTable::delta_fraction`]).
-    fn delta_fraction(&self) -> f64;
-
-    /// Tuples currently awaiting a merge — the governor's write-pressure
-    /// sample (delta growth between polls). The default suits sources
-    /// that cannot count; real tables should override.
-    fn delta_tuples(&self) -> usize {
-        0
-    }
-
-    /// Byte-level accounting for the governor's memory-pressure signal.
-    /// The default (all zeros) never triggers memory pressure; real
-    /// tables should override.
-    fn memory_report(&self) -> MemoryReport {
-        MemoryReport::default()
-    }
-
-    /// Run one merge under `grant` (threads, strategy, memory budget).
-    /// Returns `None` when the merge did not commit (cancelled); schedulers
-    /// simply retry on the next poll.
-    fn run_merge(&self, grant: MergeGrant) -> Option<MergeOutcome>;
-}
-
-impl<V: Value> MergeSource for OnlineTable<V> {
-    fn delta_fraction(&self) -> f64 {
-        OnlineTable::delta_fraction(self)
-    }
-
-    fn delta_tuples(&self) -> usize {
-        self.delta_len()
-    }
-
-    fn memory_report(&self) -> MemoryReport {
-        OnlineTable::memory_report(self)
-    }
-
-    fn run_merge(&self, grant: MergeGrant) -> Option<MergeOutcome> {
-        let stats = self.merge_with(grant, None).ok()?;
-        Some(MergeOutcome {
-            tuples_moved: stats.columns.iter().map(|c| c.n_d as u64).sum(),
-            rows_moved: stats.columns.first().map_or(0, |c| c.n_d as u64),
-            wall: stats.t_wall,
-            stages: stats.stage_timings(),
-        })
-    }
-}
+use std::collections::VecDeque;
+use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Once, Weak};
+use std::time::{Duration, Instant};
 
 /// One source's cumulative merge accounting, with the per-stage breakdown
 /// ([`crate::stats::ColumnMergeStats`] summed over columns and merges) that
@@ -137,13 +58,14 @@ pub struct SourceMergeStats {
 }
 
 impl SourceMergeStats {
-    fn record(&mut self, out: &MergeOutcome) {
+    fn record(&mut self, stats: &TableMergeStats) {
+        let stages = stats.stage_timings();
         self.merges += 1;
-        self.tuples_merged += out.tuples_moved;
-        self.merge_micros += out.wall.as_micros() as u64;
-        self.step1a_micros += out.stages.step1a.as_micros() as u64;
-        self.step1b_micros += out.stages.step1b.as_micros() as u64;
-        self.step2_micros += out.stages.step2.as_micros() as u64;
+        self.tuples_merged += stats.columns.iter().map(|c| c.n_d as u64).sum::<u64>();
+        self.merge_micros += stats.t_wall.as_micros() as u64;
+        self.step1a_micros += stages.step1a.as_micros() as u64;
+        self.step1b_micros += stages.step1b.as_micros() as u64;
+        self.step2_micros += stages.step2.as_micros() as u64;
     }
 }
 
@@ -155,113 +77,219 @@ pub struct SchedulerStats {
     /// Tuples moved from delta partitions into main partitions, across all
     /// sources and columns.
     pub tuples_merged: u64,
-    /// Total microseconds spent inside merges (sums across concurrent
-    /// merges, so it can exceed wall time).
+    /// Total microseconds spent inside merges.
     pub merge_micros: u64,
     /// The same totals per source, with the per-stage timing breakdown.
     pub per_source: Vec<SourceMergeStats>,
     /// Bounded trace of the governor's recent grant decisions (strategy,
     /// threads, budget K, triggering signal), oldest first — one entry per
-    /// poll round that selected at least one source.
+    /// merge the merge thread started.
     pub grants: Vec<GrantRecord>,
 }
 
-/// What the handle and its daemon share.
-struct Shared<S> {
-    sources: Vec<Arc<S>>,
-    governor: ResourceGovernor,
-    max_concurrent: usize,
-    stop: AtomicBool,
-    paused: AtomicBool,
-    per_source: Mutex<Vec<SourceMergeStats>>,
+/// The process-wide queue of due tables. An entry holds its scheduler
+/// weakly, so a queued table never outlives its dropped scheduler.
+type Due = Box<dyn FnOnce() + Send>;
+
+static QUEUE: std::sync::Mutex<VecDeque<Due>> = std::sync::Mutex::new(VecDeque::new());
+static READY: Condvar = Condvar::new();
+
+/// Queue one due table, starting the merge thread on first use.
+fn enqueue(due: Due) {
+    static MERGE_THREAD: Once = Once::new();
+    MERGE_THREAD.call_once(|| {
+        std::thread::Builder::new()
+            .name("hyrise-merge".into())
+            .spawn(drain_forever)
+            .expect("spawn the merge thread");
+    });
+    QUEUE
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .push_back(due);
+    READY.notify_one();
 }
 
-impl<S: MergeSource> Shared<S> {
-    /// One governor round: sample pressure, rank the sources, and merge
-    /// the chosen few under the round's grant. `max_concurrent` is the
-    /// round's width on the pool; each merge's own column and region
-    /// fan-outs nest inside it under `grant.threads`.
-    fn round(&self) {
-        let view = LoadView::of_sources(self.sources.iter().map(Arc::as_ref), self.max_concurrent);
-        let plan = self.governor.plan(&view);
-        Pool::global().run_indexed(plan.selected.len(), self.max_concurrent, &|k| {
-            let i = plan.selected[k];
-            if let Some(out) = self.sources[i].run_merge(plan.grant) {
-                self.per_source.lock()[i].record(&out);
-                self.governor.record_outcome(&out);
-            }
-        });
-    }
-}
-
-/// Handle to a running background merge scheduler over N [`MergeSource`]s:
-/// the realization of the paper's "scheduling algorithm \[that\] could
-/// constantly analyze the available bandwidth and thus adjust the degree
-/// of parallelization" (Section 9). Pause/resume apply to all sources;
-/// dropping the handle stops the daemon (joining its thread).
-pub struct MergeScheduler<S: MergeSource> {
-    shared: Arc<Shared<S>>,
-    handle: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl<S: MergeSource> MergeScheduler<S> {
-    /// Spawn a scheduler over `sources` with `policy`: check the triggers
-    /// every `poll`, run at most `max_concurrent` merges at a time. The
-    /// policy is wrapped in a default [`ResourceGovernor`]
-    /// ([`GovernorConfig::from_policy`]): the policy's trigger, made more
-    /// eager under write pressure, and the policy's grant on every round.
-    /// Use [`Self::spawn_governed`] to add a memory soft limit.
-    pub fn spawn(
-        sources: Vec<Arc<S>>,
-        policy: MergePolicy,
-        max_concurrent: usize,
-        poll: Duration,
-    ) -> Self {
-        Self::spawn_governed(
-            sources,
-            ResourceGovernor::new(GovernorConfig::from_policy(policy)),
-            max_concurrent,
-            poll,
-        )
-    }
-
-    /// Spawn a scheduler whose per-round grants come from `governor`.
-    pub fn spawn_governed(
-        sources: Vec<Arc<S>>,
-        governor: ResourceGovernor,
-        max_concurrent: usize,
-        poll: Duration,
-    ) -> Self {
-        let shared = Arc::new(Shared {
-            per_source: Mutex::new(vec![SourceMergeStats::default(); sources.len()]),
-            sources,
-            governor,
-            max_concurrent: max_concurrent.max(1),
-            stop: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
-        });
-        let daemon = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("hyrise-merge-scheduler".into())
-            .spawn(move || {
-                while !daemon.stop.load(Ordering::Relaxed) {
-                    if !daemon.paused.load(Ordering::Relaxed) {
-                        daemon.round();
-                    }
-                    std::thread::sleep(poll);
+/// The merge thread: take due tables in arrival order and merge each. A
+/// panicking merge leaves its table due (it merges no more) but not the
+/// thread, which goes on serving every other table.
+fn drain_forever() {
+    loop {
+        let due = {
+            let mut queue = QUEUE.lock().unwrap_or_else(|e| e.into_inner());
+            loop {
+                match queue.pop_front() {
+                    Some(due) => break due,
+                    None => queue = READY.wait(queue).unwrap_or_else(|e| e.into_inner()),
                 }
-            })
-            .expect("spawn merge scheduler daemon");
-        Self {
-            shared,
-            handle: Mutex::new(Some(handle)),
+            }
+        };
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(due));
+    }
+}
+
+/// One adopted table and what its scheduler tracks for it.
+struct Source<V: Value> {
+    table: Arc<OnlineTable<V>>,
+    /// Queued or merging: set by the write that makes the table due,
+    /// cleared by the merge thread when its merge ends.
+    due: AtomicBool,
+    /// Start of the write-rate window: the instant of this table's last
+    /// merge (of its adoption, at first) and the adopter's inserted-row
+    /// count then.
+    since: Mutex<(Instant, u64)>,
+    stats: Mutex<SourceMergeStats>,
+}
+
+/// What the handle, the adopted tables and the queued entries share.
+struct Shared<V: Value> {
+    sources: Vec<Source<V>>,
+    governor: ResourceGovernor,
+    paused: AtomicBool,
+    stopped: AtomicBool,
+}
+
+impl<V: Value> Shared<V> {
+    /// Rows ever inserted across the adopted tables.
+    fn inserted_rows(&self) -> u64 {
+        self.sources.iter().map(|s| s.table.inserted_rows()).sum()
+    }
+
+    /// Insert rows per second across the adopted tables since `s`'s last
+    /// merge.
+    fn write_rate(&self, s: &Source<V>) -> f64 {
+        let (at, inserted) = *s.since.lock();
+        let rows = self.inserted_rows().saturating_sub(inserted);
+        rows as f64 / at.elapsed().as_secs_f64().max(1e-3)
+    }
+
+    /// Enqueue source `i` if it is past its trigger and not already due.
+    fn check(self: &Arc<Self>, i: usize) {
+        // Pairs with the write's publish before it calls us, and with the
+        // merge thread's (or `resume`'s) flag store before it does: of a
+        // store then a load on each side, one side sees the other's store,
+        // so no write is left behind a flag cleared at the same moment.
+        fence(Ordering::SeqCst);
+        let s = &self.sources[i];
+        if s.due.load(Ordering::Relaxed)
+            || self.paused.load(Ordering::Relaxed)
+            || self.stopped.load(Ordering::Relaxed)
+            || !self
+                .governor
+                .eligible(s.table.delta_fraction(), self.write_rate(s))
+        {
+            return;
+        }
+        if !s.due.swap(true, Ordering::Relaxed) {
+            let sched = Arc::downgrade(self);
+            enqueue(Box::new(move || {
+                if let Some(sched) = sched.upgrade() {
+                    sched.merge(i);
+                }
+            }));
         }
     }
 
-    /// The merge sources being managed (one table, or a sharded table's
-    /// shards).
-    pub fn sources(&self) -> &[Arc<S>] {
-        &self.shared.sources
+    /// Merge thread: merge due source `i` under the grant the governor
+    /// decides now, then re-check it. A paused, stopped or failed source
+    /// leaves the queue without a re-check: `resume`, or the next write,
+    /// tries again.
+    fn merge(self: &Arc<Self>, i: usize) {
+        let s = &self.sources[i];
+        let merged = !self.paused.load(Ordering::Relaxed)
+            && !self.stopped.load(Ordering::Relaxed)
+            && {
+                let memory = self
+                    .sources
+                    .iter()
+                    .map(|s| s.table.memory_report())
+                    .fold(MemoryReport::default(), |a, b| a + b);
+                let grant = self.governor.plan(&memory, s.table.delta_fraction());
+                match s.table.merge_with(grant, None) {
+                    Ok(stats) => {
+                        s.stats.lock().record(&stats);
+                        *s.since.lock() = (Instant::now(), self.inserted_rows());
+                        true
+                    }
+                    Err(_) => false,
+                }
+            };
+        s.due.store(false, Ordering::Relaxed);
+        if merged {
+            self.check(i);
+        }
+    }
+}
+
+/// A table's link back to the scheduler that adopted it. Weak: the
+/// scheduler owns its tables, not the other way round.
+pub(crate) struct Adoption<V: Value> {
+    sched: Weak<Shared<V>>,
+    index: usize,
+}
+
+impl<V: Value> Adoption<V> {
+    /// The table published a write: enqueue it if that made it due.
+    pub(crate) fn written(&self) {
+        if let Some(sched) = self.sched.upgrade() {
+            sched.check(self.index);
+        }
+    }
+}
+
+/// Handle to the background merging of N tables: the realization of the
+/// paper's "scheduling algorithm \[that\] could constantly analyze the
+/// available bandwidth and thus adjust the degree of parallelization"
+/// (Section 9). Pause/resume apply to all tables; dropping the handle
+/// releases them, after any merge of theirs in flight.
+pub struct MergeScheduler<V: Value> {
+    shared: Arc<Shared<V>>,
+}
+
+impl<V: Value> MergeScheduler<V> {
+    /// Adopt `tables` under `policy`. The policy is wrapped in a default
+    /// [`ResourceGovernor`] ([`GovernorConfig::from_policy`]): the policy's
+    /// trigger, made more eager under write pressure, and the policy's
+    /// grant for every merge. Use [`Self::spawn_governed`] to add a memory
+    /// soft limit.
+    pub fn spawn(tables: Vec<Arc<OnlineTable<V>>>, policy: MergePolicy) -> Self {
+        Self::spawn_governed(tables, ResourceGovernor::new(GovernorConfig::from_policy(policy)))
+    }
+
+    /// Adopt `tables` with grants from `governor`. A table already past its
+    /// trigger is queued at once.
+    pub fn spawn_governed(tables: Vec<Arc<OnlineTable<V>>>, governor: ResourceGovernor) -> Self {
+        let shared = Arc::new(Shared {
+            sources: tables
+                .into_iter()
+                .map(|table| Source {
+                    table,
+                    due: AtomicBool::new(false),
+                    since: Mutex::new((Instant::now(), 0)),
+                    stats: Mutex::new(SourceMergeStats::default()),
+                })
+                .collect(),
+            governor,
+            paused: AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
+        });
+        let inserted = shared.inserted_rows();
+        for (index, s) in shared.sources.iter().enumerate() {
+            s.since.lock().1 = inserted;
+            *s.table.adoption().write() = Some(Adoption {
+                sched: Arc::downgrade(&shared),
+                index,
+            });
+        }
+        let sched = Self { shared };
+        sched.check_all();
+        sched
+    }
+
+    fn check_all(&self) {
+        for i in 0..self.shared.sources.len() {
+            self.shared.check(i);
+        }
     }
 
     /// The governor granting this scheduler's merges.
@@ -269,22 +297,19 @@ impl<S: MergeSource> MergeScheduler<S> {
         &self.shared.governor
     }
 
-    /// The concurrency bound (merge slots per poll round).
-    pub fn max_concurrent(&self) -> usize {
-        self.shared.max_concurrent
-    }
-
-    /// Pause scheduling: no source starts a new merge until
-    /// [`Self::resume`]. In-flight merges complete (the paper's pause hook
-    /// applies between merges; mid-merge pausing is the incremental
+    /// Pause scheduling: no table starts a new merge until
+    /// [`Self::resume`]. A merge in flight completes (the paper's pause
+    /// hook applies between merges; mid-merge pausing is the incremental
     /// session's job).
     pub fn pause(&self) {
         self.shared.paused.store(true, Ordering::Relaxed);
     }
 
-    /// Resume scheduling after [`Self::pause`].
+    /// Resume scheduling after [`Self::pause`], queueing every table the
+    /// writes meanwhile made due.
     pub fn resume(&self) {
         self.shared.paused.store(false, Ordering::Relaxed);
+        self.check_all();
     }
 
     /// Is the scheduler currently paused?
@@ -295,7 +320,8 @@ impl<S: MergeSource> MergeScheduler<S> {
     /// Snapshot of cumulative statistics (including the governor's recent
     /// grant trace).
     pub fn stats(&self) -> SchedulerStats {
-        let per_source = self.shared.per_source.lock().clone();
+        let per_source: Vec<SourceMergeStats> =
+            self.shared.sources.iter().map(|s| *s.stats.lock()).collect();
         SchedulerStats {
             merges: per_source.iter().map(|s| s.merges).sum(),
             tuples_merged: per_source.iter().map(|s| s.tuples_merged).sum(),
@@ -305,18 +331,27 @@ impl<S: MergeSource> MergeScheduler<S> {
         }
     }
 
-    /// Stop the daemon and wait for it (and any in-flight merges) to
-    /// finish. Called automatically on drop; explicit calls let tests
-    /// assert on the final state.
+    /// Release the tables and wait for a merge of theirs in flight to end.
+    /// Called automatically on drop; explicit calls let tests assert on
+    /// the final state.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.lock().take() {
-            let _ = h.join();
+        self.shared.stopped.store(true, Ordering::Relaxed);
+        let me = Arc::downgrade(&self.shared);
+        for s in &self.shared.sources {
+            let mut adoption = s.table.adoption().write();
+            if adoption.as_ref().is_some_and(|a| a.sched.ptr_eq(&me)) {
+                *adoption = None;
+            }
+        }
+        // Only the merge thread and a write checking its table hold the
+        // shared state for a moment besides this handle.
+        while Arc::strong_count(&self.shared) > 1 {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }
 
-impl<S: MergeSource> Drop for MergeScheduler<S> {
+impl<V: Value> Drop for MergeScheduler<V> {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -326,7 +361,6 @@ impl<S: MergeSource> Drop for MergeScheduler<S> {
 mod tests {
     use super::*;
     use crate::shard::ShardedTable;
-    use std::time::Instant;
 
     /// The suite runs every behaviour on both shapes the one scheduler
     /// serves: K = 1 (a single `OnlineTable` source) and K = 4 shards. A
@@ -370,20 +404,15 @@ mod tests {
             let t = fixture(shards);
             insert_rows(&t, 10_000, 0);
             t.merge_all(2).unwrap();
-            let sched = MergeScheduler::spawn(
-                t.shards().to_vec(),
-                policy(0.01, 2),
-                2,
-                Duration::from_millis(5),
-            );
-            // Push every shard past the trigger and wait for the daemon.
+            let sched = MergeScheduler::spawn(t.shards().to_vec(), policy(0.01, 2));
+            // Push every shard past the trigger: the write queues it.
             insert_rows(&t, 500, 1_000_000);
             wait_for(5, || t.delta_len() == 0);
             sched.shutdown();
             let stats = sched.stats();
             assert!(
                 stats.merges >= 1,
-                "daemon must have merged ({shards} shards)"
+                "the write must have started a merge ({shards} shards)"
             );
             assert!(
                 stats.tuples_merged >= 500 * 2,
@@ -395,19 +424,37 @@ mod tests {
     }
 
     #[test]
+    fn quiet_tables_wait_for_the_write_that_makes_them_due() {
+        let t = fixture(1);
+        insert_rows(&t, 10_000, 0);
+        t.merge_all(1).unwrap();
+        let sched = MergeScheduler::spawn(t.shards().to_vec(), policy(0.05, 1));
+        // 1 % of main, written slowly enough that the write rate leaves
+        // the trigger at 5 %: nothing is due, so nothing merges.
+        for k in 0..100 {
+            insert_rows(&t, 1, 1_000_000 + k);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(sched.stats().merges, 0, "no write made the table due");
+        // One batch past the trigger: that write starts the merge.
+        insert_rows(&t, 1_000, 2_000_000);
+        wait_for(5, || sched.stats().merges > 0);
+        sched.shutdown();
+        assert_eq!(sched.stats().merges, 1);
+        assert_eq!(t.delta_len(), 0);
+    }
+
+    #[test]
     fn one_merge_slot_still_drains_every_source() {
         let t = fixture(4);
         insert_rows(&t, 2_000, 0);
-        let sched = MergeScheduler::spawn(
-            t.shards().to_vec(),
-            policy(0.001, 1),
-            1,
-            Duration::from_millis(1),
-        );
-        assert_eq!(sched.max_concurrent(), 1);
+        // Every shard is due on adoption; the one merge thread takes them
+        // one after the other.
+        let sched = MergeScheduler::spawn(t.shards().to_vec(), policy(0.001, 1));
         wait_for(5, || t.delta_len() == 0);
         sched.shutdown();
-        assert_eq!(t.delta_len(), 0, "one slot per round reaches every shard");
+        assert_eq!(t.delta_len(), 0, "one merge thread reaches every shard");
         assert!(sched.stats().per_source.iter().all(|s| s.merges > 0));
     }
 
@@ -416,25 +463,22 @@ mod tests {
         for shards in SHAPES {
             let t = fixture(shards);
             insert_rows(&t, 1_000, 0); // fraction N_D/1: always triggered
-            let sched = MergeScheduler::spawn(
-                t.shards().to_vec(),
-                policy(0.01, 1),
-                shards,
-                Duration::from_millis(2),
-            );
+            let sched = MergeScheduler::spawn(t.shards().to_vec(), policy(0.01, 1));
             sched.pause();
             assert!(sched.is_paused());
-            // Give the daemon time it would have used to merge.
+            // Give the merge thread time it would have used to merge.
             std::thread::sleep(Duration::from_millis(100));
             let before = sched.stats().merges;
             assert!(
                 before <= shards as u64,
-                "at most one in-flight round may finish after pause, ran {before}"
+                "only merges started before the pause may finish, ran {before}"
             );
-            // Refill every shard while paused: if the daemon won the race
-            // and merged everything before the pause landed, resume would
-            // otherwise have nothing to do.
+            // Refill every shard while paused: no write queues it, and if
+            // the merge thread won the race and merged everything before
+            // the pause landed, resume would otherwise have nothing to do.
             insert_rows(&t, 1_000, 2_000_000);
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(sched.stats().merges, before, "paused writes queue nothing");
             sched.resume();
             wait_for(5, || sched.stats().merges > before);
             sched.shutdown();
@@ -449,22 +493,19 @@ mod tests {
     fn drop_stops_the_daemon() {
         let table = Arc::new(OnlineTable::<u64>::new(2));
         table.insert_row(&[1, 2]);
-        let weak = {
-            let sched = MergeScheduler::spawn(
-                vec![Arc::clone(&table)],
-                MergePolicy::default(),
-                1,
-                Duration::from_millis(1),
-            );
+        let weak = Arc::downgrade(&table);
+        {
+            let sched = MergeScheduler::spawn(vec![Arc::clone(&table)], MergePolicy::default());
             let _ = sched.stats();
-            Arc::downgrade(&sched.sources()[0])
-        };
+        }
         // Scheduler dropped: its table Arc released; ours remains.
         assert!(weak.upgrade().is_some());
+        assert!(table.adoption().read().is_none(), "the table is released");
+        table.insert_row(&[3, 4]); // reports to no one
         drop(table);
         assert!(
             weak.upgrade().is_none(),
-            "daemon thread must have released the table"
+            "neither the merge thread nor the queue holds the table"
         );
     }
 
@@ -475,8 +516,7 @@ mod tests {
             insert_rows(&t, 8_000, 0);
             t.merge_all(2).unwrap();
             let policy = policy(0.02, 1);
-            let sched =
-                MergeScheduler::spawn(t.shards().to_vec(), policy, 2, Duration::from_millis(1));
+            let sched = MergeScheduler::spawn(t.shards().to_vec(), policy);
             // Write through the facade from two threads.
             std::thread::scope(|s| {
                 for w in 0..2u64 {
@@ -489,11 +529,11 @@ mod tests {
                     });
                 }
             });
-            // Let the scheduler drain the tail.
+            // Let the merge thread drain the tail.
             wait_for(10, || t.max_delta_fraction() <= policy.delta_fraction);
             sched.shutdown();
             let stats = sched.stats();
-            assert_eq!(t.row_count(), 28_000, "no rows lost under daemon merging");
+            assert_eq!(t.row_count(), 28_000, "no rows lost under background merging");
             assert!(
                 stats.merges > shards as u64,
                 "sustained writes force repeated merges"
@@ -521,12 +561,7 @@ mod tests {
         // millisecond; whole-millisecond accounting summed these to zero.
         for shards in SHAPES {
             let t = fixture(shards);
-            let sched = MergeScheduler::spawn(
-                t.shards().to_vec(),
-                policy(0.0, 1),
-                shards,
-                Duration::from_millis(1),
-            );
+            let sched = MergeScheduler::spawn(t.shards().to_vec(), policy(0.0, 1));
             for round in 0..20u64 {
                 insert_rows(&t, 8, round * 8);
                 wait_for(5, || t.delta_len() == 0);
@@ -544,44 +579,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_source_trait_reports_through_online_table() {
-        let table = OnlineTable::<u64>::new(2);
-        for i in 0..64 {
-            table.insert_row(&[i, i + 1]);
-        }
-        let src: &dyn MergeSource = &table;
-        assert_eq!(src.delta_fraction(), 64.0);
-        assert_eq!(src.delta_tuples(), 64);
-        assert!(src.memory_report().delta_total() > 0);
-        let out = src
-            .run_merge(MergeGrant::with_threads(2))
-            .expect("uncancelled merge commits");
-        assert_eq!(out.tuples_moved, 64 * 2, "both columns counted");
-        assert_eq!(src.delta_fraction(), 0.0);
-        assert_eq!(src.delta_tuples(), 0);
-        assert_eq!(src.memory_report().delta_total(), 0);
-    }
-
-    #[test]
     fn governed_scheduler_records_grants_and_shrinks_budget_under_pressure() {
         use crate::governor::GrantSignal;
         let table = Arc::new(OnlineTable::<u64>::new(2));
         for i in 0..4_000 {
             table.insert_row(&[i, i + 1]);
         }
-        // A soft limit of one byte: every round is memory-pressured, so
+        // A soft limit of one byte: every merge is memory-pressured, so
         // every grant must carry the shrunk pressure budget.
         let config = GovernorConfig::from_policy(policy(0.01, 2)).with_memory_soft_limit(1);
-        let sched = MergeScheduler::spawn_governed(
-            vec![Arc::clone(&table)],
-            ResourceGovernor::new(config),
-            1,
-            Duration::from_millis(2),
-        );
+        let sched =
+            MergeScheduler::spawn_governed(vec![Arc::clone(&table)], ResourceGovernor::new(config));
         wait_for(5, || sched.stats().merges > 0);
         sched.shutdown();
         let stats = sched.stats();
-        assert!(stats.merges >= 1, "governed daemon must merge");
+        assert!(stats.merges >= 1, "governed scheduler must merge");
         assert!(!stats.grants.is_empty(), "grant decisions are traced");
         let g = stats.grants.last().unwrap();
         assert_eq!(g.signal, GrantSignal::MemoryPressure);

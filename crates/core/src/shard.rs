@@ -14,9 +14,9 @@
 //!   batched [`ShardedTable::insert_rows`], per-shard
 //!   [`TableSnapshot`]s for lock-free scans (the fan-out operators live in
 //!   `hyrise-query`).
-//! * Background merging is the one [`crate::scheduler::MergeScheduler`]
-//!   over [`ShardedTable::shards`]: at most `max_concurrent` shard merges
-//!   in flight, shards picked by highest delta fraction first.
+//! * Background merging is a [`crate::scheduler::MergeScheduler`]
+//!   adopting [`ShardedTable::shards`]: the write that makes a shard due
+//!   queues that shard's merge.
 
 use crate::error::Result;
 use crate::manager::{OnlineTable, TableSnapshot};

@@ -11,7 +11,7 @@
 //! brute-force per-block min/max of its codes; an ascending bulk prefix
 //! gives the mains several narrow-zoned blocks for the carry to get wrong.
 
-use hyrise_core::governor::{GovernorConfig, LoadView, ResourceGovernor};
+use hyrise_core::governor::{GovernorConfig, ResourceGovernor};
 use hyrise_core::shard::{ShardBy, ShardRowId, ShardedTable};
 use hyrise_core::{MergeBudget, MergeGrant, MergePolicy, MergeStrategy, OnlineTable};
 use hyrise_storage::{MainPartition, ZONE_ROWS};
@@ -351,19 +351,19 @@ proptest! {
                     // Merge unconditionally (selection gates *when*, the
                     // property is about *what* the grant produces) with
                     // whatever grant the governor's live signals yield.
-                    let plan = gov.plan(&LoadView::of_source(&governed));
-                    governed.merge_with(plan.grant, None).unwrap();
+                    let grant = gov.plan(&governed.memory_report(), governed.delta_fraction());
+                    governed.merge_with(grant, None).unwrap();
                 }
             }
         }
         reference.merge_with(reference_grant, None).unwrap();
-        let final_plan = gov.plan(&LoadView::of_source(&governed));
-        governed.merge_with(final_plan.grant, None).unwrap();
+        let final_grant = gov.plan(&governed.memory_report(), governed.delta_fraction());
+        governed.merge_with(final_grant, None).unwrap();
         prop_assert_eq!(governed.delta_len(), 0);
         assert_tables_identical(
             &reference,
             &governed,
-            &format!("governor grants, last = {:?}", final_plan.grant),
+            &format!("governor grants, last = {final_grant:?}"),
         );
     }
 }

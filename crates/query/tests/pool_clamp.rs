@@ -71,9 +71,9 @@ fn shard_fanout_times_morsel_hint_stays_within_the_pool() {
     }
 }
 
-/// Merges share the pool with the scans: a scheduler with the server's
-/// default shape (two merge slots, the policy's default width) merging an
-/// 8-shard table while 8-wide queries run must leave the answers equal to
+/// Merges share the pool with the scans: the merge thread draining an
+/// 8-shard table at the policy's default width while 8-wide queries run
+/// must leave the answers equal to
 /// serial and keep the queue below the admission gate's default
 /// `pool_queue_limit` (4 x pool size) — merge helpers alone must never
 /// make the gate queue reads.
@@ -105,7 +105,7 @@ fn scheduler_merges_beside_wide_queries_stay_below_the_admission_limit() {
         delta_fraction: 0.02,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(t.shards().to_vec(), policy, 2, Duration::from_millis(1));
+    let sched = MergeScheduler::spawn(t.shards().to_vec(), policy);
     let deadline = Instant::now() + Duration::from_secs(30);
     while t.delta_len() > 0 && Instant::now() < deadline {
         for (q, want) in queries.iter().zip(&expected) {

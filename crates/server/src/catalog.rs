@@ -1,26 +1,26 @@
 //! The multi-tenant table catalog: named durable-or-volatile
-//! [`ShardedTable`]s, each with its own governed merge scheduler.
+//! [`ShardedTable`]s, each merged in the background under its governor.
 //!
 //! Every entry owns the full per-table machinery: the table itself (built
 //! through the PR-7 `ShardedTableBuilder` so durability is just a spec
-//! flag), a [`MergeScheduler`] merging its shards under a
+//! flag), the [`MergeScheduler`] that adopted its shards under a
 //! [`ResourceGovernor`], and the [`RateWindow`] the admission gate samples
-//! its write valve from. Creating a table spawns the scheduler; dropping
-//! it (or shutting the catalog down) stops the scheduler before the entry
-//! is released. Durable tables live under `data_dir/<name>/`; dropping
-//! one leaves its files on disk, so a later server can
-//! [`hyrise_core::recover_sharded`] it.
+//! its write valve from. Creating a table adopts its shards, so the writes
+//! that make a shard due queue its merge on the process-wide merge
+//! thread; dropping the table (or shutting the catalog down) releases
+//! them before the entry is released. Durable tables live under
+//! `data_dir/<name>/`; dropping one leaves its files on disk, so a later
+//! server can [`hyrise_core::recover_sharded`] it.
 
 use crate::admission::RateWindow;
 use crate::protocol::TableSpec;
 use hyrise_core::{
-    pool, Durability, GovernorConfig, MergePolicy, MergeScheduler, MergeStrategy, OnlineTable,
-    Pool, ResourceGovernor, ShardedTable,
+    pool, Durability, GovernorConfig, MergePolicy, MergeScheduler, MergeStrategy, Pool,
+    ResourceGovernor, ShardedTable,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Why a catalog operation failed.
 #[derive(Debug)]
@@ -61,10 +61,6 @@ pub struct CatalogConfig {
     /// Root directory for durable tables (`<data_dir>/<name>/`). `None`
     /// makes durable specs an [`CatalogError::InvalidSpec`].
     pub data_dir: Option<PathBuf>,
-    /// Concurrent shard merges each table's scheduler may run.
-    pub max_concurrent_merges: usize,
-    /// Scheduler poll interval.
-    pub scheduler_poll: Duration,
     /// Governor profile cloned into every table's scheduler.
     pub governor: GovernorConfig,
 }
@@ -80,8 +76,6 @@ impl Default for CatalogConfig {
     fn default() -> Self {
         Self {
             data_dir: None,
-            max_concurrent_merges: 2,
-            scheduler_poll: Duration::from_millis(2),
             governor: GovernorConfig::from_policy(MergePolicy {
                 delta_fraction: 0.02,
                 strategy: MergeStrategy::Naive,
@@ -95,7 +89,7 @@ impl Default for CatalogConfig {
 /// One catalog entry: table + scheduler + the write valve's rate window.
 pub struct TableEntry {
     table: Arc<ShardedTable<u64>>,
-    scheduler: MergeScheduler<OnlineTable<u64>>,
+    scheduler: MergeScheduler<u64>,
     spec: TableSpec,
     write_window: Mutex<RateWindow>,
 }
@@ -106,8 +100,8 @@ impl TableEntry {
         &self.table
     }
 
-    /// The merge scheduler over the table's shards.
-    pub fn scheduler(&self) -> &MergeScheduler<OnlineTable<u64>> {
+    /// The merge scheduler that adopted the table's shards.
+    pub fn scheduler(&self) -> &MergeScheduler<u64> {
         &self.scheduler
     }
 
@@ -176,7 +170,7 @@ impl Catalog {
         self.pool
     }
 
-    /// Create a table per `spec` and spawn its governed scheduler.
+    /// Create a table per `spec` and adopt its shards for merging.
     pub fn create(&self, spec: &TableSpec) -> Result<(), CatalogError> {
         validate_name(&spec.name)?;
         if spec.columns == 0 {
@@ -212,8 +206,6 @@ impl Catalog {
         let scheduler = MergeScheduler::spawn_governed(
             table.shards().to_vec(),
             ResourceGovernor::new(self.cfg.governor.clone()),
-            self.cfg.max_concurrent_merges,
-            self.cfg.scheduler_poll,
         );
         tables.insert(
             spec.name.clone(),
@@ -227,7 +219,7 @@ impl Catalog {
         Ok(())
     }
 
-    /// Remove a table and stop its scheduler. In-flight requests holding
+    /// Remove a table and release it from merging. In-flight requests holding
     /// the entry's `Arc` finish against the detached table; durable files
     /// stay on disk for a later recovery.
     pub fn drop_table(&self, name: &str) -> Result<(), CatalogError> {
@@ -268,7 +260,7 @@ impl Catalog {
         self.len() == 0
     }
 
-    /// Stop every table's scheduler (server shutdown path).
+    /// Release every table from merging (server shutdown path).
     pub fn shutdown(&self) {
         let entries: Vec<Arc<TableEntry>> = self.tables.lock().unwrap().values().cloned().collect();
         for e in entries {
@@ -280,6 +272,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn create_lookup_drop_lifecycle() {

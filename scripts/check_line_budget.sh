@@ -11,8 +11,8 @@
 # check_unsafe_budget.sh), prints the count per crate and in total, and
 # fails when the total exceeds the ceiling or when a name of the deleted
 # offline table stack, its operators, the per-strategy merge wrappers,
-# the second merge input or the deleted governor rows reappears under
-# crates/*/src.
+# the second merge input, the deleted governor rows or the polling
+# scheduler reappears under crates/*/src.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,11 +26,15 @@ cd "$(dirname "$0")/.."
 # reaches: its read-contention, queue-depth, write-burst and read-idle
 # rows, their four config knobs, the per-shard write-rate boost, the
 # multi-shard width clamp and the recovery-only resume grant left (core),
-# and the server's catalog states the grant they produced as its policy.
+# and the server's catalog states the grant they produced as its policy;
+# then lowered when writes started the merges they make due: the per-table polling daemons with their poll interval and
+# per-table merge slots, the MergeSource trait, the governor's sampling
+# window (LoadView, LoadSignals, RoundPlan, MergeOutcome) and the round
+# barrier left (core, server), for one process-wide queue and merge thread.
 ceiling=19168
 
 # A bare `Contended` would match an unrelated comment, hence the prefix.
-gone='Attribute<|AnyValue|merge_table_parallel|merge_column_naive|merge_column_optimized|merge_column_parallel|group_by_sum|table_select|DeltaPartition|DeltaView|CompressedDelta|compress_delta|merge_column_frozen|GrantSignal::(Contended|QueueDeep|WriteBurst|ReadIdle|Resume)|busy_reads_per_sec|idle_reads_per_sec|deep_queue_depth|with_read_thresholds|with_max_threads|resume_grant|classify_update_rate|WriteLoad|global_queue_depth'
+gone='Attribute<|AnyValue|merge_table_parallel|merge_column_naive|merge_column_optimized|merge_column_parallel|group_by_sum|table_select|DeltaPartition|DeltaView|CompressedDelta|compress_delta|merge_column_frozen|GrantSignal::(Contended|QueueDeep|WriteBurst|ReadIdle|Resume)|busy_reads_per_sec|idle_reads_per_sec|deep_queue_depth|with_read_thresholds|with_max_threads|resume_grant|classify_update_rate|WriteLoad|global_queue_depth|MergeSource|LoadView|LoadSignals|RoundPlan|MergeOutcome|scheduler_poll|max_concurrent_merges|record_outcome'
 
 total=0
 for dir in crates/*/src src; do

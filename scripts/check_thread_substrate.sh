@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One thread substrate: outside test code, the engine crates create
 # threads only where this script says so. Everything else — query morsels,
-# merge columns, dictionary partitions, Stage 2 regions, the scheduler's
-# per-round shard fan-out — runs on core::Pool.
+# merge columns, dictionary partitions, Stage 2 regions — runs on
+# core::Pool.
 #
 #   scripts/check_thread_substrate.sh
 #
@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 # file : why it may create threads
 allowed=(
     crates/core/src/pool.rs       # the pool's workers
-    crates/core/src/scheduler.rs  # the one daemon: it sleeps between rounds
+    crates/core/src/scheduler.rs  # the one merge thread: it parks between merges
     crates/core/src/model.rs      # calibrate() probes raw hardware threads
 )
 

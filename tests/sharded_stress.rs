@@ -41,7 +41,7 @@ fn concurrent_inserts_and_scans_survive_per_shard_merges() {
         threads: 1,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(table.shards().to_vec(), policy, 2, Duration::from_millis(1));
+    let sched = MergeScheduler::spawn(table.shards().to_vec(), policy);
 
     let stop = Arc::new(AtomicBool::new(false));
     let inserted = Arc::new(AtomicU64::new(20_000));
@@ -153,7 +153,7 @@ fn sharded_mix_with_scheduler_stays_consistent() {
         threads: 1,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(table.shards().to_vec(), policy, 2, Duration::from_millis(2));
+    let sched = MergeScheduler::spawn(table.shards().to_vec(), policy);
     let stats = drive_sharded(&table, &workload, &ids);
     let deadline = std::time::Instant::now() + Duration::from_secs(15);
     while table.max_delta_fraction() > policy.delta_fraction && std::time::Instant::now() < deadline

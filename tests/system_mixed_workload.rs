@@ -30,12 +30,7 @@ fn oltp_mix_with_background_merging_stays_consistent() {
         threads: 2,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(
-        vec![Arc::clone(&table)],
-        policy,
-        1,
-        Duration::from_millis(2),
-    );
+    let sched = MergeScheduler::spawn(vec![Arc::clone(&table)], policy);
 
     // Drive the OLTP mix from two concurrent workers.
     let totals: Vec<DriverStats> = std::thread::scope(|s| {
@@ -119,12 +114,7 @@ fn sustained_update_rate_meets_the_low_target() {
         threads: 4,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(
-        vec![Arc::clone(&table)],
-        policy,
-        1,
-        Duration::from_millis(1),
-    );
+    let sched = MergeScheduler::spawn(vec![Arc::clone(&table)], policy);
 
     let n = 50_000u64;
     let t0 = std::time::Instant::now();
@@ -132,8 +122,8 @@ fn sustained_update_rate_meets_the_low_target() {
         table.insert_row(&row_for_seed(INITIAL_ROWS + i, COLS));
     }
     // Include the drain in the measured window (Equation 1 charges T_M).
-    // The scheduler stops merging once the delta is back under the trigger
-    // fraction, so drain to that point, not to empty.
+    // A table is due only past its trigger fraction, so drain to that
+    // point, not to empty.
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     while table.delta_fraction() > policy.delta_fraction && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
