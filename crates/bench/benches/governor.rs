@@ -64,7 +64,11 @@ fn fill_delta(t: &OnlineTable<u64>, pct: usize) {
 fn observed_grant(table: &OnlineTable<u64>, config: GovernorConfig) -> (MergeGrant, GrantSignal) {
     let gov = ResourceGovernor::new(config);
     let grant = gov.plan(&table.memory_report(), table.delta_fraction());
-    let signal = gov.recent_grants().last().expect("plan records its grant").signal;
+    let signal = gov
+        .recent_grants()
+        .last()
+        .expect("plan records its grant")
+        .signal;
     (grant, signal)
 }
 

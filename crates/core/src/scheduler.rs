@@ -13,14 +13,15 @@
 //! its trigger (`delta fraction × pressure > policy.delta_fraction`, see
 //! [`crate::governor`]) marks it *due* and puts it, once, on one
 //! process-wide queue. One merge thread, parked while the queue is empty,
-//! drains it in arrival order: it samples the adopter's memory, takes the
-//! grant the [`ResourceGovernor`] decides, merges, and re-checks the table,
-//! which goes straight back on the queue if the writes that arrived during
-//! its merge made it due again. The write rate behind `pressure` is the
-//! adopter's insert rate since that table's last merge.
+//! drains it in arrival order, two tables at a time: for each it samples
+//! the adopter's memory, takes the grant the [`ResourceGovernor`] decides,
+//! merges, and re-checks the table, which goes straight back on the queue
+//! if the writes that arrived during its merge made it due again. The
+//! write rate behind `pressure` is the adopter's insert rate since that
+//! table's last merge.
 //!
-//! Merges therefore run one at a time across the process, each at its
-//! grant's width on the shared [`crate::pool::Pool`]. Pausing is a flag
+//! At most two merges therefore run at once across the process, each at
+//! its grant's width on the shared [`crate::pool::Pool`]. Pausing is a flag
 //! checked at enqueue and at dequeue; resuming (like adopting) re-checks
 //! every table, so a delta that crossed its trigger meanwhile is not left
 //! waiting for the next write. The merge thread is the engine's one
@@ -29,6 +30,7 @@
 
 use crate::governor::{GovernorConfig, GrantRecord, ResourceGovernor};
 use crate::manager::{MergePolicy, OnlineTable};
+use crate::pool::Pool;
 use crate::stats::TableMergeStats;
 use hyrise_storage::{MemoryReport, Value};
 use parking_lot::Mutex;
@@ -110,21 +112,29 @@ fn enqueue(due: Due) {
     READY.notify_one();
 }
 
-/// The merge thread: take due tables in arrival order and merge each. A
-/// panicking merge leaves its table due (it merges no more) but not the
-/// thread, which goes on serving every other table.
+/// Merges in flight at once: two merges at the served half-pool width
+/// fill the pool, and a 2-shard table's shards merge side by side.
+const MERGE_SLOTS: usize = 2;
+
+/// The merge thread: take up to [`MERGE_SLOTS`] due tables in arrival
+/// order and merge them as one fan-out on the pool (the thread merges one
+/// itself). A panicking merge leaves its table due (it merges no more) but
+/// not the thread, which goes on serving every other table.
 fn drain_forever() {
     loop {
-        let due = {
-            let mut queue = QUEUE.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                match queue.pop_front() {
-                    Some(due) => break due,
-                    None => queue = READY.wait(queue).unwrap_or_else(|e| e.into_inner()),
-                }
-            }
+        let batch: Vec<Mutex<Option<Due>>> = {
+            let queue = QUEUE.lock().unwrap_or_else(|e| e.into_inner());
+            let mut queue = READY
+                .wait_while(queue, |q| q.is_empty())
+                .unwrap_or_else(|e| e.into_inner());
+            let n = queue.len().min(MERGE_SLOTS);
+            queue.drain(..n).map(|due| Mutex::new(Some(due))).collect()
         };
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(due));
+        Pool::global().run_indexed(batch.len(), batch.len(), &|k| {
+            if let Some(due) = batch[k].lock().take() {
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(due));
+            }
+        });
     }
 }
 
@@ -196,9 +206,8 @@ impl<V: Value> Shared<V> {
     /// tries again.
     fn merge(self: &Arc<Self>, i: usize) {
         let s = &self.sources[i];
-        let merged = !self.paused.load(Ordering::Relaxed)
-            && !self.stopped.load(Ordering::Relaxed)
-            && {
+        let merged =
+            !self.paused.load(Ordering::Relaxed) && !self.stopped.load(Ordering::Relaxed) && {
                 let memory = self
                     .sources
                     .iter()
@@ -253,7 +262,10 @@ impl<V: Value> MergeScheduler<V> {
     /// grant for every merge. Use [`Self::spawn_governed`] to add a memory
     /// soft limit.
     pub fn spawn(tables: Vec<Arc<OnlineTable<V>>>, policy: MergePolicy) -> Self {
-        Self::spawn_governed(tables, ResourceGovernor::new(GovernorConfig::from_policy(policy)))
+        Self::spawn_governed(
+            tables,
+            ResourceGovernor::new(GovernorConfig::from_policy(policy)),
+        )
     }
 
     /// Adopt `tables` with grants from `governor`. A table already past its
@@ -320,8 +332,12 @@ impl<V: Value> MergeScheduler<V> {
     /// Snapshot of cumulative statistics (including the governor's recent
     /// grant trace).
     pub fn stats(&self) -> SchedulerStats {
-        let per_source: Vec<SourceMergeStats> =
-            self.shared.sources.iter().map(|s| *s.stats.lock()).collect();
+        let per_source: Vec<SourceMergeStats> = self
+            .shared
+            .sources
+            .iter()
+            .map(|s| *s.stats.lock())
+            .collect();
         SchedulerStats {
             merges: per_source.iter().map(|s| s.merges).sum(),
             tuples_merged: per_source.iter().map(|s| s.tuples_merged).sum(),
@@ -449,8 +465,8 @@ mod tests {
     fn one_merge_slot_still_drains_every_source() {
         let t = fixture(4);
         insert_rows(&t, 2_000, 0);
-        // Every shard is due on adoption; the one merge thread takes them
-        // one after the other.
+        // Every shard is due on adoption; the one merge thread drains
+        // them all.
         let sched = MergeScheduler::spawn(t.shards().to_vec(), policy(0.001, 1));
         wait_for(5, || t.delta_len() == 0);
         sched.shutdown();
@@ -533,7 +549,11 @@ mod tests {
             wait_for(10, || t.max_delta_fraction() <= policy.delta_fraction);
             sched.shutdown();
             let stats = sched.stats();
-            assert_eq!(t.row_count(), 28_000, "no rows lost under background merging");
+            assert_eq!(
+                t.row_count(),
+                28_000,
+                "no rows lost under background merging"
+            );
             assert!(
                 stats.merges > shards as u64,
                 "sustained writes force repeated merges"
