@@ -14,7 +14,7 @@
 //!   Section 4 high target). A table under heavy writes therefore merges
 //!   *earlier* than the static trigger and never later, so a governed
 //!   scheduler bounds the delta at least as tightly as its policy.
-//! * **Under which grant?** Asked when the merge thread takes the table
+//! * **Under which grant?** Asked when a merge thread takes the table
 //!   off the queue, with memory pressure = [`MemoryReport`] total of the
 //!   scheduler's tables above a configured soft limit:
 //!
@@ -210,6 +210,9 @@ impl std::fmt::Display for GrantRecord {
 /// Decisions kept in the trace ring.
 const TRACE_CAP: usize = 64;
 
+/// The most the write rate raises the pressure factor above 1.
+const MAX_RAISE: f64 = 4.0;
+
 /// The decision core the scheduler consults. See the module docs for the
 /// eligibility rule and decision table.
 pub struct ResourceGovernor {
@@ -250,7 +253,7 @@ impl ResourceGovernor {
     /// written-to table merges *earlier* than the static trigger and an
     /// idle one merges exactly at it.
     fn pressure_factor(write_rows_per_sec: f64) -> f64 {
-        1.0 + (write_rows_per_sec / rate::HIGH_TARGET_UPDATES_PER_SEC).min(4.0)
+        1.0 + (write_rows_per_sec / rate::HIGH_TARGET_UPDATES_PER_SEC).min(MAX_RAISE)
     }
 
     /// Whether a table at delta `fraction`, written at
@@ -258,6 +261,12 @@ impl ResourceGovernor {
     /// policy.delta_fraction`.
     pub fn eligible(&self, fraction: f64, write_rows_per_sec: f64) -> bool {
         fraction * Self::pressure_factor(write_rows_per_sec) > self.config.policy.delta_fraction
+    }
+
+    /// The delta fraction at or below which no write rate makes a table
+    /// due: the trigger over the largest pressure factor.
+    pub fn due_floor(&self) -> f64 {
+        self.config.policy.delta_fraction / (1.0 + MAX_RAISE)
     }
 
     /// The grant for one merge of a table at delta `fraction`, given the
@@ -338,6 +347,11 @@ mod tests {
                     "just above the threshold is eligible: {case}"
                 );
             }
+            // The floor writes skip the scheduler below: no rate makes it
+            // due, and the top rate makes anything above it due.
+            let floor = gov.due_floor();
+            assert!(!gov.eligible(floor, f64::MAX));
+            assert!(gov.eligible(floor * (1.0 + 1e-9), f64::MAX));
         }
     }
 

@@ -33,8 +33,8 @@
 //!   across N online tables.
 //! * [`scheduler`] — write-triggered background merging: a
 //!   [`scheduler::MergeScheduler`] adopts a single table or a sharded
-//!   table's shards, the write that makes one due queues it, and one
-//!   process-wide merge thread drains the queue.
+//!   table's shards, the write that makes one due queues it, and two
+//!   process-wide merge threads drain the queue.
 //! * [`pool`] — the one thread substrate: every parallel query and every
 //!   merge fan-out (shards, columns, dictionary partitions, Stage 2
 //!   regions) runs on the shared work-stealing [`pool::Pool`].

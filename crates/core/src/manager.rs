@@ -46,7 +46,7 @@ use crate::pipeline::{
     MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy, SpareBank, StepSink,
 };
 use crate::pool::Pool;
-use crate::scheduler::Adoption;
+use crate::scheduler::AdoptionSlot;
 use crate::stats::{MergeOutput, TableMergeStats};
 use crate::wal::{self, Wal};
 use hyrise_storage::{
@@ -217,9 +217,9 @@ pub struct OnlineTable<V: Value> {
     /// recovery for its resume grant and by callers spawning schedulers).
     governor_cfg: Option<GovernorConfig>,
     /// The [`crate::scheduler::MergeScheduler`] that adopted the table, if
-    /// any: every insert reports to it, and the one that makes the table
-    /// due queues its merge.
-    adoption: RwLock<Option<Adoption<V>>>,
+    /// any: an insert that may have made the table due reports to it, and
+    /// the one that did queues its merge.
+    adoption: AdoptionSlot<V>,
     /// Closes the flip-vs-checkpoint race on durable tables: a delete's
     /// WAL append + in-memory invalidate run under the read side, and the
     /// merge's checkpoint takes the write side before snapshotting
@@ -253,7 +253,7 @@ impl<V: Value> OnlineTable<V> {
             bank: Arc::new(SpareBank::new()),
             wal: None,
             governor_cfg: None,
-            adoption: RwLock::new(None),
+            adoption: AdoptionSlot::default(),
             flip_gate: RwLock::new(()),
         }
     }
@@ -309,7 +309,7 @@ impl<V: Value> OnlineTable<V> {
             bank: Arc::new(SpareBank::new()),
             wal: None,
             governor_cfg: None,
-            adoption: RwLock::new(None),
+            adoption: AdoptionSlot::default(),
             flip_gate: RwLock::new(()),
         }
     }
@@ -360,7 +360,7 @@ impl<V: Value> OnlineTable<V> {
             bank: Arc::new(SpareBank::new()),
             wal: None,
             governor_cfg: None,
-            adoption: RwLock::new(None),
+            adoption: AdoptionSlot::default(),
             flip_gate: RwLock::new(()),
         }
     }
@@ -390,7 +390,7 @@ impl<V: Value> OnlineTable<V> {
     }
 
     /// The adopting scheduler's slot (set and cleared by the scheduler).
-    pub(crate) fn adoption(&self) -> &RwLock<Option<Adoption<V>>> {
+    pub(crate) fn adoption(&self) -> &AdoptionSlot<V> {
         &self.adoption
     }
 
@@ -472,7 +472,10 @@ impl<V: Value> OnlineTable<V> {
     /// Batched insert, lock-free: one slot reservation (`fetch_add`) for
     /// the whole batch, value writes into the reserved tail slots, then
     /// one watermark publish — readers see the batch atomically or not at
-    /// all. Returns the contiguous range of tuple ids assigned. When a
+    /// all. Only a batch that leaves an adopted table's delta above its
+    /// scheduler's floor takes a lock, to ask whether the table is now
+    /// due (see [`crate::scheduler`]). Returns the contiguous range of
+    /// tuple ids assigned. When a
     /// merge freeze has sealed the tail, writers back off and retry
     /// against the fresh tail of the next generation (the freeze installs
     /// it promptly; the retry loop never holds a generation pin while
@@ -498,13 +501,14 @@ impl<V: Value> OnlineTable<V> {
             return Ok(n..n);
         }
         loop {
-            // A short pin just to grab the current tail; the Arc keeps it
-            // alive on its own, and a freeze that seals it mid-write still
-            // waits for our publish (seal spins on the watermark), so no
-            // pin is held while writing — swaps never wait on writers.
-            let tail = {
+            // A short pin just to grab the current tail (and the main
+            // length the delta fraction is measured against); the Arc keeps
+            // it alive on its own, and a freeze that seals it mid-write
+            // still waits for our publish (seal spins on the watermark), so
+            // no pin is held while writing — swaps never wait on writers.
+            let (tail, main_len) = {
                 let gen = self.gen.pin();
-                Arc::clone(&gen.tail)
+                (Arc::clone(&gen.tail), gen.cols[0].main.len())
             };
             match tail.reserve(rows.len()) {
                 Ok(res) => {
@@ -529,9 +533,9 @@ impl<V: Value> OnlineTable<V> {
                     };
                     res.publish();
                     self.inserts.fetch_add(rows.len() as u64, Ordering::Relaxed);
-                    if let Some(adoption) = &*self.adoption.read() {
-                        adoption.written();
-                    }
+                    let end = start + rows.len();
+                    self.adoption
+                        .written((end - main_len) as f64 / main_len.max(1) as f64);
                     logged?;
                     return Ok(start..start + rows.len());
                 }

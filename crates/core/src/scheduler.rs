@@ -12,32 +12,33 @@
 //! each one merges. No thread polls: the insert that moves a table past
 //! its trigger (`delta fraction × pressure > policy.delta_fraction`, see
 //! [`crate::governor`]) marks it *due* and puts it, once, on one
-//! process-wide queue. One merge thread, parked while the queue is empty,
-//! drains it in arrival order, two tables at a time: for each it samples
-//! the adopter's memory, takes the grant the [`ResourceGovernor`] decides,
-//! merges, and re-checks the table, which goes straight back on the queue
-//! if the writes that arrived during its merge made it due again. The
-//! write rate behind `pressure` is the adopter's insert rate since that
-//! table's last merge.
+//! process-wide queue. Two merge threads, parked while the queue is empty,
+//! each take the oldest due table: sample the adopter's memory, take the
+//! grant the [`ResourceGovernor`] decides, merge, and re-check the table,
+//! which goes straight back on the queue if the writes that arrived during
+//! its merge made it due again. Nothing waits for a batch, so a long merge
+//! holds one thread and the other goes on draining. The write rate behind
+//! `pressure` is the adopter's insert rate since that table's last merge.
+//! A write that leaves the delta at or below the trigger over the largest
+//! pressure factor ([`ResourceGovernor::due_floor`]) skips all of this.
 //!
 //! At most two merges therefore run at once across the process, each at
 //! its grant's width on the shared [`crate::pool::Pool`]. Pausing is a flag
 //! checked at enqueue and at dequeue; resuming (like adopting) re-checks
 //! every table, so a delta that crossed its trigger meanwhile is not left
-//! waiting for the next write. The merge thread is the engine's one
-//! thread outside the pool: it parks between merges, and a parked task
+//! waiting for the next write. The merge threads are the engine's only
+//! threads outside the pool: they park between merges, and a parked task
 //! would hold a pool worker.
 
 use crate::governor::{GovernorConfig, GrantRecord, ResourceGovernor};
 use crate::manager::{MergePolicy, OnlineTable};
-use crate::pool::Pool;
 use crate::stats::TableMergeStats;
 use hyrise_storage::{MemoryReport, Value};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Once, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One source's cumulative merge accounting, with the per-stage breakdown
 /// ([`crate::stats::ColumnMergeStats`] summed over columns and merges) that
@@ -85,7 +86,7 @@ pub struct SchedulerStats {
     pub per_source: Vec<SourceMergeStats>,
     /// Bounded trace of the governor's recent grant decisions (strategy,
     /// threads, budget K, triggering signal), oldest first — one entry per
-    /// merge the merge thread started.
+    /// merge a merge thread started.
     pub grants: Vec<GrantRecord>,
 }
 
@@ -96,14 +97,21 @@ type Due = Box<dyn FnOnce() + Send>;
 static QUEUE: std::sync::Mutex<VecDeque<Due>> = std::sync::Mutex::new(VecDeque::new());
 static READY: Condvar = Condvar::new();
 
-/// Queue one due table, starting the merge thread on first use.
+/// Merge threads, hence merges in flight at once: two merges at the
+/// served half-pool width fill the pool, and a 2-shard table's shards
+/// merge side by side.
+const MERGE_SLOTS: usize = 2;
+
+/// Queue one due table, starting the merge threads on first use.
 fn enqueue(due: Due) {
-    static MERGE_THREAD: Once = Once::new();
-    MERGE_THREAD.call_once(|| {
-        std::thread::Builder::new()
-            .name("hyrise-merge".into())
-            .spawn(drain_forever)
-            .expect("spawn the merge thread");
+    static MERGE_THREADS: Once = Once::new();
+    MERGE_THREADS.call_once(|| {
+        for k in 0..MERGE_SLOTS {
+            std::thread::Builder::new()
+                .name(format!("hyrise-merge-{k}"))
+                .spawn(merge_forever)
+                .expect("spawn a merge thread");
+        }
     });
     QUEUE
         .lock()
@@ -112,29 +120,21 @@ fn enqueue(due: Due) {
     READY.notify_one();
 }
 
-/// Merges in flight at once: two merges at the served half-pool width
-/// fill the pool, and a 2-shard table's shards merge side by side.
-const MERGE_SLOTS: usize = 2;
-
-/// The merge thread: take up to [`MERGE_SLOTS`] due tables in arrival
-/// order and merge them as one fan-out on the pool (the thread merges one
-/// itself). A panicking merge leaves its table due (it merges no more) but
-/// not the thread, which goes on serving every other table.
-fn drain_forever() {
+/// A merge thread: take the oldest due table and merge it, one at a time.
+/// A slow merge holds its own thread only; the other goes on draining. A
+/// panicking merge leaves its table due (it merges no more) but not the
+/// thread, which goes on serving every other table.
+fn merge_forever() {
     loop {
-        let batch: Vec<Mutex<Option<Due>>> = {
+        let due = {
             let queue = QUEUE.lock().unwrap_or_else(|e| e.into_inner());
-            let mut queue = READY
+            READY
                 .wait_while(queue, |q| q.is_empty())
-                .unwrap_or_else(|e| e.into_inner());
-            let n = queue.len().min(MERGE_SLOTS);
-            queue.drain(..n).map(|due| Mutex::new(Some(due))).collect()
+                .unwrap_or_else(|e| e.into_inner())
+                .pop_front()
+                .expect("woken on a non-empty queue")
         };
-        Pool::global().run_indexed(batch.len(), batch.len(), &|k| {
-            if let Some(due) = batch[k].lock().take() {
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(due));
-            }
-        });
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(due));
     }
 }
 
@@ -156,7 +156,10 @@ struct Shared<V: Value> {
     sources: Vec<Source<V>>,
     governor: ResourceGovernor,
     paused: AtomicBool,
-    stopped: AtomicBool,
+    /// Set by shutdown under the write guard. Every merge runs under the
+    /// read guard, so shutdown waits out a merge in flight and no merge
+    /// starts after it.
+    stopped: Arc<RwLock<bool>>,
 }
 
 impl<V: Value> Shared<V> {
@@ -183,7 +186,6 @@ impl<V: Value> Shared<V> {
         let s = &self.sources[i];
         if s.due.load(Ordering::Relaxed)
             || self.paused.load(Ordering::Relaxed)
-            || self.stopped.load(Ordering::Relaxed)
             || !self
                 .governor
                 .eligible(s.table.delta_fraction(), self.write_rate(s))
@@ -192,37 +194,41 @@ impl<V: Value> Shared<V> {
         }
         if !s.due.swap(true, Ordering::Relaxed) {
             let sched = Arc::downgrade(self);
+            let stopped = Arc::clone(&self.stopped);
             enqueue(Box::new(move || {
-                if let Some(sched) = sched.upgrade() {
-                    sched.merge(i);
+                let stopped = stopped.read();
+                if !*stopped {
+                    // Dropped before the guard: shutdown waits for it.
+                    if let Some(sched) = sched.upgrade() {
+                        sched.merge(i);
+                    }
                 }
             }));
         }
     }
 
-    /// Merge thread: merge due source `i` under the grant the governor
-    /// decides now, then re-check it. A paused, stopped or failed source
-    /// leaves the queue without a re-check: `resume`, or the next write,
-    /// tries again.
+    /// Merge thread, under the `stopped` read guard: merge due source `i`
+    /// under the grant the governor decides now, then re-check it. A
+    /// paused or failed source leaves the queue without a re-check:
+    /// `resume`, or the next write, tries again.
     fn merge(self: &Arc<Self>, i: usize) {
         let s = &self.sources[i];
-        let merged =
-            !self.paused.load(Ordering::Relaxed) && !self.stopped.load(Ordering::Relaxed) && {
-                let memory = self
-                    .sources
-                    .iter()
-                    .map(|s| s.table.memory_report())
-                    .fold(MemoryReport::default(), |a, b| a + b);
-                let grant = self.governor.plan(&memory, s.table.delta_fraction());
-                match s.table.merge_with(grant, None) {
-                    Ok(stats) => {
-                        s.stats.lock().record(&stats);
-                        *s.since.lock() = (Instant::now(), self.inserted_rows());
-                        true
-                    }
-                    Err(_) => false,
+        let merged = !self.paused.load(Ordering::Relaxed) && {
+            let memory = self
+                .sources
+                .iter()
+                .map(|s| s.table.memory_report())
+                .fold(MemoryReport::default(), |a, b| a + b);
+            let grant = self.governor.plan(&memory, s.table.delta_fraction());
+            match s.table.merge_with(grant, None) {
+                Ok(stats) => {
+                    s.stats.lock().record(&stats);
+                    *s.since.lock() = (Instant::now(), self.inserted_rows());
+                    true
                 }
-            };
+                Err(_) => false,
+            }
+        };
         s.due.store(false, Ordering::Relaxed);
         if merged {
             self.check(i);
@@ -230,18 +236,64 @@ impl<V: Value> Shared<V> {
     }
 }
 
-/// A table's link back to the scheduler that adopted it. Weak: the
-/// scheduler owns its tables, not the other way round.
-pub(crate) struct Adoption<V: Value> {
-    sched: Weak<Shared<V>>,
-    index: usize,
+/// A table's link back to the scheduler that adopted it, if any.
+pub(crate) struct AdoptionSlot<V: Value> {
+    /// The adopter's [`ResourceGovernor::due_floor`] as `f64` bits, +∞
+    /// while no scheduler adopts the table: a write that leaves the delta
+    /// fraction at or below it cannot make the table due, so it skips the
+    /// adopter.
+    floor: AtomicU64,
+    /// The adopter and the table's index in it. Weak: the scheduler owns
+    /// its tables, not the other way round.
+    adopter: RwLock<Option<(Weak<Shared<V>>, usize)>>,
 }
 
-impl<V: Value> Adoption<V> {
-    /// The table published a write: enqueue it if that made it due.
-    pub(crate) fn written(&self) {
-        if let Some(sched) = self.sched.upgrade() {
-            sched.check(self.index);
+impl<V: Value> Default for AdoptionSlot<V> {
+    fn default() -> Self {
+        Self {
+            floor: AtomicU64::new(f64::INFINITY.to_bits()),
+            adopter: RwLock::new(None),
+        }
+    }
+}
+
+impl<V: Value> AdoptionSlot<V> {
+    /// The table published a write that saw its delta fraction at
+    /// `fraction`: enqueue the table if that made it due.
+    pub(crate) fn written(&self, fraction: f64) {
+        if fraction <= f64::from_bits(self.floor.load(Ordering::Relaxed)) {
+            return;
+        }
+        if let Some((sched, i)) = &*self.adopter.read() {
+            if let Some(sched) = sched.upgrade() {
+                sched.check(*i);
+            }
+        }
+    }
+
+    /// Adopt the table as `sched`'s source `index`.
+    ///
+    /// # Panics
+    ///
+    /// If a live scheduler adopted the table already.
+    fn adopt(&self, sched: &Arc<Shared<V>>, index: usize) {
+        let mut adopter = self.adopter.write();
+        assert!(
+            adopter.as_ref().is_none_or(|(a, _)| a.strong_count() == 0),
+            "a table is adopted by one scheduler at a time"
+        );
+        *adopter = Some((Arc::downgrade(sched), index));
+        self.floor
+            .store(sched.governor.due_floor().to_bits(), Ordering::Relaxed);
+    }
+
+    /// Release the table if `sched` adopted it, after any write checking
+    /// it against `sched`.
+    fn release(&self, sched: &Weak<Shared<V>>) {
+        let mut adopter = self.adopter.write();
+        if adopter.as_ref().is_some_and(|(a, _)| a.ptr_eq(sched)) {
+            self.floor.store(f64::INFINITY.to_bits(), Ordering::Relaxed);
+            *adopter = None;
         }
     }
 }
@@ -270,6 +322,11 @@ impl<V: Value> MergeScheduler<V> {
 
     /// Adopt `tables` with grants from `governor`. A table already past its
     /// trigger is queued at once.
+    ///
+    /// # Panics
+    ///
+    /// If a live scheduler adopted one of the tables already: every write
+    /// reports to one adopter.
     pub fn spawn_governed(tables: Vec<Arc<OnlineTable<V>>>, governor: ResourceGovernor) -> Self {
         let shared = Arc::new(Shared {
             sources: tables
@@ -283,15 +340,12 @@ impl<V: Value> MergeScheduler<V> {
                 .collect(),
             governor,
             paused: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
+            stopped: Arc::new(RwLock::new(false)),
         });
         let inserted = shared.inserted_rows();
         for (index, s) in shared.sources.iter().enumerate() {
             s.since.lock().1 = inserted;
-            *s.table.adoption().write() = Some(Adoption {
-                sched: Arc::downgrade(&shared),
-                index,
-            });
+            s.table.adoption().adopt(&shared, index);
         }
         let sched = Self { shared };
         sched.check_all();
@@ -351,19 +405,11 @@ impl<V: Value> MergeScheduler<V> {
     /// Called automatically on drop; explicit calls let tests assert on
     /// the final state.
     pub fn shutdown(&self) {
-        self.shared.stopped.store(true, Ordering::Relaxed);
         let me = Arc::downgrade(&self.shared);
         for s in &self.shared.sources {
-            let mut adoption = s.table.adoption().write();
-            if adoption.as_ref().is_some_and(|a| a.sched.ptr_eq(&me)) {
-                *adoption = None;
-            }
+            s.table.adoption().release(&me);
         }
-        // Only the merge thread and a write checking its table hold the
-        // shared state for a moment besides this handle.
-        while Arc::strong_count(&self.shared) > 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        *self.shared.stopped.write() = true;
     }
 }
 
@@ -377,6 +423,7 @@ impl<V: Value> Drop for MergeScheduler<V> {
 mod tests {
     use super::*;
     use crate::shard::ShardedTable;
+    use std::time::Duration;
 
     /// The suite runs every behaviour on both shapes the one scheduler
     /// serves: K = 1 (a single `OnlineTable` source) and K = 4 shards. A
@@ -465,13 +512,43 @@ mod tests {
     fn one_merge_slot_still_drains_every_source() {
         let t = fixture(4);
         insert_rows(&t, 2_000, 0);
-        // Every shard is due on adoption; the one merge thread drains
-        // them all.
+        // Every shard is due on adoption; two merge threads drain all
+        // four.
         let sched = MergeScheduler::spawn(t.shards().to_vec(), policy(0.001, 1));
         wait_for(5, || t.delta_len() == 0);
         sched.shutdown();
-        assert_eq!(t.delta_len(), 0, "one merge thread reaches every shard");
+        assert_eq!(t.delta_len(), 0, "the merge threads reach every shard");
         assert!(sched.stats().per_source.iter().all(|s| s.merges > 0));
+    }
+
+    #[test]
+    fn a_blocked_merge_stalls_only_its_own_table() {
+        let table = |n: u64| {
+            let t = Arc::new(OnlineTable::<u64>::new(2));
+            for i in 0..n {
+                t.insert_row(&[i, i + 1]);
+            }
+            t
+        };
+        // An incremental session holds `slow`'s merge gate, so the merge
+        // its scheduler queues blocks a merge thread until it finishes.
+        let slow = table(300);
+        let mut session = slow.begin_incremental_merge(1);
+        session.step();
+        let slow_sched = MergeScheduler::spawn(vec![Arc::clone(&slow)], policy(0.01, 1));
+        let other = table(300);
+        let other_sched = MergeScheduler::spawn(vec![Arc::clone(&other)], policy(0.01, 1));
+        wait_for(5, || other_sched.stats().merges == 1);
+        // Queued after the blocked merge: a batch barrier would hold it.
+        let rows: Vec<[u64; 2]> = (1_000..1_300).map(|i| [i, i + 1]).collect();
+        other.insert_rows(&rows).unwrap();
+        wait_for(5, || other_sched.stats().merges == 2);
+        assert_eq!(other.delta_len(), 0, "the other merge thread serves it");
+        assert_eq!(other_sched.stats().merges, 2);
+        assert_eq!(slow_sched.stats().merges, 0, "still behind the session");
+        let _ = session.finish();
+        slow_sched.shutdown();
+        other_sched.shutdown();
     }
 
     #[test]
@@ -516,7 +593,10 @@ mod tests {
         }
         // Scheduler dropped: its table Arc released; ours remains.
         assert!(weak.upgrade().is_some());
-        assert!(table.adoption().read().is_none(), "the table is released");
+        assert!(
+            table.adoption().adopter.read().is_none(),
+            "the table is released"
+        );
         table.insert_row(&[3, 4]); // reports to no one
         drop(table);
         assert!(

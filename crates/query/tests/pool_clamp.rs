@@ -71,7 +71,7 @@ fn shard_fanout_times_morsel_hint_stays_within_the_pool() {
     }
 }
 
-/// Merges share the pool with the scans: the merge thread draining an
+/// Merges share the pool with the scans: the merge threads draining an
 /// 8-shard table at the policy's default width while 8-wide queries run
 /// must leave the answers equal to
 /// serial and keep the queue below the admission gate's default

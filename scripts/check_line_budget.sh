@@ -27,12 +27,14 @@ cd "$(dirname "$0")/.."
 # rows, their four config knobs, the per-shard write-rate boost, the
 # multi-shard width clamp and the recovery-only resume grant left (core),
 # and the server's catalog states the grant they produced as its policy;
-# then lowered when writes started the merges they make due: the per-table polling daemons with their poll interval and
-# per-table merge slots, the MergeSource trait, the governor's sampling
-# window (LoadView, LoadSignals, RoundPlan, MergeOutcome) and the round
-# barrier left (core, server), for one process-wide queue and merge thread
-# running two merges per batch (19168 -> 19040).
-ceiling=19040
+# then lowered when writes started the merges they make due: the
+# per-table polling daemons with their poll interval and per-table merge
+# slots, the MergeSource trait, the governor's sampling window (LoadView,
+# LoadSignals, RoundPlan, MergeOutcome) and the round barrier left (core,
+# server), for one process-wide queue drained by two merge threads, a
+# shutdown lock every merge holds, and an adoption slot whose floor lets
+# an insert far below the trigger skip the scheduler (19168 -> 19099).
+ceiling=19099
 
 # A bare `Contended` would match an unrelated comment, hence the prefix.
 gone='Attribute<|AnyValue|merge_table_parallel|merge_column_naive|merge_column_optimized|merge_column_parallel|group_by_sum|table_select|DeltaPartition|DeltaView|CompressedDelta|compress_delta|merge_column_frozen|GrantSignal::(Contended|QueueDeep|WriteBurst|ReadIdle|Resume)|busy_reads_per_sec|idle_reads_per_sec|deep_queue_depth|with_read_thresholds|with_max_threads|resume_grant|classify_update_rate|WriteLoad|global_queue_depth|MergeSource|LoadView|LoadSignals|RoundPlan|MergeOutcome|scheduler_poll|max_concurrent_merges|record_outcome'

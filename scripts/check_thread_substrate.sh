@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 # file : why it may create threads
 allowed=(
     crates/core/src/pool.rs       # the pool's workers
-    crates/core/src/scheduler.rs  # the one merge thread: it parks between merges
+    crates/core/src/scheduler.rs  # the two merge threads: they park between merges
     crates/core/src/model.rs      # calibrate() probes raw hardware threads
 )
 
