@@ -7,7 +7,7 @@
 //! [`ResourceGovernor`], and the [`RateWindow`] the admission gate samples
 //! its write valve from. Creating a table adopts its shards, so the writes
 //! that make a shard due queue its merge on the process-wide merge
-//! thread; dropping the table (or shutting the catalog down) releases
+//! queue; dropping the table (or shutting the catalog down) releases
 //! them before the entry is released. Durable tables live under
 //! `data_dir/<name>/`; dropping one leaves its files on disk, so a later
 //! server can [`hyrise_core::recover_sharded`] it.
