@@ -2,10 +2,11 @@
 //! [`ShardedTableBuilder`].
 //!
 //! Durability made construction configuration-heavy — columns, a WAL
-//! directory and fsync policy, a governor profile, sharding layout — and
-//! the scattered positional constructors (`OnlineTable::new` and the
-//! since-removed `ShardedTable::hash`/`range`) don't scale to that. The
-//! builders are the one construction surface:
+//! directory and fsync policy, sharding layout — and the scattered
+//! positional constructors (`OnlineTable::new` and the since-removed
+//! `ShardedTable::hash`/`range`) don't scale to that. The builders are
+//! the one construction surface; merge policy is not theirs, it belongs
+//! to the [`crate::scheduler::MergeScheduler`] that adopts the table:
 //!
 //! ```
 //! use hyrise_core::{Durability, OnlineTable};
@@ -23,7 +24,6 @@
 //! [`Error::Config`] — re-open those with [`crate::recovery::recover`].
 
 use crate::error::{Error, Result};
-use crate::governor::GovernorConfig;
 use crate::manager::OnlineTable;
 use crate::pipeline::SpareBank;
 use crate::shard::{ShardBy, ShardedTable};
@@ -65,9 +65,6 @@ pub struct TableConfig {
     pub columns: usize,
     /// Crash-durability policy.
     pub durability: Durability,
-    /// Governor profile recorded on the table (consumed by recovery's
-    /// resume grant and by callers spawning schedulers).
-    pub governor: Option<GovernorConfig>,
 }
 
 impl Default for TableConfig {
@@ -75,7 +72,6 @@ impl Default for TableConfig {
         Self {
             columns: 1,
             durability: Durability::None,
-            governor: None,
         }
     }
 }
@@ -88,7 +84,7 @@ pub struct TableBuilder<V> {
 }
 
 impl<V: Value> TableBuilder<V> {
-    /// An empty builder: 1 column, [`Durability::None`], no governor.
+    /// An empty builder: 1 column, [`Durability::None`].
     pub fn new() -> Self {
         Self {
             config: TableConfig::default(),
@@ -113,12 +109,6 @@ impl<V: Value> TableBuilder<V> {
         self
     }
 
-    /// Record a governor profile on the table.
-    pub fn governor(mut self, cfg: GovernorConfig) -> Self {
-        self.config.governor = Some(cfg);
-        self
-    }
-
     /// Share a [`SpareBank`] (e.g. across the shards of one table).
     pub fn spare_bank(mut self, bank: Arc<SpareBank<V>>) -> Self {
         self.bank = Some(bank);
@@ -139,7 +129,6 @@ impl<V: Value> TableBuilder<V> {
         if let Durability::Wal { dir, fsync } = &self.config.durability {
             table.set_wal(Some(open_fresh_wal::<V>(dir, *fsync, self.config.columns)?));
         }
-        table.set_governor_config(self.config.governor);
         Ok(table)
     }
 }
@@ -166,7 +155,7 @@ fn open_fresh_wal<V: Value>(dir: &Path, fsync: bool, n_cols: usize) -> Result<Wa
 }
 
 /// Builder for [`ShardedTable`]: shard count or range bounds, routing key
-/// column, and the same column/durability/governor knobs as
+/// column, and the same column and durability knobs as
 /// [`TableBuilder`] applied per shard.
 ///
 /// With [`Durability::Wal`] the directory becomes the *root*: a sharded
@@ -224,12 +213,6 @@ impl<V: Value> ShardedTableBuilder<V> {
         self
     }
 
-    /// Record a governor profile on every shard.
-    pub fn governor(mut self, cfg: GovernorConfig) -> Self {
-        self.config.governor = Some(cfg);
-        self
-    }
-
     /// Build the sharded table, validating the layout first
     /// ([`Error::Config`] on unsorted range bounds, a shard-count
     /// mismatch, zero shards/columns, or a key column out of range).
@@ -272,9 +255,6 @@ impl<V: Value> ShardedTableBuilder<V> {
             let mut builder = TableBuilder::new()
                 .columns(self.config.columns)
                 .spare_bank(Arc::clone(&bank));
-            if let Some(g) = &self.config.governor {
-                builder = builder.governor(g.clone());
-            }
             if let Durability::Wal { dir, fsync } = &self.config.durability {
                 builder = builder.durability(Durability::Wal {
                     dir: wal::shard_dir(dir, i),

@@ -45,7 +45,8 @@ pub enum Error {
         /// Human-readable description.
         detail: String,
     },
-    /// The merge observed its cancellation token; the table is left with
+    /// The merge observed its cancellation token, or a `MergeSession`
+    /// was stepped after it rolled back; the table is left with
     /// uncommitted columns rolled back (see `OnlineTable::merge_with`).
     Cancelled,
     /// A builder was given an invalid configuration.
@@ -117,12 +118,6 @@ impl std::error::Error for Error {
             Error::Io { source, .. } => Some(source),
             _ => None,
         }
-    }
-}
-
-impl From<crate::manager::MergeCancelled> for Error {
-    fn from(_: crate::manager::MergeCancelled) -> Self {
-        Error::Cancelled
     }
 }
 

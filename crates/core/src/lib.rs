@@ -26,8 +26,11 @@
 //! * [`manager`] — Section 3/4: the one table type,
 //!   [`manager::OnlineTable`], and its online merge — second delta during
 //!   the merge, brief table locks only at the beginning and end, atomic
-//!   commit, cancellation that leaves the table untouched, and the merge
-//!   trigger policy (`N_D > fraction * N_M`).
+//!   commit, and the merge trigger policy (`N_D > fraction * N_M`). One
+//!   driver, [`manager::MergeSession`], runs every table merge: a
+//!   whole-table merge, Section 4's column-budgeted merge, Section 9's
+//!   incremental merge (one column per step) and recovery's resume, each
+//!   step a logged SAGA step on a durable table.
 //! * [`shard`] — the scale-out layer beyond the paper's single-table
 //!   evaluation: [`shard::ShardedTable`] hash- or range-partitions rows
 //!   across N online tables.
@@ -81,9 +84,7 @@ pub use error::{Error, Result};
 pub use governor::{
     begin_read, read_load, GovernorConfig, GrantRecord, GrantSignal, ResourceGovernor,
 };
-pub use manager::{
-    ColumnSnapshot, MergeCancelled, MergePolicy, MergeSession, OnlineTable, TableSnapshot,
-};
+pub use manager::{ColumnSnapshot, MergePolicy, MergeSession, OnlineTable, TableSnapshot};
 pub use model::{calibrate, MachineProfile, MergeScenario, ModelPrediction};
 pub use pipeline::{
     MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStep, MergeStrategy, SpareBank,
@@ -91,7 +92,7 @@ pub use pipeline::{
 };
 pub use pool::Pool;
 pub use rate::{update_rate, updates_per_second};
-pub use recovery::{recover, recover_sharded, recover_with};
+pub use recovery::{recover, recover_sharded};
 pub use scheduler::{MergeScheduler, SchedulerStats, SourceMergeStats};
 pub use shard::{ShardBy, ShardRowId, ShardedTable};
 pub use stats::{ColumnMergeStats, MergeAlgo, MergeOutput, StageTimings, TableMergeStats};

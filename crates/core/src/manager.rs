@@ -41,7 +41,6 @@
 
 use crate::epoch::EpochCell;
 use crate::error::{Error, Result};
-use crate::governor::GovernorConfig;
 use crate::pipeline::{
     MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy, SpareBank, StepSink,
 };
@@ -100,18 +99,6 @@ impl MergePolicy {
         }
     }
 }
-
-/// Error returned when a merge observes its cancellation token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MergeCancelled;
-
-impl std::fmt::Display for MergeCancelled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "merge was cancelled; table left unchanged")
-    }
-}
-
-impl std::error::Error for MergeCancelled {}
 
 /// One column of a published [`Generation`]. At most one of
 /// `frozen`/`pending` is `Some` at a time; per column,
@@ -213,9 +200,6 @@ pub struct OnlineTable<V: Value> {
     /// [`crate::config::Durability::Wal`]. `None` keeps the zero-I/O
     /// in-memory path byte-for-byte unchanged.
     wal: Option<Wal<V>>,
-    /// The governor configuration the table was built with (consumed by
-    /// recovery for its resume grant and by callers spawning schedulers).
-    governor_cfg: Option<GovernorConfig>,
     /// The [`crate::scheduler::MergeScheduler`] that adopted the table, if
     /// any: an insert that may have made the table due reports to it, and
     /// the one that did queues its merge.
@@ -252,13 +236,12 @@ impl<V: Value> OnlineTable<V> {
             scratch_pool: Mutex::new(Vec::new()),
             bank: Arc::new(SpareBank::new()),
             wal: None,
-            governor_cfg: None,
             adoption: AdoptionSlot::default(),
             flip_gate: RwLock::new(()),
         }
     }
 
-    /// The unified construction surface: columns, durability, governor —
+    /// The unified construction surface: columns and durability —
     /// see [`crate::config::TableBuilder`]. [`Self::new`] remains the
     /// infallible in-memory shorthand.
     pub fn builder() -> crate::config::TableBuilder<V> {
@@ -308,7 +291,6 @@ impl<V: Value> OnlineTable<V> {
             scratch_pool: Mutex::new(Vec::new()),
             bank: Arc::new(SpareBank::new()),
             wal: None,
-            governor_cfg: None,
             adoption: AdoptionSlot::default(),
             flip_gate: RwLock::new(()),
         }
@@ -359,7 +341,6 @@ impl<V: Value> OnlineTable<V> {
             scratch_pool: Mutex::new(Vec::new()),
             bank: Arc::new(SpareBank::new()),
             wal: None,
-            governor_cfg: None,
             adoption: AdoptionSlot::default(),
             flip_gate: RwLock::new(()),
         }
@@ -374,19 +355,6 @@ impl<V: Value> OnlineTable<V> {
     /// Is the table durable (WAL-attached)?
     pub fn is_durable(&self) -> bool {
         self.wal.is_some()
-    }
-
-    /// Record the governor configuration the table was built with.
-    pub(crate) fn set_governor_config(&mut self, cfg: Option<GovernorConfig>) {
-        self.governor_cfg = cfg;
-    }
-
-    /// The governor configuration the table was built with (via
-    /// [`crate::config::TableBuilder::governor`]), if any — callers
-    /// spawning schedulers read it back from here, and recovery derives
-    /// its resume grant from it.
-    pub fn governor_config(&self) -> Option<&GovernorConfig> {
-        self.governor_cfg.as_ref()
     }
 
     /// The adopting scheduler's slot (set and cleared by the scheduler).
@@ -864,7 +832,8 @@ impl<V: Value> OnlineTable<V> {
     }
 
     /// Run one online merge under an explicit [`MergeGrant`]: strategy,
-    /// threads, and a [`MergeBudget`] bounding peak extra memory.
+    /// threads, and a [`MergeBudget`] bounding peak extra memory. This is
+    /// [`Self::begin_merge`] followed by [`MergeSession::finish`].
     ///
     /// Unbudgeted, all `N_C` columns are merged before one atomic commit —
     /// at peak the table transiently costs ~2x its memory (every column
@@ -878,262 +847,96 @@ impl<V: Value> OnlineTable<V> {
     ///
     /// Cancellation semantics follow the commit granularity: columns in
     /// chunks already committed stay merged (each column individually holds
-    /// all its rows, so the table stays consistent — same contract as
-    /// [`MergeSession::abort`]); uncommitted columns roll their frozen
-    /// delta back to `pending`. Unbudgeted there is a single chunk, so a
-    /// cancelled merge leaves the table exactly untouched (the original
-    /// contract of [`Self::merge`]).
+    /// all its rows, so the table stays consistent); uncommitted columns
+    /// roll their frozen delta back to `pending`. Unbudgeted there is a
+    /// single chunk, so a cancelled merge leaves the table exactly
+    /// untouched.
     ///
     /// Merge-phase intermediates come from the table's warm scratch pool,
     /// and each chunk's commit recycles the retired main partitions into
     /// that pool, so steady-state merges allocate ~nothing.
-    ///
-    /// On a durable table the merge is a resumable SAGA: a `merge.ckpt`
-    /// record log marks the merge begun (synced before any merge work),
-    /// each budgeted chunk's merged columns are staged to disk and logged
-    /// before the in-memory commit, and the final commit writes a new
-    /// table checkpoint, truncates the absorbed WAL segments, and clears
-    /// the merge log. A process killed at any point either left no durable
-    /// begin record (recovery replays the frozen rows as a pending delta)
-    /// or resumes from the last logged chunk — byte-identical either way.
-    /// An I/O error mid-merge rolls the uncommitted columns back, clears
-    /// the merge log best-effort, and surfaces the error; already
-    /// committed chunks stay merged (each column individually holds all
-    /// its rows, so the table stays consistent).
     pub fn merge_with(
         &self,
         grant: MergeGrant,
         cancel: Option<&AtomicBool>,
     ) -> Result<TableMergeStats> {
-        assert!(grant.threads >= 1, "need at least one thread");
-        let _gate = self.merge_gate.lock();
-        let t_wall = std::time::Instant::now();
+        let mut session = self.begin_merge(grant)?;
+        session.cancel = cancel;
+        session.finish()
+    }
 
-        // Begin: freeze the tail into per-column frozen deltas (and, when
-        // durable, rotate the WAL segment). A failed rotation leaves the
-        // table consistent in memory but the merge must not proceed: roll
-        // the frozen deltas straight back and surface the error. Snapshot
-        // handles are dropped per column at commit so retired mains become
-        // uniquely owned and recyclable.
+    /// Merge if the policy says so: `Ok(Some(stats))` when a merge ran,
+    /// `Ok(None)` when none was due, and the merge's error (a failed WAL
+    /// rotation or checkpoint, say) otherwise.
+    pub fn maybe_merge(&self, policy: &MergePolicy) -> Result<Option<TableMergeStats>> {
+        if !self.should_merge(policy) {
+            return Ok(None);
+        }
+        self.merge_with(policy.grant(), None).map(Some)
+    }
+
+    /// Begin a merge under `grant` and return it as a [`MergeSession`]
+    /// that merges and commits `grant.budget` columns per
+    /// [`MergeSession::step`]. The session holds the merge gate; between
+    /// steps the table serves reads and writes normally. Under
+    /// [`MergeBudget::columns`]`(1)` this is the paper's Section 9
+    /// incremental merge ("incremental processing of the individual
+    /// attributes", with "pause and resume the merge process"): pausing is
+    /// not calling `step`, and dropping or [`MergeSession::abort`]ing the
+    /// session rolls the *unmerged* columns back (committed columns stay
+    /// merged — every column individually contains all rows).
+    ///
+    /// Begin freezes the tail into per-column frozen deltas and pins them
+    /// as the merge input. On a durable table the freeze rotates the WAL
+    /// segment, and a `merge.ckpt` begin record is synced before any merge
+    /// work: from then on the merge is a resumable SAGA. Each step whose
+    /// chunk is narrower than the table stages the chunk's merged columns
+    /// to disk and logs them before the in-memory commit, and
+    /// [`MergeSession::finish`] writes a new table checkpoint, truncates
+    /// the absorbed WAL segments and clears the merge log. A process killed
+    /// at any point either left no durable begin record (recovery replays
+    /// the frozen rows as a pending delta) or resumes from the last logged
+    /// chunk — byte-identical either way. A failed rotation or begin record
+    /// rolls the freeze back and returns the error.
+    pub fn begin_merge(&self, grant: MergeGrant) -> Result<MergeSession<'_, V>> {
+        assert!(grant.threads >= 1, "need at least one thread");
+        let gate = self.merge_gate.lock();
+        let t_start = std::time::Instant::now();
         if let Err(e) = self.freeze() {
             self.rollback_frozen();
             return Err(e);
         }
-        let (mut snapshots, frozen_end) = self.frozen_snapshots();
-
-        // SAGA begin record, synced before any merge work: recovery only
-        // ever resumes a merge whose begin made it to disk; a crash before
-        // this point replays the frozen rows as a plain pending delta.
-        let merge_log = match &self.wal {
-            Some(w) => match wal::MergeLog::begin(w.dir(), frozen_end, self.n_cols) {
-                Ok(log) => Some(log),
-                Err(e) => {
-                    drop(snapshots);
-                    self.rollback_frozen();
-                    return Err(e);
-                }
-            },
-            None => None,
-        };
-        let sink: Option<&dyn StepSink> = merge_log.as_ref().map(|l| l as &dyn StepSink);
-
-        let n_cols = snapshots.len();
-        let chunk_cap = grant.budget.max_columns().min(n_cols).max(1);
-        let mut stats = TableMergeStats::default();
-        let mut chunk_start = 0usize;
-        while chunk_start < n_cols {
-            let chunk_end = (chunk_start + chunk_cap).min(n_cols);
-            let chunk_len = chunk_end - chunk_start;
-
-            // Merge phase: no swap, no lock.
-            let chunk: Vec<usize> = (chunk_start..chunk_end).collect();
-            let Some(merged) = self.merge_columns(grant, &chunk, &snapshots, sink, cancel) else {
-                // Roll back every *uncommitted* column's frozen delta to
-                // `pending`, preserving tuple ids (pending rows are older
-                // than the tail's). Committed chunks stay. The merge log
-                // is cleared so recovery replays the rows as pending too.
-                drop(snapshots);
-                self.rollback_frozen();
-                if let Some(w) = &self.wal {
-                    let _ = wal::clear_merge_log(w.dir());
-                }
-                return Err(Error::Cancelled);
-            };
-
-            // Account the chunk's transient footprint, then commit it:
-            // swap in a generation with the merged mains (the epoch
-            // advance is the atomic commit), and recycle the retired
-            // partitions into the spare bank.
-            let chunk_bytes: usize = merged.iter().map(|o| o.main.memory_bytes()).sum();
-            stats.peak_extra_bytes = stats.peak_extra_bytes.max(chunk_bytes);
-            stats.peak_columns_in_flight = stats.peak_columns_in_flight.max(chunk_len);
-            let mut outs = Vec::with_capacity(chunk_len);
-            for (i, out) in chunk.into_iter().zip(merged) {
-                snapshots[i] = None;
-                stats.columns.push(out.stats);
-                outs.push((i, out.main));
-            }
-            // Chunked durable merges stage each chunk's merged columns and
-            // log the chunk boundary *before* the in-memory commit, so a
-            // crash after this point resumes with these columns loaded
-            // from disk instead of re-merged. Single-chunk merges skip the
-            // staging I/O — there is no intermediate commit to protect.
-            if let (Some(log), true) = (&merge_log, chunk_cap < n_cols) {
-                let w = self.wal.as_ref().expect("merge log implies wal");
-                let staged: Result<()> = outs
-                    .iter()
-                    .try_for_each(|(i, main)| wal::write_staged_column(w.dir(), *i, main));
-                let staged = staged.and_then(|()| {
-                    log.chunk_done(&outs.iter().map(|(i, _)| *i).collect::<Vec<_>>())
-                });
-                if let Err(e) = staged {
-                    drop(snapshots);
-                    self.rollback_frozen();
-                    let _ = wal::clear_merge_log(w.dir());
-                    return Err(e);
-                }
-            }
-            for old in self.commit_columns(outs) {
-                self.recycle_retired(old);
-            }
-            chunk_start = chunk_end;
-        }
-
+        let mut session = MergeSession::new(self, gate, grant, t_start);
         if let Some(w) = &self.wal {
-            self.finish_durable_merge(w, frozen_end)?;
+            // On failure the session's drop rolls the freeze back.
+            session.log = Some(wal::MergeLog::begin(
+                w.dir(),
+                session.frozen_end,
+                self.n_cols,
+            )?);
         }
-        stats.t_wall = t_wall.elapsed();
-        Ok(stats)
+        Ok(session)
     }
 
     /// Resume a half-finished durable merge (recovery only). The table was
     /// rebuilt with every column's delta *frozen* and the WAL re-attached;
-    /// `staged` holds the columns whose merged outputs were already
-    /// durable (loaded from `staged/`), which are committed as-is — the
-    /// SAGA's completed steps are not redone. The remaining columns merge
-    /// in one chunk, then the normal durable epilogue runs (checkpoint,
-    /// segment truncation, merge-log cleanup). Output is byte-identical to
-    /// the merge the crash interrupted: merge output depends only on each
-    /// column's row value sequence.
-    pub(crate) fn resume_merge_with(
+    /// `staged` holds the columns whose merged outputs were already durable
+    /// (loaded from `staged/`). They are committed as-is — the SAGA's
+    /// completed steps are not redone — and the returned session merges the
+    /// rest. It appends nothing to the merge log it resumes, so a crash
+    /// during the resume resumes from the same chunks again. Output is
+    /// byte-identical to the merge the crash interrupted: merge output
+    /// depends only on each column's row value sequence.
+    pub(crate) fn resume_merge(
         &self,
         grant: MergeGrant,
         staged: Vec<(usize, MainPartition<V>)>,
-    ) -> Result<TableMergeStats> {
-        assert!(grant.threads >= 1, "need at least one thread");
-        let _gate = self.merge_gate.lock();
-        let t_wall = std::time::Instant::now();
-        let w = self.wal.as_ref().expect("resume requires an attached wal");
-
-        let (mut snapshots, frozen_end) = self.frozen_snapshots();
-        let mut stats = TableMergeStats::default();
-
-        // Commit the already-staged columns first, exactly as the crashed
-        // process would have: no re-merge, no new step records.
-        if !staged.is_empty() {
-            let mut outs = Vec::with_capacity(staged.len());
-            for (i, main) in staged {
-                debug_assert_eq!(main.len(), frozen_end, "staged column covers all rows");
-                snapshots[i] = None;
-                outs.push((i, main));
-            }
-            for old in self.commit_columns(outs) {
-                self.recycle_retired(old);
-            }
-        }
-
-        // Merge the rest in one chunk (a resumed merge is rare enough
-        // that budget chunking buys nothing).
-        let remaining: Vec<usize> = (0..self.n_cols)
-            .filter(|&i| snapshots[i].is_some())
-            .collect();
-        if !remaining.is_empty() {
-            let merged = self
-                .merge_columns(grant, &remaining, &snapshots, None, None)
-                .expect("an uncancellable merge completes");
-            let mut outs = Vec::with_capacity(remaining.len());
-            for (i, out) in remaining.into_iter().zip(merged) {
-                snapshots[i] = None;
-                stats.columns.push(out.stats);
-                outs.push((i, out.main));
-            }
-            for old in self.commit_columns(outs) {
-                self.recycle_retired(old);
-            }
-        }
-        drop(snapshots);
-
-        self.finish_durable_merge(w, frozen_end)?;
-        stats.t_wall = t_wall.elapsed();
-        Ok(stats)
-    }
-
-    /// Merge if the policy says so; returns stats when a merge ran.
-    pub fn maybe_merge(&self, policy: &MergePolicy) -> Option<TableMergeStats> {
-        if self.should_merge(policy) {
-            self.merge_with(policy.grant(), None).ok()
-        } else {
-            None
-        }
-    }
-
-    /// Begin an **incremental** merge (Section 9 future work: "incremental
-    /// processing of the individual attributes for the cost of adding
-    /// intermediate data structures to guarantee transactional safety",
-    /// combined with "pause and resume the merge process").
-    ///
-    /// The returned [`MergeSession`] merges and commits one column per
-    /// [`MergeSession::step`] call; between steps the table serves reads and
-    /// writes normally and holds at most one column's merge output as
-    /// intermediate state (instead of all `N_C` columns at once). Pausing is
-    /// simply not calling `step`; dropping or [`MergeSession::abort`]ing the
-    /// session rolls the *unmerged* columns back (already-committed columns
-    /// stay merged — every column individually contains all rows, so the
-    /// table remains consistent).
-    pub fn begin_incremental_merge(&self, threads: usize) -> MergeSession<'_, V> {
-        self.begin_incremental_merge_with(MergeGrant::with_threads(threads))
-    }
-
-    /// As [`Self::begin_incremental_merge`], with an explicit strategy and
-    /// thread grant (the session is inherently a one-column budget, so the
-    /// grant's [`MergeBudget`] is moot). Infallible convenience — see
-    /// [`Self::try_begin_incremental_merge_with`].
-    pub fn begin_incremental_merge_with(&self, grant: MergeGrant) -> MergeSession<'_, V> {
-        self.try_begin_incremental_merge_with(grant)
-            .expect("freeze failed (durable table: use try_begin_incremental_merge_with)")
-    }
-
-    /// Fallible session begin (the freeze rotates the WAL segment on a
-    /// durable table, which can fail).
-    ///
-    /// Sessions deliberately write **no** merge log and no checkpoint:
-    /// their value is bounded intermediate state, and staging every
-    /// stepped column would reintroduce exactly the I/O the session
-    /// avoids holding in memory. Durability simply lags — a crash during
-    /// or after a session recovers the pre-session state from the sealed
-    /// WAL segments (as a pending delta; merge output depends only on the
-    /// row value sequence, so the next merge reproduces it byte for
-    /// byte), and the next full [`Self::merge_with`] re-anchors the
-    /// checkpoint.
-    pub fn try_begin_incremental_merge_with(
-        &self,
-        grant: MergeGrant,
-    ) -> Result<MergeSession<'_, V>> {
+    ) -> MergeSession<'_, V> {
         let gate = self.merge_gate.lock();
-        if let Err(e) = self.freeze() {
-            self.rollback_frozen();
-            return Err(e);
-        }
-        Ok(MergeSession {
-            table: self,
-            _gate: gate,
-            next_col: 0,
-            n_cols: self.n_cols,
-            grant,
-            stats: TableMergeStats::default(),
-            t_start: std::time::Instant::now(),
-            finished: false,
-        })
+        let mut session = MergeSession::new(self, gate, grant, std::time::Instant::now());
+        debug_assert!(staged.iter().all(|(_, m)| m.len() == session.frozen_end));
+        session.commit(staged);
+        session
     }
 
     /// A consistent point-in-time snapshot of the whole table — **no
@@ -1323,87 +1126,166 @@ impl<V: Value> TableSnapshot<V> {
     }
 }
 
-/// An in-flight incremental merge; see
-/// [`OnlineTable::begin_incremental_merge`]. Holds the merge gate, so plain
-/// [`OnlineTable::merge`] calls block until the session finishes or drops.
+/// An in-flight merge; see [`OnlineTable::begin_merge`]. Holds the merge
+/// gate, so other merges on the table block until the session finishes or
+/// drops.
 pub struct MergeSession<'t, V: Value> {
     table: &'t OnlineTable<V>,
     _gate: parking_lot::MutexGuard<'t, ()>,
-    next_col: usize,
-    n_cols: usize,
     grant: MergeGrant,
+    /// Every column's pinned `(main, frozen delta)`, cleared as the column
+    /// commits so the retired main becomes recyclable.
+    snapshots: Vec<Option<MergeInput<V>>>,
+    /// Global row count at the freeze: every merged column's final length.
+    frozen_end: usize,
+    /// The SAGA log of a durable merge; also the pipeline's step sink.
+    log: Option<wal::MergeLog>,
+    cancel: Option<&'t AtomicBool>,
     stats: TableMergeStats,
     t_start: std::time::Instant,
-    finished: bool,
+    /// Finished or rolled back: the session owns no frozen column.
+    done: bool,
 }
 
-impl<V: Value> MergeSession<'_, V> {
+impl<'t, V: Value> MergeSession<'t, V> {
+    /// A session over the already-frozen `table`, whose gate is held.
+    fn new(
+        table: &'t OnlineTable<V>,
+        gate: parking_lot::MutexGuard<'t, ()>,
+        grant: MergeGrant,
+        t_start: std::time::Instant,
+    ) -> Self {
+        let (snapshots, frozen_end) = table.frozen_snapshots();
+        Self {
+            table,
+            _gate: gate,
+            grant,
+            snapshots,
+            frozen_end,
+            log: None,
+            cancel: None,
+            stats: TableMergeStats::default(),
+            t_start,
+            done: false,
+        }
+    }
+
     /// Columns not yet merged.
     pub fn remaining(&self) -> usize {
-        self.n_cols - self.next_col
+        self.snapshots.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Merge and commit the next column. Returns `false` when every column
-    /// has been merged. The table stays readable and writable between and
-    /// during steps — the commit swap is the only (lock-free) hand-off.
-    pub fn step(&mut self) -> bool {
-        if self.next_col >= self.n_cols {
-            return false;
+    /// Merge and commit the next chunk of at most `grant.budget` columns
+    /// (task-queue style on the shared pool, see the paper's Section
+    /// 6.2.1). Returns `Ok(false)` when every column has been merged. The
+    /// table stays readable and writable between and during steps — the
+    /// commit swap is the only (lock-free) hand-off.
+    ///
+    /// On a durable table a chunk narrower than the table is staged to
+    /// disk and logged before its commit, so a crash after this point
+    /// resumes with these columns loaded instead of re-merged; a
+    /// whole-table chunk skips the staging I/O, as there is no
+    /// intermediate commit to protect. A cancel or an I/O error rolls the
+    /// uncommitted columns back, clears the merge log and returns the
+    /// error ([`Error::Cancelled`] for a cancel, and for any step after a
+    /// rollback).
+    pub fn step(&mut self) -> Result<bool> {
+        if self.done {
+            return Err(Error::Cancelled);
         }
-        let c = self.next_col;
-        let (main, frozen) = {
-            let gen = self.table.gen.pin();
-            let col = &gen.cols[c];
-            (
-                Arc::clone(&col.main),
-                Arc::clone(col.frozen.as_ref().expect("session froze all columns")),
-            )
+        let chunk: Vec<usize> = (0..self.snapshots.len())
+            .filter(|&i| self.snapshots[i].is_some())
+            .take(self.grant.budget.max_columns())
+            .collect();
+        if chunk.is_empty() {
+            return Ok(false);
+        }
+        let sink = self.log.as_ref().map(|l| l as &dyn StepSink);
+        let Some(merged) =
+            self.table
+                .merge_columns(self.grant, &chunk, &self.snapshots, sink, self.cancel)
+        else {
+            self.roll_back();
+            return Err(Error::Cancelled);
         };
-        let mut scratch = self.table.checkout_scratch();
-        let pipeline = MergePipeline::new(self.grant.strategy, self.grant.threads);
-        let out = pipeline.merge_column(&main, &frozen, &mut scratch);
-        self.table.checkin_scratch(scratch);
-        self.stats.peak_extra_bytes = self.stats.peak_extra_bytes.max(out.main.memory_bytes());
-        self.stats.peak_columns_in_flight = 1;
-        self.stats.columns.push(out.stats);
-        drop((main, frozen)); // release snapshot handles so the retiree can recycle
-        for old in self.table.commit_columns(vec![(c, out.main)]) {
-            self.table.recycle_retired(old);
+
+        // Account the chunk's transient footprint before its commit.
+        let chunk_bytes: usize = merged.iter().map(|o| o.main.memory_bytes()).sum();
+        self.stats.peak_extra_bytes = self.stats.peak_extra_bytes.max(chunk_bytes);
+        self.stats.peak_columns_in_flight = self.stats.peak_columns_in_flight.max(chunk.len());
+        let mut outs = Vec::with_capacity(chunk.len());
+        for (i, out) in chunk.iter().zip(merged) {
+            self.stats.columns.push(out.stats);
+            outs.push((*i, out.main));
         }
-        self.next_col += 1;
-        true
+        if let (Some(log), true) = (&self.log, chunk.len() < self.snapshots.len()) {
+            let w = self.table.wal.as_ref().expect("merge log implies wal");
+            let staged = outs
+                .iter()
+                .try_for_each(|(i, main)| wal::write_staged_column(w.dir(), *i, main))
+                .and_then(|()| log.chunk_done(&chunk));
+            if let Err(e) = staged {
+                self.roll_back();
+                return Err(e);
+            }
+        }
+        self.commit(outs);
+        Ok(true)
     }
 
-    /// Run all remaining steps and return the stats.
-    pub fn finish(mut self) -> TableMergeStats {
-        while self.step() {}
-        self.finished = true;
+    /// Run the remaining steps, then (on a durable table) persist the
+    /// merged mains as the new checkpoint, truncate the absorbed WAL
+    /// segments and clear the merge log. A failure in that epilogue loses
+    /// the merge's *durability*, not its in-memory result: the log is
+    /// cleared so recovery falls back to the previous checkpoint plus the
+    /// still-sealed segments.
+    pub fn finish(mut self) -> Result<TableMergeStats> {
+        while self.step()? {}
+        self.done = true;
+        if let Some(w) = &self.table.wal {
+            self.table.finish_durable_merge(w, self.frozen_end)?;
+        }
         let mut stats = std::mem::take(&mut self.stats);
         stats.t_wall = self.t_start.elapsed();
-        stats
+        Ok(stats)
     }
 
     /// Abort: roll back the columns not yet merged. Already-merged columns
     /// stay merged; the table is consistent either way.
     pub fn abort(mut self) {
-        self.rollback_unmerged();
-        self.finished = true;
+        self.roll_back();
     }
 
-    fn rollback_unmerged(&mut self) {
-        if self.next_col >= self.n_cols {
+    /// Swap each `(index, merged main)` in as its column's main and
+    /// recycle the retired partitions into the spare bank.
+    fn commit(&mut self, outs: Vec<(usize, MainPartition<V>)>) {
+        for (i, _) in &outs {
+            self.snapshots[*i] = None;
+        }
+        for old in self.table.commit_columns(outs) {
+            self.table.recycle_retired(old);
+        }
+    }
+
+    /// Move every still-frozen column's delta to `pending` (tuple ids
+    /// unchanged: pending rows are older than the tail's) and clear the
+    /// merge log, so recovery replays those rows as pending too.
+    fn roll_back(&mut self) {
+        if self.done {
             return;
         }
+        self.done = true;
+        self.snapshots.clear();
         self.table.rollback_frozen();
-        self.next_col = self.n_cols;
+        if let Some(w) = &self.table.wal {
+            let _ = wal::clear_merge_log(w.dir());
+        }
     }
 }
 
 impl<V: Value> Drop for MergeSession<'_, V> {
     fn drop(&mut self) {
-        if !self.finished {
-            self.rollback_unmerged();
-        }
+        self.roll_back();
     }
 }
 
@@ -1412,6 +1294,12 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
+
+    /// An incremental merge: a session that commits one column per step.
+    fn incremental(t: &OnlineTable<u64>, threads: usize) -> MergeSession<'_, u64> {
+        t.begin_merge(MergeGrant::with_threads(threads).budget(MergeBudget::columns(1)))
+            .unwrap()
+    }
 
     fn table_with_rows(cols: usize, rows: u64) -> OnlineTable<u64> {
         let t = OnlineTable::new(cols);
@@ -1621,9 +1509,41 @@ mod tests {
         );
         t.insert_row(&[6]);
         assert!(t.should_merge(&policy));
-        assert!(t.maybe_merge(&policy).is_some());
+        assert!(t.maybe_merge(&policy).unwrap().is_some());
         assert_eq!(t.delta_len(), 0);
-        assert!(t.maybe_merge(&policy).is_none());
+        assert!(t.maybe_merge(&policy).unwrap().is_none());
+    }
+
+    #[test]
+    fn maybe_merge_surfaces_a_failed_merge() {
+        let dir = std::env::temp_dir().join(format!(
+            "hyrise-manager-test-{}-maybe-merge",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let t = OnlineTable::<u64>::builder()
+            .columns(1)
+            .durability(crate::config::Durability::Wal {
+                dir: dir.clone(),
+                fsync: false,
+            })
+            .build()
+            .unwrap();
+        t.insert_rows(&[[1u64], [2]]).unwrap();
+        // The freeze's WAL rotation cannot create the next segment.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let policy = MergePolicy {
+            threads: 1,
+            ..MergePolicy::default()
+        };
+        assert!(t.should_merge(&policy));
+        assert!(
+            t.maybe_merge(&policy).is_err(),
+            "a failed merge is not 'not due'"
+        );
+        assert_eq!(t.main_len(), 0, "the freeze rolled back");
+        assert_eq!(t.delta_len(), 2);
+        assert_eq!(t.row(1), vec![2]);
     }
 
     /// Byte-level equality of two tables' merged states: dictionaries and
@@ -1770,7 +1690,7 @@ mod tests {
         assert_eq!(raw.frozen_codes + raw.frozen_dict, 0);
 
         // The session holds the merge mid-flight: frozen, nothing stepped.
-        let s = t.begin_incremental_merge(1);
+        let s = incremental(&t, 1);
         let mid = t.memory_report();
         assert_eq!(mid.delta_values, 0, "sealed rows left the raw tail");
         assert_eq!(
@@ -1809,11 +1729,11 @@ mod tests {
         let b = table_with_rows(4, 2_000);
         a.merge(2, None).unwrap();
         let stats = {
-            let mut s = b.begin_incremental_merge(2);
+            let mut s = incremental(&b, 2);
             assert_eq!(s.remaining(), 4);
-            assert!(s.step());
+            assert!(s.step().unwrap());
             assert_eq!(s.remaining(), 3);
-            s.finish()
+            s.finish().unwrap()
         };
         assert_eq!(stats.columns.len(), 4);
         assert_eq!(b.main_len(), a.main_len());
@@ -1826,14 +1746,15 @@ mod tests {
     #[test]
     fn incremental_merge_serves_reads_and_writes_between_steps() {
         let t = table_with_rows(3, 1_000);
-        let mut s = t.begin_incremental_merge(2);
-        assert!(s.step()); // one column committed, two still frozen
-                           // Reads span merged and unmerged columns.
+        let mut s = incremental(&t, 2);
+        // One column committed, two still frozen: reads span merged and
+        // unmerged columns.
+        assert!(s.step().unwrap());
         assert_eq!(t.row(500), vec![5_000, 5_001, 5_002]);
         // Writes land in the second delta.
         t.insert_row(&[7, 8, 9]);
         assert_eq!(t.row(1_000), vec![7, 8, 9]);
-        let stats = s.finish();
+        let stats = s.finish().unwrap();
         assert_eq!(stats.columns.len(), 3);
         assert_eq!(t.main_len(), 1_000);
         assert_eq!(
@@ -1848,9 +1769,9 @@ mod tests {
     fn dropped_session_rolls_back_unmerged_columns() {
         let t = table_with_rows(3, 800);
         {
-            let mut s = t.begin_incremental_merge(2);
-            assert!(s.step()); // column 0 commits
-                               // dropped here without finish(): columns 1..3 roll back
+            let mut s = incremental(&t, 2);
+            assert!(s.step().unwrap()); // column 0 commits
+                                        // Dropped here without finish(): columns 1..3 roll back.
         }
         // Column 0 merged; the others kept their delta. Table fully readable.
         for r in (0..800).step_by(61) {
@@ -1873,8 +1794,8 @@ mod tests {
     #[test]
     fn aborted_session_is_consistent_with_concurrent_inserts() {
         let t = table_with_rows(2, 500);
-        let mut s = t.begin_incremental_merge(1);
-        assert!(s.step());
+        let mut s = incremental(&t, 1);
+        assert!(s.step().unwrap());
         t.insert_row(&[111, 222]);
         s.abort();
         assert_eq!(t.row_count(), 501);
@@ -1889,8 +1810,8 @@ mod tests {
     #[test]
     fn session_holds_the_merge_gate() {
         let t = std::sync::Arc::new(table_with_rows(2, 300));
-        let mut s = t.begin_incremental_merge(1);
-        s.step();
+        let mut s = incremental(&t, 1);
+        s.step().unwrap();
         // A full merge from another thread must wait for the session.
         let t2 = std::sync::Arc::clone(&t);
         let h = std::thread::spawn(move || t2.merge(1, None).map(|s| s.columns.len()));
@@ -1899,7 +1820,7 @@ mod tests {
             !h.is_finished(),
             "merge must block while the session is alive"
         );
-        let _ = s.finish();
+        s.finish().unwrap();
         assert_eq!(h.join().unwrap().unwrap(), 2);
     }
 

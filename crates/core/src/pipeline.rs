@@ -120,12 +120,12 @@ impl MergeStrategy {
 ///
 /// Unbudgeted, a table merge materializes all `N_C` new main partitions
 /// before one atomic commit: ~2x the table's memory at peak. With a budget
-/// of `K`, columns are merged and committed `K` at a time, so at most the
-/// largest `K`-column working set exists in addition to the live table.
-/// Results are byte-identical either way; the trade is commit granularity
-/// on cancellation (columns committed before a cancel stay merged — every
-/// column individually contains all rows, so the table stays consistent,
-/// exactly as with [`crate::manager::MergeSession`]).
+/// of `K`, columns are merged and committed `K` at a time (one
+/// [`crate::manager::MergeSession::step`] each), so at most the largest
+/// `K`-column working set exists in addition to the live table. Results
+/// are byte-identical either way; the trade is commit granularity on
+/// cancellation (columns committed before a cancel stay merged — every
+/// column individually contains all rows, so the table stays consistent).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MergeBudget {
     columns: usize,

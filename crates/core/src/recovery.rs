@@ -24,8 +24,7 @@
 //! row value sequence).
 
 use crate::error::{Error, Result};
-use crate::governor::GovernorConfig;
-use crate::manager::OnlineTable;
+use crate::manager::{MergePolicy, OnlineTable};
 use crate::shard::ShardedTable;
 use crate::wal::{self, Wal};
 use hyrise_storage::{MainPartition, Value};
@@ -34,23 +33,12 @@ use std::path::Path;
 /// Rebuild the table at `dir` to the exact durable state: byte-identical
 /// dictionaries, packed code words, and validity versus the uncrashed
 /// process. The WAL is re-attached (continuing the live segment, truncated
-/// past any torn record), so the recovered table keeps logging.
+/// past any torn record), so the recovered table keeps logging. An
+/// interrupted merge resumes under [`MergePolicy::default`]'s grant; every
+/// grant yields byte-identical partitions, so the grant sets only the
+/// resume's cost.
 pub fn recover<V: Value>(dir: impl AsRef<Path>) -> Result<OnlineTable<V>> {
-    recover_impl(dir.as_ref(), None)
-}
-
-/// As [`recover`], additionally recording `governor` on the table and
-/// resuming an interrupted merge under its policy's grant instead of the
-/// default grant. Every grant yields byte-identical partitions, so the
-/// choice sets only the resume's cost.
-pub fn recover_with<V: Value>(
-    dir: impl AsRef<Path>,
-    governor: GovernorConfig,
-) -> Result<OnlineTable<V>> {
-    recover_impl(dir.as_ref(), Some(governor))
-}
-
-fn recover_impl<V: Value>(dir: &Path, governor: Option<GovernorConfig>) -> Result<OnlineTable<V>> {
+    let dir = dir.as_ref();
     let manifest = wal::read_manifest(dir)?;
     if manifest.value_bytes != V::BYTES {
         return Err(Error::recovery(format!(
@@ -215,7 +203,6 @@ fn recover_impl<V: Value>(dir: &Path, governor: Option<GovernorConfig>) -> Resul
         live_base,
         live_clean_len,
     )?));
-    table.set_governor_config(governor.clone());
 
     if resume {
         let m = mckpt.expect("resume implies a merge checkpoint");
@@ -223,8 +210,9 @@ fn recover_impl<V: Value>(dir: &Path, governor: Option<GovernorConfig>) -> Resul
         for col in m.done_cols {
             staged.push((col, wal::read_staged_column::<V>(dir, col)?));
         }
-        let policy = governor.map(|cfg| cfg.policy).unwrap_or_default();
-        table.resume_merge_with(policy.grant(), staged)?;
+        table
+            .resume_merge(MergePolicy::default().grant(), staged)
+            .finish()?;
     }
     Ok(table)
 }
@@ -309,7 +297,8 @@ pub fn recover_sharded<V: Value>(root: impl AsRef<Path>) -> Result<ShardedTable<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{MergePipeline, MergeScratch, MergeStrategy};
+    use crate::config::Durability;
+    use crate::pipeline::{MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy};
     use crate::wal::MergeLog;
     use hyrise_storage::FrozenDelta;
     use std::path::PathBuf;
@@ -319,6 +308,43 @@ mod tests {
             std::env::temp_dir().join(format!("hyrise-recovery-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn durable_table(dir: &Path) -> OnlineTable<u64> {
+        OnlineTable::builder()
+            .columns(2)
+            .durability(Durability::Wal {
+                dir: dir.to_path_buf(),
+                fsync: false,
+            })
+            .build()
+            .unwrap()
+    }
+
+    /// An in-memory table holding `data`, merged without interruption.
+    fn merged_reference(data: &[Vec<u64>]) -> OnlineTable<u64> {
+        let t = OnlineTable::<u64>::new(2);
+        t.insert_rows(data).unwrap();
+        t.merge(1, None).unwrap();
+        t
+    }
+
+    /// Byte-level equality of two tables' mains: every column's
+    /// dictionary and packed code words.
+    fn assert_mains_identical(a: &OnlineTable<u64>, b: &OnlineTable<u64>) {
+        let (sa, sb) = (a.snapshot(), b.snapshot());
+        for c in 0..sa.num_columns() {
+            assert_eq!(
+                sa.col(c).main().dictionary().values(),
+                sb.col(c).main().dictionary().values(),
+                "column {c}: dictionaries differ"
+            );
+            assert_eq!(
+                sa.col(c).main().packed_codes().words(),
+                sb.col(c).main().packed_codes().words(),
+                "column {c}: packed words differ"
+            );
+        }
     }
 
     fn rows(n: u64) -> Vec<Vec<u64>> {
@@ -360,35 +386,82 @@ mod tests {
         }
 
         let back: OnlineTable<u64> = recover(&dir).unwrap();
-        let reference = OnlineTable::<u64>::new(2);
-        reference.insert_rows(&data).unwrap();
-        reference.merge(1, None).unwrap();
+        let reference = merged_reference(&data);
 
         assert_eq!(back.row_count(), 300);
         assert_eq!(back.main_len(), 300, "recovery finished the merge");
         assert_eq!(back.delta_len(), 0);
-        let (sa, sb) = (back.snapshot(), reference.snapshot());
-        for c in 0..2 {
-            assert_eq!(
-                sa.col(c).main().dictionary().values(),
-                sb.col(c).main().dictionary().values(),
-                "column {c}: dictionaries differ"
-            );
-            assert_eq!(
-                sa.col(c).main().packed_codes().words(),
-                sb.col(c).main().packed_codes().words(),
-                "column {c}: packed words differ"
-            );
-        }
+        assert_mains_identical(&back, &reference);
         // The resumed merge checkpointed: a second recovery replays from
         // the checkpoint alone (segments truncated) and still matches.
         drop(back);
         let again: OnlineTable<u64> = recover(&dir).unwrap();
         assert_eq!(again.main_len(), 300);
-        assert_eq!(
-            again.snapshot().col(0).main().dictionary().values(),
-            sb.col(0).main().dictionary().values()
+        assert_mains_identical(&again, &reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A durable session's steps are logged SAGA steps: kill the process
+    /// (here: forget the session so its rollback never runs, then drop the
+    /// table) after the first step of a one-column-per-step session, and
+    /// recovery resumes from the staged column and finishes the merge
+    /// byte-identically to an uninterrupted one.
+    #[test]
+    fn durable_session_steps_survive_a_crash() {
+        let dir = temp_dir("session");
+        let data = rows(300);
+        {
+            let t = durable_table(&dir);
+            t.insert_rows(&data).unwrap();
+            let grant = MergeGrant::with_threads(1).budget(MergeBudget::columns(1));
+            let mut session = t.begin_merge(grant).unwrap();
+            assert!(session.step().unwrap());
+            std::mem::forget(session);
+        }
+        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        assert_eq!(back.main_len(), 300, "recovery finished the merge");
+        assert_eq!(back.delta_len(), 0);
+        assert_mains_identical(&back, &merged_reference(&data));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An unbudgeted durable merge is one whole-table step: it syncs a
+    /// begin record and stages nothing; finishing writes the checkpoint,
+    /// truncates the absorbed segment and clears the log.
+    #[test]
+    fn unbudgeted_durable_merge_logs_begin_and_stages_nothing() {
+        let dir = temp_dir("unbudgeted");
+        let t = durable_table(&dir);
+        let data = rows(300);
+        t.insert_rows(&data).unwrap();
+        let mut session = t.begin_merge(MergeGrant::with_threads(1)).unwrap();
+        let log = wal::read_merge_log(&dir, 2).unwrap().expect("begin synced");
+        assert_eq!(log.frozen_end, 300);
+        assert!(session.step().unwrap());
+        assert!(!session.step().unwrap());
+        assert!(
+            !dir.join("staged").exists(),
+            "a whole-table chunk stages nothing"
         );
+        let log = wal::read_merge_log(&dir, 2).unwrap().expect("still open");
+        assert!(log.done_cols.is_empty(), "no chunk record");
+        assert_eq!(wal::list_segments(&dir).unwrap(), vec![0, 300]);
+        session.finish().unwrap();
+        assert!(
+            wal::read_merge_log(&dir, 2).unwrap().is_none(),
+            "log cleared"
+        );
+        assert_eq!(
+            wal::list_segments(&dir).unwrap(),
+            vec![300],
+            "segment 0 absorbed"
+        );
+        let ckpt = wal::read_checkpoint::<u64>(&dir)
+            .unwrap()
+            .expect("checkpoint");
+        assert_eq!(ckpt.rows, 300);
+        drop(t);
+        assert_mains_identical(&recover(&dir).unwrap(), &merged_reference(&data));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

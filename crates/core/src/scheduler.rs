@@ -365,8 +365,8 @@ impl<V: Value> MergeScheduler<V> {
 
     /// Pause scheduling: no table starts a new merge until
     /// [`Self::resume`]. A merge in flight completes (the paper's pause
-    /// hook applies between merges; mid-merge pausing is the incremental
-    /// session's job).
+    /// hook applies between merges; mid-merge pausing is a stepped
+    /// [`crate::manager::MergeSession`]'s job).
     pub fn pause(&self) {
         self.shared.paused.store(true, Ordering::Relaxed);
     }
@@ -422,6 +422,7 @@ impl<V: Value> Drop for MergeScheduler<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{MergeBudget, MergeGrant};
     use crate::shard::ShardedTable;
     use std::time::Duration;
 
@@ -530,11 +531,12 @@ mod tests {
             }
             t
         };
-        // An incremental session holds `slow`'s merge gate, so the merge
+        // A stepped session holds `slow`'s merge gate, so the merge
         // its scheduler queues blocks a merge thread until it finishes.
         let slow = table(300);
-        let mut session = slow.begin_incremental_merge(1);
-        session.step();
+        let grant = MergeGrant::with_threads(1).budget(MergeBudget::columns(1));
+        let mut session = slow.begin_merge(grant).unwrap();
+        session.step().unwrap();
         let slow_sched = MergeScheduler::spawn(vec![Arc::clone(&slow)], policy(0.01, 1));
         let other = table(300);
         let other_sched = MergeScheduler::spawn(vec![Arc::clone(&other)], policy(0.01, 1));
@@ -546,7 +548,7 @@ mod tests {
         assert_eq!(other.delta_len(), 0, "the other merge thread serves it");
         assert_eq!(other_sched.stats().merges, 2);
         assert_eq!(slow_sched.stats().merges, 0, "still behind the session");
-        let _ = session.finish();
+        session.finish().unwrap();
         slow_sched.shutdown();
         other_sched.shutdown();
     }

@@ -2,7 +2,7 @@
 //! inserts, updates, deletes, full merges, incremental merge steps and
 //! cancelled merges must behave exactly like a plain vector-of-rows model.
 
-use hyrise_core::OnlineTable;
+use hyrise_core::{MergeBudget, MergeGrant, OnlineTable};
 use proptest::prelude::*;
 use std::sync::atomic::AtomicBool;
 
@@ -29,6 +29,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0u8..5).prop_map(Op::IncrementalSteps),
         1 => (0u8..5).prop_map(Op::AbortedIncremental),
     ]
+}
+
+/// A session that commits one column per step (the incremental merge).
+fn incremental() -> MergeGrant {
+    MergeGrant::with_threads(1).budget(MergeBudget::columns(1))
 }
 
 fn row_of(seed: u64) -> Vec<u64> {
@@ -85,16 +90,16 @@ proptest! {
                     let _ = table.merge(2, Some(&cancel));
                 }
                 Op::IncrementalSteps(n) => {
-                    let mut s = table.begin_incremental_merge(1);
+                    let mut s = table.begin_merge(incremental()).unwrap();
                     for _ in 0..n {
-                        if !s.step() { break; }
+                        if !s.step().unwrap() { break; }
                     }
                     // dropped here: unmerged columns roll back
                 }
                 Op::AbortedIncremental(n) => {
-                    let mut s = table.begin_incremental_merge(1);
+                    let mut s = table.begin_merge(incremental()).unwrap();
                     for _ in 0..n {
-                        if !s.step() { break; }
+                        if !s.step().unwrap() { break; }
                     }
                     s.abort();
                 }

@@ -134,9 +134,10 @@ proptest! {
             (0..=grants.len()).map(|_| OnlineTable::new(COLS)).collect();
         let stepped = &tables[grants.len()];
         let step_merge = || {
-            let mut session = stepped.begin_incremental_merge(t2);
-            while session.step() {}
-            session.finish();
+            let grant = MergeGrant::with_threads(t2).budget(MergeBudget::columns(1));
+            let mut session = stepped.begin_merge(grant).unwrap();
+            while session.step().unwrap() {}
+            session.finish().unwrap();
         };
         let prefix: Vec<Vec<u64>> = (0..bulk * 2_500).map(bulk_row).collect();
         let mut ids: Vec<usize> = Vec::new();

@@ -14,7 +14,7 @@
 //! boundary cases close the file.
 
 use hyrise_core::shard::{ShardBy, ShardRowId, ShardedTable};
-use hyrise_core::OnlineTable;
+use hyrise_core::{MergeBudget, MergeGrant, OnlineTable};
 use hyrise_query::{Executor, Query};
 use proptest::prelude::*;
 
@@ -323,9 +323,10 @@ proptest! {
             ops.iter().map(|&(code, a, b)| (code % 6, a, b)).collect()
         };
         apply_all(&mut model, &single, &twin, &mut twin_ids, &no_merge(&frozen));
-        let mut session = single.begin_incremental_merge(1);
+        let grant = MergeGrant::with_threads(1).budget(MergeBudget::columns(1));
+        let mut session = single.begin_merge(grant).unwrap();
         for _ in 0..steps {
-            if !session.step() {
+            if !session.step().unwrap() {
                 break;
             }
         }

@@ -201,7 +201,6 @@ impl Catalog {
             .shards(spec.shards as usize)
             .columns(spec.columns as usize)
             .durability(durability)
-            .governor(self.cfg.governor.clone())
             .build()?;
         let scheduler = MergeScheduler::spawn_governed(
             table.shards().to_vec(),

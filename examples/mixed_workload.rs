@@ -57,7 +57,11 @@ fn main() {
                     ..MergePolicy::default()
                 };
                 while !stop.load(Ordering::Relaxed) {
-                    if table.maybe_merge(&policy).is_some() {
+                    if table
+                        .maybe_merge(&policy)
+                        .expect("in-memory merge")
+                        .is_some()
+                    {
                         merges.fetch_add(1, Ordering::Relaxed);
                     }
                     std::thread::sleep(Duration::from_millis(10));

@@ -13,8 +13,12 @@
 //!   the row value sequence, never on where the kill landed;
 //! * the recovered table must keep accepting writes.
 //!
-//! Rounds alternate the fsync policy (buffered appends survive process
-//! death — that is the buffered-WAL contract) and include a sharded
+//! Single-table merges alternate between one whole-table chunk and
+//! one-column chunks (`MergeBudget::columns(1)`), so a kill can land
+//! between a staged chunk and its commit and recovery resumes the merge
+//! from its staged columns. Rounds alternate the fsync policy (buffered
+//! appends survive process death — that is the buffered-WAL contract) and
+//! include a sharded
 //! round, where each shard independently sits at the acked boundary or
 //! one op past it (multi-shard batches may tear; see
 //! `ShardedTable::insert_rows`).
@@ -22,7 +26,7 @@
 //! Environment: `CRASH_ROUNDS` (default 6) rounds per mode set;
 //! `CRASH_SEED` overrides the base seed.
 
-use hyrise::merge::{OnlineTable, TableMergeStats};
+use hyrise::merge::{MergeBudget, MergeGrant, OnlineTable, TableMergeStats};
 use hyrise::shard::ShardedTable;
 use hyrise::{recover, recover_sharded, Durability};
 use std::io::Write;
@@ -77,8 +81,11 @@ fn apply_single(t: &OnlineTable<u64>, seed: u64, i: u64) -> hyrise::Result<()> {
         }
         Op::Merge => {
             if t.delta_len() > 0 {
-                t.merge_with(hyrise::merge::MergeGrant::with_threads(2), None)
-                    .map(|_: TableMergeStats| ())?;
+                let mut grant = MergeGrant::with_threads(2);
+                if i % 2 == 1 {
+                    grant = grant.budget(MergeBudget::columns(1));
+                }
+                t.merge_with(grant, None).map(|_: TableMergeStats| ())?;
             }
         }
     }
@@ -213,6 +220,8 @@ fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u6
     child.wait().expect("reap child");
 
     let acked = read_acks(&dir);
+    // The kill landed inside a merge whose chunks were being staged.
+    let staged = dir.join("staged").exists();
     let recovered: OnlineTable<u64> = recover(&dir).expect("recover after kill");
 
     // The model replays acked ops; the recovered state must equal that,
@@ -241,7 +250,10 @@ fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u6
     drop(recovered);
     let again: OnlineTable<u64> = recover(&dir).expect("second recovery");
     assert_eq!(again.row_count(), n, "post-crash write survived");
-    println!("  single fsync={fsync} delay={delay_ms}ms: acked={acked}, rows={n} ok");
+    println!(
+        "  single fsync={fsync} delay={delay_ms}ms: acked={acked}, rows={n}, \
+         resumed_staged={staged} ok"
+    );
 }
 
 /// One sharded round: every shard independently sits at the acked

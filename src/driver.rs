@@ -137,21 +137,18 @@ pub fn drive<V: Value, R: Rng>(
 
 /// Build the hash-sharded table a [`ShardedWorkload`] scenario runs
 /// against, from one [`TableConfig`]: shard count from the workload,
-/// columns/durability/governor from the config. With
+/// columns and durability from the config. With
 /// [`crate::merge::Durability::Wal`] each shard logs into its own
 /// sub-directory under the configured root.
 pub fn sharded_table_for<V: Value>(
     workload: &ShardedWorkload,
     config: TableConfig,
 ) -> Result<ShardedTable<V>> {
-    let mut b = ShardedTable::<V>::builder()
+    ShardedTable::<V>::builder()
         .shards(workload.shards)
         .columns(config.columns)
-        .durability(config.durability);
-    if let Some(g) = config.governor {
-        b = b.governor(g);
-    }
-    b.build()
+        .durability(config.durability)
+        .build()
 }
 
 /// Preload a [`ShardedTable`] with the scenario's initial rows (batched

@@ -40,8 +40,8 @@ pub use hyrise_bitpack as bitpack;
 pub use hyrise_core as merge;
 pub use hyrise_core::shard;
 pub use hyrise_core::{
-    recover, recover_sharded, recover_with, Durability, Error, Result, ShardedTableBuilder,
-    TableBuilder, TableConfig,
+    recover, recover_sharded, Durability, Error, Result, ShardedTableBuilder, TableBuilder,
+    TableConfig,
 };
 pub use hyrise_query as query;
 pub use hyrise_server as server;

@@ -151,7 +151,7 @@ fn trigger_policy_keeps_delta_bounded() {
     let mut merges = 0;
     for i in 0..20_000u64 {
         table.insert_row(&seeded_row(100_000 + i, 2));
-        if table.maybe_merge(&policy).is_some() {
+        if table.maybe_merge(&policy).unwrap().is_some() {
             merges += 1;
             // Post-merge the delta is empty; fraction resets.
             assert_eq!(table.delta_len(), 0);
