@@ -9,7 +9,14 @@
 //!   merging and retiring column by column (a [`MergeBudget`] of one —
 //!   the paper's Section 4 partial-column strategy), same total work.
 //!
-//! Both axes at 2% and 8% delta. Inputs are immutable frozen deltas (the
+//! * **append** — the served shape: 1M ascending keys absorb 2% / 8% keys
+//!   above them, so Stage 1b copies the whole main dictionary as its
+//!   prefix. At 2% the codes keep their 20 bits and Stage 2 copies every
+//!   full main block; at 8% the dictionary passes 2^20 entries, the width
+//!   grows and every row is re-encoded. An in-bench check pins the output
+//!   to `Naive`'s bytes and the copied rows to that split.
+//!
+//! Every axis at 2% and 8% delta. Inputs are immutable frozen deltas (the
 //! freeze, Stage 1a, runs before timing), so iterations are repeatable; an
 //! equivalence check pins cold and scratch outputs to the same bytes
 //! before timing starts.
@@ -17,7 +24,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyrise_bench::build_column;
 use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
-use hyrise_storage::{FrozenDelta, MainPartition};
+use hyrise_storage::{FrozenDelta, MainPartition, ZONE_ROWS};
 
 const N_M: usize = 1_000_000;
 const LAMBDA: f64 = 0.1;
@@ -127,6 +134,49 @@ fn bench_merge_pipeline(c: &mut Criterion) {
                     n += out.main.len();
                     scratch.recycle_main(out.main);
                 }
+                black_box(n)
+            })
+        });
+
+        // The served shape: ascending keys, the delta's keys above them.
+        let keys = MainPartition::from_values(&(0..N_M as u64).collect::<Vec<_>>());
+        let appended =
+            FrozenDelta::from_values(&(N_M as u64..(N_M + n_d) as u64).collect::<Vec<_>>());
+        {
+            let naive = MergePipeline::new(MergeStrategy::Naive, 1).merge_column(
+                &keys,
+                &appended,
+                &mut MergeScratch::new(),
+            );
+            let out = pipe.merge_column(&keys, &appended, &mut MergeScratch::new());
+            let copied = if out.stats.bits_after == keys.code_bits() {
+                N_M / ZONE_ROWS * ZONE_ROWS
+            } else {
+                0
+            };
+            assert_eq!(out.stats.rows_copied, copied);
+            assert_eq!(out.stats.rows_copied > 0, delta_pct == 2);
+            assert_eq!(
+                naive.main.dictionary().values(),
+                out.main.dictionary().values()
+            );
+            assert_eq!(
+                naive.main.packed_codes().words(),
+                out.main.packed_codes().words()
+            );
+            assert_eq!(naive.main.zones(), out.main.zones());
+        }
+
+        g.bench_with_input(BenchmarkId::new("append", delta_pct), &(), |b, _| {
+            let mut scratch = MergeScratch::new();
+            for _ in 0..2 {
+                let out = pipe.merge_column(&keys, &appended, &mut scratch);
+                scratch.recycle_main(out.main);
+            }
+            b.iter(|| {
+                let out = pipe.merge_column(&keys, &appended, &mut scratch);
+                let n = out.main.len();
+                scratch.recycle_main(out.main);
                 black_box(n)
             })
         });

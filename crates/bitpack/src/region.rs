@@ -69,13 +69,71 @@ impl BitRegion<'_> {
     /// # Panics
     /// If any produced value does not fit the width (debug builds check
     /// every value; release builds mask).
-    pub fn fill_sequential(&mut self, mut next: impl FnMut(usize) -> u64) {
+    pub fn fill_sequential(&mut self, next: impl FnMut(usize) -> u64) {
+        self.fill_span(self.start_index, self.start_index + self.len, next);
+    }
+
+    /// [`Self::fill_sequential`], except that the values `src` already
+    /// holds are copied instead of generated. The region is walked in
+    /// `block`-value blocks aligned to global index 0: a whole block (one
+    /// that lies inside the region) for which `copy(first index)` holds
+    /// takes `src`'s words for the same indices verbatim, and every maximal
+    /// run of other blocks is filled by a fresh generator `run(first
+    /// index)`, called with each index of the run in order.
+    ///
+    /// Requires zeroed words, like [`Self::fill_sequential`].
+    ///
+    /// # Panics
+    /// If `block` is not a positive multiple of 64 (a block must start on a
+    /// word boundary), or a copied block lies outside `src` or `src` has
+    /// another width.
+    pub fn fill_or_copy<G: FnMut(usize) -> u64>(
+        &mut self,
+        src: &BitPackedVec,
+        block: usize,
+        copy: impl Fn(usize) -> bool,
+        mut run: impl FnMut(usize) -> G,
+    ) {
+        assert!(
+            block > 0 && block.is_multiple_of(64),
+            "block {block} is not a positive multiple of 64"
+        );
+        let bits = self.bits as usize;
+        let end = self.start_index + self.len;
+        let whole = |b: usize| b.is_multiple_of(block) && b + block <= end && copy(b);
+        let mut at = self.start_index;
+        while at < end {
+            // The run [at, to): blocks that all copy, or all do not.
+            let copying = whole(at);
+            let mut to = at - at % block + block;
+            while to < end && whole(to) == copying {
+                to += block;
+            }
+            let to = to.min(end);
+            if copying {
+                assert!(
+                    src.bits() == self.bits && to <= src.len(),
+                    "copied blocks must lie in a source of the same width"
+                );
+                let (w0, w1, base) = (at * bits / 64, to * bits / 64, self.start_index * bits / 64);
+                self.words[w0 - base..w1 - base].copy_from_slice(&src.words()[w0..w1]);
+            } else {
+                self.fill_span(at, to, run(at));
+            }
+            at = to;
+        }
+    }
+
+    /// Fill global indices `[from, to)` in order with `next(index)`; `from`
+    /// lies a multiple of 64 values into the region, so it starts a word.
+    fn fill_span(&mut self, from: usize, to: usize, mut next: impl FnMut(usize) -> u64) {
         let bits = self.bits as usize;
         let mask = max_value_for_bits(self.bits);
-        let mut word = 0usize;
+        debug_assert!((from - self.start_index).is_multiple_of(64));
+        let mut word = (from - self.start_index) * bits / 64;
         let mut shift = 0usize;
-        for i in 0..self.len {
-            let v = next(self.start_index + i);
+        for i in from..to {
+            let v = next(i);
             debug_assert!(v <= mask, "value {v} does not fit in {bits} bits");
             let v = v & mask;
             self.words[word] |= v << shift;
@@ -297,6 +355,51 @@ mod tests {
                 b.set(i, gen(i));
             }
             assert_eq!(a.to_vec(), b.to_vec(), "width {bits}");
+        }
+    }
+
+    #[test]
+    fn fill_or_copy_equals_a_fill_of_the_copied_values() {
+        // Source and expected output agree on the copied blocks only; the
+        // generated runs write other values, so a block taken from the
+        // wrong side shows.
+        for &bits in &[1u8, 5, 13, 31, 64] {
+            let mask = max_value_for_bits(bits);
+            let old = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask;
+            let new = |i: usize| (i as u64 ^ 0x55) & mask;
+            let len = 5 * 256 + 70;
+            let src = BitPackedVec::from_slice(bits, &(0..5 * 256).map(old).collect::<Vec<_>>());
+            // Blocks 1, 2 and 4 copy; block 5 is partial (and beyond the
+            // source), so it is generated although the predicate holds.
+            let copy = |b: usize| [1, 2, 4, 5].contains(&(b / 256));
+            let want: Vec<u64> = (0..len)
+                .map(|i| {
+                    if copy(i) && i < 5 * 256 {
+                        old(i)
+                    } else {
+                        new(i)
+                    }
+                })
+                .collect();
+            for pieces in [1usize, 2, 3] {
+                let mut out = BitPackedVec::zeroed(bits, len);
+                let mut starts = Vec::new();
+                for mut r in out.split_mut_aligned(pieces, 128).into_regions() {
+                    r.fill_or_copy(&src, 256, copy, |first| {
+                        starts.push(first);
+                        let mut expect = first;
+                        move |i| {
+                            assert_eq!(i, expect, "runs visit their indices in order");
+                            expect += 1;
+                            new(i)
+                        }
+                    });
+                }
+                assert_eq!(out.to_vec(), want, "width {bits}, {pieces} pieces");
+                if pieces == 1 {
+                    assert_eq!(starts, vec![0, 3 * 256, 5 * 256], "one generator per run");
+                }
+            }
         }
     }
 

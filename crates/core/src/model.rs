@@ -17,6 +17,12 @@
 //! * Eq. 13 — Step 2 input streams: `E_C·(N_M+N_D)/8`.
 //! * Eq. 14 — Step 2 output stream: `2·E'_C·(N_M+N_D)/8` (read-for-write).
 //! * Eq. 15 — parallel Step 1(b) overhead: `E_j·(|U_M|+|U_D|) + 2·E_j·|U'_M|`.
+//!
+//! The entries and rows the merge copies instead of merging or re-encoding
+//! (`MergeScenario::dict_prefix`, `MergeScenario::rows_copied`) leave
+//! those equations and are charged as a streaming copy with no gather:
+//! `E_j` bytes read and written per copied dictionary entry, `E_C / 8`
+//! bytes read and written per copied row.
 
 use crate::stats::ColumnMergeStats;
 use std::hint::black_box;
@@ -99,6 +105,10 @@ pub struct MergeScenario {
     /// Bytes per auxiliary-table entry as implemented (the paper packs them
     /// at `E'_C` bits; this implementation uses 4-byte entries).
     pub aux_entry_bytes: usize,
+    /// Main rows Step 2 copies word for word instead of re-encoding.
+    pub rows_copied: usize,
+    /// Leading `U_M` entries Step 1(b) copies instead of merging.
+    pub dict_prefix: usize,
 }
 
 impl MergeScenario {
@@ -115,6 +125,8 @@ impl MergeScenario {
             bits_after: s.bits_after,
             threads: s.threads,
             aux_entry_bytes: 4,
+            rows_copied: s.rows_copied,
+            dict_prefix: s.dict_prefix,
         }
     }
 
@@ -177,39 +189,47 @@ impl MachineProfile {
         let step1a_random = (2.0 * l + 4.0) * s.n_d as f64 / self.random_bytes_per_cycle;
         let step1a_cpt = (step1a_stream + step1a_random) / n;
 
-        // Step 1(b), Equations 9 + 10 (+ 15 when parallel), all streaming.
-        let mut traffic = ej * (s.u_m + s.u_d + s.u_merged) as f64 + aux_traffic; // Eq. 9
-        traffic += ej * s.u_merged as f64 + aux_traffic; // Eq. 10
+        // Step 1(b), Equations 9 + 10 (+ 15 when parallel), all streaming,
+        // over the entries after the copied prefix; the prefix is one
+        // copy.
+        let (u_m, u_merged) = (s.u_m - s.dict_prefix, s.u_merged - s.dict_prefix);
+        let mut traffic = ej * (u_m + s.u_d + u_merged) as f64 + aux_traffic; // Eq. 9
+        traffic += ej * u_merged as f64 + aux_traffic; // Eq. 10
         if s.threads > 1 {
-            traffic += ej * (s.u_m + s.u_d) as f64 + 2.0 * ej * s.u_merged as f64;
+            traffic += ej * (u_m + s.u_d) as f64 + 2.0 * ej * u_merged as f64;
             // Eq. 15
         }
         if self.charge_zero_init {
             // vec![0; ..] passes over the merged dictionary and aux tables.
-            traffic += ej * s.u_merged as f64 + aux_traffic;
+            traffic += ej * u_merged as f64 + aux_traffic;
         }
+        traffic += 2.0 * ej * s.dict_prefix as f64;
         let step1b_bw = traffic / self.streaming_bytes_per_cycle;
         let step1b_compute =
-            self.dict_merge_ops_per_element * s.u_merged as f64 / s.threads.max(1) as f64;
+            self.dict_merge_ops_per_element * u_merged as f64 / s.threads.max(1) as f64;
         let step1b_compute_bound = step1b_compute > step1b_bw;
         let step1b_cpt = step1b_bw.max(step1b_compute) / n;
 
         // Step 2: input stream (Eq. 13) + output stream with write-allocate
         // (Eq. 14) + the auxiliary gather, which is either cache-resident
-        // (instruction bound) or one line per tuple from memory (Eq. 12).
+        // (instruction bound) or one line per tuple from memory (Eq. 12),
+        // over the re-encoded tuples; the copied rows are one copy.
         let aux_fits_cache = s.aux_bytes() <= self.llc_bytes;
+        let copied = s.rows_copied as f64;
+        let encoded = n - copied;
         let gather = if aux_fits_cache {
-            self.step2_cache_ops_per_tuple * n / s.threads.max(1) as f64
+            self.step2_cache_ops_per_tuple * encoded / s.threads.max(1) as f64
         } else {
-            l * n / self.random_bytes_per_cycle
+            l * encoded / self.random_bytes_per_cycle
         };
-        let stream_in = ec * n / 8.0 / self.streaming_bytes_per_cycle;
-        let mut stream_out = 2.0 * ec_after * n / 8.0 / self.streaming_bytes_per_cycle;
+        let stream_in = ec * encoded / 8.0 / self.streaming_bytes_per_cycle;
+        let mut stream_out = 2.0 * ec_after * encoded / 8.0 / self.streaming_bytes_per_cycle;
         if self.charge_zero_init {
             // BitPackedVec::zeroed writes the output once before Step 2 fills it.
             stream_out += ec_after * n / 8.0 / self.streaming_bytes_per_cycle;
         }
-        let step2_cpt = (gather + stream_in + stream_out) / n;
+        let copy = 2.0 * ec * copied / 8.0 / self.streaming_bytes_per_cycle;
+        let step2_cpt = (gather + stream_in + stream_out + copy) / n;
 
         ModelPrediction {
             step1a_cpt,
@@ -419,6 +439,8 @@ mod tests {
             bits_after: 27,
             threads: 6,
             aux_entry_bytes: 4,
+            rows_copied: 0,
+            dict_prefix: 0,
         };
         let p = m.predict(&s);
         // (4*8*1M/7 + 132*1M/5) / 101M = 0.306 cpt (Equation 17)
@@ -448,6 +470,8 @@ mod tests {
             bits_after: 27,
             threads: 6,
             aux_entry_bytes: 4,
+            rows_copied: 0,
+            dict_prefix: 0,
         };
         let p = m.predict(&s);
         assert!((p.step2_cpt - 14.2).abs() < 0.5, "step2 = {}", p.step2_cpt);
@@ -471,6 +495,8 @@ mod tests {
             bits_after: 20,
             threads: 6,
             aux_entry_bytes: 4,
+            rows_copied: 0,
+            dict_prefix: 0,
         };
         let p = m.predict(&s);
         assert!(p.aux_fits_cache, "~4 MB of aux fits a 12 MB LLC");
@@ -491,6 +517,8 @@ mod tests {
             bits_after: 21,
             threads,
             aux_entry_bytes: 4,
+            rows_copied: 0,
+            dict_prefix: 0,
         };
         // Compute-bound parts shrink with threads; Eq. 15 adds a constant
         // traffic overhead when going parallel, so compare 2 vs 6.
@@ -513,8 +541,47 @@ mod tests {
             bits_after: 1,
             threads: 1,
             aux_entry_bytes: 4,
+            rows_copied: 0,
+            dict_prefix: 0,
         };
         assert_eq!(m.predict(&s).total_cpt(), 0.0);
+    }
+
+    #[test]
+    fn copied_rows_and_entries_cost_a_streaming_copy() {
+        let m = MachineProfile::paper_single_socket();
+        let rewrite = MergeScenario {
+            n_m: 10_000_000,
+            n_d: 0,
+            e_j: 8,
+            u_m: 1_000_000,
+            u_d: 0,
+            u_merged: 1_000_000,
+            bits_before: 20,
+            bits_after: 20,
+            threads: 6,
+            aux_entry_bytes: 4,
+            rows_copied: 0,
+            dict_prefix: 0,
+        };
+        let copy = MergeScenario {
+            rows_copied: rewrite.n_m,
+            dict_prefix: rewrite.u_m,
+            ..rewrite
+        };
+        let (pr, pc) = (m.predict(&rewrite), m.predict(&copy));
+        // Every row copied: Step 2 is E_C / 8 bytes read plus as many
+        // written per row, nothing else.
+        let copy_cpt = 2.0 * 20.0 / 8.0 / m.streaming_bytes_per_cycle;
+        assert!(
+            (pc.step2_cpt - copy_cpt).abs() < 1e-12,
+            "step2 = {}",
+            pc.step2_cpt
+        );
+        assert!(pc.step2_cpt < pr.step2_cpt);
+        // The copied prefix leaves the merge's compute bound and one of
+        // its three dictionary passes.
+        assert!(!pc.step1b_compute_bound && pc.step1b_cpt < pr.step1b_cpt);
     }
 
     #[test]
@@ -533,6 +600,8 @@ mod tests {
             bits_after: 20,
             threads: 6,
             aux_entry_bytes: 4,
+            rows_copied: 0,
+            dict_prefix: 0,
         };
         let big = MergeScenario {
             u_m: 10_000_000,

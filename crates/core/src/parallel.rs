@@ -8,7 +8,8 @@
 //!   scheme (i) for the stages that follow: each *column* is a task in a
 //!   shared task queue ("we use a task queue based parallelization scheme
 //!   and enqueue each column as a separate task").
-//! * **Step 1(b)** merges the two sorted dictionaries with duplicate removal
+//! * **Step 1(b)** copies the `U_M` prefix below every delta value, then
+//!   merges the rest of the two sorted dictionaries with duplicate removal
 //!   in the paper's three phases: (1) each thread merge-counts its merge-path
 //!   quantile, suppressing the one possible boundary duplicate; (2) a prefix
 //!   sum over the counter array; (3) each thread re-merges its range, writing
@@ -21,7 +22,7 @@
 use crate::partition::quantile_boundaries;
 use crate::pipeline::{effective_threads, MIN_DICT_PER_THREAD};
 use crate::pool::Pool;
-use crate::step1::{merge_dictionaries_into, DictMerge};
+use crate::step1::{copy_prefix, merge_dictionaries_into, DictMerge};
 use hyrise_storage::Value;
 
 // ---------------------------------------------------------------------------
@@ -155,6 +156,9 @@ pub fn merge_dictionaries_parallel_exact<V: Value>(
     DictMerge { merged, x_m, x_d }
 }
 
+/// The pipeline's parallel Stage 1b: the copied prefix ([`copy_prefix`]),
+/// then the three phases over `(U_M[f0..], U_D)` writing at output offset
+/// `f0`. Returns `f0`.
 pub(crate) fn merge_dictionaries_parallel_exact_into<V: Value>(
     u_m: &[V],
     u_d: &[V],
@@ -162,17 +166,21 @@ pub(crate) fn merge_dictionaries_parallel_exact_into<V: Value>(
     merged: &mut Vec<V>,
     x_m: &mut Vec<u32>,
     x_d: &mut Vec<u32>,
-) {
+) -> usize {
     if threads <= 1 {
         return merge_dictionaries_into(u_m, u_d, merged, x_m, x_d);
     }
-    let bounds = quantile_boundaries(u_m, u_d, threads);
+    let f0 = copy_prefix(u_m, u_d, merged, x_m);
+    // No entry of the prefix equals a delta value, so the boundary rule
+    // never needs to look behind `f0`.
+    let a = &u_m[f0..];
+    let bounds = quantile_boundaries(a, u_d, threads);
 
     // Phase 1: per-partition unique counts, with an explicit barrier at the
     // end (`run_each` returns once every partition has counted).
     let mut counter = vec![0usize; threads + 1];
     Pool::global().run_each(counter[1..].iter_mut().collect(), threads, |t, count| {
-        *count = merge_range_count(u_m, u_d, bounds[t], bounds[t + 1]);
+        *count = merge_range_count(a, u_d, bounds[t], bounds[t + 1]);
     });
 
     // Phase 2: prefix sum of the counter array. The paper parallelizes this
@@ -184,15 +192,13 @@ pub(crate) fn merge_dictionaries_parallel_exact_into<V: Value>(
     let total_unique = counter[threads];
 
     // Phase 3: carve disjoint output slices and re-merge at final offsets.
-    merged.clear();
-    merged.resize(total_unique, V::default());
-    x_m.clear();
+    merged.resize(f0 + total_unique, V::default());
     x_m.resize(u_m.len(), 0);
     x_d.clear();
     x_d.resize(u_d.len(), 0);
     {
-        let mut m_rest: &mut [V] = merged;
-        let mut xm_rest: &mut [u32] = x_m;
+        let mut m_rest: &mut [V] = &mut merged[f0..];
+        let mut xm_rest: &mut [u32] = &mut x_m[f0..];
         let mut xd_rest: &mut [u32] = x_d;
         let mut tasks = Vec::with_capacity(threads);
         for t in 0..threads {
@@ -205,12 +211,14 @@ pub(crate) fn merge_dictionaries_parallel_exact_into<V: Value>(
             xm_rest = rest;
             let (xd_slice, rest) = std::mem::take(&mut xd_rest).split_at_mut(j1 - j0);
             xd_rest = rest;
-            tasks.push(((i0, j0), (i1, j1), counter[t], m_slice, xm_slice, xd_slice));
+            let base = f0 + counter[t];
+            tasks.push(((i0, j0), (i1, j1), base, m_slice, xm_slice, xd_slice));
         }
         Pool::global().run_each(tasks, threads, |_, (start, end, base, m, xm, xd)| {
-            merge_range_write(u_m, u_d, start, end, base, m, xm, xd)
+            merge_range_write(a, u_d, start, end, base, m, xm, xd)
         });
     }
+    f0
 }
 
 #[cfg(test)]
@@ -251,6 +259,39 @@ mod tests {
             for threads in [2usize, 3, 6, 12] {
                 let par = merge_dictionaries_parallel_exact(&a, &b, threads);
                 assert_eq!(par, serial, "na={na} nb={nb} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_dict_merge_writes_after_the_copied_prefix() {
+        // Appended values (the whole of U_M is the prefix), a delta that
+        // starts mid-dictionary, one that starts on an existing entry, and
+        // an empty one.
+        let a: Vec<u64> = (0..30_000).map(|i| 2 * i).collect();
+        for b in [
+            (60_000..70_000).collect::<Vec<u64>>(),
+            (0..5_000).map(|i| 20_001 + 4 * i).collect(),
+            (0..5_000).map(|i| 30_000 + 3 * i).collect(),
+            Vec::new(),
+        ] {
+            let serial = merge_dictionaries(&a, &b);
+            for threads in [2usize, 3, 7] {
+                let (mut m, mut xm, mut xd) = (Vec::new(), Vec::new(), Vec::new());
+                let f0 = merge_dictionaries_parallel_exact_into(
+                    &a, &b, threads, &mut m, &mut xm, &mut xd,
+                );
+                let want = a.partition_point(|v| b.first().is_none_or(|f| v < f));
+                assert_eq!(f0, want, "threads={threads}");
+                assert_eq!(
+                    DictMerge {
+                        merged: m,
+                        x_m: xm,
+                        x_d: xd
+                    },
+                    serial,
+                    "threads={threads}"
+                );
             }
         }
     }

@@ -17,6 +17,17 @@
 //!   `X_M`/`X_D` table lookup for the others) and in how many threads fill
 //!   word-aligned output regions.
 //!
+//! Under the two `X_M` strategies both stages copy what the delta does not
+//! move. Stage 1b copies the `f0` entries of `U_M` below every delta value
+//! into `U'_M` (and the identity into `X_M`), then unions the rest. Stage 2
+//! finds `F`, the first code `X_M` moves, by one binary search (`X_M[i] -
+//! i` never decreases); when the code width holds, every full main block
+//! whose zone-map maximum is below `F` keeps its codes, so its words are
+//! copied and its carried zone is already exact. The input selects the
+//! copies ([`ColumnMergeStats::dict_prefix`],
+//! [`ColumnMergeStats::rows_copied`]); [`MergeStrategy::Naive`] never
+//! copies and is the byte-identity reference.
+//!
 //! The pipeline is allocation-aware: a [`MergeScratch`] arena owns every
 //! intermediate buffer (`X_M`, `X_D`) and a stack of
 //! spare buffers for the outputs that outlive the merge (the merged
@@ -85,7 +96,8 @@ pub enum MergeStrategy {
     /// baseline *parallelized* ("both optimized (Opt) and unoptimized
     /// (UnOpt) merge implementations were parallelized"), so Step 2 still
     /// partitions the tuples over the granted threads — only the per-tuple
-    /// search is the naive part.
+    /// search is the naive part. It copies nothing: the reference the other
+    /// strategies' copied prefix and blocks are held to.
     Naive,
     /// The linear-time merge of Section 5.3, single-threaded. Modified Step
     /// 1(a) is the freeze: the delta arrives as fixed-width indices into
@@ -94,7 +106,8 @@ pub enum MergeStrategy {
     /// Step 2(b): re-encoding a tuple is `M'[i] <- X_M[M[i]]` (Equation 11)
     /// — "a lookup and binary search in the original algorithm description
     /// is replaced by a lookup" — overall `O(N_M + N_D + |U_M| + |U_D|)`
-    /// (Equation 6).
+    /// (Equation 6). Beyond the paper, the dictionary prefix and the main
+    /// blocks `X_M` leaves in place are copied (see the module docs).
     Optimized,
     /// Section 6.2: the optimized algorithm with the merge's stages
     /// parallelized (three-phase dictionary merge, word-aligned partitioned
@@ -630,19 +643,18 @@ impl MergePipeline {
         let u_d = delta.dict().values();
         // |U'_M| <= |U_M| + |U_D| is exactly what the union reserves.
         let mut merged = scratch.take_dict(u_m.len() + u_d.len());
-        match self.strategy {
+        let dict_prefix = match self.strategy {
             MergeStrategy::Naive => {
                 union_into(u_m, u_d, &mut merged);
+                0
             }
-            MergeStrategy::Optimized => {
-                crate::step1::merge_dictionaries_into(
-                    u_m,
-                    u_d,
-                    &mut merged,
-                    &mut scratch.x_m,
-                    &mut scratch.x_d,
-                );
-            }
+            MergeStrategy::Optimized => crate::step1::merge_dictionaries_into(
+                u_m,
+                u_d,
+                &mut merged,
+                &mut scratch.x_m,
+                &mut scratch.x_d,
+            ),
             MergeStrategy::Parallel => {
                 let threads = if self.exact {
                     self.threads
@@ -656,9 +668,9 @@ impl MergePipeline {
                     &mut merged,
                     &mut scratch.x_m,
                     &mut scratch.x_d,
-                );
+                )
             }
-        }
+        };
         let t_step1b = t0.elapsed();
         if let Some(sink) = sink {
             sink.record(MergeStep::Stage1b { col });
@@ -666,6 +678,21 @@ impl MergePipeline {
 
         // Stage 2(a): E'_C = ceil(log2 |U'_M|) (Equation 4), O(1).
         let bits_after = bits_for(merged.len());
+        // The copy rule: at an unchanged width, a full main block whose
+        // codes all lie below the first code X_M moves is already its own
+        // output, word for word. Naive keeps Equation 5's search for all.
+        let copy_below = match self.strategy {
+            MergeStrategy::Optimized | MergeStrategy::Parallel
+                if bits_after == main.code_bits() =>
+            {
+                first_moved(&scratch.x_m)
+            }
+            _ => 0,
+        };
+        let copied = |row: usize| {
+            row + ZONE_ROWS <= n_m && (main.zones()[row / ZONE_ROWS].1 as usize) < copy_below
+        };
+        let rows_copied = (0..n_m).step_by(ZONE_ROWS).filter(|&r| copied(r)).count() * ZONE_ROWS;
 
         // Stage 2(b): the one re-encode kernel, parameterized by the
         // strategy's per-tuple code maps. The delta-side map is a stream
@@ -696,6 +723,7 @@ impl MergePipeline {
                     main,
                     n_d,
                     bits_after,
+                    copied,
                     threads,
                     words,
                     zones,
@@ -716,6 +744,7 @@ impl MergePipeline {
                     main,
                     n_d,
                     bits_after,
+                    copied,
                     threads,
                     words,
                     zones,
@@ -743,6 +772,8 @@ impl MergePipeline {
             u_merged: merged.len(),
             bits_before: main.code_bits(),
             bits_after,
+            rows_copied,
+            dict_prefix,
             t_step1a: Duration::ZERO,
             t_step1b,
             t_step2,
@@ -782,9 +813,30 @@ fn union_into<V: Value>(u_m: &[V], u_d: &[V], merged: &mut Vec<V>) {
     merged.extend_from_slice(&u_d[j..]);
 }
 
+/// Stage 2's copy bound `F`: the first code `X_M` moves. Consecutive `X_M`
+/// entries differ by at least one, so `X_M[i] - i` never decreases and the
+/// unmoved codes form a prefix, found by one binary search. `|U_M|` when
+/// `X_M` is the identity.
+fn first_moved(x_m: &[u32]) -> usize {
+    let (mut lo, mut hi) = (0, x_m.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if x_m[mid] as usize == mid {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// **The** Step 2 kernel: append `n_d` delta tuples to the `n_m` main
 /// tuples, re-encoding every tuple at `bits_after` bits via the two code
-/// maps. The old main codes stream through a sequential cursor; output
+/// maps — except the blocks `copied` selects by first row (full main
+/// blocks `map_main` leaves in place, at the main's own width), whose words
+/// are copied and whose carried zone is already exact. The old main codes
+/// stream through a sequential cursor, repositioned after each copied run;
+/// output
 /// regions are cut on [`ZONE_ROWS`]-tuple boundaries so every thread owns
 /// whole words of the bit-packed output and whole zone-map blocks, and
 /// writes are OR-only into zeroed storage ("each thread reads/writes
@@ -803,6 +855,7 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
     main: &MainPartition<V>,
     n_d: usize,
     bits_after: u8,
+    copied: impl Fn(usize) -> bool + Sync,
     threads: usize,
     words: Vec<u64>,
     mut zones: Vec<(u32, u32)>,
@@ -824,27 +877,32 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
     // Region-completion narration: one relaxed counter bump per region (not
     // per tuple), so the observed path stays off the kernel's hot loop.
     let regions_done = std::sync::atomic::AtomicU64::new(0);
+    let (map_main, mk_delta, copied) = (&map_main, &mk_delta, &copied);
     // `own` holds the zones of the region's blocks that take delta rows.
     let fill = |(mut region, own): (BitRegion<'_>, &mut [(u32, u32)]), total_regions: u64| {
-        let mut old = main.packed_codes().cursor_at(region.start_index().min(n_m));
-        // Each region gets its own delta stream, positioned at the region's
-        // first delta-local row (zero if the region starts in the main).
-        let mut next_delta = mk_delta(region.start_index().saturating_sub(n_m));
+        let own = std::cell::Cell::from_mut(own).as_slice_of_cells();
         let own_from = region.start_index().max(carried * ZONE_ROWS);
-        let (mut lo, mut hi) = (u64::MAX, 0);
-        region.fill_sequential(|idx| {
-            if idx < n_m {
-                return map_main(old.next_value());
+        region.fill_or_copy(main.packed_codes(), ZONE_ROWS, copied, |first| {
+            let mut old = main.packed_codes().cursor_at(first.min(n_m));
+            // Each run gets its own delta stream, positioned at the run's
+            // first delta-local row (zero if the run starts in the main).
+            let mut next_delta = mk_delta(first.saturating_sub(n_m));
+            let (mut lo, mut hi) = (u64::MAX, 0);
+            move |idx| {
+                if idx < n_m {
+                    return map_main(old.next_value());
+                }
+                let code = next_delta();
+                lo = lo.min(code);
+                hi = hi.max(code);
+                if (idx + 1) % ZONE_ROWS == 0 || idx + 1 == n_total {
+                    let z = &own[(idx - own_from) / ZONE_ROWS];
+                    let (zlo, zhi) = z.get();
+                    z.set((zlo.min(lo as u32), zhi.max(hi as u32)));
+                    (lo, hi) = (u64::MAX, 0);
+                }
+                code
             }
-            let code = next_delta();
-            lo = lo.min(code);
-            hi = hi.max(code);
-            if (idx + 1) % ZONE_ROWS == 0 || idx + 1 == n_total {
-                let z = &mut own[(idx - own_from) / ZONE_ROWS];
-                *z = (z.0.min(lo as u32), z.1.max(hi as u32));
-                (lo, hi) = (u64::MAX, 0);
-            }
-            code
         });
         if let Some((sink, col)) = observer {
             let done = regions_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
@@ -1345,6 +1403,58 @@ mod tests {
             let main = snap.col(c).main();
             assert_eq!(main.len(), 13_000);
             assert_eq!(main.zones(), &brute_zones(main)[..], "column {c}");
+        }
+    }
+
+    #[test]
+    fn the_copy_fires_on_served_shapes_and_never_on_figure_inputs() {
+        use hyrise_workload::{values_with_unique, UniqueSpec};
+        use rand::{rngs::StdRng, SeedableRng};
+        let n_m = 5 * ZONE_ROWS as u64;
+        // The served shape: ascending keys absorb keys above them, and a
+        // saturated low-cardinality column absorbs values it already has.
+        let keys = MainPartition::from_values(&(0..n_m).collect::<Vec<_>>());
+        let appended = delta_from(&(n_m..n_m + 700).collect::<Vec<_>>());
+        let low = MainPartition::from_values(&(0..n_m).map(|i| i % 13).collect::<Vec<_>>());
+        let repeats = delta_from(&(0..700).map(|i| i * 7 % 13).collect::<Vec<_>>());
+        for strategy in STRATEGIES {
+            for threads in [1usize, 2] {
+                let pipe = MergePipeline::exact(strategy, threads);
+                let k = pipe.merge_column(&keys, &appended, &mut MergeScratch::new());
+                let l = pipe.merge_column(&low, &repeats, &mut MergeScratch::new());
+                let (rows, prefix) = match strategy {
+                    MergeStrategy::Naive => (0, 0),
+                    _ => (n_m as usize, n_m as usize),
+                };
+                assert_eq!(k.stats.rows_copied, rows, "{pipe:?}: keys");
+                assert_eq!(k.stats.dict_prefix, prefix, "{pipe:?}: keys");
+                assert_eq!(l.stats.rows_copied, rows, "{pipe:?}: low cardinality");
+                assert_eq!(l.stats.dict_prefix, 0, "{pipe:?}: low cardinality");
+            }
+        }
+        // The figure binaries' inputs (`hyrise_bench::build_column` plus
+        // `delta_values`): hash-spread values, half the delta's distinct
+        // values new, at Figure 7's delta fractions.
+        let n_m = 200_000;
+        for lambda in [0.001, 0.1, 1.0] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let spec = UniqueSpec::from_lambda(n_m, lambda);
+            let main = MainPartition::<u64>::from_values(&values_with_unique(&mut rng, spec));
+            for fraction in [0.005, 0.02, 0.08] {
+                let n_d = (n_m as f64 * fraction) as usize;
+                let d = UniqueSpec::from_lambda(n_d, lambda);
+                let d = d.offset((spec.unique - d.unique / 2) as u64);
+                let delta = delta_from(&values_with_unique(&mut rng, d));
+                for strategy in [MergeStrategy::Optimized, MergeStrategy::Parallel] {
+                    let out = MergePipeline::new(strategy, 2).merge_column(
+                        &main,
+                        &delta,
+                        &mut MergeScratch::new(),
+                    );
+                    let what = format!("{strategy:?}, lambda {lambda}, delta {fraction}");
+                    assert_eq!(out.stats.rows_copied, 0, "{what}");
+                }
+            }
         }
     }
 

@@ -55,6 +55,13 @@ pub struct ColumnMergeStats {
     pub bits_before: u8,
     /// Compressed value-length after the merge (`E'_C`, bits).
     pub bits_after: u8,
+    /// Main rows whose packed words Stage 2 copied instead of re-encoding:
+    /// full blocks whose codes `X_M` leaves in place, at an unchanged code
+    /// width. Zero under [`MergeAlgo::Naive`].
+    pub rows_copied: usize,
+    /// Leading `U_M` entries Stage 1b copied instead of merging: those
+    /// below every delta value. Zero under [`MergeAlgo::Naive`].
+    pub dict_prefix: usize,
     /// Step 1(a): the delta's compression into a sorted dictionary plus
     /// codes. It runs at freeze, before the pipeline, so
     /// [`crate::MergePipeline::merge_column`] reports zero; a caller that
@@ -212,6 +219,8 @@ mod tests {
             u_merged: 100,
             bits_before: 7,
             bits_after: 7,
+            rows_copied: 0,
+            dict_prefix: 0,
             t_step1a: Duration::from_millis(ms1a),
             t_step1b: Duration::from_millis(ms1b),
             t_step2: Duration::from_millis(ms2),

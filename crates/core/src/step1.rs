@@ -34,16 +34,17 @@ pub fn merge_dictionaries<V: Value>(u_m: &[V], u_d: &[V]) -> DictMerge<V> {
     DictMerge { merged, x_m, x_d }
 }
 
-/// As [`merge_dictionaries`], writing into caller-provided buffers (cleared
-/// first). With warm capacities this performs no heap allocation — the
-/// merge pipeline's serial Stage 1b.
-pub fn merge_dictionaries_into<V: Value>(
+/// Start Stage 1b with its copied prefix: the `f0` entries of `U_M` below
+/// every delta value keep their codes, so `U'_M` begins with them and
+/// `X_M` maps them to themselves. Clears `merged` and `x_m`, copies the
+/// prefix into both and returns `f0`; the union then runs over
+/// `(U_M[f0..], U_D)` at output offset `f0`.
+pub(crate) fn copy_prefix<V: Value>(
     u_m: &[V],
     u_d: &[V],
     merged: &mut Vec<V>,
     x_m: &mut Vec<u32>,
-    x_d: &mut Vec<u32>,
-) {
+) -> usize {
     debug_assert!(
         u_m.windows(2).all(|w| w[0] < w[1]),
         "U_M must be sorted unique"
@@ -52,14 +53,34 @@ pub fn merge_dictionaries_into<V: Value>(
         u_d.windows(2).all(|w| w[0] < w[1]),
         "U_D must be sorted unique"
     );
-
+    let f0 = match u_d.first() {
+        Some(first) => u_m.partition_point(|v| v < first),
+        None => u_m.len(),
+    };
     merged.clear();
     merged.reserve(u_m.len() + u_d.len());
+    merged.extend_from_slice(&u_m[..f0]);
     x_m.clear();
+    x_m.extend(0..f0 as u32);
+    f0
+}
+
+/// As [`merge_dictionaries`], writing into caller-provided buffers (cleared
+/// first). With warm capacities this performs no heap allocation — the
+/// merge pipeline's serial Stage 1b. Returns the length of the copied
+/// prefix the union starts after.
+pub fn merge_dictionaries_into<V: Value>(
+    u_m: &[V],
+    u_d: &[V],
+    merged: &mut Vec<V>,
+    x_m: &mut Vec<u32>,
+    x_d: &mut Vec<u32>,
+) -> usize {
+    let f0 = copy_prefix(u_m, u_d, merged, x_m);
     x_m.resize(u_m.len(), 0);
     x_d.clear();
     x_d.resize(u_d.len(), 0);
-    let (mut i, mut j) = (0usize, 0usize);
+    let (mut i, mut j) = (f0, 0usize);
     while i < u_m.len() && j < u_d.len() {
         let out = merged.len() as u32;
         match u_m[i].cmp(&u_d[j]) {
@@ -92,6 +113,7 @@ pub fn merge_dictionaries_into<V: Value>(
         merged.push(u_d[j]);
         j += 1;
     }
+    f0
 }
 
 #[cfg(test)]
@@ -145,6 +167,26 @@ mod tests {
 
         let r = merge_dictionaries::<u64>(&[], &[]);
         assert!(r.merged.is_empty());
+    }
+
+    #[test]
+    fn prefix_below_the_delta_is_copied() {
+        let (mut merged, mut x_m, mut x_d) = (Vec::new(), Vec::new(), Vec::new());
+        // Appended keys: all of U_M lies below U_D.
+        let f0 = merge_dictionaries_into(&[1u64, 2, 3], &[5, 6], &mut merged, &mut x_m, &mut x_d);
+        assert_eq!(
+            (f0, &merged[..], &x_m[..]),
+            (3, &[1, 2, 3, 5, 6][..], &[0, 1, 2][..])
+        );
+        // A delta value equal to an entry ends the prefix before it.
+        let f0 = merge_dictionaries_into(&[1u64, 2, 3], &[2, 9], &mut merged, &mut x_m, &mut x_d);
+        assert_eq!(
+            (f0, &merged[..], &x_d[..]),
+            (1, &[1, 2, 3, 9][..], &[1, 3][..])
+        );
+        // An empty delta copies the whole dictionary.
+        let f0 = merge_dictionaries_into(&[4u64, 7], &[], &mut merged, &mut x_m, &mut x_d);
+        assert_eq!((f0, &x_m[..]), (2, &[0, 1][..]));
     }
 
     #[test]

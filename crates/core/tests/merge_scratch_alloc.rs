@@ -243,4 +243,40 @@ fn warmed_scratch_merges_without_buffer_allocations() {
         settled.0 > 0 && settled.1 > 0,
         "the bank still holds banked spares after the runs: {settled:?}"
     );
+
+    // --- Scenario D: ascending keys, the served shape. ---
+    // Every merge appends keys above the main's and repeats a saturated
+    // few-valued column, so Stage 1b copies the dictionary prefix and
+    // Stage 2 copies every full main block. The copies write into the same
+    // recycled buffers: warmed merges of a growing table allocate nothing
+    // large either.
+    let keys = OnlineTable::<u64>::new(2);
+    let mut next_key = 0u64;
+    let mut append = |n: u64| {
+        for k in next_key..next_key + n {
+            keys.insert_row(&[k, k % 13]);
+        }
+        next_key += n;
+    };
+    append(50_000);
+    keys.merge(1, None).unwrap();
+    for _ in 0..3 {
+        append(500);
+        keys.merge(1, None).unwrap();
+    }
+    for _ in 0..3 {
+        append(100);
+        let (stats, counts) =
+            counted(|| keys.merge_with(MergeGrant::with_threads(1), None).unwrap());
+        for c in &stats.columns {
+            assert!(c.rows_copied > 0, "the merge takes the copy path: {c:?}");
+        }
+        assert_eq!(stats.columns[0].dict_prefix, stats.columns[0].u_m);
+        assert_eq!(
+            counts.large_allocs, 0,
+            "warmed merges that copy blocks must draw every buffer from the \
+             pool (saw {} large allocations, {} bytes total)",
+            counts.large_allocs, counts.total_bytes
+        );
+    }
 }

@@ -10,11 +10,18 @@
 //! code map, never rescanned for full old blocks — must also equal a
 //! brute-force per-block min/max of its codes; an ascending bulk prefix
 //! gives the mains several narrow-zoned blocks for the carry to get wrong.
+//!
+//! A column-level property drives the inputs that reach the merge's copy
+//! paths — appended keys, saturated few-valued columns, new values
+//! interleaved mid-dictionary, and a code width that crosses a power of
+//! two — and holds every strategy and thread count to `Naive`'s bytes.
 
 use hyrise_core::governor::{GovernorConfig, ResourceGovernor};
 use hyrise_core::shard::{ShardBy, ShardRowId, ShardedTable};
-use hyrise_core::{MergeBudget, MergeGrant, MergePolicy, MergeStrategy, OnlineTable};
-use hyrise_storage::{MainPartition, ZONE_ROWS};
+use hyrise_core::{
+    MergeBudget, MergeGrant, MergePipeline, MergePolicy, MergeScratch, MergeStrategy, OnlineTable,
+};
+use hyrise_storage::{FrozenDelta, MainPartition, ZONE_ROWS};
 use proptest::prelude::*;
 
 const COLS: usize = 3;
@@ -366,5 +373,118 @@ proptest! {
             &governed,
             &format!("governor grants, last = {final_grant:?}"),
         );
+    }
+}
+
+/// One column's main and delta values for the copy-path property, by
+/// `shape`:
+///
+/// * 0 — ascending even keys absorb `appended` keys above them plus one
+///   odd key per `new` value, each between two main keys, so the first
+///   code `X_M` moves lands mid-table, often on a block edge;
+/// * 1 — a saturated column of `2^k_bits` even values absorbs repeats of
+///   them plus one odd value per `new` value between two of them;
+/// * 2 — a column of `2^k_bits - 1 + grow` values absorbs `1 + new.len()`
+///   values above them: the union reaches exactly `2^k_bits` distinct values
+///   (same width) when `grow` is 0 and nothing is new, and crosses to
+///   `k_bits + 1` bits otherwise.
+fn copy_shape(
+    shape: usize,
+    n_m: usize,
+    appended: usize,
+    k_bits: u32,
+    grow: bool,
+    new: &[u64],
+) -> (Vec<u64>, Vec<u64>) {
+    let n = n_m as u64;
+    let card = 1u64 << k_bits;
+    match shape {
+        0 => {
+            let main = (0..n).map(|i| 2 * i).collect();
+            // Half the new keys land just below a block's last key, where
+            // the copy's `max < F` bound decides that block.
+            let blocks = n / ZONE_ROWS as u64;
+            let below = |v: u64| match v & 2 {
+                0 => v % n,
+                _ => ((v >> 2) % blocks + 1) * ZONE_ROWS as u64 - 1 - (v & 1),
+            };
+            let delta = (0..appended as u64)
+                .map(|i| 2 * (n + i))
+                .chain(new.iter().map(|&v| 2 * below(v) + 1))
+                .collect();
+            (main, delta)
+        }
+        1 => {
+            let main = (0..n).map(|i| 2 * (i * 7 % card)).collect();
+            let delta = (0..appended as u64)
+                .map(|i| 2 * (i % card))
+                .chain(new.iter().map(|v| 2 * (v % card) + 1))
+                .collect();
+            (main, delta)
+        }
+        _ => {
+            let distinct = card - 1 + grow as u64;
+            let main = (0..n).map(|i| i * distinct / n).collect();
+            let delta = (0..=new.len() as u64).map(|i| card + i).collect();
+            (main, delta)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn copy_paths_equal_naive_bytewise(
+        shape in 0usize..3,
+        blocks in 1usize..6,
+        extra in 0usize..ZONE_ROWS,
+        appended in 0usize..3_000,
+        k_bits in 1u32..11,
+        grow in any::<bool>(),
+        new in prop::collection::vec(any::<u64>(), 0..4),
+    ) {
+        let n_m = blocks * ZONE_ROWS + extra;
+        let (main_vals, delta_vals) = copy_shape(shape, n_m, appended, k_bits, grow, &new);
+        let main = MainPartition::from_values(&main_vals);
+        let delta = FrozenDelta::from_values(&delta_vals);
+        let mut scratch = MergeScratch::new();
+        let reference =
+            MergePipeline::new(MergeStrategy::Naive, 1).merge_column(&main, &delta, &mut scratch);
+        let reference = reference.main;
+        prop_assert_eq!(reference.zones(), &brute_zones(&reference)[..]);
+        let widened = reference.code_bits() != main.code_bits();
+        for strategy in [MergeStrategy::Naive, MergeStrategy::Optimized, MergeStrategy::Parallel] {
+            for threads in 1usize..5 {
+                for pipe in [
+                    MergePipeline::new(strategy, threads),
+                    MergePipeline::exact(strategy, threads),
+                ] {
+                    let out = pipe.merge_column(&main, &delta, &mut scratch);
+                    let what = format!("{pipe:?}, shape {shape}, {n_m}+{}", delta_vals.len());
+                    prop_assert_eq!(
+                        out.main.dictionary().values(),
+                        reference.dictionary().values(),
+                        "{}: dictionary",
+                        &what
+                    );
+                    prop_assert_eq!(out.main.code_bits(), reference.code_bits(), "{}", &what);
+                    prop_assert_eq!(
+                        out.main.packed_codes().words(),
+                        reference.packed_codes().words(),
+                        "{}: packed words",
+                        &what
+                    );
+                    prop_assert_eq!(out.main.zones(), reference.zones(), "{}: zones", &what);
+                    if widened || strategy == MergeStrategy::Naive {
+                        prop_assert_eq!(out.stats.rows_copied, 0, "{}", &what);
+                    } else if new.is_empty() {
+                        // Nothing moves: every full main block is copied.
+                        prop_assert_eq!(out.stats.rows_copied, blocks * ZONE_ROWS, "{}", &what);
+                    }
+                    scratch.recycle_main(out.main);
+                }
+            }
+        }
     }
 }

@@ -66,19 +66,19 @@ pub struct CatalogConfig {
 }
 
 impl Default for CatalogConfig {
-    /// Merges trigger at 2 % and run `Naive` at half the pool's width. That
-    /// grant is the one served traffic always received from the governor's
-    /// former read-contention row (reads/s > 100): counted over every
-    /// merge-selecting round of the benchmark (`benchmark/run.sh --seconds
-    /// 6`, seeds 7 and 8, 2 cores), it fired on all 1 156 of them and no
-    /// other grant row was reached. Moving the server to the paper's
-    /// optimized merge is a measured change of its own.
+    /// Merges trigger at 2 % and run the paper's linear merge,
+    /// [`MergeStrategy::Parallel`], at half the pool's width — the width
+    /// served merges always had, so they leave half the cores to queries.
+    /// On 2 cores that is the single-threaded `Optimized` merge. Served
+    /// tables take appended keys and few-valued columns, so most of a
+    /// merge's main blocks keep their codes and Stage 2 copies them
+    /// (see [`hyrise_core::pipeline`]).
     fn default() -> Self {
         Self {
             data_dir: None,
             governor: GovernorConfig::from_policy(MergePolicy {
                 delta_fraction: 0.02,
-                strategy: MergeStrategy::Naive,
+                strategy: MergeStrategy::Parallel,
                 threads: (pool::default_threads() / 2).max(1),
                 ..MergePolicy::default()
             }),
@@ -326,7 +326,7 @@ mod tests {
 
     /// A default-config table serves reads while writes push it past the
     /// trigger; every merge its scheduler grants is the stated policy's:
-    /// `Naive`, half the pool, the policy's budget.
+    /// `Parallel`, half the pool, the policy's budget.
     #[test]
     fn default_tables_merge_under_the_stated_grant() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -360,7 +360,7 @@ mod tests {
         assert!(stats.merges >= 2, "merged {} times", stats.merges);
         assert!(!stats.grants.is_empty());
         for g in &stats.grants {
-            assert_eq!(g.strategy, MergeStrategy::Naive, "{g}");
+            assert_eq!(g.strategy, MergeStrategy::Parallel, "{g}");
             assert_eq!(g.threads, (pool::default_threads() / 2).max(1), "{g}");
             assert_eq!(g.budget_columns, policy.budget.max_columns(), "{g}");
         }

@@ -40,8 +40,15 @@ cd "$(dirname "$0")/.."
 # incremental-session entry points, the dead MergeCancelled error and the
 # governor profile tables carried for a resume grant no caller asked for
 # left (core, facade), for one begin_merge / step / finish path whose
-# steps are the SAGA steps on a durable table (19099 -> 18953).
-ceiling=18953
+# steps are the SAGA steps on a durable table (19099 -> 18953); then
+# raised when the server moved to the paper's linear merge and the merge
+# stopped rewriting what the delta does not move: Stage 1b's copied
+# dictionary prefix shared by the serial and three-phase unions (core),
+# Stage 2's block copy with its first-moved-code search, the region
+# primitive that copies whole blocks between generated runs (bitpack),
+# and the copied rows and entries in the merge stats and the cost model
+# (core) (18953 -> 19126).
+ceiling=19126
 
 # A bare `Contended` would match an unrelated comment, hence the prefix.
 gone='Attribute<|AnyValue|merge_table_parallel|merge_column_naive|merge_column_optimized|merge_column_parallel|group_by_sum|table_select|DeltaPartition|DeltaView|CompressedDelta|compress_delta|merge_column_frozen|GrantSignal::(Contended|QueueDeep|WriteBurst|ReadIdle|Resume)|busy_reads_per_sec|idle_reads_per_sec|deep_queue_depth|with_read_thresholds|with_max_threads|resume_grant|classify_update_rate|WriteLoad|global_queue_depth|MergeSource|LoadView|LoadSignals|RoundPlan|MergeOutcome|scheduler_poll|max_concurrent_merges|record_outcome|resume_merge_with|begin_incremental_merge|try_begin_incremental_merge_with|set_governor_config|governor_config|recover_with|MergeCancelled'
