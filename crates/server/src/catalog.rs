@@ -22,6 +22,16 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
+/// Widest table a `CreateTable` may ask for. The spec arrives as a wire
+/// `u32`, and the table's per-column state is allocated up front, so an
+/// unbounded width aborts the process on allocation; Fig 3's widest
+/// table has 399 columns.
+const MAX_COLUMNS: u32 = 1_024;
+
+/// Most shards a `CreateTable` may ask for, bounded for the same reason
+/// as [`MAX_COLUMNS`].
+const MAX_SHARDS: u32 = 64;
+
 /// Why a catalog operation failed.
 #[derive(Debug)]
 pub enum CatalogError {
@@ -29,8 +39,8 @@ pub enum CatalogError {
     AlreadyExists(String),
     /// Lookup / drop of a name not present.
     NoSuchTable(String),
-    /// The spec is invalid (bad name, zero columns/shards, durable table
-    /// on a server without a data directory).
+    /// The spec is invalid (bad name, zero or too many columns/shards,
+    /// durable table on a server without a data directory).
     InvalidSpec(String),
     /// The engine failed underneath (I/O on a durable create, …).
     Engine(hyrise_core::Error),
@@ -173,11 +183,15 @@ impl Catalog {
     /// Create a table per `spec` and adopt its shards for merging.
     pub fn create(&self, spec: &TableSpec) -> Result<(), CatalogError> {
         validate_name(&spec.name)?;
-        if spec.columns == 0 {
-            return Err(CatalogError::InvalidSpec("columns must be > 0".into()));
+        if spec.columns == 0 || spec.columns > MAX_COLUMNS {
+            return Err(CatalogError::InvalidSpec(format!(
+                "columns must be in 1..={MAX_COLUMNS}"
+            )));
         }
-        if spec.shards == 0 {
-            return Err(CatalogError::InvalidSpec("shards must be > 0".into()));
+        if spec.shards == 0 || spec.shards > MAX_SHARDS {
+            return Err(CatalogError::InvalidSpec(format!(
+                "shards must be in 1..={MAX_SHARDS}"
+            )));
         }
         let durability = if spec.durable {
             let root = self.cfg.data_dir.as_ref().ok_or_else(|| {
@@ -317,6 +331,24 @@ mod tests {
             cat.create(&TableSpec::volatile("t", 1, 0)),
             Err(CatalogError::InvalidSpec(_))
         ));
+        // Widths and shard counts past the bounds are rejected before
+        // anything is allocated; a spec at both bounds creates.
+        for (columns, shards) in [
+            (u32::MAX, 1),
+            (1, u32::MAX),
+            (MAX_COLUMNS + 1, 1),
+            (1, MAX_SHARDS + 1),
+        ] {
+            assert!(
+                matches!(
+                    cat.create(&TableSpec::volatile("t", columns, shards)),
+                    Err(CatalogError::InvalidSpec(_))
+                ),
+                "{columns} columns x {shards} shards should be rejected"
+            );
+        }
+        cat.create(&TableSpec::volatile("widest", MAX_COLUMNS, MAX_SHARDS))
+            .unwrap();
         // Durable without a data dir.
         assert!(matches!(
             cat.create(&TableSpec::durable("t", 1, 1, false)),

@@ -21,9 +21,8 @@
 //! * [`server`] — `std::net` TCP: one accept thread, a sized worker
 //!   pool, graceful shutdown; served writes grow the same deltas the merge
 //!   schedulers' governors sample.
-//! * [`client`] / [`swarm`] — the connection-reusing [`client::Client`]
-//!   with typed errors, and [`swarm::drive_swarm`]: N client threads
-//!   replaying the Section 2 enterprise mix against a live server.
+//! * [`client`] — the connection-reusing [`client::Client`] with typed
+//!   errors.
 //!
 //! ```
 //! use hyrise_server::client::Client;
@@ -45,11 +44,9 @@ pub mod catalog;
 pub mod client;
 pub mod protocol;
 pub mod server;
-pub mod swarm;
 
 pub use admission::{AdmissionConfig, AdmissionGate, AdmissionStats};
 pub use catalog::{Catalog, CatalogConfig, CatalogError, TableEntry};
 pub use client::{Client, ClientError, ClientResult};
 pub use protocol::{Admission, ErrorCode, Request, Response, TableSpec, WireOutput, WireRowId};
 pub use server::{start, ServerConfig, ServerHandle};
-pub use swarm::{drive_swarm, SwarmReport};

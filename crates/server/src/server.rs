@@ -7,7 +7,7 @@
 //! connections to `workers` pool threads over a channel; each worker owns
 //! one connection at a time and serves its requests back-to-back
 //! (connection-reuse is the client's cheap path — one TCP handshake per
-//! swarm client, not per request). Worker reads run under a short socket
+//! client, not per request). Worker reads run under a short socket
 //! timeout so every worker notices the stop flag within one idle-poll
 //! interval, making shutdown graceful: stop flag, a self-connect to
 //! unblock `accept`, join everything, stop every table's scheduler.
@@ -340,14 +340,18 @@ pub(crate) fn handle_request(catalog: &Catalog, gate: &AdmissionGate, req: Reque
                 return resp;
             }
             let t = entry.table();
-            for id in &ids {
+            // Every id is checked before any is deleted, so a rejected
+            // batch leaves the table as it was.
+            if let Some(id) = ids.iter().find(|id| {
                 let shard = id.shard as usize;
-                if shard >= t.num_shards() || id.row as usize >= t.shard(shard).row_count() {
-                    return Response::err(
-                        ErrorCode::Config,
-                        format!("row id {}/{} out of range", id.shard, id.row),
-                    );
-                }
+                shard >= t.num_shards() || id.row as usize >= t.shard(shard).row_count()
+            }) {
+                return Response::err(
+                    ErrorCode::Config,
+                    format!("row id {}/{} out of range", id.shard, id.row),
+                );
+            }
+            for id in &ids {
                 if let Err(e) = t.try_delete_row((*id).into()) {
                     return Response {
                         admission: Admission::Admit,
@@ -543,5 +547,37 @@ mod tests {
             },
         );
         assert!(matches!(r.result, Err(ref e) if e.code == ErrorCode::Config));
+        // A batch with one valid and one out-of-range id is rejected
+        // whole: the valid row is not deleted.
+        let r = handle_request(
+            &catalog,
+            &gate,
+            Request::Insert {
+                table: "t".into(),
+                rows: vec![vec![5, 50]],
+            },
+        );
+        let valid = match r.result {
+            Ok(Body::RowIds(ids)) => ids[0],
+            other => panic!("{other:?}"),
+        };
+        let r = handle_request(
+            &catalog,
+            &gate,
+            Request::Delete {
+                table: "t".into(),
+                ids: vec![valid, crate::protocol::WireRowId { shard: 7, row: 0 }],
+            },
+        );
+        assert!(matches!(r.result, Err(ref e) if e.code == ErrorCode::Config));
+        let r = handle_request(
+            &catalog,
+            &gate,
+            Request::Query {
+                table: "t".into(),
+                plan: Query::scan(0).eq(5).count(),
+            },
+        );
+        assert_eq!(r.result, Ok(Body::Output(WireOutput::Count(1))));
     }
 }

@@ -18,24 +18,15 @@
 //!   Inventory Management and Financial Accounting columns.
 //! * [`VbapScenario`] — the VBAP sales-order merge scenario (33M rows, 230
 //!   columns, 750k-row delta) with a scale knob.
-//! * [`ShardedWorkload`] — the Section-2 mix spread across N shards of one
-//!   logical table, one deterministic worker stream per shard.
-//! * [`SwarmWorkload`] — the same mix replayed by N independent network
-//!   clients (the `hyrise-server` crate's `drive_swarm` executes it over
-//!   the wire).
 //! * [`values`] — uniform value generators with exact unique-value counts
 //!   (the `lambda` control of Section 7's experiments).
 
 pub mod enterprise;
 pub mod scenario;
-pub mod sharded;
-pub mod swarm;
 pub mod updates;
 pub mod values;
 
 pub use enterprise::{DistinctValueModel, LargeTableModel, QueryMix, QueryType, TableSizeModel};
 pub use scenario::VbapScenario;
-pub use sharded::ShardedWorkload;
-pub use swarm::SwarmWorkload;
 pub use updates::{Operation, UpdateStream};
 pub use values::{values_with_unique, UniqueSpec};

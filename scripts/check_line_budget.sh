@@ -12,8 +12,9 @@
 # fails when the total exceeds the ceiling or when a name of the deleted
 # offline table stack, its operators, the per-strategy merge wrappers,
 # the second merge input, the deleted governor rows, the polling
-# scheduler or the second and third merge loops with their entry points
-# reappears under crates/*/src.
+# scheduler, the second and third merge loops with their entry points or
+# the wire swarm and sharded in-process load generators reappears under
+# crates/*/src or src.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,11 +48,15 @@ cd "$(dirname "$0")/.."
 # Stage 2's block copy with its first-moved-code search, the region
 # primitive that copies whole blocks between generated runs (bitpack),
 # and the copied rows and entries in the merge stats and the cost model
-# (core) (18953 -> 19126).
-ceiling=19126
+# (core) (18953 -> 19126); then lowered when the load generators the
+# end-to-end benchmark replaced left: the wire client swarm with its
+# workload and bin (server, workload, facade), the sharded in-process
+# driver and its workload (facade, workload), less the CreateTable spec
+# bounds the catalog gained (19126 -> 18401).
+ceiling=18401
 
 # A bare `Contended` would match an unrelated comment, hence the prefix.
-gone='Attribute<|AnyValue|merge_table_parallel|merge_column_naive|merge_column_optimized|merge_column_parallel|group_by_sum|table_select|DeltaPartition|DeltaView|CompressedDelta|compress_delta|merge_column_frozen|GrantSignal::(Contended|QueueDeep|WriteBurst|ReadIdle|Resume)|busy_reads_per_sec|idle_reads_per_sec|deep_queue_depth|with_read_thresholds|with_max_threads|resume_grant|classify_update_rate|WriteLoad|global_queue_depth|MergeSource|LoadView|LoadSignals|RoundPlan|MergeOutcome|scheduler_poll|max_concurrent_merges|record_outcome|resume_merge_with|begin_incremental_merge|try_begin_incremental_merge_with|set_governor_config|governor_config|recover_with|MergeCancelled'
+gone='Attribute<|AnyValue|merge_table_parallel|merge_column_naive|merge_column_optimized|merge_column_parallel|group_by_sum|table_select|DeltaPartition|DeltaView|CompressedDelta|compress_delta|merge_column_frozen|GrantSignal::(Contended|QueueDeep|WriteBurst|ReadIdle|Resume)|busy_reads_per_sec|idle_reads_per_sec|deep_queue_depth|with_read_thresholds|with_max_threads|resume_grant|classify_update_rate|WriteLoad|global_queue_depth|MergeSource|LoadView|LoadSignals|RoundPlan|MergeOutcome|scheduler_poll|max_concurrent_merges|record_outcome|resume_merge_with|begin_incremental_merge|try_begin_incremental_merge_with|set_governor_config|governor_config|recover_with|MergeCancelled|drive_swarm|SwarmWorkload|SwarmReport|swarm_row|ShardedWorkload|drive_sharded|preload_sharded|sharded_table_for'
 
 total=0
 for dir in crates/*/src src; do
@@ -69,8 +74,8 @@ if [ "$total" -gt "$ceiling" ]; then
     echo "non-test lines exceed the ceiling: delete something, or raise it in $0 and say why in the change" >&2
     status=1
 fi
-if grep -rnE "$gone" crates/*/src >&2; then
-    echo "a deleted name is back under crates/*/src (see the list in $0)" >&2
+if grep -rnE "$gone" crates/*/src src >&2; then
+    echo "a deleted name is back under crates/*/src or src (see the list in $0)" >&2
     status=1
 fi
 exit "$status"

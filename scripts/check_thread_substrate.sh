@@ -8,9 +8,8 @@
 #
 # Scans crates/{bitpack,storage,core,query}/src, each file up to its first
 # `#[cfg(test)]`, for thread::scope / thread::spawn / thread::Builder and
-# fails on any hit outside the allow-list. Load generators that play
-# clients (src/driver.rs, crates/server/src/swarm.rs, bench bins) and the
-# server's accept/worker threads are out of scope.
+# fails on any hit outside the allow-list. Bench bins that play clients
+# and the server's accept/worker threads are out of scope.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -12,9 +12,8 @@
 # re-baselining the others.
 #
 # The gated benches are scan, scan_swar, morsel_scan, query_engine,
-# dict_merge, merge_pipeline, shard_scale, governor, contended_writers,
-# wal_append and client_swarm;
-# the gate fails CI when any median regresses more than 25% — except
+# dict_merge, merge_pipeline, shard_scale, governor, contended_writers
+# and wal_append; the gate fails CI when any median regresses more than 25% — except
 # entries with a per-entry override (crates/bench/src/gate.rs
 # TOLERANCE_OVERRIDES): wal_append/fsync is gated at a widened 50%,
 # because its median tracks the runner's device sync latency.
@@ -27,7 +26,7 @@ trap 'rm -f "$out"' EXIT
 if [ $# -gt 0 ]; then
     cargo bench -p hyrise-bench --bench "$1" -- ${2:+"$2"} | tee -a "$out"
 else
-    for bench in scan scan_swar morsel_scan query_engine dict_merge merge_pipeline shard_scale governor contended_writers wal_append client_swarm; do
+    for bench in scan scan_swar morsel_scan query_engine dict_merge merge_pipeline shard_scale governor contended_writers wal_append; do
         cargo bench -p hyrise-bench --bench "$bench" | tee -a "$out"
     done
     rm -f BENCH_baseline.json

@@ -24,8 +24,8 @@
 //! * [`workload`] — the Section 2 enterprise-data model and generators.
 //! * [`server`] — the network front-end: the length-prefixed wire
 //!   protocol, the multi-tenant table [`server::Catalog`], the
-//!   governor-driven [`server::AdmissionGate`], the TCP server, the
-//!   [`server::Client`] library and the [`server::drive_swarm`] driver.
+//!   governor-driven [`server::AdmissionGate`], the TCP server and the
+//!   [`server::Client`] library.
 //!
 //! Durability lives in [`merge`]: build a crash-durable table with
 //! [`TableBuilder`] + [`Durability::Wal`], and reopen it after a crash

@@ -3,11 +3,9 @@
 //! [`MergeScheduler`] runs per-shard merges underneath — the acceptance
 //! bar for the scale-out layer.
 
-use hyrise::driver::{drive_sharded, preload_sharded};
 use hyrise::merge::{MergePolicy, MergeScheduler};
 use hyrise::query::Query;
 use hyrise::shard::ShardedTable;
-use hyrise::workload::ShardedWorkload;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -138,14 +136,20 @@ fn concurrent_inserts_and_scans_survive_per_shard_merges() {
 
 #[test]
 fn sharded_mix_with_scheduler_stays_consistent() {
+    const WORKERS: u64 = 3;
+    const OPS: u64 = 5_000;
     let table = ShardedTable::<u64>::builder()
         .shards(3)
         .columns(3)
         .build()
         .unwrap();
-    let workload = ShardedWorkload::oltp(3).with_volumes(4_000, 5_000);
-    let ids = preload_sharded(&table, &workload).unwrap();
-    assert_eq!(ids.len() as u64, workload.initial_rows());
+    let initial_rows = 4_000 * WORKERS;
+    let row = |k: u64| [k, k % 97, k % 13];
+    let ids = table
+        .insert_rows(&(0..initial_rows).map(row).collect::<Vec<_>>())
+        .unwrap();
+    table.merge_all(2).unwrap();
+    assert_eq!(ids.len() as u64, initial_rows);
 
     let table = Arc::new(table);
     let policy = MergePolicy {
@@ -154,7 +158,50 @@ fn sharded_mix_with_scheduler_stays_consistent() {
         ..MergePolicy::default()
     };
     let sched = MergeScheduler::spawn(table.shards().to_vec(), policy);
-    let stats = drive_sharded(&table, &workload, &ids);
+    // Each worker runs a fixed mix against the facade: one op in four
+    // writes (insert, update of a preloaded row, delete of its own newest
+    // row), the rest are routed lookups and cross-shard range counts.
+    // Returns (appended rows, invalidating writes).
+    let counts: Vec<(u64, u64)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let (table, ids) = (&table, &ids);
+                s.spawn(move || {
+                    let (mut appended, mut invalidated) = (0, 0);
+                    let mut own = Vec::new();
+                    for i in 0..OPS {
+                        let id = ids[((i * 7_919 + w) % initial_rows) as usize];
+                        match i % 12 {
+                            0 => {
+                                own.push(table.insert_row(&row((w + 1) << 32 | i)));
+                                appended += 1;
+                            }
+                            4 => {
+                                own.push(table.update_row(id, &row((w + 1) << 32 | i)));
+                                appended += 1;
+                                invalidated += 1;
+                            }
+                            8 => {
+                                if let Some(mine) = own.pop() {
+                                    table.delete_row(mine);
+                                    invalidated += 1;
+                                }
+                            }
+                            k if k % 2 == 1 => {
+                                table.get(id, 0);
+                            }
+                            _ => {
+                                let lo = i % initial_rows;
+                                Query::scan(0).between(lo, lo + 100).count().run(&**table);
+                            }
+                        }
+                    }
+                    (appended, invalidated)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
     let deadline = std::time::Instant::now() + Duration::from_secs(15);
     while table.max_delta_fraction() > policy.delta_fraction && std::time::Instant::now() < deadline
     {
@@ -162,13 +209,13 @@ fn sharded_mix_with_scheduler_stays_consistent() {
     }
     sched.shutdown();
 
-    let appended: u64 = stats.iter().map(|s| s.inserts + s.updates).sum();
+    let appended: u64 = counts.iter().map(|c| c.0).sum();
     assert_eq!(
         table.row_count() as u64,
-        workload.initial_rows() + appended,
+        initial_rows + appended,
         "exact accounting under the full mix + background merging"
     );
-    let invalidated: u64 = stats.iter().map(|s| s.updates + s.deletes).sum();
+    let invalidated: u64 = counts.iter().map(|c| c.1).sum();
     let valid = table.valid_row_count() as u64;
     assert!(valid <= table.row_count() as u64);
     assert!(valid >= table.row_count() as u64 - invalidated);
