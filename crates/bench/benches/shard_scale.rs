@@ -45,7 +45,7 @@ fn bench_shard_scale(c: &mut Criterion) {
 
     // Routed batched insert: a fresh (empty-shard) table per iteration so
     // the delta does not grow across samples; table construction is cheap
-    // next to 5K CSB+ inserts.
+    // next to 5K routed tail appends.
     let batch: Vec<[u64; 2]> = (0..5_000u64).map(|i| [i % KEY_DOMAIN, i]).collect();
     for shards in [1usize, 2, 4, 8] {
         g.throughput(Throughput::Elements(batch.len() as u64));

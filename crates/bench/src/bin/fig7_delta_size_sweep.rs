@@ -11,7 +11,9 @@
 //! Expected shape (paper): optimized Step 2 is ~9-10x cheaper than
 //! unoptimized Step 2, which dominates the unoptimized bar and is flat in
 //! N_D; the delta update share grows to 30-55% of the optimized total as
-//! N_D grows.
+//! N_D grows. This build does not reproduce that share, by design: its
+//! Update-Delta bar (`T_U`) is the engine's tail append per tuple, not the
+//! paper's append + CSB+ insert (the delta is sorted at freeze, in Step 1).
 
 use hyrise_bench::{
     banner, build_column, cpt, default_threads, delta_values, fmt_count, freeze_and_merge,
@@ -102,5 +104,6 @@ fn main() {
     println!();
     println!("paper reference: optimized Step 2 is 9-10x cheaper than unoptimized; the");
     println!("unoptimized Step 2 dominates its total and is ~flat per tuple across N_D;");
-    println!("Update-Delta grows to 30-55% of the optimized total at larger deltas.");
+    println!("Update-Delta grows to 30-55% of the optimized total at larger deltas (not");
+    println!("here, by design: updDelta is the engine's tail append, no CSB+ insert).");
 }

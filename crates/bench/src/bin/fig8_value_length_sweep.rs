@@ -6,7 +6,8 @@
 //! up). Expected shape (paper): the delta-update bar grows with E_j and with
 //! N_D and dominates at 16 bytes; Step 2 is insensitive to E_j (it moves
 //! compressed codes) but jumps when the unique fraction moves the auxiliary
-//! tables out of cache; Step 1 grows with unique fraction.
+//! tables out of cache; Step 1 grows with unique fraction. The Update-Delta
+//! bar (`T_U`) here is the engine's tail append, not append + CSB+ insert.
 
 use hyrise_bench::{
     banner, build_column, cpt, default_threads, delta_values, fmt_count, freeze_and_merge,
@@ -96,5 +97,6 @@ fn main() {
     println!("cost from ~1.0 cpt (N_D=1M) to ~3.3 cpt (N_D=3M); at 100% unique the same");
     println!("cells read ~5.1 and ~12.9 cpt. Step 2 is ~1.0 cpt when the auxiliary tables");
     println!("fit in cache and ~8.3 cpt when they do not; Step 1 grows from ~0.1 cpt (1%)");
-    println!("to ~3.3 cpt (100%) for 8B values at N_D=1M.");
+    println!("to ~3.3 cpt (100%) for 8B values at N_D=1M. Here updDelta is the engine's");
+    println!("tail append, not the paper's append + CSB+ insert, so it sits well below.");
 }

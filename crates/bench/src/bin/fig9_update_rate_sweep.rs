@@ -11,7 +11,8 @@
 //! `--full` for the 1B point if you have the RAM: the 1B x 8B column alone
 //! is 8 GB before encoding). The update rate is computed per Equation 16
 //! from the measured per-column update cost, normalized to N_C = 300
-//! (`--cols` to change).
+//! (`--cols` to change); its `T_U` is the engine's tail append per tuple,
+//! not the paper's append + CSB+ insert.
 
 use hyrise_bench::{
     banner, build_column, cpt, default_threads, delta_values, fmt_count, freeze_and_merge,
@@ -102,4 +103,5 @@ fn main() {
     println!("aux structures cross the cache size (paper: 2.5MB fits, 30MB does not, 24MB");
     println!("LLC); ~7.1K upd/s floor at bandwidth-bound sizes — above the 3K low target");
     println!("even at 1B tuples; the 18K high target holds to 100M rows at <=1% unique.");
+    println!("here the Eq. 16 rate uses the tail-append updDelta (no CSB+ insert).");
 }

@@ -6,7 +6,8 @@
 //! socket (plus a 2-socket column we cannot reproduce on a single-socket
 //! machine — we report total-machine scaling instead and say so).
 //!
-//! Paper reference values (cycles/tuple):
+//! Paper reference values (cycles/tuple; the paper's Update Delta is an
+//! append + CSB+ insert, the measured one the engine's tail append):
 //! ```text
 //! 1%   Update Delta 4.52 -> 0.87 (5.2x)   Step1 1.29 -> 0.30 (4.3x)   Step2 3.89 -> 1.85 (2.1x)
 //! 100% Update Delta 20.63 -> 4.21 (4.9x)  Step1 20.92 -> 6.97 (3.0x)  Step2 66.21 -> 15.0 (4.4x)
@@ -26,9 +27,7 @@ fn parallel_delta_update(vals: &[u64], threads: usize) -> Duration {
     let t0 = std::time::Instant::now();
     std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|| {
-                std::hint::black_box(time_delta_updates(vals).0.len());
-            });
+            s.spawn(|| std::hint::black_box(time_delta_updates(vals).0.published()));
         }
     });
     t0.elapsed()
@@ -86,10 +85,7 @@ fn main() {
         let (_, t1) = time_delta_updates(&vals);
         let t_par = parallel_delta_update(&vals, nt);
         let upd1 = cpt(t1, total, hz);
-        let upd_nt = cpt(t_par, total, hz); // nt columns done in t_par => per-column cost /nt... see below
-                                            // t_par processed nt columns; per-column wall cost is t_par, but the
-                                            // per-column *throughput* cost is t_par / nt.
-        let upd_nt = upd_nt / nt as f64;
+        let upd_nt = cpt(t_par, total, hz) / nt as f64; // t_par inserted nt columns
 
         let serial = freeze_and_merge(
             &MergePipeline::new(MergeStrategy::Parallel, 1),
@@ -133,4 +129,5 @@ fn main() {
     println!("expected shape: every step speeds up with threads; Step 2 scales worst at 1%");
     println!("unique (bandwidth-bound streaming) and well at 100% (latency-bound gathers");
     println!("turn into parallel misses); Step 1 pays the 3-phase double-comparison tax.");
+    println!("Update Delta here is the engine's tail append, not append + CSB+ insert.");
 }

@@ -10,8 +10,7 @@ pub mod gate;
 
 use hyrise_core::model::{calibrate, MachineProfile};
 use hyrise_core::{MergeOutput, MergePipeline, MergeScratch};
-use hyrise_csb::CsbTree;
-use hyrise_storage::{FrozenDelta, MainPartition, Value};
+use hyrise_storage::{FrozenDelta, MainPartition, TailLog, Value};
 use hyrise_workload::values::{values_with_unique, UniqueSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,20 +126,18 @@ pub fn delta_values<V: Value>(n_d: usize, lambda_d: f64, main_unique: usize, see
     delta_values_rng(&mut rng, n_d, lambda_d, main_unique)
 }
 
-/// Time the `T_U` component of Equation 1: inserting `values` into the
-/// paper's Section 4.1 delta, one uncompressed append plus one CSB+ insert
-/// per tuple. Returns the tree (the values' tuple-id index) and the time.
-pub fn time_delta_updates<V: Value>(values: &[V]) -> (CsbTree<V>, Duration) {
+/// Time Eq. 1's `T_U` as a served insert pays it: per tuple, `reserve(1)`,
+/// `set` and `publish` on a 1-column [`TailLog`] (the paper's Sec 4.1 delta
+/// also inserts into a CSB+ tree; this engine sorts at freeze instead).
+pub fn time_delta_updates<V: Value>(values: &[V]) -> (TailLog<V>, Duration) {
+    let tail = TailLog::new(1, 0);
     let t0 = Instant::now();
-    let mut raw = Vec::with_capacity(values.len());
-    let mut tree = CsbTree::new();
     for &v in values {
-        tree.insert(v, raw.len() as u32);
-        raw.push(v);
+        let slot = tail.reserve(1).expect("an unsealed log accepts rows");
+        slot.set(0, 0, v);
+        slot.publish();
     }
-    let t_u = t0.elapsed();
-    drop(raw);
-    (tree, t_u)
+    (tail, t0.elapsed())
 }
 
 /// Merge `delta` into `main` the way the server does: freeze the values
@@ -288,10 +285,12 @@ mod tests {
 
     #[test]
     fn time_delta_updates_builds_the_delta() {
-        let vals: Vec<u64> = (0..500).collect();
-        let (tree, t) = time_delta_updates(&vals);
-        assert_eq!(tree.len(), 500);
-        assert_eq!(tree.unique_len(), 500);
+        let vals: Vec<u64> = (0..500).map(|i| i % 37).collect();
+        let (tail, t) = time_delta_updates(&vals);
+        assert_eq!(tail.published(), 500);
+        for (i, &v) in vals.iter().enumerate() {
+            assert_eq!(tail.read(0, i), v, "row {i}");
+        }
         assert!(t.as_nanos() > 0);
     }
 
