@@ -43,8 +43,8 @@ pub enum Durability {
     /// `dir`, so [`crate::recovery::recover`] rebuilds the table after a
     /// crash.
     Wal {
-        /// The table's directory: manifest, WAL segments, checkpoint,
-        /// merge log. One table per directory.
+        /// The table's directory: manifest, WAL segments, checkpoint
+        /// manifest, merged column files. One table per directory.
         dir: PathBuf,
         /// `true`: records are fdatasync'd before the rows become
         /// visible — durable against power loss, at a large insert

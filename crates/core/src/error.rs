@@ -19,8 +19,8 @@ pub type Result<T> = std::result::Result<T, Error>;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Error {
-    /// An I/O operation on the WAL, a checkpoint, or a staged merge file
-    /// failed.
+    /// An I/O operation on the WAL, the checkpoint manifest or a merged
+    /// column file failed.
     Io {
         /// What the engine was doing (e.g. `"append wal record"`).
         context: &'static str,
@@ -28,8 +28,8 @@ pub enum Error {
         source: std::io::Error,
     },
     /// A persisted file failed validation during recovery: a CRC mismatch
-    /// on a non-final record, an impossible length header, or a gap in the
-    /// replayed row space of a sealed segment.
+    /// on a non-final record, an impossible length or count field, or a
+    /// gap in the replayed row space of a sealed segment.
     Corrupt {
         /// The offending file.
         file: PathBuf,
@@ -39,8 +39,8 @@ pub enum Error {
         detail: String,
     },
     /// Recovery found the directory's files mutually inconsistent (e.g. a
-    /// merge checkpoint whose frozen row count does not match the sealed
-    /// segments on disk).
+    /// sealed segment that does not start where the checkpoint or the
+    /// previous segment ends).
     Recovery {
         /// Human-readable description.
         detail: String,

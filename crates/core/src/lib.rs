@@ -29,8 +29,8 @@
 //!   commit, and the merge trigger policy (`N_D > fraction * N_M`). One
 //!   driver, [`manager::MergeSession`], runs every table merge: a
 //!   whole-table merge, Section 4's column-budgeted merge, Section 9's
-//!   incremental merge (one column per step) and recovery's resume, each
-//!   step a logged SAGA step on a durable table.
+//!   incremental merge (one column per step) and recovery's resume; on a
+//!   durable table each step writes its columns' files.
 //! * [`shard`] — the scale-out layer beyond the paper's single-table
 //!   evaluation: [`shard::ShardedTable`] hash- or range-partitions rows
 //!   across N online tables.
@@ -52,7 +52,8 @@
 //! * `wal` (private)/[`recovery`]/[`config`]/[`error`] — crash durability beyond
 //!   the paper's in-memory evaluation (its Section 3 design assumes a
 //!   recoverable differential buffer): an append-only, CRC-checked
-//!   per-shard delta WAL, SAGA-style resumable merge checkpoints, and
+//!   per-shard delta WAL, one generation-named file per merged column that
+//!   a crashed merge resumes from, and
 //!   [`recovery::recover`], behind the [`config::TableBuilder`] /
 //!   [`config::Durability`] construction surface and the typed
 //!   [`error::Error`] that makes the mutation paths honestly fallible.

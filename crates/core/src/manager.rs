@@ -298,18 +298,12 @@ impl<V: Value> OnlineTable<V> {
 
     /// Rebuild a table from recovered parts: checkpointed mains plus one
     /// replayed delta per column (from the sealed WAL segments), placed
-    /// `frozen` when an in-flight merge is about to be resumed, `pending`
-    /// otherwise (absorbed by the next freeze, exactly like a cancelled
-    /// merge's rollback). The validity bitmap starts empty — recovery
-    /// replays checkpoint bits, insert records, and flips on top. Live-tail
-    /// rows are replayed afterwards through the normal
-    /// [`Self::insert_rows`] path (before the WAL is attached, so replay
-    /// never re-logs).
-    pub(crate) fn from_recovered_parts(
-        mains: Vec<MainPartition<V>>,
-        deltas: Vec<Vec<V>>,
-        frozen: bool,
-    ) -> Self {
+    /// `frozen` for the merge recovery finishes before it returns. The
+    /// validity bitmap starts empty — recovery replays checkpoint bits,
+    /// insert records, and flips on top. Live-tail rows are replayed
+    /// afterwards through the normal [`Self::insert_rows`] path (before the
+    /// WAL is attached, so replay never re-logs).
+    pub(crate) fn from_recovered_parts(mains: Vec<MainPartition<V>>, deltas: Vec<Vec<V>>) -> Self {
         assert!(!mains.is_empty(), "a table needs at least one column");
         let n_cols = mains.len();
         assert_eq!(deltas.len(), n_cols, "one replayed delta per column");
@@ -320,13 +314,10 @@ impl<V: Value> OnlineTable<V> {
         let cols = mains
             .into_iter()
             .zip(deltas)
-            .map(|(m, d)| {
-                let d = (!d.is_empty()).then(|| Arc::new(FrozenDelta::from_values(&d)));
-                GenColumn {
-                    main: Arc::new(m),
-                    frozen: if frozen { d.clone() } else { None },
-                    pending: if frozen { None } else { d },
-                }
+            .map(|(m, d)| GenColumn {
+                main: Arc::new(m),
+                frozen: (!d.is_empty()).then(|| Arc::new(FrozenDelta::from_values(&d))),
+                pending: None,
             })
             .collect();
         Self {
@@ -798,29 +789,35 @@ impl<V: Value> OnlineTable<V> {
         slots.into_iter().map(OnceLock::into_inner).collect()
     }
 
-    /// Durable epilogue of a merge: persist the merged mains as the new
-    /// table checkpoint (atomic rename), then drop the absorbed segments
-    /// and the merge log. Failure here loses the merge's *durability*, not
-    /// its in-memory result: the log is cleared so recovery falls back to
-    /// the previous checkpoint plus the still-sealed segments.
+    /// Persist the committed mains of `cols` as column files of
+    /// generation `frozen_end`, read from the published generation.
+    fn write_columns(&self, w: &Wal<V>, cols: &[usize], frozen_end: usize) -> Result<()> {
+        let mains: Vec<Arc<MainPartition<V>>> = {
+            let gen = self.gen.pin();
+            cols.iter()
+                .map(|&i| Arc::clone(&gen.cols[i].main))
+                .collect()
+        };
+        cols.iter()
+            .zip(&mains)
+            .try_for_each(|(&i, main)| wal::write_column(w.dir(), i, frozen_end, main))
+    }
+
+    /// Durable epilogue of a merge whose column files are all written:
+    /// rename the checkpoint manifest (the merged rows' validity) into
+    /// place, then drop the absorbed segments and every other
+    /// generation's column files. Failure here loses the merge's
+    /// *durability*, not its in-memory result: recovery finds the previous
+    /// manifest plus the still-sealed segments and merges them forward
+    /// again.
     fn finish_durable_merge(&self, w: &Wal<V>, frozen_end: usize) -> Result<()> {
-        let finish = (|| {
-            {
-                let gen = self.gen.pin();
-                let mains: Vec<&MainPartition<V>> = gen.cols.iter().map(|c| &*c.main).collect();
-                let validity = {
-                    let _flips = self.flip_gate.write();
-                    self.validity.snapshot_prefix(frozen_end)
-                };
-                wal::write_checkpoint(w.dir(), &mains, &validity)?;
-            }
-            w.truncate_absorbed(frozen_end)?;
-            wal::clear_merge_log(w.dir())
-        })();
-        if finish.is_err() {
-            let _ = wal::clear_merge_log(w.dir());
-        }
-        finish
+        let validity = {
+            let _flips = self.flip_gate.write();
+            self.validity.snapshot_prefix(frozen_end)
+        };
+        wal::write_checkpoint::<V>(w.dir(), self.n_cols, &validity)?;
+        w.truncate_absorbed(frozen_end)?;
+        wal::remove_stale_files(w.dir(), frozen_end)
     }
 
     /// Run one online merge with the default grant ([`MergeStrategy::Parallel`],
@@ -887,17 +884,16 @@ impl<V: Value> OnlineTable<V> {
     /// merged — every column individually contains all rows).
     ///
     /// Begin freezes the tail into per-column frozen deltas and pins them
-    /// as the merge input. On a durable table the freeze rotates the WAL
-    /// segment, and a `merge.ckpt` begin record is synced before any merge
-    /// work: from then on the merge is a resumable SAGA. Each step whose
-    /// chunk is narrower than the table stages the chunk's merged columns
-    /// to disk and logs them before the in-memory commit, and
-    /// [`MergeSession::finish`] writes a new table checkpoint, truncates
-    /// the absorbed WAL segments and clears the merge log. A process killed
-    /// at any point either left no durable begin record (recovery replays
-    /// the frozen rows as a pending delta) or resumes from the last logged
-    /// chunk — byte-identical either way. A failed rotation or begin record
-    /// rolls the freeze back and returns the error.
+    /// as the merge input. On a durable table the freeze seals and rotates
+    /// the WAL segment, and that synced seal is the merge's durable begin:
+    /// from then on recovery finishes the merge forward. Each step writes
+    /// its chunk's merged columns as `col-<c>-<rows>` files after the
+    /// in-memory commit, and [`MergeSession::finish`] renames the
+    /// checkpoint manifest into place, truncates the absorbed WAL segments
+    /// and unlinks every other generation's column files. A process killed
+    /// at any point resumes from the column files already written —
+    /// byte-identical whichever they are. A failed rotation rolls the
+    /// freeze back and returns the error.
     pub fn begin_merge(&self, grant: MergeGrant) -> Result<MergeSession<'_, V>> {
         assert!(grant.threads >= 1, "need at least one thread");
         let gate = self.merge_gate.lock();
@@ -906,36 +902,25 @@ impl<V: Value> OnlineTable<V> {
             self.rollback_frozen();
             return Err(e);
         }
-        let mut session = MergeSession::new(self, gate, grant, t_start);
-        if let Some(w) = &self.wal {
-            // On failure the session's drop rolls the freeze back.
-            session.log = Some(wal::MergeLog::begin(
-                w.dir(),
-                session.frozen_end,
-                self.n_cols,
-            )?);
-        }
-        Ok(session)
+        Ok(MergeSession::new(self, gate, grant, t_start))
     }
 
-    /// Resume a half-finished durable merge (recovery only). The table was
+    /// Resume the merge of the sealed rows (recovery only). The table was
     /// rebuilt with every column's delta *frozen* and the WAL re-attached;
-    /// `staged` holds the columns whose merged outputs were already durable
-    /// (loaded from `staged/`). They are committed as-is — the SAGA's
-    /// completed steps are not redone — and the returned session merges the
-    /// rest. It appends nothing to the merge log it resumes, so a crash
-    /// during the resume resumes from the same chunks again. Output is
-    /// byte-identical to the merge the crash interrupted: merge output
-    /// depends only on each column's row value sequence.
+    /// `loaded` holds the columns whose files of the frozen row count were
+    /// already on disk. They are committed as-is — completed steps are not
+    /// redone — and the returned session merges and writes the rest.
+    /// Output is byte-identical to the merge the crash interrupted: merge
+    /// output depends only on each column's row value sequence.
     pub(crate) fn resume_merge(
         &self,
         grant: MergeGrant,
-        staged: Vec<(usize, MainPartition<V>)>,
+        loaded: Vec<(usize, MainPartition<V>)>,
     ) -> MergeSession<'_, V> {
         let gate = self.merge_gate.lock();
         let mut session = MergeSession::new(self, gate, grant, std::time::Instant::now());
-        debug_assert!(staged.iter().all(|(_, m)| m.len() == session.frozen_end));
-        session.commit(staged);
+        debug_assert!(loaded.iter().all(|(_, m)| m.len() == session.frozen_end));
+        session.commit(loaded);
         session
     }
 
@@ -1136,10 +1121,9 @@ pub struct MergeSession<'t, V: Value> {
     /// Every column's pinned `(main, frozen delta)`, cleared as the column
     /// commits so the retired main becomes recyclable.
     snapshots: Vec<Option<MergeInput<V>>>,
-    /// Global row count at the freeze: every merged column's final length.
+    /// Global row count at the freeze: every merged column's final length
+    /// and the generation of its column file.
     frozen_end: usize,
-    /// The SAGA log of a durable merge; also the pipeline's step sink.
-    log: Option<wal::MergeLog>,
     cancel: Option<&'t AtomicBool>,
     stats: TableMergeStats,
     t_start: std::time::Instant,
@@ -1162,7 +1146,6 @@ impl<'t, V: Value> MergeSession<'t, V> {
             grant,
             snapshots,
             frozen_end,
-            log: None,
             cancel: None,
             stats: TableMergeStats::default(),
             t_start,
@@ -1181,13 +1164,11 @@ impl<'t, V: Value> MergeSession<'t, V> {
     /// table stays readable and writable between and during steps — the
     /// commit swap is the only (lock-free) hand-off.
     ///
-    /// On a durable table a chunk narrower than the table is staged to
-    /// disk and logged before its commit, so a crash after this point
-    /// resumes with these columns loaded instead of re-merged; a
-    /// whole-table chunk skips the staging I/O, as there is no
-    /// intermediate commit to protect. A cancel or an I/O error rolls the
-    /// uncommitted columns back, clears the merge log and returns the
-    /// error ([`Error::Cancelled`] for a cancel, and for any step after a
+    /// On a durable table the committed chunk is then written as one
+    /// column file per column, so a crash after this point resumes with
+    /// these columns loaded instead of re-merged. A cancel or an I/O error
+    /// rolls the uncommitted columns back and returns the error
+    /// ([`Error::Cancelled`] for a cancel, and for any step after a
     /// rollback).
     pub fn step(&mut self) -> Result<bool> {
         if self.done {
@@ -1200,10 +1181,9 @@ impl<'t, V: Value> MergeSession<'t, V> {
         if chunk.is_empty() {
             return Ok(false);
         }
-        let sink = self.log.as_ref().map(|l| l as &dyn StepSink);
         let Some(merged) =
             self.table
-                .merge_columns(self.grant, &chunk, &self.snapshots, sink, self.cancel)
+                .merge_columns(self.grant, &chunk, &self.snapshots, None, self.cancel)
         else {
             self.roll_back();
             return Err(Error::Cancelled);
@@ -1218,27 +1198,23 @@ impl<'t, V: Value> MergeSession<'t, V> {
             self.stats.columns.push(out.stats);
             outs.push((*i, out.main));
         }
-        if let (Some(log), true) = (&self.log, chunk.len() < self.snapshots.len()) {
-            let w = self.table.wal.as_ref().expect("merge log implies wal");
-            let staged = outs
-                .iter()
-                .try_for_each(|(i, main)| wal::write_staged_column(w.dir(), *i, main))
-                .and_then(|()| log.chunk_done(&chunk));
-            if let Err(e) = staged {
+        self.commit(outs);
+        if let Some(w) = &self.table.wal {
+            if let Err(e) = self.table.write_columns(w, &chunk, self.frozen_end) {
                 self.roll_back();
                 return Err(e);
             }
         }
-        self.commit(outs);
         Ok(true)
     }
 
-    /// Run the remaining steps, then (on a durable table) persist the
-    /// merged mains as the new checkpoint, truncate the absorbed WAL
-    /// segments and clear the merge log. A failure in that epilogue loses
-    /// the merge's *durability*, not its in-memory result: the log is
-    /// cleared so recovery falls back to the previous checkpoint plus the
-    /// still-sealed segments.
+    /// Run the remaining steps, then (on a durable table) rename the
+    /// checkpoint manifest into place, truncate the absorbed WAL segments
+    /// and unlink every other generation's column files and any
+    /// interrupted `*.tmp` write — the one cleanup site. A failure in that
+    /// epilogue loses the merge's *durability*, not its in-memory result:
+    /// recovery finds the previous manifest plus the still-sealed segments
+    /// and merges them forward again.
     pub fn finish(mut self) -> Result<TableMergeStats> {
         while self.step()? {}
         self.done = true;
@@ -1268,8 +1244,8 @@ impl<'t, V: Value> MergeSession<'t, V> {
     }
 
     /// Move every still-frozen column's delta to `pending` (tuple ids
-    /// unchanged: pending rows are older than the tail's) and clear the
-    /// merge log, so recovery replays those rows as pending too.
+    /// unchanged: pending rows are older than the tail's). On a durable
+    /// table the rows stay sealed, so recovery merges them forward.
     fn roll_back(&mut self) {
         if self.done {
             return;
@@ -1277,9 +1253,6 @@ impl<'t, V: Value> MergeSession<'t, V> {
         self.done = true;
         self.snapshots.clear();
         self.table.rollback_frozen();
-        if let Some(w) = &self.table.wal {
-            let _ = wal::clear_merge_log(w.dir());
-        }
     }
 }
 

@@ -494,9 +494,8 @@ impl<V: Value> MergeScratch<V> {
     }
 }
 
-/// One enumerated step of a column merge, in pipeline order — the unit the
-/// merge recovery log serializes so a restarted process knows how far a
-/// crashed merge got. Stage boundaries follow the paper's three-phase
+/// One enumerated step of a column merge, in pipeline order — what a
+/// [`StepSink`] observes. Stage boundaries follow the paper's three-phase
 /// decomposition; within Stage 2 a progress record fires at every completed
 /// word-aligned output region, giving sub-column granularity without any
 /// synchronization inside the kernel's hot loop.
@@ -530,22 +529,11 @@ pub enum MergeStep {
     },
 }
 
-impl MergeStep {
-    /// Flatten to `(kind, col, progress, total)` for serialization.
-    pub fn encode(self) -> (u8, usize, u64, u64) {
-        match self {
-            MergeStep::Stage1a { col } => (1, col, 0, 0),
-            MergeStep::Stage1b { col } => (2, col, 0, 0),
-            MergeStep::Stage2Progress { col, done, total } => (3, col, done, total),
-            MergeStep::ColumnDone { col } => (4, col, 0, 0),
-        }
-    }
-}
-
-/// An observer the pipeline streams [`MergeStep`]s into (the WAL's merge
-/// recovery log in production; any collector in tests). Called from worker
-/// threads, hence `Sync`; implementations must be cheap and non-blocking —
-/// a step record is advisory narration, never a commit point.
+/// An observer the pipeline streams [`MergeStep`]s into (production merges
+/// pass none; tests inject collectors and failures through it). Called
+/// from worker threads, hence `Sync`; implementations must be cheap and
+/// non-blocking — a step record is advisory narration, never a commit
+/// point.
 pub trait StepSink: Sync {
     /// Observe one step. Must not panic.
     fn record(&self, step: MergeStep);

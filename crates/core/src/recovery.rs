@@ -6,22 +6,25 @@
 //! | on disk | becomes |
 //! |---|---|
 //! | `TABLE` manifest | schema check (columns, value width, fsync policy) |
-//! | `checkpoint.bin` | the main partitions + validity of rows below it |
-//! | sealed `seg-*.wal` | one bit-packed [`hyrise_storage::FrozenDelta`] per column — *frozen* when an in-flight merge resumes, *pending* otherwise |
+//! | `checkpoint.bin` | the row count and validity of the checkpointed rows |
+//! | `col-<c>-<rows>.bin` at the checkpoint's rows | column `c`'s main partition |
+//! | sealed `seg-*.wal` | one bit-packed [`hyrise_storage::FrozenDelta`] per column, frozen and merged before `recover` returns |
+//! | `col-<c>-<rows>.bin` at the sealed rows' end | column `c`'s merge output, committed instead of re-merged |
 //! | live `seg-*.wal` | replayed into a fresh tail through the normal insert path |
-//! | `merge.ckpt` + `staged/` | the interrupted merge, resumed from its last durable chunk |
+//! | any other `col-*` or `*.tmp` file | ignored; unlinked by the next finished merge |
 //!
 //! Replay rules, matching the WAL's ordering contract (see the private
 //! `wal` module): a record is appended before its rows publish, so every
 //! sealed segment is gap-free (a gap is [`crate::error::Error::Corrupt`]);
 //! the live segment replays its maximal contiguous row prefix and
 //! tolerates a torn final record; validity flips are row-addressed and
-//! idempotent, so they apply last, in log order. A merge is resumed only
-//! when its synced begin record exactly accounts for the sealed rows on
-//! disk — anything else means the merge never durably started (or already
-//! durably finished) and the rows replay as a plain pending delta, which
-//! the next merge absorbs identically (merge output depends only on the
-//! row value sequence).
+//! idempotent, so they apply last, in log order. A freeze's synced seal
+//! is the merge's durable begin, so sealed rows beyond the checkpoint are
+//! always merged forward — whether the merge was killed mid-way, rolled
+//! back before the crash or never got past its freeze. The result is the
+//! same bytes in every case: merge output depends only on the row value
+//! sequence, which is also why a column file of the right generation can
+//! be committed without a log to vouch for it.
 
 use crate::error::{Error, Result};
 use crate::manager::{MergePolicy, OnlineTable};
@@ -33,10 +36,10 @@ use std::path::Path;
 /// Rebuild the table at `dir` to the exact durable state: byte-identical
 /// dictionaries, packed code words, and validity versus the uncrashed
 /// process. The WAL is re-attached (continuing the live segment, truncated
-/// past any torn record), so the recovered table keeps logging. An
-/// interrupted merge resumes under [`MergePolicy::default`]'s grant; every
-/// grant yields byte-identical partitions, so the grant sets only the
-/// resume's cost.
+/// past any torn record), so the recovered table keeps logging. Sealed
+/// rows beyond the checkpoint are merged under [`MergePolicy::default`]'s
+/// grant before this returns; every grant yields byte-identical
+/// partitions, so the grant sets only the resume's cost.
 pub fn recover<V: Value>(dir: impl AsRef<Path>) -> Result<OnlineTable<V>> {
     let dir = dir.as_ref();
     let manifest = wal::read_manifest(dir)?;
@@ -51,6 +54,7 @@ pub fn recover<V: Value>(dir: impl AsRef<Path>) -> Result<OnlineTable<V>> {
     let n_cols = manifest.n_cols;
 
     // The checkpointed mains (or empty ones for a never-merged table).
+    // Stale column files of other generations are never read.
     let ckpt = wal::read_checkpoint::<V>(dir)?;
     let (ckpt_rows, mains, ckpt_validity) = match ckpt {
         Some(c) => (c.rows, c.mains, Some(c.validity)),
@@ -119,21 +123,7 @@ pub fn recover<V: Value>(dir: impl AsRef<Path>) -> Result<OnlineTable<V>> {
         flips.extend_from_slice(&seg.flips);
     }
 
-    // An in-flight merge resumes only when its begin record accounts for
-    // exactly the sealed rows; otherwise the log is stale (the merge
-    // finished, was cancelled, or never durably began) and the rows
-    // replay as a pending delta.
-    let mckpt = wal::read_merge_log(dir, n_cols)?;
-    let resume = match &mckpt {
-        Some(m) if m.frozen_end == ckpt_rows + sealed_rows && sealed_rows > 0 => true,
-        Some(_) => {
-            wal::clear_merge_log(dir)?;
-            false
-        }
-        None => false,
-    };
-
-    let mut table = OnlineTable::from_recovered_parts(mains, deltas, resume);
+    let mut table = OnlineTable::from_recovered_parts(mains, deltas);
 
     // Validity: checkpoint bits for the checkpointed prefix, replayed
     // inserts are valid until flipped, flips go last (idempotent,
@@ -196,7 +186,8 @@ pub fn recover<V: Value>(dir: impl AsRef<Path>) -> Result<OnlineTable<V>> {
 
     // Re-attach the log (continuing the live segment truncated to its
     // clean prefix, or opening a fresh one when the crash landed between
-    // a seal and the next segment's creation), then resume the merge.
+    // a seal and the next segment's creation), then merge the sealed rows,
+    // committing every column file the crashed merge already wrote.
     table.set_wal(Some(Wal::attach(
         dir,
         manifest.fsync,
@@ -204,14 +195,13 @@ pub fn recover<V: Value>(dir: impl AsRef<Path>) -> Result<OnlineTable<V>> {
         live_clean_len,
     )?));
 
-    if resume {
-        let m = mckpt.expect("resume implies a merge checkpoint");
-        let mut staged = Vec::with_capacity(m.done_cols.len());
-        for col in m.done_cols {
-            staged.push((col, wal::read_staged_column::<V>(dir, col)?));
-        }
+    if sealed_rows > 0 {
+        let loaded = (0..n_cols)
+            .filter(|&c| wal::column_exists(dir, c, live_base))
+            .map(|c| Ok((c, wal::read_column::<V>(dir, c, live_base)?)))
+            .collect::<Result<_>>()?;
         table
-            .resume_merge(MergePolicy::default().grant(), staged)
+            .resume_merge(MergePolicy::default().grant(), loaded)
             .finish()?;
     }
     Ok(table)
@@ -299,9 +289,9 @@ mod tests {
     use super::*;
     use crate::config::Durability;
     use crate::pipeline::{MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy};
-    use crate::wal::MergeLog;
     use hyrise_storage::FrozenDelta;
     use std::path::PathBuf;
+    use std::sync::atomic::AtomicBool;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -353,8 +343,32 @@ mod tests {
             .collect()
     }
 
-    /// Hand-build the directory a crash leaves mid-merge — sealed rows, a
-    /// synced begin record, column 0 staged and chunk-committed, column 1
+    /// The table directory's file names, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// What a directory holds after a finished merge of `rows` rows on a
+    /// 2-column table whose live segment starts at `live`.
+    fn one_generation(rows: usize, live: usize) -> Vec<String> {
+        let mut names = vec![
+            format!("col-0-{rows:016x}.bin"),
+            format!("col-1-{rows:016x}.bin"),
+            "TABLE".to_string(),
+            "checkpoint.bin".to_string(),
+            format!("seg-{live:016x}.wal"),
+        ];
+        names.sort();
+        names
+    }
+
+    /// Hand-build the directory a crash leaves mid-merge — sealed rows,
+    /// column 0's file of the sealed rows' generation written, column 1
     /// not started — and recovery must finish the merge byte-identically
     /// to a table that merged without crashing.
     #[test]
@@ -374,15 +388,13 @@ mod tests {
         {
             let w: Wal<u64> = Wal::create(&dir, false, 0).unwrap();
             w.append_insert(0, &data).unwrap();
+            // The crash point: the seal is durable, column 0 is written.
             w.seal_and_rotate(300).unwrap();
-            // The crash point: merge durably begun, first chunk staged.
-            let log = MergeLog::begin(&dir, 300, 2).unwrap();
             let delta0 = FrozenDelta::from_values(&data.iter().map(|r| r[0]).collect::<Vec<_>>());
             let merged0 = MergePipeline::new(MergeStrategy::Optimized, 1)
                 .merge_column(&MainPartition::empty(), &delta0, &mut MergeScratch::new())
                 .main;
-            wal::write_staged_column(&dir, 0, &merged0).unwrap();
-            log.chunk_done(&[0]).unwrap();
+            wal::write_column(&dir, 0, 300, &merged0).unwrap();
         }
 
         let back: OnlineTable<u64> = recover(&dir).unwrap();
@@ -392,6 +404,7 @@ mod tests {
         assert_eq!(back.main_len(), 300, "recovery finished the merge");
         assert_eq!(back.delta_len(), 0);
         assert_mains_identical(&back, &reference);
+        assert_eq!(listing(&dir), one_generation(300, 300));
         // The resumed merge checkpointed: a second recovery replays from
         // the checkpoint alone (segments truncated) and still matches.
         drop(back);
@@ -401,10 +414,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A durable session's steps are logged SAGA steps: kill the process
+    /// A durable session's steps are the resumable steps: kill the process
     /// (here: forget the session so its rollback never runs, then drop the
     /// table) after the first step of a one-column-per-step session, and
-    /// recovery resumes from the staged column and finishes the merge
+    /// recovery resumes from the written column and finishes the merge
     /// byte-identically to an uninterrupted one.
     #[test]
     fn durable_session_steps_survive_a_crash() {
@@ -418,6 +431,8 @@ mod tests {
             assert!(session.step().unwrap());
             std::mem::forget(session);
         }
+        assert!(wal::column_exists(&dir, 0, 300), "step 1 wrote column 0");
+        assert!(!wal::column_exists(&dir, 1, 300));
         let back: OnlineTable<u64> = recover(&dir).unwrap();
         assert_eq!(back.main_len(), 300, "recovery finished the merge");
         assert_eq!(back.delta_len(), 0);
@@ -425,37 +440,50 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// An unbudgeted durable merge is one whole-table step: it syncs a
-    /// begin record and stages nothing; finishing writes the checkpoint,
-    /// truncates the absorbed segment and clears the log.
+    /// A columns(1) session writes one column file per step and `finish`
+    /// leaves exactly one generation: the manifest, one file per column
+    /// and the live segment.
     #[test]
-    fn unbudgeted_durable_merge_logs_begin_and_stages_nothing() {
+    fn session_writes_one_column_file_per_step() {
+        let dir = temp_dir("per-step");
+        let t = durable_table(&dir);
+        let data = rows(300);
+        t.insert_rows(&data).unwrap();
+        let grant = MergeGrant::with_threads(1).budget(MergeBudget::columns(1));
+        let mut session = t.begin_merge(grant).unwrap();
+        assert!(session.step().unwrap());
+        let cols: Vec<String> = listing(&dir)
+            .into_iter()
+            .filter(|n| n.starts_with("col-"))
+            .collect();
+        assert_eq!(cols, vec![format!("col-0-{:016x}.bin", 300)]);
+        session.finish().unwrap();
+        assert_eq!(listing(&dir), one_generation(300, 300));
+        drop(t);
+        assert_mains_identical(&recover(&dir).unwrap(), &merged_reference(&data));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An unbudgeted durable merge is one whole-table step: it writes every
+    /// column file, and finishing writes the manifest and truncates the
+    /// absorbed segment, leaving one generation on disk.
+    #[test]
+    fn unbudgeted_durable_merge_leaves_one_generation() {
         let dir = temp_dir("unbudgeted");
         let t = durable_table(&dir);
         let data = rows(300);
         t.insert_rows(&data).unwrap();
         let mut session = t.begin_merge(MergeGrant::with_threads(1)).unwrap();
-        let log = wal::read_merge_log(&dir, 2).unwrap().expect("begin synced");
-        assert_eq!(log.frozen_end, 300);
         assert!(session.step().unwrap());
         assert!(!session.step().unwrap());
+        assert!(wal::column_exists(&dir, 0, 300) && wal::column_exists(&dir, 1, 300));
         assert!(
-            !dir.join("staged").exists(),
-            "a whole-table chunk stages nothing"
+            wal::read_checkpoint::<u64>(&dir).unwrap().is_none(),
+            "no manifest before finish"
         );
-        let log = wal::read_merge_log(&dir, 2).unwrap().expect("still open");
-        assert!(log.done_cols.is_empty(), "no chunk record");
         assert_eq!(wal::list_segments(&dir).unwrap(), vec![0, 300]);
         session.finish().unwrap();
-        assert!(
-            wal::read_merge_log(&dir, 2).unwrap().is_none(),
-            "log cleared"
-        );
-        assert_eq!(
-            wal::list_segments(&dir).unwrap(),
-            vec![300],
-            "segment 0 absorbed"
-        );
+        assert_eq!(listing(&dir), one_generation(300, 300));
         let ckpt = wal::read_checkpoint::<u64>(&dir)
             .unwrap()
             .expect("checkpoint");
@@ -465,40 +493,131 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A begin record that does not account for the sealed rows is stale
-    /// (the merge committed, or never durably started): the log is
-    /// discarded and the rows replay as a plain pending delta.
+    /// Every column file of the new generation is written but the crash
+    /// landed before the manifest rename: recovery commits the files,
+    /// writes the manifest and unlinks the old generation.
     #[test]
-    fn stale_merge_log_is_discarded_and_rows_replay_pending() {
+    fn written_generation_behind_an_old_manifest_is_finished() {
+        let dir = temp_dir("behind");
+        let data = rows(500);
+        {
+            let t = durable_table(&dir);
+            t.insert_rows(&data[..200]).unwrap();
+            t.merge(1, None).unwrap();
+            t.insert_rows(&data[200..]).unwrap();
+            let grant = MergeGrant::with_threads(1).budget(MergeBudget::columns(1));
+            let mut session = t.begin_merge(grant).unwrap();
+            while session.step().unwrap() {}
+            std::mem::forget(session);
+        }
+        let names = listing(&dir);
+        for gen in [200usize, 500] {
+            for c in 0..2 {
+                assert!(
+                    names.contains(&format!("col-{c}-{gen:016x}.bin")),
+                    "{names:?}"
+                );
+            }
+        }
+        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        assert_eq!(back.main_len(), 500);
+        assert_mains_identical(&back, &merged_reference(&data));
+        assert_eq!(listing(&dir), one_generation(500, 500));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stale file of another generation and an interrupted `.tmp` write
+    /// are ignored by recovery and unlinked by the next finished merge.
+    #[test]
+    fn stale_column_files_are_ignored_then_unlinked() {
         let dir = temp_dir("stale");
-        std::fs::create_dir_all(&dir).unwrap();
-        wal::write_manifest(
-            &dir,
-            &wal::Manifest {
-                n_cols: 2,
-                value_bytes: 8,
-                fsync: false,
-            },
-        )
-        .unwrap();
+        let data = rows(300);
+        {
+            let t = durable_table(&dir);
+            t.insert_rows(&data[..200]).unwrap();
+            t.merge(1, None).unwrap();
+        }
+        let stale = dir.join(format!("col-0-{:016x}.bin", 7));
+        let tmp = dir.join("checkpoint.bin.tmp");
+        std::fs::write(&stale, b"not a column").unwrap();
+        std::fs::write(&tmp, b"torn").unwrap();
+        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        assert_eq!(back.main_len(), 200);
+        assert!(stale.exists() && tmp.exists(), "recovery leaves them alone");
+        back.insert_rows(&data[200..]).unwrap();
+        back.merge(1, None).unwrap();
+        assert_eq!(listing(&dir), one_generation(300, 300));
+        drop(back);
+        assert_mains_identical(&recover(&dir).unwrap(), &merged_reference(&data));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A merge cancelled before the crash left its rows sealed but
+    /// unmerged: recovery merges them forward.
+    #[test]
+    fn cancelled_durable_merge_is_finished_by_recovery() {
+        let dir = temp_dir("cancelled");
         let data = rows(100);
         {
-            let w: Wal<u64> = Wal::create(&dir, false, 0).unwrap();
-            w.append_insert(0, &data).unwrap();
-            w.seal_and_rotate(100).unwrap();
-            let _log = MergeLog::begin(&dir, 42, 2).unwrap(); // wrong frozen_end
+            let t = durable_table(&dir);
+            t.insert_rows(&data).unwrap();
+            let cancel = AtomicBool::new(true);
+            assert!(matches!(
+                t.merge_with(MergeGrant::with_threads(1), Some(&cancel)),
+                Err(Error::Cancelled)
+            ));
+            assert_eq!(t.main_len(), 0, "rolled back to pending");
         }
         let back: OnlineTable<u64> = recover(&dir).unwrap();
         assert_eq!(back.row_count(), 100);
-        assert_eq!(back.main_len(), 0, "no resume: rows stay in the delta");
-        assert_eq!(back.delta_len(), 100);
-        assert!(
-            wal::read_merge_log(&dir, 2).unwrap().is_none(),
-            "the stale log was cleared"
-        );
-        // And the table is fully usable: the next merge absorbs the rows.
-        back.merge(1, None).unwrap();
-        assert_eq!(back.main_len(), 100);
+        assert_eq!(back.main_len(), 100, "recovery merged the sealed rows");
+        assert_eq!(back.delta_len(), 0);
+        assert_mains_identical(&back, &merged_reference(&data));
+        assert_eq!(listing(&dir), one_generation(100, 100));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A merge of an empty delta rewrites the live generation's column
+    /// files in place; the delete it checkpoints survives recovery.
+    #[test]
+    fn empty_delta_merge_keeps_one_generation_and_the_delete() {
+        let dir = temp_dir("empty-delta");
+        let data = rows(300);
+        let t = durable_table(&dir);
+        t.insert_rows(&data).unwrap();
+        t.merge(1, None).unwrap();
+        t.try_delete_row(17).unwrap();
+        t.merge_with(MergeGrant::with_threads(1), None).unwrap();
+        assert_eq!(listing(&dir), one_generation(300, 300));
+        let ckpt = wal::read_checkpoint::<u64>(&dir)
+            .unwrap()
+            .expect("manifest");
+        assert!(!ckpt.validity.is_valid(17), "the manifest holds the delete");
+        drop(t);
+        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        assert_eq!(back.main_len(), 300);
+        assert!(!back.is_valid(17));
+        assert_eq!(back.snapshot().validity().valid_count(), 299);
+        assert_mains_identical(&back, &merged_reference(&data));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A column whose dictionary crosses 2^8 distinct values between two
+    /// merges widens its codes 8 -> 9 bits and recovers byte-identically.
+    #[test]
+    fn code_width_crossing_recovers_byte_identical() {
+        let dir = temp_dir("width");
+        let data: Vec<Vec<u64>> = (0..257u64).map(|i| vec![i, i % 3]).collect();
+        let t = durable_table(&dir);
+        t.insert_rows(&data[..256]).unwrap();
+        t.merge(1, None).unwrap();
+        assert_eq!(t.snapshot().col(0).main().packed_codes().bits(), 8);
+        t.insert_rows(&data[256..]).unwrap();
+        t.merge(1, None).unwrap();
+        drop(t);
+        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        assert_eq!(back.snapshot().col(0).main().packed_codes().bits(), 9);
+        assert_mains_identical(&back, &merged_reference(&data));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,4 @@
-//! The append-only delta write-ahead log, checkpoints, and the merge
-//! recovery log.
+//! The append-only delta write-ahead log and the merged column files.
 //!
 //! The paper's main-memory design assumes a recoverable delta as the price
 //! of its insert-only differential buffer; this module supplies it with
@@ -12,18 +11,18 @@
 //!   the global tuple id of its first insert; a merge *freeze* seals the
 //!   live segment and rotates to a fresh one whose base is the new tail's
 //!   base, so segment boundaries coincide exactly with freeze boundaries.
-//! * **The data checkpoint** (`checkpoint.bin`): the dictionary-compressed
-//!   mains (sorted dictionary values + packed code words, verbatim) and the
-//!   validity bitmap of the checkpointed rows, written atomically
-//!   (tmp + rename) when a merge commits its last column. Sealed segments
-//!   whose rows the checkpoint covers are then deleted — bounded replay.
-//! * **The merge recovery log** (`merge.ckpt` + `staged/col-<c>.bin`):
-//!   SAGA-style enumerated step records in the spirit of resumable
-//!   branch-merge engines — a begin marker at freeze, advisory per-stage /
-//!   per-word-region progress records streamed by the pipeline, and
-//!   durable chunk-done records whose staged column outputs let a restarted
-//!   process resume a half-finished budgeted merge at its last completed
-//!   K-column chunk instead of redoing it.
+//! * **Column files** (`col-<c>-<rows>.bin`): one merged main partition
+//!   (sorted dictionary values + packed code words, verbatim), written
+//!   atomically (tmp + fsync + rename) by the merge step that committed
+//!   it. `rows` is the merge's frozen row count. Rows below it are
+//!   insert-only and merge output depends only on the row value sequence,
+//!   so a name always holds the same bytes and needs no log to vouch for
+//!   it.
+//! * **The checkpoint manifest** (`checkpoint.bin`): the row count the
+//!   table's durable mains cover and the validity bitmap of those rows,
+//!   renamed into place when a merge finishes. Column `c` of the
+//!   checkpoint is `col-<c>-<rows>.bin`; sealed segments below `rows`
+//!   are then deleted — bounded replay.
 //!
 //! Ordering contract: under the `fsync` policy a batch's insert record is
 //! written **and synced** before the batch's tail watermark publishes —
@@ -40,7 +39,7 @@ use hyrise_bitpack::BitPackedVec;
 use hyrise_storage::{Dictionary, MainPartition, ValidityBitmap, Value};
 use parking_lot::Mutex;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -50,11 +49,6 @@ const REC_INSERT: u8 = 1;
 const REC_FLIP: u8 = 2;
 const REC_SEAL: u8 = 3;
 
-/// Record types inside the merge recovery log.
-const MREC_BEGIN: u8 = 1;
-const MREC_STEP: u8 = 2;
-const MREC_CHUNK: u8 = 3;
-
 /// Upper bound on a single record's payload; a length header above this is
 /// corruption, not a real record (guards the replay allocator).
 const MAX_RECORD: u32 = 1 << 30;
@@ -62,13 +56,16 @@ const MAX_RECORD: u32 = 1 << 30;
 const SEGMENT_PREFIX: &str = "seg-";
 const SEGMENT_SUFFIX: &str = ".wal";
 const CHECKPOINT_FILE: &str = "checkpoint.bin";
-const MERGE_LOG_FILE: &str = "merge.ckpt";
-const STAGED_DIR: &str = "staged";
+const COLUMN_PREFIX: &str = "col-";
+const COLUMN_SUFFIX: &str = ".bin";
+const TMP_SUFFIX: &str = ".tmp";
 const MANIFEST_FILE: &str = "TABLE";
 const SHARDED_MANIFEST_FILE: &str = "SHARDS";
 
-const CHECKPOINT_MAGIC: &[u8; 8] = b"HYRCKP01";
-const STAGED_MAGIC: &[u8; 8] = b"HYRSTG01";
+const CHECKPOINT_MAGIC: &[u8; 8] = b"HYRCKP02";
+/// The whole-table image format that held every column inline.
+const IMAGE_CHECKPOINT_MAGIC: &[u8; 8] = b"HYRCKP01";
+const COLUMN_MAGIC: &[u8; 8] = b"HYRCOL01";
 const MANIFEST_MAGIC: &[u8; 8] = b"HYRTBL01";
 const SHARDED_MAGIC: &[u8; 8] = b"HYRSHRD1";
 
@@ -253,10 +250,29 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    /// The byte length of `n` fields of `width` bytes, or `Corrupt` when
+    /// it overflows (a crafted count must not reach the allocator).
+    fn span(&self, n: usize, width: usize) -> Result<usize> {
+        n.checked_mul(width).ok_or_else(|| {
+            Error::corrupt(
+                self.path,
+                self.pos as u64,
+                format!("field count {n} overflows"),
+            )
+        })
+    }
+
     fn values<V: Value>(&mut self, n: usize) -> Result<Vec<V>> {
-        let raw = self.take(n * V::BYTES)?;
-        Ok((0..n)
-            .map(|i| V::read_bytes(&raw[i * V::BYTES..]))
+        let raw = self.take(self.span(n, V::BYTES)?)?;
+        Ok(raw.chunks_exact(V::BYTES).map(V::read_bytes).collect())
+    }
+
+    /// `n` little-endian `u64` words, taken in full before any allocation.
+    fn words(&mut self, n: usize) -> Result<Vec<u64>> {
+        let raw = self.take(self.span(n, 8)?)?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
             .collect())
     }
 
@@ -563,10 +579,10 @@ impl<V: Value> Wal<V> {
     pub(crate) fn seal_and_rotate(&self, new_base: usize) -> Result<()> {
         let mut w = self.writer.lock();
         if w.base == new_base {
-            // The tail sealed at zero rows (a merge of pending-only rows,
-            // e.g. re-merging after a cancellation or a resumed
-            // recovery): the live segment holds no insert records, stays
-            // live, and rotating it onto itself would clobber the file.
+            // The tail sealed at zero rows (a merge of pending-only rows
+            // after a cancellation, or of an empty delta): the live
+            // segment holds no insert records, stays live, and rotating
+            // it onto itself would clobber the file.
             return Ok(());
         }
         let mut framed = std::mem::take(&mut w.buf);
@@ -601,10 +617,158 @@ impl<V: Value> Wal<V> {
 }
 
 // ---------------------------------------------------------------------------
-// The data checkpoint
+// Column files and the checkpoint manifest
 // ---------------------------------------------------------------------------
 
-/// A decoded `checkpoint.bin`.
+/// `col-<c>-<rows>.bin`: column `c` merged over the table's first `rows`
+/// rows (zero-padded hex, like segment names).
+fn column_name(col: usize, rows: usize) -> String {
+    format!("{COLUMN_PREFIX}{col}-{rows:016x}{COLUMN_SUFFIX}")
+}
+
+/// Parse a column file name back to `(column, rows)`.
+fn parse_column_name(name: &str) -> Option<(usize, usize)> {
+    let (col, rows) = name
+        .strip_prefix(COLUMN_PREFIX)?
+        .strip_suffix(COLUMN_SUFFIX)?
+        .split_once('-')?;
+    Some((col.parse().ok()?, usize::from_str_radix(rows, 16).ok()?))
+}
+
+/// Write `bytes` to `name` in `dir` atomically: tmp file, fsync, rename,
+/// directory fsync.
+fn publish_file(dir: &Path, name: &str, bytes: &[u8], context: &'static str) -> Result<()> {
+    let tmp = dir.join(format!("{name}{TMP_SUFFIX}"));
+    let mut f = File::create(&tmp).map_err(io(context))?;
+    f.write_all(bytes).map_err(io(context))?;
+    f.sync_all().map_err(io(context))?;
+    drop(f);
+    fs::rename(&tmp, dir.join(name)).map_err(io(context))?;
+    sync_dir(dir);
+    Ok(())
+}
+
+/// Check the trailing CRC of a whole-file image and return the body after
+/// its 8-byte magic.
+fn checked_body<'a>(bytes: &'a [u8], path: &Path, magic: &[u8; 8]) -> Result<&'a [u8]> {
+    if bytes.len() < magic.len() + 4 || &bytes[..8] != magic {
+        return Err(Error::corrupt(path, 0, "bad magic"));
+    }
+    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
+    if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")) {
+        return Err(Error::corrupt(path, 0, "crc mismatch"));
+    }
+    Ok(&body[8..])
+}
+
+fn check_value_width<V: Value>(r: &mut Reader<'_>) -> Result<()> {
+    let value_bytes = r.u32()? as usize;
+    if value_bytes != V::BYTES {
+        return Err(Error::corrupt(
+            r.path,
+            0,
+            format!(
+                "value width {value_bytes} does not match table's {}",
+                V::BYTES
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// Durably write column `col`'s merged main partition over the first
+/// `rows` rows as `col-<col>-<rows>.bin`.
+pub(crate) fn write_column<V: Value>(
+    dir: &Path,
+    col: usize,
+    rows: usize,
+    main: &MainPartition<V>,
+) -> Result<()> {
+    debug_assert_eq!(main.len(), rows);
+    let dict = main.dictionary().values();
+    let codes = main.packed_codes();
+    let mut buf = Vec::with_capacity(
+        8 + 4 + 8 + dict.len() * V::BYTES + 1 + 16 + codes.words().len() * 8 + 4,
+    );
+    buf.extend_from_slice(COLUMN_MAGIC);
+    buf.extend_from_slice(&(V::BYTES as u32).to_le_bytes());
+    buf.extend_from_slice(&(dict.len() as u64).to_le_bytes());
+    for &v in dict {
+        v.write_bytes(&mut buf);
+    }
+    buf.push(codes.bits());
+    buf.extend_from_slice(&(codes.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&(codes.words().len() as u64).to_le_bytes());
+    for &w in codes.words() {
+        buf.extend_from_slice(&w.to_le_bytes());
+    }
+    buf.extend_from_slice(&crc32(&buf).to_le_bytes());
+    publish_file(dir, &column_name(col, rows), &buf, "write column file")
+}
+
+/// Is `col-<col>-<rows>.bin` on disk?
+pub(crate) fn column_exists(dir: &Path, col: usize, rows: usize) -> bool {
+    dir.join(column_name(col, rows)).is_file()
+}
+
+/// Load `col-<col>-<rows>.bin`. Every field is checked before it sizes an
+/// allocation, so a damaged file is [`Error::Corrupt`], never a panic.
+pub(crate) fn read_column<V: Value>(
+    dir: &Path,
+    col: usize,
+    rows: usize,
+) -> Result<MainPartition<V>> {
+    let path = dir.join(column_name(col, rows));
+    let bytes = fs::read(&path).map_err(io("read column file"))?;
+    let mut r = Reader::new(checked_body(&bytes, &path, COLUMN_MAGIC)?, &path);
+    check_value_width::<V>(&mut r)?;
+    let dict_len = r.u64()? as usize;
+    let dict = r.values::<V>(dict_len)?;
+    let bits = r.u8()?;
+    let n_codes = r.u64()? as usize;
+    let n_words = r.u64()? as usize;
+    let words = r.words(n_words)?;
+    let geometry_ok = (1..=64).contains(&bits)
+        && n_codes == rows
+        && r.done()
+        && dict.windows(2).all(|w| w[0] < w[1])
+        && n_codes
+            .checked_mul(bits as usize)
+            .is_some_and(|b| n_words >= b.div_ceil(64));
+    if !geometry_ok {
+        return Err(Error::corrupt(
+            &path,
+            0,
+            "main partition geometry out of range",
+        ));
+    }
+    MainPartition::from_parts(
+        Dictionary::from_sorted_unique(dict),
+        BitPackedVec::from_words(bits, n_codes, words),
+    )
+    .ok_or_else(|| Error::corrupt(&path, 0, "main partition code outside its dictionary"))
+}
+
+/// Unlink every column file of a generation other than `rows` and every
+/// interrupted `*.tmp` write. Best-effort: a file that survives is
+/// ignored by recovery (only `col-<c>-<rows>` of the checkpoint or of the
+/// sealed rows' end is ever read) and retried at the next merge.
+pub(crate) fn remove_stale_files(dir: &Path, rows: usize) -> Result<()> {
+    for entry in fs::read_dir(dir).map_err(io("list wal directory"))? {
+        let entry = entry.map_err(io("list wal directory"))?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let stale = name.ends_with(TMP_SUFFIX)
+            || parse_column_name(name).is_some_and(|(_, gen)| gen != rows);
+        if stale {
+            let _ = fs::remove_file(entry.path());
+        }
+    }
+    sync_dir(dir);
+    Ok(())
+}
+
+/// A decoded checkpoint: the manifest plus the column files it implies.
 pub(crate) struct Checkpoint<V> {
     /// Rows covered (every column's main length).
     pub rows: usize,
@@ -615,92 +779,33 @@ pub(crate) struct Checkpoint<V> {
     pub validity: ValidityBitmap,
 }
 
-fn push_main_partition<V: Value>(buf: &mut Vec<u8>, main: &MainPartition<V>) {
-    let dict = main.dictionary().values();
-    buf.extend_from_slice(&(dict.len() as u64).to_le_bytes());
-    for &v in dict {
-        v.write_bytes(buf);
-    }
-    let codes = main.packed_codes();
-    buf.push(codes.bits());
-    buf.extend_from_slice(&(codes.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&(codes.words().len() as u64).to_le_bytes());
-    for &w in codes.words() {
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
-fn read_main_partition<V: Value>(r: &mut Reader<'_>) -> Result<MainPartition<V>> {
-    let dict_len = r.u64()? as usize;
-    let dict = r.values::<V>(dict_len)?;
-    let bits = r.u8()?;
-    let n_codes = r.u64()? as usize;
-    let n_words = r.u64()? as usize;
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(r.u64()?);
-    }
-    if !(1..=64).contains(&bits) || n_words < (n_codes * bits as usize).div_ceil(64) {
-        return Err(Error::corrupt(
-            r.path,
-            r.pos as u64,
-            "main partition geometry out of range",
-        ));
-    }
-    MainPartition::from_parts(
-        Dictionary::from_sorted_unique(dict),
-        BitPackedVec::from_words(bits, n_codes, words),
-    )
-    .ok_or_else(|| {
-        Error::corrupt(
-            r.path,
-            r.pos as u64,
-            "main partition code outside its dictionary",
-        )
-    })
-}
-
-/// Atomically persist the committed mains + validity prefix: build the
-/// image, CRC it, write to a temp file, fsync, rename over
-/// `checkpoint.bin`, fsync the directory.
+/// Atomically publish the checkpoint manifest for a merge whose `n_cols`
+/// column files of generation `validity.len()` are already durable:
+/// value width, column count, rows and the validity words, CRC'd and
+/// renamed over `checkpoint.bin`.
 pub(crate) fn write_checkpoint<V: Value>(
     dir: &Path,
-    mains: &[&MainPartition<V>],
+    n_cols: usize,
     validity: &ValidityBitmap,
 ) -> Result<()> {
-    let rows = mains.first().map_or(0, |m| m.len());
-    debug_assert!(mains.iter().all(|m| m.len() == rows));
-    debug_assert_eq!(validity.len(), rows);
-    let mut buf = Vec::new();
+    let words = validity.words();
+    let mut buf = Vec::with_capacity(8 + 4 + 4 + 8 + 8 + words.len() * 8 + 4);
     buf.extend_from_slice(CHECKPOINT_MAGIC);
     buf.extend_from_slice(&(V::BYTES as u32).to_le_bytes());
-    buf.extend_from_slice(&(mains.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&(rows as u64).to_le_bytes());
-    for main in mains {
-        push_main_partition(&mut buf, main);
-    }
-    buf.extend_from_slice(&(validity.words().len() as u64).to_le_bytes());
-    for &w in validity.words() {
+    buf.extend_from_slice(&(n_cols as u32).to_le_bytes());
+    buf.extend_from_slice(&(validity.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&(words.len() as u64).to_le_bytes());
+    for &w in words {
         buf.extend_from_slice(&w.to_le_bytes());
     }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-
-    let tmp = dir.join("checkpoint.tmp");
-    let final_path = dir.join(CHECKPOINT_FILE);
-    let mut f = File::create(&tmp).map_err(io("create checkpoint"))?;
-    f.write_all(&buf).map_err(io("write checkpoint"))?;
-    f.sync_all().map_err(io("sync checkpoint"))?;
-    drop(f);
-    fs::rename(&tmp, &final_path).map_err(io("publish checkpoint"))?;
-    sync_dir(dir);
-    Ok(())
+    buf.extend_from_slice(&crc32(&buf).to_le_bytes());
+    publish_file(dir, CHECKPOINT_FILE, &buf, "write checkpoint")
 }
 
-/// Load `checkpoint.bin` if present. A missing file means "no merge has
-/// ever committed" (replay starts from empty mains); a damaged file is a
-/// hard error — the checkpoint is written atomically, so damage is disk
-/// corruption, not a crash artifact.
+/// Load `checkpoint.bin` and its column files if present. A missing
+/// manifest means "no merge has ever finished" (replay starts from empty
+/// mains); a damaged manifest or column file is a hard error — both are
+/// written atomically, so damage is disk corruption, not a crash artifact.
 pub(crate) fn read_checkpoint<V: Value>(dir: &Path) -> Result<Option<Checkpoint<V>>> {
     let path = dir.join(CHECKPOINT_FILE);
     let bytes = match fs::read(&path) {
@@ -708,247 +813,34 @@ pub(crate) fn read_checkpoint<V: Value>(dir: &Path) -> Result<Option<Checkpoint<
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(Error::io("read checkpoint", e)),
     };
-    if bytes.len() < CHECKPOINT_MAGIC.len() + 4 || &bytes[..8] != CHECKPOINT_MAGIC {
-        return Err(Error::corrupt(&path, 0, "bad checkpoint magic"));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != crc {
-        return Err(Error::corrupt(&path, 0, "checkpoint crc mismatch"));
-    }
-    let mut r = Reader::new(&body[8..], &path);
-    let value_bytes = r.u32()? as usize;
-    if value_bytes != V::BYTES {
+    if bytes.starts_with(IMAGE_CHECKPOINT_MAGIC) {
         return Err(Error::corrupt(
             &path,
             0,
-            format!(
-                "value width {value_bytes} does not match table's {}",
-                V::BYTES
-            ),
+            "whole-table checkpoint image: the format predates column files",
         ));
     }
+    let mut r = Reader::new(checked_body(&bytes, &path, CHECKPOINT_MAGIC)?, &path);
+    check_value_width::<V>(&mut r)?;
     let n_cols = r.u32()? as usize;
     let rows = r.u64()? as usize;
-    let mut mains = Vec::with_capacity(n_cols);
-    for _ in 0..n_cols {
-        let main = read_main_partition::<V>(&mut r)?;
-        if main.len() != rows {
-            return Err(Error::corrupt(&path, 0, "column length mismatch"));
-        }
-        mains.push(main);
-    }
     let n_words = r.u64()? as usize;
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(r.u64()?);
+    let words = r.words(n_words)?;
+    if n_words < rows.div_ceil(64) || !r.done() {
+        return Err(Error::corrupt(
+            &path,
+            0,
+            "validity words do not cover the rows",
+        ));
     }
-    if n_words < rows.div_ceil(64) {
-        return Err(Error::corrupt(&path, 0, "validity words too short"));
-    }
+    let mains = (0..n_cols)
+        .map(|c| read_column::<V>(dir, c, rows))
+        .collect::<Result<_>>()?;
     Ok(Some(Checkpoint {
         rows,
         mains,
         validity: ValidityBitmap::from_words(words, rows),
     }))
-}
-
-// ---------------------------------------------------------------------------
-// The merge recovery log (SAGA-style resumable steps)
-// ---------------------------------------------------------------------------
-
-/// The open merge recovery log an in-flight merge appends to. Implements
-/// [`crate::pipeline::StepSink`] so the pipeline can stream advisory
-/// stage/progress records; the durable resume points are the begin marker
-/// and the chunk-done records.
-pub(crate) struct MergeLog {
-    file: Mutex<BufWriter<File>>,
-}
-
-impl MergeLog {
-    /// Start a fresh merge log: truncate any stale one and write the
-    /// begin marker (`frozen_end` = global row count at the freeze),
-    /// synced — from here on, recovery resumes the merge instead of
-    /// rolling it back.
-    pub(crate) fn begin(dir: &Path, frozen_end: usize, n_cols: usize) -> Result<Self> {
-        let path = dir.join(MERGE_LOG_FILE);
-        let file = File::create(&path).map_err(io("create merge log"))?;
-        let log = Self {
-            file: Mutex::new(BufWriter::new(file)),
-        };
-        let mut payload = Vec::with_capacity(13);
-        payload.push(MREC_BEGIN);
-        payload.extend_from_slice(&(frozen_end as u64).to_le_bytes());
-        payload.extend_from_slice(&(n_cols as u32).to_le_bytes());
-        log.append(&payload, true)?;
-        sync_dir(dir);
-        Ok(log)
-    }
-
-    fn append(&self, payload: &[u8], sync: bool) -> Result<()> {
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        frame_into(&mut framed, payload);
-        let mut f = self.file.lock();
-        f.write_all(&framed)
-            .map_err(io("append merge log record"))?;
-        f.flush().map_err(io("append merge log record"))?;
-        if sync {
-            f.get_ref()
-                .sync_data()
-                .map_err(io("sync merge log record"))?;
-        }
-        Ok(())
-    }
-
-    /// Record that the staged outputs of `cols` are durable on disk:
-    /// recovery loads them instead of re-merging. Synced.
-    pub(crate) fn chunk_done(&self, cols: &[usize]) -> Result<()> {
-        let mut payload = Vec::with_capacity(5 + 4 * cols.len());
-        payload.push(MREC_CHUNK);
-        payload.extend_from_slice(&(cols.len() as u32).to_le_bytes());
-        for &c in cols {
-            payload.extend_from_slice(&(c as u32).to_le_bytes());
-        }
-        self.append(&payload, true)
-    }
-
-    /// Append one advisory step record (buffered, not synced — these
-    /// narrate progress between the durable chunk boundaries). Errors are
-    /// swallowed: a lost advisory record costs nothing at recovery.
-    pub(crate) fn step(&self, step: crate::pipeline::MergeStep) {
-        let (kind, col, progress, total) = step.encode();
-        let mut payload = Vec::with_capacity(22);
-        payload.push(MREC_STEP);
-        payload.push(kind);
-        payload.extend_from_slice(&(col as u32).to_le_bytes());
-        payload.extend_from_slice(&progress.to_le_bytes());
-        payload.extend_from_slice(&total.to_le_bytes());
-        let _ = self.append(&payload, false);
-    }
-}
-
-impl crate::pipeline::StepSink for MergeLog {
-    fn record(&self, step: crate::pipeline::MergeStep) {
-        self.step(step);
-    }
-}
-
-/// A decoded merge recovery log: the merge to resume.
-#[derive(Debug)]
-pub(crate) struct MergeCkpt {
-    /// Global row count at the freeze (every merged column's final length).
-    pub frozen_end: usize,
-    /// Columns whose staged outputs are durable (union of chunk records).
-    pub done_cols: Vec<usize>,
-}
-
-/// Load `merge.ckpt` if present. A torn suffix is tolerated (the advisory
-/// step records are streamed unsynced); a torn or missing begin marker
-/// means no merge was in flight.
-pub(crate) fn read_merge_log(dir: &Path, n_cols: usize) -> Result<Option<MergeCkpt>> {
-    let path = dir.join(MERGE_LOG_FILE);
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(Error::io("read merge log", e)),
-    };
-    let mut ckpt: Option<MergeCkpt> = None;
-    let mut off = 0usize;
-    while let Frame::Ok { start, end } = read_frame(&bytes, off, &path)? {
-        let mut r = Reader::new(&bytes[start..end], &path);
-        match r.u8()? {
-            MREC_BEGIN => {
-                let frozen_end = r.u64()? as usize;
-                let cols = r.u32()? as usize;
-                if cols != n_cols {
-                    return Err(Error::corrupt(
-                        &path,
-                        off as u64,
-                        format!("merge log has {cols} columns, table has {n_cols}"),
-                    ));
-                }
-                ckpt = Some(MergeCkpt {
-                    frozen_end,
-                    done_cols: Vec::new(),
-                });
-            }
-            MREC_CHUNK => {
-                let n = r.u32()? as usize;
-                let ckpt = ckpt.as_mut().ok_or_else(|| {
-                    Error::corrupt(&path, off as u64, "chunk record before begin marker")
-                })?;
-                for _ in 0..n {
-                    ckpt.done_cols.push(r.u32()? as usize);
-                }
-            }
-            MREC_STEP => {} // advisory narration only
-            t => {
-                return Err(Error::corrupt(
-                    &path,
-                    off as u64,
-                    format!("unknown merge log record type {t}"),
-                ))
-            }
-        }
-        off = end;
-    }
-    Ok(ckpt)
-}
-
-/// Remove the merge recovery log and every staged column (merge finished
-/// or rolled back).
-pub(crate) fn clear_merge_log(dir: &Path) -> Result<()> {
-    let _ = fs::remove_file(dir.join(MERGE_LOG_FILE));
-    let _ = fs::remove_dir_all(dir.join(STAGED_DIR));
-    sync_dir(dir);
-    Ok(())
-}
-
-/// Durably stage one merged column output (`staged/col-<c>.bin`,
-/// tmp + rename) so a resumed merge loads it instead of re-merging.
-pub(crate) fn write_staged_column<V: Value>(
-    dir: &Path,
-    col: usize,
-    main: &MainPartition<V>,
-) -> Result<()> {
-    let staged = dir.join(STAGED_DIR);
-    fs::create_dir_all(&staged).map_err(io("create staged directory"))?;
-    let mut buf = Vec::new();
-    buf.extend_from_slice(STAGED_MAGIC);
-    buf.extend_from_slice(&(V::BYTES as u32).to_le_bytes());
-    push_main_partition(&mut buf, main);
-    buf.extend_from_slice(&crc32(&buf).to_le_bytes());
-    let tmp = staged.join(format!("col-{col}.tmp"));
-    let final_path = staged.join(format!("col-{col}.bin"));
-    let mut f = File::create(&tmp).map_err(io("create staged column"))?;
-    f.write_all(&buf).map_err(io("write staged column"))?;
-    f.sync_all().map_err(io("sync staged column"))?;
-    drop(f);
-    fs::rename(&tmp, &final_path).map_err(io("publish staged column"))?;
-    sync_dir(&staged);
-    Ok(())
-}
-
-/// Load a staged column written by [`write_staged_column`].
-pub(crate) fn read_staged_column<V: Value>(dir: &Path, col: usize) -> Result<MainPartition<V>> {
-    let path = dir.join(STAGED_DIR).join(format!("col-{col}.bin"));
-    let bytes = fs::read(&path).map_err(io("read staged column"))?;
-    if bytes.len() < 12 || &bytes[..8] != STAGED_MAGIC {
-        return Err(Error::corrupt(&path, 0, "bad staged column magic"));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")) {
-        return Err(Error::corrupt(&path, 0, "staged column crc mismatch"));
-    }
-    let mut r = Reader::new(&body[8..], &path);
-    if r.u32()? as usize != V::BYTES {
-        return Err(Error::corrupt(
-            &path,
-            0,
-            "staged column value width mismatch",
-        ));
-    }
-    read_main_partition::<V>(&mut r)
 }
 
 // ---------------------------------------------------------------------------
@@ -983,19 +875,16 @@ pub(crate) fn write_manifest(dir: &Path, m: &Manifest) -> Result<()> {
 pub(crate) fn read_manifest(dir: &Path) -> Result<Manifest> {
     let path = dir.join(MANIFEST_FILE);
     let bytes = fs::read(&path).map_err(io("read table manifest"))?;
-    if bytes.len() != 21 || &bytes[..8] != MANIFEST_MAGIC {
-        return Err(Error::corrupt(&path, 0, "bad table manifest"));
-    }
-    let (body, crc_bytes) = bytes.split_at(17);
-    if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")) {
-        return Err(Error::corrupt(&path, 0, "table manifest crc mismatch"));
-    }
-    let mut r = Reader::new(&body[8..], &path);
-    Ok(Manifest {
+    let mut r = Reader::new(checked_body(&bytes, &path, MANIFEST_MAGIC)?, &path);
+    let m = Manifest {
         n_cols: r.u32()? as usize,
         value_bytes: r.u32()? as usize,
         fsync: r.u8()? != 0,
-    })
+    };
+    if !r.done() {
+        return Err(Error::corrupt(&path, 0, "trailing bytes in table manifest"));
+    }
+    Ok(m)
 }
 
 /// Does `dir` already hold a table manifest?
@@ -1058,14 +947,7 @@ pub(crate) fn write_sharded_manifest<V: Value>(root: &Path, m: &ShardedManifest<
 pub(crate) fn read_sharded_manifest<V: Value>(root: &Path) -> Result<ShardedManifest<V>> {
     let path = root.join(SHARDED_MANIFEST_FILE);
     let bytes = fs::read(&path).map_err(io("read sharded manifest"))?;
-    if bytes.len() < 26 || &bytes[..8] != SHARDED_MAGIC {
-        return Err(Error::corrupt(&path, 0, "bad sharded manifest"));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")) {
-        return Err(Error::corrupt(&path, 0, "sharded manifest crc mismatch"));
-    }
-    let mut r = Reader::new(&body[8..], &path);
+    let mut r = Reader::new(checked_body(&bytes, &path, SHARDED_MAGIC)?, &path);
     let n_shards = r.u32()? as usize;
     let n_cols = r.u32()? as usize;
     let value_bytes = r.u32()? as usize;
@@ -1226,6 +1108,13 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Recompute a whole-file image's trailing CRC after a test edit.
+    fn recrc(bytes: &mut [u8]) {
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    }
+
     #[test]
     fn checkpoint_round_trips() {
         let dir = temp_dir("ckpt");
@@ -1233,7 +1122,9 @@ mod tests {
         let m1 = MainPartition::from_values(&[10u64, 20, 30, 40, 50]);
         let mut validity = ValidityBitmap::all_valid(5);
         validity.invalidate(2);
-        write_checkpoint(&dir, &[&m0, &m1], &validity).unwrap();
+        write_column(&dir, 0, 5, &m0).unwrap();
+        write_column(&dir, 1, 5, &m1).unwrap();
+        write_checkpoint::<u64>(&dir, 2, &validity).unwrap();
         let ck = read_checkpoint::<u64>(&dir).unwrap().unwrap();
         assert_eq!(ck.rows, 5);
         assert_eq!(ck.mains.len(), 2);
@@ -1249,6 +1140,9 @@ mod tests {
             read_checkpoint::<u32>(&dir),
             Err(Error::Corrupt { .. })
         ));
+        // A manifest whose column file is missing is an error.
+        fs::remove_file(dir.join(column_name(1, 5))).unwrap();
+        assert!(read_checkpoint::<u64>(&dir).is_err());
         // Missing checkpoint is None, not an error.
         let empty = temp_dir("ckpt-none");
         assert!(read_checkpoint::<u64>(&empty).unwrap().is_none());
@@ -1263,18 +1157,16 @@ mod tests {
         // pass and the CRC is valid; only the zone pass sees the code.
         let dir = temp_dir("ckpt-code");
         let main = MainPartition::from_values(&[10u64, 20, 30, 10]);
-        let validity = ValidityBitmap::all_valid(4);
-        write_checkpoint(&dir, &[&main], &validity).unwrap();
-        let path = dir.join(CHECKPOINT_FILE);
+        write_column(&dir, 0, 4, &main).unwrap();
+        write_checkpoint::<u64>(&dir, 1, &ValidityBitmap::all_valid(4)).unwrap();
+        let path = dir.join(column_name(0, 4));
         let mut bytes = fs::read(&path).unwrap();
-        // Header (magic, value width, columns, rows) = 24 bytes, then the
-        // dictionary (length + 3 values), the code width, the code and
-        // word counts: the first code word starts at byte 73.
-        assert_eq!(bytes[24 + 8 + 24], 2, "2-bit codes");
-        bytes[73] |= 0b11; // row 0: code 0 -> 3
-        let body = bytes.len() - 4;
-        let crc = crc32(&bytes[..body]);
-        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        // Magic and value width = 12 bytes, then the dictionary (length +
+        // 3 values), the code width, the code and word counts: the first
+        // code word starts at byte 61.
+        assert_eq!(bytes[12 + 8 + 24], 2, "2-bit codes");
+        bytes[61] |= 0b11; // row 0: code 0 -> 3
+        recrc(&mut bytes);
         fs::write(&path, &bytes).unwrap();
         let err = read_checkpoint::<u64>(&dir).err().expect("rejected");
         assert!(matches!(err, Error::Corrupt { .. }), "got {err:?}");
@@ -1282,37 +1174,93 @@ mod tests {
     }
 
     #[test]
-    fn merge_log_round_trips_and_tolerates_torn_tail() {
-        let dir = temp_dir("mlog");
-        let log = MergeLog::begin(&dir, 1_000, 4).unwrap();
-        log.step(crate::pipeline::MergeStep::Stage1a { col: 0 });
-        log.chunk_done(&[0, 1]).unwrap();
-        log.chunk_done(&[2]).unwrap();
-        drop(log);
-        let ck = read_merge_log(&dir, 4).unwrap().unwrap();
-        assert_eq!(ck.frozen_end, 1_000);
-        assert_eq!(ck.done_cols, vec![0, 1, 2]);
-        // Torn tail: drop the last 3 bytes.
-        let path = dir.join(MERGE_LOG_FILE);
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let ck = read_merge_log(&dir, 4).unwrap().unwrap();
-        assert_eq!(ck.frozen_end, 1_000);
-        assert_eq!(ck.done_cols, vec![0, 1], "torn final chunk dropped");
-        clear_merge_log(&dir).unwrap();
-        assert!(read_merge_log(&dir, 4).unwrap().is_none());
+    fn crafted_column_counts_are_corrupt_not_a_panic() {
+        // Field offsets in a 3-value u64 column file: dictionary length at
+        // 12, code count at 45, word count at 53.
+        let dir = temp_dir("col-crafted");
+        let main = MainPartition::from_values(&[10u64, 20, 30, 10]);
+        write_column(&dir, 0, 4, &main).unwrap();
+        let path = dir.join(column_name(0, 4));
+        let clean = fs::read(&path).unwrap();
+        // The last case names a generation as long as its code count, so
+        // only `n_codes * bits` overflowing can reject it.
+        for (at, value, rows) in [
+            (12, 1u64 << 62, 4),
+            (53, 1 << 61, 4),
+            (53, u64::MAX, 4),
+            (45, u64::MAX, usize::MAX),
+        ] {
+            let mut bytes = clean.clone();
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            recrc(&mut bytes);
+            fs::write(dir.join(column_name(0, rows)), &bytes).unwrap();
+            let err = read_column::<u64>(&dir, 0, rows).expect_err("rejected");
+            assert!(
+                matches!(err, Error::Corrupt { .. }),
+                "field at {at}: {err:?}"
+            );
+        }
+        // A dictionary out of order is damage too, not a debug assertion.
+        let mut bytes = clean.clone();
+        bytes[20..28].copy_from_slice(&99u64.to_le_bytes());
+        recrc(&mut bytes);
+        fs::write(&path, &bytes).unwrap();
+        let err = read_column::<u64>(&dir, 0, 4).expect_err("rejected");
+        assert!(matches!(err, Error::Corrupt { .. }), "got {err:?}");
+        // So is a validity word count no manifest could hold.
+        write_checkpoint::<u64>(&dir, 0, &ValidityBitmap::all_valid(4)).unwrap();
+        let ckpt = dir.join(CHECKPOINT_FILE);
+        let mut bytes = fs::read(&ckpt).unwrap();
+        bytes[24..32].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        recrc(&mut bytes);
+        fs::write(&ckpt, &bytes).unwrap();
+        let err = read_checkpoint::<u64>(&dir).err().expect("rejected");
+        assert!(matches!(err, Error::Corrupt { .. }), "got {err:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn staged_column_round_trips() {
-        let dir = temp_dir("staged");
+    fn image_checkpoint_is_a_typed_error() {
+        let dir = temp_dir("ckpt-image");
+        let mut bytes = IMAGE_CHECKPOINT_MAGIC.to_vec();
+        bytes.extend_from_slice(&[0; 24]);
+        fs::write(dir.join(CHECKPOINT_FILE), &bytes).unwrap();
+        match read_checkpoint::<u64>(&dir) {
+            Err(Error::Corrupt { detail, .. }) => {
+                assert!(detail.contains("predates column files"), "{detail}")
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|c| c.is_some())),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn column_file_round_trips() {
+        let dir = temp_dir("column");
         let main = MainPartition::from_values(&[3u32, 1, 4, 1, 5]);
-        write_staged_column(&dir, 2, &main).unwrap();
-        let back = read_staged_column::<u32>(&dir, 2).unwrap();
+        write_column(&dir, 2, 5, &main).unwrap();
+        assert_eq!(parse_column_name(&column_name(2, 5)), Some((2, 5)));
+        assert_eq!(parse_column_name("checkpoint.bin"), None);
+        let back = read_column::<u32>(&dir, 2, 5).unwrap();
         assert_eq!(back.dictionary().values(), main.dictionary().values());
         assert_eq!(back.packed_codes().words(), main.packed_codes().words());
-        assert!(read_staged_column::<u32>(&dir, 3).is_err());
+        assert!(read_column::<u32>(&dir, 3, 5).is_err(), "no such column");
+        // The name's row count is checked against the file's.
+        fs::rename(dir.join(column_name(2, 5)), dir.join(column_name(2, 6))).unwrap();
+        assert!(matches!(
+            read_column::<u32>(&dir, 2, 6),
+            Err(Error::Corrupt { .. })
+        ));
+        // Cleanup keeps one generation and drops interrupted writes.
+        write_column(&dir, 0, 5, &main).unwrap();
+        fs::write(dir.join("col-1-x.bin.tmp"), b"torn").unwrap();
+        remove_stale_files(&dir, 5).unwrap();
+        let mut left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, vec![column_name(0, 5)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
