@@ -37,7 +37,7 @@ fn table() -> OnlineTable<u64> {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        t.insert_row(&[x % 1009, x % 65_537]);
+        t.insert_row(&[x % 1009, x % 65_537]).unwrap();
     }
     let _ = t.merge(1, None);
     // A short raw tail on top of the merged main, like a live table.
@@ -46,7 +46,7 @@ fn table() -> OnlineTable<u64> {
         y ^= y << 13;
         y ^= y >> 7;
         y ^= y << 17;
-        t.insert_row(&[y % 1009, y % 65_537]);
+        t.insert_row(&[y % 1009, y % 65_537]).unwrap();
     }
     t
 }

@@ -3,9 +3,10 @@
 //! in-memory path — the zero-I/O baseline), a buffered WAL (records
 //! reach the OS page cache before rows publish), and an fsync WAL (one
 //! `fdatasync` per batch — the power-loss-proof mode, expected to be
-//! dominated by device sync latency). Table construction and directory
-//! teardown run outside the timed region (`iter_custom`), so the
-//! numbers isolate the per-append cost. All three modes are gated
+//! dominated by device sync latency). Each round builds a one-shard table
+//! and times its shard's write path (`OnlineTable::insert_rows`); table
+//! construction and directory teardown run outside the timed region
+//! (`iter_custom`), so the numbers isolate the per-append cost. All three modes are gated
 //! against `BENCH_baseline.json`; `fsync` at a widened 50% tolerance
 //! (`gate::TOLERANCE_OVERRIDES`), since its median is dominated by the
 //! runner's device sync latency rather than this code.
@@ -24,7 +25,7 @@
 //! the write-off is free.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hyrise_core::{Durability, OnlineTable};
+use hyrise_core::{Durability, ShardedTable};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -59,14 +60,15 @@ fn timed_rounds(
             Durability::Wal { dir, .. } => Some(dir.clone()),
             _ => None,
         };
-        let t: OnlineTable<u64> = OnlineTable::builder()
+        let t: ShardedTable<u64> = ShardedTable::builder()
             .columns(2)
             .durability(d)
             .build()
             .unwrap();
+        let shard = t.shard(0);
         let start = Instant::now();
         for _ in 0..batches {
-            black_box(t.insert_rows(batch).unwrap());
+            black_box(shard.insert_rows(batch).unwrap());
         }
         total += start.elapsed();
         drop(t);

@@ -1,27 +1,28 @@
-//! Unified table construction: [`TableConfig`], [`TableBuilder`], and
-//! [`ShardedTableBuilder`].
+//! Table construction: [`Durability`] and [`ShardedTableBuilder`].
 //!
 //! Durability made construction configuration-heavy — columns, a WAL
-//! directory and fsync policy, sharding layout — and the scattered
-//! positional constructors (`OnlineTable::new` and the since-removed
-//! `ShardedTable::hash`/`range`) don't scale to that. The builders are
-//! the one construction surface; merge policy is not theirs, it belongs
-//! to the [`crate::scheduler::MergeScheduler`] that adopts the table:
+//! directory and fsync policy, sharding layout — so one builder is the
+//! construction surface of every table. A one-shard table is the paper's
+//! single table (Section 3); more shards partition its rows. Merge policy
+//! is not the builder's, it belongs to the
+//! [`crate::scheduler::MergeScheduler`] that adopts the table:
 //!
 //! ```
-//! use hyrise_core::{Durability, OnlineTable};
+//! use hyrise_core::{Durability, ShardedTable};
 //! # fn main() -> hyrise_core::Result<()> {
-//! let table: OnlineTable<u64> = OnlineTable::builder()
+//! let table: ShardedTable<u64> = ShardedTable::builder()
 //!     .columns(3)
 //!     .durability(Durability::None)
 //!     .build()?;
+//! table.insert_row(&[1, 2, 3])?;
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! A durable table writes its manifest and opens its first WAL segment at
-//! build time; building over a directory that already holds a table is a
-//! [`Error::Config`] — re-open those with [`crate::recovery::recover`].
+//! A durable table writes one directory per shard, opens each shard's
+//! first WAL segment and then writes the root's `SHARDS` manifest; building
+//! over a root that already holds one is a [`Error::Config`] — re-open
+//! those with [`crate::recovery::recover_sharded`].
 
 use crate::error::{Error, Result};
 use crate::manager::OnlineTable;
@@ -29,7 +30,7 @@ use crate::pipeline::SpareBank;
 use crate::shard::{ShardBy, ShardedTable};
 use crate::wal::{self, Wal};
 use hyrise_storage::Value;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Whether (and how) a table's delta survives a crash.
@@ -40,11 +41,14 @@ pub enum Durability {
     #[default]
     None,
     /// Append a write-ahead record per insert batch / validity flip to
-    /// `dir`, so [`crate::recovery::recover`] rebuilds the table after a
+    /// each shard's directory under `dir`, so
+    /// [`crate::recovery::recover_sharded`] rebuilds the table after a
     /// crash.
     Wal {
-        /// The table's directory: manifest, WAL segments, checkpoint
-        /// manifest, merged column files. One table per directory.
+        /// The table's root directory: the `SHARDS` manifest and one
+        /// `shard-<i>/` directory per shard holding its WAL segments,
+        /// checkpoint manifest and merged column files. One table per
+        /// root.
         dir: PathBuf,
         /// `true`: records are fdatasync'd before the rows become
         /// visible — durable against power loss, at a large insert
@@ -56,117 +60,19 @@ pub enum Durability {
     },
 }
 
-/// The resolved configuration a [`TableBuilder`] accumulates. Public so
-/// callers can build configs programmatically and hand them around (the
-/// workload driver threads one through its scenario set-up).
-#[derive(Clone, Debug)]
-pub struct TableConfig {
-    /// Number of columns (must be ≥ 1).
-    pub columns: usize,
-    /// Crash-durability policy.
-    pub durability: Durability,
-}
-
-impl Default for TableConfig {
-    fn default() -> Self {
-        Self {
-            columns: 1,
-            durability: Durability::None,
-        }
-    }
-}
-
-/// Builder for [`OnlineTable`] — see the module docs.
-#[derive(Default)]
-pub struct TableBuilder<V> {
-    config: TableConfig,
-    bank: Option<Arc<SpareBank<V>>>,
-}
-
-impl<V: Value> TableBuilder<V> {
-    /// An empty builder: 1 column, [`Durability::None`].
-    pub fn new() -> Self {
-        Self {
-            config: TableConfig::default(),
-            bank: None,
-        }
-    }
-
-    /// Start from an existing [`TableConfig`].
-    pub fn from_config(config: TableConfig) -> Self {
-        Self { config, bank: None }
-    }
-
-    /// Number of columns.
-    pub fn columns(mut self, n: usize) -> Self {
-        self.config.columns = n;
-        self
-    }
-
-    /// Crash-durability policy.
-    pub fn durability(mut self, d: Durability) -> Self {
-        self.config.durability = d;
-        self
-    }
-
-    /// Share a [`SpareBank`] (e.g. across the shards of one table).
-    pub fn spare_bank(mut self, bank: Arc<SpareBank<V>>) -> Self {
-        self.bank = Some(bank);
-        self
-    }
-
-    /// Build the table. Fails with [`Error::Config`] on zero columns or a
-    /// WAL directory that already holds a table, and with [`Error::Io`]
-    /// when the directory/manifest/segment cannot be created.
-    pub fn build(self) -> Result<OnlineTable<V>> {
-        if self.config.columns == 0 {
-            return Err(Error::config("a table needs at least one column"));
-        }
-        let mut table = OnlineTable::new(self.config.columns);
-        if let Some(bank) = self.bank {
-            table = table.with_spare_bank(bank);
-        }
-        if let Durability::Wal { dir, fsync } = &self.config.durability {
-            table.set_wal(Some(open_fresh_wal::<V>(dir, *fsync, self.config.columns)?));
-        }
-        Ok(table)
-    }
-}
-
-/// Create `dir`, refuse it if it already holds a table, write the
-/// manifest, and open segment 0.
-fn open_fresh_wal<V: Value>(dir: &Path, fsync: bool, n_cols: usize) -> Result<Wal<V>> {
-    std::fs::create_dir_all(dir).map_err(|e| Error::io("create table directory", e))?;
-    if wal::manifest_exists(dir) || !wal::list_segments(dir)?.is_empty() {
-        return Err(Error::config(format!(
-            "{} already holds a table; re-open it with hyrise_core::recovery::recover",
-            dir.display()
-        )));
-    }
-    wal::write_manifest(
-        dir,
-        &wal::Manifest {
-            n_cols,
-            value_bytes: V::BYTES,
-            fsync,
-        },
-    )?;
-    Wal::create(dir, fsync, 0)
-}
-
 /// Builder for [`ShardedTable`]: shard count or range bounds, routing key
-/// column, and the same column and durability knobs as
-/// [`TableBuilder`] applied per shard.
+/// column, columns and durability.
 ///
 /// With [`Durability::Wal`] the directory becomes the *root*: a sharded
-/// manifest plus one `shard-<i>/` table directory per shard, each with
-/// its own segments and checkpoint (the per-shard WAL of the tentpole).
+/// manifest plus one `shard-<i>/` directory per shard, each with its own
+/// segments and checkpoint (the per-shard WAL).
 #[derive(Debug)]
 pub struct ShardedTableBuilder<V> {
     shards: Option<usize>,
     by: ShardBy<V>,
     key_col: usize,
-    config: TableConfig,
+    columns: usize,
+    durability: Durability,
 }
 
 impl<V: Value> ShardedTableBuilder<V> {
@@ -177,7 +83,8 @@ impl<V: Value> ShardedTableBuilder<V> {
             shards: None,
             by: ShardBy::Hash,
             key_col: 0,
-            config: TableConfig::default(),
+            columns: 1,
+            durability: Durability::None,
         }
     }
 
@@ -203,13 +110,13 @@ impl<V: Value> ShardedTableBuilder<V> {
 
     /// Number of columns per shard.
     pub fn columns(mut self, n: usize) -> Self {
-        self.config.columns = n;
+        self.columns = n;
         self
     }
 
     /// Crash-durability policy (per shard, under one root directory).
     pub fn durability(mut self, d: Durability) -> Self {
-        self.config.durability = d;
+        self.durability = d;
         self
     }
 
@@ -217,13 +124,13 @@ impl<V: Value> ShardedTableBuilder<V> {
     /// ([`Error::Config`] on unsorted range bounds, a shard-count
     /// mismatch, zero shards/columns, or a key column out of range).
     pub fn build(self) -> Result<ShardedTable<V>> {
-        if self.config.columns == 0 {
+        if self.columns == 0 {
             return Err(Error::config("a table needs at least one column"));
         }
-        if self.key_col >= self.config.columns {
+        if self.key_col >= self.columns {
             return Err(Error::config(format!(
                 "key column {} out of range for {} columns",
-                self.key_col, self.config.columns
+                self.key_col, self.columns
             )));
         }
         let num_shards = match &self.by {
@@ -249,27 +156,29 @@ impl<V: Value> ShardedTableBuilder<V> {
                 implied
             }
         };
+        if let Durability::Wal { dir, .. } = &self.durability {
+            if wal::sharded_manifest_exists(dir) {
+                return Err(Error::config(format!(
+                    "{} already holds a table; re-open it with hyrise_core::recover_sharded",
+                    dir.display()
+                )));
+            }
+        }
         let bank = Arc::new(SpareBank::new());
         let mut shards = Vec::with_capacity(num_shards);
         for i in 0..num_shards {
-            let mut builder = TableBuilder::new()
-                .columns(self.config.columns)
-                .spare_bank(Arc::clone(&bank));
-            if let Durability::Wal { dir, fsync } = &self.config.durability {
-                builder = builder.durability(Durability::Wal {
-                    dir: wal::shard_dir(dir, i),
-                    fsync: *fsync,
-                });
+            let mut shard = OnlineTable::new(self.columns).with_spare_bank(Arc::clone(&bank));
+            if let Durability::Wal { dir, fsync } = &self.durability {
+                shard.set_wal(Some(Wal::create(&wal::shard_dir(dir, i), *fsync, 0)?));
             }
-            shards.push(builder.build()?);
+            shards.push(shard);
         }
-        if let Durability::Wal { dir, fsync } = &self.config.durability {
+        if let Durability::Wal { dir, fsync } = &self.durability {
             wal::write_sharded_manifest(
                 dir,
                 &wal::ShardedManifest {
                     n_shards: num_shards,
-                    n_cols: self.config.columns,
-                    value_bytes: V::BYTES,
+                    n_cols: self.columns,
                     fsync: *fsync,
                     key_col: self.key_col,
                     by: self.by.clone(),
@@ -292,14 +201,16 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_new() {
-        let t: OnlineTable<u64> = OnlineTable::builder().columns(3).build().unwrap();
+        let t: ShardedTable<u64> = ShardedTable::builder().columns(3).build().unwrap();
+        assert_eq!((t.num_shards(), t.key_col()), (1, 0));
         assert_eq!(t.num_columns(), 3);
         assert_eq!(t.row_count(), 0);
+        assert!(!t.shard(0).is_durable());
     }
 
     #[test]
     fn zero_columns_is_a_config_error() {
-        let err = OnlineTable::<u64>::builder()
+        let err = ShardedTable::<u64>::builder()
             .columns(0)
             .build()
             .map(|_| ())
@@ -350,24 +261,28 @@ mod tests {
             line!()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let t: OnlineTable<u64> = OnlineTable::builder()
-            .columns(2)
-            .durability(Durability::Wal {
-                dir: dir.clone(),
-                fsync: false,
-            })
-            .build()
-            .unwrap();
-        drop(t);
-        let err = OnlineTable::<u64>::builder()
-            .columns(2)
-            .durability(Durability::Wal {
-                dir: dir.clone(),
-                fsync: false,
-            })
-            .build()
-            .map(|_| ())
-            .unwrap_err();
+        let durable = || {
+            ShardedTable::<u64>::builder()
+                .columns(2)
+                .durability(Durability::Wal {
+                    dir: dir.clone(),
+                    fsync: false,
+                })
+                .build()
+        };
+        drop(durable().unwrap());
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["SHARDS", "shard-0"]);
+        let shard: Vec<String> = std::fs::read_dir(wal::shard_dir(&dir, 0))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(shard, [format!("seg-{:016x}.wal", 0)], "no TABLE file");
+        let err = durable().map(|_| ()).unwrap_err();
         assert!(matches!(err, Error::Config { .. }));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -2,10 +2,9 @@
 //!
 //! Durability makes fallibility real: once a table carries a write-ahead
 //! log, inserts and merges can fail on I/O and recovery can fail on a
-//! corrupt log. Every public mutation/recovery entry point returns
-//! [`Result`] with this [`Error`]; in-memory-only tables keep their
-//! infallible convenience wrappers (an error is impossible on the
-//! zero-I/O path, so they simply unwrap).
+//! corrupt log. Every public mutator and recovery entry point returns
+//! [`Result`] with this [`Error`], one method per operation, in memory
+//! or durable (on the zero-I/O path the write mutators never fail).
 
 use std::path::PathBuf;
 

@@ -53,10 +53,10 @@
 //!   the paper's in-memory evaluation (its Section 3 design assumes a
 //!   recoverable differential buffer): an append-only, CRC-checked
 //!   per-shard delta WAL, one generation-named file per merged column that
-//!   a crashed merge resumes from, and
-//!   [`recovery::recover`], behind the [`config::TableBuilder`] /
-//!   [`config::Durability`] construction surface and the typed
-//!   [`error::Error`] that makes the mutation paths honestly fallible.
+//!   a crashed merge resumes from, and [`recovery::recover_sharded`],
+//!   behind the [`config::ShardedTableBuilder`] / [`config::Durability`]
+//!   construction surface and the typed [`error::Error`] that makes every
+//!   mutator honestly fallible.
 //!
 //! All three algorithms produce bit-identical merged main partitions; the
 //! property tests assert this equivalence.
@@ -79,7 +79,7 @@ pub mod stats;
 mod step1;
 mod wal;
 
-pub use config::{Durability, ShardedTableBuilder, TableBuilder, TableConfig};
+pub use config::{Durability, ShardedTableBuilder};
 pub use epoch::{EpochCell, EpochGuard};
 pub use error::{Error, Result};
 pub use governor::{
@@ -93,7 +93,7 @@ pub use pipeline::{
 };
 pub use pool::Pool;
 pub use rate::{update_rate, updates_per_second};
-pub use recovery::{recover, recover_sharded};
+pub use recovery::recover_sharded;
 pub use scheduler::{MergeScheduler, SchedulerStats, SourceMergeStats};
 pub use shard::{ShardBy, ShardRowId, ShardedTable};
 pub use stats::{ColumnMergeStats, MergeAlgo, MergeOutput, StageTimings, TableMergeStats};
@@ -331,8 +331,8 @@ mod attribute {
         fn global_tuple_ids_span_main_and_delta() {
             let t = OnlineTable::from_mains(vec![MainPartition::from_values(&[10u64, 20, 30])]);
             assert_eq!(t.row_count(), 3);
-            assert_eq!(t.insert_row(&[40]), 3);
-            assert_eq!(t.insert_row(&[50]), 4);
+            assert_eq!(t.insert_row(&[40]).unwrap(), 3);
+            assert_eq!(t.insert_row(&[50]).unwrap(), 4);
             let got: Vec<u64> = (0..t.row_count()).map(|r| t.get(0, r)).collect();
             assert_eq!(got, vec![10, 20, 30, 40, 50]);
         }
@@ -340,7 +340,7 @@ mod attribute {
         #[test]
         fn empty_attribute_appends_to_delta() {
             let t = OnlineTable::<u32>::new(1);
-            assert_eq!(t.insert_row(&[7]), 0);
+            assert_eq!(t.insert_row(&[7]).unwrap(), 0);
             assert_eq!(t.get(0, 0), 7);
             assert_eq!((t.main_len(), t.delta_len()), (0, 1));
         }
@@ -351,7 +351,7 @@ mod attribute {
             let t = OnlineTable::from_mains(vec![main]);
             assert_eq!(t.delta_fraction(), 0.0);
             for i in 0..5 {
-                t.insert_row(&[i]);
+                t.insert_row(&[i]).unwrap();
             }
             assert!((t.delta_fraction() - 0.05).abs() < 1e-12);
         }
@@ -360,10 +360,10 @@ mod attribute {
         fn replace_swaps_partitions() {
             // The merge installs the new main and leaves a fresh delta.
             let t = OnlineTable::from_mains(vec![MainPartition::from_values(&[1u64, 2])]);
-            t.insert_row(&[3]);
+            t.insert_row(&[3]).unwrap();
             t.merge(1, None).unwrap();
             assert_eq!((t.main_len(), t.delta_len()), (3, 0));
-            t.insert_row(&[99]);
+            t.insert_row(&[99]).unwrap();
             assert_eq!((t.row_count(), t.delta_len()), (4, 1));
             assert_eq!((t.get(0, 2), t.get(0, 3)), (3, 99));
         }
@@ -378,7 +378,7 @@ mod column {
 
         fn append_and_get<V: Value>() {
             let t = OnlineTable::<V>::new(1);
-            assert_eq!(t.insert_row(&[V::from_seed(7)]), 0);
+            assert_eq!(t.insert_row(&[V::from_seed(7)]).unwrap(), 0);
             assert_eq!(t.get(0, 0), V::from_seed(7));
         }
 
@@ -411,8 +411,8 @@ mod table {
         #[test]
         fn insert_and_read_rows() {
             let t = OnlineTable::new(3);
-            let r0 = t.insert_row(&row(100, 5, 1));
-            let r1 = t.insert_row(&row(101, 7, 2));
+            let r0 = t.insert_row(&row(100, 5, 1)).unwrap();
+            let r1 = t.insert_row(&row(101, 7, 2)).unwrap();
             assert_eq!((r0, r1), (0, 1));
             assert_eq!(t.row_count(), 2);
             assert_eq!(t.row(1), row(101, 7, 2));
@@ -421,9 +421,9 @@ mod table {
 
         #[test]
         fn update_keeps_history_and_flips_validity() {
-            let t = OnlineTable::new(3);
-            let r0 = t.insert_row(&row(100, 5, 1));
-            let r1 = t.update_row(r0, &row(100, 6, 1));
+            let t = crate::ShardedTable::builder().columns(3).build().unwrap();
+            let r0 = t.insert_row(&row(100, 5, 1)).unwrap();
+            let r1 = t.update_row(r0, &row(100, 6, 1)).unwrap();
             assert_eq!(t.row_count(), 2, "insert-only: old version retained");
             assert!(!t.is_valid(r0), "old version invalidated");
             assert!(t.is_valid(r1));
@@ -434,8 +434,8 @@ mod table {
         #[test]
         fn delete_only_invalidates() {
             let t = OnlineTable::new(3);
-            let r = t.insert_row(&row(1, 1, 1));
-            t.delete_row(r);
+            let r = t.insert_row(&row(1, 1, 1)).unwrap();
+            t.delete_row(r).unwrap();
             assert_eq!(t.row_count(), 1);
             assert_eq!(t.valid_row_count(), 0);
             assert_eq!(t.row(r), row(1, 1, 1));
@@ -461,7 +461,7 @@ mod table {
         fn all_inserts_land_in_delta() {
             let t = OnlineTable::new(3);
             for i in 0..10 {
-                t.insert_row(&row(i, i, i));
+                t.insert_row(&row(i, i, i)).unwrap();
             }
             assert_eq!((t.main_len(), t.delta_len()), (0, 10));
             assert_eq!(

@@ -241,13 +241,6 @@ impl<V: Value> OnlineTable<V> {
         }
     }
 
-    /// The unified construction surface: columns and durability —
-    /// see [`crate::config::TableBuilder`]. [`Self::new`] remains the
-    /// infallible in-memory shorthand.
-    pub fn builder() -> crate::config::TableBuilder<V> {
-        crate::config::TableBuilder::new()
-    }
-
     /// Share `bank` as this table's spare-buffer bank (builder-style; call
     /// before first use). A [`crate::shard::ShardedTable`] hands every
     /// shard the same bank so retired buffers are reusable across shards
@@ -415,16 +408,8 @@ impl<V: Value> OnlineTable<V> {
     }
 
     /// Insert a row; returns its tuple id. Lock-free — see
-    /// [`Self::insert_rows`]. Infallible convenience for in-memory
-    /// tables; a durable table whose WAL append fails panics here — use
-    /// [`Self::try_insert_row`] to handle the error.
-    pub fn insert_row(&self, values: &[V]) -> usize {
-        self.try_insert_row(values)
-            .expect("insert failed (durable table: use try_insert_row)")
-    }
-
-    /// Fallible single-row insert; see [`Self::insert_rows`].
-    pub fn try_insert_row(&self, values: &[V]) -> Result<usize> {
+    /// [`Self::insert_rows`], whose errors it returns.
+    pub fn insert_row(&self, values: &[V]) -> Result<usize> {
         Ok(self.insert_rows(std::slice::from_ref(&values))?.start)
     }
 
@@ -507,32 +492,11 @@ impl<V: Value> OnlineTable<V> {
         }
     }
 
-    /// Insert-only update: insert the new version, invalidate the old row.
-    /// Infallible convenience — see [`Self::try_update_row`].
-    pub fn update_row(&self, old_row: usize, values: &[V]) -> usize {
-        self.try_update_row(old_row, values)
-            .expect("update failed (durable table: use try_update_row)")
-    }
-
-    /// Fallible insert-only update: insert the new version, then
-    /// invalidate the old row (logged as a validity flip).
-    pub fn try_update_row(&self, old_row: usize, values: &[V]) -> Result<usize> {
-        let new_row = self.try_insert_row(values)?;
-        self.try_delete_row(old_row)?;
-        Ok(new_row)
-    }
-
-    /// Invalidate a row. Infallible convenience — see
-    /// [`Self::try_delete_row`].
-    pub fn delete_row(&self, row: usize) {
-        self.try_delete_row(row)
-            .expect("delete failed (durable table: use try_delete_row)")
-    }
-
-    /// Fallible delete: the validity flip is appended to the WAL (and
+    /// Invalidate a row: the validity flip is appended to the WAL (and
     /// synced under `fsync`) **before** the in-memory bit drops —
-    /// durable-before-visible, mirroring the insert path.
-    pub fn try_delete_row(&self, row: usize) -> Result<()> {
+    /// durable-before-visible, mirroring the insert path. An update is an
+    /// insert plus this flip ([`crate::shard::ShardedTable::update_row`]).
+    pub fn delete_row(&self, row: usize) -> Result<()> {
         let _flip = self.flip_gate.read();
         if let Some(w) = &self.wal {
             w.append_flip(row, false)?;
@@ -1278,7 +1242,7 @@ mod tests {
         let t = OnlineTable::new(cols);
         for i in 0..rows {
             let row: Vec<u64> = (0..cols as u64).map(|c| i * 10 + c).collect();
-            t.insert_row(&row);
+            t.insert_row(&row).unwrap();
         }
         t
     }
@@ -1377,7 +1341,7 @@ mod tests {
         let t = table_with_rows(1, 10);
         t.merge(2, None).unwrap();
         // New inserts after the merge...
-        t.insert_row(&[777]);
+        t.insert_row(&[777]).unwrap();
         assert_eq!(t.main_len(), 10);
         assert_eq!(t.delta_len(), 1);
         assert_eq!(t.get(0, 10), 777);
@@ -1399,7 +1363,7 @@ mod tests {
         let writer = std::thread::spawn(move || {
             let mut n = 0u64;
             while !stop2.load(Ordering::Relaxed) {
-                t2.insert_row(&[1_000_000 + n, 2_000_000 + n]);
+                t2.insert_row(&[1_000_000 + n, 2_000_000 + n]).unwrap();
                 n += 1;
             }
             n
@@ -1442,7 +1406,7 @@ mod tests {
         // pre-freezing: emulate by cancelling and inserting before retry.
         let cancel = AtomicBool::new(true);
         let _ = t.merge(1, Some(&cancel));
-        t.insert_row(&[12345]);
+        t.insert_row(&[12345]).unwrap();
         assert_eq!(t.row_count(), 101);
         assert_eq!(t.get(0, 100), 12345);
         t.merge(1, None).unwrap();
@@ -1453,8 +1417,9 @@ mod tests {
     #[test]
     fn validity_carries_across_merges() {
         let t = table_with_rows(1, 10);
-        let new_row = t.update_row(3, &[999]);
-        t.delete_row(7);
+        let new_row = t.insert_row(&[999]).unwrap();
+        t.delete_row(3).unwrap();
+        t.delete_row(7).unwrap();
         t.merge(2, None).unwrap();
         assert!(!t.is_valid(3));
         assert!(!t.is_valid(7));
@@ -1474,13 +1439,13 @@ mod tests {
         };
         assert!(!t.should_merge(&policy));
         for i in 0..5 {
-            t.insert_row(&[i]);
+            t.insert_row(&[i]).unwrap();
         }
         assert!(
             !t.should_merge(&policy),
             "exactly 5% is not strictly greater"
         );
-        t.insert_row(&[6]);
+        t.insert_row(&[6]).unwrap();
         assert!(t.should_merge(&policy));
         assert!(t.maybe_merge(&policy).unwrap().is_some());
         assert_eq!(t.delta_len(), 0);
@@ -1494,14 +1459,8 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let t = OnlineTable::<u64>::builder()
-            .columns(1)
-            .durability(crate::config::Durability::Wal {
-                dir: dir.clone(),
-                fsync: false,
-            })
-            .build()
-            .unwrap();
+        let mut t = OnlineTable::<u64>::new(1);
+        t.set_wal(Some(Wal::create(&dir, false, 0).unwrap()));
         t.insert_rows(&[[1u64], [2]]).unwrap();
         // The freeze's WAL rotation cannot create the next segment.
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1617,7 +1576,7 @@ mod tests {
         // footprint once the delta folds into the main.
         let t = OnlineTable::<u64>::new(2);
         for i in 0..1_000u64 {
-            t.insert_row(&[i % 50, (i % 50) * 3]);
+            t.insert_row(&[i % 50, (i % 50) * 3]).unwrap();
         }
         let before = t.memory_report();
         assert_eq!(before.main_total(), 0, "everything still in the deltas");
@@ -1635,7 +1594,7 @@ mod tests {
         // A shared bank is visible through the builder.
         let bank = Arc::new(crate::pipeline::SpareBank::new());
         let t2 = OnlineTable::<u64>::new(1).with_spare_bank(Arc::clone(&bank));
-        t2.insert_row(&[1]);
+        t2.insert_row(&[1]).unwrap();
         t2.merge(1, None).unwrap();
         t2.merge(1, None).unwrap();
         assert!(
@@ -1656,7 +1615,7 @@ mod tests {
         // plus a 50-entry local dictionary.
         let t = OnlineTable::<u64>::new(1);
         for i in 0..20_000u64 {
-            t.insert_row(&[i % 50]);
+            t.insert_row(&[i % 50]).unwrap();
         }
         let raw = t.memory_report();
         assert_eq!(raw.delta_values, 20_000 * 8);
@@ -1725,7 +1684,7 @@ mod tests {
         assert!(s.step().unwrap());
         assert_eq!(t.row(500), vec![5_000, 5_001, 5_002]);
         // Writes land in the second delta.
-        t.insert_row(&[7, 8, 9]);
+        t.insert_row(&[7, 8, 9]).unwrap();
         assert_eq!(t.row(1_000), vec![7, 8, 9]);
         let stats = s.finish().unwrap();
         assert_eq!(stats.columns.len(), 3);
@@ -1769,7 +1728,7 @@ mod tests {
         let t = table_with_rows(2, 500);
         let mut s = incremental(&t, 1);
         assert!(s.step().unwrap());
-        t.insert_row(&[111, 222]);
+        t.insert_row(&[111, 222]).unwrap();
         s.abort();
         assert_eq!(t.row_count(), 501);
         assert_eq!(t.row(500), vec![111, 222]);
@@ -1807,8 +1766,8 @@ mod tests {
             ..MergePolicy::default()
         };
         assert!(!t.should_merge(&policy), "empty table never triggers");
-        t.insert_row(&[1]);
-        t.insert_row(&[2]);
+        t.insert_row(&[1]).unwrap();
+        t.insert_row(&[2]).unwrap();
         let f = t.delta_fraction();
         assert!(f.is_finite(), "no inf for custom-policy arithmetic");
         assert_eq!(f, 2.0, "empty main reads as N_D / 1");
@@ -1830,7 +1789,7 @@ mod tests {
         let range = a.insert_rows(&rows).unwrap();
         assert_eq!(range, 0..100);
         for r in &rows {
-            b.insert_row(r);
+            b.insert_row(r).unwrap();
         }
         assert_eq!(a.row_count(), b.row_count());
         for r in 0..100 {
@@ -1849,14 +1808,14 @@ mod tests {
         let t = table_with_rows(2, 300);
         t.merge(1, None).unwrap();
         for i in 0..50u64 {
-            t.insert_row(&[9_000 + i, 9_100 + i]);
+            t.insert_row(&[9_000 + i, 9_100 + i]).unwrap();
         }
         let snap = t.snapshot();
         assert_eq!(snap.row_count(), 350);
         assert_eq!(snap.num_columns(), 2);
         // Later writes are invisible to the snapshot.
-        t.insert_row(&[1, 2]);
-        t.delete_row(0);
+        t.insert_row(&[1, 2]).unwrap();
+        t.delete_row(0).unwrap();
         assert_eq!(snap.row_count(), 350);
         assert!(snap.is_valid(0), "snapshot validity is frozen");
         assert_eq!(snap.row(7), vec![70, 71]);
@@ -1878,7 +1837,7 @@ mod tests {
         // active-delta copy.
         let t = table_with_rows(2, 1_000);
         t.merge(1, None).unwrap();
-        t.insert_row(&[5, 6]);
+        t.insert_row(&[5, 6]).unwrap();
         let a = t.snapshot();
         let b = t.snapshot();
         assert_eq!(a.epoch(), b.epoch());
@@ -1906,7 +1865,7 @@ mod tests {
         let t = std::sync::Arc::new(table_with_rows(1, 4_000));
         t.merge(1, None).unwrap();
         for i in 0..400u64 {
-            t.insert_row(&[50_000 + i]);
+            t.insert_row(&[50_000 + i]).unwrap();
         }
         let t2 = std::sync::Arc::clone(&t);
         let h = std::thread::spawn(move || t2.merge(1, None).unwrap());

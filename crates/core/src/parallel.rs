@@ -361,7 +361,7 @@ mod tests {
     fn table_merge_moves_delta_into_main() {
         let t = OnlineTable::<u64>::new(2);
         for i in 0..500u64 {
-            t.insert_row(&[i % 40, i % 7]);
+            t.insert_row(&[i % 40, i % 7]).unwrap();
         }
         assert_eq!(t.delta_len(), 500);
         let stats = t.merge(4, None).unwrap();
@@ -377,8 +377,9 @@ mod tests {
     #[test]
     fn table_merge_preserves_validity_and_history() {
         let t = OnlineTable::<u64>::new(1);
-        let r0 = t.insert_row(&[1]);
-        let r1 = t.update_row(r0, &[2]);
+        let r0 = t.insert_row(&[1]).unwrap();
+        let r1 = t.insert_row(&[2]).unwrap();
+        t.delete_row(r0).unwrap();
         t.merge(2, None).unwrap();
         assert!(!t.is_valid(r0));
         assert!(t.is_valid(r1));
@@ -393,7 +394,7 @@ mod tests {
         for wave in 0..4u64 {
             for i in 0..200u64 {
                 let v = wave * 131 + i % 97;
-                t.insert_row(&[v]);
+                t.insert_row(&[v]).unwrap();
                 expected.push(v);
             }
             t.merge(3, None).unwrap();

@@ -1383,7 +1383,7 @@ mod tests {
         // New keys sort after the old ones; the single-value column gains
         // a smaller value, which shifts the code of every old row.
         for i in 0..3_000u64 {
-            t.insert_row(&[i + 20_000, 7 + i % 2 * 35]);
+            t.insert_row(&[i + 20_000, 7 + i % 2 * 35]).unwrap();
         }
         t.merge(2, None).unwrap();
         let snap = t.snapshot();

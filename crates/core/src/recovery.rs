@@ -1,14 +1,15 @@
-//! Crash recovery: rebuild an [`OnlineTable`] (or a
-//! [`crate::shard::ShardedTable`]) from its durable directory.
+//! Crash recovery: rebuild a [`ShardedTable`] from its durable root
+//! directory, one [`OnlineTable`] shard at a time.
 //!
 //! What is on disk after a crash, and what each piece becomes:
 //!
 //! | on disk | becomes |
 //! |---|---|
-//! | `TABLE` manifest | schema check (columns, value width, fsync policy) |
+//! | root `SHARDS` manifest | schema check (columns, value width, fsync policy) and the router |
+//! | each `shard-<i>/` directory | one shard, recovered independently from the rows below |
 //! | `checkpoint.bin` | the row count and validity of the checkpointed rows |
 //! | `col-<c>-<rows>.bin` at the checkpoint's rows | column `c`'s main partition |
-//! | sealed `seg-*.wal` | one bit-packed [`hyrise_storage::FrozenDelta`] per column, frozen and merged before `recover` returns |
+//! | sealed `seg-*.wal` | one bit-packed [`hyrise_storage::FrozenDelta`] per column, frozen and merged before recovery returns |
 //! | `col-<c>-<rows>.bin` at the sealed rows' end | column `c`'s merge output, committed instead of re-merged |
 //! | live `seg-*.wal` | replayed into a fresh tail through the normal insert path |
 //! | any other `col-*` or `*.tmp` file | ignored; unlinked by the next finished merge |
@@ -33,26 +34,16 @@ use crate::wal::{self, Wal};
 use hyrise_storage::{MainPartition, Value};
 use std::path::Path;
 
-/// Rebuild the table at `dir` to the exact durable state: byte-identical
-/// dictionaries, packed code words, and validity versus the uncrashed
-/// process. The WAL is re-attached (continuing the live segment, truncated
-/// past any torn record), so the recovered table keeps logging. Sealed
-/// rows beyond the checkpoint are merged under [`MergePolicy::default`]'s
-/// grant before this returns; every grant yields byte-identical
-/// partitions, so the grant sets only the resume's cost.
-pub fn recover<V: Value>(dir: impl AsRef<Path>) -> Result<OnlineTable<V>> {
-    let dir = dir.as_ref();
-    let manifest = wal::read_manifest(dir)?;
-    if manifest.value_bytes != V::BYTES {
-        return Err(Error::recovery(format!(
-            "table at {} holds {}-byte values, caller asked for {}-byte",
-            dir.display(),
-            manifest.value_bytes,
-            V::BYTES
-        )));
-    }
-    let n_cols = manifest.n_cols;
-
+/// Rebuild the shard at `dir`, whose `n_cols` columns and `fsync` policy
+/// the root's `SHARDS` manifest states, to the exact durable state:
+/// byte-identical dictionaries, packed code words, and validity versus the
+/// uncrashed process. The WAL is re-attached (continuing the live segment,
+/// truncated past any torn record), so the recovered shard keeps logging.
+/// Sealed rows beyond the checkpoint are merged under
+/// [`MergePolicy::default`]'s grant before this returns; every grant
+/// yields byte-identical partitions, so the grant sets only the resume's
+/// cost.
+fn recover_shard<V: Value>(dir: &Path, n_cols: usize, fsync: bool) -> Result<OnlineTable<V>> {
     // The checkpointed mains (or empty ones for a never-merged table).
     // Stale column files of other generations are never read.
     let ckpt = wal::read_checkpoint::<V>(dir)?;
@@ -66,7 +57,8 @@ pub fn recover<V: Value>(dir: impl AsRef<Path>) -> Result<OnlineTable<V>> {
     };
     if mains.len() != n_cols {
         return Err(Error::recovery(format!(
-            "checkpoint has {} columns, manifest says {n_cols}",
+            "{}: checkpoint has {} columns, SHARDS says {n_cols}",
+            dir.display(),
             mains.len()
         )));
     }
@@ -188,12 +180,7 @@ pub fn recover<V: Value>(dir: impl AsRef<Path>) -> Result<OnlineTable<V>> {
     // clean prefix, or opening a fresh one when the crash landed between
     // a seal and the next segment's creation), then merge the sealed rows,
     // committing every column file the crashed merge already wrote.
-    table.set_wal(Some(Wal::attach(
-        dir,
-        manifest.fsync,
-        live_base,
-        live_clean_len,
-    )?));
+    table.set_wal(Some(Wal::attach(dir, fsync, live_base, live_clean_len)?));
 
     if sealed_rows > 0 {
         let loaded = (0..n_cols)
@@ -253,34 +240,22 @@ fn fold_segment_rows<V: Value>(
 }
 
 /// Rebuild a durable [`ShardedTable`] from its root directory: the
-/// `SHARDS` manifest restores the routing layout, and every `shard-<i>/`
-/// directory recovers independently (per-shard logs, per-shard merges). A
+/// `SHARDS` manifest states the schema and restores the routing layout,
+/// and every `shard-<i>/` directory recovers independently (per-shard
+/// logs, per-shard merges). A root of another value width, or a shard
+/// whose files disagree with the manifest, is [`Error::Recovery`]. A
 /// multi-shard batch torn by the crash recovers torn — see
 /// [`ShardedTable::insert_rows`] for why that is the honest contract.
 pub fn recover_sharded<V: Value>(root: impl AsRef<Path>) -> Result<ShardedTable<V>> {
     let root = root.as_ref();
     let m = wal::read_sharded_manifest::<V>(root)?;
-    if m.value_bytes != V::BYTES {
-        return Err(Error::recovery(format!(
-            "sharded table at {} holds {}-byte values, caller asked for {}-byte",
-            root.display(),
-            m.value_bytes,
-            V::BYTES
-        )));
-    }
-    let mut shards = Vec::with_capacity(m.n_shards);
     let bank = std::sync::Arc::new(crate::pipeline::SpareBank::new());
-    for i in 0..m.n_shards {
-        let shard: OnlineTable<V> = recover(wal::shard_dir(root, i))?;
-        if shard.num_columns() != m.n_cols {
-            return Err(Error::recovery(format!(
-                "shard {i} has {} columns, sharded manifest says {}",
-                shard.num_columns(),
-                m.n_cols
-            )));
-        }
-        shards.push(shard.with_spare_bank(std::sync::Arc::clone(&bank)));
-    }
+    let shards = (0..m.n_shards)
+        .map(|i| {
+            let shard = recover_shard(&wal::shard_dir(root, i), m.n_cols, m.fsync)?;
+            Ok(shard.with_spare_bank(std::sync::Arc::clone(&bank)))
+        })
+        .collect::<Result<_>>()?;
     Ok(ShardedTable::from_parts(shards, m.by, m.key_col))
 }
 
@@ -289,6 +264,7 @@ mod tests {
     use super::*;
     use crate::config::Durability;
     use crate::pipeline::{MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy};
+    use crate::shard::ShardedTable;
     use hyrise_storage::FrozenDelta;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicBool;
@@ -300,15 +276,17 @@ mod tests {
         dir
     }
 
+    /// A durable 2-column shard logging to `dir`, as the builder makes
+    /// each shard of a durable table.
     fn durable_table(dir: &Path) -> OnlineTable<u64> {
-        OnlineTable::builder()
-            .columns(2)
-            .durability(Durability::Wal {
-                dir: dir.to_path_buf(),
-                fsync: false,
-            })
-            .build()
-            .unwrap()
+        let mut t = OnlineTable::new(2);
+        t.set_wal(Some(Wal::create(dir, false, 0).unwrap()));
+        t
+    }
+
+    /// Recover the shard `durable_table` made at `dir`.
+    fn reopen(dir: &Path) -> Result<OnlineTable<u64>> {
+        recover_shard(dir, 2, false)
     }
 
     /// An in-memory table holding `data`, merged without interruption.
@@ -359,7 +337,6 @@ mod tests {
         let mut names = vec![
             format!("col-0-{rows:016x}.bin"),
             format!("col-1-{rows:016x}.bin"),
-            "TABLE".to_string(),
             "checkpoint.bin".to_string(),
             format!("seg-{live:016x}.wal"),
         ];
@@ -374,16 +351,6 @@ mod tests {
     #[test]
     fn interrupted_merge_resumes_from_staged_columns() {
         let dir = temp_dir("resume");
-        std::fs::create_dir_all(&dir).unwrap();
-        wal::write_manifest(
-            &dir,
-            &wal::Manifest {
-                n_cols: 2,
-                value_bytes: 8,
-                fsync: false,
-            },
-        )
-        .unwrap();
         let data = rows(300);
         {
             let w: Wal<u64> = Wal::create(&dir, false, 0).unwrap();
@@ -397,7 +364,7 @@ mod tests {
             wal::write_column(&dir, 0, 300, &merged0).unwrap();
         }
 
-        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        let back = reopen(&dir).unwrap();
         let reference = merged_reference(&data);
 
         assert_eq!(back.row_count(), 300);
@@ -408,7 +375,7 @@ mod tests {
         // The resumed merge checkpointed: a second recovery replays from
         // the checkpoint alone (segments truncated) and still matches.
         drop(back);
-        let again: OnlineTable<u64> = recover(&dir).unwrap();
+        let again = reopen(&dir).unwrap();
         assert_eq!(again.main_len(), 300);
         assert_mains_identical(&again, &reference);
         let _ = std::fs::remove_dir_all(&dir);
@@ -433,7 +400,7 @@ mod tests {
         }
         assert!(wal::column_exists(&dir, 0, 300), "step 1 wrote column 0");
         assert!(!wal::column_exists(&dir, 1, 300));
-        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        let back = reopen(&dir).unwrap();
         assert_eq!(back.main_len(), 300, "recovery finished the merge");
         assert_eq!(back.delta_len(), 0);
         assert_mains_identical(&back, &merged_reference(&data));
@@ -460,7 +427,7 @@ mod tests {
         session.finish().unwrap();
         assert_eq!(listing(&dir), one_generation(300, 300));
         drop(t);
-        assert_mains_identical(&recover(&dir).unwrap(), &merged_reference(&data));
+        assert_mains_identical(&reopen(&dir).unwrap(), &merged_reference(&data));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -489,7 +456,7 @@ mod tests {
             .expect("checkpoint");
         assert_eq!(ckpt.rows, 300);
         drop(t);
-        assert_mains_identical(&recover(&dir).unwrap(), &merged_reference(&data));
+        assert_mains_identical(&reopen(&dir).unwrap(), &merged_reference(&data));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -519,7 +486,7 @@ mod tests {
                 );
             }
         }
-        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        let back = reopen(&dir).unwrap();
         assert_eq!(back.main_len(), 500);
         assert_mains_identical(&back, &merged_reference(&data));
         assert_eq!(listing(&dir), one_generation(500, 500));
@@ -541,14 +508,14 @@ mod tests {
         let tmp = dir.join("checkpoint.bin.tmp");
         std::fs::write(&stale, b"not a column").unwrap();
         std::fs::write(&tmp, b"torn").unwrap();
-        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        let back = reopen(&dir).unwrap();
         assert_eq!(back.main_len(), 200);
         assert!(stale.exists() && tmp.exists(), "recovery leaves them alone");
         back.insert_rows(&data[200..]).unwrap();
         back.merge(1, None).unwrap();
         assert_eq!(listing(&dir), one_generation(300, 300));
         drop(back);
-        assert_mains_identical(&recover(&dir).unwrap(), &merged_reference(&data));
+        assert_mains_identical(&reopen(&dir).unwrap(), &merged_reference(&data));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -568,7 +535,7 @@ mod tests {
             ));
             assert_eq!(t.main_len(), 0, "rolled back to pending");
         }
-        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        let back = reopen(&dir).unwrap();
         assert_eq!(back.row_count(), 100);
         assert_eq!(back.main_len(), 100, "recovery merged the sealed rows");
         assert_eq!(back.delta_len(), 0);
@@ -586,7 +553,7 @@ mod tests {
         let t = durable_table(&dir);
         t.insert_rows(&data).unwrap();
         t.merge(1, None).unwrap();
-        t.try_delete_row(17).unwrap();
+        t.delete_row(17).unwrap();
         t.merge_with(MergeGrant::with_threads(1), None).unwrap();
         assert_eq!(listing(&dir), one_generation(300, 300));
         let ckpt = wal::read_checkpoint::<u64>(&dir)
@@ -594,7 +561,7 @@ mod tests {
             .expect("manifest");
         assert!(!ckpt.validity.is_valid(17), "the manifest holds the delete");
         drop(t);
-        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        let back = reopen(&dir).unwrap();
         assert_eq!(back.main_len(), 300);
         assert!(!back.is_valid(17));
         assert_eq!(back.snapshot().validity().valid_count(), 299);
@@ -615,9 +582,49 @@ mod tests {
         t.insert_rows(&data[256..]).unwrap();
         t.merge(1, None).unwrap();
         drop(t);
-        let back: OnlineTable<u64> = recover(&dir).unwrap();
+        let back = reopen(&dir).unwrap();
         assert_eq!(back.snapshot().col(0).main().packed_codes().bits(), 9);
         assert_mains_identical(&back, &merged_reference(&data));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A durable one-shard table of `u64` values under `root`.
+    fn durable_root(root: &Path) -> ShardedTable<u64> {
+        ShardedTable::builder()
+            .columns(2)
+            .durability(Durability::Wal {
+                dir: root.to_path_buf(),
+                fsync: false,
+            })
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn recovering_with_another_value_width_is_a_recovery_error() {
+        let root = temp_dir("width-type");
+        durable_root(&root).insert_rows(&rows(10)).unwrap();
+        let err = recover_sharded::<u32>(&root).map(|_| ()).unwrap_err();
+        assert!(matches!(err, Error::Recovery { .. }), "got {err:?}");
+        assert_eq!(recover_sharded::<u64>(&root).unwrap().row_count(), 10);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn checkpoint_column_count_must_match_shards() {
+        let root = temp_dir("ckpt-cols");
+        let t = durable_root(&root);
+        t.insert_rows(&rows(50)).unwrap();
+        t.merge_all(1).unwrap();
+        drop(t);
+        // Rewrite SHARDS as if the table had three columns: the shard's
+        // checkpoint still names two.
+        let mut m = wal::read_sharded_manifest::<u64>(&root).unwrap();
+        m.n_cols = 3;
+        std::fs::remove_file(root.join("SHARDS")).unwrap();
+        wal::write_sharded_manifest(&root, &m).unwrap();
+        let err = recover_sharded::<u64>(&root).map(|_| ()).unwrap_err();
+        assert!(matches!(err, Error::Recovery { .. }), "got {err:?}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

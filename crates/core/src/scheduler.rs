@@ -527,7 +527,7 @@ mod tests {
         let table = |n: u64| {
             let t = Arc::new(OnlineTable::<u64>::new(2));
             for i in 0..n {
-                t.insert_row(&[i, i + 1]);
+                t.insert_row(&[i, i + 1]).unwrap();
             }
             t
         };
@@ -587,7 +587,7 @@ mod tests {
     #[test]
     fn drop_stops_the_daemon() {
         let table = Arc::new(OnlineTable::<u64>::new(2));
-        table.insert_row(&[1, 2]);
+        table.insert_row(&[1, 2]).unwrap();
         let weak = Arc::downgrade(&table);
         {
             let sched = MergeScheduler::spawn(vec![Arc::clone(&table)], MergePolicy::default());
@@ -599,7 +599,7 @@ mod tests {
             table.adoption().adopter.read().is_none(),
             "the table is released"
         );
-        table.insert_row(&[3, 4]); // reports to no one
+        table.insert_row(&[3, 4]).unwrap(); // reports to no one
         drop(table);
         assert!(
             weak.upgrade().is_none(),
@@ -622,7 +622,7 @@ mod tests {
                     s.spawn(move || {
                         for i in 0..10_000u64 {
                             let k = 1_000_000 * (w + 1) + i;
-                            t.insert_row(&[k, k + 1]);
+                            t.insert_row(&[k, k + 1]).unwrap();
                         }
                     });
                 }
@@ -685,7 +685,7 @@ mod tests {
         use crate::governor::GrantSignal;
         let table = Arc::new(OnlineTable::<u64>::new(2));
         for i in 0..4_000 {
-            table.insert_row(&[i, i + 1]);
+            table.insert_row(&[i, i + 1]).unwrap();
         }
         // A soft limit of one byte: every merge is memory-pressured, so
         // every grant must carry the shrunk pressure budget.

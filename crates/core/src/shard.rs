@@ -28,9 +28,11 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The process-wide consistent-cut clock: a pair of monotonic write
-/// counters (`started`, `finished`) that bracket every sharded write
-/// operation, plus a `paused` flag for the fallback path.
+/// A table's consistent-cut clock: a pair of monotonic write counters
+/// (`started`, `finished`) that bracket every write operation on the
+/// table, plus a `paused` flag for the fallback path. Each
+/// [`ShardedTable`] owns one, so writes to one table never make another
+/// table's cut retry or pause.
 ///
 /// A multi-shard write batch is *torn* when a fan-out read observes some
 /// of its per-shard groups but not others. Each shard's own batch publish
@@ -44,21 +46,16 @@ use std::sync::Arc;
 /// `fetch_add` plus one load. Only the (rare) paused fallback makes a
 /// writer wait, and a writer that raced the pause *retracts* its start —
 /// it has not touched any shard yet — so the drain always terminates.
+#[derive(Default)]
 struct CutClock {
     started: AtomicU64,
     finished: AtomicU64,
     paused: AtomicBool,
+    /// Serializes the paused fallback in
+    /// [`ShardedTable::consistent_snapshots`] so concurrent cutters cannot
+    /// clear each other's pause.
+    cutters: Mutex<()>,
 }
-
-static CUT_CLOCK: CutClock = CutClock {
-    started: AtomicU64::new(0),
-    finished: AtomicU64::new(0),
-    paused: AtomicBool::new(false),
-};
-
-/// Serializes the paused fallback in [`ShardedTable::consistent_snapshots`]
-/// so concurrent cutters cannot clear each other's pause.
-static CUT_PAUSE: Mutex<()> = Mutex::new(());
 
 impl CutClock {
     /// Enter a write operation; the returned guard marks it finished on
@@ -66,7 +63,7 @@ impl CutClock {
     /// increment is visible before the paused check in the `SeqCst` order,
     /// so a cutter that drained `started == finished` afterwards cannot
     /// have missed us.
-    fn begin_write(&'static self) -> WriteTicket {
+    fn begin_write(&self) -> WriteTicket<'_> {
         loop {
             self.started.fetch_add(1, Ordering::SeqCst);
             if !self.paused.load(Ordering::SeqCst) {
@@ -83,11 +80,11 @@ impl CutClock {
 }
 
 /// RAII marker of an in-flight sharded write operation.
-struct WriteTicket {
-    clock: &'static CutClock,
+struct WriteTicket<'a> {
+    clock: &'a CutClock,
 }
 
-impl Drop for WriteTicket {
+impl Drop for WriteTicket<'_> {
     fn drop(&mut self) {
         self.clock.finished.fetch_add(1, Ordering::SeqCst);
     }
@@ -123,6 +120,7 @@ pub struct ShardedTable<V: Value> {
     shards: Vec<Arc<OnlineTable<V>>>,
     by: ShardBy<V>,
     key_col: usize,
+    clock: CutClock,
 }
 
 impl<V: Value> ShardedTable<V> {
@@ -142,6 +140,7 @@ impl<V: Value> ShardedTable<V> {
             shards: shards.into_iter().map(Arc::new).collect(),
             by,
             key_col,
+            clock: CutClock::default(),
         }
     }
 
@@ -194,20 +193,14 @@ impl<V: Value> ShardedTable<V> {
         self.shard_of_key(&values[self.key_col])
     }
 
-    /// Insert one row, routed by its key; returns its global address.
-    /// Infallible convenience — see [`Self::try_insert_row`].
-    pub fn insert_row(&self, values: &[V]) -> ShardRowId {
-        self.try_insert_row(values)
-            .expect("insert failed (durable table: use try_insert_row)")
-    }
-
-    /// Fallible single-row insert (the shard's WAL append can fail).
-    pub fn try_insert_row(&self, values: &[V]) -> Result<ShardRowId> {
-        let _write = CUT_CLOCK.begin_write();
+    /// Insert one row, routed by its key; returns its global address
+    /// (the shard's WAL append can fail).
+    pub fn insert_row(&self, values: &[V]) -> Result<ShardRowId> {
+        let _write = self.clock.begin_write();
         let shard = self.shard_of(values);
         Ok(ShardRowId {
             shard,
-            row: self.shards[shard].try_insert_row(values)?,
+            row: self.shards[shard].insert_row(values)?,
         })
     }
 
@@ -229,7 +222,7 @@ impl<V: Value> ShardedTable<V> {
     /// engine deliberately does not do; the `CutClock` consistency
     /// guarantee applies to in-memory reads, not to crash recovery.
     pub fn insert_rows<R: AsRef<[V]>>(&self, rows: &[R]) -> Result<Vec<ShardRowId>> {
-        let _write = CUT_CLOCK.begin_write();
+        let _write = self.clock.begin_write();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, r) in rows.iter().enumerate() {
             groups[self.shard_of(r.as_ref())].push(i);
@@ -263,41 +256,29 @@ impl<V: Value> ShardedTable<V> {
         self.shards[id.shard].is_valid(id.row)
     }
 
-    /// Insert-only update: the new version is routed by its *new* key (it
-    /// may land on a different shard than `old`), then the old row is
-    /// invalidated. Returns the new version's address. Infallible
-    /// convenience — see [`Self::try_update_row`].
-    pub fn update_row(&self, old: ShardRowId, values: &[V]) -> ShardRowId {
-        self.try_update_row(old, values)
-            .expect("update failed (durable table: use try_update_row)")
-    }
-
-    /// Fallible insert-only update.
-    pub fn try_update_row(&self, old: ShardRowId, values: &[V]) -> Result<ShardRowId> {
+    /// Insert-only update (Section 3): the new version is routed by its
+    /// *new* key (it may land on a different shard than `old`) and
+    /// inserted, then the old row is invalidated. Returns the new
+    /// version's address. This is the one place the two writes are
+    /// composed.
+    pub fn update_row(&self, old: ShardRowId, values: &[V]) -> Result<ShardRowId> {
         // One ticket across both shards: a cut never sees the new version
         // without the old one's invalidation (or vice versa).
-        let _write = CUT_CLOCK.begin_write();
+        let _write = self.clock.begin_write();
         let shard = self.shard_of(values);
         let new_id = ShardRowId {
             shard,
-            row: self.shards[shard].try_insert_row(values)?,
+            row: self.shards[shard].insert_row(values)?,
         };
-        self.shards[old.shard].try_delete_row(old.row)?;
+        self.shards[old.shard].delete_row(old.row)?;
         Ok(new_id)
     }
 
-    /// Invalidate a row. Infallible convenience — see
-    /// [`Self::try_delete_row`].
-    pub fn delete_row(&self, id: ShardRowId) {
-        self.try_delete_row(id)
-            .expect("delete failed (durable table: use try_delete_row)")
-    }
-
-    /// Fallible delete: the validity flip is logged on the owning shard
+    /// Invalidate a row: the validity flip is logged on the owning shard
     /// before the in-memory bit drops.
-    pub fn try_delete_row(&self, id: ShardRowId) -> Result<()> {
-        let _write = CUT_CLOCK.begin_write();
-        self.shards[id.shard].try_delete_row(id.row)
+    pub fn delete_row(&self, id: ShardRowId) -> Result<()> {
+        let _write = self.clock.begin_write();
+        self.shards[id.shard].delete_row(id.row)
     }
 
     /// Total rows across shards (valid + history).
@@ -366,30 +347,30 @@ impl<V: Value> ShardedTable<V> {
     /// anywhere.
     pub fn consistent_snapshots(&self) -> Vec<TableSnapshot<V>> {
         const OPTIMISTIC_TRIES: usize = 8;
+        let clock = &self.clock;
         for _ in 0..OPTIMISTIC_TRIES {
-            let finished = CUT_CLOCK.finished.load(Ordering::SeqCst);
-            let started = CUT_CLOCK.started.load(Ordering::SeqCst);
+            let finished = clock.finished.load(Ordering::SeqCst);
+            let started = clock.started.load(Ordering::SeqCst);
             if started != finished {
                 // A write is mid-flight; snapshotting now could tear it.
                 std::thread::yield_now();
                 continue;
             }
             let snaps = self.snapshots();
-            if CUT_CLOCK.started.load(Ordering::SeqCst) == started {
+            if clock.started.load(Ordering::SeqCst) == started {
                 return snaps;
             }
         }
         // Contended: pause writers for the duration of one snapshot pass.
         // The lock only serializes concurrent *cutters* (so one cannot
         // clear another's pause); writers never take it.
-        let _cut = CUT_PAUSE.lock();
-        CUT_CLOCK.paused.store(true, Ordering::SeqCst);
-        while CUT_CLOCK.started.load(Ordering::SeqCst) != CUT_CLOCK.finished.load(Ordering::SeqCst)
-        {
+        let _cut = clock.cutters.lock();
+        clock.paused.store(true, Ordering::SeqCst);
+        while clock.started.load(Ordering::SeqCst) != clock.finished.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
         let snaps = self.snapshots();
-        CUT_CLOCK.paused.store(false, Ordering::SeqCst);
+        clock.paused.store(false, Ordering::SeqCst);
         snaps
     }
 
@@ -480,7 +461,9 @@ mod tests {
             .columns(2)
             .build()
             .unwrap();
-        let ids: Vec<ShardRowId> = (0..300u64).map(|i| t.insert_row(&row(i, 2))).collect();
+        let ids: Vec<ShardRowId> = (0..300u64)
+            .map(|i| t.insert_row(&row(i, 2)).unwrap())
+            .collect();
         assert_eq!(t.row_count(), 300);
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(t.row(*id), row(i as u64, 2), "row {i}");
@@ -502,7 +485,7 @@ mod tests {
             .unwrap();
         let rows: Vec<Vec<u64>> = (0..500u64).map(|i| row(i, 3)).collect();
         let batch_ids = a.insert_rows(&rows).unwrap();
-        let single_ids: Vec<ShardRowId> = rows.iter().map(|r| b.insert_row(r)).collect();
+        let single_ids: Vec<ShardRowId> = rows.iter().map(|r| b.insert_row(r).unwrap()).collect();
         assert_eq!(batch_ids, single_ids, "same routing, same local ids");
         for (r, id) in rows.iter().zip(&batch_ids) {
             assert_eq!(&a.row(*id), r);
@@ -519,9 +502,9 @@ mod tests {
             .key_col(0)
             .build()
             .unwrap();
-        let old = t.insert_row(&[5, 50]);
+        let old = t.insert_row(&[5, 50]).unwrap();
         assert_eq!(old.shard, 0);
-        let new = t.update_row(old, &[2_000, 50]);
+        let new = t.update_row(old, &[2_000, 50]).unwrap();
         assert_eq!(new.shard, 1, "new key routes to the other shard");
         assert!(!t.is_valid(old), "old version invalidated");
         assert!(t.is_valid(new));
@@ -578,7 +561,7 @@ mod tests {
         let ids = t
             .insert_rows(&(0..600u64).map(|i| row(i, 2)).collect::<Vec<_>>())
             .unwrap();
-        t.delete_row(ids[5]);
+        t.delete_row(ids[5]).unwrap();
         let snaps = t.snapshots();
         assert_eq!(snaps.len(), 3);
         let total: usize = snaps.iter().map(|s| s.row_count()).sum();
@@ -586,7 +569,7 @@ mod tests {
         let valid: usize = snaps.iter().map(|s| s.validity().valid_count()).sum();
         assert_eq!(valid, 599);
         // Writes after the snapshot are invisible.
-        t.insert_row(&row(9_999, 2));
+        t.insert_row(&row(9_999, 2)).unwrap();
         assert_eq!(snaps.iter().map(|s| s.row_count()).sum::<usize>(), 600);
         // Every inserted row is present in exactly its shard's snapshot.
         for (i, id) in ids.iter().enumerate().step_by(83) {
@@ -631,5 +614,23 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
         });
         assert!(t.row_count() > 0, "writer made progress");
+    }
+
+    #[test]
+    fn a_write_on_one_table_never_holds_another_tables_cut() {
+        let a = ShardedTable::<u64>::builder().shards(2).build().unwrap();
+        let b = Arc::new(ShardedTable::<u64>::builder().shards(2).build().unwrap());
+        b.insert_row(&[1]).unwrap();
+        // A write on `a` that never finishes while `b` cuts.
+        let ticket = a.clock.begin_write();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let cutter = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || tx.send(b.consistent_snapshots().len()).unwrap())
+        };
+        let cut = rx.recv_timeout(Duration::from_secs(1));
+        drop(ticket);
+        cutter.join().unwrap();
+        assert_eq!(cut, Ok(2), "b's cut waited on a's write");
     }
 }

@@ -59,14 +59,12 @@ const CHECKPOINT_FILE: &str = "checkpoint.bin";
 const COLUMN_PREFIX: &str = "col-";
 const COLUMN_SUFFIX: &str = ".bin";
 const TMP_SUFFIX: &str = ".tmp";
-const MANIFEST_FILE: &str = "TABLE";
 const SHARDED_MANIFEST_FILE: &str = "SHARDS";
 
 const CHECKPOINT_MAGIC: &[u8; 8] = b"HYRCKP02";
 /// The whole-table image format that held every column inline.
 const IMAGE_CHECKPOINT_MAGIC: &[u8; 8] = b"HYRCKP01";
 const COLUMN_MAGIC: &[u8; 8] = b"HYRCOL01";
-const MANIFEST_MAGIC: &[u8; 8] = b"HYRTBL01";
 const SHARDED_MAGIC: &[u8; 8] = b"HYRSHRD1";
 
 // ---------------------------------------------------------------------------
@@ -844,55 +842,6 @@ pub(crate) fn read_checkpoint<V: Value>(dir: &Path) -> Result<Option<Checkpoint<
 }
 
 // ---------------------------------------------------------------------------
-// The table manifest
-// ---------------------------------------------------------------------------
-
-/// The immutable facts recovery needs before it can read anything else.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Manifest {
-    pub n_cols: usize,
-    pub value_bytes: usize,
-    pub fsync: bool,
-}
-
-/// Write the `TABLE` manifest (once, at table creation).
-pub(crate) fn write_manifest(dir: &Path, m: &Manifest) -> Result<()> {
-    let mut buf = Vec::with_capacity(21);
-    buf.extend_from_slice(MANIFEST_MAGIC);
-    buf.extend_from_slice(&(m.n_cols as u32).to_le_bytes());
-    buf.extend_from_slice(&(m.value_bytes as u32).to_le_bytes());
-    buf.push(m.fsync as u8);
-    buf.extend_from_slice(&crc32(&buf).to_le_bytes());
-    let path = dir.join(MANIFEST_FILE);
-    let mut f = File::create(&path).map_err(io("create table manifest"))?;
-    f.write_all(&buf).map_err(io("write table manifest"))?;
-    f.sync_all().map_err(io("sync table manifest"))?;
-    sync_dir(dir);
-    Ok(())
-}
-
-/// Read the `TABLE` manifest.
-pub(crate) fn read_manifest(dir: &Path) -> Result<Manifest> {
-    let path = dir.join(MANIFEST_FILE);
-    let bytes = fs::read(&path).map_err(io("read table manifest"))?;
-    let mut r = Reader::new(checked_body(&bytes, &path, MANIFEST_MAGIC)?, &path);
-    let m = Manifest {
-        n_cols: r.u32()? as usize,
-        value_bytes: r.u32()? as usize,
-        fsync: r.u8()? != 0,
-    };
-    if !r.done() {
-        return Err(Error::corrupt(&path, 0, "trailing bytes in table manifest"));
-    }
-    Ok(m)
-}
-
-/// Does `dir` already hold a table manifest?
-pub(crate) fn manifest_exists(dir: &Path) -> bool {
-    dir.join(MANIFEST_FILE).is_file()
-}
-
-// ---------------------------------------------------------------------------
 // The sharded-table manifest
 // ---------------------------------------------------------------------------
 
@@ -901,27 +850,34 @@ pub(crate) fn shard_dir(root: &Path, i: usize) -> PathBuf {
     root.join(format!("shard-{i}"))
 }
 
-/// The routing layout of a durable [`crate::shard::ShardedTable`], stored
-/// as `SHARDS` in the root directory. Each shard is a full table directory
-/// (`shard-<i>/`) underneath; this file is what lets recovery rebuild the
-/// router identically.
+/// The immutable facts of a durable [`crate::shard::ShardedTable`],
+/// stored as `SHARDS` in the root directory: the schema every shard
+/// shares (columns, value width, fsync policy) and the routing layout.
+/// Each shard's WAL segments, checkpoint manifest and column files live
+/// in its `shard-<i>/` directory underneath; this file is what lets
+/// recovery read them and rebuild the router identically.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardedManifest<V> {
     pub n_shards: usize,
     pub n_cols: usize,
-    pub value_bytes: usize,
     pub fsync: bool,
     pub key_col: usize,
     pub by: crate::shard::ShardBy<V>,
 }
 
-/// Write the `SHARDS` manifest (once, at table creation).
+/// Does `root` already hold a sharded manifest?
+pub(crate) fn sharded_manifest_exists(root: &Path) -> bool {
+    root.join(SHARDED_MANIFEST_FILE).is_file()
+}
+
+/// Write the `SHARDS` manifest (once, at table creation, after every
+/// shard's directory exists).
 pub(crate) fn write_sharded_manifest<V: Value>(root: &Path, m: &ShardedManifest<V>) -> Result<()> {
     let mut buf = Vec::new();
     buf.extend_from_slice(SHARDED_MAGIC);
     buf.extend_from_slice(&(m.n_shards as u32).to_le_bytes());
     buf.extend_from_slice(&(m.n_cols as u32).to_le_bytes());
-    buf.extend_from_slice(&(m.value_bytes as u32).to_le_bytes());
+    buf.extend_from_slice(&(V::BYTES as u32).to_le_bytes());
     buf.extend_from_slice(&(m.key_col as u32).to_le_bytes());
     buf.push(m.fsync as u8);
     match &m.by {
@@ -943,7 +899,9 @@ pub(crate) fn write_sharded_manifest<V: Value>(root: &Path, m: &ShardedManifest<
     Ok(())
 }
 
-/// Read the `SHARDS` manifest.
+/// Read the `SHARDS` manifest. A table of another value width is
+/// [`Error::Recovery`]: the caller asked for the wrong type, and nothing
+/// under the root is read with it.
 pub(crate) fn read_sharded_manifest<V: Value>(root: &Path) -> Result<ShardedManifest<V>> {
     let path = root.join(SHARDED_MANIFEST_FILE);
     let bytes = fs::read(&path).map_err(io("read sharded manifest"))?;
@@ -951,6 +909,13 @@ pub(crate) fn read_sharded_manifest<V: Value>(root: &Path) -> Result<ShardedMani
     let n_shards = r.u32()? as usize;
     let n_cols = r.u32()? as usize;
     let value_bytes = r.u32()? as usize;
+    if value_bytes != V::BYTES {
+        return Err(Error::recovery(format!(
+            "table at {} holds {value_bytes}-byte values, caller asked for {}-byte",
+            root.display(),
+            V::BYTES
+        )));
+    }
     let key_col = r.u32()? as usize;
     let fsync = r.u8()? != 0;
     let by = match r.u8()? {
@@ -974,10 +939,22 @@ pub(crate) fn read_sharded_manifest<V: Value>(root: &Path) -> Result<ShardedMani
             "trailing bytes in sharded manifest",
         ));
     }
+    // Recovery sizes every shard from these counts, so a layout no builder
+    // writes is damage, not a table.
+    let implied = match &by {
+        crate::shard::ShardBy::Hash => n_shards,
+        crate::shard::ShardBy::Range(bounds) => bounds.len() + 1,
+    };
+    if n_shards == 0 || n_cols == 0 || key_col >= n_cols || implied != n_shards {
+        return Err(Error::corrupt(
+            &path,
+            0,
+            "sharded manifest states an impossible layout",
+        ));
+    }
     Ok(ShardedManifest {
         n_shards,
         n_cols,
-        value_bytes,
         fsync,
         key_col,
         by,
@@ -1267,13 +1244,53 @@ mod tests {
     #[test]
     fn manifest_round_trips() {
         let dir = temp_dir("manifest");
-        let m = Manifest {
-            n_cols: 3,
-            value_bytes: 8,
-            fsync: true,
+        let layouts = [
+            crate::shard::ShardBy::Hash,
+            crate::shard::ShardBy::Range(vec![10u64, 200, 3_000]),
+        ];
+        for (i, by) in layouts.into_iter().enumerate() {
+            let m = ShardedManifest {
+                n_shards: 4,
+                n_cols: 3 + i,
+                fsync: i == 0,
+                key_col: i,
+                by,
+            };
+            assert!(!sharded_manifest_exists(&dir));
+            write_sharded_manifest(&dir, &m).unwrap();
+            assert!(sharded_manifest_exists(&dir));
+            let back = read_sharded_manifest::<u64>(&dir).unwrap();
+            assert_eq!(
+                (back.n_shards, back.n_cols, back.fsync, back.key_col),
+                (m.n_shards, m.n_cols, m.fsync, m.key_col)
+            );
+            match (&back.by, &m.by) {
+                (crate::shard::ShardBy::Hash, crate::shard::ShardBy::Hash) => {}
+                (crate::shard::ShardBy::Range(a), crate::shard::ShardBy::Range(b)) => {
+                    assert_eq!(a, b)
+                }
+                (a, b) => panic!("layout {a:?} read back as {b:?}"),
+            }
+            // The value width is checked before any bound is decoded.
+            assert!(matches!(
+                read_sharded_manifest::<u32>(&dir),
+                Err(Error::Recovery { .. })
+            ));
+            fs::remove_file(dir.join(SHARDED_MANIFEST_FILE)).unwrap();
+        }
+        // No builder writes a table without columns.
+        let empty = ShardedManifest::<u64> {
+            n_shards: 1,
+            n_cols: 0,
+            fsync: false,
+            key_col: 0,
+            by: crate::shard::ShardBy::Hash,
         };
-        write_manifest(&dir, &m).unwrap();
-        assert_eq!(read_manifest(&dir).unwrap(), m);
+        write_sharded_manifest(&dir, &empty).unwrap();
+        assert!(matches!(
+            read_sharded_manifest::<u64>(&dir),
+            Err(Error::Corrupt { .. })
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 

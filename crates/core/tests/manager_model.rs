@@ -60,7 +60,7 @@ proptest! {
             match op {
                 Op::Insert(seed) => {
                     let row = row_of(seed);
-                    let id = table.insert_row(&row);
+                    let id = table.insert_row(&row).unwrap();
                     model.rows.push(row);
                     model.valid.push(true);
                     prop_assert_eq!(id, model.rows.len() - 1);
@@ -69,7 +69,8 @@ proptest! {
                     if model.rows.is_empty() { continue; }
                     let old = row_choice as usize % model.rows.len();
                     let row = row_of(seed);
-                    let id = table.update_row(old, &row);
+                    let id = table.insert_row(&row).unwrap();
+                    table.delete_row(old).unwrap();
                     model.rows.push(row);
                     model.valid.push(true);
                     model.valid[old] = false;
@@ -78,7 +79,7 @@ proptest! {
                 Op::Delete { row_choice } => {
                     if model.rows.is_empty() { continue; }
                     let victim = row_choice as usize % model.rows.len();
-                    table.delete_row(victim);
+                    table.delete_row(victim).unwrap();
                     model.valid[victim] = false;
                 }
                 Op::Merge => {

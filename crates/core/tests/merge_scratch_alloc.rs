@@ -157,7 +157,7 @@ fn warmed_scratch_merges_without_buffer_allocations() {
     // main into the pool and the next merge draws from it.
     let table = OnlineTable::<u64>::new(2);
     for i in 0..50_000u64 {
-        table.insert_row(&[i % 10_000, (i * 7) % 5_000]);
+        table.insert_row(&[i % 10_000, (i * 7) % 5_000]).unwrap();
     }
     table.merge(1, None).unwrap();
     table.merge(1, None).unwrap(); // warm the pool with recycled buffers
@@ -254,7 +254,7 @@ fn warmed_scratch_merges_without_buffer_allocations() {
     let mut next_key = 0u64;
     let mut append = |n: u64| {
         for k in next_key..next_key + n {
-            keys.insert_row(&[k, k % 13]);
+            keys.insert_row(&[k, k % 13]).unwrap();
         }
         next_key += n;
     };

@@ -157,7 +157,7 @@ proptest! {
                     let r = row(seed);
                     let mut last = 0;
                     for t in &tables {
-                        last = t.insert_row(&r);
+                        last = t.insert_row(&r).unwrap();
                     }
                     ids.push(last);
                 }
@@ -169,7 +169,8 @@ proptest! {
                     let r = row(seed);
                     let mut last = 0;
                     for t in &tables {
-                        last = t.update_row(i, &r);
+                        last = t.insert_row(&r).unwrap();
+                        t.delete_row(i).unwrap();
                     }
                     ids.push(last);
                 }
@@ -179,7 +180,7 @@ proptest! {
                     }
                     let i = ids[(target as usize) % ids.len()];
                     for t in &tables {
-                        t.delete_row(i);
+                        t.delete_row(i).unwrap();
                     }
                 }
                 Op::Merge => {
@@ -238,7 +239,7 @@ proptest! {
                     let r = row(seed);
                     let mut last = ShardRowId { shard: 0, row: 0 };
                     for t in &tables {
-                        last = t.insert_row(&r);
+                        last = t.insert_row(&r).unwrap();
                     }
                     ids.push(last);
                 }
@@ -250,7 +251,7 @@ proptest! {
                     let r = row(seed);
                     let mut last = ShardRowId { shard: 0, row: 0 };
                     for t in &tables {
-                        last = t.update_row(i, &r);
+                        last = t.update_row(i, &r).unwrap();
                     }
                     ids.push(last);
                 }
@@ -260,7 +261,7 @@ proptest! {
                     }
                     let i = ids[(target as usize) % ids.len()];
                     for t in &tables {
-                        t.delete_row(i);
+                        t.delete_row(i).unwrap();
                     }
                 }
                 Op::Merge => {
@@ -334,8 +335,8 @@ proptest! {
             match decode(code, a, b) {
                 Op::Insert { seed } => {
                     let r = row(seed);
-                    reference.insert_row(&r);
-                    ids.push(governed.insert_row(&r));
+                    reference.insert_row(&r).unwrap();
+                    ids.push(governed.insert_row(&r).unwrap());
                 }
                 Op::Update { target, seed } => {
                     if ids.is_empty() {
@@ -343,16 +344,18 @@ proptest! {
                     }
                     let i = ids[(target as usize) % ids.len()];
                     let r = row(seed);
-                    reference.update_row(i, &r);
-                    ids.push(governed.update_row(i, &r));
+                    reference.insert_row(&r).unwrap();
+                    reference.delete_row(i).unwrap();
+                    ids.push(governed.insert_row(&r).unwrap());
+                    governed.delete_row(i).unwrap();
                 }
                 Op::Delete { target } => {
                     if ids.is_empty() {
                         continue;
                     }
                     let i = ids[(target as usize) % ids.len()];
-                    reference.delete_row(i);
-                    governed.delete_row(i);
+                    reference.delete_row(i).unwrap();
+                    governed.delete_row(i).unwrap();
                 }
                 Op::Merge => {
                     reference.merge_with(reference_grant, None).unwrap();

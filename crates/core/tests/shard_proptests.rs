@@ -63,8 +63,8 @@ fn apply_all(
         match decode(code, a, b) {
             Op::Insert { seed } => {
                 let r = row(seed);
-                sharded_ids.push(sharded.insert_row(&r));
-                single_ids.push(single.insert_row(&r));
+                sharded_ids.push(sharded.insert_row(&r).unwrap());
+                single_ids.push(single.insert_row(&r).unwrap());
             }
             Op::Update { target, seed } => {
                 if sharded_ids.is_empty() {
@@ -72,16 +72,17 @@ fn apply_all(
                 }
                 let i = (target as usize) % sharded_ids.len();
                 let r = row(seed);
-                sharded_ids.push(sharded.update_row(sharded_ids[i], &r));
-                single_ids.push(single.update_row(single_ids[i], &r));
+                sharded_ids.push(sharded.update_row(sharded_ids[i], &r).unwrap());
+                single_ids.push(single.insert_row(&r).unwrap());
+                single.delete_row(single_ids[i]).unwrap();
             }
             Op::Delete { target } => {
                 if sharded_ids.is_empty() {
                     continue;
                 }
                 let i = (target as usize) % sharded_ids.len();
-                sharded.delete_row(sharded_ids[i]);
-                single.delete_row(single_ids[i]);
+                sharded.delete_row(sharded_ids[i]).unwrap();
+                single.delete_row(single_ids[i]).unwrap();
             }
             Op::Merge { shard, single_too } => {
                 let s = (shard as usize) % sharded.num_shards();

@@ -2,11 +2,13 @@
 //! durable table, mutate it, drop it cold (no shutdown hook exists — a
 //! drop *is* a `kill -9` as far as the on-disk state is concerned, since
 //! every record reaches the file before its rows publish), and
-//! [`recover`] must rebuild the exact state. File-level fault injection
+//! [`recover_sharded`] must rebuild the exact state. Most tests write
+//! through a one-shard table's shard, the paper's single table, and
+//! compare that shard byte for byte. File-level fault injection
 //! (truncated tails, flipped bytes) runs against the real segment files.
 
 use hyrise_core::shard::ShardedTable;
-use hyrise_core::{recover, recover_sharded, Durability, Error, OnlineTable};
+use hyrise_core::{recover_sharded, Durability, Error, OnlineTable};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -37,8 +39,9 @@ impl Drop for Scratch {
     }
 }
 
-fn durable(dir: &Path, fsync: bool) -> OnlineTable<u64> {
-    OnlineTable::builder()
+/// A durable one-shard table under `dir`; its writes go to `shard(0)`.
+fn durable(dir: &Path, fsync: bool) -> ShardedTable<u64> {
+    ShardedTable::builder()
         .columns(COLS)
         .durability(Durability::Wal {
             dir: dir.to_path_buf(),
@@ -93,14 +96,15 @@ fn recover_replays_inserts_deletes_and_merges() {
     let scratch = Scratch::new("roundtrip");
     let model = OnlineTable::<u64>::new(COLS);
     {
-        let t = durable(scratch.path(), false);
+        let table = durable(scratch.path(), false);
+        let t = table.shard(0);
         // Past two zone blocks, so the checkpointed main has full ones.
         let batch: Vec<Vec<u64>> = (0..9_000u64).map(row).collect();
         t.insert_rows(&batch).unwrap();
         model.insert_rows(&batch).unwrap();
         for r in [3usize, 77, 200] {
-            t.try_delete_row(r).unwrap();
-            model.try_delete_row(r).unwrap();
+            t.delete_row(r).unwrap();
+            model.delete_row(r).unwrap();
         }
         t.merge(1, None).unwrap();
         model.merge(1, None).unwrap();
@@ -110,21 +114,22 @@ fn recover_replays_inserts_deletes_and_merges() {
         // One delete lands in the checkpointed main, one in the tail that
         // exists only in the WAL.
         for r in [450usize, 9_050] {
-            t.try_delete_row(r).unwrap();
-            model.try_delete_row(r).unwrap();
+            t.delete_row(r).unwrap();
+            model.delete_row(r).unwrap();
         }
         // dropped cold: no flush hook runs
     }
-    let back: OnlineTable<u64> = recover(scratch.path()).unwrap();
-    assert!(back.is_durable(), "recovered table keeps logging");
-    assert_state_identical(&back, &model);
+    let back = recover_sharded::<u64>(scratch.path()).unwrap();
+    assert!(back.shard(0).is_durable(), "recovered table keeps logging");
+    assert_state_identical(back.shard(0), &model);
 }
 
 #[test]
 fn recovered_table_keeps_accepting_writes_and_recovering() {
     let scratch = Scratch::new("relog");
     {
-        let t = durable(scratch.path(), false);
+        let table = durable(scratch.path(), false);
+        let t = table.shard(0);
         t.insert_rows(&(0..100u64).map(row).collect::<Vec<_>>())
             .unwrap();
     }
@@ -135,15 +140,16 @@ fn recovered_table_keeps_accepting_writes_and_recovering() {
     {
         // First recovery continues the live segment: new writes must land
         // after the replayed ones and survive a second crash.
-        let t: OnlineTable<u64> = recover(scratch.path()).unwrap();
+        let table = recover_sharded::<u64>(scratch.path()).unwrap();
+        let t = table.shard(0);
         let more: Vec<Vec<u64>> = (100..180u64).map(row).collect();
         t.insert_rows(&more).unwrap();
         model.insert_rows(&more).unwrap();
         t.merge(1, None).unwrap();
         model.merge(1, None).unwrap();
     }
-    let back: OnlineTable<u64> = recover(scratch.path()).unwrap();
-    assert_state_identical(&back, &model);
+    let back = recover_sharded::<u64>(scratch.path()).unwrap();
+    assert_state_identical(back.shard(0), &model);
 }
 
 #[test]
@@ -151,20 +157,21 @@ fn fsync_mode_round_trips_too() {
     let scratch = Scratch::new("fsync");
     let model = OnlineTable::<u64>::new(COLS);
     {
-        let t = durable(scratch.path(), true);
+        let table = durable(scratch.path(), true);
+        let t = table.shard(0);
         let batch: Vec<Vec<u64>> = (0..64u64).map(row).collect();
         t.insert_rows(&batch).unwrap();
         model.insert_rows(&batch).unwrap();
-        t.try_delete_row(5).unwrap();
-        model.try_delete_row(5).unwrap();
+        t.delete_row(5).unwrap();
+        model.delete_row(5).unwrap();
     }
-    let back: OnlineTable<u64> = recover(scratch.path()).unwrap();
-    assert_state_identical(&back, &model);
+    let back = recover_sharded::<u64>(scratch.path()).unwrap();
+    assert_state_identical(back.shard(0), &model);
 }
 
-/// The newest (live) segment file in the directory.
-fn live_segment(dir: &Path) -> PathBuf {
-    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
+/// The newest (live) segment file of the one shard under `root`.
+fn live_segment(root: &Path) -> PathBuf {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(root.join("shard-0"))
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| {
@@ -181,7 +188,8 @@ fn live_segment(dir: &Path) -> PathBuf {
 fn torn_final_record_recovers_the_clean_prefix() {
     let scratch = Scratch::new("torn");
     {
-        let t = durable(scratch.path(), false);
+        let table = durable(scratch.path(), false);
+        let t = table.shard(0);
         for chunk in (0..10u64).collect::<Vec<_>>().chunks(2) {
             let batch: Vec<Vec<u64>> = chunk.iter().map(|&i| row(i)).collect();
             t.insert_rows(&batch).unwrap();
@@ -194,26 +202,27 @@ fn torn_final_record_recovers_the_clean_prefix() {
     f.set_len(len - 7).unwrap();
     drop(f);
 
-    let back: OnlineTable<u64> = recover(scratch.path()).unwrap();
+    let back = recover_sharded::<u64>(scratch.path()).unwrap();
     // The final 2-row batch is gone; every batch before it survives whole.
     assert_eq!(back.row_count(), 8, "clean prefix only");
     for r in 0..8 {
-        assert_eq!(back.get(0, r), row(r as u64)[0]);
+        assert_eq!(back.shard(0).get(0, r), row(r as u64)[0]);
     }
     // And the recovered WAL reuses the truncated position: new writes
     // replace the torn bytes and survive the next recovery.
-    back.insert_rows(&[row(999)]).unwrap();
+    back.shard(0).insert_rows(&[row(999)]).unwrap();
     drop(back);
-    let again: OnlineTable<u64> = recover(scratch.path()).unwrap();
+    let again = recover_sharded::<u64>(scratch.path()).unwrap();
     assert_eq!(again.row_count(), 9);
-    assert_eq!(again.get(1, 8), row(999)[1]);
+    assert_eq!(again.shard(0).get(1, 8), row(999)[1]);
 }
 
 #[test]
 fn corrupt_record_mid_log_is_a_typed_error() {
     let scratch = Scratch::new("corrupt");
     {
-        let t = durable(scratch.path(), false);
+        let table = durable(scratch.path(), false);
+        let t = table.shard(0);
         t.insert_rows(&(0..50u64).map(row).collect::<Vec<_>>())
             .unwrap();
         t.insert_rows(&(50..100u64).map(row).collect::<Vec<_>>())
@@ -226,7 +235,9 @@ fn corrupt_record_mid_log_is_a_typed_error() {
     bytes[24] ^= 0xFF;
     std::fs::write(&seg, &bytes).unwrap();
 
-    let err = recover::<u64>(scratch.path()).map(|_| ()).unwrap_err();
+    let err = recover_sharded::<u64>(scratch.path())
+        .map(|_| ())
+        .unwrap_err();
     assert!(
         matches!(err, Error::Corrupt { .. }),
         "CRC mismatch must surface as Error::Corrupt, got: {err}"
@@ -236,7 +247,9 @@ fn corrupt_record_mid_log_is_a_typed_error() {
 #[test]
 fn recovering_a_missing_table_is_a_typed_error() {
     let scratch = Scratch::new("missing");
-    let err = recover::<u64>(scratch.path()).map(|_| ()).unwrap_err();
+    let err = recover_sharded::<u64>(scratch.path())
+        .map(|_| ())
+        .unwrap_err();
     assert!(
         matches!(err, Error::Io { .. }),
         "no manifest on disk, got: {err}"
@@ -319,7 +332,8 @@ proptest! {
         let scratch = Scratch::new("oracle");
         let model = OnlineTable::<u64>::new(COLS);
         {
-            let t = durable(scratch.path(), false);
+            let table = durable(scratch.path(), false);
+        let t = table.shard(0);
             for op in &ops[..cut] {
                 match *op {
                     Op::InsertBatch { seed, n } => {
@@ -332,8 +346,8 @@ proptest! {
                         let rows = t.row_count();
                         if rows > 0 {
                             let r = (target as usize) % rows;
-                            t.try_delete_row(r).unwrap();
-                            model.try_delete_row(r).unwrap();
+                            t.delete_row(r).unwrap();
+                            model.delete_row(r).unwrap();
                         }
                     }
                     Op::Merge => {
@@ -345,7 +359,7 @@ proptest! {
                 }
             }
         }
-        let back: OnlineTable<u64> = recover(scratch.path()).unwrap();
-        assert_state_identical(&back, &model);
+        let back = recover_sharded::<u64>(scratch.path()).unwrap();
+        assert_state_identical(back.shard(0), &model);
     }
 }

@@ -54,7 +54,7 @@ mod scan {
             let t =
                 OnlineTable::from_mains(vec![MainPartition::from_values(&[10u64, 20, 30, 20, 10])]);
             for v in [20, 40, 10] {
-                t.insert_row(&[v]);
+                t.insert_row(&[v]).unwrap();
             }
             t
         }
@@ -139,8 +139,8 @@ mod aggregate {
         /// One column with main [5 1 9] and delta [100 3].
         fn setup() -> OnlineTable<u64> {
             let t = OnlineTable::from_mains(vec![MainPartition::from_values(&[5u64, 1, 9])]);
-            t.insert_row(&[100]);
-            t.insert_row(&[3]);
+            t.insert_row(&[100]).unwrap();
+            t.insert_row(&[3]).unwrap();
             t
         }
 
@@ -160,8 +160,8 @@ mod aggregate {
         #[test]
         fn sum_skips_invalidated_rows() {
             let t = setup();
-            t.delete_row(3); // the 100 in the delta
-            t.delete_row(0); // the 5 in main
+            t.delete_row(3).unwrap(); // the 100 in the delta
+            t.delete_row(0).unwrap(); // the 5 in main
             assert_eq!(sum(&t), 1 + 9 + 3);
             assert_eq!(Query::scan(0).count().run(&t).count(), 3);
         }
@@ -174,8 +174,8 @@ mod aggregate {
         #[test]
         fn min_max_respects_validity() {
             let t = setup();
-            t.delete_row(3); // remove max (delta)
-            t.delete_row(1); // remove min (main)
+            t.delete_row(3).unwrap(); // remove max (delta)
+            t.delete_row(1).unwrap(); // remove min (main)
             assert_eq!(min_max(&t), Some((3, 9)));
         }
 
@@ -183,7 +183,7 @@ mod aggregate {
         fn all_invalid_yields_none() {
             let t = setup();
             for r in 0..5 {
-                t.delete_row(r);
+                t.delete_row(r).unwrap();
             }
             assert_eq!(min_max(&t), None);
             assert_eq!(sum(&t), 0);
@@ -195,7 +195,7 @@ mod aggregate {
                 &(0..10_000u64).map(|i| (i * 31) % 977).collect::<Vec<_>>(),
             )]);
             for i in 0..3_000u64 {
-                t.insert_row(&[(i * 7) % 501]);
+                t.insert_row(&[(i * 7) % 501]).unwrap();
             }
             let serial = sum(&t);
             for threads in [1usize, 2, 7, 16] {
@@ -214,7 +214,7 @@ mod aggregate {
             assert_eq!(Query::scan(0).sum(0).with_threads(4).run(&t).sum(), 0);
             // Delta-only.
             for i in 0..100 {
-                t.insert_row(&[i]);
+                t.insert_row(&[i]).unwrap();
             }
             assert_eq!(
                 Query::scan(0).sum(0).with_threads(8).run(&t).sum(),
@@ -229,7 +229,7 @@ mod aggregate {
         fn overflow_safe_sum() {
             let t = OnlineTable::<u64>::new(1);
             for _ in 0..4 {
-                t.insert_row(&[u64::MAX]);
+                t.insert_row(&[u64::MAX]).unwrap();
             }
             assert_eq!(sum(&t), (u64::MAX as u128) * 4);
         }
@@ -247,7 +247,8 @@ mod table_ops {
         fn table<V: Value>() -> OnlineTable<V> {
             let t = OnlineTable::new(2);
             for (cust, qty) in [(7u64, 1u64), (8, 2), (7, 3), (9, 4), (7, 5)] {
-                t.insert_row(&[V::from_seed(cust), V::from_seed(qty)]);
+                t.insert_row(&[V::from_seed(cust), V::from_seed(qty)])
+                    .unwrap();
             }
             t
         }
@@ -260,14 +261,15 @@ mod table_ops {
         fn eq_scan_filters_validity() {
             let t = table::<u64>();
             assert_eq!(customer_rows(&t, 7), vec![0, 2, 4]);
-            t.delete_row(2);
+            t.delete_row(2).unwrap();
             assert_eq!(customer_rows(&t, 7), vec![0, 4]);
         }
 
         #[test]
         fn eq_scan_after_update_sees_only_new_version() {
             let t = table::<u64>();
-            let new_row = t.update_row(0, &[7, 10]);
+            let new_row = t.insert_row(&[7, 10]).unwrap();
+            t.delete_row(0).unwrap();
             let rows = customer_rows(&t, 7);
             assert!(rows.contains(&new_row));
             assert!(!rows.contains(&0));
@@ -278,7 +280,7 @@ mod table_ops {
         fn predicates_on<V: Value>() {
             let t = table::<V>();
             let v = V::from_seed;
-            t.delete_row(1);
+            t.delete_row(1).unwrap();
             assert_eq!(
                 Query::scan(1).between(v(2), v(4)).run(&t).into_rows(),
                 vec![2, 3],

@@ -71,7 +71,7 @@ pub enum Action {
 ///
 /// let main = MainPartition::from_values(&[10u64, 20, 30, 20]);
 /// let table = OnlineTable::from_mains(vec![main]);
-/// table.insert_row(&[20]); // lands in the delta
+/// table.insert_row(&[20]).unwrap(); // lands in the delta
 ///
 /// let rows = Query::scan(0).eq(20).run(&table).into_rows();
 /// assert_eq!(rows, vec![1, 3, 4]);
@@ -94,8 +94,8 @@ impl<V: Copy> Query<V> {
     /// use hyrise_core::OnlineTable;
     ///
     /// let t = OnlineTable::<u64>::new(2);
-    /// t.insert_row(&[1, 10]);
-    /// t.insert_row(&[2, 20]);
+    /// t.insert_row(&[1, 10]).unwrap();
+    /// t.insert_row(&[2, 20]).unwrap();
     /// assert_eq!(Query::scan(0).count().run(&t).count(), 2);
     /// ```
     pub fn scan(col: usize) -> Self {
@@ -117,7 +117,7 @@ impl<V: Copy> Query<V> {
     ///
     /// let t = OnlineTable::<u64>::new(1);
     /// for v in [5u64, 7, 5] {
-    ///     t.insert_row(&[v]);
+    ///     t.insert_row(&[v]).unwrap();
     /// }
     /// assert_eq!(Query::scan(0).eq(5).run(&t).into_rows(), vec![0, 2]);
     /// ```
@@ -135,7 +135,7 @@ impl<V: Copy> Query<V> {
     ///
     /// let t = OnlineTable::<u64>::new(1);
     /// for v in [5u64, 7, 9, 11] {
-    ///     t.insert_row(&[v]);
+    ///     t.insert_row(&[v]).unwrap();
     /// }
     /// assert_eq!(Query::scan(0).between(6, 10).run(&t).into_rows(), vec![1, 2]);
     /// ```
@@ -157,9 +157,9 @@ impl<V: Copy> Query<V> {
     /// use hyrise_core::OnlineTable;
     ///
     /// let t = OnlineTable::<u64>::new(2);
-    /// t.insert_row(&[1, 10]);
-    /// t.insert_row(&[1, 99]);
-    /// t.insert_row(&[2, 10]);
+    /// t.insert_row(&[1, 10]).unwrap();
+    /// t.insert_row(&[1, 99]).unwrap();
+    /// t.insert_row(&[2, 10]).unwrap();
     /// let rows = Query::scan(0).eq(1).and(1).eq(10).run(&t).into_rows();
     /// assert_eq!(rows, vec![0]);
     /// ```
@@ -176,8 +176,8 @@ impl<V: Copy> Query<V> {
     /// use hyrise_core::OnlineTable;
     ///
     /// let t = OnlineTable::<u64>::new(2);
-    /// t.insert_row(&[1, 10]);
-    /// t.insert_row(&[2, 20]);
+    /// t.insert_row(&[1, 10]).unwrap();
+    /// t.insert_row(&[2, 20]).unwrap();
     /// let rows = Query::scan(0).eq(2).project(&[1, 0]).run(&t).into_projected();
     /// assert_eq!(rows, vec![vec![20, 2]]);
     /// ```
@@ -194,7 +194,7 @@ impl<V: Copy> Query<V> {
     ///
     /// let t = OnlineTable::<u64>::new(1);
     /// for v in [5u64, 7, 9] {
-    ///     t.insert_row(&[v]);
+    ///     t.insert_row(&[v]).unwrap();
     /// }
     /// assert_eq!(Query::scan(0).between(6, 10).sum(0).run(&t).sum(), 16);
     /// ```
@@ -212,7 +212,7 @@ impl<V: Copy> Query<V> {
     ///
     /// let t = OnlineTable::<u64>::new(1);
     /// for v in [5u64, 7, 9] {
-    ///     t.insert_row(&[v]);
+    ///     t.insert_row(&[v]).unwrap();
     /// }
     /// assert_eq!(Query::scan(0).min_max(0).run(&t).min_max(), Some((5, 9)));
     /// ```

@@ -37,8 +37,8 @@ fn apply_all(single: &OnlineTable<u64>, sharded: &ShardedTable<u64>, ops: &[(u8,
             0..=3 => {
                 for s in 0..(a % 24) + 1 {
                     let r = row(b.wrapping_add(s));
-                    single.insert_row(&r);
-                    sharded.insert_row(&r);
+                    single.insert_row(&r).unwrap();
+                    sharded.insert_row(&r).unwrap();
                     n_rows += 1;
                 }
             }
@@ -48,14 +48,15 @@ fn apply_all(single: &OnlineTable<u64>, sharded: &ShardedTable<u64>, ops: &[(u8,
                     // side inserts the same values (ids differ, outputs are
                     // compared per backend against its own serial run).
                     let r = row(b);
-                    single.update_row(a as usize % n_rows, &r);
-                    sharded.insert_row(&r);
+                    single.insert_row(&r).unwrap();
+                    single.delete_row(a as usize % n_rows).unwrap();
+                    sharded.insert_row(&r).unwrap();
                     n_rows += 1;
                 }
             }
             5 => {
                 if n_rows > 0 {
-                    single.delete_row(a as usize % n_rows);
+                    single.delete_row(a as usize % n_rows).unwrap();
                 }
             }
             _ => {
@@ -165,15 +166,15 @@ fn large_scans_split_into_many_morsels_and_stay_identical() {
         rows.push([x % 1009, x % 65_537]);
     }
     for r in &rows {
-        t.insert_row(r);
+        t.insert_row(r).unwrap();
     }
     let _ = t.merge(1, None);
     // Tail past the merged main, plus validity holes.
     for r in rows.iter().take(3000) {
-        t.insert_row(r);
+        t.insert_row(r).unwrap();
     }
     for i in (0..200_000).step_by(97) {
-        t.delete_row(i);
+        t.delete_row(i).unwrap();
     }
     let snap = t.snapshot();
 
@@ -264,7 +265,7 @@ fn check_key_layouts() {
         t.merge(1, None).unwrap();
         t.insert_rows(&main[..2_000]).unwrap();
         for i in (0..LAYOUT_ROWS as usize).step_by(97) {
-            t.delete_row(i);
+            t.delete_row(i).unwrap();
         }
         let all: Vec<[u64; 2]> = main.iter().chain(&main[..2_000]).copied().collect();
         let live = |i: usize| i >= LAYOUT_ROWS as usize || !i.is_multiple_of(97);

@@ -18,7 +18,7 @@ fn table(
 ) -> (OnlineTable<u64>, Vec<(usize, u64)>) {
     let t = OnlineTable::from_mains(vec![MainPartition::from_values(main_vals)]);
     for &v in delta_vals {
-        t.insert_row(&[v]);
+        t.insert_row(&[v]).unwrap();
     }
     let mut rows: Vec<Option<u64>> = main_vals
         .iter()
@@ -29,7 +29,7 @@ fn table(
     for &i in invalid {
         if !rows.is_empty() {
             let victim = i as usize % rows.len();
-            t.delete_row(victim);
+            t.delete_row(victim).unwrap();
             rows[victim] = None;
         }
     }

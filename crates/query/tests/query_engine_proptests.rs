@@ -87,9 +87,9 @@ fn apply_all(
         match decode(code, a, b) {
             Op::Insert { seed } => {
                 let r = row(seed);
-                let sid = single.insert_row(&r);
+                let sid = single.insert_row(&r).unwrap();
                 assert_eq!(sid, model.rows.len(), "single-table ids = model indices");
-                shard_ids.push(sharded.insert_row(&r));
+                shard_ids.push(sharded.insert_row(&r).unwrap());
                 model.rows.push((r, true));
             }
             Op::Update { target, seed } => {
@@ -98,8 +98,9 @@ fn apply_all(
                 }
                 let i = (target as usize) % model.rows.len();
                 let r = row(seed);
-                single.update_row(i, &r);
-                shard_ids.push(sharded.update_row(shard_ids[i], &r));
+                single.insert_row(&r).unwrap();
+                single.delete_row(i).unwrap();
+                shard_ids.push(sharded.update_row(shard_ids[i], &r).unwrap());
                 model.rows[i].1 = false;
                 model.rows.push((r, true));
             }
@@ -108,8 +109,8 @@ fn apply_all(
                     continue;
                 }
                 let i = (target as usize) % model.rows.len();
-                single.delete_row(i);
-                sharded.delete_row(shard_ids[i]);
+                single.delete_row(i).unwrap();
+                sharded.delete_row(shard_ids[i]).unwrap();
                 model.rows[i].1 = false;
             }
             Op::Merge { shard, single_too } => {
@@ -353,14 +354,14 @@ fn sum_of_values_near_u64_max_is_exact() {
     let t = OnlineTable::<u64>::new(2);
     let big = |i: u64| u64::MAX - (i % 5);
     for i in 0..300u64 {
-        t.insert_row(&[i % 7, big(i)]);
+        t.insert_row(&[i % 7, big(i)]).unwrap();
     }
     t.merge(1, None).unwrap();
     for i in 300..340u64 {
-        t.insert_row(&[i % 7, big(i)]);
+        t.insert_row(&[i % 7, big(i)]).unwrap();
     }
     for victim in [0usize, 64, 299, 300, 339] {
-        t.delete_row(victim);
+        t.delete_row(victim).unwrap();
     }
     let live = |i: &u64| ![0u64, 64, 299, 300, 339].contains(i);
     let want_all: u128 = (0..340u64).filter(live).map(|i| big(i) as u128).sum();
@@ -394,13 +395,13 @@ fn empty_and_fully_deleted_tables_aggregate_to_nothing() {
     let deleted_main = OnlineTable::<u64>::new(2);
     let deleted_tail = OnlineTable::<u64>::new(2);
     for i in 0..130u64 {
-        deleted_main.insert_row(&[i % 9, i]);
-        deleted_tail.insert_row(&[i % 9, i]);
+        deleted_main.insert_row(&[i % 9, i]).unwrap();
+        deleted_tail.insert_row(&[i % 9, i]).unwrap();
     }
     deleted_main.merge(1, None).unwrap();
     for i in 0..130 {
-        deleted_main.delete_row(i);
-        deleted_tail.delete_row(i);
+        deleted_main.delete_row(i).unwrap();
+        deleted_tail.delete_row(i).unwrap();
     }
     for t in [&empty, &deleted_main, &deleted_tail] {
         for q in [

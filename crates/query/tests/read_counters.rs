@@ -15,7 +15,7 @@ use hyrise_query::Query;
 fn executor_runs_bump_the_read_counters() {
     let t = OnlineTable::<u64>::new(1);
     for v in 0..100u64 {
-        t.insert_row(&[v]);
+        t.insert_row(&[v]).unwrap();
     }
     let before = read_load();
     let _ = Query::scan(0).eq(5).run(&t).into_rows();

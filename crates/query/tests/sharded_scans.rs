@@ -87,7 +87,7 @@ fn scans_filter_invalidated_rows() {
     let hits = scan_eq(&t, 0, 13);
     assert!(!hits.is_empty());
     for id in &hits {
-        t.delete_row(*id);
+        t.delete_row(*id).unwrap();
     }
     assert_eq!(scan_eq(&t, 0, 13), Vec::new());
     assert_eq!(

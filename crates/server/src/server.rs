@@ -352,7 +352,7 @@ pub(crate) fn handle_request(catalog: &Catalog, gate: &AdmissionGate, req: Reque
                 );
             }
             for id in &ids {
-                if let Err(e) = t.try_delete_row((*id).into()) {
+                if let Err(e) = t.delete_row((*id).into()) {
                     return Response {
                         admission: Admission::Admit,
                         result: Err(WireError::from_engine(&e)),

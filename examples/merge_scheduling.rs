@@ -25,7 +25,7 @@ fn main() {
     println!("loading 600K rows x 8 columns into the delta...");
     for i in 0..600_000u64 {
         let row: Vec<u64> = (0..8u64).map(|c| (i * 131 + c * 17) % 50_000).collect();
-        table.insert_row(&row);
+        table.insert_row(&row).expect("in-memory insert");
     }
 
     // --- 1. Cancellation: the scheduler changes its mind. ---
@@ -57,7 +57,7 @@ fn main() {
         let build = || {
             let t = OnlineTable::<u64>::new(8);
             for r in &rows {
-                t.insert_row(r);
+                t.insert_row(r).expect("in-memory insert");
             }
             t
         };

@@ -5,12 +5,13 @@
 //! Run with: `cargo run --release --example mixed_workload -- [seconds]`
 //!
 //! Spawns reader/writer threads sampling query types from the Figure 1 OLTP
-//! mix against an [`OnlineTable`], plus a background merge thread driven by
+//! mix against a one-shard [`ShardedTable`], plus a background merge thread driven by
 //! the Section 4 trigger policy (merge when N_D > 5% N_M). Reports
 //! sustained query and update throughput and the number of merges that ran
 //! — updates keep flowing *during* merges, which is the point.
 
-use hyrise::merge::{MergePolicy, OnlineTable};
+use hyrise::merge::MergePolicy;
+use hyrise::shard::{ShardRowId, ShardedTable};
 use hyrise::workload::{QueryMix, QueryType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,12 +29,17 @@ fn main() {
     let workers = 4usize;
 
     // Bulk-load 200K rows, merge them into main as the starting state.
-    let table = Arc::new(OnlineTable::<u64>::new(COLS));
-    for i in 0..200_000u64 {
-        let row: Vec<u64> = (0..COLS as u64).map(|c| (i * 31 + c) % 10_000).collect();
-        table.insert_row(&row);
-    }
-    table.merge(8, None).expect("initial merge");
+    let table = Arc::new(
+        ShardedTable::<u64>::builder()
+            .columns(COLS)
+            .build()
+            .expect("in-memory table"),
+    );
+    let rows: Vec<Vec<u64>> = (0..200_000u64)
+        .map(|i| (0..COLS as u64).map(|c| (i * 31 + c) % 10_000).collect())
+        .collect();
+    table.insert_rows(&rows).expect("in-memory insert");
+    table.merge_all(8).expect("initial merge");
     println!(
         "loaded {} rows into main; running the Figure-1 OLTP mix for {seconds}s...",
         table.main_len()
@@ -58,6 +64,7 @@ fn main() {
                 };
                 while !stop.load(Ordering::Relaxed) {
                     if table
+                        .shard(0)
                         .maybe_merge(&policy)
                         .expect("in-memory merge")
                         .is_some()
@@ -81,10 +88,11 @@ fn main() {
                 let mut rng = StdRng::seed_from_u64(1000 + w as u64);
                 while !stop.load(Ordering::Relaxed) {
                     let rows = table.row_count();
+                    let id = |row| ShardRowId { shard: 0, row };
                     match mix.sample(&mut rng) {
                         QueryType::Lookup => {
                             let r = rng.gen_range(0..rows);
-                            std::hint::black_box(table.get(rng.gen_range(0..COLS), r));
+                            std::hint::black_box(table.get(id(r), rng.gen_range(0..COLS)));
                             reads.fetch_add(1, Ordering::Relaxed);
                         }
                         QueryType::TableScan | QueryType::RangeSelect => {
@@ -94,7 +102,7 @@ fn main() {
                             let end = (start + 512).min(rows);
                             let mut acc = 0u64;
                             for r in start..end {
-                                acc = acc.wrapping_add(table.get(col, r));
+                                acc = acc.wrapping_add(table.get(id(r), col));
                             }
                             std::hint::black_box(acc);
                             reads.fetch_add(1, Ordering::Relaxed);
@@ -103,19 +111,19 @@ fn main() {
                             let i = writes.fetch_add(1, Ordering::Relaxed);
                             let row: Vec<u64> =
                                 (0..COLS as u64).map(|c| (i * 7 + c) % 10_000).collect();
-                            table.insert_row(&row);
+                            table.insert_row(&row).expect("in-memory insert");
                         }
                         QueryType::Modification => {
                             let i = writes.fetch_add(1, Ordering::Relaxed);
                             let old = rng.gen_range(0..rows);
                             let row: Vec<u64> =
                                 (0..COLS as u64).map(|c| (i * 11 + c) % 10_000).collect();
-                            table.update_row(old, &row);
+                            table.update_row(id(old), &row).expect("in-memory update");
                         }
                         QueryType::Delete => {
                             writes.fetch_add(1, Ordering::Relaxed);
                             let r = rng.gen_range(0..rows);
-                            table.delete_row(r);
+                            table.delete_row(id(r)).expect("in-memory delete");
                         }
                     }
                 }

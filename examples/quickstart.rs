@@ -50,7 +50,7 @@ fn main() {
     println!("== Queries spanning both partitions (the unified Query builder) ==");
     let table = OnlineTable::from_mains(vec![main.clone()]);
     for v in [2u64, 3, 7, 3, 25] {
-        table.insert_row(&[v]);
+        table.insert_row(&[v]).expect("in-memory insert");
     }
     let snap = table.snapshot();
     // Predicates compile to dictionary value-id ranges: the main partition

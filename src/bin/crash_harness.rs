@@ -13,22 +13,23 @@
 //!   the row value sequence, never on where the kill landed;
 //! * the recovered table must keep accepting writes.
 //!
-//! Single-table merges alternate between one whole-table chunk and
-//! one-column chunks (`MergeBudget::columns(1)`), so a kill can land
-//! between two column files of one merge and recovery resumes the merge
-//! from the files already written. Rounds alternate the fsync policy (buffered
-//! appends survive process death — that is the buffered-WAL contract) and
-//! include a sharded
-//! round, where each shard independently sits at the acked boundary or
-//! one op past it (multi-shard batches may tear; see
-//! `ShardedTable::insert_rows`).
+//! One-shard rounds write through the shard, the paper's single table, and
+//! alternate its merges between one whole-table chunk and one-column
+//! chunks (`MergeBudget::columns(1)`), so a kill can land between two
+//! column files of one merge and recovery resumes the merge from the files
+//! already written. Rounds alternate the fsync policy (buffered appends
+//! survive process death — that is the buffered-WAL contract) and include
+//! three-shard rounds, where each shard independently sits at the acked
+//! boundary or one op past it (multi-shard batches may tear; see
+//! `ShardedTable::insert_rows`). Every round recovers through
+//! `recover_sharded`.
 //!
 //! Environment: `CRASH_ROUNDS` (default 6) rounds per mode set;
 //! `CRASH_SEED` overrides the base seed.
 
 use hyrise::merge::{MergeBudget, MergeGrant, OnlineTable, TableMergeStats};
 use hyrise::shard::ShardedTable;
-use hyrise::{recover, recover_sharded, Durability};
+use hyrise::{recover_sharded, Durability};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -65,8 +66,8 @@ fn op(seed: u64, i: u64) -> Op {
     }
 }
 
-/// Apply op `i` to a single table. Returns false when the op was a no-op
-/// (nothing durable changed), so no-ops can be acked without ambiguity.
+/// Apply op `i` to one table: the shard of a one-shard table, or the
+/// in-memory model.
 fn apply_single(t: &OnlineTable<u64>, seed: u64, i: u64) -> hyrise::Result<()> {
     match op(seed, i) {
         Op::InsertBatch(s, n) => {
@@ -76,7 +77,7 @@ fn apply_single(t: &OnlineTable<u64>, seed: u64, i: u64) -> hyrise::Result<()> {
         Op::Delete(target) => {
             let rows = t.row_count();
             if rows > 0 {
-                t.try_delete_row(target as usize % rows)?;
+                t.delete_row(target as usize % rows)?;
             }
         }
         Op::Merge => {
@@ -102,7 +103,7 @@ fn apply_sharded(t: &ShardedTable<u64>, seed: u64, i: u64) -> hyrise::Result<()>
             let shard = t.shard(target as usize % t.num_shards());
             let rows = shard.row_count();
             if rows > 0 {
-                shard.try_delete_row((target >> 8) as usize % rows)?;
+                shard.delete_row((target >> 8) as usize % rows)?;
             }
         }
         Op::Merge => {
@@ -135,27 +136,19 @@ fn run_child(dir: &Path, seed: u64, fsync: bool, sharded: bool) -> ! {
         dir: dir.to_path_buf(),
         fsync,
     };
-    if sharded {
-        let t = ShardedTable::<u64>::builder()
-            .shards(3)
-            .columns(COLS)
-            .durability(durability)
-            .build()
-            .expect("build sharded");
-        for i in 0.. {
+    let t = ShardedTable::<u64>::builder()
+        .shards(if sharded { 3 } else { 1 })
+        .columns(COLS)
+        .durability(durability)
+        .build()
+        .expect("build table");
+    for i in 0.. {
+        if sharded {
             apply_sharded(&t, seed, i).expect("sharded op");
-            ack(i);
+        } else {
+            apply_single(t.shard(0), seed, i).expect("one-shard op");
         }
-    } else {
-        let t = OnlineTable::<u64>::builder()
-            .columns(COLS)
-            .durability(durability)
-            .build()
-            .expect("build table");
-        for i in 0.. {
-            apply_single(&t, seed, i).expect("single op");
-            ack(i);
-        }
+        ack(i);
     }
     unreachable!("the op stream is infinite; the parent kills us");
 }
@@ -224,7 +217,7 @@ fn columns_past_checkpoint(dir: &Path) -> usize {
         .unwrap_or(0)
 }
 
-/// One single-table round: spawn, kill, recover, verify.
+/// One one-shard round: spawn, kill, recover, verify.
 fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u64) {
     let dir = scratch.join(format!("single-{seed:x}"));
     let mut child = Command::new(exe)
@@ -243,8 +236,9 @@ fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u6
 
     let acked = read_acks(&dir);
     // The kill landed inside a merge that had written these column files.
-    let resumed = columns_past_checkpoint(&dir);
-    let recovered: OnlineTable<u64> = recover(&dir).expect("recover after kill");
+    let resumed = columns_past_checkpoint(&dir.join("shard-0"));
+    let table: ShardedTable<u64> = recover_sharded(&dir).expect("recover after kill");
+    let recovered = table.shard(0);
 
     // The model replays acked ops; the recovered state must equal that,
     // or that plus exactly the one op that was in flight at kill time.
@@ -252,7 +246,7 @@ fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u6
     for i in 0..acked {
         apply_single(&model, seed, i).expect("model op");
     }
-    let got = logical_state(&recovered);
+    let got = logical_state(recovered);
     if got != logical_state(&model) {
         apply_single(&model, seed, acked).expect("model slack op");
         assert_eq!(
@@ -262,18 +256,18 @@ fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u6
              ops nor one op past them"
         );
     }
-    assert_bytes_identical(&recovered, &model, "single");
+    assert_bytes_identical(recovered, &model, "one shard");
 
     // Still alive: the recovered table keeps logging and recovering.
     recovered
         .insert_rows(&[row(0xDEAD)])
         .expect("post-crash insert");
     let n = recovered.row_count();
-    drop(recovered);
-    let again: OnlineTable<u64> = recover(&dir).expect("second recovery");
+    drop(table);
+    let again: ShardedTable<u64> = recover_sharded(&dir).expect("second recovery");
     assert_eq!(again.row_count(), n, "post-crash write survived");
     println!(
-        "  single fsync={fsync} delay={delay_ms}ms: acked={acked}, rows={n}, \
+        "  one-shard fsync={fsync} delay={delay_ms}ms: acked={acked}, rows={n}, \
          resumed_columns={resumed} ok"
     );
 }

@@ -1,10 +1,10 @@
 //! Mixed-workload driver: executes a [`workload`](crate::workload) operation
-//! stream against an [`OnlineTable`], closing the
+//! stream against a [`ShardedTable`], closing the
 //! loop between the Section 2 workload characterization and the merge
 //! machinery — the "single system for both transactional and analytical
 //! workloads" the paper argues for, in miniature.
 
-use crate::merge::OnlineTable;
+use crate::shard::{ShardRowId, ShardedTable};
 use crate::workload::{Operation, UpdateStream};
 use hyrise_query::Query;
 use hyrise_storage::Value;
@@ -52,37 +52,41 @@ pub fn row_for_seed<V: Value>(seed: u64, cols: usize) -> Vec<V> {
         .collect()
 }
 
-/// Execute `n` operations from `stream` against `table`. Row indices from
-/// the stream are clamped to the live table (the stream's logical row count
-/// tracks inserts but the driver is authoritative).
+/// Execute `n` operations from `stream` against `table`, typically a
+/// one-shard table (the paper's single table). Row indices from the
+/// stream address shard 0 and are clamped to its live rows (the stream's
+/// logical row count tracks inserts but the driver is authoritative).
+/// The first failed write ends the run with its error.
 pub fn drive<V: Value, R: Rng>(
-    table: &OnlineTable<V>,
+    table: &ShardedTable<V>,
     stream: &mut UpdateStream,
     rng: &mut R,
     n: usize,
-) -> DriverStats {
+) -> crate::Result<DriverStats> {
     let cols = table.num_columns();
+    let home = table.shard(0);
+    let id = |row: usize| ShardRowId { shard: 0, row };
     let mut stats = DriverStats::default();
     for _ in 0..n {
         match stream.next_op(rng) {
             Operation::Lookup { row } => {
-                let rows = table.row_count();
+                let rows = home.row_count();
                 if rows > 0 {
                     let r = (row as usize).min(rows - 1);
                     stats.checksum = stats
                         .checksum
-                        .wrapping_add(table.get(r % cols.max(1) % cols, r).to_u64_lossy());
+                        .wrapping_add(home.get(r % cols.max(1) % cols, r).to_u64_lossy());
                     stats.lookups += 1;
                 }
             }
             Operation::Scan { start, len } => {
-                let rows = table.row_count();
+                let rows = home.row_count();
                 if rows > 0 {
                     let s = (start as usize).min(rows - 1);
                     let e = (s + len as usize).min(rows);
                     let mut acc = 0u64;
                     for r in s..e {
-                        acc = acc.wrapping_add(table.get(0, r).to_u64_lossy());
+                        acc = acc.wrapping_add(home.get(0, r).to_u64_lossy());
                     }
                     stats.checksum = stats.checksum.wrapping_add(acc);
                     stats.scans += 1;
@@ -103,26 +107,27 @@ pub fn drive<V: Value, R: Rng>(
                 stats.ranges += 1;
             }
             Operation::Insert { seed } => {
-                table.insert_row(&row_for_seed::<V>(seed, cols));
+                table.insert_row(&row_for_seed::<V>(seed, cols))?;
                 stats.inserts += 1;
             }
             Operation::Update { row, seed } => {
-                let rows = table.row_count();
+                let rows = home.row_count();
                 if rows > 0 {
-                    table.update_row((row as usize).min(rows - 1), &row_for_seed::<V>(seed, cols));
+                    let old = id((row as usize).min(rows - 1));
+                    table.update_row(old, &row_for_seed::<V>(seed, cols))?;
                     stats.updates += 1;
                 }
             }
             Operation::Delete { row } => {
-                let rows = table.row_count();
+                let rows = home.row_count();
                 if rows > 0 {
-                    table.delete_row((row as usize).min(rows - 1));
+                    table.delete_row(id((row as usize).min(rows - 1)))?;
                     stats.deletes += 1;
                 }
             }
         }
     }
-    stats
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -132,14 +137,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn driven_table(ops: usize) -> (OnlineTable<u64>, DriverStats) {
-        let table = OnlineTable::<u64>::new(3);
-        for i in 0..2_000u64 {
-            table.insert_row(&row_for_seed(i, 3));
-        }
+    fn one_shard(rows: u64) -> ShardedTable<u64> {
+        let table = ShardedTable::builder().columns(3).build().unwrap();
+        let rows: Vec<Vec<u64>> = (0..rows).map(|i| row_for_seed(i, 3)).collect();
+        table.insert_rows(&rows).unwrap();
+        table
+    }
+
+    fn driven_table(ops: usize) -> (ShardedTable<u64>, DriverStats) {
+        let table = one_shard(2_000);
         let mut stream = UpdateStream::new(QueryMix::oltp(), 2_000);
         let mut rng = StdRng::seed_from_u64(5);
-        let stats = drive(&table, &mut stream, &mut rng, ops);
+        let stats = drive(&table, &mut stream, &mut rng, ops).unwrap();
         (table, stats)
     }
 
@@ -168,19 +177,16 @@ mod tests {
 
     #[test]
     fn driving_across_merges_preserves_results() {
-        let table = OnlineTable::<u64>::new(3);
-        for i in 0..2_000u64 {
-            table.insert_row(&row_for_seed(i, 3));
-        }
+        let table = one_shard(2_000);
         let mut stream = UpdateStream::new(QueryMix::oltp(), 2_000);
         let mut rng = StdRng::seed_from_u64(5);
         // Interleave driving and merging; final row count must balance.
         let mut total = DriverStats::default();
         for _ in 0..4 {
-            let s = drive(&table, &mut stream, &mut rng, 2_500);
+            let s = drive(&table, &mut stream, &mut rng, 2_500).unwrap();
             total.inserts += s.inserts;
             total.updates += s.updates;
-            table.merge(2, None).unwrap();
+            table.merge_all(2).unwrap();
             assert_eq!(table.delta_len(), 0);
         }
         assert_eq!(

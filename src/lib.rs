@@ -28,8 +28,9 @@
 //!   [`server::Client`] library.
 //!
 //! Durability lives in [`merge`]: build a crash-durable table with
-//! [`TableBuilder`] + [`Durability::Wal`], and reopen it after a crash
-//! with [`recover`] (or [`recover_sharded`] for a partitioned table).
+//! [`ShardedTableBuilder`] (one shard unless asked for more) +
+//! [`Durability::Wal`], and reopen it after a crash with
+//! [`recover_sharded`].
 //!
 //! See `examples/quickstart.rs` for a guided tour and `DESIGN.md` for the
 //! paper-to-module map.
@@ -39,10 +40,7 @@ pub mod driver;
 pub use hyrise_bitpack as bitpack;
 pub use hyrise_core as merge;
 pub use hyrise_core::shard;
-pub use hyrise_core::{
-    recover, recover_sharded, Durability, Error, Result, ShardedTableBuilder, TableBuilder,
-    TableConfig,
-};
+pub use hyrise_core::{recover_sharded, Durability, Error, Result, ShardedTableBuilder};
 pub use hyrise_query as query;
 pub use hyrise_server as server;
 pub use hyrise_storage as storage;

@@ -77,18 +77,19 @@ fn four_merge_waves<V: Value>() {
             match rng.gen_range(0..10) {
                 0..=6 => {
                     let row = random_row(&mut rng);
-                    table.insert_row(&row);
+                    table.insert_row(&row).unwrap();
                     reference.insert(row);
                 }
                 7..=8 if !reference.rows.is_empty() => {
                     let old = rng.gen_range(0..reference.rows.len());
                     let row = random_row(&mut rng);
-                    table.update_row(old, &row);
+                    table.insert_row(&row).unwrap();
+                    table.delete_row(old).unwrap();
                     reference.update(old, row);
                 }
                 _ if !reference.rows.is_empty() => {
                     let victim = rng.gen_range(0..reference.rows.len());
-                    table.delete_row(victim);
+                    table.delete_row(victim).unwrap();
                     reference.delete(victim);
                 }
                 _ => {}
@@ -119,14 +120,15 @@ fn queries_agree_across_a_merge<V: Value>() {
     let v = V::from_seed;
     for _ in 0..3_000 {
         let row = vec![v(rng.gen_range(0..50)), v(rng.gen_range(0..10))];
-        table.insert_row(&row);
+        table.insert_row(&row).unwrap();
         reference.insert(row);
     }
     // Some history churn.
     for _ in 0..300 {
         let old = rng.gen_range(0..table.row_count());
         let row = vec![v(rng.gen_range(0..50)), v(1)];
-        table.update_row(old, &row);
+        table.insert_row(&row).unwrap();
+        table.delete_row(old).unwrap();
         reference.update(old, row);
     }
 
@@ -158,7 +160,7 @@ fn queries_agree_before_and_after_merge() {
 fn merge_compresses_tenfold<V: Value>() {
     let table = OnlineTable::<V>::new(1);
     for i in 0..20_000u64 {
-        table.insert_row(&[V::from_seed(i % 8)]);
+        table.insert_row(&[V::from_seed(i % 8)]).unwrap();
     }
     let before = table.memory_report().total();
     table.merge(2, None).unwrap();

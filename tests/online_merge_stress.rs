@@ -17,7 +17,7 @@ fn writers_and_mergers_race_without_losing_rows() {
     const COLS: usize = 3;
     let table = Arc::new(OnlineTable::<u64>::new(COLS));
     for i in 0..5_000 {
-        table.insert_row(&seeded_row(i, COLS));
+        table.insert_row(&seeded_row(i, COLS)).unwrap();
     }
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -32,7 +32,7 @@ fn writers_and_mergers_race_without_losing_rows() {
             s.spawn(move || {
                 let mut i = 1_000_000 * (w + 1);
                 while !stop.load(Ordering::Relaxed) {
-                    table.insert_row(&seeded_row(i, COLS));
+                    table.insert_row(&seeded_row(i, COLS)).unwrap();
                     inserted.fetch_add(1, Ordering::Relaxed);
                     i += 1;
                 }
@@ -94,7 +94,7 @@ fn cancellation_under_concurrent_inserts_is_atomic() {
     const COLS: usize = 2;
     let table = Arc::new(OnlineTable::<u64>::new(COLS));
     for i in 0..50_000 {
-        table.insert_row(&seeded_row(i, COLS));
+        table.insert_row(&seeded_row(i, COLS)).unwrap();
     }
 
     // Run several cancel-racing merges; each either commits fully or not at
@@ -108,7 +108,9 @@ fn cancellation_under_concurrent_inserts_is_atomic() {
         };
         // Insert while the merge may be running.
         for i in 0..500 {
-            table.insert_row(&seeded_row(10_000_000 + round * 1000 + i, COLS));
+            table
+                .insert_row(&seeded_row(10_000_000 + round * 1000 + i, COLS))
+                .unwrap();
         }
         cancel.store(true, Ordering::Relaxed);
         let result = handle.join().unwrap();
@@ -139,7 +141,7 @@ fn cancellation_under_concurrent_inserts_is_atomic() {
 fn trigger_policy_keeps_delta_bounded() {
     let table = OnlineTable::<u64>::new(2);
     for i in 0..20_000 {
-        table.insert_row(&seeded_row(i, 2));
+        table.insert_row(&seeded_row(i, 2)).unwrap();
     }
     table.merge(4, None).unwrap();
 
@@ -150,7 +152,7 @@ fn trigger_policy_keeps_delta_bounded() {
     };
     let mut merges = 0;
     for i in 0..20_000u64 {
-        table.insert_row(&seeded_row(100_000 + i, 2));
+        table.insert_row(&seeded_row(100_000 + i, 2)).unwrap();
         if table.maybe_merge(&policy).unwrap().is_some() {
             merges += 1;
             // Post-merge the delta is empty; fraction resets.
@@ -175,7 +177,7 @@ fn update_rate_accounting_on_online_table() {
     let n = 30_000u64;
     let t0 = std::time::Instant::now();
     for i in 0..n {
-        table.insert_row(&seeded_row(i, 4));
+        table.insert_row(&seeded_row(i, 4)).unwrap();
     }
     let t_u = t0.elapsed();
     let stats = table.merge(4, None).unwrap();

@@ -58,7 +58,7 @@ fn concurrent_inserts_and_scans_survive_per_shard_merges() {
                         inserted.fetch_add(64, Ordering::Relaxed);
                         i += 64;
                     } else {
-                        table.insert_row(&linked_row(i));
+                        table.insert_row(&linked_row(i)).unwrap();
                         inserted.fetch_add(1, Ordering::Relaxed);
                         i += 1;
                     }
@@ -173,17 +173,17 @@ fn sharded_mix_with_scheduler_stays_consistent() {
                         let id = ids[((i * 7_919 + w) % initial_rows) as usize];
                         match i % 12 {
                             0 => {
-                                own.push(table.insert_row(&row((w + 1) << 32 | i)));
+                                own.push(table.insert_row(&row((w + 1) << 32 | i)).unwrap());
                                 appended += 1;
                             }
                             4 => {
-                                own.push(table.update_row(id, &row((w + 1) << 32 | i)));
+                                own.push(table.update_row(id, &row((w + 1) << 32 | i)).unwrap());
                                 appended += 1;
                                 invalidated += 1;
                             }
                             8 => {
                                 if let Some(mine) = own.pop() {
-                                    table.delete_row(mine);
+                                    table.delete_row(mine).unwrap();
                                     invalidated += 1;
                                 }
                             }

@@ -1,9 +1,10 @@
-//! Full-system test: the Figure-1 OLTP mix driven against an online table
-//! while the background merge scheduler keeps the delta bounded — the
-//! paper's combined-workload thesis as one executable assertion.
+//! Full-system test: the Figure-1 OLTP mix driven against a one-shard
+//! table while the background merge scheduler keeps the delta bounded —
+//! the paper's combined-workload thesis as one executable assertion.
 
 use hyrise::driver::{drive, row_for_seed, DriverStats};
-use hyrise::merge::{MergePolicy, MergeScheduler, OnlineTable};
+use hyrise::merge::{MergePolicy, MergeScheduler};
+use hyrise::shard::{ShardRowId, ShardedTable};
 use hyrise::workload::{QueryMix, UpdateStream};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,12 +14,12 @@ use std::time::Duration;
 const COLS: usize = 4;
 const INITIAL_ROWS: u64 = 20_000;
 
-fn loaded_table() -> Arc<OnlineTable<u64>> {
-    let table = Arc::new(OnlineTable::<u64>::new(COLS));
+fn loaded_table() -> Arc<ShardedTable<u64>> {
+    let table = Arc::new(ShardedTable::builder().columns(COLS).build().unwrap());
     for i in 0..INITIAL_ROWS {
-        table.insert_row(&row_for_seed(i, COLS));
+        table.insert_row(&row_for_seed(i, COLS)).unwrap();
     }
-    table.merge(4, None).expect("initial merge");
+    table.merge_all(4).expect("initial merge");
     table
 }
 
@@ -30,7 +31,7 @@ fn oltp_mix_with_background_merging_stays_consistent() {
         threads: 2,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(vec![Arc::clone(&table)], policy);
+    let sched = MergeScheduler::spawn(table.shards().to_vec(), policy);
 
     // Drive the OLTP mix from two concurrent workers.
     let totals: Vec<DriverStats> = std::thread::scope(|s| {
@@ -40,7 +41,7 @@ fn oltp_mix_with_background_merging_stays_consistent() {
                 s.spawn(move || {
                     let mut stream = UpdateStream::new(QueryMix::oltp(), INITIAL_ROWS);
                     let mut rng = StdRng::seed_from_u64(100 + w);
-                    drive(&table, &mut stream, &mut rng, 15_000)
+                    drive(&table, &mut stream, &mut rng, 15_000).unwrap()
                 })
             })
             .collect();
@@ -52,7 +53,8 @@ fn oltp_mix_with_background_merging_stays_consistent() {
 
     // Let the scheduler drain, then stop it.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while table.delta_fraction() > policy.delta_fraction && std::time::Instant::now() < deadline {
+    while table.max_delta_fraction() > policy.delta_fraction && std::time::Instant::now() < deadline
+    {
         std::thread::sleep(Duration::from_millis(5));
     }
     sched.shutdown();
@@ -68,9 +70,9 @@ fn oltp_mix_with_background_merging_stays_consistent() {
     // The scheduler really ran and kept the delta bounded.
     assert!(sched.stats().merges >= 1, "background merges must have run");
     assert!(
-        table.delta_fraction() <= policy.delta_fraction + 1e-9,
+        table.max_delta_fraction() <= policy.delta_fraction + 1e-9,
         "delta bounded after drain: {}",
-        table.delta_fraction()
+        table.max_delta_fraction()
     );
 
     // Visibility: valid rows = all rows minus explicit invalidations.
@@ -89,9 +91,10 @@ fn oltp_mix_with_background_merging_stays_consistent() {
     // The original rows that were never touched must read back exactly.
     let mut intact = 0;
     for r in (0..INITIAL_ROWS as usize).step_by(999) {
-        if table.is_valid(r) {
+        let id = ShardRowId { shard: 0, row: r };
+        if table.is_valid(id) {
             assert_eq!(
-                table.row(r),
+                table.row(id),
                 row_for_seed(r as u64, COLS),
                 "row {r} corrupted"
             );
@@ -114,18 +117,21 @@ fn sustained_update_rate_meets_the_low_target() {
         threads: 4,
         ..MergePolicy::default()
     };
-    let sched = MergeScheduler::spawn(vec![Arc::clone(&table)], policy);
+    let sched = MergeScheduler::spawn(table.shards().to_vec(), policy);
 
     let n = 50_000u64;
     let t0 = std::time::Instant::now();
     for i in 0..n {
-        table.insert_row(&row_for_seed(INITIAL_ROWS + i, COLS));
+        table
+            .insert_row(&row_for_seed(INITIAL_ROWS + i, COLS))
+            .unwrap();
     }
     // Include the drain in the measured window (Equation 1 charges T_M).
     // A table is due only past its trigger fraction, so drain to that
     // point, not to empty.
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    while table.delta_fraction() > policy.delta_fraction && std::time::Instant::now() < deadline {
+    while table.max_delta_fraction() > policy.delta_fraction && std::time::Instant::now() < deadline
+    {
         std::thread::sleep(Duration::from_millis(2));
     }
     let elapsed = t0.elapsed();
