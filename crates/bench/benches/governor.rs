@@ -1,15 +1,15 @@
-//! Criterion: the governor's memory-pressure grant vs the static policy.
+//! Criterion: a [`MergePolicy`]'s memory-pressure grant vs its static one.
 //!
-//! Phase 1 (untimed) lets a real [`ResourceGovernor`] observe a real
-//! [`OnlineTable`] with a fat delta over its memory soft limit and asserts
-//! the memory-pressure row fired. Phase 2 (timed) measures merge throughput
-//! of the granted configuration over an immutable column set (same shape
-//! every iteration, so the CI gate sees stable medians):
-//! `governor/write_heavy/{static,adaptive}`. Without memory pressure the
-//! governor grants the policy's own grant, so no other scenario differs
-//! from static.
+//! Phase 1 (untimed) asks [`MergePolicy::grant_at`] for the grant at a real
+//! [`OnlineTable`]'s footprint, a fat delta over the policy's memory soft
+//! limit, and asserts the memory-pressure row fired. Phase 2 (timed)
+//! measures merge throughput of the granted configuration over an
+//! immutable column set (same shape every iteration, so the CI gate sees
+//! stable medians): `governor/write_heavy/{static,adaptive}`. Without
+//! memory pressure the policy grants its own grant, so no other scenario
+//! differs from static.
 //!
-//! The memory half of the governor's acceptance criterion is asserted
+//! The memory half of the acceptance criterion is asserted
 //! before timing starts, on real tables: the adaptive grant's
 //! [`TableMergeStats::peak_extra_bytes`] must be **strictly below** the
 //! static unbudgeted policy's peak for the same work. The throughput half
@@ -20,7 +20,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hyrise_bench::build_column;
-use hyrise_core::governor::{GovernorConfig, GrantSignal, ResourceGovernor};
 use hyrise_core::{MergeGrant, MergePipeline, MergePolicy, MergeScratch, OnlineTable};
 use hyrise_storage::{FrozenDelta, MainPartition};
 
@@ -28,7 +27,7 @@ const COLS: usize = 6;
 /// Tuples per column in the timed column set.
 const N_M: usize = 200_000;
 const LAMBDA: f64 = 0.1;
-/// Rows preloaded into the real tables the governor observes.
+/// Rows preloaded into the real tables the policy weighs.
 const TABLE_ROWS: usize = 60_000;
 const DOMAIN: u64 = 10_000;
 
@@ -58,18 +57,6 @@ fn fill_delta(t: &OnlineTable<u64>, pct: usize) {
         })
         .collect();
     t.insert_rows(&batch).unwrap();
-}
-
-/// Ask a governor observing `table` for the grant of its next merge.
-fn observed_grant(table: &OnlineTable<u64>, config: GovernorConfig) -> (MergeGrant, GrantSignal) {
-    let gov = ResourceGovernor::new(config);
-    let grant = gov.plan(&table.memory_report(), table.delta_fraction());
-    let signal = gov
-        .recent_grants()
-        .last()
-        .expect("plan records its grant")
-        .signal;
-    (grant, signal)
 }
 
 /// The timed kernel: merge every column of the immutable set under
@@ -131,21 +118,18 @@ fn bench_governor(c: &mut Criterion) {
     };
     let static_grant = policy.grant();
 
-    // --- Phase 1: let the governor observe real load, pin the decision.
-    // A fat delta pushes the table past its soft limit — the governor
-    // shrinks the budget to one column.
+    // --- Phase 1: weigh a real table's footprint, pin the decision. A fat
+    // delta pushes the table past its soft limit — the policy shrinks the
+    // budget to one column.
     let table = build_table(TABLE_ROWS);
     fill_delta(&table, 10);
-    let soft_limit = table.memory_report().total() / 2;
-    let (adaptive_grant, sig) = observed_grant(
-        &table,
-        GovernorConfig::from_policy(policy).with_memory_soft_limit(soft_limit),
-    );
-    assert_eq!(
-        sig,
-        GrantSignal::MemoryPressure,
-        "over-limit reads as pressure"
-    );
+    let memory = table.memory_report().total();
+    let pressured = MergePolicy {
+        memory_soft_limit: memory / 2,
+        ..policy
+    };
+    let (adaptive_grant, over) = pressured.grant_at(memory);
+    assert!(over, "over-limit reads as pressure");
     drop(table);
 
     assert_write_heavy_acceptance(static_grant, adaptive_grant);

@@ -32,7 +32,7 @@ fn table_with_delta(main: &MainPartition<u64>, n_d: usize, lambda: f64) -> Onlin
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["nm", "lambda", "reps", "threads"]);
     let n_m = args.usize("nm", 10_000_000);
     let lambda = args.f64("lambda", 0.01);
     let reps = args.usize("reps", 3);

@@ -36,7 +36,7 @@ fn main() {
             "usage: bench_gate <check|update> <bench-output.txt> [--baseline p] [--tolerance f]",
         ),
     };
-    let args = Args::from_env(); // flag parsing only; positionals become junk keys
+    let args = Args::parse(&argv[2..], &["baseline", "tolerance"]).unwrap_or_else(|e| fail(&e));
     let baseline_path = args.string("baseline", "BENCH_baseline.json");
     let tolerance = args.f64("tolerance", 0.25);
 

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["samples"]);
     let samples = args.usize("samples", 1_000_000);
     banner(
         "Figure 1 — workload query-type distribution",

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["samples"]);
     let samples = args.usize("samples", 200_000);
     banner(
         "Figure 2 — tables clustered by number of rows",

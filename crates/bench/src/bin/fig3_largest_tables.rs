@@ -5,7 +5,7 @@ use hyrise_bench::{banner, fmt_count, Args, TablePrinter};
 use hyrise_workload::LargeTableModel;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["show"]);
     let show = args.usize("show", 20);
     banner(
         "Figure 3 — the 144 largest tables (rows & columns)",

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["samples"]);
     let samples = args.usize("samples", 100_000);
     banner(
         "Figure 4 — distinct values per column by application domain",

@@ -22,7 +22,7 @@ use hyrise_bench::{
 use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["nm", "lambda", "threads", "quick"]);
     let n_m = args.usize("nm", 10_000_000);
     let lambda = args.f64("lambda", 0.10);
     let threads = args.usize("threads", default_threads());

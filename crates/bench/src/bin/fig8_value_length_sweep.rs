@@ -50,7 +50,7 @@ fn run_case<V: Value>(
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["nm", "threads", "quick"]);
     let n_m = args.usize("nm", 10_000_000);
     let threads = args.usize("threads", default_threads());
     let hz = quick_hz();

@@ -24,7 +24,7 @@ use hyrise_core::rate::{
 use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["threads", "cols", "full", "quick"]);
     let threads = args.usize("threads", default_threads());
     let n_c = args.usize("cols", 300);
     let hz = quick_hz();

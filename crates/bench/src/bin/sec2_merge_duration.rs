@@ -20,7 +20,7 @@ use hyrise_workload::VbapScenario;
 use std::time::Duration;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["scale", "cols", "threads"]);
     let scale = args.f64("scale", 0.01);
     let cols = args.usize("cols", 16);
     let threads = args.usize("threads", default_threads());

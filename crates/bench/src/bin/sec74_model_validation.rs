@@ -15,7 +15,7 @@ use hyrise_core::model::{calibrate, MergeScenario};
 use hyrise_core::{MergePipeline, MergeScratch, MergeStrategy};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["nm", "nd", "threads"]);
     let n_m = args.usize("nm", 10_000_000);
     let n_d = args.usize("nd", n_m / 100);
     let threads = args.usize("threads", default_threads());

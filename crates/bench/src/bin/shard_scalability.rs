@@ -17,7 +17,7 @@
 
 use hyrise_bench::{banner, default_threads, fmt_count, Args, TablePrinter};
 use hyrise_core::shard::ShardedTable;
-use hyrise_core::{MergePolicy, MergeScheduler};
+use hyrise_core::{GrantRecord, MergePolicy, MergeScheduler};
 use hyrise_query::Query;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,7 +31,7 @@ fn row(i: u64) -> [u64; 2] {
 
 /// One sweep point: returns (preload ms, write upd/s, scans/s, merges,
 /// max delta fraction at end, total rows at end, per-stage merge micros
-/// summed over shards: step1a/step1b/step2, governor grant trace).
+/// summed over shards: step1a/step1b/step2, grant trace).
 #[allow(clippy::type_complexity)]
 fn sweep(
     shards: usize,
@@ -39,16 +39,7 @@ fn sweep(
     writes: usize,
     trigger: f64,
     threads: usize,
-) -> (
-    u128,
-    f64,
-    f64,
-    u64,
-    f64,
-    usize,
-    [u64; 3],
-    Vec<hyrise_core::governor::GrantRecord>,
-) {
+) -> (u128, f64, f64, u64, f64, usize, [u64; 3], Vec<GrantRecord>) {
     let table = Arc::new(
         ShardedTable::<u64>::builder()
             .shards(shards)
@@ -138,31 +129,23 @@ fn sweep(
     )
 }
 
-/// Compress a grant trace into a summary column: the dominant signal with
-/// its share of merges, plus the most recent grant shape.
-fn governor_column(grants: &[hyrise_core::governor::GrantRecord]) -> String {
-    use std::collections::HashMap;
+/// Compress a grant trace into a summary column: the share of
+/// memory-pressured merges, plus the most recent grant shape.
+fn grant_column(grants: &[GrantRecord]) -> String {
     let Some(last) = grants.last() else {
         return "-".into();
     };
-    let mut by_signal: HashMap<String, usize> = HashMap::new();
-    for g in grants {
-        *by_signal.entry(g.signal.to_string()).or_default() += 1;
-    }
-    let (dominant, n) = by_signal
-        .into_iter()
-        .max_by_key(|&(_, n)| n)
-        .expect("non-empty trace");
+    let pressured = grants.iter().filter(|g| g.pressured).count();
     format!(
-        "{dominant} {n}/{} · {}/t{}",
+        "pressured {pressured}/{} · {}/t{}",
         grants.len(),
-        last.strategy.algo(),
+        last.strategy,
         last.threads
     )
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["rows", "writes", "max-shards", "trigger", "threads"]);
     let rows = args.usize("rows", 200_000);
     let writes = args.usize("writes", 50_000);
     let max_shards = args.usize("max-shards", 8);
@@ -191,7 +174,7 @@ fn main() {
         "s2 ms",
         "end frac",
         "end rows",
-        "governor",
+        "grants",
     ]);
 
     let mut last_trace = Vec::new();
@@ -210,14 +193,14 @@ fn main() {
             &format!("{:.1}", stages[2] as f64 / 1e3),
             &format!("{frac:.4}"),
             &fmt_count(end_rows),
-            &governor_column(&grants),
+            &grant_column(&grants),
         ]);
         last_trace = grants;
         shards *= 2;
     }
     println!();
-    println!("governor trace of the last sweep point (strategy/threads/budget K,");
-    println!("triggering signal, merged shard's delta fraction; newest last):");
+    println!("grant trace of the last sweep point (strategy/threads/budget K,");
+    println!("memory pressure, merged shard's delta fraction; newest last):");
     let tail = last_trace.len().saturating_sub(8);
     for (i, g) in last_trace.iter().enumerate().skip(tail) {
         println!("  merge {:>3}: {g}", i + 1);
@@ -230,6 +213,6 @@ fn main() {
     println!("data); write throughput grows with cores available, flat on one core.");
     println!("s1a/s1b/s2 stack like the paper's Figure 7/8 stage bars (per-shard");
     println!("SourceMergeStats summed): Step 2 dominates, Step 1b grows with |U|.");
-    println!("the governor column is dominant-signal share · last grant; with no");
+    println!("the grants column is memory-pressured share · last grant; with no");
     println!("memory soft limit every merge is baseline, the policy's own grant.");
 }

@@ -34,7 +34,7 @@ fn parallel_delta_update(vals: &[u64], threads: usize) -> Duration {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["nm", "nd", "threads"]);
     let n_m = args.usize("nm", 10_000_000);
     let n_d = args.usize("nd", n_m / 10 / 10); // 1% of N_M, matching paper's 1M of 100M
     let nt = args.usize("threads", default_threads().min(6)); // paper compares 1T vs 6T

@@ -2,7 +2,8 @@
 //!
 //! Every binary accepts `--key value` overrides (e.g. `--nm 100000000
 //! --threads 12`) so the paper-scale experiments can be run given enough
-//! RAM/time, while the defaults finish in minutes on a laptop. Each binary
+//! RAM/time, while the defaults finish in minutes on a laptop; an unknown
+//! key prints the binary's keys and exits with status 2. Each binary
 //! prints the paper's reference numbers next to the measured ones;
 //! `EXPERIMENTS.md` records a full run.
 
@@ -23,13 +24,29 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from the process arguments.
-    pub fn from_env() -> Self {
-        let mut map = HashMap::new();
+    /// Parse the process arguments, accepting the `--key`s in `keys`. An
+    /// unknown key prints usage on stderr and exits with status 2, so a
+    /// mistyped override never runs the default sweep unnoticed.
+    pub fn from_env(keys: &[&str]) -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&argv, keys).unwrap_or_else(|e| {
+            let bin = std::env::args().next().unwrap_or_default();
+            let options: Vec<String> = keys.iter().map(|k| format!("[--{k}]")).collect();
+            eprintln!("{e}\nusage: {bin} {}", options.join(" "));
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse `argv`: `--key value` pairs and bare `--flag`s, every key one
+    /// of `keys`. The error names the first key that is not.
+    pub fn parse(argv: &[String], keys: &[&str]) -> Result<Self, String> {
+        let mut map = HashMap::new();
         let mut i = 0;
         while i < argv.len() {
             let key = argv[i].trim_start_matches('-').to_string();
+            if !keys.contains(&key.as_str()) {
+                return Err(format!("unknown option {}", argv[i]));
+            }
             if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
                 map.insert(key, argv[i + 1].clone());
                 i += 2;
@@ -38,7 +55,7 @@ impl Args {
                 i += 1;
             }
         }
-        Self { map }
+        Ok(Self { map })
     }
 
     /// Integer argument with default.
@@ -307,5 +324,20 @@ mod tests {
         assert!((args.f64("lambda", 0.0) - 0.5).abs() < 1e-12);
         assert!(args.flag("quick"));
         assert!(!args.flag("missing"));
+    }
+
+    #[test]
+    fn unknown_keys_are_refused() {
+        let keys = ["nm", "lambda", "threads", "quick"];
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let args = Args::parse(&argv(&["--nm", "1000", "--quick"]), &keys).unwrap();
+        assert_eq!(args.usize("nm", 7), 1000);
+        assert!(args.flag("quick") && !args.flag("lambda"));
+        // `fig7_delta_size_sweep --nd 1000` used to run the default sweep.
+        let err = Args::parse(&argv(&["--nd", "1000"]), &keys)
+            .err()
+            .expect("--nd is not one of fig7's keys");
+        assert!(err.contains("--nd"), "{err}");
+        assert!(Args::parse(&argv(&["--nm", "10", "--quikc"]), &keys).is_err());
     }
 }

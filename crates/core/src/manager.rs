@@ -45,6 +45,7 @@ use crate::pipeline::{
     MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy, SpareBank, StepSink,
 };
 use crate::pool::Pool;
+use crate::rate;
 use crate::scheduler::AdoptionSlot;
 use crate::stats::{MergeOutput, TableMergeStats};
 use crate::wal::{self, Wal};
@@ -62,7 +63,19 @@ type MergeInput<V> = (Arc<MainPartition<V>>, Arc<FrozenDelta<V>>);
 /// When to merge (Section 4: trigger "when the number of tuples N_D in the
 /// delta partition is greater than a certain pre-defined fraction of tuples
 /// in the main partition N_M") and with what resources ([`MergeGrant`]:
-/// threads, strategy, memory budget).
+/// threads, strategy, memory budget) — the one statement of both rules a
+/// [`crate::scheduler::MergeScheduler`] applies (Section 9's "scheduling
+/// algorithm \[that\] could constantly analyze the available bandwidth").
+///
+/// * **Is a table due?** [`Self::is_due`]: `fraction × pressure >
+///   delta_fraction`, with a pressure factor `1 + min(rate / 18 000, 4)`
+///   that grows with the write rate since the table's last merge (against
+///   the paper's Section 4 high target). A table under heavy writes merges
+///   *earlier* than the static trigger and never later.
+/// * **Under which grant?** [`Self::grant_at`]: the policy's own grant,
+///   with the budget shrunk to [`Self::PRESSURE_BUDGET`] while the merged
+///   tables hold more than `memory_soft_limit` bytes — K-column commits
+///   cap the merge's transient ~2x working set.
 #[derive(Clone, Copy, Debug)]
 pub struct MergePolicy {
     /// Merge once `N_D / N_M` exceeds this (e.g. 0.01 for Figure 9's 1%).
@@ -76,6 +89,10 @@ pub struct MergePolicy {
     /// Peak-extra-memory cap (default [`MergeBudget::UNBOUNDED`]); see
     /// [`OnlineTable::merge_with`].
     pub budget: MergeBudget,
+    /// Soft cap on the merged tables' total bytes
+    /// ([`MemoryReport::total`]); above it a merge runs under
+    /// [`Self::PRESSURE_BUDGET`]. The default, `usize::MAX`, never fires.
+    pub memory_soft_limit: usize,
 }
 
 impl Default for MergePolicy {
@@ -85,11 +102,19 @@ impl Default for MergePolicy {
             threads: crate::pool::default_threads(),
             strategy: MergeStrategy::default(),
             budget: MergeBudget::default(),
+            memory_soft_limit: usize::MAX,
         }
     }
 }
 
+/// The most the write rate raises the pressure factor above 1.
+const MAX_RAISE: f64 = 4.0;
+
 impl MergePolicy {
+    /// The budget a merge runs under memory pressure: one column at a time,
+    /// the paper's Section 4 partial-column strategy at its tightest.
+    pub const PRESSURE_BUDGET: MergeBudget = MergeBudget::columns(1);
+
     /// The resource grant this policy hands to a merge.
     pub fn grant(&self) -> MergeGrant {
         MergeGrant {
@@ -97,6 +122,35 @@ impl MergePolicy {
             threads: self.threads,
             budget: self.budget,
         }
+    }
+
+    /// Whether a table at delta `fraction`, written at `write_rate` rows
+    /// per second since its last merge, is due: `fraction × (1 + min(rate /
+    /// 18 000, 4)) > delta_fraction`. At rate 0 this is Section 4's static
+    /// trigger.
+    pub fn is_due(&self, fraction: f64, write_rate: f64) -> bool {
+        let pressure = 1.0 + (write_rate / rate::HIGH_TARGET_UPDATES_PER_SEC).min(MAX_RAISE);
+        fraction * pressure > self.delta_fraction
+    }
+
+    /// The delta fraction at or below which no write rate makes a table
+    /// due: the trigger over the largest pressure factor.
+    pub fn due_floor(&self) -> f64 {
+        self.delta_fraction / (1.0 + MAX_RAISE)
+    }
+
+    /// The grant for one merge while the merged tables hold `memory_bytes`,
+    /// and whether memory pressure shrank it: above `memory_soft_limit`
+    /// the budget is [`Self::PRESSURE_BUDGET`], otherwise the policy's own
+    /// grant.
+    pub fn grant_at(&self, memory_bytes: usize) -> (MergeGrant, bool) {
+        let pressured = memory_bytes > self.memory_soft_limit;
+        let budget = if pressured {
+            Self::PRESSURE_BUDGET
+        } else {
+            self.budget
+        };
+        (self.grant().budget(budget), pressured)
     }
 }
 
@@ -352,12 +406,13 @@ impl<V: Value> OnlineTable<V> {
         &self.validity
     }
 
-    /// Check a warm scratch arena out of the pool (or start a cold one),
-    /// attached to the table's [`SpareBank`].
+    /// Check a warm scratch arena out of the pool (or start a cold one on
+    /// the table's [`SpareBank`]).
     fn checkout_scratch(&self) -> MergeScratch<V> {
-        let mut scratch = self.scratch_pool.lock().pop().unwrap_or_default();
-        scratch.attach_bank(Arc::clone(&self.bank));
-        scratch
+        self.scratch_pool
+            .lock()
+            .pop()
+            .unwrap_or_else(|| MergeScratch::with_bank(Arc::clone(&self.bank)))
     }
 
     /// Return a scratch arena to the pool for the next merge.
@@ -549,7 +604,7 @@ impl<V: Value> OnlineTable<V> {
     /// `fraction * weight` ordering, or serializing the value). Clamping
     /// `N_M` to 1 keeps the value finite while preserving the trigger
     /// semantics: an empty main with a non-empty delta reads as `N_D`,
-    /// which exceeds any sane threshold, so [`Self::should_merge`] still
+    /// which exceeds any sane threshold, so [`MergePolicy::is_due`] still
     /// fires. An empty table reads as `0.0`.
     pub fn delta_fraction(&self) -> f64 {
         let (nd, nm) = {
@@ -565,14 +620,9 @@ impl<V: Value> OnlineTable<V> {
         nd as f64 / nm.max(1) as f64
     }
 
-    /// Does `policy` call for a merge now?
-    pub fn should_merge(&self, policy: &MergePolicy) -> bool {
-        self.delta_fraction() > policy.delta_fraction
-    }
-
     /// Byte-level memory accounting over every column's regions (main
     /// codes + dictionary, frozen/pending deltas, plus the uncompressed
-    /// tail values), from one generation pin. This is the governor's
+    /// tail values), from one generation pin. This is the scheduler's
     /// memory-pressure sample: a large `delta_total` is reclaimable by
     /// merging, a large total argues for a tight [`MergeBudget`].
     pub fn memory_report(&self) -> MemoryReport {
@@ -830,7 +880,7 @@ impl<V: Value> OnlineTable<V> {
     /// `Ok(None)` when none was due, and the merge's error (a failed WAL
     /// rotation or checkpoint, say) otherwise.
     pub fn maybe_merge(&self, policy: &MergePolicy) -> Result<Option<TableMergeStats>> {
-        if !self.should_merge(policy) {
+        if !policy.is_due(self.delta_fraction(), 0.0) {
             return Ok(None);
         }
         self.merge_with(policy.grant(), None).map(Some)
@@ -1437,16 +1487,16 @@ mod tests {
             threads: 2,
             ..MergePolicy::default()
         };
-        assert!(!t.should_merge(&policy));
+        assert!(!policy.is_due(t.delta_fraction(), 0.0));
         for i in 0..5 {
             t.insert_row(&[i]).unwrap();
         }
         assert!(
-            !t.should_merge(&policy),
+            !policy.is_due(t.delta_fraction(), 0.0),
             "exactly 5% is not strictly greater"
         );
         t.insert_row(&[6]).unwrap();
-        assert!(t.should_merge(&policy));
+        assert!(policy.is_due(t.delta_fraction(), 0.0));
         assert!(t.maybe_merge(&policy).unwrap().is_some());
         assert_eq!(t.delta_len(), 0);
         assert!(t.maybe_merge(&policy).unwrap().is_none());
@@ -1468,7 +1518,7 @@ mod tests {
             threads: 1,
             ..MergePolicy::default()
         };
-        assert!(t.should_merge(&policy));
+        assert!(policy.is_due(t.delta_fraction(), 0.0));
         assert!(
             t.maybe_merge(&policy).is_err(),
             "a failed merge is not 'not due'"
@@ -1765,14 +1815,17 @@ mod tests {
             threads: 1,
             ..MergePolicy::default()
         };
-        assert!(!t.should_merge(&policy), "empty table never triggers");
+        assert!(
+            !policy.is_due(t.delta_fraction(), 0.0),
+            "empty table never triggers"
+        );
         t.insert_row(&[1]).unwrap();
         t.insert_row(&[2]).unwrap();
         let f = t.delta_fraction();
         assert!(f.is_finite(), "no inf for custom-policy arithmetic");
         assert_eq!(f, 2.0, "empty main reads as N_D / 1");
         assert!(
-            t.should_merge(&policy),
+            policy.is_due(t.delta_fraction(), 0.0),
             "non-empty delta over empty main still triggers"
         );
         // Custom-policy arithmetic that inf would poison stays sane.

@@ -29,7 +29,7 @@
 //! copies and is the byte-identity reference.
 //!
 //! The pipeline is allocation-aware: a [`MergeScratch`] arena owns every
-//! intermediate buffer (`X_M`, `X_D`) and a stack of
+//! intermediate buffer (`X_M`, `X_D`) and draws from a [`SpareBank`] of
 //! spare buffers for the outputs that outlive the merge (the merged
 //! dictionary's value vector, the packed code words and the zone map).
 //! Callers that recycle retired main partitions back into the scratch
@@ -46,9 +46,10 @@
 //! [`crate::manager::OnlineTable::merge_with`].
 
 use crate::pool::Pool;
-use crate::stats::{ColumnMergeStats, MergeAlgo, MergeOutput};
+use crate::stats::{ColumnMergeStats, MergeOutput};
 use hyrise_bitpack::{bits_for, BitPackedVec, BitRegion};
 use hyrise_storage::{Dictionary, FrozenDelta, MainPartition, Value, ZONE_ROWS};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Minimum work items per partition. Handing a partition to a pool worker
@@ -116,14 +117,13 @@ pub enum MergeStrategy {
     Parallel,
 }
 
-impl MergeStrategy {
-    /// The [`MergeAlgo`] tag recorded in [`ColumnMergeStats`].
-    pub fn algo(&self) -> MergeAlgo {
-        match self {
-            MergeStrategy::Naive => MergeAlgo::Naive,
-            MergeStrategy::Optimized => MergeAlgo::Optimized,
-            MergeStrategy::Parallel => MergeAlgo::Parallel,
-        }
+impl std::fmt::Display for MergeStrategy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            MergeStrategy::Naive => "naive",
+            MergeStrategy::Optimized => "optimized",
+            MergeStrategy::Parallel => "parallel",
+        })
     }
 }
 
@@ -152,7 +152,7 @@ impl MergeBudget {
     };
 
     /// At most `k >= 1` columns merged-but-uncommitted at a time.
-    pub fn columns(k: usize) -> Self {
+    pub const fn columns(k: usize) -> Self {
         assert!(k >= 1, "a merge budget needs at least one column");
         Self { columns: k }
     }
@@ -175,8 +175,8 @@ impl Default for MergeBudget {
 }
 
 /// Everything a merge run is granted: which algorithm, how many threads,
-/// and how much extra memory (as a column budget). This is what the
-/// scheduler's governor decides and what
+/// and how much extra memory (as a column budget). This is what a
+/// [`crate::manager::MergePolicy`] states and what
 /// [`crate::manager::OnlineTable::merge_with`] consumes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MergeGrant {
@@ -222,10 +222,10 @@ impl MergeGrant {
     }
 }
 
-/// The reusable merge arena: owns the auxiliary tables Stage 1b builds plus
-/// stacks of spare buffers for the outputs that leave the pipeline inside
-/// the new [`MainPartition`]. Stage 1a's outputs are not here: they are the
-/// [`FrozenDelta`] the merge reads.
+/// The reusable merge arena: owns the auxiliary tables Stage 1b builds and
+/// draws spare buffers from its [`SpareBank`] for the outputs that leave
+/// the pipeline inside the new [`MainPartition`]. Stage 1a's outputs are
+/// not here: they are the [`FrozenDelta`] the merge reads.
 ///
 /// Lifetimes of the buffers across one merge:
 ///
@@ -235,30 +235,19 @@ impl MergeGrant {
 ///   **donated** to the output (they become the merged dictionary's
 ///   storage, the packed code words and the zone map).
 ///   [`Self::recycle_main`] returns a retired partition's
-///   buffers to the spare stacks, closing the loop: a warmed scratch whose
+///   buffers to the bank, closing the loop: a warmed scratch whose
 ///   caller recycles retires allocates nothing per merge.
 ///
-/// A scratch is cheap when empty (`MergeScratch::new()` allocates nothing),
-/// so cold paths can create one ad hoc; the win is keeping it.
+/// The spares live in a [`SpareBank`]: a table's scratches share the
+/// table's bank ([`Self::with_bank`]), and a standalone scratch
+/// ([`Self::new`]: ad-hoc column merges, benches) owns a private one.
 pub struct MergeScratch<V> {
     /// `X_M` (Stage 1b, optimized/parallel).
     pub(crate) x_m: Vec<u32>,
     /// `X_D` (Stage 1b, optimized/parallel).
     pub(crate) x_d: Vec<u32>,
-    /// Local spare merged-dictionary buffers (donated to outputs, refilled
-    /// by [`Self::recycle_main`]) — used only when no [`SpareBank`] is
-    /// attached. Standalone scratches (ad-hoc column merges, benches)
-    /// bank spares here; table-owned scratches route every take/recycle to
-    /// the shared bank instead, so multi-worker merges never strand a
-    /// buffer in the wrong worker's arena.
-    dict_spares: std::collections::VecDeque<Vec<V>>,
-    /// Local spare packed-word buffers (same lifecycle).
-    word_spares: std::collections::VecDeque<Vec<u64>>,
-    /// Local spare zone-map buffers (same lifecycle).
-    zone_spares: std::collections::VecDeque<Vec<(u32, u32)>>,
-    /// The shared table-level bank, when this scratch belongs to a table
-    /// ([`crate::manager::OnlineTable`] attaches it at checkout).
-    bank: Option<std::sync::Arc<SpareBank<V>>>,
+    /// Where output buffers are taken from and retired mains recycled to.
+    bank: Arc<SpareBank<V>>,
 }
 
 /// A spare handed out may exceed the request by at most this factor; any
@@ -403,94 +392,36 @@ impl<V: Value> Default for MergeScratch<V> {
 }
 
 impl<V: Value> MergeScratch<V> {
-    /// An empty arena (no allocations until first use).
+    /// An empty arena with a private [`SpareBank`] (no buffers until
+    /// first use).
     pub fn new() -> Self {
+        Self::with_bank(Arc::new(SpareBank::new()))
+    }
+
+    /// An empty arena whose output buffers come from, and whose retired
+    /// mains return to, the shared `bank` ([`crate::manager::OnlineTable`]
+    /// hands every scratch it checks out the table's bank).
+    pub fn with_bank(bank: Arc<SpareBank<V>>) -> Self {
         Self {
             x_m: Vec::new(),
             x_d: Vec::new(),
-            dict_spares: std::collections::VecDeque::new(),
-            word_spares: std::collections::VecDeque::new(),
-            zone_spares: std::collections::VecDeque::new(),
-            bank: None,
+            bank,
         }
     }
 
-    /// Route this scratch's output-buffer takes and recycles through a
-    /// shared table-level [`SpareBank`] instead of the local queues. Any
-    /// locally banked spares move to the bank, so attaching never strands
-    /// capacity.
-    pub fn attach_bank(&mut self, bank: std::sync::Arc<SpareBank<V>>) {
-        if self
-            .bank
-            .as_ref()
-            .is_some_and(|b| std::sync::Arc::ptr_eq(b, &bank))
-        {
-            return;
-        }
-        for d in self.dict_spares.drain(..) {
-            bank_spare(&mut bank.dicts.lock(), d);
-        }
-        for w in self.word_spares.drain(..) {
-            bank_spare(&mut bank.words.lock(), w);
-        }
-        for z in self.zone_spares.drain(..) {
-            bank_spare(&mut bank.zones.lock(), z);
-        }
-        self.bank = Some(bank);
-    }
-
-    /// Take a spare dictionary buffer, best-fit for `want` values (empty
-    /// `Vec` if none is banked).
-    pub(crate) fn take_dict(&mut self, want: usize) -> Vec<V> {
-        match &self.bank {
-            Some(b) => b.take_dict(want),
-            None => trim_spare(take_spare(&mut self.dict_spares, want), want),
-        }
-    }
-
-    /// Take a spare word buffer, best-fit for `want` words (empty `Vec`
-    /// if none is banked).
-    pub(crate) fn take_words(&mut self, want: usize) -> Vec<u64> {
-        match &self.bank {
-            Some(b) => b.take_words(want),
-            None => trim_spare(take_spare(&mut self.word_spares, want), want),
-        }
-    }
-
-    /// Take a spare zone-map buffer, best-fit for `want` zones (empty
-    /// `Vec` if none is banked).
-    pub(crate) fn take_zones(&mut self, want: usize) -> Vec<(u32, u32)> {
-        match &self.bank {
-            Some(b) => b.take_zones(want),
-            None => trim_spare(take_spare(&mut self.zone_spares, want), want),
-        }
-    }
-
-    /// Recycle a retired main partition: its sorted value vector, packed
-    /// word buffer and zone map join the spare queues (the attached
-    /// [`SpareBank`]'s, if any, else this arena's own) for the next merge's
-    /// output. This is how steady-state merges reach zero allocation — the
-    /// old generation's memory becomes the new generation's buffers.
+    /// Recycle a retired main partition into this scratch's bank for the
+    /// next merge's output. This is how steady-state merges reach zero
+    /// allocation — the old generation's memory becomes the new
+    /// generation's buffers.
     pub fn recycle_main(&mut self, main: MainPartition<V>) {
-        if let Some(b) = &self.bank {
-            b.recycle_main(main);
-            return;
-        }
-        let (dict, codes, zones) = main.into_parts();
-        bank_spare(&mut self.dict_spares, dict.into_values());
-        bank_spare(&mut self.word_spares, codes.into_words());
-        bank_spare(&mut self.zone_spares, zones);
+        self.bank.recycle_main(main);
     }
 
-    /// Capacities currently banked in this arena's **local** queues,
-    /// `(dictionary values, code words)` — zero for bank-attached
-    /// scratches (ask the [`SpareBank`] instead); exposed so tests can
-    /// assert capacity stability across merges.
+    /// Capacities currently banked in this scratch's bank, `(dictionary
+    /// values, code words)` — exposed so tests can assert capacity
+    /// stability across merges.
     pub fn spare_capacities(&self) -> (usize, usize) {
-        (
-            self.dict_spares.iter().map(|d| d.capacity()).sum(),
-            self.word_spares.iter().map(|w| w.capacity()).sum(),
-        )
+        self.bank.spare_capacities()
     }
 }
 
@@ -630,7 +561,7 @@ impl MergePipeline {
         let u_m = main.dictionary().values();
         let u_d = delta.dict().values();
         // |U'_M| <= |U_M| + |U_D| is exactly what the union reserves.
-        let mut merged = scratch.take_dict(u_m.len() + u_d.len());
+        let mut merged = scratch.bank.take_dict(u_m.len() + u_d.len());
         let dict_prefix = match self.strategy {
             MergeStrategy::Naive => {
                 union_into(u_m, u_d, &mut merged);
@@ -687,8 +618,10 @@ impl MergePipeline {
         // factory: given a delta-local start row, it decodes the packed
         // codes through a sequential cursor and yields re-encoded codes.
         let t0 = Instant::now();
-        let words = scratch.take_words(((n_m + n_d) * bits_after as usize).div_ceil(64));
-        let zones = scratch.take_zones((n_m + n_d).div_ceil(ZONE_ROWS));
+        let words = scratch
+            .bank
+            .take_words(((n_m + n_d) * bits_after as usize).div_ceil(64));
+        let zones = scratch.bank.take_zones((n_m + n_d).div_ceil(ZONE_ROWS));
         let threads = match self.strategy {
             MergeStrategy::Optimized => 1,
             _ if self.exact => self.threads,
@@ -751,7 +684,7 @@ impl MergePipeline {
         }
 
         let stats = ColumnMergeStats {
-            algo: self.strategy.algo(),
+            algo: self.strategy,
             threads: self.threads,
             n_m,
             n_d,
@@ -969,7 +902,7 @@ mod tests {
                     reference.main.packed_codes().words(),
                     "{strategy:?}/{threads}: packed words differ"
                 );
-                assert_eq!(out.stats.algo, strategy.algo());
+                assert_eq!(out.stats.algo, strategy);
             }
         }
     }
@@ -1058,13 +991,15 @@ mod tests {
     fn scratch_reuse_is_capacity_stable() {
         // After a warm-up merge with recycling, repeated same-shape merges
         // must neither grow the scratch's retained buffers nor bank new
-        // spare capacity — i.e. the arena has reached its fixed point.
+        // spare capacity in its bank — i.e. the arena has reached its
+        // fixed point.
         let mut next = xorshift(3);
         let main_vals: Vec<u64> = (0..50_000).map(|_| next() % 9_000).collect();
         let delta_vals: Vec<u64> = (0..8_000).map(|_| next() % 12_000).collect();
         let main = MainPartition::from_values(&main_vals);
         let delta = delta_from(&delta_vals);
-        let mut scratch = MergeScratch::new();
+        let bank = Arc::new(SpareBank::new());
+        let mut scratch = MergeScratch::with_bank(Arc::clone(&bank));
         for _ in 0..2 {
             let out = MergePipeline::new(MergeStrategy::Optimized, 1).merge_column(
                 &main,
@@ -1076,7 +1011,7 @@ mod tests {
         let warmed = (
             scratch.x_m.capacity(),
             scratch.x_d.capacity(),
-            scratch.spare_capacities(),
+            bank.spare_capacities(),
         );
         let mut last_zones = None;
         for round in 0..5 {
@@ -1095,7 +1030,7 @@ mod tests {
             let now = (
                 scratch.x_m.capacity(),
                 scratch.x_d.capacity(),
-                scratch.spare_capacities(),
+                bank.spare_capacities(),
             );
             assert_eq!(now, warmed, "round {round}: scratch capacities moved");
         }
@@ -1146,13 +1081,13 @@ mod tests {
         );
         scratch.recycle_main(small);
         scratch.recycle_main(large);
-        let got_small = scratch.take_dict(small_cap);
+        let got_small = scratch.bank.take_dict(small_cap);
         assert!(
             got_small.capacity() >= small_cap && got_small.capacity() < large_cap,
             "small request gets the small spare (cap {})",
             got_small.capacity()
         );
-        let got_large = scratch.take_dict(large_cap);
+        let got_large = scratch.bank.take_dict(large_cap);
         assert!(
             got_large.capacity() >= large_cap,
             "large request gets the large spare (cap {})",
@@ -1161,10 +1096,10 @@ mod tests {
         // Oversized request with only small spares: take the largest rather
         // than allocating from zero.
         scratch.recycle_main(MainPartition::from_values(&(0..64u64).collect::<Vec<_>>()));
-        let fallback = scratch.take_dict(1 << 20);
+        let fallback = scratch.bank.take_dict(1 << 20);
         assert!(fallback.capacity() >= 64);
         // Empty bank yields a fresh Vec.
-        assert_eq!(scratch.take_dict(10).capacity(), 0);
+        assert_eq!(scratch.bank.take_dict(10).capacity(), 0);
     }
 
     #[test]
@@ -1178,7 +1113,7 @@ mod tests {
             &(0..100_000u64).collect::<Vec<_>>(),
         ));
         let want = 500usize;
-        let buf = scratch.take_dict(want);
+        let buf = scratch.bank.take_dict(want);
         assert!(
             buf.capacity() >= want && buf.capacity() <= SPARE_TRIM_FACTOR * want,
             "oversized spare must be trimmed to at most {}x the request, got {}",
@@ -1203,41 +1138,37 @@ mod tests {
             &(0..1_000u64).collect::<Vec<_>>(),
         ));
         let before = scratch.spare_capacities().0;
-        let buf = scratch.take_dict(before);
+        let buf = scratch.bank.take_dict(before);
         assert_eq!(buf.capacity(), before, "exact fit passes through as-is");
         // A zero-size request cannot keep a giant alive either.
         let mut scratch: MergeScratch<u64> = MergeScratch::new();
         scratch.recycle_main(MainPartition::from_values(
             &(0..100_000u64).collect::<Vec<_>>(),
         ));
-        assert!(scratch.take_dict(0).capacity() <= SPARE_TRIM_FACTOR);
+        assert!(scratch.bank.take_dict(0).capacity() <= SPARE_TRIM_FACTOR);
     }
 
     #[test]
     fn bank_attached_scratches_share_spares() {
-        use std::sync::Arc;
         let bank = Arc::new(SpareBank::<u64>::new());
-        // Two workers' arenas attached to one bank: what worker A retires,
-        // worker B can take — the multi-worker stranding fix.
-        let mut a = MergeScratch::new();
-        let mut b = MergeScratch::new();
-        a.attach_bank(Arc::clone(&bank));
-        b.attach_bank(Arc::clone(&bank));
+        // Two workers' arenas on one bank: what worker A retires, worker B
+        // can take — the multi-worker stranding fix.
+        let mut a = MergeScratch::with_bank(Arc::clone(&bank));
+        let b = MergeScratch::with_bank(Arc::clone(&bank));
         let main = MainPartition::from_values(&(0..10_000u64).collect::<Vec<_>>());
         let want = main.dictionary().values().len();
         a.recycle_main(main);
-        assert_eq!(a.spare_capacities(), (0, 0), "locals bypassed");
         assert_eq!(bank.spare_counts(), (1, 1));
-        let got = b.take_dict(want);
+        assert_eq!(a.spare_capacities(), bank.spare_capacities());
+        let got = b.bank.take_dict(want);
         assert!(got.capacity() >= want, "B reuses what A retired");
         assert_eq!(bank.spare_counts(), (0, 1));
-        // Attaching moves locally banked spares into the bank.
+        // A standalone scratch banks privately: the shared bank never sees
+        // its spares.
         let mut c = MergeScratch::new();
         c.recycle_main(MainPartition::from_values(&(0..50u64).collect::<Vec<_>>()));
         assert!(c.spare_capacities().0 > 0);
-        c.attach_bank(Arc::clone(&bank));
-        assert_eq!(c.spare_capacities(), (0, 0));
-        assert_eq!(bank.spare_counts(), (1, 2));
+        assert_eq!(bank.spare_counts(), (0, 1));
     }
 
     #[test]

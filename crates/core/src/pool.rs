@@ -447,11 +447,10 @@ mod tests {
 
     #[test]
     fn every_default_width_is_the_global_pools_size() {
-        use crate::{GovernorConfig, MergeGrant, MergePolicy};
+        use crate::{MergeGrant, MergePolicy};
         let n = default_threads();
         assert_eq!(MergePolicy::default().threads, n);
         assert_eq!(MergeGrant::default().threads, n);
-        assert_eq!(GovernorConfig::default().policy.threads, n);
         assert_eq!(Pool::global().threads(), n);
     }
 

@@ -29,8 +29,8 @@ pub fn updates_per_second(cpt: f64, hz: f64, n_d: usize, total_tuples: usize, n_
 /// The paper's two target update rates (Section 4): systems must sustain at
 /// least the low target; high-update systems the high one.
 pub const LOW_TARGET_UPDATES_PER_SEC: f64 = 3_000.0;
-/// See [`LOW_TARGET_UPDATES_PER_SEC`]. The resource governor scales its
-/// merge eagerness by the observed write rate over this target.
+/// See [`LOW_TARGET_UPDATES_PER_SEC`]. [`crate::MergePolicy::is_due`]
+/// scales merge eagerness by the observed write rate over this target.
 pub const HIGH_TARGET_UPDATES_PER_SEC: f64 = 18_000.0;
 
 #[cfg(test)]

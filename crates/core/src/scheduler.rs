@@ -8,19 +8,22 @@
 //!
 //! A [`MergeScheduler`] adopts N [`OnlineTable`]s — one table
 //! (`vec![table]`), or a [`crate::shard::ShardedTable`]'s shards
-//! (`table.shards().to_vec()`) — and from then on the writes decide when
-//! each one merges. No thread polls: the insert that moves a table past
-//! its trigger (`delta fraction × pressure > policy.delta_fraction`, see
-//! [`crate::governor`]) marks it *due* and puts it, once, on one
-//! process-wide queue. Two merge threads, parked while the queue is empty,
-//! each take the oldest due table: sample the adopter's memory, take the
-//! grant the [`ResourceGovernor`] decides, merge, and re-check the table,
+//! (`table.shards().to_vec()`) — and applies one [`MergePolicy`] to them:
+//! from then on the writes decide when each one merges. No thread polls:
+//! the insert that moves a table past its trigger
+//! ([`MergePolicy::is_due`] at the write rate since the table's last
+//! merge) marks it *due* and puts it, once, on one process-wide queue.
+//! Two merge threads, parked while the queue is empty, each take the
+//! oldest due table: sample the adopter's memory, take the grant
+//! [`MergePolicy::grant_at`] states for it, merge, and re-check the table,
 //! which goes straight back on the queue if the writes that arrived during
 //! its merge made it due again. Nothing waits for a batch, so a long merge
-//! holds one thread and the other goes on draining. The write rate behind
-//! `pressure` is the adopter's insert rate since that table's last merge.
-//! A write that leaves the delta at or below the trigger over the largest
-//! pressure factor ([`ResourceGovernor::due_floor`]) skips all of this.
+//! holds one thread and the other goes on draining. The write rate is the
+//! adopter's insert rate since that table's last merge. A write that
+//! leaves the delta at or below [`MergePolicy::due_floor`] skips all of
+//! this. Every grant lands in a bounded ring
+//! ([`SchedulerStats::grants`]), so a scheduler shows why each merge ran
+//! the way it did.
 //!
 //! At most two merges therefore run at once across the process, each at
 //! its grant's width on the shared [`crate::pool::Pool`]. Pausing is a flag
@@ -30,10 +33,10 @@
 //! threads outside the pool: they park between merges, and a parked task
 //! would hold a pool worker.
 
-use crate::governor::{GovernorConfig, GrantRecord, ResourceGovernor};
 use crate::manager::{MergePolicy, OnlineTable};
+use crate::pipeline::MergeStrategy;
 use crate::stats::TableMergeStats;
-use hyrise_storage::{MemoryReport, Value};
+use hyrise_storage::Value;
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
@@ -84,10 +87,66 @@ pub struct SchedulerStats {
     pub merge_micros: u64,
     /// The same totals per source, with the per-stage timing breakdown.
     pub per_source: Vec<SourceMergeStats>,
-    /// Bounded trace of the governor's recent grant decisions (strategy,
-    /// threads, budget K, triggering signal), oldest first — one entry per
-    /// merge a merge thread started.
+    /// Bounded trace of the recent grants (strategy, threads, budget K,
+    /// memory pressure), oldest first — one entry per merge a merge thread
+    /// started, the last 64 kept.
     pub grants: Vec<GrantRecord>,
+}
+
+/// One merge's grant — what [`SchedulerStats::grants`] holds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GrantRecord {
+    /// Granted strategy.
+    pub strategy: MergeStrategy,
+    /// Granted threads.
+    pub threads: usize,
+    /// Granted budget in columns (`usize::MAX` = unbounded).
+    pub budget_columns: usize,
+    /// Whether memory pressure shrank the budget
+    /// ([`MergePolicy::grant_at`]).
+    pub pressured: bool,
+    /// The merged table's delta fraction at grant time.
+    pub delta_fraction: f64,
+}
+
+impl std::fmt::Display for GrantRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}/t{}/K", self.strategy, self.threads)?;
+        if self.budget_columns == usize::MAX {
+            write!(f, "∞")?;
+        } else {
+            write!(f, "{}", self.budget_columns)?;
+        }
+        let row = if self.pressured {
+            "mem-pressure"
+        } else {
+            "baseline"
+        };
+        write!(f, " {row} f={:.3}", self.delta_fraction)
+    }
+}
+
+/// Grants kept in a scheduler's trace ring.
+pub(crate) const GRANT_TRACE: usize = 64;
+
+/// The ring of a scheduler's last [`GRANT_TRACE`] grants, oldest first.
+#[derive(Default)]
+pub(crate) struct GrantTrace(Mutex<VecDeque<GrantRecord>>);
+
+impl GrantTrace {
+    /// Record one grant, dropping the oldest when full.
+    pub(crate) fn record(&self, grant: GrantRecord) {
+        let mut ring = self.0.lock();
+        if ring.len() == GRANT_TRACE {
+            ring.pop_front();
+        }
+        ring.push_back(grant);
+    }
+
+    /// The recorded grants, oldest first.
+    pub(crate) fn recent(&self) -> Vec<GrantRecord> {
+        self.0.lock().iter().copied().collect()
+    }
 }
 
 /// The process-wide queue of due tables. An entry holds its scheduler
@@ -154,7 +213,8 @@ struct Source<V: Value> {
 /// What the handle, the adopted tables and the queued entries share.
 struct Shared<V: Value> {
     sources: Vec<Source<V>>,
-    governor: ResourceGovernor,
+    policy: MergePolicy,
+    grants: GrantTrace,
     paused: AtomicBool,
     /// Set by shutdown under the write guard. Every merge runs under the
     /// read guard, so shutdown waits out a merge in flight and no merge
@@ -187,8 +247,8 @@ impl<V: Value> Shared<V> {
         if s.due.load(Ordering::Relaxed)
             || self.paused.load(Ordering::Relaxed)
             || !self
-                .governor
-                .eligible(s.table.delta_fraction(), self.write_rate(s))
+                .policy
+                .is_due(s.table.delta_fraction(), self.write_rate(s))
         {
             return;
         }
@@ -208,18 +268,25 @@ impl<V: Value> Shared<V> {
     }
 
     /// Merge thread, under the `stopped` read guard: merge due source `i`
-    /// under the grant the governor decides now, then re-check it. A
-    /// paused or failed source leaves the queue without a re-check:
-    /// `resume`, or the next write, tries again.
+    /// under the grant the policy states for the adopter's memory now,
+    /// then re-check it. A paused or failed source leaves the queue
+    /// without a re-check: `resume`, or the next write, tries again.
     fn merge(self: &Arc<Self>, i: usize) {
         let s = &self.sources[i];
         let merged = !self.paused.load(Ordering::Relaxed) && {
             let memory = self
                 .sources
                 .iter()
-                .map(|s| s.table.memory_report())
-                .fold(MemoryReport::default(), |a, b| a + b);
-            let grant = self.governor.plan(&memory, s.table.delta_fraction());
+                .map(|s| s.table.memory_report().total())
+                .sum();
+            let (grant, pressured) = self.policy.grant_at(memory);
+            self.grants.record(GrantRecord {
+                strategy: grant.strategy,
+                threads: grant.threads,
+                budget_columns: grant.budget.max_columns(),
+                pressured,
+                delta_fraction: s.table.delta_fraction(),
+            });
             match s.table.merge_with(grant, None) {
                 Ok(stats) => {
                     s.stats.lock().record(&stats);
@@ -238,7 +305,7 @@ impl<V: Value> Shared<V> {
 
 /// A table's link back to the scheduler that adopted it, if any.
 pub(crate) struct AdoptionSlot<V: Value> {
-    /// The adopter's [`ResourceGovernor::due_floor`] as `f64` bits, +∞
+    /// The adopter's [`MergePolicy::due_floor`] as `f64` bits, +∞
     /// while no scheduler adopts the table: a write that leaves the delta
     /// fraction at or below it cannot make the table due, so it skips the
     /// adopter.
@@ -284,7 +351,7 @@ impl<V: Value> AdoptionSlot<V> {
         );
         *adopter = Some((Arc::downgrade(sched), index));
         self.floor
-            .store(sched.governor.due_floor().to_bits(), Ordering::Relaxed);
+            .store(sched.policy.due_floor().to_bits(), Ordering::Relaxed);
     }
 
     /// Release the table if `sched` adopted it, after any write checking
@@ -308,26 +375,16 @@ pub struct MergeScheduler<V: Value> {
 }
 
 impl<V: Value> MergeScheduler<V> {
-    /// Adopt `tables` under `policy`. The policy is wrapped in a default
-    /// [`ResourceGovernor`] ([`GovernorConfig::from_policy`]): the policy's
-    /// trigger, made more eager under write pressure, and the policy's
-    /// grant for every merge. Use [`Self::spawn_governed`] to add a memory
-    /// soft limit.
-    pub fn spawn(tables: Vec<Arc<OnlineTable<V>>>, policy: MergePolicy) -> Self {
-        Self::spawn_governed(
-            tables,
-            ResourceGovernor::new(GovernorConfig::from_policy(policy)),
-        )
-    }
-
-    /// Adopt `tables` with grants from `governor`. A table already past its
-    /// trigger is queued at once.
+    /// Adopt `tables` under `policy`: its trigger, made more eager under
+    /// write pressure, decides when each merges, and its grant, with the
+    /// budget shrunk above its memory soft limit, how. A table already
+    /// past its trigger is queued at once.
     ///
     /// # Panics
     ///
     /// If a live scheduler adopted one of the tables already: every write
     /// reports to one adopter.
-    pub fn spawn_governed(tables: Vec<Arc<OnlineTable<V>>>, governor: ResourceGovernor) -> Self {
+    pub fn spawn(tables: Vec<Arc<OnlineTable<V>>>, policy: MergePolicy) -> Self {
         let shared = Arc::new(Shared {
             sources: tables
                 .into_iter()
@@ -338,7 +395,8 @@ impl<V: Value> MergeScheduler<V> {
                     stats: Mutex::new(SourceMergeStats::default()),
                 })
                 .collect(),
-            governor,
+            policy,
+            grants: GrantTrace::default(),
             paused: AtomicBool::new(false),
             stopped: Arc::new(RwLock::new(false)),
         });
@@ -356,11 +414,6 @@ impl<V: Value> MergeScheduler<V> {
         for i in 0..self.shared.sources.len() {
             self.shared.check(i);
         }
-    }
-
-    /// The governor granting this scheduler's merges.
-    pub fn governor(&self) -> &ResourceGovernor {
-        &self.shared.governor
     }
 
     /// Pause scheduling: no table starts a new merge until
@@ -383,8 +436,8 @@ impl<V: Value> MergeScheduler<V> {
         self.shared.paused.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of cumulative statistics (including the governor's recent
-    /// grant trace).
+    /// Snapshot of cumulative statistics (including the recent grant
+    /// trace).
     pub fn stats(&self) -> SchedulerStats {
         let per_source: Vec<SourceMergeStats> = self
             .shared
@@ -397,7 +450,7 @@ impl<V: Value> MergeScheduler<V> {
             tuples_merged: per_source.iter().map(|s| s.tuples_merged).sum(),
             merge_micros: per_source.iter().map(|s| s.merge_micros).sum(),
             per_source,
-            grants: self.shared.governor.recent_grants(),
+            grants: self.shared.grants.recent(),
         }
     }
 
@@ -682,26 +735,27 @@ mod tests {
 
     #[test]
     fn governed_scheduler_records_grants_and_shrinks_budget_under_pressure() {
-        use crate::governor::GrantSignal;
         let table = Arc::new(OnlineTable::<u64>::new(2));
         for i in 0..4_000 {
             table.insert_row(&[i, i + 1]).unwrap();
         }
         // A soft limit of one byte: every merge is memory-pressured, so
         // every grant must carry the shrunk pressure budget.
-        let config = GovernorConfig::from_policy(policy(0.01, 2)).with_memory_soft_limit(1);
-        let sched =
-            MergeScheduler::spawn_governed(vec![Arc::clone(&table)], ResourceGovernor::new(config));
+        let policy = MergePolicy {
+            memory_soft_limit: 1,
+            ..policy(0.01, 2)
+        };
+        let sched = MergeScheduler::spawn(vec![Arc::clone(&table)], policy);
         wait_for(5, || sched.stats().merges > 0);
         sched.shutdown();
         let stats = sched.stats();
-        assert!(stats.merges >= 1, "governed scheduler must merge");
-        assert!(!stats.grants.is_empty(), "grant decisions are traced");
+        assert!(stats.merges >= 1, "a pressured scheduler must merge");
+        assert!(!stats.grants.is_empty(), "grants are traced");
         let g = stats.grants.last().unwrap();
-        assert_eq!(g.signal, GrantSignal::MemoryPressure);
+        assert!(g.pressured, "{g}");
         assert_eq!(
             g.budget_columns,
-            sched.governor().config().pressure_budget.max_columns(),
+            MergePolicy::PRESSURE_BUDGET.max_columns(),
             "memory pressure shrinks the merge budget"
         );
         assert_eq!(table.delta_len(), 0, "pressure never blocks draining");

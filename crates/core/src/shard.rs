@@ -125,7 +125,7 @@ pub struct ShardedTable<V: Value> {
 
 impl<V: Value> ShardedTable<V> {
     /// The unified construction surface: shard count or range bounds, key
-    /// column, columns, durability, governor — see
+    /// column, columns, durability — see
     /// [`crate::config::ShardedTableBuilder`].
     pub fn builder() -> crate::config::ShardedTableBuilder<V> {
         crate::config::ShardedTableBuilder::new()
@@ -313,8 +313,9 @@ impl<V: Value> ShardedTable<V> {
         self.delta_fractions().into_iter().fold(0.0, f64::max)
     }
 
-    /// Byte-level memory accounting summed over every shard — the
-    /// governor's memory-pressure sample for the whole sharded table.
+    /// Byte-level memory accounting summed over every shard — the memory
+    /// a scheduler adopting its shards weighs against its policy's soft
+    /// limit.
     pub fn memory_report(&self) -> MemoryReport {
         self.shards
             .iter()

@@ -5,34 +5,74 @@
 //! tuple count is `N_M + N_D` (Section 7: "Update Cost is defined as the
 //! amortized time taken per tuple per column").
 
+use crate::pipeline::MergeStrategy;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Which merge implementation produced a result.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum MergeAlgo {
-    /// Sections 5.1–5.2 (binary-search Step 2, Equation 5).
-    Naive,
-    /// Section 5.3 (auxiliary tables, Equation 6), single-threaded.
-    Optimized,
-    /// Section 6.2 (multi-core, three-phase Step 1(b), partitioned Step 2).
-    Parallel,
+/// Queries started, process-wide. Monotonic; readers difference
+/// successive samples, so wrap-around is a non-issue in practice.
+static READS_STARTED: AtomicU64 = AtomicU64::new(0);
+/// Queries finished, process-wide.
+static READS_FINISHED: AtomicU64 = AtomicU64::new(0);
+
+/// RAII handle for one engine execution: created by [`begin_read`] at the
+/// start of an executor run, counts the run as finished on drop. Holding
+/// it keeps the run visible in [`ReadLoad::in_flight`].
+#[must_use = "dropping the guard immediately records a zero-length read"]
+pub struct ReadGuard {
+    _not_send_sync_irrelevant: (),
 }
 
-impl std::fmt::Display for MergeAlgo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MergeAlgo::Naive => write!(f, "naive"),
-            MergeAlgo::Optimized => write!(f, "optimized"),
-            MergeAlgo::Parallel => write!(f, "parallel"),
-        }
+/// Record the start of one query-engine execution (lock-free; two relaxed
+/// atomic increments per query in total). `hyrise-query` calls this at
+/// every executor entry point. Registration is once per *query*: fan-out
+/// executors hold one guard across their per-shard engine runs and morsel
+/// workers never register, so the counters track query arrival. The
+/// server reports the in-flight count in its stats; no merge decision
+/// reads it.
+pub fn begin_read() -> ReadGuard {
+    READS_STARTED.fetch_add(1, Ordering::Relaxed);
+    ReadGuard {
+        _not_send_sync_irrelevant: (),
     }
+}
+
+impl Drop for ReadGuard {
+    fn drop(&mut self) {
+        READS_FINISHED.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A sample of the process-wide read counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReadLoad {
+    /// Engine executions started since process start.
+    pub started: u64,
+    /// Engine executions finished since process start.
+    pub finished: u64,
+}
+
+impl ReadLoad {
+    /// Executions currently running.
+    pub fn in_flight(&self) -> u64 {
+        self.started.saturating_sub(self.finished)
+    }
+}
+
+/// Sample the process-wide read counters.
+pub fn read_load() -> ReadLoad {
+    // `finished` first: sampling `started` later can only overestimate
+    // in-flight, never produce finished > started.
+    let finished = READS_FINISHED.load(Ordering::Relaxed);
+    let started = READS_STARTED.load(Ordering::Relaxed);
+    ReadLoad { started, finished }
 }
 
 /// Sizes and per-step wall times for one column's merge.
 #[derive(Clone, Debug)]
 pub struct ColumnMergeStats {
     /// Which algorithm ran.
-    pub algo: MergeAlgo,
+    pub algo: MergeStrategy,
     /// Pool width **granted** to the merge (1 for serial algorithms). The
     /// parallel stages may cut fewer partitions than this: each stage
     /// clamps to the shared pool's size and falls back toward serial
@@ -57,10 +97,10 @@ pub struct ColumnMergeStats {
     pub bits_after: u8,
     /// Main rows whose packed words Stage 2 copied instead of re-encoding:
     /// full blocks whose codes `X_M` leaves in place, at an unchanged code
-    /// width. Zero under [`MergeAlgo::Naive`].
+    /// width. Zero under [`MergeStrategy::Naive`].
     pub rows_copied: usize,
     /// Leading `U_M` entries Stage 1b copied instead of merging: those
-    /// below every delta value. Zero under [`MergeAlgo::Naive`].
+    /// below every delta value. Zero under [`MergeStrategy::Naive`].
     pub dict_prefix: usize,
     /// Step 1(a): the delta's compression into a sorted dictionary plus
     /// codes. It runs at freeze, before the pipeline, so
@@ -210,7 +250,7 @@ mod tests {
 
     fn stats(ms1a: u64, ms1b: u64, ms2: u64) -> ColumnMergeStats {
         ColumnMergeStats {
-            algo: MergeAlgo::Optimized,
+            algo: MergeStrategy::Optimized,
             threads: 1,
             n_m: 900,
             n_d: 100,

@@ -16,7 +16,6 @@
 //! interleaved mid-dictionary, and a code width that crosses a power of
 //! two — and holds every strategy and thread count to `Naive`'s bytes.
 
-use hyrise_core::governor::{GovernorConfig, ResourceGovernor};
 use hyrise_core::shard::{ShardBy, ShardRowId, ShardedTable};
 use hyrise_core::{
     MergeBudget, MergeGrant, MergePipeline, MergePolicy, MergeScratch, MergeStrategy, OnlineTable,
@@ -296,39 +295,43 @@ proptest! {
         }
     }
 
-    /// Whatever the governor decides — any soft limit, pressure budget,
-    /// policy strategy and width, hence either row of its decision table
-    /// — the grants it emits must leave the table byte-identical to the
-    /// reference configuration. Adaptivity tunes cost, never results.
+    /// Whatever a policy grants — any soft limit, policy budget, strategy
+    /// and width, hence either row of [`MergePolicy::grant_at`] — the
+    /// grants must leave the table byte-identical to the reference
+    /// configuration. Adaptivity tunes cost, never results.
     #[test]
     fn governor_driven_grants_preserve_byte_identity(
         // 64 is the "no limit" sentinel (the vendored proptest stub has no
         // Option strategy).
         soft_limit_kb in 0usize..65,
-        pressure_cols in 1usize..(COLS + 1),
+        // COLS + 1 is the unbounded sentinel.
+        budget_cols in 1usize..(COLS + 2),
         threads in 1usize..8,
         strategy in 0usize..3,
         ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..160),
     ) {
         let reference = OnlineTable::<u64>::new(COLS);
         let governed = OnlineTable::<u64>::new(COLS);
-        // Governor knobs drawn by proptest: a kilobyte-scale soft limit
-        // (or none) flips MemoryPressure on and off mid-run as the table
-        // grows and merges.
-        let config = GovernorConfig::from_policy(MergePolicy {
+        // Policy knobs drawn by proptest: a kilobyte-scale soft limit (or
+        // none) flips memory pressure on and off mid-run as the table grows
+        // and merges; unpressured merges run the drawn budget, so budgets
+        // 1..=COLS and the unbounded one stay covered.
+        let policy = MergePolicy {
             delta_fraction: 0.05,
             threads,
             strategy: [MergeStrategy::Naive, MergeStrategy::Optimized, MergeStrategy::Parallel]
                 [strategy],
-            ..MergePolicy::default()
-        })
-        .with_memory_soft_limit(if soft_limit_kb == 64 {
-            usize::MAX
-        } else {
-            soft_limit_kb * 1024
-        })
-        .with_pressure_budget(MergeBudget::columns(pressure_cols));
-        let gov = ResourceGovernor::new(config);
+            budget: if budget_cols > COLS {
+                MergeBudget::UNBOUNDED
+            } else {
+                MergeBudget::columns(budget_cols)
+            },
+            memory_soft_limit: if soft_limit_kb == 64 {
+                usize::MAX
+            } else {
+                soft_limit_kb * 1024
+            },
+        };
         let reference_grant = MergeGrant::with_threads(1).strategy(MergeStrategy::Optimized);
         let mut ids: Vec<usize> = Vec::new();
         for &(code, a, b) in &ops {
@@ -361,20 +364,20 @@ proptest! {
                     reference.merge_with(reference_grant, None).unwrap();
                     // Merge unconditionally (selection gates *when*, the
                     // property is about *what* the grant produces) with
-                    // whatever grant the governor's live signals yield.
-                    let grant = gov.plan(&governed.memory_report(), governed.delta_fraction());
+                    // whatever grant the policy states for the live memory.
+                    let (grant, _) = policy.grant_at(governed.memory_report().total());
                     governed.merge_with(grant, None).unwrap();
                 }
             }
         }
         reference.merge_with(reference_grant, None).unwrap();
-        let final_grant = gov.plan(&governed.memory_report(), governed.delta_fraction());
+        let (final_grant, _) = policy.grant_at(governed.memory_report().total());
         governed.merge_with(final_grant, None).unwrap();
         prop_assert_eq!(governed.delta_len(), 0);
         assert_tables_identical(
             &reference,
             &governed,
-            &format!("governor grants, last = {final_grant:?}"),
+            &format!("policy grants, last = {final_grant:?}"),
         );
     }
 }

@@ -752,7 +752,7 @@ impl<V: Value> Executor<V> for TableSnapshot<V> {
         // happens once per *query* — a sharded fan-out or a many-morsel run
         // still counts as one read, so the counters track queries, not the
         // engine's internal parallelism.
-        let _read = hyrise_core::governor::begin_read();
+        let _read = hyrise_core::begin_read();
         execute_prepared(&prepare(self, q, q.threads()), q.action())
     }
 }
@@ -779,7 +779,7 @@ impl<V: Value> Executor<V> for ShardedTable<V> {
     /// map to global [`ShardRowId`]s, counts and sums add, min/max
     /// reduce.
     fn execute(&self, q: &Query<V>) -> Output<V, ShardRowId> {
-        let _read = hyrise_core::governor::begin_read();
+        let _read = hyrise_core::begin_read();
         let snaps = self.consistent_snapshots();
         // Oversubscription clamp: the morsel hint multiplies across the
         // shard fan-out, so divide the pool between the shards — an

@@ -6,7 +6,7 @@
 //! Counters are monotonic and global, so assertions are lower bounds
 //! (other tests may run concurrently).
 
-use hyrise_core::governor::read_load;
+use hyrise_core::read_load;
 use hyrise_core::shard::ShardedTable;
 use hyrise_core::OnlineTable;
 use hyrise_query::Query;

@@ -1,9 +1,9 @@
-//! Governor-driven admission control: the server-side half of the PR-5
-//! feedback loop.
+//! Admission control: the server-side half of the merge feedback loop.
 //!
-//! The [`hyrise_core::governor::ResourceGovernor`] adapts *merge* grants
-//! to load; this module closes the loop from the other side by adapting
-//! *load* to what the engine can absorb. Two independent valves:
+//! A table's [`hyrise_core::MergePolicy`] adapts *merges* to load (an
+//! earlier trigger under writes, a smaller budget under memory pressure);
+//! this module closes the loop from the other side by adapting *load* to
+//! what the engine can absorb. Two independent valves:
 //!
 //! * **Reads** are gated on memory *and* on the worker pool's backlog:
 //!   below a soft memory limit with a shallow pool queue they pass; while

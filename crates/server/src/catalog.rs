@@ -1,22 +1,21 @@
 //! The multi-tenant table catalog: named durable-or-volatile
-//! [`ShardedTable`]s, each merged in the background under its governor.
+//! [`ShardedTable`]s, each merged in the background under one policy.
 //!
 //! Every entry owns the full per-table machinery: the table itself (built
 //! through the PR-7 `ShardedTableBuilder` so durability is just a spec
-//! flag), the [`MergeScheduler`] that adopted its shards under a
-//! [`ResourceGovernor`], and the [`RateWindow`] the admission gate samples
-//! its write valve from. Creating a table adopts its shards, so the writes
-//! that make a shard due queue its merge on the process-wide merge
-//! queue; dropping the table (or shutting the catalog down) releases
-//! them before the entry is released. Durable tables live under
+//! flag), the [`MergeScheduler`] that adopted its shards under the
+//! catalog's [`MergePolicy`], and the [`RateWindow`] the admission gate
+//! samples its write valve from. Creating a table adopts its shards, so the
+//! writes that make a shard due queue its merge on the process-wide merge
+//! queue; dropping the table (or shutting the catalog down) releases them
+//! before the entry is released. Durable tables live under
 //! `data_dir/<name>/`; dropping one leaves its files on disk, so a later
 //! server can [`hyrise_core::recover_sharded`] it.
 
 use crate::admission::RateWindow;
 use crate::protocol::TableSpec;
 use hyrise_core::{
-    pool, Durability, GovernorConfig, MergePolicy, MergeScheduler, MergeStrategy, Pool,
-    ResourceGovernor, ShardedTable,
+    pool, Durability, MergePolicy, MergeScheduler, MergeStrategy, Pool, ShardedTable,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -71,8 +70,9 @@ pub struct CatalogConfig {
     /// Root directory for durable tables (`<data_dir>/<name>/`). `None`
     /// makes durable specs an [`CatalogError::InvalidSpec`].
     pub data_dir: Option<PathBuf>,
-    /// Governor profile cloned into every table's scheduler.
-    pub governor: GovernorConfig,
+    /// The policy every table's scheduler applies: when a shard merges and
+    /// under which grant.
+    pub policy: MergePolicy,
 }
 
 impl Default for CatalogConfig {
@@ -86,12 +86,12 @@ impl Default for CatalogConfig {
     fn default() -> Self {
         Self {
             data_dir: None,
-            governor: GovernorConfig::from_policy(MergePolicy {
+            policy: MergePolicy {
                 delta_fraction: 0.02,
                 strategy: MergeStrategy::Parallel,
                 threads: (pool::default_threads() / 2).max(1),
                 ..MergePolicy::default()
-            }),
+            },
         }
     }
 }
@@ -216,10 +216,7 @@ impl Catalog {
             .columns(spec.columns as usize)
             .durability(durability)
             .build()?;
-        let scheduler = MergeScheduler::spawn_governed(
-            table.shards().to_vec(),
-            ResourceGovernor::new(self.cfg.governor.clone()),
-        );
+        let scheduler = MergeScheduler::spawn(table.shards().to_vec(), self.cfg.policy);
         tables.insert(
             spec.name.clone(),
             Arc::new(TableEntry {
@@ -356,6 +353,30 @@ mod tests {
         ));
     }
 
+    /// Served tables trigger at 2 %, more eagerly under writes, never below
+    /// 0.4 %, and every merge runs `Parallel` at half the pool, unbounded:
+    /// the memory row never fires.
+    #[test]
+    fn default_policy_states_the_served_trigger_and_grant() {
+        let policy = CatalogConfig::default().policy;
+        // fraction × (1 + min(rate / 18 000, 4)) > 0.02.
+        for (rate, threshold) in [
+            (0.0, 0.02),
+            (18_000.0, 0.01),
+            (72_000.0, 0.004),
+            (1e6, 0.004),
+        ] {
+            assert!(!policy.is_due(threshold * (1.0 - 1e-9), rate), "{rate}");
+            assert!(policy.is_due(threshold * (1.0 + 1e-9), rate), "{rate}");
+        }
+        assert!((policy.due_floor() - 0.004).abs() < 1e-15);
+        let (grant, pressured) = policy.grant_at(usize::MAX);
+        assert!(!pressured);
+        assert_eq!(grant.strategy, MergeStrategy::Parallel);
+        assert_eq!(grant.threads, (pool::default_threads() / 2).max(1));
+        assert!(grant.budget.is_unbounded());
+    }
+
     /// A default-config table serves reads while writes push it past the
     /// trigger; every merge its scheduler grants is the stated policy's:
     /// `Parallel`, half the pool, the policy's budget.
@@ -363,7 +384,7 @@ mod tests {
     fn default_tables_merge_under_the_stated_grant() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let cfg = CatalogConfig::default();
-        let policy = cfg.governor.policy;
+        let policy = cfg.policy;
         let cat = Catalog::new(cfg);
         cat.create(&TableSpec::volatile("served", 2, 2)).unwrap();
         let entry = cat.get("served").unwrap();
@@ -395,6 +416,7 @@ mod tests {
             assert_eq!(g.strategy, MergeStrategy::Parallel, "{g}");
             assert_eq!(g.threads, (pool::default_threads() / 2).max(1), "{g}");
             assert_eq!(g.budget_columns, policy.budget.max_columns(), "{g}");
+            assert!(!g.pressured, "{g}");
         }
     }
 

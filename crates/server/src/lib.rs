@@ -12,7 +12,7 @@
 //!   admission decision.
 //! * [`catalog`] — the multi-tenant registry of named tables, each
 //!   durable or volatile (the PR-7 builder surface underneath) with its
-//!   own governed merge scheduler.
+//!   own merge scheduler under the catalog's merge policy.
 //! * [`admission`] — the [`admission::AdmissionGate`]: reads shed or
 //!   queue under memory pressure, writes throttle when the sustained
 //!   insert rate outruns the merge drain rate (the paper's Equation 1
@@ -20,7 +20,7 @@
 //!   the gate only adds counters and a bounded queue.
 //! * [`server`] — `std::net` TCP: one accept thread, a sized worker
 //!   pool, graceful shutdown; served writes grow the same deltas the merge
-//!   schedulers' governors sample.
+//!   schedulers' policies sample.
 //! * [`client`] — the connection-reusing [`client::Client`] with typed
 //!   errors.
 //!

@@ -15,7 +15,7 @@
 //! Engine integration is deliberately thin: query execution bumps the
 //! executors' internal [`hyrise_core::begin_read`] counters (the in-flight
 //! count the server's stats report), and inserts land in the same
-//! per-shard deltas whose growth the governor's write-pressure factor
+//! per-shard deltas whose growth the merge policy's write-pressure factor
 //! samples and whose insert counters the admission gate's write valve
 //! differences — one feedback loop, observed from both ends.
 

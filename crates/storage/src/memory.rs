@@ -39,7 +39,7 @@ impl MemoryReport {
     }
 
     /// Measure a bit-packed frozen delta at its *compressed* size — the
-    /// footprint the governor and the admission gate should see while a
+    /// footprint the merge scheduler and the admission gate should see while a
     /// merge is in flight, not the raw bytes the delta once occupied.
     pub fn of_frozen<V: Value>(frozen: &FrozenDelta<V>) -> Self {
         Self {

@@ -24,7 +24,7 @@
 //! * [`workload`] — the Section 2 enterprise-data model and generators.
 //! * [`server`] — the network front-end: the length-prefixed wire
 //!   protocol, the multi-tenant table [`server::Catalog`], the
-//!   governor-driven [`server::AdmissionGate`], the TCP server and the
+//!   [`server::AdmissionGate`], the TCP server and the
 //!   [`server::Client`] library.
 //!
 //! Durability lives in [`merge`]: build a crash-durable table with
