@@ -41,7 +41,7 @@ fn build_table(rows: usize) -> OnlineTable<u64> {
         })
         .collect();
     t.insert_rows(&batch).unwrap();
-    t.merge(1, None).unwrap();
+    t.merge(1).unwrap();
     t
 }
 
@@ -96,8 +96,8 @@ fn assert_write_heavy_acceptance(static_grant: MergeGrant, adaptive_grant: Merge
     let t_adaptive = build_table(TABLE_ROWS);
     fill_delta(&t_static, 8);
     fill_delta(&t_adaptive, 8);
-    let s = t_static.merge_with(static_grant, None).unwrap();
-    let a = t_adaptive.merge_with(adaptive_grant, None).unwrap();
+    let s = t_static.merge_with(static_grant).unwrap();
+    let a = t_adaptive.merge_with(adaptive_grant).unwrap();
     assert!(
         a.peak_extra_bytes < s.peak_extra_bytes,
         "adaptive peak_extra_bytes {} must stay strictly below static {}",

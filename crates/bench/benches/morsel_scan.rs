@@ -39,7 +39,7 @@ fn table() -> OnlineTable<u64> {
         x ^= x << 17;
         t.insert_row(&[x % 1009, x % 65_537]).unwrap();
     }
-    let _ = t.merge(1, None);
+    let _ = t.merge(1);
     // A short raw tail on top of the merged main, like a live table.
     let mut y = 0xDEC0DEu64;
     for _ in 0..4096 {
@@ -61,7 +61,7 @@ fn bench_zone_pruning(c: &mut Criterion) {
     let rows = keyed_rows();
     let t = OnlineTable::new(COLS);
     t.insert_rows(&rows).expect("in-memory insert");
-    let _ = t.merge(1, None);
+    let _ = t.merge(1);
     let snap = t.snapshot();
     let mut g = c.benchmark_group("morsel_scan");
     g.sample_size(15);

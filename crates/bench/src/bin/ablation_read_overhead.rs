@@ -127,7 +127,7 @@ fn main() {
     // The payoff: merging the largest delta restores baseline per-tuple cost.
     let table = table_with_delta(&main, n_m, lambda);
     let t0 = Instant::now();
-    table.merge(threads, None).expect("in-memory merge");
+    table.merge(threads).expect("in-memory merge");
     let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
     let merged = table.snapshot();
     let t0 = Instant::now();

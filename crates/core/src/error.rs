@@ -44,10 +44,6 @@ pub enum Error {
         /// Human-readable description.
         detail: String,
     },
-    /// The merge observed its cancellation token, or a `MergeSession`
-    /// was stepped after it rolled back; the table is left with
-    /// uncommitted columns rolled back (see `OnlineTable::merge_with`).
-    Cancelled,
     /// A builder was given an invalid configuration.
     Config {
         /// Human-readable description.
@@ -105,7 +101,6 @@ impl std::fmt::Display for Error {
                 file.display()
             ),
             Error::Recovery { detail } => write!(f, "recovery failed: {detail}"),
-            Error::Cancelled => write!(f, "merge was cancelled; uncommitted columns rolled back"),
             Error::Config { detail } => write!(f, "invalid configuration: {detail}"),
         }
     }
@@ -139,7 +134,6 @@ mod tests {
         assert!(s.contains("crc mismatch"));
         assert!(std::error::Error::source(&c).is_none());
 
-        assert!(Error::Cancelled.to_string().contains("cancelled"));
         assert!(Error::recovery("x").to_string().contains("x"));
         assert!(Error::config("y").to_string().contains("y"));
     }

@@ -358,7 +358,7 @@ mod attribute {
             // The merge installs the new main and leaves a fresh delta.
             let t = OnlineTable::from_mains(vec![MainPartition::from_values(&[1u64, 2])]);
             t.insert_row(&[3]).unwrap();
-            t.merge(1, None).unwrap();
+            t.merge(1).unwrap();
             assert_eq!((t.main_len(), t.delta_len()), (3, 0));
             t.insert_row(&[99]).unwrap();
             assert_eq!((t.row_count(), t.delta_len()), (4, 1));

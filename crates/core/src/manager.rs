@@ -9,11 +9,10 @@
 //!
 //! [`OnlineTable`] implements that protocol with **no lock on the
 //! steady-state paths**. The table's state is an immutable `Generation`
-//! behind an [`EpochCell`]: per column a main partition, an optional
-//! *frozen* delta (mid-merge), an optional *pending* delta (rolled back by
-//! a cancelled merge, absorbed at the next freeze), plus one shared
-//! append-only [`TailLog`] the inserts go to. Within each column, global
-//! tuple ids run main → frozen → pending → tail.
+//! behind an [`EpochCell`]: per column a main partition and an optional
+//! *frozen* delta (mid-merge), plus one shared append-only [`TailLog`] the
+//! inserts go to. Within each column, global tuple ids run main → frozen →
+//! tail.
 //!
 //! * **Reads** ([`OnlineTable::get`], [`OnlineTable::snapshot`]) pin the
 //!   generation (two atomic ops), clone the `Arc`s they need, and go —
@@ -25,9 +24,9 @@
 //!   in-order publish hand-off).
 //! * **Merges** hold the merge gate (the one remaining critical section,
 //!   excepted by design):
-//!   1. **Freeze**: seal the tail, compress pending + tail rows into a
-//!      bit-packed [`FrozenDelta`] per column (local dictionary + packed
-//!      codes), swap in a generation with it frozen and a fresh tail.
+//!   1. **Freeze**: seal the tail, compress its rows into a bit-packed
+//!      [`FrozenDelta`] per column (local dictionary + packed codes), swap
+//!      in a generation with it frozen and a fresh tail.
 //!   2. **Merge**: workers fold `main + frozen` per column from shared
 //!      `Arc` snapshots; reads and writes proceed against the live
 //!      generation.
@@ -36,11 +35,12 @@
 //!      drain. Global tuple ids never change, so the shared
 //!      [`AtomicValidity`] carries over untouched.
 //!
-//! A cancelled merge moves each uncommitted column's frozen delta to
-//! `pending` (zero copy) and leaves the table observably unchanged.
+//! A merge only goes forward. One that fails, panics or is dropped leaves
+//! its uncommitted columns frozen, and the next merge resumes them instead
+//! of freezing again — the paper's Section 9 "pause and resume".
 
 use crate::epoch::EpochCell;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::pipeline::{
     MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy, SpareBank, StepSink,
 };
@@ -54,7 +54,7 @@ use hyrise_storage::{
     Value,
 };
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// One column's merge input: its main partition and frozen delta.
@@ -154,29 +154,15 @@ impl MergePolicy {
     }
 }
 
-/// One column of a published [`Generation`]. At most one of
-/// `frozen`/`pending` is `Some` at a time; per column,
-/// `main.len() + frozen.len() + pending.len()` equals the generation
-/// tail's base, so tail offsets line up across columns.
+/// One column of a published [`Generation`]. Per column,
+/// `main.len() + frozen.len()` equals the generation tail's base, so tail
+/// offsets line up across columns.
+#[derive(Clone)]
 struct GenColumn<V: Value> {
     main: Arc<MainPartition<V>>,
-    /// The delta being merged, if a merge is in flight — sealed and
-    /// bit-packed through its local dictionary. Still readable.
+    /// The delta being merged, if the column's merge has not committed —
+    /// sealed and bit-packed through its local dictionary. Still readable.
     frozen: Option<Arc<FrozenDelta<V>>>,
-    /// A cancelled merge's rolled-back delta, readable and re-frozen (in
-    /// front of the tail) by the next merge. Zero-copy rollback, so it
-    /// stays bit-packed.
-    pending: Option<Arc<FrozenDelta<V>>>,
-}
-
-impl<V: Value> GenColumn<V> {
-    fn share(&self) -> Self {
-        Self {
-            main: Arc::clone(&self.main),
-            frozen: self.frozen.clone(),
-            pending: self.pending.clone(),
-        }
-    }
 }
 
 /// One immutable published state of the table. Swapped atomically; the
@@ -201,12 +187,6 @@ impl<V: Value> Generation<V> {
             }
             off -= f.len();
         }
-        if let Some(p) = &gc.pending {
-            if off < p.len() {
-                return p.get(off);
-            }
-            off -= p.len();
-        }
         let published = self.tail.published();
         assert!(
             off < published,
@@ -216,8 +196,11 @@ impl<V: Value> Generation<V> {
         self.tail.read(col, off)
     }
 
-    fn share_cols(&self) -> Vec<GenColumn<V>> {
-        self.cols.iter().map(|c| c.share()).collect()
+    /// `(N_D, N_M)` of the column furthest behind: the rows awaiting a
+    /// merge and the rows in its main partition.
+    fn backlog(&self) -> (usize, usize) {
+        let nm = self.cols.iter().map(|c| c.main.len()).min().unwrap_or(0);
+        (self.tail.base() + self.tail.published() - nm, nm)
     }
 }
 
@@ -275,7 +258,6 @@ impl<V: Value> OnlineTable<V> {
             .map(|_| GenColumn {
                 main: Arc::new(MainPartition::empty()),
                 frozen: None,
-                pending: None,
             })
             .collect();
         Self {
@@ -323,7 +305,6 @@ impl<V: Value> OnlineTable<V> {
             .map(|m| GenColumn {
                 main: Arc::new(m),
                 frozen: None,
-                pending: None,
             })
             .collect();
         Self {
@@ -364,7 +345,6 @@ impl<V: Value> OnlineTable<V> {
             .map(|(m, d)| GenColumn {
                 main: Arc::new(m),
                 frozen: (!d.is_empty()).then(|| Arc::new(FrozenDelta::from_values(&d))),
-                pending: None,
             })
             .collect();
         Self {
@@ -560,7 +540,7 @@ impl<V: Value> OnlineTable<V> {
         Ok(())
     }
 
-    /// Read one cell (any region: main, frozen, pending, or the tail).
+    /// Read one cell (any region: main, frozen, or the tail).
     /// Lock-free.
     pub fn get(&self, col: usize, row: usize) -> V {
         self.gen.pin().get(col, row)
@@ -582,14 +562,11 @@ impl<V: Value> OnlineTable<V> {
         (0..self.n_cols).map(|c| gen.get(c, row)).collect()
     }
 
-    /// Tuples currently awaiting a merge (frozen + pending deltas + the
-    /// published tail).
+    /// Tuples currently awaiting a merge (frozen delta + the published
+    /// tail) in the column furthest behind — columns differ only between
+    /// the steps of a budgeted merge, or after one was interrupted there.
     pub fn delta_len(&self) -> usize {
-        let gen = self.gen.pin();
-        let c = &gen.cols[0];
-        c.frozen.as_ref().map_or(0, |f| f.len())
-            + c.pending.as_ref().map_or(0, |p| p.len())
-            + gen.tail.published()
+        self.gen.pin().backlog().0
     }
 
     /// Tuples in the main partitions.
@@ -607,21 +584,12 @@ impl<V: Value> OnlineTable<V> {
     /// which exceeds any sane threshold, so [`MergePolicy::is_due`] still
     /// fires. An empty table reads as `0.0`.
     pub fn delta_fraction(&self) -> f64 {
-        let (nd, nm) = {
-            let gen = self.gen.pin();
-            let c = &gen.cols[0];
-            (
-                c.frozen.as_ref().map_or(0, |f| f.len())
-                    + c.pending.as_ref().map_or(0, |p| p.len())
-                    + gen.tail.published(),
-                c.main.len(),
-            )
-        };
+        let (nd, nm) = self.gen.pin().backlog();
         nd as f64 / nm.max(1) as f64
     }
 
     /// Byte-level memory accounting over every column's regions (main
-    /// codes + dictionary, frozen/pending deltas, plus the uncompressed
+    /// codes + dictionary, frozen deltas, plus the uncompressed
     /// tail values), from one generation pin. This is the scheduler's
     /// memory-pressure sample: a large `delta_total` is reclaimable by
     /// merging, a large total argues for a tight [`MergeBudget`].
@@ -632,14 +600,11 @@ impl<V: Value> OnlineTable<V> {
             .iter()
             .map(|c| {
                 let mut r = MemoryReport::of_main(&c.main);
-                // Frozen and pending deltas are bit-packed: charge them at
-                // their compressed size, which is what they actually cost
-                // while a merge is in flight.
+                // Frozen deltas are bit-packed: charge them at their
+                // compressed size, which is what they actually cost while
+                // a merge is in flight.
                 if let Some(f) = c.frozen.as_deref() {
                     r = r + MemoryReport::of_frozen(f);
-                }
-                if let Some(p) = c.pending.as_deref() {
-                    r = r + MemoryReport::of_frozen(p);
                 }
                 r + MemoryReport {
                     delta_values: tail_rows * V::BYTES,
@@ -650,23 +615,23 @@ impl<V: Value> OnlineTable<V> {
     }
 
     /// **Freeze** (merge begin, under the gate): seal the tail, wait for
-    /// in-flight batch publishes, compress pending + tail rows into a
-    /// bit-packed [`FrozenDelta`] per column (global insert order), and
-    /// publish a generation with those deltas frozen and a fresh tail.
-    /// Writers that hit the sealed tail retry against the fresh one.
+    /// in-flight batch publishes, compress its rows into a bit-packed
+    /// [`FrozenDelta`] per column (global insert order), and publish a
+    /// generation with those deltas frozen and a fresh tail. Writers that
+    /// hit the sealed tail retry against the fresh one.
     ///
     /// On a durable table the WAL's live segment is sealed and rotated
     /// between the tail seal and the generation swap: every record for the
     /// sealed tail is already in the segment (log-before-publish, and
     /// `seal` waited for all publishes), and no new-tail record can be
     /// appended until the swap installs the new tail. If the rotation
-    /// fails, the swap still happens — writers must not spin forever on a
-    /// sealed tail — and the error is returned for the caller to unwind
-    /// (roll the frozen deltas back and surface the error).
+    /// fails, the live segment stays unsealed and the swap still happens —
+    /// writers must not spin forever on a sealed tail — and the error is
+    /// returned; the frozen deltas wait for the next merge to resume them.
     fn freeze(&self) -> Result<()> {
         let (cols, tail) = {
             let gen = self.gen.pin();
-            (gen.share_cols(), Arc::clone(&gen.tail))
+            (gen.cols.clone(), Arc::clone(&gen.tail))
         };
         let n = tail.seal();
         let rotated = match &self.wal {
@@ -677,21 +642,14 @@ impl<V: Value> OnlineTable<V> {
             .into_iter()
             .enumerate()
             .map(|(c, gc)| {
-                debug_assert!(gc.frozen.is_none(), "merge_gate serializes merges");
-                let pending_rows = gc.pending.as_ref().map_or(0, |p| p.len());
-                let mut vals: Vec<V> = Vec::with_capacity(pending_rows + n);
-                if let Some(p) = &gc.pending {
-                    for i in 0..p.len() {
-                        vals.push(p.get(i));
-                    }
-                }
+                debug_assert!(gc.frozen.is_none(), "a frozen delta is resumed");
+                let mut vals: Vec<V> = Vec::with_capacity(n);
                 for s in tail.col_slices(c, n) {
                     vals.extend_from_slice(s);
                 }
                 GenColumn {
                     main: gc.main,
                     frozen: Some(Arc::new(FrozenDelta::from_values(&vals))),
-                    pending: None,
                 }
             })
             .collect();
@@ -713,7 +671,7 @@ impl<V: Value> OnlineTable<V> {
     fn commit_columns(&self, outs: Vec<(usize, MainPartition<V>)>) -> Vec<Arc<MainPartition<V>>> {
         let (mut cols, tail) = {
             let gen = self.gen.pin();
-            (gen.share_cols(), Arc::clone(&gen.tail))
+            (gen.cols.clone(), Arc::clone(&gen.tail))
         };
         let mut retired = Vec::with_capacity(outs.len());
         for (i, new_main) in outs {
@@ -725,40 +683,20 @@ impl<V: Value> OnlineTable<V> {
         retired
     }
 
-    /// **Rollback** (under the gate): move every still-frozen column's
-    /// delta to `pending` — zero copy, tuple ids unchanged (pending rows
-    /// precede the current tail's base). Already-committed columns stay
-    /// merged.
-    fn rollback_frozen(&self) {
-        let (mut cols, tail) = {
-            let gen = self.gen.pin();
-            (gen.share_cols(), Arc::clone(&gen.tail))
-        };
-        let mut any = false;
-        for gc in cols.iter_mut() {
-            if let Some(f) = gc.frozen.take() {
-                debug_assert!(gc.pending.is_none(), "one rollback per freeze");
-                gc.pending = Some(f);
-                any = true;
-            }
-        }
-        if any {
-            self.gen.swap(Box::new(Generation { cols, tail }));
-        }
-    }
-
-    /// The merge's input, pinned once after the freeze: every column's
-    /// `(main, frozen delta)` pair plus the frozen rows' end id. Callers
-    /// clear a slot as its column commits, so the retired main becomes
-    /// uniquely owned and recyclable.
+    /// The merge's input, pinned once under the gate: every still-frozen
+    /// column's `(main, frozen delta)` pair (`None` for a column an
+    /// interrupted merge already committed) plus the frozen rows' end id.
+    /// Callers clear a slot as its column commits, so the retired main
+    /// becomes uniquely owned and recyclable.
     fn frozen_snapshots(&self) -> (Vec<Option<MergeInput<V>>>, usize) {
         let gen = self.gen.pin();
         let snapshots = gen
             .cols
             .iter()
             .map(|c| {
-                let frozen = c.frozen.as_ref().expect("merge input is frozen");
-                Some((Arc::clone(&c.main), Arc::clone(frozen)))
+                c.frozen
+                    .as_ref()
+                    .map(|f| (Arc::clone(&c.main), Arc::clone(f)))
             })
             .collect();
         (snapshots, gen.tail.base())
@@ -769,25 +707,20 @@ impl<V: Value> OnlineTable<V> {
     /// (Section 6.2.1). `grant.threads` is the whole fan-out's width: at
     /// most that many columns are in flight, and what is left over when
     /// the set is narrow becomes each column's within-column width for
-    /// Stages 1b and 2. Returns the outputs in `cols` order, or `None` when `cancel`
-    /// fired before every column was merged.
+    /// Stages 1b and 2. Returns the outputs in `cols` order; a panic in
+    /// any column is re-thrown once every column has finished.
     fn merge_columns(
         &self,
         grant: MergeGrant,
         cols: &[usize],
         snapshots: &[Option<MergeInput<V>>],
         sink: Option<&dyn StepSink>,
-        cancel: Option<&AtomicBool>,
-    ) -> Option<Vec<MergeOutput<MainPartition<V>>>> {
+    ) -> Vec<MergeOutput<MainPartition<V>>> {
         let workers = grant.threads.clamp(1, cols.len());
         let pipeline = MergePipeline::new(grant.strategy, (grant.threads / workers).max(1));
         let slots: Vec<OnceLock<MergeOutput<MainPartition<V>>>> =
             cols.iter().map(|_| OnceLock::new()).collect();
-        let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
         Pool::global().run_indexed(cols.len(), workers, &|k| {
-            if cancelled() {
-                return;
-            }
             let i = cols[k];
             let (main, frozen) = snapshots[i].as_ref().expect("column not yet committed");
             let mut scratch = self.checkout_scratch();
@@ -795,36 +728,25 @@ impl<V: Value> OnlineTable<V> {
             self.checkin_scratch(scratch);
             let _ = slots[k].set(out);
         });
-        // A cancel that lands while the last columns are still merging
-        // cancels the merge too, although every slot got filled.
-        if cancelled() {
-            return None;
-        }
-        slots.into_iter().map(OnceLock::into_inner).collect()
-    }
-
-    /// Persist the committed mains of `cols` as column files of
-    /// generation `frozen_end`, read from the published generation.
-    fn write_columns(&self, w: &Wal<V>, cols: &[usize], frozen_end: usize) -> Result<()> {
-        let mains: Vec<Arc<MainPartition<V>>> = {
-            let gen = self.gen.pin();
-            cols.iter()
-                .map(|&i| Arc::clone(&gen.cols[i].main))
-                .collect()
-        };
-        cols.iter()
-            .zip(&mains)
-            .try_for_each(|(&i, main)| wal::write_column(w.dir(), i, frozen_end, main))
+        slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("run_indexed runs every index"))
+            .collect()
     }
 
     /// Durable epilogue of a merge whose column files are all written:
     /// rename the checkpoint manifest (the merged rows' validity) into
     /// place, then drop the absorbed segments and every other
-    /// generation's column files. Failure here loses the merge's
-    /// *durability*, not its in-memory result: recovery finds the previous
-    /// manifest plus the still-sealed segments and merges them forward
-    /// again.
+    /// generation's column files. Skipped while the live segment begins
+    /// below `frozen_end`: the freeze's rotation failed, that segment
+    /// still takes appends, and the next freeze seals it. Failure here
+    /// loses the merge's *durability*, not its in-memory result: recovery
+    /// finds the previous manifest plus the still-sealed segments and
+    /// merges them forward again.
     fn finish_durable_merge(&self, w: &Wal<V>, frozen_end: usize) -> Result<()> {
+        if w.live_base() != frozen_end {
+            return Ok(());
+        }
         let validity = {
             let _flips = self.flip_gate.write();
             self.validity.snapshot_prefix(frozen_end)
@@ -838,13 +760,15 @@ impl<V: Value> OnlineTable<V> {
     /// unbounded budget). Blocks the calling thread for the duration; the
     /// table stays readable and writable throughout (the freeze and commit
     /// swaps are the only moments writers may briefly retry).
-    pub fn merge(&self, threads: usize, cancel: Option<&AtomicBool>) -> Result<TableMergeStats> {
-        self.merge_with(MergeGrant::with_threads(threads), cancel)
+    pub fn merge(&self, threads: usize) -> Result<TableMergeStats> {
+        self.merge_with(MergeGrant::with_threads(threads))
     }
 
     /// Run one online merge under an explicit [`MergeGrant`]: strategy,
     /// threads, and a [`MergeBudget`] bounding peak extra memory. This is
-    /// [`Self::begin_merge`] followed by [`MergeSession::finish`].
+    /// [`Self::begin_merge`] followed by [`MergeSession::finish`] — twice
+    /// when the first session resumes an interrupted merge, so the rows
+    /// published before the call are merged either way.
     ///
     /// Unbudgeted, all `N_C` columns are merged before one atomic commit —
     /// at peak the table transiently costs ~2x its memory (every column
@@ -856,34 +780,35 @@ impl<V: Value> OnlineTable<V> {
     /// exists on top of the live table. Results are byte-identical to the
     /// unbudgeted merge (every strategy produces the same partitions).
     ///
-    /// Cancellation semantics follow the commit granularity: columns in
-    /// chunks already committed stay merged (each column individually holds
-    /// all its rows, so the table stays consistent); uncommitted columns
-    /// roll their frozen delta back to `pending`. Unbudgeted there is a
-    /// single chunk, so a cancelled merge leaves the table exactly
-    /// untouched.
+    /// A failure follows the commit granularity: columns in chunks
+    /// already committed stay merged (each column individually holds all
+    /// its rows, so the table stays consistent); the rest stay frozen
+    /// until the next merge resumes them. Unbudgeted there is a single
+    /// chunk, so a failed merge commits nothing.
     ///
     /// Merge-phase intermediates come from the table's warm scratch pool,
     /// and each chunk's commit recycles the retired main partitions into
     /// that pool, so steady-state merges allocate ~nothing.
-    pub fn merge_with(
-        &self,
-        grant: MergeGrant,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<TableMergeStats> {
-        let mut session = self.begin_merge(grant)?;
-        session.cancel = cancel;
-        session.finish()
+    pub fn merge_with(&self, grant: MergeGrant) -> Result<TableMergeStats> {
+        let mut stats = TableMergeStats::default();
+        loop {
+            let session = self.begin_merge(grant)?;
+            let resumed = session.resumed;
+            stats.absorb(session.finish()?);
+            if !resumed {
+                return Ok(stats);
+            }
+        }
     }
 
     /// Merge if the policy says so: `Ok(Some(stats))` when a merge ran,
     /// `Ok(None)` when none was due, and the merge's error (a failed WAL
-    /// rotation or checkpoint, say) otherwise.
+    /// rotation or column write, say) otherwise.
     pub fn maybe_merge(&self, policy: &MergePolicy) -> Result<Option<TableMergeStats>> {
         if !policy.is_due(self.delta_fraction(), 0.0) {
             return Ok(None);
         }
-        self.merge_with(policy.grant(), None).map(Some)
+        self.merge_with(policy.grant()).map(Some)
     }
 
     /// Begin a merge under `grant` and return it as a [`MergeSession`]
@@ -893,54 +818,50 @@ impl<V: Value> OnlineTable<V> {
     /// [`MergeBudget::columns`]`(1)` this is the paper's Section 9
     /// incremental merge ("incremental processing of the individual
     /// attributes", with "pause and resume the merge process"): pausing is
-    /// not calling `step`, and dropping or [`MergeSession::abort`]ing the
-    /// session rolls the *unmerged* columns back (committed columns stay
-    /// merged — every column individually contains all rows).
+    /// not calling `step`, or dropping the session, and resuming is the
+    /// next `begin_merge`. Committed columns stay merged — every column
+    /// individually contains all rows.
     ///
-    /// Begin freezes the tail into per-column frozen deltas and pins them
-    /// as the merge input. On a durable table the freeze seals and rotates
-    /// the WAL segment, and that synced seal is the merge's durable begin:
-    /// from then on recovery finishes the merge forward. Each step writes
-    /// its chunk's merged columns as `col-<c>-<rows>` files after the
+    /// When a failed, panicked or dropped merge left frozen columns, begin
+    /// does not freeze again: the session resumes those columns, and rows
+    /// published since wait for the next merge. Otherwise begin freezes
+    /// the tail into per-column frozen deltas and pins them as the merge
+    /// input. On a durable table the freeze seals and rotates the WAL
+    /// segment, and that synced seal is the merge's durable begin: from
+    /// then on recovery finishes the merge forward. Each step writes its
+    /// chunk's merged columns as `col-<c>-<rows>` files before the
     /// in-memory commit, and [`MergeSession::finish`] renames the
     /// checkpoint manifest into place, truncates the absorbed WAL segments
     /// and unlinks every other generation's column files. A process killed
     /// at any point resumes from the column files already written —
-    /// byte-identical whichever they are. A failed rotation rolls the
-    /// freeze back and returns the error.
+    /// byte-identical whichever they are. A failed rotation returns the
+    /// error and leaves the frozen columns to the next merge.
     pub fn begin_merge(&self, grant: MergeGrant) -> Result<MergeSession<'_, V>> {
         assert!(grant.threads >= 1, "need at least one thread");
         let gate = self.merge_gate.lock();
         let t_start = std::time::Instant::now();
-        if let Err(e) = self.freeze() {
-            self.rollback_frozen();
-            return Err(e);
+        // A frozen column is a merge that failed, panicked or was dropped
+        // before committing it.
+        let resumed = self.gen.pin().cols.iter().any(|c| c.frozen.is_some());
+        if !resumed {
+            self.freeze()?;
         }
-        Ok(MergeSession::new(self, gate, grant, t_start))
-    }
-
-    /// Resume the merge of the sealed rows (recovery only). The table was
-    /// rebuilt with every column's delta *frozen* and the WAL re-attached;
-    /// `loaded` holds the columns whose files of the frozen row count were
-    /// already on disk. They are committed as-is — completed steps are not
-    /// redone — and the returned session merges and writes the rest.
-    /// Output is byte-identical to the merge the crash interrupted: merge
-    /// output depends only on each column's row value sequence.
-    pub(crate) fn resume_merge(
-        &self,
-        grant: MergeGrant,
-        loaded: Vec<(usize, MainPartition<V>)>,
-    ) -> MergeSession<'_, V> {
-        let gate = self.merge_gate.lock();
-        let mut session = MergeSession::new(self, gate, grant, std::time::Instant::now());
-        debug_assert!(loaded.iter().all(|(_, m)| m.len() == session.frozen_end));
-        session.commit(loaded);
-        session
+        let (snapshots, frozen_end) = self.frozen_snapshots();
+        Ok(MergeSession {
+            table: self,
+            _gate: gate,
+            grant,
+            snapshots,
+            frozen_end,
+            resumed,
+            stats: TableMergeStats::default(),
+            t_start,
+        })
     }
 
     /// A consistent point-in-time snapshot of the whole table — **no
     /// lock, no copy**: one generation pin, `Arc` clones of the main and
-    /// frozen/pending partitions, a handle to the shared tail clamped to
+    /// frozen partitions, a handle to the shared tail clamped to
     /// its published watermark, and a prefix copy of the validity bits.
     /// Two snapshots of an unchanged table share every partition pointer.
     ///
@@ -962,7 +883,6 @@ impl<V: Value> OnlineTable<V> {
             .map(|(col, gc)| ColumnSnapshot {
                 main: Arc::clone(&gc.main),
                 frozen: gc.frozen.clone(),
-                pending: gc.pending.clone(),
                 tail: Arc::clone(&gen.tail),
                 col,
                 tail_rows,
@@ -977,26 +897,22 @@ impl<V: Value> OnlineTable<V> {
     }
 }
 
-/// One column of a [`TableSnapshot`]: the four mid-merge regions a row can
-/// live in, pinned at snapshot time. Global row ids within the shard run
-/// `main`, then `frozen`, then `pending`, then the tail prefix below the
-/// snapshot's watermark.
+/// One column of a [`TableSnapshot`]: the three regions a row can live
+/// in, pinned at snapshot time. Global row ids within the shard run
+/// `main`, then `frozen`, then the tail prefix below the snapshot's
+/// watermark.
 pub struct ColumnSnapshot<V: Value> {
     main: Arc<MainPartition<V>>,
     frozen: Option<Arc<FrozenDelta<V>>>,
-    pending: Option<Arc<FrozenDelta<V>>>,
     tail: Arc<TailLog<V>>,
     col: usize,
     tail_rows: usize,
 }
 
 impl<V: Value> ColumnSnapshot<V> {
-    /// Rows in the snapshot (`N_M + N_F + N_P + N_T`).
+    /// Rows in the snapshot (`N_M + N_F + N_T`).
     pub fn len(&self) -> usize {
-        self.main.len()
-            + self.frozen.as_ref().map_or(0, |f| f.len())
-            + self.pending.as_ref().map_or(0, |p| p.len())
-            + self.tail_rows
+        self.main.len() + self.frozen.as_ref().map_or(0, |f| f.len()) + self.tail_rows
     }
 
     /// True when the column held no rows at snapshot time.
@@ -1016,28 +932,22 @@ impl<V: Value> ColumnSnapshot<V> {
         self.frozen.as_deref()
     }
 
-    /// Rows in the active delta at snapshot time (pending + published
-    /// tail — everything after main and frozen in global id order).
+    /// Rows in the active delta at snapshot time (the published tail —
+    /// everything after main and frozen in global id order).
     pub fn active_len(&self) -> usize {
-        self.pending.as_ref().map_or(0, |p| p.len()) + self.tail_rows
+        self.tail_rows
     }
 
     /// Every region after the main partition, in global row order: the
-    /// frozen delta and a cancelled merge's pending delta as bit-packed
-    /// [`TailRegion::Packed`] regions (scanned with the SWAR kernels in
-    /// local value-id space), then the published tail prefix as raw
-    /// chunks (scanned by value comparison). This is the shape query
-    /// executors consume.
+    /// frozen delta as a bit-packed [`TailRegion::Packed`] region (scanned
+    /// with the SWAR kernels in local value-id space), then the published
+    /// tail prefix as raw chunks (scanned by value comparison). This is
+    /// the shape query executors consume.
     pub fn tails(&self) -> Vec<TailRegion<'_, V>> {
         let mut out = Vec::new();
         if let Some(f) = self.frozen.as_deref() {
             if !f.is_empty() {
                 out.push(TailRegion::Packed(f));
-            }
-        }
-        if let Some(p) = self.pending.as_deref() {
-            if !p.is_empty() {
-                out.push(TailRegion::Packed(p));
             }
         }
         out.extend(
@@ -1049,7 +959,7 @@ impl<V: Value> ColumnSnapshot<V> {
         out
     }
 
-    /// Value of snapshot row `row` (any of the four regions).
+    /// Value of snapshot row `row` (any of the three regions).
     pub fn get(&self, row: usize) -> V {
         let nm = self.main.len();
         if row < nm {
@@ -1061,12 +971,6 @@ impl<V: Value> ColumnSnapshot<V> {
                 return f.get(off);
             }
             off -= f.len();
-        }
-        if let Some(p) = &self.pending {
-            if off < p.len() {
-                return p.get(off);
-            }
-            off -= p.len();
         }
         assert!(off < self.tail_rows, "row {row} out of snapshot range");
         self.tail.read(self.col, off)
@@ -1127,46 +1031,25 @@ impl<V: Value> TableSnapshot<V> {
 
 /// An in-flight merge; see [`OnlineTable::begin_merge`]. Holds the merge
 /// gate, so other merges on the table block until the session finishes or
-/// drops.
+/// drops. Dropping it mid-way leaves the unmerged columns frozen for the
+/// next merge to resume.
 pub struct MergeSession<'t, V: Value> {
     table: &'t OnlineTable<V>,
     _gate: parking_lot::MutexGuard<'t, ()>,
     grant: MergeGrant,
-    /// Every column's pinned `(main, frozen delta)`, cleared as the column
-    /// commits so the retired main becomes recyclable.
+    /// Every still-frozen column's pinned `(main, frozen delta)`, cleared
+    /// as the column commits so the retired main becomes recyclable.
     snapshots: Vec<Option<MergeInput<V>>>,
     /// Global row count at the freeze: every merged column's final length
     /// and the generation of its column file.
     frozen_end: usize,
-    cancel: Option<&'t AtomicBool>,
+    /// Opened over the frozen columns an earlier merge left behind.
+    resumed: bool,
     stats: TableMergeStats,
     t_start: std::time::Instant,
-    /// Finished or rolled back: the session owns no frozen column.
-    done: bool,
 }
 
-impl<'t, V: Value> MergeSession<'t, V> {
-    /// A session over the already-frozen `table`, whose gate is held.
-    fn new(
-        table: &'t OnlineTable<V>,
-        gate: parking_lot::MutexGuard<'t, ()>,
-        grant: MergeGrant,
-        t_start: std::time::Instant,
-    ) -> Self {
-        let (snapshots, frozen_end) = table.frozen_snapshots();
-        Self {
-            table,
-            _gate: gate,
-            grant,
-            snapshots,
-            frozen_end,
-            cancel: None,
-            stats: TableMergeStats::default(),
-            t_start,
-            done: false,
-        }
-    }
-
+impl<V: Value> MergeSession<'_, V> {
     /// Columns not yet merged.
     pub fn remaining(&self) -> usize {
         self.snapshots.iter().filter(|s| s.is_some()).count()
@@ -1178,16 +1061,12 @@ impl<'t, V: Value> MergeSession<'t, V> {
     /// table stays readable and writable between and during steps — the
     /// commit swap is the only (lock-free) hand-off.
     ///
-    /// On a durable table the committed chunk is then written as one
-    /// column file per column, so a crash after this point resumes with
-    /// these columns loaded instead of re-merged. A cancel or an I/O error
-    /// rolls the uncommitted columns back and returns the error
-    /// ([`Error::Cancelled`] for a cancel, and for any step after a
-    /// rollback).
+    /// On a durable table the chunk is first written as one column file
+    /// per column, so a crash after the commit resumes with these columns
+    /// loaded instead of re-merged. A failed write returns the error and
+    /// leaves the chunk frozen, like every other failure: the next step,
+    /// or the next merge, takes it up again.
     pub fn step(&mut self) -> Result<bool> {
-        if self.done {
-            return Err(Error::Cancelled);
-        }
         let chunk: Vec<usize> = (0..self.snapshots.len())
             .filter(|&i| self.snapshots[i].is_some())
             .take(self.grant.budget.max_columns())
@@ -1195,13 +1074,14 @@ impl<'t, V: Value> MergeSession<'t, V> {
         if chunk.is_empty() {
             return Ok(false);
         }
-        let Some(merged) =
-            self.table
-                .merge_columns(self.grant, &chunk, &self.snapshots, None, self.cancel)
-        else {
-            self.roll_back();
-            return Err(Error::Cancelled);
-        };
+        let merged = self
+            .table
+            .merge_columns(self.grant, &chunk, &self.snapshots, None);
+        if let Some(w) = &self.table.wal {
+            for (&i, out) in chunk.iter().zip(&merged) {
+                wal::write_column(w.dir(), i, self.frozen_end, &out.main)?;
+            }
+        }
 
         // Account the chunk's transient footprint before its commit.
         let chunk_bytes: usize = merged.iter().map(|o| o.main.memory_bytes()).sum();
@@ -1213,12 +1093,6 @@ impl<'t, V: Value> MergeSession<'t, V> {
             outs.push((*i, out.main));
         }
         self.commit(outs);
-        if let Some(w) = &self.table.wal {
-            if let Err(e) = self.table.write_columns(w, &chunk, self.frozen_end) {
-                self.roll_back();
-                return Err(e);
-            }
-        }
         Ok(true)
     }
 
@@ -1231,48 +1105,25 @@ impl<'t, V: Value> MergeSession<'t, V> {
     /// and merges them forward again.
     pub fn finish(mut self) -> Result<TableMergeStats> {
         while self.step()? {}
-        self.done = true;
         if let Some(w) = &self.table.wal {
             self.table.finish_durable_merge(w, self.frozen_end)?;
         }
-        let mut stats = std::mem::take(&mut self.stats);
-        stats.t_wall = self.t_start.elapsed();
-        Ok(stats)
-    }
-
-    /// Abort: roll back the columns not yet merged. Already-merged columns
-    /// stay merged; the table is consistent either way.
-    pub fn abort(mut self) {
-        self.roll_back();
+        self.stats.t_wall = self.t_start.elapsed();
+        Ok(self.stats)
     }
 
     /// Swap each `(index, merged main)` in as its column's main and
-    /// recycle the retired partitions into the spare bank.
-    fn commit(&mut self, outs: Vec<(usize, MainPartition<V>)>) {
+    /// recycle the retired partitions into the spare bank. Recovery
+    /// commits the column files a crashed merge already wrote this way,
+    /// so completed steps are not redone.
+    pub(crate) fn commit(&mut self, outs: Vec<(usize, MainPartition<V>)>) {
+        debug_assert!(outs.iter().all(|(_, m)| m.len() == self.frozen_end));
         for (i, _) in &outs {
             self.snapshots[*i] = None;
         }
         for old in self.table.commit_columns(outs) {
             self.table.recycle_retired(old);
         }
-    }
-
-    /// Move every still-frozen column's delta to `pending` (tuple ids
-    /// unchanged: pending rows are older than the tail's). On a durable
-    /// table the rows stay sealed, so recovery merges them forward.
-    fn roll_back(&mut self) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        self.snapshots.clear();
-        self.table.rollback_frozen();
-    }
-}
-
-impl<V: Value> Drop for MergeSession<'_, V> {
-    fn drop(&mut self) {
-        self.roll_back();
     }
 }
 
@@ -1340,15 +1191,7 @@ mod tests {
         let _gate = t.merge_gate.lock();
         t.freeze().unwrap();
         let (inputs, _) = t.frozen_snapshots();
-        let merge = || {
-            t.merge_columns(
-                MergeGrant::with_threads(4),
-                &[0],
-                &inputs,
-                Some(&sink),
-                None,
-            )
-        };
+        let merge = || t.merge_columns(MergeGrant::with_threads(4), &[0], &inputs, Some(&sink));
         assert!(
             catch_unwind(AssertUnwindSafe(merge)).is_err(),
             "the region's panic must surface on the merge caller"
@@ -1363,13 +1206,17 @@ mod tests {
         assert_eq!(t.main_len(), 0);
         assert_eq!(t.row_count(), 300_000);
         assert_eq!(t.get(0, 123_456), 123_456 % 1_000);
-        // Undo the freeze as a cancelled merge would; the next merge works.
+        // The delta stays frozen; the next merge resumes it to the bytes
+        // of a merge that never failed.
         drop(inputs);
-        t.rollback_frozen();
         drop(_gate);
-        t.merge(4, None).unwrap();
+        t.merge(4).unwrap();
         assert_eq!(t.main_len(), 300_000);
-        assert_eq!(t.get(0, 123_456), 123_456 % 1_000);
+        assert_eq!(t.delta_len(), 0);
+        let reference = OnlineTable::<u64>::new(1);
+        reference.insert_rows(&rows).unwrap();
+        reference.merge(4).unwrap();
+        assert_bytes_identical(&t, &reference);
     }
 
     #[test]
@@ -1377,7 +1224,7 @@ mod tests {
         let t = table_with_rows(2, 100);
         assert_eq!(t.main_len(), 0);
         assert_eq!(t.delta_len(), 100);
-        let stats = t.merge(4, None).unwrap();
+        let stats = t.merge(4).unwrap();
         assert_eq!(t.main_len(), 100);
         assert_eq!(t.delta_len(), 0);
         assert_eq!(stats.columns.len(), 2);
@@ -1389,14 +1236,14 @@ mod tests {
     #[test]
     fn second_delta_survives_merge() {
         let t = table_with_rows(1, 10);
-        t.merge(2, None).unwrap();
+        t.merge(2).unwrap();
         // New inserts after the merge...
         t.insert_row(&[777]).unwrap();
         assert_eq!(t.main_len(), 10);
         assert_eq!(t.delta_len(), 1);
         assert_eq!(t.get(0, 10), 777);
         // ...survive the next merge too.
-        t.merge(2, None).unwrap();
+        t.merge(2).unwrap();
         assert_eq!(t.main_len(), 11);
         assert_eq!(t.get(0, 10), 777);
     }
@@ -1419,7 +1266,7 @@ mod tests {
             n
         });
         for _ in 0..5 {
-            t.merge(2, None).unwrap();
+            t.merge(2).unwrap();
         }
         stop.store(true, Ordering::Relaxed);
         let inserted = writer.join().unwrap();
@@ -1437,31 +1284,37 @@ mod tests {
     fn cancelled_merge_restores_everything() {
         let t = table_with_rows(2, 500);
         let before: Vec<Vec<u64>> = (0..500).map(|r| t.row(r)).collect();
-        let cancel = AtomicBool::new(true); // cancelled before it starts
-        let err = t.merge(2, Some(&cancel)).unwrap_err();
-        assert!(matches!(err, Error::Cancelled));
-        assert_eq!(t.main_len(), 0, "cancelled merge must not commit");
+        // Interrupted before its first step: the session is dropped.
+        drop(t.begin_merge(MergeGrant::with_threads(2)).unwrap());
+        assert_eq!(t.main_len(), 0, "an interrupted merge commits nothing");
         assert_eq!(t.delta_len(), 500);
         let after: Vec<Vec<u64>> = (0..500).map(|r| t.row(r)).collect();
         assert_eq!(before, after, "table must be observably unchanged");
-        // A subsequent merge succeeds normally.
-        t.merge(2, None).unwrap();
+        // The next merge resumes the frozen delta to the same bytes.
+        t.merge(2).unwrap();
         assert_eq!(t.main_len(), 500);
+        let reference = table_with_rows(2, 500);
+        reference.merge(2).unwrap();
+        assert_bytes_identical(&t, &reference);
     }
 
     #[test]
     fn cancelled_merge_keeps_second_delta_rows() {
         let t = table_with_rows(1, 100);
-        // Start a merge that is cancelled, but insert "during" it by
-        // pre-freezing: emulate by cancelling and inserting before retry.
-        let cancel = AtomicBool::new(true);
-        let _ = t.merge(1, Some(&cancel));
+        // A row inserted while an interrupted merge's delta is frozen
+        // lands behind it, and the next merge takes both.
+        drop(t.begin_merge(MergeGrant::with_threads(1)).unwrap());
         t.insert_row(&[12345]).unwrap();
         assert_eq!(t.row_count(), 101);
         assert_eq!(t.get(0, 100), 12345);
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         assert_eq!(t.get(0, 100), 12345);
         assert_eq!(t.main_len(), 101);
+        assert_eq!(t.delta_len(), 0);
+        let reference = table_with_rows(1, 100);
+        reference.insert_row(&[12345]).unwrap();
+        reference.merge(1).unwrap();
+        assert_bytes_identical(&t, &reference);
     }
 
     #[test]
@@ -1470,7 +1323,7 @@ mod tests {
         let new_row = t.insert_row(&[999]).unwrap();
         t.delete_row(3).unwrap();
         t.delete_row(7).unwrap();
-        t.merge(2, None).unwrap();
+        t.merge(2).unwrap();
         assert!(!t.is_valid(3));
         assert!(!t.is_valid(7));
         assert!(t.is_valid(new_row));
@@ -1481,7 +1334,7 @@ mod tests {
     #[test]
     fn policy_trigger() {
         let t = table_with_rows(1, 100);
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         let policy = MergePolicy {
             delta_fraction: 0.05,
             threads: 2,
@@ -1523,7 +1376,7 @@ mod tests {
             t.maybe_merge(&policy).is_err(),
             "a failed merge is not 'not due'"
         );
-        assert_eq!(t.main_len(), 0, "the freeze rolled back");
+        assert_eq!(t.main_len(), 0, "the rows stay frozen");
         assert_eq!(t.delta_len(), 2);
         assert_eq!(t.row(1), vec![2]);
     }
@@ -1552,16 +1405,13 @@ mod tests {
     fn budgeted_merge_is_byte_identical_and_bounds_in_flight() {
         let a = table_with_rows(6, 1_500);
         let b = table_with_rows(6, 1_500);
-        let full = a.merge(2, None).unwrap();
+        let full = a.merge(2).unwrap();
         assert_eq!(
             full.peak_columns_in_flight, 6,
             "unbudgeted merge holds every column's output at once"
         );
         let budgeted = b
-            .merge_with(
-                MergeGrant::with_threads(2).budget(MergeBudget::columns(2)),
-                None,
-            )
+            .merge_with(MergeGrant::with_threads(2).budget(MergeBudget::columns(2)))
             .unwrap();
         assert_eq!(
             budgeted.peak_columns_in_flight, 2,
@@ -1588,12 +1438,11 @@ mod tests {
         ] {
             let a = table_with_rows(3, 900);
             let b = table_with_rows(3, 900);
-            a.merge(2, None).unwrap();
+            a.merge(2).unwrap();
             b.merge_with(
                 MergeGrant::with_threads(2)
                     .strategy(strategy)
                     .budget(MergeBudget::columns(1)),
-                None,
             )
             .unwrap();
             assert_bytes_identical(&a, &b);
@@ -1606,12 +1455,12 @@ mod tests {
         // buffers; a second merge of the same shape must neither grow nor
         // shrink the banked capacity.
         let t = table_with_rows(2, 2_000);
-        t.merge(1, None).unwrap();
-        t.merge(1, None).unwrap(); // empty delta: same-size regeneration
+        t.merge(1).unwrap();
+        t.merge(1).unwrap(); // empty delta: same-size regeneration
         let warmed = t.spare_bank().spare_capacities();
         assert!(warmed.1 > 0, "retired word buffers must have been recycled");
         for _ in 0..3 {
-            t.merge(1, None).unwrap();
+            t.merge(1).unwrap();
             assert_eq!(
                 t.spare_bank().spare_capacities(),
                 warmed,
@@ -1631,7 +1480,7 @@ mod tests {
         let before = t.memory_report();
         assert_eq!(before.main_total(), 0, "everything still in the deltas");
         assert!(before.delta_total() > 0);
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         let after = t.memory_report();
         assert_eq!(after.delta_total(), 0, "merge reclaims the delta bytes");
         assert!(after.main_total() > 0);
@@ -1645,8 +1494,8 @@ mod tests {
         let bank = Arc::new(crate::pipeline::SpareBank::new());
         let t2 = OnlineTable::<u64>::new(1).with_spare_bank(Arc::clone(&bank));
         t2.insert_row(&[1]).unwrap();
-        t2.merge(1, None).unwrap();
-        t2.merge(1, None).unwrap();
+        t2.merge(1).unwrap();
+        t2.merge(1).unwrap();
         assert!(
             Arc::ptr_eq(t2.spare_bank(), &bank),
             "builder shares the given bank"
@@ -1694,13 +1543,13 @@ mod tests {
         assert_eq!(f.codes().bits(), 6);
         assert_eq!(f.len(), 20_000);
 
-        // Rollback keeps the (now pending) delta compressed too.
-        s.abort();
+        // A dropped session leaves the delta frozen, still compressed.
+        drop(s);
         let back = t.memory_report();
         assert_eq!(back.frozen_codes, mid.frozen_codes);
         assert_eq!(back.delta_values, 0);
 
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         assert_eq!(t.memory_report().delta_total(), 0);
         assert_eq!(t.get(0, 19_999), 19_999 % 50);
     }
@@ -1709,7 +1558,7 @@ mod tests {
     fn incremental_merge_equals_full_merge() {
         let a = table_with_rows(4, 2_000);
         let b = table_with_rows(4, 2_000);
-        a.merge(2, None).unwrap();
+        a.merge(2).unwrap();
         let stats = {
             let mut s = incremental(&b, 2);
             assert_eq!(s.remaining(), 4);
@@ -1752,8 +1601,9 @@ mod tests {
         let t = table_with_rows(3, 800);
         {
             let mut s = incremental(&t, 2);
-            assert!(s.step().unwrap()); // column 0 commits
-                                        // Dropped here without finish(): columns 1..3 roll back.
+            // Column 0 commits; dropped here without finish(), columns
+            // 1..3 stay frozen.
+            assert!(s.step().unwrap());
         }
         // Column 0 merged; the others kept their delta. Table fully readable.
         for r in (0..800).step_by(61) {
@@ -1762,8 +1612,9 @@ mod tests {
                 vec![r as u64 * 10, r as u64 * 10 + 1, r as u64 * 10 + 2]
             );
         }
-        // A fresh full merge still works (no stuck frozen deltas).
-        t.merge(2, None).unwrap();
+        // The next session resumes the two frozen columns only.
+        assert_eq!(incremental(&t, 2).remaining(), 2);
+        t.merge(2).unwrap();
         assert_eq!(t.delta_len(), 0);
         for r in (0..800).step_by(61) {
             assert_eq!(
@@ -1771,6 +1622,9 @@ mod tests {
                 vec![r as u64 * 10, r as u64 * 10 + 1, r as u64 * 10 + 2]
             );
         }
+        let reference = table_with_rows(3, 800);
+        reference.merge(2).unwrap();
+        assert_bytes_identical(&t, &reference);
     }
 
     #[test]
@@ -1779,14 +1633,18 @@ mod tests {
         let mut s = incremental(&t, 1);
         assert!(s.step().unwrap());
         t.insert_row(&[111, 222]).unwrap();
-        s.abort();
+        drop(s);
         assert_eq!(t.row_count(), 501);
         assert_eq!(t.row(500), vec![111, 222]);
         for r in (0..500).step_by(43) {
             assert_eq!(t.row(r), vec![r as u64 * 10, r as u64 * 10 + 1]);
         }
-        t.merge(2, None).unwrap();
+        t.merge(2).unwrap();
         assert_eq!(t.main_len(), 501);
+        let reference = table_with_rows(2, 500);
+        reference.insert_row(&[111, 222]).unwrap();
+        reference.merge(2).unwrap();
+        assert_bytes_identical(&t, &reference);
     }
 
     #[test]
@@ -1796,7 +1654,7 @@ mod tests {
         s.step().unwrap();
         // A full merge from another thread must wait for the session.
         let t2 = std::sync::Arc::clone(&t);
-        let h = std::thread::spawn(move || t2.merge(1, None).map(|s| s.columns.len()));
+        let h = std::thread::spawn(move || t2.merge(1).map(|s| s.columns.len()));
         std::thread::sleep(Duration::from_millis(50));
         assert!(
             !h.is_finished(),
@@ -1830,7 +1688,7 @@ mod tests {
         );
         // Custom-policy arithmetic that inf would poison stays sane.
         assert!((f * 0.5).is_finite());
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         assert_eq!(t.delta_fraction(), 0.0);
     }
 
@@ -1849,7 +1707,7 @@ mod tests {
             assert_eq!(a.row(r), b.row(r));
         }
         // Batches interleave with merges and single inserts coherently.
-        a.merge(2, None).unwrap();
+        a.merge(2).unwrap();
         let range = a.insert_rows(&rows[..7]).unwrap();
         assert_eq!(range, 100..107);
         assert_eq!(a.row(100), rows[0]);
@@ -1859,7 +1717,7 @@ mod tests {
     #[test]
     fn snapshot_is_a_stable_point_in_time_view() {
         let t = table_with_rows(2, 300);
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         for i in 0..50u64 {
             t.insert_row(&[9_000 + i, 9_100 + i]).unwrap();
         }
@@ -1889,7 +1747,7 @@ mod tests {
         // published generation — same partition pointers, same epoch, no
         // active-delta copy.
         let t = table_with_rows(2, 1_000);
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         t.insert_row(&[5, 6]).unwrap();
         let a = t.snapshot();
         let b = t.snapshot();
@@ -1905,7 +1763,7 @@ mod tests {
             assert!(Arc::ptr_eq(&a.cols[c].tail, &b.cols[c].tail));
         }
         // A merge publishes a new generation: the epoch moves on.
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         let c = t.snapshot();
         assert!(c.epoch() > a.epoch());
         assert!(!Arc::ptr_eq(&a.cols[0].main, &c.cols[0].main));
@@ -1916,12 +1774,12 @@ mod tests {
         // Take snapshots while a merge is in flight: rows must be readable
         // from all regions.
         let t = std::sync::Arc::new(table_with_rows(1, 4_000));
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         for i in 0..400u64 {
             t.insert_row(&[50_000 + i]).unwrap();
         }
         let t2 = std::sync::Arc::clone(&t);
-        let h = std::thread::spawn(move || t2.merge(1, None).unwrap());
+        let h = std::thread::spawn(move || t2.merge(1).unwrap());
         let snap = t.snapshot();
         assert_eq!(snap.row_count(), 4_400);
         for r in (0..4_000).step_by(611) {
@@ -1944,7 +1802,7 @@ mod tests {
         // layout by merging from another thread while reading.
         let t = std::sync::Arc::new(table_with_rows(1, 5_000));
         let t2 = std::sync::Arc::clone(&t);
-        let h = std::thread::spawn(move || t2.merge(1, None).unwrap());
+        let h = std::thread::spawn(move || t2.merge(1).unwrap());
         for r in (0..5_000).step_by(97) {
             assert_eq!(t.get(0, r), r as u64 * 10);
         }

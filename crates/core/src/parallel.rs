@@ -364,7 +364,7 @@ mod tests {
             t.insert_row(&[i % 40, i % 7]).unwrap();
         }
         assert_eq!(t.delta_len(), 500);
-        let stats = t.merge(4, None).unwrap();
+        let stats = t.merge(4).unwrap();
         assert_eq!(t.delta_len(), 0);
         assert_eq!(t.main_len(), 500);
         assert_eq!(t.row_count(), 500);
@@ -380,7 +380,7 @@ mod tests {
         let r0 = t.insert_row(&[1]).unwrap();
         let r1 = t.insert_row(&[2]).unwrap();
         t.delete_row(r0).unwrap();
-        t.merge(2, None).unwrap();
+        t.merge(2).unwrap();
         assert!(!t.is_valid(r0));
         assert!(t.is_valid(r1));
         assert_eq!(t.row(r0), vec![1], "history survives merge");
@@ -397,7 +397,7 @@ mod tests {
                 t.insert_row(&[v]).unwrap();
                 expected.push(v);
             }
-            t.merge(3, None).unwrap();
+            t.merge(3).unwrap();
             assert_eq!(t.delta_len(), 0);
             let got: Vec<u64> = (0..t.row_count()).map(|r| t.get(0, r)).collect();
             assert_eq!(got, expected, "after wave {wave}");

@@ -137,8 +137,8 @@ impl std::fmt::Display for MergeStrategy {
 /// [`crate::manager::MergeSession::step`] each), so at most the largest
 /// `K`-column working set exists in addition to the live table. Results
 /// are byte-identical either way; the trade is commit granularity on
-/// cancellation (columns committed before a cancel stay merged — every
-/// column individually contains all rows, so the table stays consistent).
+/// failure (columns committed before a failure stay merged — every column
+/// individually contains all rows, so the table stays consistent).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MergeBudget {
     columns: usize,
@@ -146,7 +146,7 @@ pub struct MergeBudget {
 
 impl MergeBudget {
     /// No cap: merge all columns, then commit once (all-or-nothing under
-    /// cancellation). The default.
+    /// failure). The default.
     pub const UNBOUNDED: MergeBudget = MergeBudget {
         columns: usize::MAX,
     };
@@ -1316,7 +1316,7 @@ mod tests {
         for i in 0..3_000u64 {
             t.insert_row(&[i + 20_000, 7 + i % 2 * 35]).unwrap();
         }
-        t.merge(2, None).unwrap();
+        t.merge(2).unwrap();
         let snap = t.snapshot();
         for c in 0..2 {
             let main = snap.col(c).main();

@@ -510,9 +510,7 @@ mod tests {
             })
             .collect();
         pool.run_indexed(n, n, &|i| {
-            tables[i]
-                .merge_with(MergeGrant::with_threads(4), None)
-                .unwrap();
+            tables[i].merge_with(MergeGrant::with_threads(4)).unwrap();
         });
         for t in &tables {
             assert_eq!((t.main_len(), t.delta_len()), (rows.len(), 0));

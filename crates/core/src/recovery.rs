@@ -21,8 +21,8 @@
 //! tolerates a torn final record; validity flips are row-addressed and
 //! idempotent, so they apply last, in log order. A freeze's synced seal
 //! is the merge's durable begin, so sealed rows beyond the checkpoint are
-//! always merged forward — whether the merge was killed mid-way, rolled
-//! back before the crash or never got past its freeze. The result is the
+//! always merged forward — whether the merge was killed mid-way, failed or
+//! was dropped before the crash, or never got past its freeze. The result is the
 //! same bytes in every case: merge output depends only on the row value
 //! sequence, which is also why a column file of the right generation can
 //! be committed without a log to vouch for it.
@@ -178,8 +178,10 @@ fn recover_shard<V: Value>(dir: &Path, n_cols: usize, fsync: bool) -> Result<Onl
 
     // Re-attach the log (continuing the live segment truncated to its
     // clean prefix, or opening a fresh one when the crash landed between
-    // a seal and the next segment's creation), then merge the sealed rows,
-    // committing every column file the crashed merge already wrote.
+    // a seal and the next segment's creation), then resume the merge of
+    // the sealed rows, committing every column file the crashed merge
+    // already wrote — completed steps are not redone, and the output is
+    // byte-identical to the merge the crash interrupted.
     table.set_wal(Some(Wal::attach(dir, fsync, live_base, live_clean_len)?));
 
     if sealed_rows > 0 {
@@ -187,9 +189,9 @@ fn recover_shard<V: Value>(dir: &Path, n_cols: usize, fsync: bool) -> Result<Onl
             .filter(|&c| wal::column_exists(dir, c, live_base))
             .map(|c| Ok((c, wal::read_column::<V>(dir, c, live_base)?)))
             .collect::<Result<_>>()?;
-        table
-            .resume_merge(MergePolicy::default().grant(), loaded)
-            .finish()?;
+        let mut session = table.begin_merge(MergePolicy::default().grant())?;
+        session.commit(loaded);
+        session.finish()?;
     }
     Ok(table)
 }
@@ -267,7 +269,6 @@ mod tests {
     use crate::shard::ShardedTable;
     use hyrise_storage::FrozenDelta;
     use std::path::PathBuf;
-    use std::sync::atomic::AtomicBool;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -293,7 +294,7 @@ mod tests {
     fn merged_reference(data: &[Vec<u64>]) -> OnlineTable<u64> {
         let t = OnlineTable::<u64>::new(2);
         t.insert_rows(data).unwrap();
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         t
     }
 
@@ -382,8 +383,8 @@ mod tests {
     }
 
     /// A durable session's steps are the resumable steps: kill the process
-    /// (here: forget the session so its rollback never runs, then drop the
-    /// table) after the first step of a one-column-per-step session, and
+    /// (here: drop the session, then the table) after the first step of a
+    /// one-column-per-step session, and
     /// recovery resumes from the written column and finishes the merge
     /// byte-identically to an uninterrupted one.
     #[test]
@@ -396,7 +397,6 @@ mod tests {
             let grant = MergeGrant::with_threads(1).budget(MergeBudget::columns(1));
             let mut session = t.begin_merge(grant).unwrap();
             assert!(session.step().unwrap());
-            std::mem::forget(session);
         }
         assert!(wal::column_exists(&dir, 0, 300), "step 1 wrote column 0");
         assert!(!wal::column_exists(&dir, 1, 300));
@@ -470,12 +470,11 @@ mod tests {
         {
             let t = durable_table(&dir);
             t.insert_rows(&data[..200]).unwrap();
-            t.merge(1, None).unwrap();
+            t.merge(1).unwrap();
             t.insert_rows(&data[200..]).unwrap();
             let grant = MergeGrant::with_threads(1).budget(MergeBudget::columns(1));
             let mut session = t.begin_merge(grant).unwrap();
             while session.step().unwrap() {}
-            std::mem::forget(session);
         }
         let names = listing(&dir);
         for gen in [200usize, 500] {
@@ -502,7 +501,7 @@ mod tests {
         {
             let t = durable_table(&dir);
             t.insert_rows(&data[..200]).unwrap();
-            t.merge(1, None).unwrap();
+            t.merge(1).unwrap();
         }
         let stale = dir.join(format!("col-0-{:016x}.bin", 7));
         let tmp = dir.join("checkpoint.bin.tmp");
@@ -512,14 +511,14 @@ mod tests {
         assert_eq!(back.main_len(), 200);
         assert!(stale.exists() && tmp.exists(), "recovery leaves them alone");
         back.insert_rows(&data[200..]).unwrap();
-        back.merge(1, None).unwrap();
+        back.merge(1).unwrap();
         assert_eq!(listing(&dir), one_generation(300, 300));
         drop(back);
         assert_mains_identical(&reopen(&dir).unwrap(), &merged_reference(&data));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A merge cancelled before the crash left its rows sealed but
+    /// A merge dropped before its first step left its rows sealed but
     /// unmerged: recovery merges them forward.
     #[test]
     fn cancelled_durable_merge_is_finished_by_recovery() {
@@ -528,12 +527,9 @@ mod tests {
         {
             let t = durable_table(&dir);
             t.insert_rows(&data).unwrap();
-            let cancel = AtomicBool::new(true);
-            assert!(matches!(
-                t.merge_with(MergeGrant::with_threads(1), Some(&cancel)),
-                Err(Error::Cancelled)
-            ));
-            assert_eq!(t.main_len(), 0, "rolled back to pending");
+            drop(t.begin_merge(MergeGrant::with_threads(1)).unwrap());
+            assert_eq!(t.main_len(), 0, "the rows stay frozen");
+            assert_eq!(wal::list_segments(&dir).unwrap(), vec![0, 100]);
         }
         let back = reopen(&dir).unwrap();
         assert_eq!(back.row_count(), 100);
@@ -552,9 +548,9 @@ mod tests {
         let data = rows(300);
         let t = durable_table(&dir);
         t.insert_rows(&data).unwrap();
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         t.delete_row(17).unwrap();
-        t.merge_with(MergeGrant::with_threads(1), None).unwrap();
+        t.merge_with(MergeGrant::with_threads(1)).unwrap();
         assert_eq!(listing(&dir), one_generation(300, 300));
         let ckpt = wal::read_checkpoint::<u64>(&dir)
             .unwrap()
@@ -577,15 +573,120 @@ mod tests {
         let data: Vec<Vec<u64>> = (0..257u64).map(|i| vec![i, i % 3]).collect();
         let t = durable_table(&dir);
         t.insert_rows(&data[..256]).unwrap();
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         assert_eq!(t.snapshot().col(0).main().packed_codes().bits(), 8);
         t.insert_rows(&data[256..]).unwrap();
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         drop(t);
         let back = reopen(&dir).unwrap();
         assert_eq!(back.snapshot().col(0).main().packed_codes().bits(), 9);
         assert_mains_identical(&back, &merged_reference(&data));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A freeze whose WAL rotation cannot create the next segment leaves
+    /// the live segment unsealed: the rows written after the failure land
+    /// in it, the table reopens with every row, and the next merge leaves
+    /// one generation.
+    #[test]
+    fn failed_rotation_keeps_the_table_recoverable() {
+        let dir = temp_dir("rotation");
+        let data = rows(105);
+        {
+            let t = durable_table(&dir);
+            t.insert_rows(&data[..100]).unwrap();
+            let blocker = dir.join(format!("seg-{:016x}.wal", 100));
+            std::fs::create_dir(&blocker).unwrap();
+            assert!(matches!(t.merge(1), Err(Error::Io { .. })));
+            std::fs::remove_dir(&blocker).unwrap();
+            t.insert_rows(&data[100..]).unwrap();
+        }
+        let back = reopen(&dir).unwrap();
+        assert_eq!(back.row_count(), 105);
+        assert_eq!(back.row(104), data[104]);
+        back.merge(1).unwrap();
+        assert_eq!(listing(&dir), one_generation(105, 105));
+        assert_mains_identical(&back, &merged_reference(&data));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// After a failed rotation the next merge resumes the frozen rows but
+    /// writes no manifest and truncates no segment: the live segment
+    /// still begins below them and takes appends. The merge call goes on
+    /// to a fresh freeze, whose rotation seals that segment and whose
+    /// finish leaves one generation.
+    #[test]
+    fn merge_resumed_after_a_failed_rotation_keeps_the_live_segment() {
+        let dir = temp_dir("rotation-resume");
+        let data = rows(105);
+        let t = durable_table(&dir);
+        t.insert_rows(&data[..100]).unwrap();
+        let blocker = dir.join(format!("seg-{:016x}.wal", 100));
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(t.merge(1).is_err());
+        std::fs::remove_dir(&blocker).unwrap();
+        t.insert_rows(&data[100..]).unwrap();
+        t.begin_merge(MergeGrant::with_threads(1))
+            .unwrap()
+            .finish()
+            .unwrap();
+        assert_eq!(t.main_len(), 100, "the frozen rows merged");
+        assert!(wal::read_checkpoint::<u64>(&dir).unwrap().is_none());
+        assert_eq!(wal::list_segments(&dir).unwrap(), vec![0]);
+        // A crash here recovers every row from the live segment.
+        let crashed = temp_dir("rotation-resume-crashed");
+        std::fs::create_dir(&crashed).unwrap();
+        for name in listing(&dir) {
+            std::fs::copy(dir.join(&name), crashed.join(&name)).unwrap();
+        }
+        assert_eq!(reopen(&crashed).unwrap().row_count(), 105);
+        let _ = std::fs::remove_dir_all(&crashed);
+        t.merge(1).unwrap();
+        assert_eq!(listing(&dir), one_generation(105, 105));
+        drop(t);
+        assert_mains_identical(&reopen(&dir).unwrap(), &merged_reference(&data));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A scheduled merge whose column write fails is counted, leaves its
+    /// delta frozen, and the merge the next write queues finishes it to
+    /// the bytes of an uninterrupted merge.
+    #[test]
+    fn scheduled_merge_counts_a_failed_write_and_resumes_it() {
+        use crate::manager::MergePolicy;
+        use crate::scheduler::MergeScheduler;
+        use std::time::{Duration, Instant};
+        let wait_for = |done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        let root = temp_dir("scheduled");
+        let data = rows(301);
+        let t = durable_root(&root);
+        t.insert_rows(&data[..300]).unwrap();
+        let blocker = wal::shard_dir(&root, 0).join(format!("col-1-{:016x}.bin", 300));
+        std::fs::create_dir(&blocker).unwrap();
+        let policy = MergePolicy {
+            delta_fraction: 0.01,
+            threads: 1,
+            ..MergePolicy::default()
+        };
+        let sched = MergeScheduler::spawn(t.shards().to_vec(), policy);
+        wait_for(&|| sched.stats().failed_merges > 0);
+        assert_eq!(sched.stats().failed_merges, 1);
+        assert_eq!(sched.stats().merges, 0);
+        assert_eq!(t.shard(0).main_len(), 0, "the delta stays frozen");
+        std::fs::remove_dir(&blocker).unwrap();
+        t.insert_rows(&data[300..]).unwrap();
+        wait_for(&|| t.delta_len() == 0);
+        sched.shutdown();
+        assert_eq!(sched.stats().merges, 1);
+        assert_eq!(t.shard(0).main_len(), 301);
+        assert_mains_identical(t.shard(0), &merged_reference(&data));
+        assert_eq!(listing(&wal::shard_dir(&root, 0)), one_generation(301, 301));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A durable one-shard table of `u64` values under `root`.

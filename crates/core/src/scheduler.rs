@@ -80,6 +80,10 @@ impl SourceMergeStats {
 pub struct SchedulerStats {
     /// Merges completed across all sources.
     pub merges: u64,
+    /// Merges that returned an error (a failed WAL rotation or column
+    /// write, say). Their uncommitted columns stay frozen, and the table's
+    /// next merge resumes them.
+    pub failed_merges: u64,
     /// Tuples moved from delta partitions into main partitions, across all
     /// sources and columns.
     pub tuples_merged: u64,
@@ -215,6 +219,8 @@ struct Shared<V: Value> {
     sources: Vec<Source<V>>,
     policy: MergePolicy,
     grants: GrantTrace,
+    /// Merges that returned an error.
+    failed: AtomicU64,
     paused: AtomicBool,
     /// Set by shutdown under the write guard. Every merge runs under the
     /// read guard, so shutdown waits out a merge in flight and no merge
@@ -270,7 +276,8 @@ impl<V: Value> Shared<V> {
     /// Merge thread, under the `stopped` read guard: merge due source `i`
     /// under the grant the policy states for the adopter's memory now,
     /// then re-check it. A paused or failed source leaves the queue
-    /// without a re-check: `resume`, or the next write, tries again.
+    /// without a re-check: `resume`, or the next write, tries again — a
+    /// failed merge is counted, and the retry resumes its frozen columns.
     fn merge(self: &Arc<Self>, i: usize) {
         let s = &self.sources[i];
         let merged = !self.paused.load(Ordering::Relaxed) && {
@@ -287,13 +294,16 @@ impl<V: Value> Shared<V> {
                 pressured,
                 delta_fraction: s.table.delta_fraction(),
             });
-            match s.table.merge_with(grant, None) {
+            match s.table.merge_with(grant) {
                 Ok(stats) => {
                     s.stats.lock().record(&stats);
                     *s.since.lock() = (Instant::now(), self.inserted_rows());
                     true
                 }
-                Err(_) => false,
+                Err(_) => {
+                    self.failed.fetch_add(1, Ordering::Relaxed);
+                    false
+                }
             }
         };
         s.due.store(false, Ordering::Relaxed);
@@ -397,6 +407,7 @@ impl<V: Value> MergeScheduler<V> {
                 .collect(),
             policy,
             grants: GrantTrace::default(),
+            failed: AtomicU64::new(0),
             paused: AtomicBool::new(false),
             stopped: Arc::new(RwLock::new(false)),
         });
@@ -447,6 +458,7 @@ impl<V: Value> MergeScheduler<V> {
             .collect();
         SchedulerStats {
             merges: per_source.iter().map(|s| s.merges).sum(),
+            failed_merges: self.shared.failed.load(Ordering::Relaxed),
             tuples_merged: per_source.iter().map(|s| s.tuples_merged).sum(),
             merge_micros: per_source.iter().map(|s| s.merge_micros).sum(),
             per_source,

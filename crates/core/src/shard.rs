@@ -392,14 +392,14 @@ impl<V: Value> ShardedTable<V> {
     /// As [`Self::merge_all`] with an explicit [`MergeGrant`] — strategy
     /// and [`crate::pipeline::MergeBudget`] apply per shard, so a budget of
     /// `K` columns caps every shard merge's peak extra memory. The first
-    /// shard merge to fail aborts the sweep (each shard merge is
-    /// individually atomic, so earlier shards stay merged and the failing
-    /// shard rolled back).
+    /// shard merge to fail ends the sweep: earlier shards stay merged, and
+    /// the failing shard keeps its uncommitted columns frozen for its next
+    /// merge to resume.
     pub fn merge_all_with(&self, grant: MergeGrant) -> Result<Vec<TableMergeStats>> {
         self.shards
             .iter()
             .filter(|s| s.delta_len() > 0)
-            .map(|s| s.merge_with(grant, None))
+            .map(|s| s.merge_with(grant))
             .collect()
     }
 }

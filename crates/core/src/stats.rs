@@ -214,6 +214,17 @@ pub struct TableMergeStats {
 }
 
 impl TableMergeStats {
+    /// Fold a later session of the same merge call into these stats:
+    /// columns appended, wall times summed, peaks kept.
+    pub(crate) fn absorb(&mut self, later: TableMergeStats) {
+        self.columns.extend(later.columns);
+        self.t_wall += later.t_wall;
+        self.peak_columns_in_flight = self
+            .peak_columns_in_flight
+            .max(later.peak_columns_in_flight);
+        self.peak_extra_bytes = self.peak_extra_bytes.max(later.peak_extra_bytes);
+    }
+
     /// Per-stage times summed over all merged columns.
     pub fn stage_timings(&self) -> StageTimings {
         let mut t = StageTimings::default();

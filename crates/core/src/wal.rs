@@ -39,7 +39,7 @@ use hyrise_bitpack::BitPackedVec;
 use hyrise_storage::{Dictionary, MainPartition, ValidityBitmap, Value};
 use parking_lot::Mutex;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -496,7 +496,6 @@ impl<V: Value> Wal<V> {
             .map_err(io("open wal segment"))?;
         file.set_len(clean_len)
             .map_err(io("truncate torn wal suffix"))?;
-        use std::io::Seek;
         let mut file = file;
         file.seek(std::io::SeekFrom::End(0))
             .map_err(io("seek wal segment"))?;
@@ -570,33 +569,51 @@ impl<V: Value> Wal<V> {
         })
     }
 
+    /// First global row id of the live segment.
+    pub(crate) fn live_base(&self) -> usize {
+        self.writer.lock().base
+    }
+
     /// Seal the live segment (terminal record, synced regardless of
     /// policy — a segment boundary is a commit point) and rotate to a
     /// fresh segment whose first row is `new_base`. Called by the merge
-    /// freeze after the tail's final row count is known.
+    /// freeze after the tail's final row count is known. The fresh segment
+    /// is created before the seal is written, and removed again when the
+    /// seal fails (the live segment cut back to its unsealed length), so an
+    /// error leaves the live segment unsealed and taking appends.
     pub(crate) fn seal_and_rotate(&self, new_base: usize) -> Result<()> {
         let mut w = self.writer.lock();
         if w.base == new_base {
-            // The tail sealed at zero rows (a merge of pending-only rows
-            // after a cancellation, or of an empty delta): the live
-            // segment holds no insert records, stays live, and rotating
-            // it onto itself would clobber the file.
+            // The tail sealed at zero rows (a merge of an empty delta): the
+            // live segment holds no insert records, stays live, and
+            // rotating it onto itself would clobber the file.
             return Ok(());
         }
+        let len = w.file.stream_position().map_err(io("seal wal segment"))?;
+        let next_path = segment_path(&self.dir, new_base);
+        let next = OpenOptions::new()
+            .create_new(true)
+            .write(true)
+            .open(&next_path)
+            .map_err(io("create wal segment"))?;
         let mut framed = std::mem::take(&mut w.buf);
         framed.clear();
         frame_into(&mut framed, &[REC_SEAL]);
-        w.file.write_all(&framed).map_err(io("seal wal segment"))?;
-        w.file.sync_data().map_err(io("sync sealed wal segment"))?;
-        let file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(segment_path(&self.dir, new_base))
-            .map_err(io("create wal segment"))?;
-        sync_dir(&self.dir);
-        w.file = file;
-        w.base = new_base;
+        let sealed = w.file.write_all(&framed).and_then(|()| w.file.sync_data());
         w.buf = framed;
+        if let Err(e) = sealed {
+            // Cut a partial seal back off (best-effort: a seal left behind
+            // would end the segment under the next append) and drop the
+            // segment that was to follow it.
+            let _ = w.file.set_len(len);
+            let _ = w.file.seek(std::io::SeekFrom::Start(len));
+            drop(next);
+            let _ = fs::remove_file(&next_path);
+            return Err(Error::io("seal wal segment", e));
+        }
+        sync_dir(&self.dir);
+        w.file = next;
+        w.base = new_base;
         Ok(())
     }
 

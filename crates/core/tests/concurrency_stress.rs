@@ -60,7 +60,7 @@ fn single_table_snapshots_stay_batch_atomic_under_contention() {
         let (table, stop) = (&table, &stop);
         s.spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                let _ = table.merge(2, None);
+                let _ = table.merge(2);
                 std::thread::yield_now();
             }
         });

@@ -83,7 +83,7 @@ proptest! {
                 let done = &done;
                 s.spawn(move || {
                     while !done.load(Ordering::Relaxed) {
-                        let _ = table.merge(1, None);
+                        let _ = table.merge(1);
                         std::thread::yield_now();
                     }
                 });

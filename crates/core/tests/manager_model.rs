@@ -1,10 +1,10 @@
 //! Model-based testing of [`OnlineTable`]: an arbitrary interleaving of
 //! inserts, updates, deletes, full merges, incremental merge steps and
-//! cancelled merges must behave exactly like a plain vector-of-rows model.
+//! interrupted merges must behave exactly like a plain vector-of-rows
+//! model.
 
 use hyrise_core::{MergeBudget, MergeGrant, OnlineTable};
 use proptest::prelude::*;
-use std::sync::atomic::AtomicBool;
 
 const COLS: usize = 3;
 
@@ -14,9 +14,8 @@ enum Op {
     Update { row_choice: u16, seed: u64 },
     Delete { row_choice: u16 },
     Merge,
-    CancelledMerge,
     IncrementalSteps(u8),
-    AbortedIncremental(u8),
+    DroppedSession(u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -25,9 +24,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => (any::<u16>(), any::<u64>()).prop_map(|(row_choice, seed)| Op::Update { row_choice, seed }),
         2 => any::<u16>().prop_map(|row_choice| Op::Delete { row_choice }),
         1 => Just(Op::Merge),
-        1 => Just(Op::CancelledMerge),
         1 => (0u8..5).prop_map(Op::IncrementalSteps),
-        1 => (0u8..5).prop_map(Op::AbortedIncremental),
+        2 => (0u8..5).prop_map(Op::DroppedSession),
     ]
 }
 
@@ -83,26 +81,24 @@ proptest! {
                     model.valid[victim] = false;
                 }
                 Op::Merge => {
-                    table.merge(2, None).unwrap();
+                    table.merge(2).unwrap();
                     prop_assert_eq!(table.delta_len(), 0);
-                }
-                Op::CancelledMerge => {
-                    let cancel = AtomicBool::new(true);
-                    let _ = table.merge(2, Some(&cancel));
                 }
                 Op::IncrementalSteps(n) => {
                     let mut s = table.begin_merge(incremental()).unwrap();
                     for _ in 0..n {
                         if !s.step().unwrap() { break; }
                     }
-                    // dropped here: unmerged columns roll back
+                    // Paused after n steps, then resumed to the end.
+                    s.finish().unwrap();
                 }
-                Op::AbortedIncremental(n) => {
+                Op::DroppedSession(k) => {
                     let mut s = table.begin_merge(incremental()).unwrap();
-                    for _ in 0..n {
+                    for _ in 0..k {
                         if !s.step().unwrap() { break; }
                     }
-                    s.abort();
+                    // Dropped here: unmerged columns stay frozen, and the
+                    // next session resumes them.
                 }
             }
             // Full-state check after every operation.

@@ -159,11 +159,11 @@ fn warmed_scratch_merges_without_buffer_allocations() {
     for i in 0..50_000u64 {
         table.insert_row(&[i % 10_000, (i * 7) % 5_000]).unwrap();
     }
-    table.merge(1, None).unwrap();
-    table.merge(1, None).unwrap(); // warm the pool with recycled buffers
+    table.merge(1).unwrap();
+    table.merge(1).unwrap(); // warm the pool with recycled buffers
     let (_, counts) = counted(|| {
         for _ in 0..3 {
-            table.merge_with(MergeGrant::with_threads(1), None).unwrap();
+            table.merge_with(MergeGrant::with_threads(1)).unwrap();
         }
     });
     assert_eq!(
@@ -198,7 +198,7 @@ fn warmed_scratch_merges_without_buffer_allocations() {
         std::thread::scope(|s| {
             for shard in sharded.shards() {
                 s.spawn(|| {
-                    shard.merge_with(grant, None).unwrap();
+                    shard.merge_with(grant).unwrap();
                 });
             }
         });
@@ -259,15 +259,14 @@ fn warmed_scratch_merges_without_buffer_allocations() {
         next_key += n;
     };
     append(50_000);
-    keys.merge(1, None).unwrap();
+    keys.merge(1).unwrap();
     for _ in 0..3 {
         append(500);
-        keys.merge(1, None).unwrap();
+        keys.merge(1).unwrap();
     }
     for _ in 0..3 {
         append(100);
-        let (stats, counts) =
-            counted(|| keys.merge_with(MergeGrant::with_threads(1), None).unwrap());
+        let (stats, counts) = counted(|| keys.merge_with(MergeGrant::with_threads(1)).unwrap());
         for c in &stats.columns {
             assert!(c.rows_copied > 0, "the merge takes the copy path: {c:?}");
         }

@@ -184,7 +184,7 @@ proptest! {
                 }
                 Op::Merge => {
                     for (t, g) in tables.iter().zip(&grants) {
-                        t.merge_with(*g, None).unwrap();
+                        t.merge_with(*g).unwrap();
                     }
                     step_merge();
                 }
@@ -192,7 +192,7 @@ proptest! {
         }
         // Quiesce every config, then compare byte-for-byte.
         for (t, g) in tables.iter().zip(&grants) {
-            t.merge_with(*g, None).unwrap();
+            t.merge_with(*g).unwrap();
             prop_assert_eq!(t.delta_len(), 0);
         }
         step_merge();
@@ -267,7 +267,7 @@ proptest! {
                     // Merge the same shard in every config.
                     let s = (a as usize) % shards;
                     for (t, g) in tables.iter().zip(&grants) {
-                        let _ = t.shard(s).merge_with(*g, None);
+                        let _ = t.shard(s).merge_with(*g);
                     }
                 }
             }
@@ -361,18 +361,18 @@ proptest! {
                     governed.delete_row(i).unwrap();
                 }
                 Op::Merge => {
-                    reference.merge_with(reference_grant, None).unwrap();
+                    reference.merge_with(reference_grant).unwrap();
                     // Merge unconditionally (selection gates *when*, the
                     // property is about *what* the grant produces) with
                     // whatever grant the policy states for the live memory.
                     let (grant, _) = policy.grant_at(governed.memory_report().total());
-                    governed.merge_with(grant, None).unwrap();
+                    governed.merge_with(grant).unwrap();
                 }
             }
         }
-        reference.merge_with(reference_grant, None).unwrap();
+        reference.merge_with(reference_grant).unwrap();
         let (final_grant, _) = policy.grant_at(governed.memory_report().total());
-        governed.merge_with(final_grant, None).unwrap();
+        governed.merge_with(final_grant).unwrap();
         prop_assert_eq!(governed.delta_len(), 0);
         assert_tables_identical(
             &reference,

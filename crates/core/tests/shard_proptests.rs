@@ -86,9 +86,9 @@ fn apply_all(
             }
             Op::Merge { shard, single_too } => {
                 let s = (shard as usize) % sharded.num_shards();
-                let _ = sharded.shard(s).merge(1, None);
+                let _ = sharded.shard(s).merge(1);
                 if single_too {
-                    let _ = single.merge(1, None);
+                    let _ = single.merge(1);
                 }
             }
         }
@@ -173,7 +173,7 @@ proptest! {
 
         // Quiescing both sides afterwards must change nothing visible.
         sharded.merge_all(1).unwrap();
-        let _ = single.merge(1, None);
+        let _ = single.merge(1);
         assert_equivalent(&sharded, &single, &sharded_ids, &single_ids);
         prop_assert_eq!(sharded.delta_len(), 0);
     }

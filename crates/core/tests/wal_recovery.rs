@@ -106,8 +106,8 @@ fn recover_replays_inserts_deletes_and_merges() {
             t.delete_row(r).unwrap();
             model.delete_row(r).unwrap();
         }
-        t.merge(1, None).unwrap();
-        model.merge(1, None).unwrap();
+        t.merge(1).unwrap();
+        model.merge(1).unwrap();
         let tail: Vec<Vec<u64>> = (9_000..9_123u64).map(row).collect();
         t.insert_rows(&tail).unwrap();
         model.insert_rows(&tail).unwrap();
@@ -145,8 +145,8 @@ fn recovered_table_keeps_accepting_writes_and_recovering() {
         let more: Vec<Vec<u64>> = (100..180u64).map(row).collect();
         t.insert_rows(&more).unwrap();
         model.insert_rows(&more).unwrap();
-        t.merge(1, None).unwrap();
-        model.merge(1, None).unwrap();
+        t.merge(1).unwrap();
+        model.merge(1).unwrap();
     }
     let back = recover_sharded::<u64>(scratch.path()).unwrap();
     assert_state_identical(back.shard(0), &model);
@@ -352,8 +352,8 @@ proptest! {
                     }
                     Op::Merge => {
                         if t.delta_len() > 0 {
-                            t.merge(1, None).unwrap();
-                            model.merge(1, None).unwrap();
+                            t.merge(1).unwrap();
+                            model.merge(1).unwrap();
                         }
                     }
                 }

@@ -4,7 +4,7 @@
 //!
 //! Every backend reduces its columns to the same physical shape — a
 //! dictionary-compressed main partition plus a short row-ordered list of
-//! [`TailRegion`]s (bit-packed frozen/pending deltas, raw append-only tail
+//! [`TailRegion`]s (a bit-packed frozen delta, raw append-only tail
 //! chunks) — and runs one engine over it:
 //!
 //! 0. **Zone maps prune main first.** Before any kernel runs, each
@@ -171,9 +171,9 @@ pub trait Executor<V> {
 }
 
 /// One column reduced to the engine's physical shape: a compressed main
-/// partition plus tail regions in row order (the bit-packed frozen and
-/// pending deltas, then the append-only tail's raw chunks; absent regions
-/// contribute nothing).
+/// partition plus tail regions in row order (the bit-packed frozen delta,
+/// then the append-only tail's raw chunks; absent regions contribute
+/// nothing).
 struct ColView<'a, V: Value> {
     main: &'a MainPartition<V>,
     tails: Vec<TailRegion<'a, V>>,

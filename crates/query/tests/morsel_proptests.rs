@@ -60,11 +60,9 @@ fn apply_all(single: &OnlineTable<u64>, sharded: &ShardedTable<u64>, ops: &[(u8,
                 }
             }
             _ => {
-                let _ = sharded
-                    .shard(a as usize % sharded.num_shards())
-                    .merge(1, None);
+                let _ = sharded.shard(a as usize % sharded.num_shards()).merge(1);
                 if b.is_multiple_of(2) {
-                    let _ = single.merge(1, None);
+                    let _ = single.merge(1);
                 }
             }
         }
@@ -168,7 +166,7 @@ fn large_scans_split_into_many_morsels_and_stay_identical() {
     for r in &rows {
         t.insert_row(r).unwrap();
     }
-    let _ = t.merge(1, None);
+    let _ = t.merge(1);
     // Tail past the merged main, plus validity holes.
     for r in rows.iter().take(3000) {
         t.insert_row(r).unwrap();
@@ -262,7 +260,7 @@ fn check_key_layouts() {
             })
             .collect();
         t.insert_rows(&main).unwrap();
-        t.merge(1, None).unwrap();
+        t.merge(1).unwrap();
         t.insert_rows(&main[..2_000]).unwrap();
         for i in (0..LAYOUT_ROWS as usize).step_by(97) {
             t.delete_row(i).unwrap();

@@ -116,9 +116,9 @@ fn apply_all(
             Op::Merge { shard, single_too } => {
                 let _ = sharded
                     .shard((shard as usize) % sharded.num_shards())
-                    .merge(1, None);
+                    .merge(1);
                 if single_too {
-                    let _ = single.merge(1, None);
+                    let _ = single.merge(1);
                 }
             }
         }
@@ -356,7 +356,7 @@ fn sum_of_values_near_u64_max_is_exact() {
     for i in 0..300u64 {
         t.insert_row(&[i % 7, big(i)]).unwrap();
     }
-    t.merge(1, None).unwrap();
+    t.merge(1).unwrap();
     for i in 300..340u64 {
         t.insert_row(&[i % 7, big(i)]).unwrap();
     }
@@ -398,7 +398,7 @@ fn empty_and_fully_deleted_tables_aggregate_to_nothing() {
         deleted_main.insert_row(&[i % 9, i]).unwrap();
         deleted_tail.insert_row(&[i % 9, i]).unwrap();
     }
-    deleted_main.merge(1, None).unwrap();
+    deleted_main.merge(1).unwrap();
     for i in 0..130 {
         deleted_main.delete_row(i).unwrap();
         deleted_tail.delete_row(i).unwrap();

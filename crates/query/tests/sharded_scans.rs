@@ -45,8 +45,8 @@ fn sharded_scan_eq_matches_brute_force_across_merge_states() {
         assert_eq!(scan_eq(&t, 0, probe), brute_eq(&t, 0, probe));
     }
     // Merge two shards only: scans must span main, frozen and active.
-    t.shard(0).merge(1, None).unwrap();
-    t.shard(2).merge(1, None).unwrap();
+    t.shard(0).merge(1).unwrap();
+    t.shard(2).merge(1).unwrap();
     t.insert_rows(
         &(0..100u64)
             .map(|i| vec![i % 50, (i % 50) * 3])
@@ -67,7 +67,7 @@ fn sharded_scan_eq_matches_brute_force_across_merge_states() {
 #[test]
 fn sharded_scan_range_matches_brute_force() {
     let t = table(300);
-    t.shard(1).merge(1, None).unwrap();
+    t.shard(1).merge(1).unwrap();
     for (lo, hi) in [(0u64, 10u64), (25, 49), (40, 200), (60, 80)] {
         let got: std::collections::BTreeSet<ShardRowId> = Query::scan(0)
             .between(lo, hi)
@@ -100,7 +100,7 @@ fn scans_filter_invalidated_rows() {
 #[test]
 fn sharded_aggregates_match_brute_force() {
     let t = table(500);
-    t.shard(3).merge(1, None).unwrap();
+    t.shard(3).merge(1).unwrap();
     let mut want_sum: u128 = 0;
     let mut want_mm: Option<(u64, u64)> = None;
     for s in t.shards() {
@@ -126,7 +126,7 @@ fn sharded_aggregates_match_brute_force() {
 #[test]
 fn snapshot_queries_agree_with_sharded_fanout() {
     let t = table(300);
-    t.shard(2).merge(1, None).unwrap();
+    t.shard(2).merge(1).unwrap();
     t.insert_rows(
         &(0..50u64)
             .map(|i| vec![i % 50, (i % 50) * 3])

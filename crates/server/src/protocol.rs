@@ -619,8 +619,8 @@ pub enum ErrorCode {
     Corrupt = 5,
     /// [`hyrise_core::Error::Recovery`].
     Recovery = 6,
-    /// [`hyrise_core::Error::Cancelled`].
-    Cancelled = 7,
+    // 7 was a cancelled merge; nothing cancels a merge, and the code
+    // stays unassigned so the codes after it keep their numbers.
     /// [`hyrise_core::Error::Config`] (also bad specs / out-of-range
     /// columns in a plan).
     Config = 8,
@@ -641,7 +641,6 @@ impl ErrorCode {
             4 => ErrorCode::Io,
             5 => ErrorCode::Corrupt,
             6 => ErrorCode::Recovery,
-            7 => ErrorCode::Cancelled,
             8 => ErrorCode::Config,
             9 => ErrorCode::Shed,
             10 => ErrorCode::Throttled,
@@ -678,7 +677,6 @@ impl WireError {
             Error::Io { .. } => ErrorCode::Io,
             Error::Corrupt { .. } => ErrorCode::Corrupt,
             Error::Recovery { .. } => ErrorCode::Recovery,
-            Error::Cancelled => ErrorCode::Cancelled,
             Error::Config { .. } => ErrorCode::Config,
             _ => ErrorCode::Internal,
         };

@@ -236,25 +236,32 @@ proptest! {
 
     #[test]
     fn arbitrary_error_responses_roundtrip(
-        code in 1u8..12,
+        pick in 0usize..10,
         msg in prop::collection::vec(32u8..127, 0..80),
     ) {
+        // Every live code with its number on the wire.
+        let (code, number) = [
+            (ErrorCode::Protocol, 1), (ErrorCode::NoSuchTable, 2),
+            (ErrorCode::TableExists, 3), (ErrorCode::Io, 4),
+            (ErrorCode::Corrupt, 5), (ErrorCode::Recovery, 6),
+            (ErrorCode::Config, 8), (ErrorCode::Shed, 9),
+            (ErrorCode::Throttled, 10), (ErrorCode::Internal, 11),
+        ][pick];
         let resp = Response {
             admission: Admission::Shed,
-            result: Err(WireError::new(
-                match code {
-                    1 => ErrorCode::Protocol, 2 => ErrorCode::NoSuchTable,
-                    3 => ErrorCode::TableExists, 4 => ErrorCode::Io,
-                    5 => ErrorCode::Corrupt, 6 => ErrorCode::Recovery,
-                    7 => ErrorCode::Cancelled, 8 => ErrorCode::Config,
-                    9 => ErrorCode::Shed, 10 => ErrorCode::Throttled,
-                    _ => ErrorCode::Internal,
-                },
-                String::from_utf8(msg).unwrap(),
-            )),
+            result: Err(WireError::new(code, String::from_utf8(msg).unwrap())),
         };
-        let decoded = Response::decode(&resp.encode()).unwrap();
+        let encoded = resp.encode();
+        let decoded = Response::decode(&encoded).unwrap();
         prop_assert_eq!(decoded, resp);
+        // Code 7, a cancelled merge's, is unassigned: it decodes to a
+        // typed error, and the codes after it keep their numbers. The
+        // status byte follows the admission byte and its u32 argument.
+        prop_assert_eq!(encoded[5], number);
+        let mut retired = encoded;
+        retired[5] = 7;
+        let err = Response::decode(&retired).unwrap_err();
+        prop_assert!(err.contains("unknown error code 7"), "{}", err);
     }
 
     #[test]

@@ -135,7 +135,7 @@ pub struct TailSealed;
 /// reserve → write → publish protocol.
 pub struct TailLog<V> {
     /// Global tuple id of slot 0 (rows before it live in the generation's
-    /// main / frozen / pending partitions).
+    /// main and frozen partitions).
     base: usize,
     cols: Box<[TailColumn<V>]>,
     /// Low bits: slots handed out. High bit: [`SEALED`]. Post-seal

@@ -86,7 +86,7 @@ fn apply_single(t: &OnlineTable<u64>, seed: u64, i: u64) -> hyrise::Result<()> {
                 if i % 2 == 1 {
                     grant = grant.budget(MergeBudget::columns(1));
                 }
-                t.merge_with(grant, None).map(|_: TableMergeStats| ())?;
+                t.merge_with(grant).map(|_: TableMergeStats| ())?;
             }
         }
     }
@@ -170,10 +170,10 @@ fn logical_state(t: &OnlineTable<u64>) -> (usize, Vec<Vec<u64>>, Vec<bool>) {
 /// Quiesce both sides and demand byte-identical mains.
 fn assert_bytes_identical(a: &OnlineTable<u64>, b: &OnlineTable<u64>, what: &str) {
     if a.delta_len() > 0 {
-        a.merge(2, None).expect("quiesce recovered");
+        a.merge(2).expect("quiesce recovered");
     }
     if b.delta_len() > 0 {
-        b.merge(2, None).expect("quiesce model");
+        b.merge(2).expect("quiesce model");
     }
     let (sa, sb) = (a.snapshot(), b.snapshot());
     for c in 0..COLS {

@@ -98,7 +98,7 @@ fn four_merge_waves<V: Value>() {
         reference.check_equal(&table);
 
         // Merge and re-check: the merge must be observably a no-op for reads.
-        let stats = table.merge(4, None).unwrap();
+        let stats = table.merge(4).unwrap();
         assert_eq!(stats.columns.len(), 3);
         assert_eq!(table.delta_len(), 0, "wave {wave}: everything merged");
         reference.check_equal(&table);
@@ -143,7 +143,7 @@ fn queries_agree_across_a_merge<V: Value>() {
 
     assert_eq!(eq.run(&table).into_rows(), want_eq);
     assert_eq!(conj.run(&table).into_rows(), want_conj);
-    table.merge(4, None).unwrap();
+    table.merge(4).unwrap();
     assert_eq!(eq.run(&table).into_rows(), want_eq);
     assert_eq!(conj.run(&table).into_rows(), want_conj);
 }
@@ -163,7 +163,7 @@ fn merge_compresses_tenfold<V: Value>() {
         table.insert_row(&[V::from_seed(i % 8)]).unwrap();
     }
     let before = table.memory_report().total();
-    table.merge(2, None).unwrap();
+    table.merge(2).unwrap();
     let after = table.memory_report().total();
     // 20K x E_j bytes raw; merged: 3 bits/tuple + 8-entry dictionary.
     assert_eq!(before, 20_000 * V::BYTES);

@@ -1,7 +1,7 @@
 //! Concurrency tests for the online merge protocol: inserts, reads and
-//! merges racing; cancellation atomicity; trigger-policy loops.
+//! merges racing; interrupted merges resumed; trigger-policy loops.
 
-use hyrise::merge::{MergePolicy, OnlineTable};
+use hyrise::merge::{MergeBudget, MergeGrant, MergePolicy, OnlineTable};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,7 +63,7 @@ fn writers_and_mergers_race_without_losing_rows() {
             s.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     if table.delta_len() > 0 {
-                        table.merge(2, None).unwrap();
+                        table.merge(2).unwrap();
                         merges_done.fetch_add(1, Ordering::Relaxed);
                     }
                     std::thread::sleep(Duration::from_millis(1));
@@ -93,48 +93,64 @@ fn writers_and_mergers_race_without_losing_rows() {
 fn cancellation_under_concurrent_inserts_is_atomic() {
     const COLS: usize = 2;
     let table = Arc::new(OnlineTable::<u64>::new(COLS));
-    for i in 0..50_000 {
-        table.insert_row(&seeded_row(i, COLS)).unwrap();
-    }
+    let mut rows: Vec<Vec<u64>> = (0..50_000).map(|i| seeded_row(i, COLS)).collect();
+    table.insert_rows(&rows).unwrap();
 
-    // Run several cancel-racing merges; each either commits fully or not at
-    // all; rows are never lost either way.
+    // Interrupt several merges while inserts race them: each round's
+    // session commits one column and is dropped, leaving the rest frozen
+    // for the next round to resume. Rows are never lost either way.
+    let grant = MergeGrant::with_threads(2).budget(MergeBudget::columns(1));
     for round in 0..5 {
-        let cancel = Arc::new(AtomicBool::new(false));
         let before_rows = table.row_count();
         let handle = {
-            let (table, cancel) = (Arc::clone(&table), Arc::clone(&cancel));
-            std::thread::spawn(move || table.merge(2, Some(&cancel)))
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || {
+                let mut session = table.begin_merge(grant).unwrap();
+                session.step().unwrap()
+            })
         };
         // Insert while the merge may be running.
         for i in 0..500 {
-            table
-                .insert_row(&seeded_row(10_000_000 + round * 1000 + i, COLS))
-                .unwrap();
+            let row = seeded_row(10_000_000 + round * 1000 + i, COLS);
+            table.insert_row(&row).unwrap();
+            rows.push(row);
         }
-        cancel.store(true, Ordering::Relaxed);
-        let result = handle.join().unwrap();
+        assert!(handle.join().unwrap(), "round {round}: a column committed");
         assert_eq!(
             table.row_count(),
             before_rows + 500,
             "round {round}: rows conserved"
         );
-        match result {
-            Ok(_) => assert_eq!(
-                table.delta_len(),
-                500,
-                "committed: only the racing inserts remain"
-            ),
-            Err(_) => assert!(table.delta_len() >= 500, "cancelled: frozen delta restored"),
-        }
+        assert!(
+            table.delta_len() >= 500,
+            "round {round}: racing inserts wait"
+        );
         // Spot-check content integrity.
         for r in (0..50_000).step_by(9973) {
             assert_eq!(table.row(r), seeded_row(r as u64, COLS), "round {round}");
         }
     }
-    // Final merge to quiesce.
-    table.merge(4, None).unwrap();
+    // The final merge resumes the last interrupted one and reaches the
+    // bytes of a merge that was never interrupted.
+    table.merge(4).unwrap();
     assert_eq!(table.delta_len(), 0);
+    let reference = OnlineTable::<u64>::new(COLS);
+    reference.insert_rows(&rows).unwrap();
+    reference.merge(4).unwrap();
+    let (got, want) = (table.snapshot(), reference.snapshot());
+    for c in 0..COLS {
+        let (g, w) = (got.col(c).main(), want.col(c).main());
+        assert_eq!(
+            g.dictionary().values(),
+            w.dictionary().values(),
+            "column {c}"
+        );
+        assert_eq!(
+            g.packed_codes().words(),
+            w.packed_codes().words(),
+            "column {c}"
+        );
+    }
 }
 
 #[test]
@@ -143,7 +159,7 @@ fn trigger_policy_keeps_delta_bounded() {
     for i in 0..20_000 {
         table.insert_row(&seeded_row(i, 2)).unwrap();
     }
-    table.merge(4, None).unwrap();
+    table.merge(4).unwrap();
 
     let policy = MergePolicy {
         delta_fraction: 0.02,
@@ -180,7 +196,7 @@ fn update_rate_accounting_on_online_table() {
         table.insert_row(&seeded_row(i, 4)).unwrap();
     }
     let t_u = t0.elapsed();
-    let stats = table.merge(4, None).unwrap();
+    let stats = table.merge(4).unwrap();
     let rate = hyrise::merge::update_rate(n as usize, t_u, stats.t_wall);
     assert!(rate.is_finite() && rate > 0.0);
     // Sanity: a laptop-class machine does much better than the paper's
