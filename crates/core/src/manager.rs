@@ -766,9 +766,10 @@ impl<V: Value> OnlineTable<V> {
 
     /// Run one online merge under an explicit [`MergeGrant`]: strategy,
     /// threads, and a [`MergeBudget`] bounding peak extra memory. This is
-    /// [`Self::begin_merge`] followed by [`MergeSession::finish`] — twice
-    /// when the first session resumes an interrupted merge, so the rows
-    /// published before the call are merged either way.
+    /// [`Self::begin_merge`] followed by [`MergeSession::finish`] — again
+    /// when the first session resumed an interrupted merge and rows wait
+    /// in the tail, so the rows published before the call are merged
+    /// either way.
     ///
     /// Unbudgeted, all `N_C` columns are merged before one atomic commit —
     /// at peak the table transiently costs ~2x its memory (every column
@@ -795,7 +796,7 @@ impl<V: Value> OnlineTable<V> {
             let session = self.begin_merge(grant)?;
             let resumed = session.resumed;
             stats.absorb(session.finish()?);
-            if !resumed {
+            if !resumed || self.delta_len() == 0 {
                 return Ok(stats);
             }
         }

@@ -12,6 +12,7 @@
 //! | sealed `seg-*.wal` | one bit-packed [`hyrise_storage::FrozenDelta`] per column, frozen and merged before recovery returns |
 //! | `col-<c>-<rows>.bin` at the sealed rows' end | column `c`'s merge output, committed instead of re-merged |
 //! | live `seg-*.wal` | replayed into a fresh tail through the normal insert path |
+//! | empty `seg-*.wal` above an unsealed one | removed: a rotation that never sealed the segment below |
 //! | any other `col-*` or `*.tmp` file | ignored; unlinked by the next finished merge |
 //!
 //! Replay rules, matching the WAL's ordering contract (see the private
@@ -82,6 +83,15 @@ fn recover_shard<V: Value>(dir: &Path, n_cols: usize, fsync: bool) -> Result<Onl
             base,
             n_cols,
         )?);
+    }
+    // An empty segment above an unsealed one never took an append: a
+    // rotation stopped before the segment below it was sealed, and that
+    // one is still the live segment.
+    if let [.., below, last] = segments.as_slice() {
+        if !below.sealed && last.clean_len == 0 {
+            wal::remove_segment(dir, last.base)?;
+            segments.pop();
+        }
     }
     let live = match segments.last() {
         Some(s) if !s.sealed => Some(segments.pop().expect("just matched")),
@@ -606,6 +616,29 @@ mod tests {
         assert_eq!(back.row(104), data[104]);
         back.merge(1).unwrap();
         assert_eq!(listing(&dir), one_generation(105, 105));
+        assert_mains_identical(&back, &merged_reference(&data));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A rotation stopped after creating the next segment but before
+    /// sealing the live one leaves an empty segment above an unsealed one
+    /// holding rows: the reopen drops the empty one and replays every row
+    /// from the live segment.
+    #[test]
+    fn empty_segment_above_an_unsealed_one_is_dropped() {
+        let dir = temp_dir("empty-above-unsealed");
+        let data = rows(100);
+        {
+            let t = durable_table(&dir);
+            t.insert_rows(&data).unwrap();
+        }
+        std::fs::File::create(wal::segment_file(&dir, 100)).unwrap();
+        let back = reopen(&dir).unwrap();
+        assert_eq!(back.row_count(), 100);
+        assert_eq!(back.row(99), data[99]);
+        assert_eq!(wal::list_segments(&dir).unwrap(), vec![0]);
+        back.merge(1).unwrap();
+        assert_eq!(listing(&dir), one_generation(100, 100));
         assert_mains_identical(&back, &merged_reference(&data));
         let _ = std::fs::remove_dir_all(&dir);
     }

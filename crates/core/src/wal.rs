@@ -577,10 +577,11 @@ impl<V: Value> Wal<V> {
     /// Seal the live segment (terminal record, synced regardless of
     /// policy — a segment boundary is a commit point) and rotate to a
     /// fresh segment whose first row is `new_base`. Called by the merge
-    /// freeze after the tail's final row count is known. The fresh segment
-    /// is created before the seal is written, and removed again when the
-    /// seal fails (the live segment cut back to its unsealed length), so an
-    /// error leaves the live segment unsealed and taking appends.
+    /// freeze after the tail's final row count is known. The seal is
+    /// durable before the fresh segment exists, so a crash in between
+    /// leaves a sealed last segment, for which [`Self::attach`] creates
+    /// the successor. When the create fails, the seal is cut back off, so
+    /// the error leaves the live segment unsealed and taking appends.
     pub(crate) fn seal_and_rotate(&self, new_base: usize) -> Result<()> {
         let mut w = self.writer.lock();
         if w.base == new_base {
@@ -590,31 +591,33 @@ impl<V: Value> Wal<V> {
             return Ok(());
         }
         let len = w.file.stream_position().map_err(io("seal wal segment"))?;
-        let next_path = segment_path(&self.dir, new_base);
-        let next = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(&next_path)
-            .map_err(io("create wal segment"))?;
         let mut framed = std::mem::take(&mut w.buf);
         framed.clear();
         frame_into(&mut framed, &[REC_SEAL]);
         let sealed = w.file.write_all(&framed).and_then(|()| w.file.sync_data());
         w.buf = framed;
-        if let Err(e) = sealed {
-            // Cut a partial seal back off (best-effort: a seal left behind
-            // would end the segment under the next append) and drop the
-            // segment that was to follow it.
-            let _ = w.file.set_len(len);
-            let _ = w.file.seek(std::io::SeekFrom::Start(len));
-            drop(next);
-            let _ = fs::remove_file(&next_path);
-            return Err(Error::io("seal wal segment", e));
+        let next = sealed.and_then(|()| {
+            OpenOptions::new()
+                .create_new(true)
+                .write(true)
+                .open(segment_path(&self.dir, new_base))
+        });
+        match next {
+            Ok(file) => {
+                sync_dir(&self.dir);
+                w.file = file;
+                w.base = new_base;
+                Ok(())
+            }
+            Err(e) => {
+                // Cut the (possibly partial) seal back off: the next append
+                // must not land after it.
+                let _ = w.file.set_len(len);
+                let _ = w.file.sync_data();
+                let _ = w.file.seek(std::io::SeekFrom::Start(len));
+                Err(Error::io("seal and rotate wal segment", e))
+            }
         }
-        sync_dir(&self.dir);
-        w.file = next;
-        w.base = new_base;
-        Ok(())
     }
 
     /// Delete every sealed segment whose rows `checkpoint.bin` now covers
