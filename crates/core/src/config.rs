@@ -19,16 +19,17 @@
 //! # }
 //! ```
 //!
-//! A durable table writes one directory per shard, opens each shard's
-//! first WAL segment and then writes the root's `SHARDS` manifest; building
-//! over a root that already holds one is a [`Error::Config`] — re-open
-//! those with [`crate::recovery::recover_sharded`].
+//! A durable table writes one directory per shard, opens the first
+//! segment of the table log at the root and then writes the root's
+//! `SHARDS` manifest; building over a root that already holds one is a
+//! [`Error::Config`] — re-open those with
+//! [`crate::recovery::recover_sharded`].
 
 use crate::error::{Error, Result};
 use crate::manager::OnlineTable;
 use crate::pipeline::SpareBank;
 use crate::shard::{ShardBy, ShardedTable};
-use crate::wal::{self, Wal};
+use crate::wal::{self, LogReplay, TableLog};
 use hyrise_storage::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -40,14 +41,14 @@ pub enum Durability {
     /// crash loses the delta (and everything else).
     #[default]
     None,
-    /// Append a write-ahead record per insert batch / validity flip to
-    /// each shard's directory under `dir`, so
+    /// Append one write-ahead frame per client operation (insert batch,
+    /// update, delete or delete batch) to the table log under `dir`, so
     /// [`crate::recovery::recover_sharded`] rebuilds the table after a
     /// crash.
     Wal {
-        /// The table's root directory: the `SHARDS` manifest and one
-        /// `shard-<i>/` directory per shard holding its WAL segments,
-        /// checkpoint manifest and merged column files. One table per
+        /// The table's root directory: the `SHARDS` manifest, the table
+        /// log's segments and one `shard-<i>/` directory per shard holding
+        /// its checkpoint manifest and merged column files. One table per
         /// root.
         dir: PathBuf,
         /// `true`: records are fdatasync'd before the rows become
@@ -64,8 +65,8 @@ pub enum Durability {
 /// column, columns and durability.
 ///
 /// With [`Durability::Wal`] the directory becomes the *root*: a sharded
-/// manifest plus one `shard-<i>/` directory per shard, each with its own
-/// segments and checkpoint (the per-shard WAL).
+/// manifest, one table log shared by every shard, and one `shard-<i>/`
+/// directory per shard with its checkpoint and column files.
 #[derive(Debug)]
 pub struct ShardedTableBuilder<V> {
     shards: Option<usize>,
@@ -114,7 +115,8 @@ impl<V: Value> ShardedTableBuilder<V> {
         self
     }
 
-    /// Crash-durability policy (per shard, under one root directory).
+    /// Crash-durability policy (one log for all shards, under one root
+    /// directory).
     pub fn durability(mut self, d: Durability) -> Self {
         self.durability = d;
         self
@@ -156,34 +158,41 @@ impl<V: Value> ShardedTableBuilder<V> {
                 implied
             }
         };
-        if let Durability::Wal { dir, .. } = &self.durability {
-            if wal::sharded_manifest_exists(dir) {
-                return Err(Error::config(format!(
-                    "{} already holds a table; re-open it with hyrise_core::recover_sharded",
-                    dir.display()
-                )));
-            }
-        }
-        let bank = Arc::new(SpareBank::new());
-        let mut shards = Vec::with_capacity(num_shards);
-        for i in 0..num_shards {
-            let mut shard = OnlineTable::new(self.columns).with_spare_bank(Arc::clone(&bank));
-            if let Durability::Wal { dir, fsync } = &self.durability {
-                shard.set_wal(Some(Wal::create(&wal::shard_dir(dir, i), *fsync, 0)?));
-            }
-            shards.push(shard);
-        }
-        if let Durability::Wal { dir, fsync } = &self.durability {
-            wal::write_sharded_manifest(
-                dir,
-                &wal::ShardedManifest {
+        // The shard directories and the log's first segment exist before
+        // the manifest that makes the root a table.
+        let log = match &self.durability {
+            Durability::Wal { dir, fsync } => {
+                if wal::sharded_manifest_exists(dir) {
+                    return Err(Error::config(format!(
+                        "{} already holds a table; re-open it with hyrise_core::recover_sharded",
+                        dir.display()
+                    )));
+                }
+                for i in 0..num_shards {
+                    std::fs::create_dir_all(wal::shard_dir(dir, i))
+                        .map_err(|e| Error::io("create shard directory", e))?;
+                }
+                let log = TableLog::open(dir, *fsync, None, LogReplay::new(num_shards))?;
+                let manifest = wal::ShardedManifest {
                     n_shards: num_shards,
                     n_cols: self.columns,
                     fsync: *fsync,
                     key_col: self.key_col,
                     by: self.by.clone(),
-                },
-            )?;
+                };
+                wal::write_sharded_manifest(dir, &manifest)?;
+                Some((dir, Arc::new(log)))
+            }
+            Durability::None => None,
+        };
+        let bank = Arc::new(SpareBank::new());
+        let mut shards = Vec::with_capacity(num_shards);
+        for i in 0..num_shards {
+            let mut shard = OnlineTable::new(self.columns).with_spare_bank(Arc::clone(&bank));
+            if let Some((dir, log)) = &log {
+                shard.set_wal(log, dir, i);
+            }
+            shards.push(shard);
         }
         Ok(ShardedTable::from_parts(shards, self.by, self.key_col))
     }
@@ -276,12 +285,16 @@ mod tests {
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         names.sort();
-        assert_eq!(names, ["SHARDS", "shard-0"]);
-        let shard: Vec<String> = std::fs::read_dir(wal::shard_dir(&dir, 0))
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        assert_eq!(shard, [format!("seg-{:016x}.wal", 0)], "no TABLE file");
+        assert_eq!(
+            names,
+            [
+                "SHARDS".to_string(),
+                format!("seg-{:016x}.wal", 0),
+                "shard-0".into()
+            ]
+        );
+        let shard = std::fs::read_dir(wal::shard_dir(&dir, 0)).unwrap().count();
+        assert_eq!(shard, 0, "no TABLE file, no segment");
         let err = durable().map(|_| ()).unwrap_err();
         assert!(matches!(err, Error::Config { .. }));
         let _ = std::fs::remove_dir_all(&dir);

@@ -27,8 +27,8 @@ pub enum Error {
         source: std::io::Error,
     },
     /// A persisted file failed validation during recovery: a CRC mismatch
-    /// on a non-final record, an impossible length or count field, or a
-    /// gap in the replayed row space of a sealed segment.
+    /// on a non-final frame, an impossible length or count field, a gap in
+    /// a shard's replayed rows, or an unsealed segment below the live one.
     Corrupt {
         /// The offending file.
         file: PathBuf,
@@ -38,8 +38,8 @@ pub enum Error {
         detail: String,
     },
     /// Recovery found the directory's files mutually inconsistent (e.g. a
-    /// sealed segment that does not start where the checkpoint or the
-    /// previous segment ends).
+    /// checkpoint of another column count than `SHARDS` states, or a
+    /// flip of a row no frame inserted).
     Recovery {
         /// Human-readable description.
         detail: String,

@@ -49,8 +49,9 @@
 //!   Section 4 target rates.
 //! * `wal` (private)/[`recovery`]/[`config`]/[`error`] — crash durability beyond
 //!   the paper's in-memory evaluation (its Section 3 design assumes a
-//!   recoverable differential buffer): an append-only, CRC-checked
-//!   per-shard delta WAL, one generation-named file per merged column that
+//!   recoverable differential buffer): one append-only, CRC-checked log
+//!   per table with one frame per client operation, one generation-named
+//!   file per merged column that
 //!   a crashed merge resumes from, and [`recovery::recover_sharded`],
 //!   behind the [`config::ShardedTableBuilder`] / [`config::Durability`]
 //!   construction surface and the typed [`error::Error`] that makes every

@@ -48,12 +48,13 @@ use crate::pool::Pool;
 use crate::rate;
 use crate::scheduler::AdoptionSlot;
 use crate::stats::{MergeOutput, TableMergeStats};
-use crate::wal::{self, Wal};
+use crate::wal::{self, ShardLog, TableLog};
 use hyrise_storage::{
-    AtomicValidity, FrozenDelta, MainPartition, MemoryReport, TailLog, TailRegion, ValidityBitmap,
-    Value,
+    AtomicValidity, FrozenDelta, MainPartition, MemoryReport, TailLog, TailRegion, TailReservation,
+    ValidityBitmap, Value,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -233,21 +234,14 @@ pub struct OnlineTable<V: Value> {
     /// (asserted in `tests/merge_scratch_alloc.rs`). Shards of a
     /// [`crate::shard::ShardedTable`] share a single bank.
     bank: Arc<SpareBank<V>>,
-    /// The delta write-ahead log, when the table was built with
-    /// [`crate::config::Durability::Wal`]. `None` keeps the zero-I/O
+    /// The shard's handle on its table's log, when the table was built
+    /// with [`crate::config::Durability::Wal`]. `None` keeps the zero-I/O
     /// in-memory path byte-for-byte unchanged.
-    wal: Option<Wal<V>>,
+    wal: Option<ShardLog>,
     /// The [`crate::scheduler::MergeScheduler`] that adopted the table, if
     /// any: an insert that may have made the table due reports to it, and
     /// the one that did queues its merge.
     adoption: AdoptionSlot<V>,
-    /// Closes the flip-vs-checkpoint race on durable tables: a delete's
-    /// WAL append + in-memory invalidate run under the read side, and the
-    /// merge's checkpoint takes the write side before snapshotting
-    /// validity — so every flip already durable in a segment the
-    /// checkpoint is about to truncate has its in-memory bit applied and
-    /// is captured by the snapshot. Uncontended except at that instant.
-    flip_gate: RwLock<()>,
 }
 
 impl<V: Value> OnlineTable<V> {
@@ -273,7 +267,6 @@ impl<V: Value> OnlineTable<V> {
             bank: Arc::new(SpareBank::new()),
             wal: None,
             adoption: AdoptionSlot::default(),
-            flip_gate: RwLock::new(()),
         }
     }
 
@@ -320,54 +313,19 @@ impl<V: Value> OnlineTable<V> {
             bank: Arc::new(SpareBank::new()),
             wal: None,
             adoption: AdoptionSlot::default(),
-            flip_gate: RwLock::new(()),
         }
     }
 
-    /// Rebuild a table from recovered parts: checkpointed mains plus one
-    /// replayed delta per column (from the sealed WAL segments), placed
-    /// `frozen` for the merge recovery finishes before it returns. The
-    /// validity bitmap starts empty — recovery replays checkpoint bits,
-    /// insert records, and flips on top. Live-tail rows are replayed
-    /// afterwards through the normal [`Self::insert_rows`] path (before the
-    /// WAL is attached, so replay never re-logs).
-    pub(crate) fn from_recovered_parts(mains: Vec<MainPartition<V>>, deltas: Vec<Vec<V>>) -> Self {
-        assert!(!mains.is_empty(), "a table needs at least one column");
-        let n_cols = mains.len();
-        assert_eq!(deltas.len(), n_cols, "one replayed delta per column");
-        let rows = mains[0].len();
-        let delta_rows = deltas[0].len();
-        debug_assert!(mains.iter().all(|m| m.len() == rows));
-        debug_assert!(deltas.iter().all(|d| d.len() == delta_rows));
-        let cols = mains
-            .into_iter()
-            .zip(deltas)
-            .map(|(m, d)| GenColumn {
-                main: Arc::new(m),
-                frozen: (!d.is_empty()).then(|| Arc::new(FrozenDelta::from_values(&d))),
-            })
-            .collect();
-        Self {
-            gen: EpochCell::new(Box::new(Generation {
-                cols,
-                tail: Arc::new(TailLog::new(n_cols, rows + delta_rows)),
-            })),
-            validity: AtomicValidity::new(),
-            inserts: AtomicU64::new(0),
-            n_cols,
-            merge_gate: Mutex::new(()),
-            scratch_pool: Mutex::new(Vec::new()),
-            bank: Arc::new(SpareBank::new()),
-            wal: None,
-            adoption: AdoptionSlot::default(),
-            flip_gate: RwLock::new(()),
-        }
-    }
-
-    /// Attach (or detach) the write-ahead log. Crate-internal: the builder
-    /// attaches it at construction, recovery after replay.
-    pub(crate) fn set_wal(&mut self, wal: Option<Wal<V>>) {
-        self.wal = wal;
+    /// Attach the table as shard `shard` of the log of the durable table at
+    /// `root`. Crate-internal: the builder attaches it at construction,
+    /// recovery after replay.
+    pub(crate) fn set_wal(&mut self, log: &Arc<TableLog>, root: &Path, shard: usize) {
+        let dir = wal::shard_dir(root, shard);
+        self.wal = Some(ShardLog {
+            log: Arc::clone(log),
+            shard,
+            dir,
+        });
     }
 
     /// Is the table durable (WAL-attached)?
@@ -448,96 +406,149 @@ impl<V: Value> OnlineTable<V> {
         Ok(self.insert_rows(std::slice::from_ref(&values))?.start)
     }
 
-    /// Batched insert, lock-free: one slot reservation (`fetch_add`) for
-    /// the whole batch, value writes into the reserved tail slots, then
-    /// one watermark publish — readers see the batch atomically or not at
+    /// Batched insert: one slot reservation (`fetch_add`) for the whole
+    /// batch, value writes into the reserved tail slots, then one
+    /// watermark publish — readers see the batch atomically or not at
     /// all. Only a batch that leaves an adopted table's delta above its
-    /// scheduler's floor takes a lock, to ask whether the table is now
-    /// due (see [`crate::scheduler`]). Returns the contiguous range of
-    /// tuple ids assigned. When a
-    /// merge freeze has sealed the tail, writers back off and retry
-    /// against the fresh tail of the next generation (the freeze installs
-    /// it promptly; the retry loop never holds a generation pin while
-    /// waiting).
-    ///
-    /// On a durable table the batch's WAL record is appended (and, under
-    /// the `fsync` policy, synced) **before** the watermark publish, so
-    /// every visible row is also logged — durable-before-visible. If the
-    /// append itself fails the batch is still published (readers and the
-    /// sealed-tail protocol stay consistent) and the error is returned:
-    /// the log now has a hole at its tip, so treat the WAL as poisoned —
-    /// stop writing and re-open via recovery.
+    /// scheduler's floor asks the scheduler whether the table is now due.
+    /// Returns the contiguous range of tuple ids assigned. On a durable
+    /// table the batch is one log frame, logged before it is visible.
     pub fn insert_rows<R: AsRef<[V]>>(&self, rows: &[R]) -> Result<std::ops::Range<usize>> {
-        for values in rows {
-            assert_eq!(
-                values.as_ref().len(),
-                self.n_cols,
-                "row arity must match column count"
-            );
-        }
         if rows.is_empty() {
             let n = self.row_count();
             return Ok(n..n);
         }
+        let start = Self::write(&[(self, rows)], &[])?[0];
+        Ok(start..start + rows.len())
+    }
+
+    /// Invalidate a row. On a durable table the flip is one log frame,
+    /// appended before the in-memory bit drops — logged before visible,
+    /// like an insert. An update is an insert plus this flip, written as
+    /// one frame ([`crate::shard::ShardedTable::update_row`]).
+    pub fn delete_row(&self, row: usize) -> Result<()> {
+        Self::write::<&[V]>(&[], &[(self, row)]).map(drop)
+    }
+
+    /// One client write: each non-empty `(table, rows)` group appends to
+    /// that table's tail, then each `(table, row)` of `deletes` is
+    /// invalidated; returns each group's first tuple id. In memory, each
+    /// group is one lock-free reserve + publish. On a durable table (all
+    /// tables of a call share one log) the write is one log frame: under
+    /// the log's mutex the tail slots are taken, the frame is appended
+    /// (synced under `fsync`), the rows publish and the flips apply — so
+    /// each shard's rows are logged in tuple-id order, nothing is visible
+    /// before it is logged, and recovery replays the write whole or not at
+    /// all. A failed append changes no table and poisons the log.
+    pub(crate) fn write<R: AsRef<[V]>>(
+        inserts: &[(&Self, &[R])],
+        deletes: &[(&Self, usize)],
+    ) -> Result<Vec<usize>> {
+        for (t, rows) in inserts {
+            for values in rows.iter() {
+                assert_eq!(
+                    values.as_ref().len(),
+                    t.n_cols,
+                    "row arity must match column count"
+                );
+            }
+        }
+        let first = inserts
+            .first()
+            .map(|g| g.0)
+            .or(deletes.first().map(|d| d.0));
+        let Some(log) = first.and_then(|t| t.wal.as_ref()) else {
+            let starts = inserts
+                .iter()
+                .map(|(t, rows)| t.insert_unlogged(rows))
+                .collect();
+            for &(t, row) in deletes {
+                t.validity.invalidate(row);
+            }
+            return Ok(starts);
+        };
+        let shard = |t: &Self| t.wal.as_ref().expect("one log per table").shard;
+        // A freeze seals its tail under the log's mutex, so tails found
+        // open here stay open until the guard drops.
+        let (mut guard, tails) = loop {
+            let guard = log.log.lock()?;
+            let tails: Option<Vec<_>> = inserts.iter().map(|(t, _)| t.open_tail()).collect();
+            if let Some(tails) = tails {
+                break (guard, tails);
+            }
+            drop(guard);
+            std::thread::yield_now();
+        };
+        // Every durable reservation publishes before the log unlocks, so a
+        // tail's next slot is its published count.
+        let groups: Vec<_> = (inserts.iter().zip(&tails))
+            .map(|((t, rows), (tail, _))| (shard(t), tail.base() + tail.published(), *rows))
+            .collect();
+        let flips: Vec<_> = deletes.iter().map(|&(t, row)| (shard(t), row)).collect();
+        guard.append(&groups, &flips)?;
+        for (((t, rows), (tail, _)), &(_, start, _)) in inserts.iter().zip(&tails).zip(&groups) {
+            let res = tail
+                .reserve(rows.len())
+                .expect("no freeze seals a tail while the log is locked");
+            debug_assert_eq!(tail.base() + res.start(), start);
+            t.publish(res, start, rows);
+        }
+        for &(t, row) in deletes {
+            t.validity.invalidate(row);
+        }
+        drop(guard);
+        for (((t, _), (_, main_len)), &(_, start, rows)) in inserts.iter().zip(&tails).zip(&groups)
+        {
+            t.count_insert(start + rows.len(), *main_len, rows.len());
+        }
+        Ok(groups.iter().map(|g| g.1).collect())
+    }
+
+    /// The in-memory insert, retrying when a freeze sealed the tail between
+    /// the pin and the reservation. Returns the first tuple id.
+    fn insert_unlogged<R: AsRef<[V]>>(&self, rows: &[R]) -> usize {
         loop {
-            // A short pin just to grab the current tail (and the main
-            // length the delta fraction is measured against); the Arc keeps
-            // it alive on its own, and a freeze that seals it mid-write
-            // still waits for our publish (seal spins on the watermark), so
-            // no pin is held while writing — swaps never wait on writers.
-            let (tail, main_len) = {
-                let gen = self.gen.pin();
-                (Arc::clone(&gen.tail), gen.cols[0].main.len())
-            };
-            match tail.reserve(rows.len()) {
-                Ok(res) => {
+            if let Some((tail, main_len)) = self.open_tail() {
+                if let Ok(res) = tail.reserve(rows.len()) {
                     let start = tail.base() + res.start();
-                    for (k, values) in rows.iter().enumerate() {
-                        for (c, v) in values.as_ref().iter().enumerate() {
-                            res.set(c, k, *v);
-                        }
-                    }
-                    // Valid-before-publish: any row a reader can see has
-                    // its validity bit set already.
-                    for k in 0..rows.len() {
-                        self.validity.set_valid(start + k);
-                    }
-                    // Log-before-publish: the record lands in the live
-                    // segment before the rows become visible, hence
-                    // strictly before any freeze can seal this tail and
-                    // rotate the segment (seal waits for our publish).
-                    let logged = match &self.wal {
-                        Some(w) => w.append_insert(start, rows),
-                        None => Ok(()),
-                    };
-                    res.publish();
-                    self.inserts.fetch_add(rows.len() as u64, Ordering::Relaxed);
-                    let end = start + rows.len();
-                    self.adoption
-                        .written((end - main_len) as f64 / main_len.max(1) as f64);
-                    logged?;
-                    return Ok(start..start + rows.len());
+                    self.publish(res, start, rows);
+                    self.count_insert(start + rows.len(), main_len, rows.len());
+                    return start;
                 }
-                Err(_) => {
-                    // Sealed mid-freeze: retry against the next
-                    // generation's fresh tail once the swap lands.
-                    std::thread::yield_now();
-                }
-            };
+            }
+            // Sealed mid-freeze: retry against the next generation's fresh
+            // tail once the swap lands.
+            std::thread::yield_now();
         }
     }
 
-    /// Invalidate a row: the validity flip is appended to the WAL (and
-    /// synced under `fsync`) **before** the in-memory bit drops —
-    /// durable-before-visible, mirroring the insert path. An update is an
-    /// insert plus this flip ([`crate::shard::ShardedTable::update_row`]).
-    pub fn delete_row(&self, row: usize) -> Result<()> {
-        let _flip = self.flip_gate.read();
-        if let Some(w) = &self.wal {
-            w.append_flip(row, false)?;
+    /// The live tail and `N_M`, or `None` while a freeze has sealed it; the
+    /// `Arc` keeps it alive, so no pin is held while writing.
+    fn open_tail(&self) -> Option<(Arc<TailLog<V>>, usize)> {
+        let gen = self.gen.pin();
+        (!gen.tail.is_sealed()).then(|| (Arc::clone(&gen.tail), gen.backlog().1))
+    }
+
+    /// Fill the claimed slots (tuple ids from `start`) with `rows`, mark
+    /// them valid, then publish: valid before visible.
+    fn publish<R: AsRef<[V]>>(&self, res: TailReservation<'_, V>, start: usize, rows: &[R]) {
+        for (k, values) in rows.iter().enumerate() {
+            for (c, v) in values.as_ref().iter().enumerate() {
+                res.set(c, k, *v);
+            }
         }
-        self.validity.invalidate(row);
-        Ok(())
+        for k in 0..rows.len() {
+            self.validity.set_valid(start + k);
+        }
+        res.publish();
+    }
+
+    /// Count `n` published rows ending at tuple id `end` and tell an
+    /// adopting scheduler the delta fraction they leave.
+    fn count_insert(&self, end: usize, main_len: usize, n: usize) {
+        self.inserts.fetch_add(n as u64, Ordering::Relaxed);
+        self.adoption
+            .written((end - main_len) as f64 / main_len.max(1) as f64);
     }
 
     /// Read one cell (any region: main, frozen, or the tail).
@@ -569,9 +580,11 @@ impl<V: Value> OnlineTable<V> {
         self.gen.pin().backlog().0
     }
 
-    /// Tuples in the main partitions.
+    /// Tuples in the main partitions of the column furthest behind, so
+    /// `main_len() + delta_len() == row_count()` between the steps of a
+    /// budgeted merge too.
     pub fn main_len(&self) -> usize {
-        self.gen.pin().cols[0].main.len()
+        self.gen.pin().backlog().1
     }
 
     /// `N_D / max(N_M, 1)` — the merge-trigger ratio, always **finite**.
@@ -620,24 +633,27 @@ impl<V: Value> OnlineTable<V> {
     /// generation with those deltas frozen and a fresh tail. Writers that
     /// hit the sealed tail retry against the fresh one.
     ///
-    /// On a durable table the WAL's live segment is sealed and rotated
-    /// between the tail seal and the generation swap: every record for the
-    /// sealed tail is already in the segment (log-before-publish, and
-    /// `seal` waited for all publishes), and no new-tail record can be
-    /// appended until the swap installs the new tail. If the rotation
-    /// fails, the live segment stays unsealed and the swap still happens —
-    /// writers must not spin forever on a sealed tail — and the error is
-    /// returned; the frozen deltas wait for the next merge to resume them.
+    /// On a durable table the tail is sealed under the log's mutex, and
+    /// the log's seal frame for it is appended before the mutex drops:
+    /// every frame of the sealed rows precedes the seal, and no write can
+    /// claim a slot of the fresh tail before the swap installs it. A
+    /// poisoned log refuses before anything is sealed. If the seal or
+    /// rotation fails, the live segment stays unsealed and the swap still
+    /// happens — writers must not spin forever on a sealed tail — and the
+    /// error is returned; the frozen deltas wait for the next merge to
+    /// resume them.
     fn freeze(&self) -> Result<()> {
+        let mut log = self.wal.as_ref().map(|w| w.log.lock()).transpose()?;
         let (cols, tail) = {
             let gen = self.gen.pin();
             (gen.cols.clone(), Arc::clone(&gen.tail))
         };
         let n = tail.seal();
-        let rotated = match &self.wal {
-            Some(w) => w.seal_and_rotate(tail.base() + n),
-            None => Ok(()),
+        let rotated = match (&mut log, &self.wal) {
+            (Some(guard), Some(w)) => guard.seal(w.shard, tail.base() + n, n),
+            _ => Ok(()),
         };
+        drop(log);
         let new_cols = cols
             .into_iter()
             .enumerate()
@@ -736,24 +752,21 @@ impl<V: Value> OnlineTable<V> {
 
     /// Durable epilogue of a merge whose column files are all written:
     /// rename the checkpoint manifest (the merged rows' validity) into
-    /// place, then drop the absorbed segments and every other
-    /// generation's column files. Skipped while the live segment begins
-    /// below `frozen_end`: the freeze's rotation failed, that segment
-    /// still takes appends, and the next freeze seals it. Failure here
-    /// loses the merge's *durability*, not its in-memory result: recovery
-    /// finds the previous manifest plus the still-sealed segments and
-    /// merges them forward again.
-    fn finish_durable_merge(&self, w: &Wal<V>, frozen_end: usize) -> Result<()> {
-        if w.live_base() != frozen_end {
-            return Ok(());
-        }
+    /// place, then delete the log segments it lets go of and every other
+    /// generation's column files. The validity is snapshotted under the
+    /// log's mutex, where every logged flip is applied, so the manifest
+    /// holds each flip logged before the freeze. Failure here loses the
+    /// merge's *durability*, not its in-memory result: recovery finds the
+    /// previous manifest plus the still-logged rows and merges them
+    /// forward again.
+    fn finish_durable_merge(&self, w: &ShardLog, frozen_end: usize) -> Result<()> {
         let validity = {
-            let _flips = self.flip_gate.write();
+            let _log = w.log.lock()?;
             self.validity.snapshot_prefix(frozen_end)
         };
-        wal::write_checkpoint::<V>(w.dir(), self.n_cols, &validity)?;
-        w.truncate_absorbed(frozen_end)?;
-        wal::remove_stale_files(w.dir(), frozen_end)
+        wal::write_checkpoint::<V>(&w.dir, self.n_cols, &validity)?;
+        w.log.absorbed(w.shard);
+        wal::remove_stale_files(&w.dir, frozen_end)
     }
 
     /// Run one online merge with the default grant ([`MergeStrategy::Parallel`],
@@ -827,13 +840,14 @@ impl<V: Value> OnlineTable<V> {
     /// does not freeze again: the session resumes those columns, and rows
     /// published since wait for the next merge. Otherwise begin freezes
     /// the tail into per-column frozen deltas and pins them as the merge
-    /// input. On a durable table the freeze seals and rotates the WAL
-    /// segment, and that synced seal is the merge's durable begin: from
-    /// then on recovery finishes the merge forward. Each step writes its
-    /// chunk's merged columns as `col-<c>-<rows>` files before the
-    /// in-memory commit, and [`MergeSession::finish`] renames the
-    /// checkpoint manifest into place, truncates the absorbed WAL segments
-    /// and unlinks every other generation's column files. A process killed
+    /// input. On a durable table the freeze appends the shard's seal to
+    /// the table log and rotates it, and that synced seal is the merge's
+    /// durable begin: from then on recovery finishes the merge forward.
+    /// Each step writes its chunk's merged columns as `col-<c>-<rows>`
+    /// files before the in-memory commit, and [`MergeSession::finish`]
+    /// renames the checkpoint manifest into place, deletes the log
+    /// segments no shard needs any more and unlinks every other
+    /// generation's column files. A process killed
     /// at any point resumes from the column files already written —
     /// byte-identical whichever they are. A failed rotation returns the
     /// error and leaves the frozen columns to the next merge.
@@ -1080,7 +1094,7 @@ impl<V: Value> MergeSession<'_, V> {
             .merge_columns(self.grant, &chunk, &self.snapshots, None);
         if let Some(w) = &self.table.wal {
             for (&i, out) in chunk.iter().zip(&merged) {
-                wal::write_column(w.dir(), i, self.frozen_end, &out.main)?;
+                wal::write_column(&w.dir, i, self.frozen_end, &out.main)?;
             }
         }
 
@@ -1098,12 +1112,12 @@ impl<V: Value> MergeSession<'_, V> {
     }
 
     /// Run the remaining steps, then (on a durable table) rename the
-    /// checkpoint manifest into place, truncate the absorbed WAL segments
-    /// and unlink every other generation's column files and any
-    /// interrupted `*.tmp` write — the one cleanup site. A failure in that
-    /// epilogue loses the merge's *durability*, not its in-memory result:
-    /// recovery finds the previous manifest plus the still-sealed segments
-    /// and merges them forward again.
+    /// checkpoint manifest into place, delete the log segments no shard
+    /// needs any more and unlink every other generation's column files and
+    /// any interrupted `*.tmp` write — the one cleanup site. A failure in
+    /// that epilogue loses the merge's *durability*, not its in-memory
+    /// result: recovery finds the previous manifest plus the still-logged
+    /// rows and merges them forward again.
     pub fn finish(mut self) -> Result<TableMergeStats> {
         while self.step()? {}
         if let Some(w) = &self.table.wal {
@@ -1363,10 +1377,16 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut t = OnlineTable::<u64>::new(1);
-        t.set_wal(Some(Wal::create(&dir, false, 0).unwrap()));
+        let table = crate::shard::ShardedTable::<u64>::builder()
+            .durability(crate::config::Durability::Wal {
+                dir: dir.clone(),
+                fsync: false,
+            })
+            .build()
+            .unwrap();
+        let t = table.shard(0);
         t.insert_rows(&[[1u64], [2]]).unwrap();
-        // The freeze's WAL rotation cannot create the next segment.
+        // The freeze's rotation cannot create the next segment.
         std::fs::remove_dir_all(&dir).unwrap();
         let policy = MergePolicy {
             threads: 1,
@@ -1586,9 +1606,13 @@ mod tests {
         // Writes land in the second delta.
         t.insert_row(&[7, 8, 9]).unwrap();
         assert_eq!(t.row(1_000), vec![7, 8, 9]);
+        // Two columns still hold the 1 000 rows in their frozen deltas.
+        assert_eq!(t.main_len(), 0);
+        assert_eq!(t.main_len() + t.delta_len(), t.row_count());
         let stats = s.finish().unwrap();
         assert_eq!(stats.columns.len(), 3);
         assert_eq!(t.main_len(), 1_000);
+        assert_eq!(t.main_len() + t.delta_len(), t.row_count());
         assert_eq!(
             t.delta_len(),
             1,

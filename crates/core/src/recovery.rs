@@ -1,274 +1,252 @@
 //! Crash recovery: rebuild a [`ShardedTable`] from its durable root
-//! directory, one [`OnlineTable`] shard at a time.
+//! directory by replaying the table log over the shards' checkpoints.
 //!
 //! What is on disk after a crash, and what each piece becomes:
 //!
 //! | on disk | becomes |
 //! |---|---|
 //! | root `SHARDS` manifest | schema check (columns, value width, fsync policy) and the router |
-//! | each `shard-<i>/` directory | one shard, recovered independently from the rows below |
-//! | `checkpoint.bin` | the row count and validity of the checkpointed rows |
-//! | `col-<c>-<rows>.bin` at the checkpoint's rows | column `c`'s main partition |
-//! | sealed `seg-*.wal` | one bit-packed [`hyrise_storage::FrozenDelta`] per column, frozen and merged before recovery returns |
-//! | `col-<c>-<rows>.bin` at the sealed rows' end | column `c`'s merge output, committed instead of re-merged |
-//! | live `seg-*.wal` | replayed into a fresh tail through the normal insert path |
-//! | empty `seg-*.wal` above an unsealed one | removed: a rotation that never sealed the segment below |
+//! | `shard-<i>/checkpoint.bin` | shard `i`'s checkpointed row count and those rows' validity |
+//! | `shard-<i>/col-<c>-<rows>.bin` at the checkpoint's rows | column `c`'s main partition |
+//! | the root's `seg-*.wal`, frame by frame in order | each write's rows and flips, per shard; rows a checkpoint holds are skipped |
+//! | a shard's rows below its last seal | one bit-packed [`hyrise_storage::FrozenDelta`] per column, frozen and merged before recovery returns |
+//! | `shard-<i>/col-<c>-<rows>.bin` at the sealed rows' end | column `c`'s merge output, committed instead of re-merged |
+//! | a shard's rows above its last seal | replayed into a fresh tail through the normal insert path |
+//! | a torn final frame of the last segment | dropped, and cut off when the log reattaches |
 //! | any other `col-*` or `*.tmp` file | ignored; unlinked by the next finished merge |
 //!
-//! Replay rules, matching the WAL's ordering contract (see the private
-//! `wal` module): a record is appended before its rows publish, so every
-//! sealed segment is gap-free (a gap is [`crate::error::Error::Corrupt`]);
-//! the live segment replays its maximal contiguous row prefix and
-//! tolerates a torn final record; validity flips are row-addressed and
-//! idempotent, so they apply last, in log order. A freeze's synced seal
-//! is the merge's durable begin, so sealed rows beyond the checkpoint are
-//! always merged forward — whether the merge was killed mid-way, failed or
-//! was dropped before the crash, or never got past its freeze. The result is the
-//! same bytes in every case: merge output depends only on the row value
+//! Replay rules, matching the log's ordering contract (see the private
+//! `wal` module): each shard's rows appear in the log in tuple-id order, so
+//! a group that does not start where the shard's replayed rows end, or a
+//! seal that does not name that end, is [`Error::Corrupt`]; every segment
+//! but the last ends with a seal. A client operation is one frame, so it
+//! replays entirely or not at all. Validity flips are row-addressed and
+//! idempotent, so they apply last. A freeze's synced seal is the merge's
+//! durable begin, so sealed rows beyond the checkpoint are always merged
+//! forward — whether the merge was killed mid-way, failed or was dropped
+//! before the crash, or never got past its freeze. The result is the same
+//! bytes in every case: merge output depends only on the row value
 //! sequence, which is also why a column file of the right generation can
 //! be committed without a log to vouch for it.
 
 use crate::error::{Error, Result};
 use crate::manager::{MergePolicy, OnlineTable};
+use crate::pipeline::{MergeGrant, SpareBank};
 use crate::shard::ShardedTable;
-use crate::wal::{self, Wal};
-use hyrise_storage::{MainPartition, Value};
+use crate::wal::{self, Checkpoint, LogReplay, Record, TableLog};
+use hyrise_storage::{MainPartition, ValidityBitmap, Value};
 use std::path::Path;
+use std::sync::Arc;
 
-/// Rebuild the shard at `dir`, whose `n_cols` columns and `fsync` policy
-/// the root's `SHARDS` manifest states, to the exact durable state:
-/// byte-identical dictionaries, packed code words, and validity versus the
-/// uncrashed process. The WAL is re-attached (continuing the live segment,
-/// truncated past any torn record), so the recovered shard keeps logging.
-/// Sealed rows beyond the checkpoint are merged under
-/// [`MergePolicy::default`]'s grant before this returns; every grant
-/// yields byte-identical partitions, so the grant sets only the resume's
-/// cost.
-fn recover_shard<V: Value>(dir: &Path, n_cols: usize, fsync: bool) -> Result<OnlineTable<V>> {
-    // The checkpointed mains (or empty ones for a never-merged table).
-    // Stale column files of other generations are never read.
-    let ckpt = wal::read_checkpoint::<V>(dir)?;
-    let (ckpt_rows, mains, ckpt_validity) = match ckpt {
-        Some(c) => (c.rows, c.mains, Some(c.validity)),
-        None => (
-            0,
-            (0..n_cols).map(|_| MainPartition::empty()).collect(),
-            None,
-        ),
-    };
-    if mains.len() != n_cols {
-        return Err(Error::recovery(format!(
-            "{}: checkpoint has {} columns, SHARDS says {n_cols}",
-            dir.display(),
-            mains.len()
-        )));
-    }
+/// One shard while the log replays: its checkpoint, and the rows and
+/// flips the log holds beyond it.
+struct ShardReplay<V> {
+    ckpt: Checkpoint<V>,
+    /// Row-major values of the rows logged past the checkpoint, in
+    /// tuple-id order.
+    values: Vec<V>,
+    /// How many of those rows lie below the shard's last seal.
+    sealed: usize,
+    flips: Vec<usize>,
+    /// `(segment, end)` of the shard's last seal.
+    last_seal: Option<(u64, usize)>,
+}
 
-    // Segments: drop the ones the checkpoint already absorbed (a crash
-    // between checkpoint write and truncation leaves them behind), then
-    // read the rest. All but the last must be sealed; the last, when
-    // unsealed, is the live segment.
-    let mut bases = Vec::new();
-    for base in wal::list_segments(dir)? {
-        if base < ckpt_rows {
-            wal::remove_segment(dir, base)?;
-        } else {
-            bases.push(base);
-        }
-    }
-    let mut segments = Vec::with_capacity(bases.len());
-    for &base in &bases {
-        segments.push(wal::read_segment::<V>(
-            &wal::segment_file(dir, base),
-            base,
-            n_cols,
-        )?);
-    }
-    // An empty segment above an unsealed one never took an append: a
-    // rotation stopped before the segment below it was sealed, and that
-    // one is still the live segment.
-    if let [.., below, last] = segments.as_slice() {
-        if !below.sealed && last.clean_len == 0 {
-            wal::remove_segment(dir, last.base)?;
-            segments.pop();
-        }
-    }
-    let live = match segments.last() {
-        Some(s) if !s.sealed => Some(segments.pop().expect("just matched")),
-        _ => None,
-    };
-
-    // Sealed segments must chain contiguously from the checkpoint and be
-    // internally gap-free (the ordering contract guarantees both for any
-    // segment that ends with a seal record).
-    let mut expected = ckpt_rows;
-    let mut deltas: Vec<Vec<V>> = (0..n_cols).map(|_| Vec::new()).collect();
-    let mut sealed_rows = 0usize;
-    let mut flips: Vec<(usize, bool)> = Vec::new();
-    for seg in &segments {
-        if !seg.sealed {
-            return Err(Error::corrupt(
-                wal::segment_file(dir, seg.base),
-                0,
-                "unsealed segment below the live segment",
-            ));
-        }
-        if seg.base != expected {
+impl<V: Value> ShardReplay<V> {
+    /// Load the checkpoint of the shard at `dir` (empty mains for a shard
+    /// that never merged); other generations' column files are not read.
+    fn load(dir: &Path, n_cols: usize) -> Result<Self> {
+        let ckpt = wal::read_checkpoint::<V>(dir)?.unwrap_or_else(|| Checkpoint {
+            rows: 0,
+            mains: (0..n_cols).map(|_| MainPartition::empty()).collect(),
+            validity: ValidityBitmap::all_valid(0),
+        });
+        if ckpt.mains.len() != n_cols {
             return Err(Error::recovery(format!(
-                "segment gap: expected base {expected}, found {}",
-                seg.base
+                "{}: checkpoint has {} columns, SHARDS says {n_cols}",
+                dir.display(),
+                ckpt.mains.len()
             )));
         }
-        let rows = fold_segment_rows(dir, seg, &mut deltas, true)?;
-        sealed_rows += rows;
-        expected += rows;
-        flips.extend_from_slice(&seg.flips);
+        Ok(Self {
+            ckpt,
+            values: Vec::new(),
+            sealed: 0,
+            flips: Vec::new(),
+            last_seal: None,
+        })
     }
 
-    let mut table = OnlineTable::from_recovered_parts(mains, deltas);
-
-    // Validity: checkpoint bits for the checkpointed prefix, replayed
-    // inserts are valid until flipped, flips go last (idempotent,
-    // row-addressed, so re-applying one the checkpoint already captured
-    // is harmless).
-    let validity = table.validity_handle();
-    if let Some(v) = &ckpt_validity {
-        for i in 0..ckpt_rows {
-            if v.is_valid(i) {
-                validity.set_valid(i);
+    /// Replay one log entry of this shard found in segment `seq`.
+    fn replay(&mut self, record: &Record<V>, seq: u64, path: &Path) -> Result<()> {
+        // Tuple id one past the shard's replayed rows.
+        let next = self.ckpt.rows + self.values.len() / self.ckpt.mains.len();
+        match *record {
+            Record::Rows {
+                shard,
+                start,
+                ref values,
+            } => {
+                let end = start.saturating_add(values.len() / self.ckpt.mains.len());
+                if end <= self.ckpt.rows {
+                    return Ok(()); // the checkpoint holds these rows
+                }
+                if start != next {
+                    return Err(Error::corrupt(
+                        path,
+                        0,
+                        format!("shard {shard} skips rows {next}..{start}"),
+                    ));
+                }
+                self.values.extend_from_slice(values);
+            }
+            Record::Flip { row, .. } => self.flips.push(row),
+            Record::Seal { shard, end } => {
+                if end > self.ckpt.rows {
+                    if end != next {
+                        return Err(Error::corrupt(
+                            path,
+                            0,
+                            format!("shard {shard} sealed at row {end}, its rows end at {next}"),
+                        ));
+                    }
+                    self.sealed = end - self.ckpt.rows;
+                }
+                self.last_seal = Some((seq, end));
             }
         }
-    }
-    for i in ckpt_rows..ckpt_rows + sealed_rows {
-        validity.set_valid(i);
+        Ok(())
     }
 
-    // The live segment replays through the normal insert path — the WAL
-    // is not attached yet, so replay does not re-log.
-    let live_base = ckpt_rows + sealed_rows;
-    let (live_clean_len, live_flips) = match live {
-        Some(seg) => {
-            if seg.base != live_base {
+    /// The shard at its exact durable state, built through the live write
+    /// path: the checkpoint's mains and validity, the sealed rows inserted
+    /// and frozen (the freeze a dropped merge leaves; no log is attached
+    /// yet, so nothing is re-logged or sealed), the other rows inserted
+    /// behind them, and the flips applied last.
+    fn build(self) -> Result<OnlineTable<V>> {
+        let n_cols = self.ckpt.mains.len();
+        let table = OnlineTable::from_mains(self.ckpt.mains);
+        let validity = table.validity_handle();
+        let ckpt_validity = &self.ckpt.validity;
+        for i in (0..self.ckpt.rows).filter(|&i| !ckpt_validity.is_valid(i)) {
+            validity.invalidate(i);
+        }
+        let rows: Vec<&[V]> = self.values.chunks_exact(n_cols).collect();
+        let (sealed, live) = rows.split_at(self.sealed);
+        if !sealed.is_empty() {
+            table.insert_rows(sealed)?;
+            drop(table.begin_merge(MergeGrant::with_threads(1))?);
+        }
+        table.insert_rows(live)?;
+        let total = table.row_count();
+        for row in self.flips {
+            if row >= total {
                 return Err(Error::recovery(format!(
-                    "live segment base {} does not follow the sealed rows ({live_base})",
-                    seg.base
+                    "validity flip targets row {row}, but only {total} rows replayed"
                 )));
             }
-            let mut tail: Vec<Vec<V>> = (0..n_cols).map(|_| Vec::new()).collect();
-            let rows = fold_segment_rows(dir, &seg, &mut tail, false)?;
-            let mut batch: Vec<Vec<V>> = Vec::with_capacity(rows);
-            for r in 0..rows {
-                batch.push(tail.iter().map(|col| col[r]).collect());
-            }
-            if !batch.is_empty() {
-                let range = table
-                    .insert_rows(&batch)
-                    .expect("no wal attached during replay");
-                debug_assert_eq!(range.start, live_base, "replay preserves tuple ids");
-            }
-            (seg.clean_len, seg.flips)
-        }
-        None => (0, Vec::new()),
-    };
-    flips.extend(live_flips);
-
-    let total = table.row_count();
-    for (row, valid) in flips {
-        if row >= total {
-            return Err(Error::recovery(format!(
-                "validity flip targets row {row}, but only {total} rows replayed"
-            )));
-        }
-        if valid {
-            validity.set_valid(row);
-        } else {
             validity.invalidate(row);
         }
+        Ok(table)
     }
-
-    // Re-attach the log (continuing the live segment truncated to its
-    // clean prefix, or opening a fresh one when the crash landed between
-    // a seal and the next segment's creation), then resume the merge of
-    // the sealed rows, committing every column file the crashed merge
-    // already wrote — completed steps are not redone, and the output is
-    // byte-identical to the merge the crash interrupted.
-    table.set_wal(Some(Wal::attach(dir, fsync, live_base, live_clean_len)?));
-
-    if sealed_rows > 0 {
-        let loaded = (0..n_cols)
-            .filter(|&c| wal::column_exists(dir, c, live_base))
-            .map(|c| Ok((c, wal::read_column::<V>(dir, c, live_base)?)))
-            .collect::<Result<_>>()?;
-        let mut session = table.begin_merge(MergePolicy::default().grant())?;
-        session.commit(loaded);
-        session.finish()?;
-    }
-    Ok(table)
 }
 
-/// Fold a segment's insert batches into per-column value vectors, in
-/// global row order (the shape [`hyrise_storage::FrozenDelta`] freezes
-/// from). Returns the number of contiguous rows folded. `sealed` demands
-/// complete coverage (a sealed segment cannot have holes); a live segment
-/// keeps its maximal contiguous prefix and drops the unpublished rest.
-fn fold_segment_rows<V: Value>(
-    dir: &Path,
-    seg: &wal::SegmentData<V>,
-    deltas: &mut [Vec<V>],
-    sealed: bool,
-) -> Result<usize> {
-    let n_cols = deltas.len();
-    // Batches append under a mutex but *reserve* slots beforehand, so
-    // append order need not be row order: sort by start row.
-    let mut order: Vec<usize> = (0..seg.inserts.len()).collect();
-    order.sort_by_key(|&i| seg.inserts[i].start);
-    let mut next = seg.base;
-    let mut folded = 0usize;
-    for &i in &order {
-        let rec = &seg.inserts[i];
-        if rec.start != next {
-            if sealed {
-                return Err(Error::corrupt(
-                    wal::segment_file(dir, seg.base),
-                    0,
-                    format!(
-                        "sealed segment skips rows {next}..{} (gap before a seal is impossible \
-                         under the append-before-publish contract)",
-                        rec.start
-                    ),
-                ));
-            }
-            break; // live segment: clean prefix only
-        }
-        for r in 0..rec.n_rows {
-            for (c, d) in deltas.iter_mut().enumerate() {
-                d.push(rec.values[r * n_cols + c]);
-            }
-        }
-        next += rec.n_rows;
-        folded += rec.n_rows;
-    }
-    Ok(folded)
+/// Merge the shard's sealed rows, which end at `end`, forward, committing
+/// every column file the crashed merge already wrote — completed steps
+/// are not redone, and the output is byte-identical to the merge the crash
+/// interrupted. Runs under [`MergePolicy::default`]'s grant; every grant
+/// yields the same partitions, so the grant sets only the cost.
+fn resume_merge<V: Value>(table: &OnlineTable<V>, dir: &Path, end: usize) -> Result<()> {
+    let loaded = (0..table.num_columns())
+        .filter(|&c| wal::column_exists(dir, c, end))
+        .map(|c| Ok((c, wal::read_column::<V>(dir, c, end)?)))
+        .collect::<Result<_>>()?;
+    let mut session = table.begin_merge(MergePolicy::default().grant())?;
+    session.commit(loaded);
+    session.finish().map(drop)
 }
 
-/// Rebuild a durable [`ShardedTable`] from its root directory: the
-/// `SHARDS` manifest states the schema and restores the routing layout,
-/// and every `shard-<i>/` directory recovers independently (per-shard
-/// logs, per-shard merges). A root of another value width, or a shard
-/// whose files disagree with the manifest, is [`Error::Recovery`]. A
-/// multi-shard batch torn by the crash recovers torn — see
-/// [`ShardedTable::insert_rows`] for why that is the honest contract.
+/// Rebuild a durable [`ShardedTable`] from its root directory to the exact
+/// durable state: byte-identical dictionaries, packed code words and
+/// validity versus the uncrashed process. The `SHARDS` manifest states the
+/// schema and restores the routing layout, every shard loads its
+/// checkpoint, and the table log replays over them in order. The log is
+/// re-attached (continuing the live segment, truncated past any torn
+/// frame), so the recovered table keeps logging, and each shard's sealed
+/// rows are merged before this returns. A root of another value width, or
+/// a shard whose files disagree with the manifest, is [`Error::Recovery`];
+/// a log that breaks the ordering contract is [`Error::Corrupt`].
 pub fn recover_sharded<V: Value>(root: impl AsRef<Path>) -> Result<ShardedTable<V>> {
     let root = root.as_ref();
     let m = wal::read_sharded_manifest::<V>(root)?;
-    let bank = std::sync::Arc::new(crate::pipeline::SpareBank::new());
-    let shards = (0..m.n_shards)
-        .map(|i| {
-            let shard = recover_shard(&wal::shard_dir(root, i), m.n_cols, m.fsync)?;
-            Ok(shard.with_spare_bank(std::sync::Arc::clone(&bank)))
-        })
-        .collect::<Result<_>>()?;
-    Ok(ShardedTable::from_parts(shards, m.by, m.key_col))
+    let mut shards = (0..m.n_shards)
+        .map(|i| ShardReplay::<V>::load(&wal::shard_dir(root, i), m.n_cols))
+        .collect::<Result<Vec<_>>>()?;
+
+    let seqs = wal::list_segments(root)?;
+    let mut replay = LogReplay::new(m.n_shards);
+    let mut live = None;
+    for (k, &seq) in seqs.iter().enumerate() {
+        let path = wal::segment_path(root, seq);
+        let seg = wal::read_segment::<V>(&path, m.n_cols)?;
+        let mut has = vec![false; m.n_shards];
+        for record in &seg.records {
+            let (Record::Rows { shard, .. }
+            | Record::Flip { shard, .. }
+            | Record::Seal { shard, .. }) = *record;
+            let state = shards.get_mut(shard).ok_or_else(|| {
+                Error::corrupt(
+                    &path,
+                    0,
+                    format!("frame names shard {shard} of {}", m.n_shards),
+                )
+            })?;
+            state.replay(record, seq, &path)?;
+            has[shard] = true;
+        }
+        if seg.sealed {
+            replay.sealed.push((seq, has));
+        } else if k + 1 == seqs.len() {
+            live = Some((seq, seg.clean_len, has));
+        } else {
+            // A seal is synced before the next segment is created.
+            return Err(Error::corrupt(
+                path,
+                0,
+                "unsealed segment below the live one",
+            ));
+        }
+    }
+
+    // A checkpoint written at or past a shard's last seal covers the
+    // segments up to it; when the seal is past the checkpoint, the merge
+    // below writes that checkpoint.
+    let mut resume = Vec::with_capacity(m.n_shards);
+    for (i, s) in shards.iter().enumerate() {
+        if let Some((seq, end)) = s.last_seal {
+            if end <= s.ckpt.rows {
+                replay.covered[i] = Some(seq);
+            } else {
+                replay.pending[i] = Some(seq);
+            }
+        }
+        resume.push((s.sealed > 0).then_some(s.ckpt.rows + s.sealed));
+    }
+    let tables = shards
+        .into_iter()
+        .map(ShardReplay::build)
+        .collect::<Result<Vec<_>>>()?;
+    let log = Arc::new(TableLog::open(root, m.fsync, live, replay)?);
+    let bank = Arc::new(SpareBank::new());
+    let mut out = Vec::with_capacity(tables.len());
+    for (i, (mut table, sealed_end)) in tables.into_iter().zip(resume).enumerate() {
+        table.set_wal(&log, root, i);
+        if let Some(end) = sealed_end {
+            resume_merge(&table, &wal::shard_dir(root, i), end)?;
+        }
+        out.push(table.with_spare_bank(Arc::clone(&bank)));
+    }
+    Ok(ShardedTable::from_parts(out, m.by, m.key_col))
 }
 
 #[cfg(test)]
@@ -276,7 +254,7 @@ mod tests {
     use super::*;
     use crate::config::Durability;
     use crate::pipeline::{MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy};
-    use crate::shard::ShardedTable;
+    use crate::shard::{ShardBy, ShardRowId};
     use hyrise_storage::FrozenDelta;
     use std::path::PathBuf;
 
@@ -287,17 +265,31 @@ mod tests {
         dir
     }
 
-    /// A durable 2-column shard logging to `dir`, as the builder makes
-    /// each shard of a durable table.
-    fn durable_table(dir: &Path) -> OnlineTable<u64> {
-        let mut t = OnlineTable::new(2);
-        t.set_wal(Some(Wal::create(dir, false, 0).unwrap()));
-        t
+    /// A durable one-shard table of two `u64` columns under `root`.
+    fn durable_root(root: &Path) -> ShardedTable<u64> {
+        ShardedTable::builder()
+            .columns(2)
+            .durability(Durability::Wal {
+                dir: root.to_path_buf(),
+                fsync: false,
+            })
+            .build()
+            .unwrap()
     }
 
-    /// Recover the shard `durable_table` made at `dir`.
-    fn reopen(dir: &Path) -> Result<OnlineTable<u64>> {
-        recover_shard(dir, 2, false)
+    /// The shard of a fresh `durable_root`, the paper's single table; it
+    /// keeps logging after the facade drops.
+    fn durable_table(root: &Path) -> Arc<OnlineTable<u64>> {
+        Arc::clone(durable_root(root).shard(0))
+    }
+
+    /// Recover the table at `root` and return its one shard.
+    fn reopen(root: &Path) -> Result<Arc<OnlineTable<u64>>> {
+        Ok(Arc::clone(recover_sharded::<u64>(root)?.shard(0)))
+    }
+
+    fn shard0(root: &Path) -> PathBuf {
+        wal::shard_dir(root, 0)
     }
 
     /// An in-memory table holding `data`, merged without interruption.
@@ -332,7 +324,7 @@ mod tests {
             .collect()
     }
 
-    /// The table directory's file names, sorted.
+    /// A directory's file names, sorted.
     fn listing(dir: &Path) -> Vec<String> {
         let mut names: Vec<String> = std::fs::read_dir(dir)
             .unwrap()
@@ -342,54 +334,76 @@ mod tests {
         names
     }
 
-    /// What a directory holds after a finished merge of `rows` rows on a
-    /// 2-column table whose live segment starts at `live`.
-    fn one_generation(rows: usize, live: usize) -> Vec<String> {
-        let mut names = vec![
-            format!("col-0-{rows:016x}.bin"),
-            format!("col-1-{rows:016x}.bin"),
-            "checkpoint.bin".to_string(),
-            format!("seg-{live:016x}.wal"),
-        ];
-        names.sort();
-        names
+    /// What a one-shard, 2-column root holds after a finished merge of
+    /// `rows` rows whose live segment is `live`: the manifest and that one
+    /// segment, and in the shard directory one generation of files.
+    fn assert_one_generation(root: &Path, rows: usize, live: u64) {
+        assert_eq!(
+            listing(root),
+            [
+                "SHARDS".to_string(),
+                format!("seg-{live:016x}.wal"),
+                "shard-0".into()
+            ]
+        );
+        assert_eq!(
+            listing(&shard0(root)),
+            [
+                "checkpoint.bin".to_string(),
+                format!("col-0-{rows:016x}.bin"),
+                format!("col-1-{rows:016x}.bin"),
+            ]
+        );
     }
 
-    /// Hand-build the directory a crash leaves mid-merge — sealed rows,
-    /// column 0's file of the sealed rows' generation written, column 1
-    /// not started — and recovery must finish the merge byte-identically
-    /// to a table that merged without crashing.
+    /// Copy the table at `root` as a crash would leave it.
+    fn copy_tree(src: &Path, dst: &Path) {
+        std::fs::create_dir_all(dst).unwrap();
+        for name in listing(src) {
+            let from = src.join(&name);
+            if from.is_dir() {
+                copy_tree(&from, &dst.join(&name));
+            } else {
+                std::fs::copy(&from, dst.join(&name)).unwrap();
+            }
+        }
+    }
+
+    /// The state a crash leaves mid-merge — sealed rows, column 0's file
+    /// of the sealed rows' generation written, column 1 not started — and
+    /// recovery must finish the merge byte-identically to a table that
+    /// merged without crashing.
     #[test]
     fn interrupted_merge_resumes_from_staged_columns() {
-        let dir = temp_dir("resume");
+        let root = temp_dir("resume");
         let data = rows(300);
         {
-            let w: Wal<u64> = Wal::create(&dir, false, 0).unwrap();
-            w.append_insert(0, &data).unwrap();
+            let t = durable_table(&root);
+            t.insert_rows(&data).unwrap();
             // The crash point: the seal is durable, column 0 is written.
-            w.seal_and_rotate(300).unwrap();
+            drop(t.begin_merge(MergeGrant::with_threads(1)).unwrap());
             let delta0 = FrozenDelta::from_values(&data.iter().map(|r| r[0]).collect::<Vec<_>>());
             let merged0 = MergePipeline::new(MergeStrategy::Optimized, 1)
                 .merge_column(&MainPartition::empty(), &delta0, &mut MergeScratch::new())
                 .main;
-            wal::write_column(&dir, 0, 300, &merged0).unwrap();
+            wal::write_column(&shard0(&root), 0, 300, &merged0).unwrap();
         }
 
-        let back = reopen(&dir).unwrap();
+        let back = reopen(&root).unwrap();
         let reference = merged_reference(&data);
 
         assert_eq!(back.row_count(), 300);
         assert_eq!(back.main_len(), 300, "recovery finished the merge");
         assert_eq!(back.delta_len(), 0);
         assert_mains_identical(&back, &reference);
-        assert_eq!(listing(&dir), one_generation(300, 300));
+        assert_one_generation(&root, 300, 1);
         // The resumed merge checkpointed: a second recovery replays from
         // the checkpoint alone (segments truncated) and still matches.
         drop(back);
-        let again = reopen(&dir).unwrap();
+        let again = reopen(&root).unwrap();
         assert_eq!(again.main_len(), 300);
         assert_mains_identical(&again, &reference);
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A durable session's steps are the resumable steps: kill the process
@@ -399,22 +413,25 @@ mod tests {
     /// byte-identically to an uninterrupted one.
     #[test]
     fn durable_session_steps_survive_a_crash() {
-        let dir = temp_dir("session");
+        let root = temp_dir("session");
         let data = rows(300);
         {
-            let t = durable_table(&dir);
+            let t = durable_table(&root);
             t.insert_rows(&data).unwrap();
             let grant = MergeGrant::with_threads(1).budget(MergeBudget::columns(1));
             let mut session = t.begin_merge(grant).unwrap();
             assert!(session.step().unwrap());
         }
-        assert!(wal::column_exists(&dir, 0, 300), "step 1 wrote column 0");
-        assert!(!wal::column_exists(&dir, 1, 300));
-        let back = reopen(&dir).unwrap();
+        assert!(
+            wal::column_exists(&shard0(&root), 0, 300),
+            "step 1 wrote column 0"
+        );
+        assert!(!wal::column_exists(&shard0(&root), 1, 300));
+        let back = reopen(&root).unwrap();
         assert_eq!(back.main_len(), 300, "recovery finished the merge");
         assert_eq!(back.delta_len(), 0);
         assert_mains_identical(&back, &merged_reference(&data));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A columns(1) session writes one column file per step and `finish`
@@ -422,23 +439,23 @@ mod tests {
     /// and the live segment.
     #[test]
     fn session_writes_one_column_file_per_step() {
-        let dir = temp_dir("per-step");
-        let t = durable_table(&dir);
+        let root = temp_dir("per-step");
+        let t = durable_table(&root);
         let data = rows(300);
         t.insert_rows(&data).unwrap();
         let grant = MergeGrant::with_threads(1).budget(MergeBudget::columns(1));
         let mut session = t.begin_merge(grant).unwrap();
         assert!(session.step().unwrap());
-        let cols: Vec<String> = listing(&dir)
+        let cols: Vec<String> = listing(&shard0(&root))
             .into_iter()
             .filter(|n| n.starts_with("col-"))
             .collect();
         assert_eq!(cols, vec![format!("col-0-{:016x}.bin", 300)]);
         session.finish().unwrap();
-        assert_eq!(listing(&dir), one_generation(300, 300));
+        assert_one_generation(&root, 300, 1);
         drop(t);
-        assert_mains_identical(&reopen(&dir).unwrap(), &merged_reference(&data));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_mains_identical(&reopen(&root).unwrap(), &merged_reference(&data));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// An unbudgeted durable merge is one whole-table step: it writes every
@@ -446,28 +463,29 @@ mod tests {
     /// absorbed segment, leaving one generation on disk.
     #[test]
     fn unbudgeted_durable_merge_leaves_one_generation() {
-        let dir = temp_dir("unbudgeted");
-        let t = durable_table(&dir);
+        let root = temp_dir("unbudgeted");
+        let t = durable_table(&root);
         let data = rows(300);
         t.insert_rows(&data).unwrap();
         let mut session = t.begin_merge(MergeGrant::with_threads(1)).unwrap();
         assert!(session.step().unwrap());
         assert!(!session.step().unwrap());
+        let dir = shard0(&root);
         assert!(wal::column_exists(&dir, 0, 300) && wal::column_exists(&dir, 1, 300));
         assert!(
             wal::read_checkpoint::<u64>(&dir).unwrap().is_none(),
             "no manifest before finish"
         );
-        assert_eq!(wal::list_segments(&dir).unwrap(), vec![0, 300]);
+        assert_eq!(wal::list_segments(&root).unwrap(), vec![0, 1]);
         session.finish().unwrap();
-        assert_eq!(listing(&dir), one_generation(300, 300));
+        assert_one_generation(&root, 300, 1);
         let ckpt = wal::read_checkpoint::<u64>(&dir)
             .unwrap()
             .expect("checkpoint");
         assert_eq!(ckpt.rows, 300);
         drop(t);
-        assert_mains_identical(&reopen(&dir).unwrap(), &merged_reference(&data));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_mains_identical(&reopen(&root).unwrap(), &merged_reference(&data));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Every column file of the new generation is written but the crash
@@ -475,10 +493,10 @@ mod tests {
     /// writes the manifest and unlinks the old generation.
     #[test]
     fn written_generation_behind_an_old_manifest_is_finished() {
-        let dir = temp_dir("behind");
+        let root = temp_dir("behind");
         let data = rows(500);
         {
-            let t = durable_table(&dir);
+            let t = durable_table(&root);
             t.insert_rows(&data[..200]).unwrap();
             t.merge(1).unwrap();
             t.insert_rows(&data[200..]).unwrap();
@@ -486,7 +504,7 @@ mod tests {
             let mut session = t.begin_merge(grant).unwrap();
             while session.step().unwrap() {}
         }
-        let names = listing(&dir);
+        let names = listing(&shard0(&root));
         for gen in [200usize, 500] {
             for c in 0..2 {
                 assert!(
@@ -495,166 +513,157 @@ mod tests {
                 );
             }
         }
-        let back = reopen(&dir).unwrap();
+        let back = reopen(&root).unwrap();
         assert_eq!(back.main_len(), 500);
         assert_mains_identical(&back, &merged_reference(&data));
-        assert_eq!(listing(&dir), one_generation(500, 500));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_one_generation(&root, 500, 2);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A stale file of another generation and an interrupted `.tmp` write
     /// are ignored by recovery and unlinked by the next finished merge.
     #[test]
     fn stale_column_files_are_ignored_then_unlinked() {
-        let dir = temp_dir("stale");
+        let root = temp_dir("stale");
         let data = rows(300);
         {
-            let t = durable_table(&dir);
+            let t = durable_table(&root);
             t.insert_rows(&data[..200]).unwrap();
             t.merge(1).unwrap();
         }
-        let stale = dir.join(format!("col-0-{:016x}.bin", 7));
-        let tmp = dir.join("checkpoint.bin.tmp");
+        let stale = shard0(&root).join(format!("col-0-{:016x}.bin", 7));
+        let tmp = shard0(&root).join("checkpoint.bin.tmp");
         std::fs::write(&stale, b"not a column").unwrap();
         std::fs::write(&tmp, b"torn").unwrap();
-        let back = reopen(&dir).unwrap();
+        let back = reopen(&root).unwrap();
         assert_eq!(back.main_len(), 200);
         assert!(stale.exists() && tmp.exists(), "recovery leaves them alone");
         back.insert_rows(&data[200..]).unwrap();
         back.merge(1).unwrap();
-        assert_eq!(listing(&dir), one_generation(300, 300));
+        assert_one_generation(&root, 300, 2);
         drop(back);
-        assert_mains_identical(&reopen(&dir).unwrap(), &merged_reference(&data));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_mains_identical(&reopen(&root).unwrap(), &merged_reference(&data));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A merge dropped before its first step left its rows sealed but
     /// unmerged: recovery merges them forward.
     #[test]
     fn cancelled_durable_merge_is_finished_by_recovery() {
-        let dir = temp_dir("cancelled");
+        let root = temp_dir("cancelled");
         let data = rows(100);
         {
-            let t = durable_table(&dir);
+            let t = durable_table(&root);
             t.insert_rows(&data).unwrap();
             drop(t.begin_merge(MergeGrant::with_threads(1)).unwrap());
             assert_eq!(t.main_len(), 0, "the rows stay frozen");
-            assert_eq!(wal::list_segments(&dir).unwrap(), vec![0, 100]);
+            assert_eq!(wal::list_segments(&root).unwrap(), vec![0, 1]);
         }
-        let back = reopen(&dir).unwrap();
+        let back = reopen(&root).unwrap();
         assert_eq!(back.row_count(), 100);
         assert_eq!(back.main_len(), 100, "recovery merged the sealed rows");
         assert_eq!(back.delta_len(), 0);
         assert_mains_identical(&back, &merged_reference(&data));
-        assert_eq!(listing(&dir), one_generation(100, 100));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_one_generation(&root, 100, 1);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// A merge of an empty delta rewrites the live generation's column
-    /// files in place; the delete it checkpoints survives recovery.
+    /// A merge of an empty delta seals nothing and rewrites the live
+    /// generation's column files in place; the delete it checkpoints
+    /// survives recovery.
     #[test]
     fn empty_delta_merge_keeps_one_generation_and_the_delete() {
-        let dir = temp_dir("empty-delta");
+        let root = temp_dir("empty-delta");
         let data = rows(300);
-        let t = durable_table(&dir);
+        let t = durable_table(&root);
         t.insert_rows(&data).unwrap();
         t.merge(1).unwrap();
         t.delete_row(17).unwrap();
         t.merge_with(MergeGrant::with_threads(1)).unwrap();
-        assert_eq!(listing(&dir), one_generation(300, 300));
-        let ckpt = wal::read_checkpoint::<u64>(&dir)
+        assert_one_generation(&root, 300, 1);
+        let ckpt = wal::read_checkpoint::<u64>(&shard0(&root))
             .unwrap()
             .expect("manifest");
         assert!(!ckpt.validity.is_valid(17), "the manifest holds the delete");
         drop(t);
-        let back = reopen(&dir).unwrap();
+        let back = reopen(&root).unwrap();
         assert_eq!(back.main_len(), 300);
         assert!(!back.is_valid(17));
         assert_eq!(back.snapshot().validity().valid_count(), 299);
         assert_mains_identical(&back, &merged_reference(&data));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A column whose dictionary crosses 2^8 distinct values between two
     /// merges widens its codes 8 -> 9 bits and recovers byte-identically.
     #[test]
     fn code_width_crossing_recovers_byte_identical() {
-        let dir = temp_dir("width");
+        let root = temp_dir("width");
         let data: Vec<Vec<u64>> = (0..257u64).map(|i| vec![i, i % 3]).collect();
-        let t = durable_table(&dir);
+        let t = durable_table(&root);
         t.insert_rows(&data[..256]).unwrap();
         t.merge(1).unwrap();
         assert_eq!(t.snapshot().col(0).main().packed_codes().bits(), 8);
         t.insert_rows(&data[256..]).unwrap();
         t.merge(1).unwrap();
         drop(t);
-        let back = reopen(&dir).unwrap();
+        let back = reopen(&root).unwrap();
         assert_eq!(back.snapshot().col(0).main().packed_codes().bits(), 9);
         assert_mains_identical(&back, &merged_reference(&data));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// A freeze whose WAL rotation cannot create the next segment leaves
-    /// the live segment unsealed: the rows written after the failure land
-    /// in it, the table reopens with every row, and the next merge leaves
-    /// one generation.
+    /// A freeze whose rotation cannot create the next segment leaves the
+    /// live segment unsealed: the rows written after the failure land in
+    /// it, the table reopens with every row, and the next merge leaves one
+    /// generation.
     #[test]
     fn failed_rotation_keeps_the_table_recoverable() {
-        let dir = temp_dir("rotation");
+        let root = temp_dir("rotation");
         let data = rows(105);
         {
-            let t = durable_table(&dir);
+            let t = durable_table(&root);
             t.insert_rows(&data[..100]).unwrap();
-            let blocker = dir.join(format!("seg-{:016x}.wal", 100));
+            let blocker = wal::segment_path(&root, 1);
             std::fs::create_dir(&blocker).unwrap();
             assert!(matches!(t.merge(1), Err(Error::Io { .. })));
             std::fs::remove_dir(&blocker).unwrap();
             t.insert_rows(&data[100..]).unwrap();
         }
-        let back = reopen(&dir).unwrap();
+        let back = reopen(&root).unwrap();
         assert_eq!(back.row_count(), 105);
         assert_eq!(back.row(104), data[104]);
         back.merge(1).unwrap();
-        assert_eq!(listing(&dir), one_generation(105, 105));
+        assert_one_generation(&root, 105, 1);
         assert_mains_identical(&back, &merged_reference(&data));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// A rotation stopped after creating the next segment but before
-    /// sealing the live one leaves an empty segment above an unsealed one
-    /// holding rows: the reopen drops the empty one and replays every row
-    /// from the live segment.
+    /// Every seal is synced before the next segment exists, so an
+    /// unsealed segment below the last one is damage: a typed error, not a
+    /// silently shortened table.
     #[test]
-    fn empty_segment_above_an_unsealed_one_is_dropped() {
-        let dir = temp_dir("empty-above-unsealed");
-        let data = rows(100);
-        {
-            let t = durable_table(&dir);
-            t.insert_rows(&data).unwrap();
-        }
-        std::fs::File::create(wal::segment_file(&dir, 100)).unwrap();
-        let back = reopen(&dir).unwrap();
-        assert_eq!(back.row_count(), 100);
-        assert_eq!(back.row(99), data[99]);
-        assert_eq!(wal::list_segments(&dir).unwrap(), vec![0]);
-        back.merge(1).unwrap();
-        assert_eq!(listing(&dir), one_generation(100, 100));
-        assert_mains_identical(&back, &merged_reference(&data));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn an_unsealed_segment_below_the_live_one_is_corrupt() {
+        let root = temp_dir("unsealed-below");
+        durable_table(&root).insert_rows(&rows(100)).unwrap();
+        std::fs::File::create(wal::segment_path(&root, 1)).unwrap();
+        let err = reopen(&root).map(drop).unwrap_err();
+        assert!(matches!(err, Error::Corrupt { .. }), "got {err:?}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// After a failed rotation the next merge resumes the frozen rows but
-    /// writes no manifest and truncates no segment: the live segment
-    /// still begins below them and takes appends. The merge call goes on
-    /// to a fresh freeze, whose rotation seals that segment and whose
-    /// finish leaves one generation.
+    /// After a failed rotation the next merge resumes the frozen rows and
+    /// checkpoints them, but deletes no segment: the live segment holds
+    /// them and still takes appends. The merge call goes on to a fresh
+    /// freeze, whose rotation seals that segment and whose finish leaves
+    /// one generation.
     #[test]
     fn merge_resumed_after_a_failed_rotation_keeps_the_live_segment() {
-        let dir = temp_dir("rotation-resume");
+        let root = temp_dir("rotation-resume");
         let data = rows(105);
-        let t = durable_table(&dir);
+        let t = durable_table(&root);
         t.insert_rows(&data[..100]).unwrap();
-        let blocker = dir.join(format!("seg-{:016x}.wal", 100));
+        let blocker = wal::segment_path(&root, 1);
         std::fs::create_dir(&blocker).unwrap();
         assert!(t.merge(1).is_err());
         std::fs::remove_dir(&blocker).unwrap();
@@ -664,21 +673,20 @@ mod tests {
             .finish()
             .unwrap();
         assert_eq!(t.main_len(), 100, "the frozen rows merged");
-        assert!(wal::read_checkpoint::<u64>(&dir).unwrap().is_none());
-        assert_eq!(wal::list_segments(&dir).unwrap(), vec![0]);
-        // A crash here recovers every row from the live segment.
+        let ckpt = wal::read_checkpoint::<u64>(&shard0(&root)).unwrap();
+        assert_eq!(ckpt.map(|c| c.rows), Some(100));
+        assert_eq!(wal::list_segments(&root).unwrap(), vec![0]);
+        // A crash here recovers every row: the checkpoint's and the live
+        // segment's beyond it.
         let crashed = temp_dir("rotation-resume-crashed");
-        std::fs::create_dir(&crashed).unwrap();
-        for name in listing(&dir) {
-            std::fs::copy(dir.join(&name), crashed.join(&name)).unwrap();
-        }
+        copy_tree(&root, &crashed);
         assert_eq!(reopen(&crashed).unwrap().row_count(), 105);
         let _ = std::fs::remove_dir_all(&crashed);
         t.merge(1).unwrap();
-        assert_eq!(listing(&dir), one_generation(105, 105));
+        assert_one_generation(&root, 105, 1);
         drop(t);
-        assert_mains_identical(&reopen(&dir).unwrap(), &merged_reference(&data));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_mains_identical(&reopen(&root).unwrap(), &merged_reference(&data));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A scheduled merge whose column write fails is counted, leaves its
@@ -686,7 +694,6 @@ mod tests {
     /// the bytes of an uninterrupted merge.
     #[test]
     fn scheduled_merge_counts_a_failed_write_and_resumes_it() {
-        use crate::manager::MergePolicy;
         use crate::scheduler::MergeScheduler;
         use std::time::{Duration, Instant};
         let wait_for = |done: &dyn Fn() -> bool| {
@@ -699,7 +706,7 @@ mod tests {
         let data = rows(301);
         let t = durable_root(&root);
         t.insert_rows(&data[..300]).unwrap();
-        let blocker = wal::shard_dir(&root, 0).join(format!("col-1-{:016x}.bin", 300));
+        let blocker = shard0(&root).join(format!("col-1-{:016x}.bin", 300));
         std::fs::create_dir(&blocker).unwrap();
         let policy = MergePolicy {
             delta_fraction: 0.01,
@@ -718,20 +725,8 @@ mod tests {
         assert_eq!(sched.stats().merges, 1);
         assert_eq!(t.shard(0).main_len(), 301);
         assert_mains_identical(t.shard(0), &merged_reference(&data));
-        assert_eq!(listing(&wal::shard_dir(&root, 0)), one_generation(301, 301));
+        assert_one_generation(&root, 301, 2);
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// A durable one-shard table of `u64` values under `root`.
-    fn durable_root(root: &Path) -> ShardedTable<u64> {
-        ShardedTable::builder()
-            .columns(2)
-            .durability(Durability::Wal {
-                dir: root.to_path_buf(),
-                fsync: false,
-            })
-            .build()
-            .unwrap()
     }
 
     #[test]
@@ -759,6 +754,103 @@ mod tests {
         wal::write_sharded_manifest(&root, &m).unwrap();
         let err = recover_sharded::<u64>(&root).map(|_| ()).unwrap_err();
         assert!(matches!(err, Error::Recovery { .. }), "got {err:?}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A two-shard range table (keys below 1 000 on shard 0) under `root`.
+    fn two_shards(root: &Path) -> ShardedTable<u64> {
+        ShardedTable::builder()
+            .partitioning(ShardBy::Range(vec![1_000]))
+            .columns(2)
+            .durability(Durability::Wal {
+                dir: root.to_path_buf(),
+                fsync: false,
+            })
+            .build()
+            .unwrap()
+    }
+
+    /// An append that fails half-way poisons the log: the failed write
+    /// changes nothing, every later mutation returns the error, and the
+    /// table reopens with exactly the writes that returned `Ok`.
+    #[test]
+    fn a_failed_append_refuses_every_later_mutation() {
+        let root = temp_dir("poisoned");
+        let t = two_shards(&root);
+        let ids = t.insert_rows(&[[1u64, 10], [1_001, 11]]).unwrap();
+        wal::tests::FAIL_NEXT_APPEND.with(|f| f.set(true));
+        assert!(matches!(
+            t.insert_rows(&[[2u64, 20], [1_002, 21]]),
+            Err(Error::Io { .. })
+        ));
+        assert_eq!(t.row_count(), 2, "the failed batch left no rows");
+        let refused = [
+            t.insert_row(&[3, 30]).map(drop),
+            t.update_row(ids[0], &[1_003, 31]).map(drop),
+            t.delete_row(ids[1]),
+            t.delete_rows(&ids),
+            t.merge_all(1).map(drop),
+        ];
+        for r in refused {
+            assert!(matches!(r, Err(Error::Io { .. })), "got {r:?}");
+        }
+        assert!(t.is_valid(ids[0]) && t.is_valid(ids[1]), "reads stay live");
+        assert_eq!(t.row(ids[1]), vec![1_001, 11]);
+        drop(t);
+        let back = recover_sharded::<u64>(&root).unwrap();
+        assert_eq!(back.row_count(), 2);
+        assert_eq!(back.valid_row_count(), 2);
+        assert_eq!(back.row(ids[0]), vec![1, 10]);
+        let more = back.insert_rows(&[[4u64, 40], [1_004, 41]]).unwrap();
+        assert_eq!(more[1], ShardRowId { shard: 1, row: 1 });
+        drop(back);
+        assert_eq!(recover_sharded::<u64>(&root).unwrap().row_count(), 4);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Shard 0 stops receiving rows while shard 1 keeps merging: after
+    /// each of shard 1's merges, every sealed segment left holds a record
+    /// no checkpoint has absorbed — shard 0's unmerged rows pin their own
+    /// segment and no other.
+    #[test]
+    fn a_quiet_shard_pins_only_its_own_segments() {
+        let root = temp_dir("quiet");
+        let t = two_shards(&root);
+        let batch = |base: u64| -> Vec<[u64; 2]> { (0..20).map(|i| [base + i, i]).collect() };
+        t.insert_rows(&[batch(0), batch(1_000)].concat()).unwrap();
+        t.merge_all(1).unwrap();
+        t.insert_rows(&batch(100)).unwrap(); // shard 0's last rows
+        for round in 0..5u64 {
+            t.insert_rows(&batch(2_000 + 100 * round)).unwrap();
+            t.shard(1).merge(1).unwrap();
+            let ckpt: Vec<usize> = (0..2)
+                .map(|i| {
+                    let c = wal::read_checkpoint::<u64>(&wal::shard_dir(&root, i)).unwrap();
+                    c.map_or(0, |c| c.rows)
+                })
+                .collect();
+            let seqs = wal::list_segments(&root).unwrap();
+            let (live, sealed) = seqs.split_last().unwrap();
+            assert!(sealed.len() <= 1, "round {round}: segments {seqs:?}");
+            for &seq in sealed {
+                let seg = wal::read_segment::<u64>(&wal::segment_path(&root, seq), 2).unwrap();
+                let unabsorbed = seg.records.iter().any(|r| match *r {
+                    Record::Rows {
+                        shard,
+                        start,
+                        ref values,
+                    } => start + values.len() / 2 > ckpt[shard],
+                    Record::Flip { .. } => true,
+                    Record::Seal { shard, end } => end > ckpt[shard],
+                });
+                assert!(unabsorbed, "round {round}: segment {seq} is all absorbed");
+            }
+            assert!(*live > round, "shard 1's merges rotate the log");
+        }
+        drop(t);
+        let back = recover_sharded::<u64>(&root).unwrap();
+        assert_eq!(back.shard(0).row_count(), 40);
+        assert_eq!(back.shard(1).row_count(), 120);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

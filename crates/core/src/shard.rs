@@ -194,51 +194,50 @@ impl<V: Value> ShardedTable<V> {
     }
 
     /// Insert one row, routed by its key; returns its global address
-    /// (the shard's WAL append can fail).
+    /// (the log append of a durable table can fail).
     pub fn insert_row(&self, values: &[V]) -> Result<ShardRowId> {
         let _write = self.clock.begin_write();
         let shard = self.shard_of(values);
-        Ok(ShardRowId {
-            shard,
-            row: self.shards[shard].insert_row(values)?,
-        })
+        let row = self.shards[shard].insert_row(values)?;
+        Ok(ShardRowId { shard, row })
     }
 
     /// Batched insert: rows are grouped by target shard and each group is
-    /// appended as one lock-free reservation + publish
-    /// ([`OnlineTable::insert_rows`]), so a large batch costs `O(shards)`
-    /// watermark publishes instead of `O(rows)`. The whole operation runs
-    /// under one `CutClock` ticket, so a
+    /// appended as one reservation + publish, so a large batch costs
+    /// `O(shards)` watermark publishes instead of `O(rows)`. The whole
+    /// operation runs under one `CutClock` ticket, so a
     /// [`Self::consistent_snapshots`] cut sees all of the batch's shard
     /// groups or none of them. Returns each row's global address, in
     /// input order.
     ///
-    /// Durability is per shard: each shard group's WAL record is durable
-    /// before that group becomes visible, and an error aborts the
-    /// remaining groups. A crash (or error) part-way can therefore leave
-    /// a multi-shard batch *torn across shards* on disk — already-logged
-    /// groups replay, the rest don't. Cross-shard batch atomicity would
-    /// need a two-phase commit across the per-shard logs, which this
-    /// engine deliberately does not do; the `CutClock` consistency
-    /// guarantee applies to in-memory reads, not to crash recovery.
+    /// On a durable table the batch is one frame of the table log, logged
+    /// before any group is visible: a crash recovers all of its groups or
+    /// none.
     pub fn insert_rows<R: AsRef<[V]>>(&self, rows: &[R]) -> Result<Vec<ShardRowId>> {
         let _write = self.clock.begin_write();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, r) in rows.iter().enumerate() {
-            groups[self.shard_of(r.as_ref())].push(i);
+        let route: Vec<usize> = rows.iter().map(|r| self.shard_of(r.as_ref())).collect();
+        let mut batches: Vec<Vec<&[V]>> = vec![Vec::new(); self.shards.len()];
+        for (r, &shard) in rows.iter().zip(&route) {
+            batches[shard].push(r.as_ref());
         }
-        let mut ids = vec![ShardRowId { shard: 0, row: 0 }; rows.len()];
-        for (shard, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let batch: Vec<&[V]> = group.iter().map(|&i| rows[i].as_ref()).collect();
-            let range = self.shards[shard].insert_rows(&batch)?;
-            for (&i, row) in group.iter().zip(range) {
-                ids[i] = ShardRowId { shard, row };
-            }
+        let targets = (0..batches.len()).filter(|&s| !batches[s].is_empty());
+        let inserts: Vec<_> = targets
+            .clone()
+            .map(|s| (&*self.shards[s], batches[s].as_slice()))
+            .collect();
+        // Each shard's rows take consecutive ids from its group's start.
+        let mut next = vec![0; batches.len()];
+        for (s, start) in targets.zip(OnlineTable::write(&inserts, &[])?) {
+            next[s] = start;
         }
-        Ok(ids)
+        Ok(route
+            .into_iter()
+            .map(|shard| {
+                let row = next[shard];
+                next[shard] += 1;
+                ShardRowId { shard, row }
+            })
+            .collect())
     }
 
     /// Read one cell.
@@ -259,26 +258,36 @@ impl<V: Value> ShardedTable<V> {
     /// Insert-only update (Section 3): the new version is routed by its
     /// *new* key (it may land on a different shard than `old`) and
     /// inserted, then the old row is invalidated. Returns the new
-    /// version's address. This is the one place the two writes are
-    /// composed.
+    /// version's address. On a durable table both halves are one log
+    /// frame, so a crash recovers exactly one valid version.
     pub fn update_row(&self, old: ShardRowId, values: &[V]) -> Result<ShardRowId> {
         // One ticket across both shards: a cut never sees the new version
         // without the old one's invalidation (or vice versa).
         let _write = self.clock.begin_write();
         let shard = self.shard_of(values);
-        let new_id = ShardRowId {
-            shard,
-            row: self.shards[shard].insert_row(values)?,
-        };
-        self.shards[old.shard].delete_row(old.row)?;
-        Ok(new_id)
+        let row = OnlineTable::write(
+            &[(&*self.shards[shard], std::slice::from_ref(&values))],
+            &[(&*self.shards[old.shard], old.row)],
+        )?[0];
+        Ok(ShardRowId { shard, row })
     }
 
-    /// Invalidate a row: the validity flip is logged on the owning shard
-    /// before the in-memory bit drops.
+    /// Invalidate a row: on a durable table the flip is logged before the
+    /// in-memory bit drops.
     pub fn delete_row(&self, id: ShardRowId) -> Result<()> {
+        self.delete_rows(std::slice::from_ref(&id))
+    }
+
+    /// Invalidate several rows, on any shards, as one write: one
+    /// `CutClock` ticket and, on a durable table, one log frame, so a
+    /// crash recovers all of the deletes or none.
+    pub fn delete_rows(&self, ids: &[ShardRowId]) -> Result<()> {
         let _write = self.clock.begin_write();
-        self.shards[id.shard].delete_row(id.row)
+        let deletes: Vec<_> = ids
+            .iter()
+            .map(|id| (&*self.shards[id.shard], id.row))
+            .collect();
+        OnlineTable::write::<&[V]>(&[], &deletes).map(drop)
     }
 
     /// Total rows across shards (valid + history).

@@ -1,53 +1,55 @@
-//! The append-only delta write-ahead log and the merged column files.
+//! The table log and the merged column files.
 //!
 //! The paper's main-memory design assumes a recoverable delta as the price
 //! of its insert-only differential buffer; this module supplies it with
-//! three kinds of files under a table's durability directory:
+//! three kinds of files under a durable table's root directory:
 //!
-//! * **Segments** (`seg-<base>.wal`): an append-only sequence of
-//!   length-prefixed, CRC-checked records — `insert_rows` batches (global
-//!   start row id + row-major values), validity flips (deletes / old
-//!   versions of updates), and a terminal seal marker. A segment's base is
-//!   the global tuple id of its first insert; a merge *freeze* seals the
-//!   live segment and rotates to a fresh one whose base is the new tail's
-//!   base, so segment boundaries coincide exactly with freeze boundaries.
-//! * **Column files** (`col-<c>-<rows>.bin`): one merged main partition
-//!   (sorted dictionary values + packed code words, verbatim), written
-//!   atomically (tmp + fsync + rename) by the merge step that committed
-//!   it. `rows` is the merge's frozen row count. Rows below it are
+//! * **The table log** (`<root>/seg-<seq>.wal`): one chain of append-only
+//!   segments shared by every shard, each a sequence of length-prefixed,
+//!   CRC-checked frames. A client operation is exactly one *write* frame:
+//!   its shard-tagged insert groups (shard, first tuple id, row-major
+//!   values) and its validity flips (shard, tuple id) — an insert batch, an
+//!   update (one group and one flip, possibly on two shards) or a delete
+//!   batch. A shard's merge *freeze* appends a synced *seal* frame naming
+//!   `(shard, frozen_end)` and rotates to the next segment, so every
+//!   segment but the live one ends with a seal.
+//! * **Column files** (`shard-<i>/col-<c>-<rows>.bin`): one merged main
+//!   partition (sorted dictionary values + packed code words, verbatim),
+//!   written atomically (tmp + fsync + rename) by the merge step that
+//!   committed it. `rows` is the merge's frozen row count. Rows below it are
 //!   insert-only and merge output depends only on the row value sequence,
 //!   so a name always holds the same bytes and needs no log to vouch for
 //!   it.
-//! * **The checkpoint manifest** (`checkpoint.bin`): the row count the
-//!   table's durable mains cover and the validity bitmap of those rows,
-//!   renamed into place when a merge finishes. Column `c` of the
-//!   checkpoint is `col-<c>-<rows>.bin`; sealed segments below `rows`
-//!   are then deleted — bounded replay.
+//! * **The checkpoint manifest** (`shard-<i>/checkpoint.bin`): the row
+//!   count the shard's durable mains cover and the validity bitmap of those
+//!   rows, renamed into place when a merge finishes. Column `c` of the
+//!   checkpoint is `col-<c>-<rows>.bin`.
 //!
-//! Ordering contract: under the `fsync` policy a batch's insert record is
-//! written **and synced** before the batch's tail watermark publishes —
-//! visible implies durable. Under `buffered`, the record is written (to the
-//! OS, not synced) before the publish, so a process kill preserves it but a
-//! power loss may not. In both modes records enter the live segment before
-//! their rows publish, which (together with the in-order watermark) is what
-//! makes replaying the maximal contiguous row prefix of each segment
-//! correct: any row a reader could have seen is at or below that prefix
-//! under `fsync`, and rows lost past a gap were never durable.
+//! Ordering contract: a write's tail slots are reserved, its frame is
+//! appended (and, under the `fsync` policy, synced) and its rows publish,
+//! all under the log's mutex — visible implies logged. A freeze seals its
+//! shard's tail under the same mutex, so each shard's rows appear in the
+//! log in tuple-id order and every row of a sealed tail precedes its seal.
+//! Recovery therefore replays frames in order, each all or nothing.
+//!
+//! Truncation rule: a shard's finished durable merge covers every record
+//! of that shard logged before its seal (the checkpoint's validity is
+//! snapshotted after it). A sealed segment is deleted once every shard
+//! with a record in it is covered through it, so a quiet shard pins only
+//! the segments that hold its own records.
 
 use crate::error::{Error, Result};
 use hyrise_bitpack::BitPackedVec;
 use hyrise_storage::{Dictionary, MainPartition, ValidityBitmap, Value};
 use parking_lot::Mutex;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, Write};
-use std::marker::PhantomData;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// Record types inside a segment.
-const REC_INSERT: u8 = 1;
-const REC_FLIP: u8 = 2;
-const REC_SEAL: u8 = 3;
+/// Frame types inside a segment.
+const REC_WRITE: u8 = 1;
+const REC_SEAL: u8 = 2;
 
 /// Upper bound on a single record's payload; a length header above this is
 /// corruption, not a real record (guards the replay allocator).
@@ -62,10 +64,9 @@ const TMP_SUFFIX: &str = ".tmp";
 const SHARDED_MANIFEST_FILE: &str = "SHARDS";
 
 const CHECKPOINT_MAGIC: &[u8; 8] = b"HYRCKP02";
-/// The whole-table image format that held every column inline.
-const IMAGE_CHECKPOINT_MAGIC: &[u8; 8] = b"HYRCKP01";
 const COLUMN_MAGIC: &[u8; 8] = b"HYRCOL01";
-const SHARDED_MAGIC: &[u8; 8] = b"HYRSHRD1";
+/// `HYRSHRD1` roots, whose shards each kept their own log, fail its check.
+const SHARDED_MAGIC: &[u8; 8] = b"HYRSHRD2";
 
 // ---------------------------------------------------------------------------
 // CRC32C (Castagnoli, hardware-accelerated where available)
@@ -158,31 +159,13 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 
 const FRAME_HEADER: usize = 8;
 
-fn frame_into(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-}
-
-/// One decoded frame: `(payload_range, next_offset)`.
-enum Frame {
-    /// A complete, CRC-valid record.
-    Ok { start: usize, end: usize },
-    /// The file ends cleanly at this offset.
-    End,
-    /// The final record is torn (header or payload cut short) — tolerated
-    /// as a crash artifact; replay stops at `clean_len`.
-    Torn,
-}
-
-/// Decode the frame at `off`; CRC mismatch on a complete record is a hard
-/// corruption error.
-fn read_frame(bytes: &[u8], off: usize, path: &Path) -> Result<Frame> {
-    if off == bytes.len() {
-        return Ok(Frame::End);
-    }
-    if bytes.len() - off < 8 {
-        return Ok(Frame::Torn);
+/// The payload range of the frame at `off`, or `None` where the file
+/// ends — cleanly, or inside a torn final frame, which is tolerated as a
+/// crash artifact (replay stops at `clean_len`). A CRC mismatch on a
+/// complete frame is a hard corruption error.
+fn read_frame(bytes: &[u8], off: usize, path: &Path) -> Result<Option<(usize, usize)>> {
+    if bytes.len() - off < FRAME_HEADER {
+        return Ok(None);
     }
     let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
     if len > MAX_RECORD {
@@ -193,15 +176,14 @@ fn read_frame(bytes: &[u8], off: usize, path: &Path) -> Result<Frame> {
         ));
     }
     let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4 bytes"));
-    let start = off + 8;
-    let end = start + len as usize;
+    let (start, end) = (off + FRAME_HEADER, off + FRAME_HEADER + len as usize);
     if end > bytes.len() {
-        return Ok(Frame::Torn);
+        return Ok(None);
     }
     if crc32(&bytes[start..end]) != crc {
         return Err(Error::corrupt(path, off as u64, "record crc mismatch"));
     }
-    Ok(Frame::Ok { start, end })
+    Ok(Some((start, end)))
 }
 
 // ---------------------------------------------------------------------------
@@ -287,46 +269,36 @@ fn io(context: &'static str) -> impl FnOnce(std::io::Error) -> Error {
 // Segment files
 // ---------------------------------------------------------------------------
 
-/// `seg-<base>.wal` for global row id `base` (zero-padded hex keeps
-/// lexicographic order equal to numeric order).
-fn segment_name(base: usize) -> String {
-    format!("{SEGMENT_PREFIX}{base:016x}{SEGMENT_SUFFIX}")
+/// `seg-<seq>.wal` (zero-padded hex keeps lexicographic order equal to
+/// numeric order).
+fn segment_name(seq: u64) -> String {
+    format!("{SEGMENT_PREFIX}{seq:016x}{SEGMENT_SUFFIX}")
 }
 
-fn segment_path(dir: &Path, base: usize) -> PathBuf {
-    dir.join(segment_name(base))
+/// Path of segment `seq` under a table root.
+pub(crate) fn segment_path(root: &Path, seq: u64) -> PathBuf {
+    root.join(segment_name(seq))
 }
 
-/// Parse a segment file name back to its base row id.
-fn parse_segment_name(name: &str) -> Option<usize> {
+/// Parse a segment file name back to its number.
+fn parse_segment_name(name: &str) -> Option<u64> {
     let hex = name
         .strip_prefix(SEGMENT_PREFIX)?
         .strip_suffix(SEGMENT_SUFFIX)?;
-    usize::from_str_radix(hex, 16).ok()
+    u64::from_str_radix(hex, 16).ok()
 }
 
-/// Delete one segment file (recovery drops segments already absorbed by
-/// the checkpoint).
-pub(crate) fn remove_segment(dir: &Path, base: usize) -> Result<()> {
-    fs::remove_file(segment_path(dir, base)).map_err(io("remove stale wal segment"))
-}
-
-/// Path of the segment with the given base (recovery error reporting).
-pub(crate) fn segment_file(dir: &Path, base: usize) -> PathBuf {
-    segment_path(dir, base)
-}
-
-/// All segment bases in `dir`, ascending.
-pub(crate) fn list_segments(dir: &Path) -> Result<Vec<usize>> {
-    let mut bases = Vec::new();
-    for entry in fs::read_dir(dir).map_err(io("list wal directory"))? {
+/// All segment numbers under `root`, ascending.
+pub(crate) fn list_segments(root: &Path) -> Result<Vec<u64>> {
+    let mut seqs = Vec::new();
+    for entry in fs::read_dir(root).map_err(io("list wal directory"))? {
         let entry = entry.map_err(io("list wal directory"))?;
-        if let Some(base) = entry.file_name().to_str().and_then(parse_segment_name) {
-            bases.push(base);
+        if let Some(seq) = entry.file_name().to_str().and_then(parse_segment_name) {
+            seqs.push(seq);
         }
     }
-    bases.sort_unstable();
-    Ok(bases)
+    seqs.sort_unstable();
+    Ok(seqs)
 }
 
 /// Best-effort fsync of the directory itself (makes renames/creates
@@ -337,94 +309,86 @@ fn sync_dir(dir: &Path) {
     }
 }
 
-/// One decoded insert batch.
+/// Create segment `seq` under `root`, durably named.
+fn create_segment(root: &Path, seq: u64) -> std::io::Result<File> {
+    let file = OpenOptions::new()
+        .create_new(true)
+        .write(true)
+        .open(segment_path(root, seq))?;
+    sync_dir(root);
+    Ok(file)
+}
+
+/// One entry of a decoded frame.
 #[derive(Debug)]
-pub(crate) struct InsertRecord<V> {
-    /// Global tuple id of the batch's first row.
-    pub start: usize,
-    /// Rows in the batch.
-    pub n_rows: usize,
-    /// Row-major values, `n_rows * n_cols` entries.
-    pub values: Vec<V>,
+pub(crate) enum Record<V> {
+    /// A write's rows for one shard: the first one's tuple id and the
+    /// row-major values.
+    Rows {
+        shard: usize,
+        start: usize,
+        values: Vec<V>,
+    },
+    /// A write's invalidation of one row.
+    Flip { shard: usize, row: usize },
+    /// A freeze of `shard`: its rows below `end` are frozen for a merge.
+    Seal { shard: usize, end: usize },
 }
 
 /// A fully decoded segment.
 #[derive(Debug)]
 pub(crate) struct SegmentData<V> {
-    /// Global tuple id of the segment's first row.
-    pub base: usize,
-    /// Insert batches in append order (not necessarily row order).
-    pub inserts: Vec<InsertRecord<V>>,
-    /// Validity flips in append order.
-    pub flips: Vec<(usize, bool)>,
-    /// True when the segment ends with a seal record (frozen by a merge).
+    /// Every frame's entries, in log order.
+    pub records: Vec<Record<V>>,
+    /// True when the segment ends with a seal frame.
     pub sealed: bool,
-    /// Bytes of the clean record prefix (a torn final record is excluded;
-    /// a live segment reopened for append is truncated to this).
+    /// Bytes of the clean frame prefix (a torn final frame is excluded; a
+    /// live segment reopened for append is truncated to this).
     pub clean_len: u64,
 }
 
-/// Decode the segment at `path`. A torn final record is tolerated (clean
-/// prefix replay); a CRC mismatch or malformed record before the end of
-/// file is a hard [`Error::Corrupt`].
-pub(crate) fn read_segment<V: Value>(
-    path: &Path,
-    base: usize,
-    n_cols: usize,
-) -> Result<SegmentData<V>> {
+/// Decode the segment at `path` of a table with `n_cols` columns. A torn
+/// final frame is tolerated (clean prefix replay); a CRC mismatch or a
+/// malformed frame before the end of file is a hard [`Error::Corrupt`].
+pub(crate) fn read_segment<V: Value>(path: &Path, n_cols: usize) -> Result<SegmentData<V>> {
     let bytes = fs::read(path).map_err(io("read wal segment"))?;
     let mut data = SegmentData {
-        base,
-        inserts: Vec::new(),
-        flips: Vec::new(),
+        records: Vec::new(),
         sealed: false,
         clean_len: 0,
     };
     let mut off = 0usize;
-    loop {
-        let (start, end) = match read_frame(&bytes, off, path)? {
-            Frame::Ok { start, end } => (start, end),
-            Frame::End => break,
-            Frame::Torn => break, // tolerated: crash mid-append
-        };
+    while let Some((start, end)) = read_frame(&bytes, off, path)? {
         if data.sealed {
-            return Err(Error::corrupt(
-                path,
-                off as u64,
-                "record after the seal marker",
-            ));
+            return Err(Error::corrupt(path, off as u64, "frame after the seal"));
         }
         let mut r = Reader::new(&bytes[start..end], path);
         match r.u8()? {
-            REC_INSERT => {
-                let rec_start = r.u64()? as usize;
-                let n_rows = r.u32()? as usize;
-                let rec_cols = r.u32()? as usize;
-                if rec_cols != n_cols {
-                    return Err(Error::corrupt(
-                        path,
-                        off as u64,
-                        format!("insert record has {rec_cols} columns, table has {n_cols}"),
-                    ));
+            REC_WRITE => {
+                for _ in 0..r.u32()? {
+                    let (shard, start, n) = (r.u32()? as usize, r.u64()? as usize, r.u32()?);
+                    let values = r.values::<V>(r.span(n as usize, n_cols)?)?;
+                    data.records.push(Record::Rows {
+                        shard,
+                        start,
+                        values,
+                    });
                 }
-                let values = r.values::<V>(n_rows * n_cols)?;
-                data.inserts.push(InsertRecord {
-                    start: rec_start,
-                    n_rows,
-                    values,
-                });
+                for _ in 0..r.u32()? {
+                    let (shard, row) = (r.u32()? as usize, r.u64()? as usize);
+                    data.records.push(Record::Flip { shard, row });
+                }
             }
-            REC_FLIP => {
-                let row = r.u64()? as usize;
-                let valid = r.u8()? != 0;
-                data.flips.push((row, valid));
+            REC_SEAL => {
+                data.sealed = true;
+                let (shard, end) = (r.u32()? as usize, r.u64()? as usize);
+                data.records.push(Record::Seal { shard, end });
             }
-            REC_SEAL => data.sealed = true,
             t => {
                 return Err(Error::corrupt(
                     path,
                     off as u64,
-                    format!("unknown record type {t}"),
+                    format!("unknown frame type {t}"),
                 ))
             }
         }
@@ -438,200 +402,269 @@ pub(crate) fn read_segment<V: Value>(
 }
 
 // ---------------------------------------------------------------------------
-// The live WAL writer
+// The table log
 // ---------------------------------------------------------------------------
 
-struct SegmentWriter {
-    /// Unbuffered on purpose: every append is one `write_all` of a fully
-    /// framed record, so a userspace buffer would only add a copy.
+/// Patch `frame`'s header (payload length and CRC) and write it with one
+/// `write_all`, synced when `sync`.
+fn write_frame(file: &mut File, frame: &mut [u8], sync: bool) -> std::io::Result<()> {
+    let len = (frame.len() - FRAME_HEADER) as u32;
+    let crc = crc32(&frame[FRAME_HEADER..]);
+    frame[0..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    #[cfg(test)]
+    if tests::FAIL_NEXT_APPEND.with(|f| f.replace(false)) {
+        file.write_all(&frame[..frame.len() / 2])?;
+        return Err(std::io::Error::other("injected append failure"));
+    }
+    file.write_all(frame)?;
+    if sync {
+        file.sync_data()?;
+    }
+    Ok(())
+}
+
+/// Per shard: does it have a record in one segment?
+type ShardSet = Vec<bool>;
+
+/// Which shards hold which sealed segments, as recovery read them.
+pub(crate) struct LogReplay {
+    /// Sealed segments, ascending, with the shards that have a record in
+    /// each.
+    pub sealed: Vec<(u64, ShardSet)>,
+    /// Per shard, the newest segment whose records of that shard its last
+    /// finished durable merge covers.
+    pub covered: Vec<Option<u64>>,
+    /// Per shard, what its next finished durable merge covers (set by its
+    /// freeze).
+    pub pending: Vec<Option<u64>>,
+}
+
+impl LogReplay {
+    /// The log of a new table of `n_shards` shards: no segment yet.
+    pub(crate) fn new(n_shards: usize) -> Self {
+        Self {
+            sealed: Vec::new(),
+            covered: vec![None; n_shards],
+            pending: vec![None; n_shards],
+        }
+    }
+}
+
+/// A durable table's log: one chain of segments under the root, shared by
+/// every shard. Its mutex serializes writes, seals and the tail
+/// reservations they describe; under `fsync` each append is synced.
+pub(crate) struct TableLog {
+    state: Mutex<LogState>,
+}
+
+/// The state behind [`TableLog`]'s mutex; a write or a seal holds it.
+pub(crate) struct LogState {
+    root: PathBuf,
+    fsync: bool,
+    /// The live segment, unbuffered: each append is one `write_all`.
     file: File,
-    /// First global row id of the live segment (`seg-<base>.wal`).
-    base: usize,
+    /// The live segment's number.
+    seq: u64,
+    /// Shards with a record in the live segment.
+    live: ShardSet,
+    replay: LogReplay,
+    /// Set by a failed append: the error kind every later lock returns.
+    poisoned: Option<std::io::ErrorKind>,
+    /// Reusable frame buffer (no per-append allocation on the hot path).
     buf: Vec<u8>,
 }
 
-/// A table's write-ahead log: one live segment at a time, rotated at every
-/// merge freeze. Appends are serialized by an internal mutex; under the
-/// `fsync` policy each append is synced before it returns.
-pub(crate) struct Wal<V> {
-    dir: PathBuf,
-    fsync: bool,
-    writer: Mutex<SegmentWriter>,
-    _values: PhantomData<fn() -> V>,
+impl TableLog {
+    /// Open the log under `root`: continue the `live` segment (number,
+    /// clean length, shards) cut to its clean length, or start the one
+    /// after the last sealed segment (0 for a new table); then delete the
+    /// sealed segments the checkpoints already cover.
+    pub(crate) fn open(
+        root: &Path,
+        fsync: bool,
+        live: Option<(u64, u64, ShardSet)>,
+        replay: LogReplay,
+    ) -> Result<Self> {
+        let (file, seq, live) = match live {
+            Some((seq, clean_len, live)) => {
+                let mut file = OpenOptions::new()
+                    .write(true)
+                    .open(segment_path(root, seq))
+                    .map_err(io("open wal segment"))?;
+                file.set_len(clean_len)
+                    .map_err(io("truncate torn wal suffix"))?;
+                file.seek(SeekFrom::End(0))
+                    .map_err(io("seek wal segment"))?;
+                (file, seq, live)
+            }
+            None => {
+                let seq = replay.sealed.last().map_or(0, |(s, _)| s + 1);
+                let file = create_segment(root, seq).map_err(io("create wal segment"))?;
+                (file, seq, vec![false; replay.covered.len()])
+            }
+        };
+        let mut state = LogState {
+            root: root.to_path_buf(),
+            fsync,
+            file,
+            seq,
+            live,
+            replay,
+            poisoned: None,
+            buf: Vec::new(),
+        };
+        state.drop_covered();
+        Ok(Self {
+            state: Mutex::new(state),
+        })
+    }
+
+    /// Lock the log for one write, seal or validity snapshot. A log
+    /// poisoned by a failed append refuses with that append's error kind.
+    pub(crate) fn lock(&self) -> Result<parking_lot::MutexGuard<'_, LogState>> {
+        let state = self.state.lock();
+        if let Some(kind) = state.poisoned {
+            return Err(Error::io(
+                "append to the table log",
+                std::io::Error::new(
+                    kind,
+                    "an earlier append failed; reopen the table with recover_sharded",
+                ),
+            ));
+        }
+        Ok(state)
+    }
+
+    /// Shard `shard`'s merge wrote its checkpoint: the shard now covers
+    /// what its freeze sealed, and every sealed segment whose shards are
+    /// all covered through it is deleted.
+    pub(crate) fn absorbed(&self, shard: usize) {
+        let mut state = self.state.lock();
+        let r = &mut state.replay;
+        r.covered[shard] = r.covered[shard].max(r.pending[shard]);
+        state.drop_covered();
+    }
 }
 
-impl<V: Value> Wal<V> {
-    /// Start a fresh log in `dir` (created if missing): the live segment
-    /// opens at `base` (0 for an empty table).
-    pub(crate) fn create(dir: &Path, fsync: bool, base: usize) -> Result<Self> {
-        fs::create_dir_all(dir).map_err(io("create wal directory"))?;
-        let file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(segment_path(dir, base))
-            .map_err(io("create wal segment"))?;
-        sync_dir(dir);
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            fsync,
-            writer: Mutex::new(SegmentWriter {
-                file,
-                base,
-                buf: Vec::new(),
-            }),
-            _values: PhantomData,
-        })
-    }
-
-    /// Reattach to an existing live segment after recovery, truncating the
-    /// torn suffix (if any) to `clean_len` and appending after it. Creates
-    /// the segment when the crash happened between seal and rotation.
-    pub(crate) fn attach(dir: &Path, fsync: bool, base: usize, clean_len: u64) -> Result<Self> {
-        let path = segment_path(dir, base);
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(false)
-            .open(&path)
-            .map_err(io("open wal segment"))?;
-        file.set_len(clean_len)
-            .map_err(io("truncate torn wal suffix"))?;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::End(0))
-            .map_err(io("seek wal segment"))?;
-        sync_dir(dir);
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            fsync,
-            writer: Mutex::new(SegmentWriter {
-                file,
-                base,
-                buf: Vec::new(),
-            }),
-            _values: PhantomData,
-        })
-    }
-
-    /// The durability directory.
-    pub(crate) fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Append one record, its payload built by `build` directly into the
-    /// writer's reusable frame buffer (after an 8-byte header hole that is
-    /// patched with length + CRC once the payload is in place — no
-    /// intermediate payload allocation or copy on the hot path).
-    fn append_frame(&self, build: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
-        let mut w = self.writer.lock();
-        let mut framed = std::mem::take(&mut w.buf);
-        framed.clear();
-        framed.resize(FRAME_HEADER, 0);
-        build(&mut framed);
-        let len = (framed.len() - FRAME_HEADER) as u32;
-        let crc = crc32(&framed[FRAME_HEADER..]);
-        framed[0..4].copy_from_slice(&len.to_le_bytes());
-        framed[4..8].copy_from_slice(&crc.to_le_bytes());
-        let res = (|| {
-            w.file.write_all(&framed).map_err(io("append wal record"))?;
-            if self.fsync {
-                w.file.sync_data().map_err(io("sync wal record"))?;
-            }
-            Ok(())
-        })();
-        w.buf = framed;
-        res
-    }
-
-    /// Append one insert batch: global start row id plus row-major values.
-    pub(crate) fn append_insert<R: AsRef<[V]>>(&self, start: usize, rows: &[R]) -> Result<()> {
-        let n_cols = rows.first().map_or(0, |r| r.as_ref().len());
-        self.append_frame(|payload| {
-            payload.reserve(1 + 8 + 4 + 4 + rows.len() * n_cols * V::BYTES);
-            payload.push(REC_INSERT);
-            payload.extend_from_slice(&(start as u64).to_le_bytes());
-            payload.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&(n_cols as u32).to_le_bytes());
+impl LogState {
+    /// Append one client operation as one frame: its `(shard, start, rows)`
+    /// insert groups and `(shard, row)` flips. A failed append poisons the
+    /// log: the frame may be torn at the end of the live segment, nothing
+    /// is appended after it, and recovery drops it.
+    pub(crate) fn append<V: Value, R: AsRef<[V]>>(
+        &mut self,
+        groups: &[(usize, usize, &[R])],
+        flips: &[(usize, usize)],
+    ) -> Result<()> {
+        let mut frame = std::mem::take(&mut self.buf);
+        frame.clear();
+        frame.resize(FRAME_HEADER, 0);
+        frame.push(REC_WRITE);
+        frame.extend_from_slice(&(groups.len() as u32).to_le_bytes());
+        for &(shard, start, rows) in groups {
+            self.live[shard] = true;
+            frame.extend_from_slice(&(shard as u32).to_le_bytes());
+            frame.extend_from_slice(&(start as u64).to_le_bytes());
+            frame.extend_from_slice(&(rows.len() as u32).to_le_bytes());
             for row in rows {
                 for &v in row.as_ref() {
-                    v.write_bytes(payload);
+                    v.write_bytes(&mut frame);
                 }
             }
+        }
+        frame.extend_from_slice(&(flips.len() as u32).to_le_bytes());
+        for &(shard, row) in flips {
+            self.live[shard] = true;
+            frame.extend_from_slice(&(shard as u32).to_le_bytes());
+            frame.extend_from_slice(&(row as u64).to_le_bytes());
+        }
+        let written = write_frame(&mut self.file, &mut frame, self.fsync);
+        self.buf = frame;
+        written.map_err(|e| {
+            self.poisoned = Some(e.kind());
+            Error::io("append wal record", e)
         })
     }
 
-    /// Append one validity flip (`valid = false` for deletes / old update
-    /// versions).
-    pub(crate) fn append_flip(&self, row: usize, valid: bool) -> Result<()> {
-        self.append_frame(|payload| {
-            payload.push(REC_FLIP);
-            payload.extend_from_slice(&(row as u64).to_le_bytes());
-            payload.push(valid as u8);
-        })
-    }
-
-    /// First global row id of the live segment.
-    pub(crate) fn live_base(&self) -> usize {
-        self.writer.lock().base
-    }
-
-    /// Seal the live segment (terminal record, synced regardless of
-    /// policy — a segment boundary is a commit point) and rotate to a
-    /// fresh segment whose first row is `new_base`. Called by the merge
-    /// freeze after the tail's final row count is known. The seal is
-    /// durable before the fresh segment exists, so a crash in between
-    /// leaves a sealed last segment, for which [`Self::attach`] creates
-    /// the successor. When the create fails, the seal is cut back off, so
-    /// the error leaves the live segment unsealed and taking appends.
-    pub(crate) fn seal_and_rotate(&self, new_base: usize) -> Result<()> {
-        let mut w = self.writer.lock();
-        if w.base == new_base {
-            // The tail sealed at zero rows (a merge of an empty delta): the
-            // live segment holds no insert records, stays live, and
-            // rotating it onto itself would clobber the file.
+    /// Seal `shard`'s frozen tail: `rows` rows ending at tuple id `end`.
+    /// Appends a seal frame, synced regardless of policy (a segment
+    /// boundary is a commit point), then rotates to a fresh segment. A
+    /// freeze of zero rows writes nothing. When the seal or the next
+    /// segment cannot be written, the seal is cut back off so the live
+    /// segment keeps taking appends (a log that cannot be cut back is
+    /// poisoned), and the error is returned.
+    pub(crate) fn seal(&mut self, shard: usize, end: usize, rows: usize) -> Result<()> {
+        // Whatever happens below, every earlier segment holds only records
+        // logged before this freeze.
+        self.replay.pending[shard] = self.seq.checked_sub(1);
+        if rows == 0 {
             return Ok(());
         }
-        let len = w.file.stream_position().map_err(io("seal wal segment"))?;
-        let mut framed = std::mem::take(&mut w.buf);
-        framed.clear();
-        frame_into(&mut framed, &[REC_SEAL]);
-        let sealed = w.file.write_all(&framed).and_then(|()| w.file.sync_data());
-        w.buf = framed;
-        let next = sealed.and_then(|()| {
-            OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(segment_path(&self.dir, new_base))
-        });
-        match next {
-            Ok(file) => {
-                sync_dir(&self.dir);
-                w.file = file;
-                w.base = new_base;
+        let len = self
+            .file
+            .stream_position()
+            .map_err(io("seal wal segment"))?;
+        let mut frame = std::mem::take(&mut self.buf);
+        frame.clear();
+        frame.resize(FRAME_HEADER, 0);
+        frame.push(REC_SEAL);
+        frame.extend_from_slice(&(shard as u32).to_le_bytes());
+        frame.extend_from_slice(&(end as u64).to_le_bytes());
+        let written = write_frame(&mut self.file, &mut frame, true);
+        self.buf = frame;
+        match written.and_then(|()| create_segment(&self.root, self.seq + 1)) {
+            Ok(next) => {
+                self.live[shard] = true;
+                let fresh = vec![false; self.live.len()];
+                let shards = std::mem::replace(&mut self.live, fresh);
+                self.replay.sealed.push((self.seq, shards));
+                self.replay.pending[shard] = Some(self.seq);
+                self.seq += 1;
+                self.file = next;
                 Ok(())
             }
             Err(e) => {
-                // Cut the (possibly partial) seal back off: the next append
-                // must not land after it.
-                let _ = w.file.set_len(len);
-                let _ = w.file.sync_data();
-                let _ = w.file.seek(std::io::SeekFrom::Start(len));
+                let file = &mut self.file;
+                let cut = file
+                    .set_len(len)
+                    .and_then(|()| file.sync_data())
+                    .and_then(|()| file.seek(SeekFrom::Start(len)));
+                if let Err(cut) = cut {
+                    self.poisoned = Some(cut.kind());
+                }
                 Err(Error::io("seal and rotate wal segment", e))
             }
         }
     }
 
-    /// Delete every sealed segment whose rows `checkpoint.bin` now covers
-    /// (base below `rows`). Best-effort: a segment that refuses to die is
-    /// skipped at the next recovery anyway (stale bases are filtered).
-    pub(crate) fn truncate_absorbed(&self, rows: usize) -> Result<()> {
-        for base in list_segments(&self.dir)? {
-            if base < rows {
-                let _ = fs::remove_file(segment_path(&self.dir, base));
-            }
+    /// Delete every sealed segment whose shards are all covered through it.
+    /// Best-effort: a segment that refuses to die stays listed and is
+    /// retried at the next merge (recovery skips what checkpoints absorbed).
+    fn drop_covered(&mut self) {
+        let (root, r) = (&self.root, &mut self.replay);
+        let before = r.sealed.len();
+        let covered = &r.covered;
+        r.sealed.retain(|(seq, shards)| {
+            let pinned = shards
+                .iter()
+                .zip(covered)
+                .any(|(&has, &through)| has && through < Some(*seq));
+            pinned || fs::remove_file(segment_path(root, *seq)).is_err()
+        });
+        if r.sealed.len() < before {
+            sync_dir(root);
         }
-        sync_dir(&self.dir);
-        Ok(())
     }
+}
+
+/// A shard's handle on its table's log.
+pub(crate) struct ShardLog {
+    pub log: std::sync::Arc<TableLog>,
+    /// The shard's index in the log's frames.
+    pub shard: usize,
+    /// `shard-<i>/`: the shard's column files and checkpoint.
+    pub dir: PathBuf,
 }
 
 // ---------------------------------------------------------------------------
@@ -831,13 +864,6 @@ pub(crate) fn read_checkpoint<V: Value>(dir: &Path) -> Result<Option<Checkpoint<
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(Error::io("read checkpoint", e)),
     };
-    if bytes.starts_with(IMAGE_CHECKPOINT_MAGIC) {
-        return Err(Error::corrupt(
-            &path,
-            0,
-            "whole-table checkpoint image: the format predates column files",
-        ));
-    }
     let mut r = Reader::new(checked_body(&bytes, &path, CHECKPOINT_MAGIC)?, &path);
     check_value_width::<V>(&mut r)?;
     let n_cols = r.u32()? as usize;
@@ -873,8 +899,8 @@ pub(crate) fn shard_dir(root: &Path, i: usize) -> PathBuf {
 /// The immutable facts of a durable [`crate::shard::ShardedTable`],
 /// stored as `SHARDS` in the root directory: the schema every shard
 /// shares (columns, value width, fsync policy) and the routing layout.
-/// Each shard's WAL segments, checkpoint manifest and column files live
-/// in its `shard-<i>/` directory underneath; this file is what lets
+/// The table log lives beside it; each shard's checkpoint manifest and
+/// column files live in its `shard-<i>/` directory. This file is what lets
 /// recovery read them and rebuild the router identically.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardedManifest<V> {
@@ -982,8 +1008,14 @@ pub(crate) fn read_sharded_manifest<V: Value>(root: &Path) -> Result<ShardedMani
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// Failure point: the next frame this thread writes is cut in half
+        /// and the write reports an error, as a full disk would.
+        pub(crate) static FAIL_NEXT_APPEND: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1030,20 +1062,53 @@ mod tests {
         assert_eq!(parse_segment_name("checkpoint.bin"), None);
     }
 
+    /// The log of a new table of `n_shards` shards in `dir`.
+    fn open_new(dir: &Path, fsync: bool, n_shards: usize) -> TableLog {
+        TableLog::open(dir, fsync, None, LogReplay::new(n_shards)).unwrap()
+    }
+
+    /// Append one write of `rows` to shard 0 starting at `start`.
+    fn append_rows(log: &TableLog, start: usize, rows: &[Vec<u64>]) {
+        log.lock()
+            .unwrap()
+            .append(&[(0, start, rows)], &[])
+            .unwrap();
+    }
+
     #[test]
     fn wal_append_read_roundtrip() {
         let dir = temp_dir("roundtrip");
-        let wal: Wal<u64> = Wal::create(&dir, true, 0).unwrap();
-        wal.append_insert(0, &[vec![1u64, 2], vec![3, 4]]).unwrap();
-        wal.append_flip(1, false).unwrap();
-        wal.append_insert(2, &[vec![5u64, 6]]).unwrap();
-        let seg = read_segment::<u64>(&segment_path(&dir, 0), 0, 2).unwrap();
-        assert_eq!(seg.inserts.len(), 2);
-        assert_eq!(seg.inserts[0].start, 0);
-        assert_eq!(seg.inserts[0].n_rows, 2);
-        assert_eq!(seg.inserts[0].values, vec![1, 2, 3, 4]);
-        assert_eq!(seg.inserts[1].values, vec![5, 6]);
-        assert_eq!(seg.flips, vec![(1, false)]);
+        let log = open_new(&dir, true, 2);
+        let (a, b) = (vec![vec![1u64, 2], vec![3, 4]], vec![vec![5u64, 6]]);
+        // One frame: a group per shard and a flip on shard 0.
+        log.lock()
+            .unwrap()
+            .append(&[(0, 0, a.as_slice()), (1, 7, b.as_slice())], &[(0, 1)])
+            .unwrap();
+        append_rows(&log, 2, &[vec![8, 9]]);
+        let seg = read_segment::<u64>(&segment_path(&dir, 0), 2).unwrap();
+        let got: Vec<_> = seg
+            .records
+            .iter()
+            .map(|r| match r {
+                Record::Rows {
+                    shard,
+                    start,
+                    values,
+                } => (*shard, *start, values.clone()),
+                Record::Flip { shard, row } => (*shard, *row, Vec::new()),
+                other => panic!("expected a write, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, 0, vec![1, 2, 3, 4]),
+                (1, 7, vec![5, 6]),
+                (0, 1, vec![]),
+                (0, 2, vec![8, 9])
+            ]
+        );
         assert!(!seg.sealed);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1051,40 +1116,54 @@ mod tests {
     #[test]
     fn seal_rotates_to_new_segment() {
         let dir = temp_dir("rotate");
-        let wal: Wal<u32> = Wal::create(&dir, false, 0).unwrap();
-        wal.append_insert(0, &[vec![7u32]]).unwrap();
-        wal.seal_and_rotate(1).unwrap();
-        wal.append_insert(1, &[vec![8u32]]).unwrap();
-        assert_eq!(list_segments(&dir).unwrap(), vec![0, 1]);
-        let s0 = read_segment::<u32>(&segment_path(&dir, 0), 0, 1).unwrap();
+        let log = open_new(&dir, false, 2);
+        append_rows(&log, 0, &[vec![7]]);
+        log.lock().unwrap().seal(0, 1, 1).unwrap();
+        // Segment 1 holds a flip of shard 1 and shard 0's second seal.
+        log.lock()
+            .unwrap()
+            .append::<u64, Vec<u64>>(&[], &[(1, 0)])
+            .unwrap();
+        append_rows(&log, 1, &[vec![8]]);
+        log.lock().unwrap().seal(0, 2, 1).unwrap();
+        assert_eq!(list_segments(&dir).unwrap(), vec![0, 1, 2]);
+        let s0 = read_segment::<u64>(&segment_path(&dir, 0), 1).unwrap();
         assert!(s0.sealed);
-        let s1 = read_segment::<u32>(&segment_path(&dir, 1), 1, 1).unwrap();
-        assert!(!s1.sealed);
-        assert_eq!(s1.inserts[0].values, vec![8]);
-        wal.truncate_absorbed(1).unwrap();
-        assert_eq!(list_segments(&dir).unwrap(), vec![1]);
+        assert!(matches!(s0.records[1], Record::Seal { shard: 0, end: 1 }));
+        assert!(
+            !read_segment::<u64>(&segment_path(&dir, 2), 1)
+                .unwrap()
+                .sealed
+        );
+        // Shard 0's merge covers both segments, but shard 1's record pins
+        // segment 1 until shard 1 merges too.
+        log.absorbed(0);
+        assert_eq!(list_segments(&dir).unwrap(), vec![1, 2]);
+        // A freeze of zero rows writes nothing and covers what precedes
+        // the live segment.
+        log.lock().unwrap().seal(1, 0, 0).unwrap();
+        log.absorbed(1);
+        assert_eq!(list_segments(&dir).unwrap(), vec![2]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_final_record_is_tolerated() {
         let dir = temp_dir("torn");
-        let wal: Wal<u64> = Wal::create(&dir, true, 0).unwrap();
-        wal.append_insert(0, &[vec![1u64]]).unwrap();
-        wal.append_insert(1, &[vec![2u64]]).unwrap();
-        drop(wal);
+        let log = open_new(&dir, true, 1);
+        append_rows(&log, 0, &[vec![1]]);
+        append_rows(&log, 1, &[vec![2]]);
+        drop(log);
         let path = segment_path(&dir, 0);
         let full = fs::read(&path).unwrap();
-        // Cut into the middle of the second record.
-        let clean_one = {
-            let seg = read_segment::<u64>(&path, 0, 1).unwrap();
-            assert_eq!(seg.inserts.len(), 2);
-            // first record's framed length
-            8 + 1 + 8 + 4 + 4 + 8
-        };
+        // One framed write of one 1-column row: header, tag, group count,
+        // shard, start, row count, value, flip count.
+        let clean_one = 8 + 1 + 4 + 4 + 8 + 4 + 8 + 4;
+        assert_eq!(full.len(), 2 * clean_one);
+        // Cut into the middle of the second frame.
         fs::write(&path, &full[..clean_one + 5]).unwrap();
-        let seg = read_segment::<u64>(&path, 0, 1).unwrap();
-        assert_eq!(seg.inserts.len(), 1, "torn tail dropped");
+        let seg = read_segment::<u64>(&path, 1).unwrap();
+        assert_eq!(seg.records.len(), 1, "torn tail dropped");
         assert_eq!(seg.clean_len, clean_one as u64);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1092,15 +1171,15 @@ mod tests {
     #[test]
     fn crc_mismatch_mid_log_is_a_hard_error() {
         let dir = temp_dir("crc");
-        let wal: Wal<u64> = Wal::create(&dir, true, 0).unwrap();
-        wal.append_insert(0, &[vec![1u64]]).unwrap();
-        wal.append_insert(1, &[vec![2u64]]).unwrap();
-        drop(wal);
+        let log = open_new(&dir, true, 1);
+        append_rows(&log, 0, &[vec![1]]);
+        append_rows(&log, 1, &[vec![2]]);
+        drop(log);
         let path = segment_path(&dir, 0);
         let mut bytes = fs::read(&path).unwrap();
-        bytes[12] ^= 0xFF; // corrupt the first record's payload
+        bytes[12] ^= 0xFF; // corrupt the first frame's payload
         fs::write(&path, &bytes).unwrap();
-        let err = read_segment::<u64>(&path, 0, 1).unwrap_err();
+        let err = read_segment::<u64>(&path, 1).unwrap_err();
         assert!(matches!(err, Error::Corrupt { .. }), "got {err:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1217,21 +1296,6 @@ mod tests {
     }
 
     #[test]
-    fn image_checkpoint_is_a_typed_error() {
-        let dir = temp_dir("ckpt-image");
-        let mut bytes = IMAGE_CHECKPOINT_MAGIC.to_vec();
-        bytes.extend_from_slice(&[0; 24]);
-        fs::write(dir.join(CHECKPOINT_FILE), &bytes).unwrap();
-        match read_checkpoint::<u64>(&dir) {
-            Err(Error::Corrupt { detail, .. }) => {
-                assert!(detail.contains("predates column files"), "{detail}")
-            }
-            other => panic!("expected Corrupt, got {:?}", other.map(|c| c.is_some())),
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn column_file_round_trips() {
         let dir = temp_dir("column");
         let main = MainPartition::from_values(&[3u32, 1, 4, 1, 5]);
@@ -1311,27 +1375,40 @@ mod tests {
             read_sharded_manifest::<u64>(&dir),
             Err(Error::Corrupt { .. })
         ));
+        // A root whose shards kept their own logs is refused.
+        let mut old = fs::read(dir.join(SHARDED_MANIFEST_FILE)).unwrap();
+        old[..8].copy_from_slice(b"HYRSHRD1");
+        recrc(&mut old);
+        fs::write(dir.join(SHARDED_MANIFEST_FILE), &old).unwrap();
+        assert!(matches!(
+            read_sharded_manifest::<u64>(&dir),
+            Err(Error::Corrupt { .. })
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn attach_truncates_torn_suffix() {
         let dir = temp_dir("attach");
-        let wal: Wal<u64> = Wal::create(&dir, true, 0).unwrap();
-        wal.append_insert(0, &[vec![1u64]]).unwrap();
-        drop(wal);
+        let log = open_new(&dir, true, 1);
+        append_rows(&log, 0, &[vec![1]]);
+        drop(log);
         let path = segment_path(&dir, 0);
         let clean = fs::metadata(&path).unwrap().len();
         // Simulate a torn append.
         let mut bytes = fs::read(&path).unwrap();
         bytes.extend_from_slice(&[9, 9, 9]);
         fs::write(&path, &bytes).unwrap();
-        let wal: Wal<u64> = Wal::attach(&dir, true, 0, clean).unwrap();
-        wal.append_insert(1, &[vec![2u64]]).unwrap();
-        drop(wal);
-        let seg = read_segment::<u64>(&path, 0, 1).unwrap();
-        assert_eq!(seg.inserts.len(), 2);
-        assert_eq!(seg.inserts[1].values, vec![2]);
+        let live = Some((0, clean, vec![true]));
+        let log = TableLog::open(&dir, true, live, LogReplay::new(1)).unwrap();
+        append_rows(&log, 1, &[vec![2]]);
+        drop(log);
+        let seg = read_segment::<u64>(&path, 1).unwrap();
+        assert_eq!(seg.records.len(), 2);
+        assert!(matches!(
+            &seg.records[1],
+            Record::Rows { values, .. } if values == &[2]
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,9 +5,10 @@
 //! [`recover_sharded`] must rebuild the exact state. Most tests write
 //! through a one-shard table's shard, the paper's single table, and
 //! compare that shard byte for byte. File-level fault injection
-//! (truncated tails, flipped bytes) runs against the real segment files.
+//! (truncated tails, flipped bytes, a log cut at every frame) runs against
+//! the real segment files of the table log.
 
-use hyrise_core::shard::ShardedTable;
+use hyrise_core::shard::{ShardBy, ShardRowId, ShardedTable};
 use hyrise_core::{recover_sharded, Durability, Error, OnlineTable};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -169,9 +170,9 @@ fn fsync_mode_round_trips_too() {
     assert_state_identical(back.shard(0), &model);
 }
 
-/// The newest (live) segment file of the one shard under `root`.
-fn live_segment(root: &Path) -> PathBuf {
-    let mut segs: Vec<PathBuf> = std::fs::read_dir(root.join("shard-0"))
+/// The segment files of the table log under `dir`, oldest first.
+fn segments(dir: &Path) -> Vec<PathBuf> {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| {
@@ -181,7 +182,180 @@ fn live_segment(root: &Path) -> PathBuf {
         })
         .collect();
     segs.sort();
-    segs.pop().expect("a live segment exists")
+    segs
+}
+
+/// The newest (live) segment file of the table log under `root`.
+fn live_segment(root: &Path) -> PathBuf {
+    segments(root).pop().expect("a live segment exists")
+}
+
+/// The byte offset at which each frame of a segment ends (a frame is a
+/// `u32` payload length, a `u32` CRC and the payload).
+fn frame_ends(seg: &Path) -> Vec<u64> {
+    let bytes = std::fs::read(seg).unwrap();
+    let mut ends = Vec::new();
+    let mut off = 0;
+    while off + 8 <= bytes.len() {
+        off += 8 + u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+        ends.push(off as u64);
+    }
+    ends
+}
+
+/// Frames in the whole table log under `root`.
+fn log_frames(root: &Path) -> usize {
+    segments(root).iter().map(|s| frame_ends(s).len()).sum()
+}
+
+/// Copy a table directory as a crash would leave it.
+fn copy_tree(src: &Path, dst: &Path) {
+    std::fs::create_dir_all(dst).unwrap();
+    for entry in std::fs::read_dir(src).unwrap() {
+        let from = entry.unwrap().path();
+        let to = dst.join(from.file_name().unwrap());
+        if from.is_dir() {
+            copy_tree(&from, &to);
+        } else {
+            std::fs::copy(&from, &to).unwrap();
+        }
+    }
+}
+
+/// A two-shard range table (keys below 1 000 on shard 0), durable under
+/// `dir` or in memory.
+fn two_shards(dir: Option<&Path>) -> ShardedTable<u64> {
+    let durability = dir.map_or(Durability::None, |d| Durability::Wal {
+        dir: d.to_path_buf(),
+        fsync: false,
+    });
+    ShardedTable::builder()
+        .partitioning(ShardBy::Range(vec![1_000]))
+        .columns(COLS)
+        .durability(durability)
+        .build()
+        .unwrap()
+}
+
+fn keyed(key: u64) -> Vec<u64> {
+    vec![key, key * 10, key % 7]
+}
+
+/// Operation `k` of a fixed stream over `two_shards`: a multi-shard
+/// insert, a cross-shard update, another multi-shard insert and a delete
+/// batch spanning both shards. Local tuple ids are deterministic, so the
+/// stream names its rows.
+fn cross_shard_op(t: &ShardedTable<u64>, k: usize) {
+    let id = |shard, row| ShardRowId { shard, row };
+    match k {
+        0 => drop(
+            t.insert_rows(&[keyed(1), keyed(1_001), keyed(2), keyed(1_002)])
+                .unwrap(),
+        ),
+        1 => assert_eq!(t.update_row(id(0, 0), &keyed(3_001)).unwrap(), id(1, 2)),
+        2 => drop(t.insert_rows(&[keyed(5), keyed(1_005)]).unwrap()),
+        _ => t.delete_rows(&[id(0, 1), id(1, 1)]).unwrap(),
+    }
+}
+
+/// Every shard's rows and their validity.
+fn logical_state(t: &ShardedTable<u64>) -> Vec<(Vec<Vec<u64>>, Vec<bool>)> {
+    t.shards()
+        .iter()
+        .map(|s| {
+            let n = s.row_count();
+            (
+                (0..n).map(|r| s.row(r)).collect(),
+                (0..n).map(|r| s.is_valid(r)).collect(),
+            )
+        })
+        .collect()
+}
+
+/// Cut the table log at every frame boundary and inside the last frame:
+/// each copy recovers every operation entirely or not at all — after the
+/// cross-shard update exactly one version is valid, and the multi-shard
+/// insert and the delete batch never recover half-applied.
+#[test]
+fn a_cut_log_recovers_each_operation_whole_or_not_at_all() {
+    let scratch = Scratch::new("cut");
+    {
+        let t = two_shards(Some(scratch.path()));
+        for k in 0..4 {
+            cross_shard_op(&t, k);
+        }
+    }
+    let seg = live_segment(scratch.path());
+    let ends = frame_ends(&seg);
+    assert_eq!(ends.len(), 4, "one frame per operation");
+    let mut cuts = vec![(0, 0)];
+    cuts.extend(ends.iter().enumerate().map(|(i, &end)| (end, i + 1)));
+    cuts.push(((ends[2] + ends[3]) / 2, 3));
+    for (cut, complete) in cuts {
+        let copy = Scratch::new(&format!("cut-{cut}"));
+        copy_tree(scratch.path(), copy.path());
+        let torn = copy.path().join(seg.file_name().unwrap());
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&torn)
+            .unwrap()
+            .set_len(cut)
+            .unwrap();
+        let back = recover_sharded::<u64>(copy.path()).unwrap();
+        let model = two_shards(None);
+        for k in 0..complete {
+            cross_shard_op(&model, k);
+        }
+        assert_eq!(
+            logical_state(&back),
+            logical_state(&model),
+            "log cut at byte {cut} ({complete} whole frames)"
+        );
+        if complete >= 2 {
+            let old = ShardRowId { shard: 0, row: 0 };
+            let new = ShardRowId { shard: 1, row: 2 };
+            assert!(!back.is_valid(old) && back.is_valid(new), "cut at {cut}");
+        }
+    }
+}
+
+/// The root holds `SHARDS`, the one segment chain and per-shard
+/// directories with no segment; an insert batch, an update, a delete and a
+/// delete batch each append exactly one frame.
+#[test]
+fn each_client_operation_is_one_frame() {
+    let scratch = Scratch::new("one-frame");
+    let root = scratch.path();
+    let t = two_shards(Some(root));
+    let mut frames = log_frames(root);
+    let mut one_more = |what: &str| {
+        frames += 1;
+        assert_eq!(log_frames(root), frames, "{what}");
+    };
+    let ids = t
+        .insert_rows(&[keyed(1), keyed(1_001), keyed(2), keyed(1_002)])
+        .unwrap();
+    one_more("multi-shard insert_rows");
+    t.update_row(ids[0], &keyed(3_001)).unwrap();
+    one_more("cross-shard update_row");
+    t.delete_row(ids[1]).unwrap();
+    one_more("delete_row");
+    t.delete_rows(&[ids[2], ids[3]]).unwrap();
+    one_more("two-shard delete_rows");
+    t.shard(0).insert_rows(&[keyed(7), keyed(8)]).unwrap();
+    one_more("a shard's insert_rows");
+    t.merge_all(1).unwrap();
+    for i in 0..2 {
+        let shard = root.join(format!("shard-{i}"));
+        assert!(segments(&shard).is_empty(), "no segment under shard-{i}");
+        assert!(shard.join("checkpoint.bin").is_file());
+    }
+    assert!(root.join("SHARDS").is_file());
+    assert_eq!(
+        segments(root).len(),
+        1,
+        "the merges let go of the sealed segments"
+    );
 }
 
 #[test]

@@ -257,7 +257,7 @@ pub struct TableSpec {
     pub columns: u32,
     /// Hash-partition shard count.
     pub shards: u32,
-    /// `true`: back the delta with a per-shard WAL under the server's data
+    /// `true`: back the delta with the table log under the server's data
     /// directory (the PR-7 [`hyrise_core::Durability::Wal`] path).
     pub durable: bool,
     /// For durable tables, fsync each record before publishing the rows.

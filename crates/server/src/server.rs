@@ -351,15 +351,15 @@ pub(crate) fn handle_request(catalog: &Catalog, gate: &AdmissionGate, req: Reque
                     format!("row id {}/{} out of range", id.shard, id.row),
                 );
             }
-            for id in &ids {
-                if let Err(e) = t.delete_row((*id).into()) {
-                    return Response {
-                        admission: Admission::Admit,
-                        result: Err(WireError::from_engine(&e)),
-                    };
-                }
+            // One write: on a durable table the batch is one log frame.
+            let ids: Vec<_> = ids.into_iter().map(Into::into).collect();
+            match t.delete_rows(&ids) {
+                Ok(()) => Response::ok(Body::Unit),
+                Err(e) => Response {
+                    admission: Admission::Admit,
+                    result: Err(WireError::from_engine(&e)),
+                },
             }
-            Response::ok(Body::Unit)
         }
         Request::Query { table, plan } => {
             let entry = match catalog.get(&table) {
@@ -497,6 +497,77 @@ mod tests {
             },
         );
         assert_eq!(r.result, Ok(Body::Output(WireOutput::Count(1))));
+    }
+
+    /// Frames in the table log of the durable table at `root` (a frame is
+    /// a `u32` payload length, a `u32` CRC and the payload).
+    fn log_frames(root: &std::path::Path) -> usize {
+        let mut frames = 0;
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "wal") {
+                continue;
+            }
+            let bytes = std::fs::read(&path).unwrap();
+            let mut off = 0;
+            while off + 8 <= bytes.len() {
+                off += 8 + u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+                frames += 1;
+            }
+        }
+        frames
+    }
+
+    #[test]
+    fn a_delete_batch_is_one_log_frame() {
+        let dir = std::env::temp_dir().join(format!("hyrise-server-delete-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // No merge runs, so no seal frame joins the count.
+        let mut policy = CatalogConfig::default().policy;
+        policy.delta_fraction = f64::MAX;
+        let catalog = Catalog::new(CatalogConfig {
+            data_dir: Some(dir.clone()),
+            policy,
+        });
+        let gate = AdmissionGate::new(AdmissionConfig::default());
+        let r = handle_request(
+            &catalog,
+            &gate,
+            Request::CreateTable(TableSpec::durable("d", 2, 2, false)),
+        );
+        assert_eq!(r.result, Ok(Body::Unit));
+        let rows = (0..16).map(|k| vec![k, k * 10]).collect();
+        let ids = match handle_request(
+            &catalog,
+            &gate,
+            Request::Insert {
+                table: "d".into(),
+                rows,
+            },
+        )
+        .result
+        {
+            Ok(Body::RowIds(ids)) => ids,
+            other => panic!("{other:?}"),
+        };
+        assert!(ids.iter().any(|id| id.shard == 0) && ids.iter().any(|id| id.shard == 1));
+        let before = log_frames(&dir.join("d"));
+        let r = handle_request(
+            &catalog,
+            &gate,
+            Request::Delete {
+                table: "d".into(),
+                ids,
+            },
+        );
+        assert_eq!(r.result, Ok(Body::Unit));
+        assert_eq!(
+            log_frames(&dir.join("d")),
+            before + 1,
+            "a 16-id batch on two shards"
+        );
+        drop(catalog);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

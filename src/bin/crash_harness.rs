@@ -1,34 +1,33 @@
 //! Kill -9 crash harness: the executable proof behind the durability
 //! claim. The parent process spawns itself in *child* mode against a
-//! fresh WAL directory, lets it hammer a deterministic op stream for a
+//! fresh table root, lets it hammer a deterministic op stream for a
 //! random few milliseconds, `SIGKILL`s it mid-flight, recovers the
-//! directory, and checks the recovered table against an in-memory model
+//! root, and checks the recovered table against an in-memory model
 //! replaying the same stream:
 //!
-//! * every operation the child **acknowledged** (fsynced side file) must
-//!   be present — at most one unacknowledged trailing op may also have
-//!   landed (the child acks strictly between ops);
-//! * after quiescing merges on both sides, dictionaries and packed code
-//!   words must be **byte-identical** — the merge result depends only on
-//!   the row value sequence, never on where the kill landed;
+//! * the **whole** table must sit at the acknowledged ops (fsynced side
+//!   file) or at one op past them — the child acks strictly between ops,
+//!   and every op, a multi-shard batch, a cross-shard update or a delete
+//!   batch alike, is one log frame that recovers entirely or not at all;
+//! * after quiescing merges on both sides, every shard's dictionaries and
+//!   packed code words must be **byte-identical** — the merge result
+//!   depends only on the row value sequence, never on where the kill
+//!   landed;
 //! * the recovered table must keep accepting writes.
 //!
-//! One-shard rounds write through the shard, the paper's single table, and
-//! alternate its merges between one whole-table chunk and one-column
-//! chunks (`MergeBudget::columns(1)`), so a kill can land between two
-//! column files of one merge and recovery resumes the merge from the files
-//! already written. Rounds alternate the fsync policy (buffered appends
-//! survive process death — that is the buffered-WAL contract) and include
-//! three-shard rounds, where each shard independently sits at the acked
-//! boundary or one op past it (multi-shard batches may tear; see
-//! `ShardedTable::insert_rows`). Every round recovers through
-//! `recover_sharded`.
+//! Every round goes through `ShardedTable` with one or three shards and
+//! reopens through `recover_sharded`. Rounds alternate the fsync policy
+//! (buffered appends survive process death — that is the buffered-WAL
+//! contract), and merges alternate between one whole-table chunk and
+//! one-column chunks (`MergeBudget::columns(1)`), so a kill can land
+//! between two column files of one merge and recovery resumes the merge
+//! from the files already written.
 //!
-//! Environment: `CRASH_ROUNDS` (default 6) rounds per mode set;
-//! `CRASH_SEED` overrides the base seed.
+//! Environment: `CRASH_ROUNDS` (default 6) one-shard rounds, plus half as
+//! many three-shard rounds; `CRASH_SEED` overrides the base seed.
 
-use hyrise::merge::{MergeBudget, MergeGrant, OnlineTable, TableMergeStats};
-use hyrise::shard::ShardedTable;
+use hyrise::merge::{MergeBudget, MergeGrant, OnlineTable};
+use hyrise::shard::{ShardRowId, ShardedTable};
 use hyrise::{recover_sharded, Durability};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -53,61 +52,58 @@ fn row(seed: u64) -> Vec<u64> {
 /// Op `i` of stream `seed` — identical in child and model.
 enum Op {
     InsertBatch(u64, usize),
-    Delete(u64),
+    /// A new version routed by its own key, so on three shards it mostly
+    /// lands on another shard than the old one.
+    Update(u64),
+    DeleteBatch(u64, usize),
     Merge,
 }
 
 fn op(seed: u64, i: u64) -> Op {
     let r = splitmix(seed.wrapping_mul(0x5851_F42D).wrapping_add(i));
     match r % 10 {
-        0..=6 => Op::InsertBatch(r, (r % 48 + 16) as usize),
-        7..=8 => Op::Delete(r >> 8),
+        0..=5 => Op::InsertBatch(r, (r % 48 + 16) as usize),
+        6 => Op::Update(r >> 8),
+        7..=8 => Op::DeleteBatch(r >> 8, (r % 3 + 1) as usize),
         _ => Op::Merge,
     }
 }
 
-/// Apply op `i` to one table: the shard of a one-shard table, or the
-/// in-memory model.
-fn apply_single(t: &OnlineTable<u64>, seed: u64, i: u64) -> hyrise::Result<()> {
-    match op(seed, i) {
-        Op::InsertBatch(s, n) => {
-            let batch: Vec<Vec<u64>> = (0..n as u64).map(|k| row(s.wrapping_add(k))).collect();
-            t.insert_rows(&batch)?;
-        }
-        Op::Delete(target) => {
-            let rows = t.row_count();
-            if rows > 0 {
-                t.delete_row(target as usize % rows)?;
-            }
-        }
-        Op::Merge => {
-            if t.delta_len() > 0 {
-                let mut grant = MergeGrant::with_threads(2);
-                if i % 2 == 1 {
-                    grant = grant.budget(MergeBudget::columns(1));
-                }
-                t.merge_with(grant).map(|_: TableMergeStats| ())?;
-            }
-        }
-    }
-    Ok(())
+/// The row `pick` names: a shard, then a row of it (`None` while that
+/// shard is empty).
+fn target(t: &ShardedTable<u64>, pick: u64) -> Option<ShardRowId> {
+    let shard = (pick % t.num_shards() as u64) as usize;
+    let rows = t.shard(shard).row_count();
+    (rows > 0).then(|| ShardRowId {
+        shard,
+        row: ((pick >> 8) % rows as u64) as usize,
+    })
 }
 
-fn apply_sharded(t: &ShardedTable<u64>, seed: u64, i: u64) -> hyrise::Result<()> {
+/// Apply op `i` to the durable child table or to the in-memory model.
+fn apply(t: &ShardedTable<u64>, seed: u64, i: u64) -> hyrise::Result<()> {
     match op(seed, i) {
         Op::InsertBatch(s, n) => {
             let batch: Vec<Vec<u64>> = (0..n as u64).map(|k| row(s.wrapping_add(k))).collect();
             t.insert_rows(&batch)?;
         }
-        Op::Delete(target) => {
-            let shard = t.shard(target as usize % t.num_shards());
-            let rows = shard.row_count();
-            if rows > 0 {
-                shard.delete_row((target >> 8) as usize % rows)?;
+        Op::Update(pick) => {
+            if let Some(old) = target(t, pick) {
+                t.update_row(old, &row(pick))?;
             }
         }
+        Op::DeleteBatch(pick, n) => {
+            let ids: Vec<ShardRowId> = (0..n as u64)
+                .filter_map(|k| target(t, splitmix(pick.wrapping_add(k))))
+                .collect();
+            t.delete_rows(&ids)?;
+        }
         Op::Merge => {
-            t.merge_all(2)?;
+            let mut grant = MergeGrant::with_threads(2);
+            if i % 2 == 1 {
+                grant = grant.budget(MergeBudget::columns(1));
+            }
+            t.merge_all_with(grant)?;
         }
     }
     Ok(())
@@ -118,7 +114,7 @@ fn ack_path(dir: &Path) -> PathBuf {
 }
 
 /// Child mode: run the op stream until killed, acking each completed op.
-fn run_child(dir: &Path, seed: u64, fsync: bool, sharded: bool) -> ! {
+fn run_child(dir: &Path, seed: u64, fsync: bool, shards: usize) -> ! {
     let acks = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -132,22 +128,17 @@ fn run_child(dir: &Path, seed: u64, fsync: bool, sharded: bool) -> ! {
             acks.get_ref().sync_data().expect("ack sync");
         }
     };
-    let durability = Durability::Wal {
-        dir: dir.to_path_buf(),
-        fsync,
-    };
     let t = ShardedTable::<u64>::builder()
-        .shards(if sharded { 3 } else { 1 })
+        .shards(shards)
         .columns(COLS)
-        .durability(durability)
+        .durability(Durability::Wal {
+            dir: dir.to_path_buf(),
+            fsync,
+        })
         .build()
         .expect("build table");
     for i in 0.. {
-        if sharded {
-            apply_sharded(&t, seed, i).expect("sharded op");
-        } else {
-            apply_single(t.shard(0), seed, i).expect("one-shard op");
-        }
+        apply(&t, seed, i).expect("op");
         ack(i);
     }
     unreachable!("the op stream is infinite; the parent kills us");
@@ -159,12 +150,18 @@ fn read_acks(dir: &Path) -> u64 {
     std::fs::read(ack_path(dir)).map_or(0, |b| (b.len() / 8) as u64)
 }
 
-fn logical_state(t: &OnlineTable<u64>) -> (usize, Vec<Vec<u64>>, Vec<bool>) {
-    let rows = (0..t.row_count())
-        .map(|r| (0..COLS).map(|c| t.get(c, r)).collect())
-        .collect();
-    let valid = (0..t.row_count()).map(|r| t.is_valid(r)).collect();
-    (t.row_count(), rows, valid)
+/// Every shard's rows and their validity.
+fn logical_state(t: &ShardedTable<u64>) -> Vec<(Vec<Vec<u64>>, Vec<bool>)> {
+    t.shards()
+        .iter()
+        .map(|s| {
+            let n = s.row_count();
+            (
+                (0..n).map(|r| s.row(r)).collect(),
+                (0..n).map(|r| s.is_valid(r)).collect(),
+            )
+        })
+        .collect()
 }
 
 /// Quiesce both sides and demand byte-identical mains.
@@ -196,8 +193,8 @@ fn assert_bytes_identical(a: &OnlineTable<u64>, b: &OnlineTable<u64>, what: &str
 }
 
 /// Column files (`col-<c>-<rows>.bin`) of a generation above the one the
-/// checkpoint manifest (`rows` at bytes 16..24) names: what an interrupted
-/// merge had written before the kill.
+/// shard's checkpoint manifest (`rows` at bytes 16..24) names: what an
+/// interrupted merge had written before the kill.
 fn columns_past_checkpoint(dir: &Path) -> usize {
     let ckpt_rows = std::fs::read(dir.join("checkpoint.bin"))
         .ok()
@@ -217,16 +214,16 @@ fn columns_past_checkpoint(dir: &Path) -> usize {
         .unwrap_or(0)
 }
 
-/// One one-shard round: spawn, kill, recover, verify.
-fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u64) {
-    let dir = scratch.join(format!("single-{seed:x}"));
+/// One round: spawn, kill, recover, verify.
+fn round(exe: &Path, scratch: &Path, seed: u64, fsync: bool, shards: usize, delay_ms: u64) {
+    let dir = scratch.join(format!("round-{seed:x}"));
     let mut child = Command::new(exe)
         .args([
             "child",
             dir.to_str().unwrap(),
             &seed.to_string(),
             &(fsync as u8).to_string(),
-            "0",
+            &shards.to_string(),
         ])
         .spawn()
         .expect("spawn child");
@@ -235,90 +232,48 @@ fn round_single(exe: &Path, scratch: &Path, seed: u64, fsync: bool, delay_ms: u6
     child.wait().expect("reap child");
 
     let acked = read_acks(&dir);
-    // The kill landed inside a merge that had written these column files.
-    let resumed = columns_past_checkpoint(&dir.join("shard-0"));
-    let table: ShardedTable<u64> = recover_sharded(&dir).expect("recover after kill");
-    let recovered = table.shard(0);
+    // The kill landed inside merges that had written these column files.
+    let resumed: usize = (0..shards)
+        .map(|i| columns_past_checkpoint(&dir.join(format!("shard-{i}"))))
+        .sum();
+    let recovered: ShardedTable<u64> = recover_sharded(&dir).expect("recover after kill");
 
-    // The model replays acked ops; the recovered state must equal that,
-    // or that plus exactly the one op that was in flight at kill time.
-    let model = OnlineTable::<u64>::new(COLS);
+    // The model replays acked ops; the whole recovered table must equal
+    // that, or that plus exactly the one op that was in flight.
+    let model = ShardedTable::<u64>::builder()
+        .shards(shards)
+        .columns(COLS)
+        .build()
+        .expect("model");
     for i in 0..acked {
-        apply_single(&model, seed, i).expect("model op");
+        apply(&model, seed, i).expect("model op");
     }
-    let got = logical_state(recovered);
+    let got = logical_state(&recovered);
     if got != logical_state(&model) {
-        apply_single(&model, seed, acked).expect("model slack op");
+        apply(&model, seed, acked).expect("model slack op");
         assert_eq!(
             got,
             logical_state(&model),
-            "fsync={fsync}: recovered state matches neither {acked} acked \
-             ops nor one op past them"
+            "shards={shards} fsync={fsync}: recovered table matches neither {acked} \
+             acked ops nor one op past them"
         );
     }
-    assert_bytes_identical(recovered, &model, "one shard");
+    for (s, (r, m)) in recovered.shards().iter().zip(model.shards()).enumerate() {
+        assert_bytes_identical(r, m, &format!("shard {s}"));
+    }
 
     // Still alive: the recovered table keeps logging and recovering.
     recovered
         .insert_rows(&[row(0xDEAD)])
         .expect("post-crash insert");
     let n = recovered.row_count();
-    drop(table);
+    drop(recovered);
     let again: ShardedTable<u64> = recover_sharded(&dir).expect("second recovery");
     assert_eq!(again.row_count(), n, "post-crash write survived");
     println!(
-        "  one-shard fsync={fsync} delay={delay_ms}ms: acked={acked}, rows={n}, \
+        "  shards={shards} fsync={fsync} delay={delay_ms}ms: acked={acked}, rows={n}, \
          resumed_columns={resumed} ok"
     );
-}
-
-/// One sharded round: every shard independently sits at the acked
-/// boundary or one op past it.
-fn round_sharded(exe: &Path, scratch: &Path, seed: u64, delay_ms: u64) {
-    let dir = scratch.join(format!("sharded-{seed:x}"));
-    let mut child = Command::new(exe)
-        .args(["child", dir.to_str().unwrap(), &seed.to_string(), "0", "1"])
-        .spawn()
-        .expect("spawn child");
-    std::thread::sleep(Duration::from_millis(delay_ms));
-    child.kill().expect("SIGKILL child");
-    child.wait().expect("reap child");
-
-    let acked = read_acks(&dir);
-    let recovered: ShardedTable<u64> = recover_sharded(&dir).expect("recover sharded");
-    let model = ShardedTable::<u64>::builder()
-        .shards(3)
-        .columns(COLS)
-        .build()
-        .expect("model");
-    for i in 0..acked {
-        apply_sharded(&model, seed, i).expect("model op");
-    }
-    // Per-shard slack: op `acked` may have reached any subset of shards
-    // (documented tearing), so compare each shard against the model at
-    // the boundary, then once more after the slack op.
-    let before: Vec<_> = recovered
-        .shards()
-        .iter()
-        .zip(model.shards())
-        .map(|(r, m)| (logical_state(r) == logical_state(m), logical_state(r)))
-        .collect();
-    apply_sharded(&model, seed, acked).expect("model slack op");
-    for (s, ((matched, got), m)) in before.iter().zip(model.shards()).enumerate() {
-        assert!(
-            *matched || *got == logical_state(m),
-            "shard {s}: state matches neither side of the acked boundary"
-        );
-    }
-    for (s, (r, m)) in recovered.shards().iter().zip(model.shards()).enumerate() {
-        // Byte-identity needs both sides at the same prefix; skip shards
-        // sitting on the torn side (their logical equality was asserted
-        // above against the slack model).
-        if logical_state(r) == logical_state(m) {
-            assert_bytes_identical(r, m, &format!("shard {s}"));
-        }
-    }
-    println!("  sharded delay={delay_ms}ms: acked={acked} ok");
 }
 
 fn main() {
@@ -327,8 +282,8 @@ fn main() {
         let dir = PathBuf::from(&args[2]);
         let seed: u64 = args[3].parse().expect("seed");
         let fsync = args[4] == "1";
-        let sharded = args[5] == "1";
-        run_child(&dir, seed, fsync, sharded);
+        let shards: usize = args[5].parse().expect("shards");
+        run_child(&dir, seed, fsync, shards);
     }
 
     let rounds: u64 = std::env::var("CRASH_ROUNDS")
@@ -344,23 +299,19 @@ fn main() {
                 .unwrap()
                 .as_nanos() as u64
         });
-    println!("crash harness: {rounds} rounds per mode, base seed {base_seed:#x}");
+    println!("crash harness: {rounds} one-shard rounds, base seed {base_seed:#x}");
 
     let exe = std::env::current_exe().expect("own path");
     let scratch = std::env::temp_dir().join(format!("hyrise-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).expect("scratch dir");
 
-    for r in 0..rounds {
+    for r in 0..rounds + rounds.div_ceil(2) {
         let seed = splitmix(base_seed.wrapping_add(r));
+        let shards = if r < rounds { 1 } else { 3 };
         // Delays sweep from "killed during the very first ops" to "killed
         // deep into merge churn".
-        let delay = 10 + seed % 190;
-        round_single(&exe, &scratch, seed, r % 2 == 0, delay);
-    }
-    for r in 0..rounds.div_ceil(2) {
-        let seed = splitmix(base_seed.wrapping_add(0x5AD + r));
-        round_sharded(&exe, &scratch, seed, 10 + seed % 190);
+        round(&exe, &scratch, seed, r % 2 == 0, shards, 10 + seed % 190);
     }
 
     let _ = std::fs::remove_dir_all(&scratch);
