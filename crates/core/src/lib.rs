@@ -83,8 +83,7 @@ pub use error::{Error, Result};
 pub use manager::{ColumnSnapshot, MergePolicy, MergeSession, OnlineTable, TableSnapshot};
 pub use model::{calibrate, MachineProfile, MergeScenario, ModelPrediction};
 pub use pipeline::{
-    MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStep, MergeStrategy, SpareBank,
-    StepSink,
+    MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy, SpareBank,
 };
 pub use pool::Pool;
 pub use rate::{update_rate, updates_per_second};

@@ -40,9 +40,9 @@
 //! of freezing again — the paper's Section 9 "pause and resume".
 
 use crate::epoch::EpochCell;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::pipeline::{
-    MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy, SpareBank, StepSink,
+    MergeBudget, MergeGrant, MergePipeline, MergeScratch, MergeStrategy, SpareBank,
 };
 use crate::pool::Pool;
 use crate::rate;
@@ -425,8 +425,13 @@ impl<V: Value> OnlineTable<V> {
     /// Invalidate a row. On a durable table the flip is one log frame,
     /// appended before the in-memory bit drops — logged before visible,
     /// like an insert. An update is an insert plus this flip, written as
-    /// one frame ([`crate::shard::ShardedTable::update_row`]).
+    /// one frame ([`crate::shard::ShardedTable::update_row`]). A row at or
+    /// past [`Self::row_count`] is an [`Error::Config`], and nothing is
+    /// logged.
     pub fn delete_row(&self, row: usize) -> Result<()> {
+        if row >= self.row_count() {
+            return Err(Error::config(format!("row id {row} out of range")));
+        }
         Self::write::<&[V]>(&[], &[(self, row)]).map(drop)
     }
 
@@ -730,7 +735,6 @@ impl<V: Value> OnlineTable<V> {
         grant: MergeGrant,
         cols: &[usize],
         snapshots: &[Option<MergeInput<V>>],
-        sink: Option<&dyn StepSink>,
     ) -> Vec<MergeOutput<MainPartition<V>>> {
         let workers = grant.threads.clamp(1, cols.len());
         let pipeline = MergePipeline::new(grant.strategy, (grant.threads / workers).max(1));
@@ -740,7 +744,7 @@ impl<V: Value> OnlineTable<V> {
             let i = cols[k];
             let (main, frozen) = snapshots[i].as_ref().expect("column not yet committed");
             let mut scratch = self.checkout_scratch();
-            let out = pipeline.merge_column_observed(main, frozen, &mut scratch, sink, i);
+            let out = pipeline.merge_column(main, frozen, &mut scratch);
             self.checkin_scratch(scratch);
             let _ = slots[k].set(out);
         });
@@ -954,15 +958,15 @@ impl<V: Value> ColumnSnapshot<V> {
     }
 
     /// Every region after the main partition, in global row order: the
-    /// frozen delta as a bit-packed [`TailRegion::Packed`] region (scanned
-    /// with the SWAR kernels in local value-id space), then the published
-    /// tail prefix as raw chunks (scanned by value comparison). This is
-    /// the shape query executors consume.
+    /// frozen delta as one bit-packed [`TailRegion::Packed`] region over its
+    /// whole row range (scanned with the SWAR kernels in local value-id
+    /// space), then the published tail prefix as raw chunks (scanned by
+    /// value comparison). This is the shape query executors consume.
     pub fn tails(&self) -> Vec<TailRegion<'_, V>> {
         let mut out = Vec::new();
         if let Some(f) = self.frozen.as_deref() {
             if !f.is_empty() {
-                out.push(TailRegion::Packed(f));
+                out.push(f.region());
             }
         }
         out.extend(
@@ -1091,7 +1095,7 @@ impl<V: Value> MergeSession<'_, V> {
         }
         let merged = self
             .table
-            .merge_columns(self.grant, &chunk, &self.snapshots, None);
+            .merge_columns(self.grant, &chunk, &self.snapshots);
         if let Some(w) = &self.table.wal {
             for (&i, out) in chunk.iter().zip(&merged) {
                 wal::write_column(&w.dir, i, self.frozen_end, &out.main)?;
@@ -1174,27 +1178,8 @@ mod tests {
 
     #[test]
     fn panic_in_one_stage2_region_surfaces_after_all_regions_and_leaves_table_unmerged() {
-        use crate::pipeline::MergeStep;
+        use crate::pipeline::FAIL_STAGE2_REGION;
         use std::panic::{catch_unwind, AssertUnwindSafe};
-
-        /// Panics when the first region of a re-encode completes; counts
-        /// every region that completes (the panicking one included).
-        #[derive(Default)]
-        struct PanicOnFirstRegion {
-            seen: AtomicU64,
-            total: AtomicU64,
-        }
-        impl StepSink for PanicOnFirstRegion {
-            fn record(&self, step: MergeStep) {
-                if let MergeStep::Stage2Progress { done, total, .. } = step {
-                    self.seen.fetch_add(1, Ordering::Relaxed);
-                    self.total.store(total, Ordering::Relaxed);
-                    if done == 1 {
-                        panic!("injected Stage 2 region failure");
-                    }
-                }
-            }
-        }
 
         // One column wide enough that a 4-wide grant cuts Stage 2 into
         // several regions wherever the pool has the workers for it.
@@ -1202,18 +1187,22 @@ mod tests {
         let rows: Vec<[u64; 1]> = (0..300_000u64).map(|i| [i % 1_000]).collect();
         t.insert_rows(&rows).unwrap();
 
-        let sink = PanicOnFirstRegion::default();
         let _gate = t.merge_gate.lock();
         t.freeze().unwrap();
         let (inputs, _) = t.frozen_snapshots();
-        let merge = || t.merge_columns(MergeGrant::with_threads(4), &[0], &inputs, Some(&sink));
+        // The first region re-encoding this table's main panics; every
+        // region that finishes (the panicking one included) is counted.
+        let main = Arc::as_ptr(&inputs[0].as_ref().unwrap().0).addr();
+        *FAIL_STAGE2_REGION.lock().unwrap() = Some((main, 0, 0));
+        let merge = || t.merge_columns(MergeGrant::with_threads(4), &[0], &inputs);
+        let unwound = catch_unwind(AssertUnwindSafe(merge)).is_err();
+        let (_, finished, total) = FAIL_STAGE2_REGION.lock().unwrap().take().unwrap();
         assert!(
-            catch_unwind(AssertUnwindSafe(merge)).is_err(),
+            unwound,
             "the region's panic must surface on the merge caller"
         );
         assert_eq!(
-            sink.seen.load(Ordering::Relaxed),
-            sink.total.load(Ordering::Relaxed),
+            finished, total,
             "the caller unwinds only after every region finished"
         );
 

@@ -425,51 +425,6 @@ impl<V: Value> MergeScratch<V> {
     }
 }
 
-/// One enumerated step of a column merge, in pipeline order — what a
-/// [`StepSink`] observes. Stage boundaries follow the paper's three-phase
-/// decomposition; within Stage 2 a progress record fires at every completed
-/// word-aligned output region, giving sub-column granularity without any
-/// synchronization inside the kernel's hot loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MergeStep {
-    /// Stage 1a finished for `col`: the compressed delta is in hand (the
-    /// freeze encoded it before the merge began).
-    Stage1a {
-        /// Column index.
-        col: usize,
-    },
-    /// Stage 1b finished for `col`: dictionaries unioned.
-    Stage1b {
-        /// Column index.
-        col: usize,
-    },
-    /// Stage 2 re-encode progress for `col`: `done` of `total`
-    /// word-aligned output regions are filled.
-    Stage2Progress {
-        /// Column index.
-        col: usize,
-        /// Completed regions.
-        done: u64,
-        /// Total regions in this re-encode.
-        total: u64,
-    },
-    /// The column's merged output is fully materialized in memory.
-    ColumnDone {
-        /// Column index.
-        col: usize,
-    },
-}
-
-/// An observer the pipeline streams [`MergeStep`]s into (production merges
-/// pass none; tests inject collectors and failures through it). Called
-/// from worker threads, hence `Sync`; implementations must be cheap and
-/// non-blocking — a step record is advisory narration, never a commit
-/// point.
-pub trait StepSink: Sync {
-    /// Observe one step. Must not panic.
-    fn record(&self, step: MergeStep);
-}
-
 /// A configured merge pipeline: strategy + thread grant, applied column by
 /// column through a [`MergeScratch`]. Stateless apart from configuration —
 /// the scratch carries all reuse.
@@ -532,27 +487,8 @@ impl MergePipeline {
         delta: &FrozenDelta<V>,
         scratch: &mut MergeScratch<V>,
     ) -> MergeOutput<MainPartition<V>> {
-        self.merge_column_observed(main, delta, scratch, None, 0)
-    }
-
-    /// As [`Self::merge_column`], but narrating every enumerated
-    /// [`MergeStep`] of column `col` into `sink` (stage boundaries plus a
-    /// progress record per completed word-aligned Stage-2 region). The
-    /// un-observed path pays nothing: `sink = None` compiles down to the
-    /// plain merge.
-    pub fn merge_column_observed<V: Value>(
-        &self,
-        main: &MainPartition<V>,
-        delta: &FrozenDelta<V>,
-        scratch: &mut MergeScratch<V>,
-        sink: Option<&dyn StepSink>,
-        col: usize,
-    ) -> MergeOutput<MainPartition<V>> {
         let n_m = main.len();
         let n_d = delta.len();
-        if let Some(sink) = sink {
-            sink.record(MergeStep::Stage1a { col });
-        }
 
         // Stage 1b: dictionary union (+ aux tables for the table-lookup
         // strategies). The merged dictionary is built in a donated buffer —
@@ -591,9 +527,6 @@ impl MergePipeline {
             }
         };
         let t_step1b = t0.elapsed();
-        if let Some(sink) = sink {
-            sink.record(MergeStep::Stage1b { col });
-        }
 
         // Stage 2(a): E'_C = ceil(log2 |U'_M|) (Equation 4), O(1).
         let bits_after = bits_for(merged.len());
@@ -627,7 +560,6 @@ impl MergePipeline {
             _ if self.exact => self.threads,
             _ => effective_threads(self.threads, n_m + n_d, MIN_TUPLES_PER_THREAD),
         };
-        let observer = sink.map(|s| (s, col));
         let (codes, zones) = match self.strategy {
             MergeStrategy::Naive => {
                 // Materialize each tuple's value, then binary-search U'_M
@@ -648,7 +580,6 @@ impl MergePipeline {
                     threads,
                     words,
                     zones,
-                    observer,
                     |old_code| search(old_dict.value_at(old_code as u32)),
                     |k0| {
                         let mut cur = delta.codes().cursor_at(k0);
@@ -669,7 +600,6 @@ impl MergePipeline {
                     threads,
                     words,
                     zones,
-                    observer,
                     |old_code| x_m[old_code as usize] as u64,
                     |k0| {
                         let mut cur = delta.codes().cursor_at(k0);
@@ -679,9 +609,6 @@ impl MergePipeline {
             }
         };
         let t_step2 = t0.elapsed();
-        if let Some(sink) = sink {
-            sink.record(MergeStep::ColumnDone { col });
-        }
 
         let stats = ColumnMergeStats {
             algo: self.strategy,
@@ -780,7 +707,6 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
     threads: usize,
     words: Vec<u64>,
     mut zones: Vec<(u32, u32)>,
-    observer: Option<(&dyn StepSink, usize)>,
     map_main: impl Fn(u64) -> u64 + Sync,
     mk_delta: impl Fn(usize) -> DC + Sync,
 ) -> (BitPackedVec, Vec<(u32, u32)>) {
@@ -795,12 +721,9 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
             .map(|&(lo, hi)| (map_main(lo as u64) as u32, map_main(hi as u64) as u32)),
     );
     zones.resize(n_total.div_ceil(ZONE_ROWS), (u32::MAX, 0));
-    // Region-completion narration: one relaxed counter bump per region (not
-    // per tuple), so the observed path stays off the kernel's hot loop.
-    let regions_done = std::sync::atomic::AtomicU64::new(0);
     let (map_main, mk_delta, copied) = (&map_main, &mk_delta, &copied);
     // `own` holds the zones of the region's blocks that take delta rows.
-    let fill = |(mut region, own): (BitRegion<'_>, &mut [(u32, u32)]), total_regions: u64| {
+    let fill = |(mut region, own): (BitRegion<'_>, &mut [(u32, u32)])| {
         let own = std::cell::Cell::from_mut(own).as_slice_of_cells();
         let own_from = region.start_index().max(carried * ZONE_ROWS);
         region.fill_or_copy(main.packed_codes(), ZONE_ROWS, copied, |first| {
@@ -825,18 +748,11 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
                 code
             }
         });
-        if let Some((sink, col)) = observer {
-            let done = regions_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            sink.record(MergeStep::Stage2Progress {
-                col,
-                done,
-                total: total_regions,
-            });
-        }
     };
     // One partition runs inline on the caller (the path the zero-allocation
     // steady state runs on); more fan out on the shared pool.
     let regions = codes.split_mut_aligned(threads, ZONE_ROWS).into_regions();
+    #[cfg(test)]
     let total = regions.len() as u64;
     let mut rest = &mut zones[carried..];
     let parts: Vec<_> = regions
@@ -849,8 +765,39 @@ fn reencode<V: Value, DC: FnMut() -> u64>(
             (region, own)
         })
         .collect();
-    Pool::global().run_each(parts, threads, |_, part| fill(part, total));
+    Pool::global().run_each(parts, threads, |_, part| {
+        fill(part);
+        #[cfg(test)]
+        stage2_region_done(main, total);
+    });
     (codes, zones)
+}
+
+/// Failure point: the Stage 2 regions re-encoding the main partition at
+/// this address count themselves as they finish, and the first to finish
+/// panics — `(address, regions finished, regions in the re-encode)`. Keyed
+/// by the partition, so the merges of tests running in parallel never trip
+/// it; keyed by no thread, so it reaches the pool workers that fill the
+/// regions.
+#[cfg(test)]
+pub(crate) static FAIL_STAGE2_REGION: std::sync::Mutex<Option<(usize, u64, u64)>> =
+    std::sync::Mutex::new(None);
+
+#[cfg(test)]
+fn stage2_region_done<V: Value>(main: &MainPartition<V>, regions: u64) {
+    let mut point = FAIL_STAGE2_REGION.lock().unwrap();
+    let first = match point.as_mut() {
+        Some((at, finished, total)) if *at == std::ptr::from_ref(main).addr() => {
+            *finished += 1;
+            *total = regions;
+            *finished == 1
+        }
+        _ => false,
+    };
+    drop(point);
+    if first {
+        panic!("injected Stage 2 region failure");
+    }
 }
 
 #[cfg(test)]

@@ -770,6 +770,41 @@ mod tests {
             .unwrap()
     }
 
+    /// A delete or update of a row id the table does not hold is refused
+    /// before anything is logged: a shard past the last, a row past the
+    /// shard's end, alone or beside a valid id. The table then reopens
+    /// with every row as before.
+    #[test]
+    fn an_out_of_range_row_id_is_refused_before_it_is_logged() {
+        let root = temp_dir("out-of-range");
+        let t = two_shards(&root);
+        let ids = t.insert_rows(&[[1u64, 10], [2, 20], [1_001, 11]]).unwrap();
+        let past_row = ShardRowId { shard: 0, row: 5 };
+        let past_shard = ShardRowId { shard: 2, row: 0 };
+        let refused = [
+            t.delete_rows(&[past_row]),
+            t.delete_rows(&[ids[0], past_row]),
+            t.delete_row(past_shard),
+            t.update_row(past_row, &[3, 30]).map(drop),
+            t.update_row(past_shard, &[3, 30]).map(drop),
+            t.shard(1).delete_row(1),
+        ];
+        for r in refused {
+            assert!(matches!(r, Err(Error::Config { .. })), "got {r:?}");
+        }
+        assert_eq!(t.row_count(), 3, "a refused update inserts nothing");
+        assert!(ids.iter().all(|&id| t.is_valid(id)));
+        drop(t);
+        let back = recover_sharded::<u64>(&root).unwrap();
+        assert_eq!(back.row_count(), 3);
+        for (id, row) in ids.iter().zip([[1u64, 10], [2, 20], [1_001, 11]]) {
+            assert!(back.is_valid(*id));
+            assert_eq!(back.row(*id), row);
+        }
+        drop(back);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     /// An append that fails half-way poisons the log: the failed write
     /// changes nothing, every later mutation returns the error, and the
     /// table reopens with exactly the writes that returned `Ok`.

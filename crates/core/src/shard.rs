@@ -18,7 +18,7 @@
 //!   adopting [`ShardedTable::shards`]: the write that makes a shard due
 //!   queues that shard's merge.
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::manager::{OnlineTable, TableSnapshot};
 use crate::pipeline::{MergeGrant, SpareBank};
 use crate::stats::TableMergeStats;
@@ -259,15 +259,17 @@ impl<V: Value> ShardedTable<V> {
     /// *new* key (it may land on a different shard than `old`) and
     /// inserted, then the old row is invalidated. Returns the new
     /// version's address. On a durable table both halves are one log
-    /// frame, so a crash recovers exactly one valid version.
+    /// frame, so a crash recovers exactly one valid version. An `old` that
+    /// names no row is an [`Error::Config`], and nothing is written.
     pub fn update_row(&self, old: ShardRowId, values: &[V]) -> Result<ShardRowId> {
         // One ticket across both shards: a cut never sees the new version
         // without the old one's invalidation (or vice versa).
         let _write = self.clock.begin_write();
+        let old_shard = self.holder(old)?;
         let shard = self.shard_of(values);
         let row = OnlineTable::write(
             &[(&*self.shards[shard], std::slice::from_ref(&values))],
-            &[(&*self.shards[old.shard], old.row)],
+            &[(old_shard, old.row)],
         )?[0];
         Ok(ShardRowId { shard, row })
     }
@@ -280,14 +282,25 @@ impl<V: Value> ShardedTable<V> {
 
     /// Invalidate several rows, on any shards, as one write: one
     /// `CutClock` ticket and, on a durable table, one log frame, so a
-    /// crash recovers all of the deletes or none.
+    /// crash recovers all of the deletes or none. An id that names no row
+    /// is an [`Error::Config`], and no row of the batch is deleted.
     pub fn delete_rows(&self, ids: &[ShardRowId]) -> Result<()> {
         let _write = self.clock.begin_write();
-        let deletes: Vec<_> = ids
+        let deletes = ids
             .iter()
-            .map(|id| (&*self.shards[id.shard], id.row))
-            .collect();
+            .map(|&id| Ok((self.holder(id)?, id.row)))
+            .collect::<Result<Vec<_>>>()?;
         OnlineTable::write::<&[V]>(&[], &deletes).map(drop)
+    }
+
+    /// The shard holding `id`: an [`Error::Config`] when the shard does not
+    /// exist or holds no row `id.row`.
+    fn holder(&self, id: ShardRowId) -> Result<&OnlineTable<V>> {
+        self.shards
+            .get(id.shard)
+            .filter(|s| id.row < s.row_count())
+            .map(|s| &**s)
+            .ok_or_else(|| Error::config(format!("row id {}/{} out of range", id.shard, id.row)))
     }
 
     /// Total rows across shards (valid + history).

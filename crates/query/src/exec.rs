@@ -3,9 +3,15 @@
 //! ascending row-id vector as the intermediate for row output.
 //!
 //! Every backend reduces its columns to the same physical shape — a
-//! dictionary-compressed main partition plus a short row-ordered list of
-//! [`TailRegion`]s (a bit-packed frozen delta, raw append-only tail
-//! chunks) — and runs one engine over it:
+//! dictionary-compressed main partition cut at the snapshot's shared main
+//! length, plus a short row-ordered list of [`TailRegion`]s (bit-packed
+//! regions, raw append-only tail chunks) — and runs one engine over it.
+//! The shared length is the shortest column's main: between the steps of
+//! an incremental merge some columns already absorbed the frozen delta,
+//! and their rows past it read as a packed region over their own
+//! dictionary, just like the frozen delta the other columns still hold. A
+//! mid-merge snapshot therefore reads the same regions, in the same shape,
+//! as one taken before the merge's first step:
 //!
 //! 0. **Zone maps prune main first.** Before any kernel runs, each
 //!    predicate's value-id range is checked against the main partition's
@@ -34,11 +40,8 @@
 //!    that match.
 //! 3. **Row output** (`rows`, `project`) materializes the matching row
 //!    ids, ascending: one predicate runs the select kernels, a conjunction
-//!    materializes the same fused mask once. Mid-merge snapshots with
-//!    stepped columns — whose mains differ in length, so no shared mask
-//!    exists — refine the row ids one by one (main rows compare their
-//!    packed code against that column's value-id range, tail rows compare
-//!    values), and aggregates over them fold that vector.
+//!    materializes the same fused mask once. Every column's main is cut at
+//!    the same length, so the mask lines up across columns mid-merge too.
 //!
 //! **Morsel-driven parallelism.** Every stage above is phrased per morsel:
 //! [`Query::with_threads`] is a morsel-count hint that cuts the surviving
@@ -171,16 +174,17 @@ pub trait Executor<V> {
 }
 
 /// One column reduced to the engine's physical shape: a compressed main
-/// partition plus tail regions in row order (the bit-packed frozen delta,
-/// then the append-only tail's raw chunks; absent regions contribute
-/// nothing).
+/// partition, read only below the snapshot's shared main length, plus tail
+/// regions in row order (the main's own rows past that length, the
+/// bit-packed frozen delta, then the append-only tail's raw chunks; absent
+/// regions contribute nothing).
 struct ColView<'a, V: Value> {
     main: &'a MainPartition<V>,
     tails: Vec<TailRegion<'a, V>>,
 }
 
 impl<V: Value> ColView<'_, V> {
-    /// Value of a tail row (row id relative to the end of main).
+    /// Value of a tail row (row id relative to the shared end of main).
     fn tail_value(&self, i: usize) -> V {
         let mut off = i;
         for tail in &self.tails {
@@ -190,16 +194,6 @@ impl<V: Value> ColView<'_, V> {
             off -= tail.len();
         }
         panic!("tail row {i} out of range")
-    }
-
-    /// Materialize one row (main rows decode through the dictionary).
-    fn value(&self, row: usize) -> V {
-        let nm = self.main.len();
-        if row < nm {
-            self.main.get(row)
-        } else {
-            self.tail_value(row - nm)
-        }
     }
 }
 
@@ -211,9 +205,8 @@ struct Prepared<'a, V: Value> {
     n_rows: usize,
     /// Covers exactly the `n_rows` rows of `cols`.
     validity: &'a ValidityBitmap,
-    /// Length of the main partition the morsels cut: the first predicate's
-    /// column's (every column's, unless a stepped merge is in flight), or
-    /// the aggregate column's for an unfiltered sum or min/max.
+    /// The shared main length: every column reads its main below it and
+    /// everything from it on through its tail regions.
     nm: usize,
     /// The spans of main that survive pruning, cut into morsels.
     morsels: Vec<Span>,
@@ -227,38 +220,65 @@ impl<V: Value> Prepared<'_, V> {
     fn width(&self) -> usize {
         work_width(self.hint, self.work)
     }
+
+    /// Materialize one row of column `c` (main rows decode through the
+    /// dictionary).
+    fn value(&self, c: usize, row: usize) -> V {
+        let col = &self.cols[c];
+        if row < self.nm {
+            col.main.get(row)
+        } else {
+            col.tail_value(row - self.nm)
+        }
+    }
 }
 
-/// Build the column views of `snap` and prune its main for `q`, cutting
-/// the survivors into morsels for `hint`.
+/// Build the column views of `snap`, cut at its shared main length, and
+/// prune that main for `q`, cutting the survivors into morsels for `hint`.
 fn prepare<'a, V: Value>(
     snap: &'a TableSnapshot<V>,
     q: &'a Query<V>,
     hint: usize,
 ) -> Prepared<'a, V> {
+    // The shortest main (the table's `N_M`): a column a merge step already
+    // committed hands its rows past it to the engine as a packed region.
+    let nm = snap
+        .cols()
+        .iter()
+        .map(|c| c.main().len())
+        .min()
+        .unwrap_or(0);
     let cols: Vec<ColView<'a, V>> = snap
         .cols()
         .iter()
-        .map(|c| ColView {
-            main: c.main(),
-            tails: c.tails(),
+        .map(|c| {
+            let (main, mut tails) = (c.main(), c.tails());
+            if main.len() > nm {
+                let suffix = TailRegion::Packed {
+                    dict: main.dictionary(),
+                    codes: main.packed_codes(),
+                    rows: nm..main.len(),
+                };
+                tails.insert(0, suffix);
+            }
+            ColView { main, tails }
         })
         .collect();
     let n_rows = snap.row_count();
     let preds = q.predicates();
-    let anchor = match (preds.first(), q.action()) {
-        (Some(p), _) => Some(p.col),
-        (None, Action::Sum(c) | Action::MinMax(c)) => Some(*c),
-        (None, _) => None,
+    // Predicates and column aggregates read main through the morsels;
+    // unfiltered rows and projections enumerate every row, and an
+    // unfiltered count reads the bitmap's counter.
+    let reads_main = !preds.is_empty() || matches!(q.action(), Action::Sum(_) | Action::MinMax(_));
+    let spans = if reads_main {
+        prune(&cols, preds, nm)
+    } else {
+        Vec::new()
     };
-    let nm = anchor.map_or(0, |c| cols[c].main.len());
-    let spans = anchor.map_or_else(Vec::new, |_| prune(&cols, preds, nm));
-    let work = match anchor {
-        Some(_) => spans.iter().map(Span::len).sum::<usize>() + n_rows - nm,
-        // Unfiltered rows and projections enumerate every row; an
-        // unfiltered count reads the bitmap's counter.
-        None if *q.action() == Action::Count => 0,
-        None => n_rows,
+    let work = match q.action() {
+        _ if reads_main => spans.iter().map(Span::len).sum::<usize>() + n_rows - nm,
+        Action::Count => 0,
+        _ => n_rows,
     };
     Prepared {
         cols,
@@ -272,14 +292,14 @@ fn prepare<'a, V: Value>(
     }
 }
 
-/// The spans of main (`nm` rows) the zone maps leave for `preds`, in row
-/// order. A block is dropped when its zone misses some predicate's
-/// value-id range; a surviving block still needs exactly the predicates
-/// whose range does not cover its zone. Adjacent blocks with the same
-/// needs coalesce, so when nothing prunes this is the single span
-/// `[0, nm)` needing every predicate. Predicates on a column whose main is
-/// not `nm` rows long (a stepped mid-merge snapshot) never prune and are
-/// always needed.
+/// The spans of the shared main (`nm` rows) the zone maps leave for
+/// `preds`, in row order. A block is dropped when its zone misses some
+/// predicate's value-id range; a surviving block still needs exactly the
+/// predicates whose range does not cover its zone. Adjacent blocks with
+/// the same needs coalesce, so when nothing prunes this is the single span
+/// `[0, nm)` needing every predicate. A longer main's block that straddles
+/// `nm` has a zone over a superset of the block's rows below `nm`, so its
+/// answer holds for them too.
 fn prune<V: Value>(
     cols: &[ColView<'_, V>],
     preds: &[CompiledPredicate<V>],
@@ -288,9 +308,6 @@ fn prune<V: Value>(
     let mut checks = Vec::with_capacity(preds.len());
     for (i, p) in preds.iter().enumerate() {
         let main = cols[p.col].main;
-        if main.len() != nm {
-            continue;
-        }
         match main.dictionary().value_id_range(&p.lo, &p.hi) {
             Some(ids) => checks.push((i, main.zones(), *ids.start(), *ids.end())),
             None => return Vec::new(),
@@ -319,42 +336,6 @@ fn prune<V: Value>(
         }
     }
     spans
-}
-
-/// Conjunction refinement: keep only selected rows whose `col` value lies
-/// in `[lo, hi]`. Main rows compare their packed code against the value-id
-/// range (random access, no decode); tail rows compare values.
-fn refine_col<V: Value>(col: &ColView<'_, V>, lo: &V, hi: &V, rows: &mut Vec<usize>) {
-    let ids = col.main.dictionary().value_id_range(lo, hi);
-    let (id_lo, id_hi) = ids.map_or((1, 0), |r| (*r.start() as u64, *r.end() as u64));
-    let nm = col.main.len();
-    let codes = col.main.packed_codes();
-    rows.retain(|&r| {
-        if r < nm {
-            let code = codes.get(r);
-            code >= id_lo && code <= id_hi
-        } else {
-            let v = col.tail_value(r - nm);
-            v >= *lo && v <= *hi
-        }
-    });
-}
-
-/// The main length a shared row mask can be built over: column `anchor`'s,
-/// provided every predicate column's main partition has the same length.
-/// Mid-incremental-merge snapshots can hold columns whose mains differ
-/// (some already absorbed the frozen delta); a shared mask would misalign
-/// there, and the caller falls back to refining row ids.
-fn shared_main_len<V: Value>(
-    cols: &[ColView<'_, V>],
-    preds: &[CompiledPredicate<V>],
-    anchor: usize,
-) -> Option<usize> {
-    let nm = cols[anchor].main.len();
-    preds
-        .iter()
-        .all(|p| cols[p.col].main.len() == nm)
-        .then_some(nm)
 }
 
 /// Clear the bits at or beyond `rows` in the last word of a dense row mask
@@ -424,10 +405,15 @@ fn matching_tail_rows<'a, V: Value>(t: &'a Prepared<'a, V>) -> impl Iterator<Ite
 }
 
 /// First-predicate scan of `col`'s tail regions only (global row ids start
-/// at the end of main). Tails are short by construction — the merge bounds
-/// them — so they run serially after the main morsels.
-fn scan_tails_into<V: Value>(col: &ColView<'_, V>, lo: &V, hi: &V, out: &mut Vec<usize>) {
-    let mut base = col.main.len();
+/// at `base`, the shared end of main). Tails are short by construction —
+/// the merge bounds them — so they run serially after the main morsels.
+fn scan_tails_into<V: Value>(
+    col: &ColView<'_, V>,
+    lo: &V,
+    hi: &V,
+    mut base: usize,
+    out: &mut Vec<usize>,
+) {
     for tail in &col.tails {
         tail.select_in_range_into(lo, hi, base, out);
         base += tail.len();
@@ -537,23 +523,18 @@ fn count_cols<V: Value>(t: &Prepared<'_, V>) -> usize {
         });
         return main + tails - deleted;
     }
-    match shared_main_len(&t.cols, t.preds, t.preds[0].col) {
-        Some(_) => {
-            let main: usize = map_main_masks(t, |_, masks| mask_count(masks))
-                .into_iter()
-                .sum();
-            main + matching_tail_rows(t).count()
-        }
-        None => select_cols(t).len(),
-    }
+    let main: usize = map_main_masks(t, |_, masks| mask_count(masks))
+        .into_iter()
+        .sum();
+    main + matching_tail_rows(t).count()
 }
 
 /// Evaluate the conjunction into the matching valid row ids, ascending.
 ///
-/// The surviving main morsels are processed one by one (scan, fuse or
-/// refine, then validity — each morsel emits its own ascending row ids);
-/// the tail regions run serially afterwards. Concatenating the per-morsel
-/// vectors in morsel order reproduces the serial ascending order exactly.
+/// The surviving main morsels are processed one by one (scan or fuse, then
+/// validity — each morsel emits its own ascending row ids); the tail
+/// regions run serially afterwards. Concatenating the per-morsel vectors in
+/// morsel order reproduces the serial ascending order exactly.
 fn select_cols<V: Value>(t: &Prepared<'_, V>) -> Vec<usize> {
     let valid = |rows: &mut Vec<usize>| rows.retain(|&r| t.validity.is_valid(r));
     match t.preds.split_first() {
@@ -578,49 +559,23 @@ fn select_cols<V: Value>(t: &Prepared<'_, V>) -> Vec<usize> {
                 rows
             });
             let mut tail_rows = Vec::new();
-            scan_tails_into(col, &first.lo, &first.hi, &mut tail_rows);
+            scan_tails_into(col, &first.lo, &first.hi, t.nm, &mut tail_rows);
             valid(&mut tail_rows);
             parts.push(tail_rows);
             concat(parts)
         }
-        Some((first, rest)) => match shared_main_len(&t.cols, t.preds, first.col) {
-            Some(_) => {
-                // Fused pass per morsel: AND morsel-local per-word masks
-                // across columns and validity, then materialize once;
-                // tail rows check all predicates fused.
-                let mut parts = map_main_masks(t, |m, masks| {
-                    let mut rows = Vec::new();
-                    rows_from_mask(masks, m.len(), m.start, &mut rows);
-                    rows
-                });
-                parts.push(matching_tail_rows(t).map(|i| t.nm + i).collect());
-                concat(parts)
-            }
-            None => {
-                // Mid-merge stepped mains: scan the first column's main
-                // per morsel, refine the other predicates row by row
-                // within the morsel (random access works for any global
-                // row id), then handle the first column's tails serially.
-                let col = &t.cols[first.col];
-                let ids = col.main.dictionary().value_id_range(&first.lo, &first.hi);
-                let mut parts = parallel_map(t.width(), t.morsels.len(), |i| {
-                    let mut rows = select_first_at(col, &ids, t.morsels[i]);
-                    for p in rest {
-                        refine_col(&t.cols[p.col], &p.lo, &p.hi, &mut rows);
-                    }
-                    valid(&mut rows);
-                    rows
-                });
-                let mut tail_rows = Vec::new();
-                scan_tails_into(col, &first.lo, &first.hi, &mut tail_rows);
-                for p in rest {
-                    refine_col(&t.cols[p.col], &p.lo, &p.hi, &mut tail_rows);
-                }
-                valid(&mut tail_rows);
-                parts.push(tail_rows);
-                concat(parts)
-            }
-        },
+        Some(_) => {
+            // Fused pass per morsel: AND morsel-local per-word masks
+            // across columns and validity, then materialize once; tail
+            // rows check all predicates fused.
+            let mut parts = map_main_masks(t, |m, masks| {
+                let mut rows = Vec::new();
+                rows_from_mask(masks, m.len(), m.start, &mut rows);
+                rows
+            });
+            parts.push(matching_tail_rows(t).map(|i| t.nm + i).collect());
+            concat(parts)
+        }
     }
 }
 
@@ -701,7 +656,7 @@ fn execute_prepared<V: Value>(t: &Prepared<'_, V>, action: &Action) -> Output<V,
             Output::Projected(concat(map_chunks(&rows, t.hint, |chunk| {
                 chunk
                     .iter()
-                    .map(|&r| pcols.iter().map(|&c| t.cols[c].value(r)).collect())
+                    .map(|&r| pcols.iter().map(|&c| t.value(c, r)).collect())
                     .collect()
             })))
         }
@@ -711,32 +666,8 @@ fn execute_prepared<V: Value>(t: &Prepared<'_, V>, action: &Action) -> Output<V,
         } else {
             count_cols(t)
         }),
-        Action::Sum(c) => Output::Sum(match shared_main_len(&t.cols, t.preds, *c) {
-            Some(_) => sum_masked(t, *c),
-            None => {
-                let col = &t.cols[*c];
-                map_chunks(&select_cols(t), t.hint, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|&r| col.value(r).to_u64_lossy() as u128)
-                        .sum::<u128>()
-                })
-                .into_iter()
-                .sum()
-            }
-        }),
-        Action::MinMax(c) => Output::MinMax(match shared_main_len(&t.cols, t.preds, *c) {
-            Some(_) => min_max_masked(t, *c),
-            None => {
-                let col = &t.cols[*c];
-                map_chunks(&select_cols(t), t.hint, |chunk| {
-                    chunk.iter().fold(None, |mm, &r| fold_mm(mm, col.value(r)))
-                })
-                .into_iter()
-                .flatten()
-                .fold(None, |mm, (lo, hi)| fold_mm(fold_mm(mm, lo), hi))
-            }
-        }),
+        Action::Sum(c) => Output::Sum(sum_masked(t, *c)),
+        Action::MinMax(c) => Output::MinMax(min_max_masked(t, *c)),
     }
 }
 

@@ -296,13 +296,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A merge session held open mid-way: the snapshot's columns have
-    /// *stepped* mains (some already absorbed the frozen delta), the rest
-    /// keep it as a packed tail region, rows written after the freeze sit
-    /// in a raw tail on top, and rows are deleted in main and in both
-    /// tails. Aggregates with zero to three predicates must match the
-    /// oracle at every thread hint — on the masked path when the columns
-    /// they touch line up, on the selection-vector fallback when not.
+    /// A merge session held open mid-way: some columns already absorbed
+    /// the frozen delta into a longer main, the rest keep it as a packed
+    /// tail region, rows written after the freeze sit in a raw tail on
+    /// top, and rows are deleted in main and in both tails. The engine
+    /// cuts every column at the shortest main and reads a longer main's
+    /// rows past it as a packed region, so aggregates with zero to three
+    /// predicates run the one masked path and must match the oracle at
+    /// every thread hint.
     #[test]
     fn aggregates_match_the_oracle_mid_incremental_merge(
         ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..120),
@@ -341,7 +342,8 @@ proptest! {
         assert_aggregates(&snap, &q, &model, &expected, agg_col, 1..=8);
         assert_aggregates(&single, &q, &model, &expected, agg_col, [1, 3]);
         drop(session);
-        // The rolled-back (or completed) session leaves the same answers.
+        // The dropped session leaves its unmerged columns frozen, and the
+        // answers stay the same.
         assert_aggregates(&single, &q, &model, &expected, agg_col, [1, 4]);
     }
 }
@@ -419,4 +421,95 @@ fn empty_and_fully_deleted_tables_aggregate_to_nothing() {
             }
         }
     }
+}
+
+/// The one mid-merge case where zone maps matter: a merged table of more
+/// than three zone blocks (an ascending key beside a low-cardinality
+/// column), then a frozen delta of which one step commits the key column,
+/// so the key's main is longer than the other's and reaches past the
+/// shared main length. Predicates on the longer and on the shorter column,
+/// alone and together, prune over the longer main's zones; every action
+/// at hints 1–4 must match a naive fold over the rows.
+#[test]
+fn stepped_snapshot_over_several_zone_blocks_matches_a_naive_fold() {
+    const MERGED: u64 = 3 * 4_096 + 1_000;
+    const FROZEN: u64 = 300;
+    let t = OnlineTable::<u64>::new(2);
+    let row = |k: u64| [k, k % 5];
+    let mut rows: Vec<[u64; 2]> = (0..MERGED).map(row).collect();
+    t.insert_rows(&rows).unwrap();
+    t.merge(1).unwrap();
+    let frozen: Vec<[u64; 2]> = (MERGED..MERGED + FROZEN).map(row).collect();
+    t.insert_rows(&frozen).unwrap();
+    rows.extend(frozen);
+    let grant = MergeGrant::with_threads(1).budget(MergeBudget::columns(1));
+    let mut session = t.begin_merge(grant).unwrap();
+    assert!(session.step().unwrap());
+    let late: Vec<[u64; 2]> = (MERGED + FROZEN..MERGED + FROZEN + 90).map(row).collect();
+    t.insert_rows(&late).unwrap();
+    rows.extend(late);
+    // Deletes in main, in the key's main suffix / the frozen delta, and in
+    // the raw tail.
+    let deleted = [0usize, 4_097, 9_000, 13_287, 13_300, 13_450, 13_600];
+    for &r in &deleted {
+        t.delete_row(r).unwrap();
+    }
+    let snap = t.snapshot();
+    assert_eq!(snap.col(0).main().len(), (MERGED + FROZEN) as usize);
+    assert_eq!(snap.col(1).main().len(), MERGED as usize);
+
+    let key_edge = MERGED - 40..=MERGED + 40;
+    let queries = [
+        Query::scan(0),
+        Query::scan(0).eq(100),
+        Query::scan(0).between(5_000, 9_000),
+        Query::scan(0).between(*key_edge.start(), *key_edge.end()),
+        Query::scan(0).between(20_000, 30_000),
+        Query::scan(1).eq(3),
+        Query::scan(1).between(2, 4),
+        Query::scan(0).between(4_000, MERGED + 200).and(1).eq(1),
+        Query::scan(1).eq(2).and(0).between(0, 5_000),
+        Query::scan(1)
+            .between(0, 1)
+            .and(0)
+            .between(*key_edge.start(), *key_edge.end()),
+    ];
+    for q in &queries {
+        let expected: Vec<usize> = (0..rows.len())
+            .filter(|r| !deleted.contains(r))
+            .filter(|&r| {
+                q.predicates()
+                    .iter()
+                    .all(|p| (p.lo..=p.hi).contains(&rows[r][p.col]))
+            })
+            .collect();
+        for hint in 1..=4 {
+            let q = q.clone().with_threads(hint);
+            for exec in [&snap as &dyn Executor<u64, RowId = usize>, &t] {
+                let ctx = format!("{q:?}");
+                assert_eq!(q.clone().run(exec).into_rows(), expected, "{ctx}");
+                let projected: Vec<Vec<u64>> = expected
+                    .iter()
+                    .map(|&r| vec![rows[r][1], rows[r][0]])
+                    .collect();
+                assert_eq!(
+                    q.clone().project(&[1, 0]).run(exec).into_projected(),
+                    projected,
+                    "{ctx}"
+                );
+                assert_eq!(q.clone().count().run(exec).count(), expected.len(), "{ctx}");
+                for c in [0, 1] {
+                    let values = || expected.iter().map(|&r| rows[r][c]);
+                    let sum: u128 = values().map(u128::from).sum();
+                    assert_eq!(q.clone().sum(c).run(exec).sum(), sum, "{ctx} sum({c})");
+                    assert_eq!(
+                        q.clone().min_max(c).run(exec).min_max(),
+                        values().min().zip(values().max()),
+                        "{ctx} min_max({c})"
+                    );
+                }
+            }
+        }
+    }
+    drop(session);
 }

@@ -339,21 +339,11 @@ pub(crate) fn handle_request(catalog: &Catalog, gate: &AdmissionGate, req: Reque
             if let Err(resp) = gate_write(gate, &entry) {
                 return resp;
             }
-            let t = entry.table();
-            // Every id is checked before any is deleted, so a rejected
-            // batch leaves the table as it was.
-            if let Some(id) = ids.iter().find(|id| {
-                let shard = id.shard as usize;
-                shard >= t.num_shards() || id.row as usize >= t.shard(shard).row_count()
-            }) {
-                return Response::err(
-                    ErrorCode::Config,
-                    format!("row id {}/{} out of range", id.shard, id.row),
-                );
-            }
-            // One write: on a durable table the batch is one log frame.
+            // One write: on a durable table the batch is one log frame. The
+            // engine checks every id first, so a rejected batch leaves the
+            // table as it was.
             let ids: Vec<_> = ids.into_iter().map(Into::into).collect();
-            match t.delete_rows(&ids) {
+            match entry.table().delete_rows(&ids) {
                 Ok(()) => Response::ok(Body::Unit),
                 Err(e) => Response {
                     admission: Admission::Admit,

@@ -19,6 +19,7 @@
 use crate::dictionary::Dictionary;
 use crate::value::Value;
 use hyrise_bitpack::{bits_for, BitPackedVec};
+use std::ops::Range;
 
 /// A sealed, read-only delta stored dictionary-compressed: a sorted local
 /// [`Dictionary`] of the delta's distinct values plus bit-packed codes in
@@ -102,6 +103,15 @@ impl<V: Value> FrozenDelta<V> {
             .collect()
     }
 
+    /// The whole delta as one packed [`TailRegion`].
+    pub fn region(&self) -> TailRegion<'_, V> {
+        TailRegion::Packed {
+            dict: &self.dict,
+            codes: &self.codes,
+            rows: 0..self.len(),
+        }
+    }
+
     /// Heap bytes of the compressed representation — the quantity
     /// `MemoryReport` charges for a frozen delta.
     pub fn memory_bytes(&self) -> usize {
@@ -115,14 +125,23 @@ impl<V: Value> Default for FrozenDelta<V> {
     }
 }
 
-/// One region of a column's unmerged tail as seen by a scan: either a
-/// sealed, bit-packed [`FrozenDelta`] (scanned with the SWAR kernels in
-/// value-id space) or a raw value slice (the active tail, scanned by value
-/// comparison).
-#[derive(Clone, Copy)]
+/// One region of a column past the rows a scan reads from main, as seen by
+/// the scan: either bit-packed codes over a sorted dictionary (scanned with
+/// the SWAR kernels in value-id space) or a raw value slice (the active
+/// tail, scanned by value comparison). A packed region is a sealed
+/// [`FrozenDelta`] ([`FrozenDelta::region`]) or the rows a merged main
+/// partition holds past a shorter one — both bit-packed alike.
+#[derive(Clone)]
 pub enum TailRegion<'a, V: Value> {
-    /// A sealed delta, dictionary-compressed.
-    Packed(&'a FrozenDelta<V>),
+    /// Rows `rows` of `codes`, dictionary-compressed through `dict`.
+    Packed {
+        /// The sorted dictionary the codes index.
+        dict: &'a Dictionary<V>,
+        /// The packed codes; the region reads only `rows` of them.
+        codes: &'a BitPackedVec,
+        /// The region's rows, as indices into `codes`.
+        rows: Range<usize>,
+    },
     /// Raw values in insertion order.
     Raw(&'a [V]),
 }
@@ -132,7 +151,7 @@ impl<'a, V: Value> TailRegion<'a, V> {
     #[inline]
     pub fn len(&self) -> usize {
         match self {
-            TailRegion::Packed(f) => f.len(),
+            TailRegion::Packed { rows, .. } => rows.len(),
             TailRegion::Raw(s) => s.len(),
         }
     }
@@ -150,7 +169,10 @@ impl<'a, V: Value> TailRegion<'a, V> {
     #[inline]
     pub fn get(&self, i: usize) -> V {
         match self {
-            TailRegion::Packed(f) => f.get(i),
+            TailRegion::Packed { dict, codes, rows } => {
+                assert!(i < rows.len(), "region row {i} out of range");
+                dict.value_at(codes.get(rows.start + i) as u32)
+            }
             TailRegion::Raw(s) => s[i],
         }
     }
@@ -162,16 +184,22 @@ impl<'a, V: Value> TailRegion<'a, V> {
 
     /// Append `base + i` to `out` for every region-local row `i` whose
     /// value lies in `[lo, hi]`. Packed regions rewrite the bounds into
-    /// local value-id space and run the SWAR range kernel; raw regions
-    /// compare values.
+    /// their dictionary's value-id space and run the SWAR range kernel over
+    /// their rows; raw regions compare values.
+    ///
+    /// # Panics
+    /// If a packed region's `rows.start` exceeds `base` (a region sits at
+    /// or past its first code's index).
     pub fn select_in_range_into(&self, lo: &V, hi: &V, base: usize, out: &mut Vec<usize>) {
         match self {
-            TailRegion::Packed(f) => {
-                if let Some(ids) = f.dict().value_id_range(lo, hi) {
-                    f.codes().select_in_range_into(
+            TailRegion::Packed { dict, codes, rows } => {
+                if let Some(ids) = dict.value_id_range(lo, hi) {
+                    codes.select_in_range_into_at(
                         *ids.start() as u64,
                         *ids.end() as u64,
-                        base,
+                        rows.start,
+                        rows.end,
+                        base - rows.start,
                         out,
                     );
                 }
@@ -190,10 +218,13 @@ impl<'a, V: Value> TailRegion<'a, V> {
     /// materialized; packed regions use the popcount kernel).
     pub fn count_in_range(&self, lo: &V, hi: &V) -> usize {
         match self {
-            TailRegion::Packed(f) => match f.dict().value_id_range(lo, hi) {
-                Some(ids) => f
-                    .codes()
-                    .count_in_range(*ids.start() as u64, *ids.end() as u64),
+            TailRegion::Packed { dict, codes, rows } => match dict.value_id_range(lo, hi) {
+                Some(ids) => codes.count_in_range_at(
+                    *ids.start() as u64,
+                    *ids.end() as u64,
+                    rows.start,
+                    rows.end,
+                ),
                 None => 0,
             },
             TailRegion::Raw(s) => s.iter().filter(|v| *v >= lo && *v <= hi).count(),
@@ -242,22 +273,33 @@ mod tests {
     fn tail_region_select_agrees_across_representations() {
         let values: Vec<u64> = (0..500).map(|i| (i * 17) % 101).collect();
         let f = FrozenDelta::from_values(&values);
-        let packed = TailRegion::Packed(&f);
-        let raw = TailRegion::Raw(&values);
-        assert_eq!(packed.len(), raw.len());
-        for (lo, hi) in [(0u64, 100u64), (10, 40), (50, 50), (40, 10), (200, 300)] {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            packed.select_in_range_into(&lo, &hi, 1000, &mut a);
-            raw.select_in_range_into(&lo, &hi, 1000, &mut b);
-            assert_eq!(a, b, "range {lo}..={hi}");
-            assert_eq!(
-                packed.count_in_range(&lo, &hi),
-                raw.count_in_range(&lo, &hi),
-                "range {lo}..={hi}"
-            );
-        }
-        for i in (0..500).step_by(37) {
-            assert_eq!(packed.get(i), raw.get(i));
+        // The whole delta, and a row range of its codes (the shape of a
+        // main partition's rows past a shorter main).
+        let suffix = TailRegion::Packed {
+            dict: f.dict(),
+            codes: f.codes(),
+            rows: 130..500,
+        };
+        let pairs = [
+            (f.region(), TailRegion::Raw(&values)),
+            (suffix, TailRegion::Raw(&values[130..])),
+        ];
+        for (packed, raw) in pairs {
+            assert_eq!(packed.len(), raw.len());
+            for (lo, hi) in [(0u64, 100u64), (10, 40), (50, 50), (40, 10), (200, 300)] {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                packed.select_in_range_into(&lo, &hi, 1000, &mut a);
+                raw.select_in_range_into(&lo, &hi, 1000, &mut b);
+                assert_eq!(a, b, "range {lo}..={hi}");
+                assert_eq!(
+                    packed.count_in_range(&lo, &hi),
+                    raw.count_in_range(&lo, &hi),
+                    "range {lo}..={hi}"
+                );
+            }
+            for i in (0..raw.len()).step_by(37) {
+                assert_eq!(packed.get(i), raw.get(i));
+            }
         }
     }
 
