@@ -412,7 +412,9 @@ impl<V: Value> OnlineTable<V> {
     /// all. Only a batch that leaves an adopted table's delta above its
     /// scheduler's floor asks the scheduler whether the table is now due.
     /// Returns the contiguous range of tuple ids assigned. On a durable
-    /// table the batch is one log frame, logged before it is visible.
+    /// table the batch is one log frame, logged before it is visible. A
+    /// row without one value per column is an [`Error::Config`], and
+    /// nothing of the batch is written.
     pub fn insert_rows<R: AsRef<[V]>>(&self, rows: &[R]) -> Result<std::ops::Range<usize>> {
         if rows.is_empty() {
             let n = self.row_count();
@@ -444,19 +446,15 @@ impl<V: Value> OnlineTable<V> {
     /// (synced under `fsync`), the rows publish and the flips apply — so
     /// each shard's rows are logged in tuple-id order, nothing is visible
     /// before it is logged, and recovery replays the write whole or not at
-    /// all. A failed append changes no table and poisons the log.
+    /// all. A failed append changes no table and poisons the log. A row of
+    /// the wrong width is an [`Error::Config`], returned before any slot is
+    /// taken or anything is logged.
     pub(crate) fn write<R: AsRef<[V]>>(
         inserts: &[(&Self, &[R])],
         deletes: &[(&Self, usize)],
     ) -> Result<Vec<usize>> {
         for (t, rows) in inserts {
-            for values in rows.iter() {
-                assert_eq!(
-                    values.as_ref().len(),
-                    t.n_cols,
-                    "row arity must match column count"
-                );
-            }
+            t.check_arity(rows)?;
         }
         let first = inserts
             .first()
@@ -507,6 +505,17 @@ impl<V: Value> OnlineTable<V> {
             t.count_insert(start + rows.len(), *main_len, rows.len());
         }
         Ok(groups.iter().map(|g| g.1).collect())
+    }
+
+    /// An [`Error::Config`] unless every row holds one value per column.
+    pub(crate) fn check_arity<R: AsRef<[V]>>(&self, rows: &[R]) -> Result<()> {
+        let cols = self.n_cols;
+        match rows.iter().map(|r| r.as_ref().len()).find(|&n| n != cols) {
+            Some(n) => Err(Error::config(format!(
+                "a row of {n} values for {cols} columns"
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// The in-memory insert, retrying when a freeze sealed the tail between

@@ -182,8 +182,9 @@ impl Default for MergeBudget {
 pub struct MergeGrant {
     /// Merge algorithm (default [`MergeStrategy::Parallel`]).
     pub strategy: MergeStrategy,
-    /// The merge's width on the shared [`Pool`]: how many claimants (the
-    /// caller plus pool workers) its column, partition and region fan-outs
+    /// The merge's width on the shared [`Pool`]: how many claimants (pool
+    /// workers, plus the caller when it claims — see
+    /// [`Pool::run_indexed`]) its column, partition and region fan-outs
     /// may occupy at once. No thread is created for a merge.
     pub threads: usize,
     /// Peak-memory cap (default [`MergeBudget::UNBOUNDED`]).

@@ -25,16 +25,23 @@
 //! [`Pool::run_indexed`] is the execution primitive the morsel executor
 //! and the merge stages use: run `f(i)` for every `i in 0..n` with bounded
 //! parallelism, over a *borrowed* closure, blocking until all indices
-//! finish. The caller itself claims indices from the shared counter, so
-//! completion never depends on a worker picking the helper tasks up — work
-//! running *on* a pool worker can fan out again (shard task → morsel
-//! tasks, shard merge → column tasks → Stage 2 regions) without risking the
-//! pool feeding on itself into a deadlock. Helper tasks that fire
-//! after all indices are claimed observe the drained counter and return
-//! without touching the (by then possibly dead) closure, which is what
-//! makes the lifetime erasure sound. Panics in `f` are caught, counted,
-//! and re-thrown on the caller once every index has finished, so borrowed
-//! state is never observed mid-flight.
+//! finish. Helper tasks claim indices from a shared counter; the caller
+//! claims beside them only when that takes no core from anyone — it is a
+//! worker of this pool (nested fan-out), a worker was parked when it
+//! queued its helpers, or the pool is shutting down. Otherwise every
+//! worker is busy, and the caller waits for them rather than time-slice
+//! its work against theirs. No deadlock follows: a caller that is not a
+//! worker waits only while every worker is busy; a worker that fans out
+//! (shard → morsels, merge → columns → Stage 2 regions) claims its own
+//! indices, so every running task finishes; and no pool task takes a lock
+//! a waiting caller can hold (a merge thread waits holding its table's
+//! merge gate, which only `begin_merge` takes, and no query, column or
+//! region task does). Helper tasks that fire after all indices are
+//! claimed observe the drained counter and return without touching the
+//! (by then possibly dead) closure, which is what makes the lifetime
+//! erasure sound. Panics in `f` are caught, counted, and re-thrown on the
+//! caller once every index has finished, so borrowed state is never
+//! observed mid-flight.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -78,33 +85,48 @@ struct Shared {
     depth: AtomicUsize,
     /// High-water mark of `depth` since the last [`Pool::reset_peak_depth`].
     peak_depth: AtomicUsize,
+    /// Workers waiting on the gate for work: a caller that sees one claims
+    /// its own indices, since that takes a core from no one.
+    parked: AtomicUsize,
+    /// Set under the injector's lock, so a push either lands before a
+    /// worker's last scan or is refused.
     shutdown: AtomicBool,
 }
 
 impl Shared {
-    fn push(&self, task: Task) {
-        let slot = WORKER.with(|w| w.get()).and_then(
-            |(pid, idx)| {
-                if pid == self.id {
-                    Some(idx)
-                } else {
-                    None
+    /// The calling thread's worker index, if it is a worker of this pool.
+    fn own_slot(&self) -> Option<usize> {
+        WORKER
+            .with(|w| w.get())
+            .and_then(|(pid, idx)| (pid == self.id).then_some(idx))
+    }
+
+    /// Queue `task`, or hand it back when the pool is shutting down and no
+    /// worker may visit the injector again. A worker's own deque always
+    /// takes it: that worker scans it before it exits.
+    fn push(&self, task: Task) -> Result<(), Task> {
+        let mut queue = match self.own_slot() {
+            Some(idx) => self.locals[idx].lock().unwrap(),
+            None => {
+                let injector = self.injector.lock().unwrap();
+                if self.shutdown.load(Ordering::Acquire) {
+                    return Err(task);
                 }
-            },
-        );
+                injector
+            }
+        };
         // Count BEFORE the task becomes visible: a worker may pop and
-        // decrement the instant it lands in a queue, and an
+        // decrement the instant the lock drops, and an
         // increment-after-push would let `depth` transiently underflow.
         let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_depth.fetch_max(d, Ordering::Relaxed);
-        match slot {
-            Some(idx) => self.locals[idx].lock().unwrap().push_back(task),
-            None => self.injector.lock().unwrap().push_back(task),
-        }
+        queue.push_back(task);
+        drop(queue);
         let mut gen = self.gate.gen.lock().unwrap();
         *gen += 1;
         drop(gen);
         self.gate.cv.notify_all();
+        Ok(())
     }
 
     /// One full scan: own deque LIFO, injector FIFO, then steal FIFO.
@@ -128,6 +150,9 @@ impl Shared {
     fn worker_loop(&self, me: usize) {
         loop {
             let gen0 = *self.gate.gen.lock().unwrap();
+            // Sampled before the scan: a worker leaves only after a scan
+            // that began once no push could land any more.
+            let stopping = self.shutdown.load(Ordering::Acquire);
             if let Some(task) = self.find_task(me) {
                 match task {
                     Task::Spawned(f) => {
@@ -146,13 +171,15 @@ impl Shared {
                 }
                 continue;
             }
-            if self.shutdown.load(Ordering::Acquire) {
+            if stopping {
                 return;
             }
             let mut gen = self.gate.gen.lock().unwrap();
+            self.parked.fetch_add(1, Ordering::Relaxed);
             while *gen == gen0 && !self.shutdown.load(Ordering::Acquire) {
                 gen = self.gate.cv.wait(gen).unwrap();
             }
+            self.parked.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
@@ -185,6 +212,7 @@ impl Pool {
             },
             depth: AtomicUsize::new(0),
             peak_depth: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
         let workers = (0..threads)
@@ -220,9 +248,10 @@ impl Pool {
 
     /// Tasks currently queued, unclaimed and still wanted — the load
     /// signal the admission gate consults. Helpers of a
-    /// [`Self::run_indexed`] call that already completed (the caller
-    /// out-ran them while every worker was busy) are not counted: they are
-    /// not work waiting for a worker.
+    /// [`Self::run_indexed`] call that already completed (a claiming caller
+    /// or a sibling helper ran every index first) are not counted: they
+    /// are not work waiting for a worker. A caller waiting on a saturated
+    /// pool leaves its helpers counted until a worker takes them.
     pub fn queue_depth(&self) -> usize {
         self.shared.depth.load(Ordering::Relaxed)
     }
@@ -242,13 +271,11 @@ impl Pool {
     /// its own deque (stolen by idle siblings); other threads go through
     /// the shared injector.
     pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            // The pool is draining: run inline rather than strand the task
-            // in a queue no worker will visit again.
+        // A pool that is shutting down refuses the task: run it inline
+        // rather than strand it in a queue no worker will visit again.
+        if let Err(Task::Spawned(f)) = self.shared.push(Task::Spawned(Box::new(f))) {
             f();
-            return;
         }
-        self.shared.push(Task::Spawned(Box::new(f)));
     }
 
     /// Run `f(i)` for every `i in 0..n` with at most `width` helper tasks,
@@ -258,14 +285,14 @@ impl Pool {
     ///
     /// `width` bounds this call's parallelism: the number of helper tasks
     /// is `width` clamped to `n` and to the pool size (so the queue never
-    /// exceeds the pool), but never below one — on a single-worker pool a
-    /// parallel request still runs caller + one worker concurrently, which
-    /// is what keeps the cross-thread path exercised on small machines.
-    /// `width <= 1` or `n <= 1` runs inline with no task queued, which is
-    /// the serial-parity path. The caller participates in claiming
-    /// indices, so nested calls from inside a worker cannot deadlock, and
-    /// a panic in any `f(i)` is re-thrown here once every index has
-    /// finished.
+    /// exceeds the pool), but never below one. `width <= 1` or `n <= 1`
+    /// runs inline with no task queued, which is the serial-parity path.
+    ///
+    /// The caller claims indices beside its helpers only when that takes
+    /// no core from anyone (see the module docs); otherwise it waits for
+    /// the busy workers to run them. An idle pool therefore behaves as if
+    /// the caller always claimed. A panic in any `f(i)` is re-thrown here
+    /// once every index has finished.
     pub fn run_indexed(&self, n: usize, width: usize, f: &(dyn Fn(usize) + Sync)) {
         if n == 0 {
             return;
@@ -277,6 +304,10 @@ impl Pool {
             return;
         }
         let helpers = width.min(n).min(self.threads()).max(1);
+        // Sampled before queuing: the wake-ups of our own helpers must not
+        // read as idle workers.
+        let mut claim =
+            self.shared.own_slot().is_some() || self.shared.parked.load(Ordering::Relaxed) > 0;
         // SAFETY: the lifetime is erased, not extended — `ScopeState`
         // dereferences the pointer only while this call's borrow of `f` is
         // provably live (see `ErasedFn`).
@@ -295,9 +326,15 @@ impl Pool {
             queued: AtomicUsize::new(helpers),
         });
         for _ in 0..helpers {
-            self.shared.push(Task::Helper(Arc::clone(&state)));
+            if self.shared.push(Task::Helper(Arc::clone(&state))).is_err() {
+                // Shutting down: a refused helper was never counted.
+                state.take_queued(1);
+                claim = true;
+            }
         }
-        state.drain();
+        if claim {
+            state.drain();
+        }
         let mut d = state.done.lock().unwrap();
         while d.finished < n {
             d = state.cv.wait(d).unwrap();
@@ -330,7 +367,10 @@ impl Pool {
     /// Graceful shutdown: let queued work drain, then join every worker.
     /// Idempotent; also runs on `Drop`.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            let _injector = self.shared.injector.lock().unwrap();
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         {
             let mut gen = self.shared.gate.gen.lock().unwrap();
             *gen += 1;
@@ -413,7 +453,7 @@ impl ScopeState {
     }
 
     /// Claim and run indices until the counter drains. Runs on helpers and
-    /// on the caller alike.
+    /// on a claiming caller alike.
     fn drain(&self) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -489,6 +529,66 @@ mod tests {
             });
         });
         assert_eq!(total.load(Ordering::Relaxed), 8 * (15 * 16 / 2));
+    }
+
+    /// The threads that ran each index of `run_indexed(n, width)` called
+    /// from this thread.
+    fn claimants(pool: &Pool, n: usize, width: usize) -> Vec<std::thread::ThreadId> {
+        let ids: Vec<Mutex<Option<std::thread::ThreadId>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
+        pool.run_indexed(n, width, &|i| {
+            *ids[i].lock().unwrap() = Some(std::thread::current().id());
+        });
+        ids.into_iter()
+            .map(|m| m.into_inner().unwrap().expect("every index ran"))
+            .collect()
+    }
+
+    #[test]
+    fn a_caller_runs_no_index_while_every_worker_is_busy() {
+        // Both workers block in spawned tasks until the caller's helpers
+        // are queued behind them: the caller must wait for the workers
+        // instead of claiming its indices on its own thread.
+        let pool = Pool::new(2);
+        let started = Arc::new(AtomicUsize::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        for _ in 0..2 {
+            let (started, release) = (Arc::clone(&started), Arc::clone(&release));
+            pool.spawn(move || {
+                started.fetch_add(1, Ordering::SeqCst);
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            });
+        }
+        while started.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        let ids = std::thread::scope(|s| {
+            s.spawn(|| {
+                while pool.queue_depth() < 2 {
+                    std::thread::yield_now();
+                }
+                release.store(true, Ordering::SeqCst);
+            });
+            claimants(&pool, 8, 2)
+        });
+        let me = std::thread::current().id();
+        assert!(
+            ids.iter().all(|&id| id != me),
+            "the caller ran {} of 8 indices beside two busy workers",
+            ids.iter().filter(|&&id| id == me).count()
+        );
+        assert_eq!(pool.queue_depth(), 0);
+    }
+
+    #[test]
+    fn run_indexed_after_shutdown_runs_every_index_on_the_caller() {
+        let pool = Pool::new(2);
+        pool.shutdown();
+        let me = std::thread::current().id();
+        assert!(claimants(&pool, 8, 2).iter().all(|&id| id == me));
+        assert_eq!(pool.queue_depth(), 0, "refused helpers are not counted");
     }
 
     #[test]

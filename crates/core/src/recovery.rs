@@ -716,6 +716,8 @@ mod tests {
         let sched = MergeScheduler::spawn(t.shards().to_vec(), policy);
         wait_for(&|| sched.stats().failed_merges > 0);
         assert_eq!(sched.stats().failed_merges, 1);
+        let failure = sched.stats().last_failure.expect("the error is kept");
+        assert!(failure.contains("write column file"), "got {failure}");
         assert_eq!(sched.stats().merges, 0);
         assert_eq!(t.shard(0).main_len(), 0, "the delta stays frozen");
         std::fs::remove_dir(&blocker).unwrap();
@@ -798,6 +800,51 @@ mod tests {
         let back = recover_sharded::<u64>(&root).unwrap();
         assert_eq!(back.row_count(), 3);
         for (id, row) in ids.iter().zip([[1u64, 10], [2, 20], [1_001, 11]]) {
+            assert!(back.is_valid(*id));
+            assert_eq!(back.row(*id), row);
+        }
+        drop(back);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A row without one value per column is refused before any tail slot
+    /// is taken or any frame is logged: alone, beside a good row, as an
+    /// update's new version and through one shard. The log's bytes stay as
+    /// they were, and the table reopens with every row.
+    #[test]
+    fn a_row_of_the_wrong_width_is_refused_before_it_is_logged() {
+        let root = temp_dir("arity");
+        let t = two_shards(&root);
+        let good = [[1u64, 10], [1_001, 11]];
+        let ids = t.insert_rows(&good).unwrap();
+        let segments = || {
+            let mut segs: Vec<(String, Vec<u8>)> = listing(&root)
+                .into_iter()
+                .filter(|n| n.ends_with(".wal"))
+                .map(|n| (n.clone(), std::fs::read(root.join(&n)).unwrap()))
+                .collect();
+            segs.sort();
+            segs
+        };
+        let before = segments();
+        let refused = [
+            t.insert_row(&[2]).map(drop),
+            t.insert_rows(&[vec![2u64, 20], vec![1_002]]).map(drop),
+            t.insert_rows(&[vec![2u64, 20, 30]]).map(drop),
+            t.update_row(ids[0], &[3]).map(drop),
+            t.shard(1).insert_row(&[1_003, 1, 1]).map(drop),
+        ];
+        for r in refused {
+            assert!(matches!(r, Err(Error::Config { .. })), "got {r:?}");
+        }
+        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.shard(1).row_count(), 1, "no tail slot was taken");
+        assert_eq!(segments(), before, "nothing was logged");
+        assert!(ids.iter().all(|&id| t.is_valid(id)));
+        drop(t);
+        let back = recover_sharded::<u64>(&root).unwrap();
+        assert_eq!(back.row_count(), 2);
+        for (id, row) in ids.iter().zip(good) {
             assert!(back.is_valid(*id));
             assert_eq!(back.row(*id), row);
         }

@@ -84,6 +84,9 @@ pub struct SchedulerStats {
     /// write, say). Their uncommitted columns stay frozen, and the table's
     /// next merge resumes them.
     pub failed_merges: u64,
+    /// The error of the most recent failed merge, as text (`None` while no
+    /// merge has failed).
+    pub last_failure: Option<String>,
     /// Tuples moved from delta partitions into main partitions, across all
     /// sources and columns.
     pub tuples_merged: u64,
@@ -219,8 +222,9 @@ struct Shared<V: Value> {
     sources: Vec<Source<V>>,
     policy: MergePolicy,
     grants: GrantTrace,
-    /// Merges that returned an error.
+    /// Merges that returned an error, and the last such error's text.
     failed: AtomicU64,
+    last_failure: Mutex<Option<String>>,
     paused: AtomicBool,
     /// Set by shutdown under the write guard. Every merge runs under the
     /// read guard, so shutdown waits out a merge in flight and no merge
@@ -277,7 +281,8 @@ impl<V: Value> Shared<V> {
     /// under the grant the policy states for the adopter's memory now,
     /// then re-check it. A paused or failed source leaves the queue
     /// without a re-check: `resume`, or the next write, tries again — a
-    /// failed merge is counted, and the retry resumes its frozen columns.
+    /// failed merge is counted and its error kept, and the retry resumes
+    /// its frozen columns.
     fn merge(self: &Arc<Self>, i: usize) {
         let s = &self.sources[i];
         let merged = !self.paused.load(Ordering::Relaxed) && {
@@ -300,7 +305,8 @@ impl<V: Value> Shared<V> {
                     *s.since.lock() = (Instant::now(), self.inserted_rows());
                     true
                 }
-                Err(_) => {
+                Err(e) => {
+                    *self.last_failure.lock() = Some(e.to_string());
                     self.failed.fetch_add(1, Ordering::Relaxed);
                     false
                 }
@@ -408,6 +414,7 @@ impl<V: Value> MergeScheduler<V> {
             policy,
             grants: GrantTrace::default(),
             failed: AtomicU64::new(0),
+            last_failure: Mutex::new(None),
             paused: AtomicBool::new(false),
             stopped: Arc::new(RwLock::new(false)),
         });
@@ -459,6 +466,7 @@ impl<V: Value> MergeScheduler<V> {
         SchedulerStats {
             merges: per_source.iter().map(|s| s.merges).sum(),
             failed_merges: self.shared.failed.load(Ordering::Relaxed),
+            last_failure: self.shared.last_failure.lock().clone(),
             tuples_merged: per_source.iter().map(|s| s.tuples_merged).sum(),
             merge_micros: per_source.iter().map(|s| s.merge_micros).sum(),
             per_source,

@@ -193,11 +193,19 @@ impl<V: Value> ShardedTable<V> {
         self.shard_of_key(&values[self.key_col])
     }
 
+    /// The shard a row routes to, once it holds one value per column (an
+    /// [`Error::Config`] otherwise).
+    fn route(&self, values: &[V]) -> Result<usize> {
+        self.shards[0].check_arity(std::slice::from_ref(&values))?;
+        Ok(self.shard_of(values))
+    }
+
     /// Insert one row, routed by its key; returns its global address
-    /// (the log append of a durable table can fail).
+    /// (the log append of a durable table can fail, and a row of the
+    /// wrong width is an [`Error::Config`]).
     pub fn insert_row(&self, values: &[V]) -> Result<ShardRowId> {
         let _write = self.clock.begin_write();
-        let shard = self.shard_of(values);
+        let shard = self.route(values)?;
         let row = self.shards[shard].insert_row(values)?;
         Ok(ShardRowId { shard, row })
     }
@@ -212,10 +220,14 @@ impl<V: Value> ShardedTable<V> {
     ///
     /// On a durable table the batch is one frame of the table log, logged
     /// before any group is visible: a crash recovers all of its groups or
-    /// none.
+    /// none. A row of the wrong width is an [`Error::Config`], and nothing
+    /// of the batch is written.
     pub fn insert_rows<R: AsRef<[V]>>(&self, rows: &[R]) -> Result<Vec<ShardRowId>> {
         let _write = self.clock.begin_write();
-        let route: Vec<usize> = rows.iter().map(|r| self.shard_of(r.as_ref())).collect();
+        let route = rows
+            .iter()
+            .map(|r| self.route(r.as_ref()))
+            .collect::<Result<Vec<usize>>>()?;
         let mut batches: Vec<Vec<&[V]>> = vec![Vec::new(); self.shards.len()];
         for (r, &shard) in rows.iter().zip(&route) {
             batches[shard].push(r.as_ref());
@@ -260,13 +272,14 @@ impl<V: Value> ShardedTable<V> {
     /// inserted, then the old row is invalidated. Returns the new
     /// version's address. On a durable table both halves are one log
     /// frame, so a crash recovers exactly one valid version. An `old` that
-    /// names no row is an [`Error::Config`], and nothing is written.
+    /// names no row, or a new version of the wrong width, is an
+    /// [`Error::Config`], and nothing is written.
     pub fn update_row(&self, old: ShardRowId, values: &[V]) -> Result<ShardRowId> {
         // One ticket across both shards: a cut never sees the new version
         // without the old one's invalidation (or vice versa).
         let _write = self.clock.begin_write();
         let old_shard = self.holder(old)?;
-        let shard = self.shard_of(values);
+        let shard = self.route(values)?;
         let row = OnlineTable::write(
             &[(&*self.shards[shard], std::slice::from_ref(&values))],
             &[(old_shard, old.row)],

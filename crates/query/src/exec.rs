@@ -705,8 +705,10 @@ impl<V: Value> Executor<V> for ShardedTable<V> {
     /// Fan-out + merge: the shard snapshots come from one **consistent
     /// cut** (no cross-shard write batch is half-visible — see
     /// [`ShardedTable::consistent_snapshots`]), the canonical engine runs
-    /// once per shard as pool tasks (the calling thread claims shards
-    /// too), and the partial results are stitched in shard order — rows
+    /// once per shard as pool tasks (the calling thread claims shards too
+    /// only when that takes no core from anyone: it is a pool worker, or a
+    /// worker was parked — see [`Pool::run_indexed`]), and the partial
+    /// results are stitched in shard order — rows
     /// map to global [`ShardRowId`]s, counts and sums add, min/max
     /// reduce.
     fn execute(&self, q: &Query<V>) -> Output<V, ShardRowId> {

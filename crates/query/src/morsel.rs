@@ -143,11 +143,14 @@ pub(crate) fn chunk_ranges(n: usize, k: usize) -> Vec<(usize, usize)> {
 ///
 /// `width <= 1` (or a single item) runs inline on the calling thread and
 /// never touches the pool. Otherwise the indices are claimed dynamically
-/// by up to `width` pool workers *plus the calling thread* — the caller
-/// participates in draining, so a pool task that itself calls
-/// [`parallel_map`] (the sharded fan-out running morselized per-shard
-/// engines) can never deadlock the pool, and the number of queued helper
-/// tasks never exceeds `min(width, n, pool threads)`.
+/// by up to `width` pool workers, and the number of queued helper tasks
+/// never exceeds `min(width, n, pool threads)`. A caller claims only when
+/// that takes no core from anyone ([`Pool::run_indexed`]): a pool task
+/// that itself calls [`parallel_map`] (the sharded fan-out running
+/// morselized per-shard engines) claims its own indices, so it can never
+/// deadlock the pool, and so does a caller that finds a worker parked;
+/// a connection thread that finds every worker busy waits for them
+/// instead of computing beside them.
 pub(crate) fn parallel_map<T, F>(width: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send + Sync,

@@ -99,8 +99,14 @@ cd "$(dirname "$0")/.."
 # observer with its stage records left (core), for a row range on the one
 # packed tail region (storage) and an engine-side bounds check of delete
 # and update row ids that replaced the server's (core, server)
-# (16849 -> 16743).
-ceiling=16743
+# (16849 -> 16743); then raised when a pool caller stopped computing beside
+# busy workers: the parked-worker count and the claim rule with its
+# deadlock argument, a push that refuses work once the pool shuts down
+# (core, and the docs of the query fan-out), the scheduler's last merge
+# error, and an arity check that returns a typed error instead of
+# panicking before a sharded write routes or logs a row (core)
+# (16743 -> 16819).
+ceiling=16819
 
 # A bare `Contended` would match an unrelated comment, hence the prefix.
 gone='Attribute<|AnyValue|merge_table_parallel|merge_column_naive|merge_column_optimized|merge_column_parallel|group_by_sum|table_select|DeltaPartition|DeltaView|CompressedDelta|compress_delta|merge_column_frozen|GrantSignal::(Contended|QueueDeep|WriteBurst|ReadIdle|Resume)|busy_reads_per_sec|idle_reads_per_sec|deep_queue_depth|with_read_thresholds|with_max_threads|resume_grant|classify_update_rate|WriteLoad|global_queue_depth|MergeSource|LoadView|LoadSignals|RoundPlan|MergeOutcome|scheduler_poll|max_concurrent_merges|record_outcome|resume_merge_with|begin_incremental_merge|try_begin_incremental_merge_with|set_governor_config|governor_config|recover_with|MergeCancelled|drive_swarm|SwarmWorkload|SwarmReport|swarm_row|ShardedWorkload|drive_sharded|preload_sharded|sharded_table_for|CsbTree|hyrise_csb|MergeLog|MergeCkpt|read_merge_log|write_staged_column|read_staged_column|STAGED_DIR|\bTableBuilder\b|TableConfig|try_insert_row|try_update_row|try_delete_row|CUT_CLOCK|CUT_PAUSE|MANIFEST_MAGIC|ResourceGovernor|GovernorConfig|spawn_governed|GrantSignal|MergeAlgo|rollback_frozen|roll_back|Cancelled|fold_segment_rows|from_recovered_parts|seal_and_rotate|truncate_absorbed|flip_gate|recover_shard\b|shared_main_len|refine_col|StepSink|merge_column_observed|Stage2Progress'
